@@ -52,6 +52,7 @@ from .shooting import (
     integrate_universal,
     scan_brackets,
     shoot_gamma0,
+    solve_states,
 )
 
 __version__ = "0.1.0"
@@ -81,6 +82,7 @@ __all__ = [
     "scan_brackets",
     "find_bracket",
     "shoot_gamma0",
+    "solve_states",
     # physical
     "PhysicalParams",
     "PhysicalProfile",

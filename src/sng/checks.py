@@ -36,7 +36,7 @@ from .physical import (
     rescale_to_physical,
 )
 from .scf import scf_solve, universal_from_scf
-from .shooting import UniversalSolution, find_bracket, shoot_gamma0
+from .shooting import UniversalSolution, solve_states
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 
@@ -77,9 +77,7 @@ def _row(suite: str, name: str, measured: float, bound: float,
 
 @lru_cache(maxsize=8)
 def _solved(n: int, rho_max: float, points: int) -> UniversalSolution:
-    grid = make_grid(rho_max, points)
-    bracket = find_bracket(n, grid=grid)
-    return shoot_gamma0(n, bracket, grid=grid)
+    return solve_states([n], make_grid(rho_max, points))[0]
 
 
 @lru_cache(maxsize=8)

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .physical import (
     rescale_to_physical,
     rms_radius,
 )
-from .shooting import UniversalSolution, find_bracket, scan_brackets, shoot_gamma0
+from .shooting import UniversalSolution, solve_states
 
 __all__ = ["main"]
 
@@ -176,14 +175,8 @@ def _load_solution(json_path: str) -> UniversalSolution:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _solve_one(n: int, rho_max: float, points: int, tol: float) -> UniversalSolution:
-    grid = make_grid(rho_max, points)
-    bracket = find_bracket(n, grid=grid)
-    return shoot_gamma0(n, bracket, grid=grid, tol=tol)
-
-
 def _cmd_solve(args) -> int:
-    sol = _solve_one(args.n, args.rho_max, args.points, args.tol)
+    [sol] = solve_states([args.n], make_grid(args.rho_max, args.points), tol=args.tol)
     summary = _solution_summary(sol)
     csv_path = args.out_csv
     if csv_path is None and args.out_json is not None:
@@ -196,20 +189,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    grid = make_grid(args.rho_max, args.points)
-    found = {}
-    for candidate, bracket in scan_brackets(grid=grid):
-        found.setdefault(candidate, bracket)
-
-    def solve_state(n: int) -> UniversalSolution:
-        bracket = found.get(n) or find_bracket(n, grid=grid)
-        return shoot_gamma0(n, bracket, grid=grid, tol=args.tol)
-
-    workers = os.environ.get("SNG_THREADS")
-    max_workers = int(workers) if workers else (os.cpu_count() or 1)
-    ns = range(args.n_max + 1)
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        solutions = list(pool.map(solve_state, ns))
+    solutions = solve_states(range(args.n_max + 1), make_grid(args.rho_max, args.points),
+                             tol=args.tol)
     gammas = [s.gamma0 for s in solutions]
     if not all(a > b for a, b in zip(gammas, gammas[1:])):
         raise WrongStateError(f"gamma0 sequence is not strictly decreasing: {gammas}")

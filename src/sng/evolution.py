@@ -24,8 +24,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import InvalidArgumentError, StepRejectedError
-from .grids import RadialField, RadialGrid, solve_radial_poisson
-from .physical import PhysicalProfile, _line_integral, _psi_from_u
+from .grids import (RadialField, RadialGrid, integrate_line, psi_from_u, rms_from_u,
+                    solve_radial_poisson)
+from .physical import PhysicalProfile
 
 __all__ = [
     "RadialState",
@@ -76,7 +77,7 @@ class RadialState:
 
     def psi(self) -> np.ndarray:
         """psi = u/r with the origin filled by its even-function limit."""
-        return _psi_from_u(self.u, self.grid)
+        return psi_from_u(self.u, self.grid)
 
 
 @dataclass(frozen=True)
@@ -163,14 +164,12 @@ def gaussian_state(grid: RadialGrid, sigma: float, mass: float = 1.0,
 
 def state_norm(state: RadialState) -> float:
     """norm = int 4 pi |u|^2 dr (= int |psi|^2 d^3x)."""
-    return 4.0 * np.pi * _line_integral(np.abs(state.u) ** 2, state.grid)
+    return 4.0 * np.pi * integrate_line(np.abs(state.u) ** 2, state.grid)
 
 
 def rms_width(state: RadialState) -> float:
     """Root-mean-square radius sqrt(<r^2>)."""
-    r = state.grid.nodes
-    u2 = np.abs(state.u) ** 2
-    return float(np.sqrt(_line_integral(r * r * u2, state.grid) / _line_integral(u2, state.grid)))
+    return rms_from_u(state.u, state.grid)
 
 
 def scheme_energy(state: RadialState, nl: NonlinearityKind) -> float:
@@ -210,14 +209,14 @@ def _potential(u: np.ndarray, state: RadialState, nl: NonlinearityKind) -> tuple
     grid = state.grid
     if nl.kind == "free":
         return np.zeros(grid.n_points), 0.0
-    psi = _psi_from_u(u, grid)
+    psi = psi_from_u(u, grid)
     density = np.abs(psi) ** 2
     if nl.kind == "cubic":
         return nl.sign * nl.kappa * density, 0.0
-    norm = 4.0 * np.pi * _line_integral(np.abs(u) ** 2, grid)
+    norm = 4.0 * np.pi * integrate_line(np.abs(u) ** 2, grid)
     coupling = 4.0 * np.pi * nl.G * state.mass * nl.n_particles / norm
     phi = solve_radial_poisson(RadialField(grid, density), coupling).values
-    e_grav_over_norm = 0.5 * state.mass * 4.0 * np.pi * _line_integral(
+    e_grav_over_norm = 0.5 * state.mass * 4.0 * np.pi * integrate_line(
         density * phi * grid.nodes**2, grid
     )
     return state.mass * phi, e_grav_over_norm

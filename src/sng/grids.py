@@ -1,5 +1,5 @@
-"""Uniform radial grids, spherically symmetric quadrature, and the radial
-Poisson solver.
+"""Uniform radial grids, spherically symmetric quadrature, the reduced
+wavefunction u = r psi, and the radial Poisson solver.
 
 Conventions: a radial coordinate r >= 0 sampled uniformly with r[0] = 0.
 Volume integrals of spherically symmetric functions reduce to
@@ -21,7 +21,10 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "make_grid",
+    "integrate_line",
     "integrate_radial",
+    "psi_from_u",
+    "rms_from_u",
     "solve_radial_poisson",
     "radial_laplacian",
 ]
@@ -104,20 +107,36 @@ def make_grid(rho_max: float, n_points: int) -> RadialGrid:
     return RadialGrid(float(rho_max), int(n_points), np.linspace(0.0, float(rho_max), int(n_points)))
 
 
-def integrate_radial(h: RadialField) -> float:
-    """Quadrature of int h(rho) rho^2 drho over the grid.
-
-    Composite Simpson on grids with an even number of intervals (odd point
-    count); trapezoid fallback otherwise.  Complex fields integrate
-    component-wise and return a complex value.
-    """
-    rho = h.grid.nodes
-    integrand = h.values * rho * rho
-    if h.grid.n_points % 2 == 1:
-        result = simpson(integrand, x=rho)
+def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:
+    """Plain quadrature of int v(r) dr: composite Simpson on odd point
+    counts, trapezoid otherwise; complex samples give a complex value."""
+    if grid.n_points % 2 == 1:
+        result = simpson(values, x=grid.nodes)
     else:
-        result = np.trapezoid(integrand, rho)
-    return complex(result) if h.is_complex else float(result)
+        result = np.trapezoid(values, grid.nodes)
+    return complex(result) if np.iscomplexobj(values) else float(result)
+
+
+def integrate_radial(h: RadialField) -> float | complex:
+    """Quadrature of int h(rho) rho^2 drho over the grid by :func:`integrate_line`."""
+    rho = h.grid.nodes
+    return integrate_line(h.values * rho * rho, h.grid)
+
+
+def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """psi = u/r with the even-function quadratic limit at the origin."""
+    r = grid.nodes
+    psi = np.empty_like(u)
+    psi[1:] = u[1:] / r[1:]
+    psi[0] = (psi[1] * r[2] ** 2 - psi[2] * r[1] ** 2) / (r[2] ** 2 - r[1] ** 2)
+    return psi
+
+
+def rms_from_u(u: np.ndarray, grid: RadialGrid) -> float:
+    """Root-mean-square radius sqrt(<r^2>) of the density |u/r|^2."""
+    r = grid.nodes
+    u2 = np.abs(u) ** 2
+    return float(np.sqrt(integrate_line(r * r * u2, grid) / integrate_line(u2, grid)))
 
 
 def solve_radial_poisson(density: RadialField, coupling: float) -> RadialField:

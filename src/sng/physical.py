@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InvalidArgumentError
-from .grids import RadialField, RadialGrid, integrate_radial, make_grid, solve_radial_poisson
+from .grids import (RadialField, RadialGrid, integrate_line, integrate_radial, make_grid,
+                    rms_from_u, solve_radial_poisson)
 from .shooting import UniversalSolution
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,13 +129,6 @@ class EnergyBreakdown:
 # run through the same float paths for their cross-agreement to hold)
 # ---------------------------------------------------------------------------
 
-def _line_integral(values: np.ndarray, grid: RadialGrid) -> float:
-    """Plain int v dr: Simpson on odd point counts, trapezoid otherwise."""
-    if grid.n_points % 2 == 1:
-        return float(simpson(values, x=grid.nodes))
-    return float(np.trapezoid(values, grid.nodes))
-
-
 def _kinetic_energy(psi: np.ndarray, grid: RadialGrid, mass: float, hbar: float) -> float:
     dpsi = np.gradient(psi, grid.nodes)
     density = np.abs(dpsi) ** 2
@@ -149,15 +142,6 @@ def _self_energy_raw(density: np.ndarray, grid: RadialGrid, params: PhysicalPara
     phi = solve_radial_poisson(RadialField(grid, density), coupling)
     integrand = density * phi.values
     return 0.5 * params.mass * 4.0 * np.pi * integrate_radial(RadialField(grid, integrand))
-
-
-def _psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """psi = u/r with the even-function quadratic limit at the origin."""
-    r = grid.nodes
-    psi = np.empty_like(u)
-    psi[1:] = u[1:] / r[1:]
-    psi[0] = (psi[1] * r[2] ** 2 - psi[2] * r[1] ** 2) / (r[2] ** 2 - r[1] ** 2)
-    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +212,9 @@ def half_max_radius(profile: PhysicalProfile) -> float:
 
 
 def rms_radius(profile: PhysicalProfile) -> float:
-    """Root-mean-square radius of the density |f|^2."""
-    f2 = profile.f.values**2
+    """Root-mean-square radius of the density |f|^2, by the body of rms_width."""
     grid = profile.f.grid
-    r2 = grid.nodes**2
-    return float(np.sqrt(
-        integrate_radial(RadialField(grid, f2 * r2)) / integrate_radial(RadialField(grid, f2))
-    ))
+    return rms_from_u(grid.nodes * profile.f.values, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +255,10 @@ def hamiltonian_functional(state: "RadialState", params: PhysicalParams) -> floa
         For a zero-norm state.
     """
     grid = state.grid
-    norm = 4.0 * np.pi * _line_integral(np.abs(state.u) ** 2, grid)
+    norm = 4.0 * np.pi * integrate_line(np.abs(state.u) ** 2, grid)
     if not norm > 0.0:
         raise InvalidArgumentError("hamiltonian_functional needs a state with positive norm")
-    psi = _psi_from_u(state.u, grid)
+    psi = state.psi()
     e_kin = _kinetic_energy(psi, grid, state.mass, state.hbar)
     e_grav_raw = _self_energy_raw(np.abs(psi) ** 2, grid, params)
     return e_kin + e_grav_raw / norm

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, InvalidArgumentError
-from .grids import RadialField, RadialGrid, solve_radial_poisson
-from .physical import PhysicalParams, _line_integral, _psi_from_u, gravitational_bohr_radius
+from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
+from .physical import PhysicalParams, gravitational_bohr_radius
 
 __all__ = ["SCFResult", "ScfUniversal", "scf_solve", "universal_from_scf"]
 
@@ -48,12 +48,6 @@ class ScfUniversal:
     beta: float
     gamma1: float
     epsilon_star: float
-
-
-def _normalized_f(u: np.ndarray, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    norm = 4.0 * np.pi * _line_integral(u * u, grid)
-    u = u / np.sqrt(norm)
-    return u, _psi_from_u(u, grid).real
 
 
 def scf_solve(n: int, grid: RadialGrid, params: PhysicalParams,
@@ -93,25 +87,30 @@ def scf_solve(n: int, grid: RadialGrid, params: PhysicalParams,
 
     sigma = sigma0 if sigma0 is not None else grid.rho_max / 12.0
     f = np.exp(-r * r / (2.0 * sigma * sigma))
-    f /= np.sqrt(4.0 * np.pi * _line_integral(f * f * r * r, grid))
+    f /= np.sqrt(4.0 * np.pi * integrate_line(f * f * r * r, grid))
 
     kin_diag = hbar**2 / (m * dr * dr)
     kin_off = np.full(grid.n_points - 3, -hbar**2 / (2.0 * m * dr * dr))
-    phi_mix = None
-    eps_prev = None
-    u = np.zeros(grid.n_points)
-    eps = np.nan
-    for it in range(1, max_iter + 1):
-        phi_new = solve_radial_poisson(RadialField(grid, f * f), coupling).values
-        phi_mix = phi_new if phi_mix is None else (1.0 - mix) * phi_mix + mix * phi_new
-        w, v = eigh_tridiagonal(kin_diag + m * phi_mix[1:-1], kin_off,
+
+    def eigenstate(phi: np.ndarray) -> tuple[float, np.ndarray]:
+        """n-th eigenvalue in the frozen phi and its unit-norm f, u's lead lobe positive."""
+        w, v = eigh_tridiagonal(kin_diag + m * phi[1:-1], kin_off,
                                 select="i", select_range=(n, n))
-        eps = float(w[0])
+        u = np.zeros(grid.n_points)
         u[1:-1] = v[:, 0]
         lead = int(np.argmax(np.abs(u) > 1e-3 * np.max(np.abs(u))))
         if u[lead] < 0.0:
             u = -u
-        u, f = _normalized_f(u, grid)
+        u = u / np.sqrt(4.0 * np.pi * integrate_line(u * u, grid))
+        return float(w[0]), psi_from_u(u, grid).real
+
+    phi_mix = None
+    eps_prev = None
+    eps = np.nan
+    for it in range(1, max_iter + 1):
+        phi_new = solve_radial_poisson(RadialField(grid, f * f), coupling).values
+        phi_mix = phi_new if phi_mix is None else (1.0 - mix) * phi_mix + mix * phi_new
+        eps, f = eigenstate(phi_mix)
         dphi = np.max(np.abs(phi_mix - phi_new)) / np.max(np.abs(phi_new))
         if (eps_prev is not None
                 and abs(eps - eps_prev) <= tol * abs(eps)
@@ -125,15 +124,7 @@ def scf_solve(n: int, grid: RadialGrid, params: PhysicalParams,
 
     # one polishing eigensolve in the unmixed potential of the converged density
     phi_final = solve_radial_poisson(RadialField(grid, f * f), coupling).values
-    w, v = eigh_tridiagonal(kin_diag + m * phi_final[1:-1], kin_off,
-                            select="i", select_range=(n, n))
-    eps = float(w[0])
-    u = np.zeros(grid.n_points)
-    u[1:-1] = v[:, 0]
-    lead = int(np.argmax(np.abs(u) > 1e-3 * np.max(np.abs(u))))
-    if u[lead] < 0.0:
-        u = -u
-    u, f = _normalized_f(u, grid)
+    eps, f = eigenstate(phi_final)
     return SCFResult(
         n=n,
         params=params,

@@ -9,7 +9,8 @@ only for a discrete set of central values gamma0(n) < 0, labelled by the
 node count n of f.  This module integrates the initial-value problem
 outward with fixed-step RK4 (series start at the origin), classifies
 trajectories by node count and divergence direction, brackets eigenvalues
-by scanning gamma0, and bisects to convergence.  Converged trajectories are
+by scanning gamma0, and bisects to convergence; :func:`solve_states` is the
+one path from node counts to solved states.  Converged trajectories are
 clamped at the break of the exponential tail and extended analytically so
 the moment integrals gamma1 = int f^2 rho^2 drho and
 eps_star = (3/gamma1) int f^2 g rho^2 drho converge.
@@ -18,7 +19,7 @@ eps_star = (3/gamma1) int f^2 g rho^2 drho converge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -41,8 +42,10 @@ __all__ = [
     "default_grid",
     "integrate_universal",
     "scan_brackets",
+    "find_brackets",
     "find_bracket",
     "shoot_gamma0",
+    "solve_states",
 ]
 
 DEFAULT_RHO_MAX = 40.0
@@ -52,6 +55,10 @@ DEFAULT_CAP = 1e3
 
 # A trajectory extremum below this amplitude is tail residue, not a lobe.
 _LOBE_FLOOR = 1e-2
+
+# The scan ladder: (gamma0 range, lattice points) per rung, each rung scanned
+# only when the ones before it left a requested state without a bracket.
+_SCAN_LADDER = (((-5.0, 0.0), 101), ((-5.0, 0.0), 404), ((-10.0, 0.0), 808))
 
 
 def default_grid() -> RadialGrid:
@@ -267,24 +274,35 @@ def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
     return out
 
 
-def find_bracket(n: int, grid: RadialGrid | None = None, cap: float = DEFAULT_CAP,
-                 gamma0_range: tuple[float, float] = (-5.0, 0.0),
-                 steps: int = 101) -> tuple[float, float]:
-    """Scan for a bracket labelled with the requested n, refining twice
-    before giving up with an invalid-bracket error."""
-    attempts = [
-        (gamma0_range, steps),
-        (gamma0_range, 4 * steps),
-        ((min(gamma0_range[0] * 2.0, -10.0), gamma0_range[1]), 8 * steps),
-    ]
-    for rng, st in attempts:
-        for candidate, bracket in scan_brackets(rng, st, grid, cap):
-            if candidate == n:
-                return bracket
+def find_brackets(ns: Iterable[int], grid: RadialGrid | None = None,
+                  cap: float = DEFAULT_CAP) -> dict[int, tuple[float, float]]:
+    """Brackets for the node counts ``ns`` from one walk of the scan ladder,
+    which stops at the first rung after which every n has one.  Each n keeps
+    its first bracket in lattice order.  An empty request or a negative or
+    fractional n raises InvalidArgumentError before any shot; an n left
+    without a bracket raises InvalidBracketError."""
+    wanted = set(ns)
+    if not wanted or any(n < 0 or int(n) != n for n in wanted):
+        raise InvalidArgumentError(
+            f"need one or more non-negative integer node counts, got {sorted(wanted)}")
+    found: dict[int, tuple[float, float]] = {}
+    for gamma0_range, steps in _SCAN_LADDER:
+        for candidate, bracket in scan_brackets(gamma0_range, steps, grid, cap):
+            if candidate in wanted:
+                found.setdefault(candidate, bracket)
+        if found.keys() == wanted:
+            return found
+    missing = ", ".join(str(n) for n in sorted(wanted - found.keys()))
     raise InvalidBracketError(
-        f"no bracket with node count {n} found scanning gamma0 in {gamma0_range}; "
-        "widen the scan range or enlarge rho_max"
+        f"no bracket with node count {missing} found scanning gamma0 in "
+        f"{_SCAN_LADDER[-1][0]}; enlarge rho_max"
     )
+
+
+def find_bracket(n: int, grid: RadialGrid | None = None,
+                 cap: float = DEFAULT_CAP) -> tuple[float, float]:
+    """The bracket for one node count (see :func:`find_brackets`)."""
+    return find_brackets([n], grid, cap)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -426,3 +444,13 @@ def shoot_gamma0(n: int, bracket: tuple[float, float],
         grid=grid,
         clamp_index=c,
     )
+
+
+def solve_states(ns: Iterable[int], grid: RadialGrid | None = None,
+                 tol: float = DEFAULT_TOL, cap: float = DEFAULT_CAP) -> list[UniversalSolution]:
+    """Solve the bound states with the requested node counts, in the order
+    given: one walk of the scan ladder brackets them all (see
+    :func:`find_brackets`), then :func:`shoot_gamma0` bisects each."""
+    ns = list(ns)
+    brackets = find_brackets(ns, grid, cap)
+    return [shoot_gamma0(n, brackets[n], grid, tol, cap) for n in ns]

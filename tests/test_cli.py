@@ -79,11 +79,10 @@ def test_solve_reruns_are_byte_identical(tmp_path):
 
 # --- spectrum ----------------------------------------------------------------
 
-def test_spectrum_deterministic_across_thread_counts(tmp_path, monkeypatch):
+def test_spectrum_reruns_are_byte_identical(tmp_path):
     blobs = []
-    for threads in ("2", "7"):
-        monkeypatch.setenv("SNG_THREADS", threads)
-        out = tmp_path / f"spec_{threads}.json"
+    for tag in ("a", "b"):
+        out = tmp_path / f"spec_{tag}.json"
         assert main(["spectrum", "--n-max", "2", "--points", "2001",
                      "--out-json", str(out)]) == 0
         blobs.append(out.read_bytes())
@@ -92,6 +91,18 @@ def test_spectrum_deterministic_across_thread_counts(tmp_path, monkeypatch):
     assert [s["n"] for s in states] == [0, 1, 2]
     gammas = [s["gamma0"] for s in states]
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
+
+
+@pytest.mark.parametrize("argv", [["solve", "--n", "-1"], ["spectrum", "--n-max", "-1"]])
+def test_negative_node_count_is_exit_2_before_shooting(argv, monkeypatch, capsys):
+    def no_shot(*args, **kwargs):
+        raise AssertionError("shot taken for a rejected node count")
+
+    monkeypatch.setattr("sng.shooting.integrate_universal", no_shot)
+    assert main([*argv, "--points", "801"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # --- rescale -----------------------------------------------------------------

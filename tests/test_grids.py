@@ -8,6 +8,7 @@ import pytest
 from sng.errors import InvalidArgumentError, InvalidFieldError
 from sng.grids import (
     RadialField,
+    integrate_line,
     integrate_radial,
     make_grid,
     radial_laplacian,
@@ -83,6 +84,17 @@ def test_integrate_radial_gaussian_matches_closed_form():
     grid = make_grid(12.0, 2001)
     gauss = RadialField(grid, np.exp(-grid.nodes**2))
     assert integrate_radial(gauss) == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("points", [81, 80])
+def test_integrate_radial_is_the_line_quadrature_of_h_rho_squared(points):
+    grid = make_grid(2.0, points)
+    rho = grid.nodes
+    h = np.exp(-rho) * np.cos(3.0 * rho)
+    for values in (h, (1.0 - 2.0j) * h):
+        expected = integrate_line(values * rho * rho, grid)
+        assert integrate_radial(RadialField(grid, values)) == expected
+        assert isinstance(expected, complex) == np.iscomplexobj(values)
 
 
 # --- Laplacian ---------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sng.errors import InvalidArgumentError
-from sng.evolution import gaussian_state
+from sng.evolution import gaussian_state, rms_width, state_from_profile
 from sng.grids import RadialField, make_grid
 from sng.physical import (
     HBAR,
@@ -80,6 +80,11 @@ def test_frozen_geometry(natural_ground_profile):
         FROZEN["half_max_radius"], rel=1e-9)
     assert rms_radius(natural_ground_profile) == pytest.approx(
         FROZEN["rms_radius"], rel=1e-9)
+
+
+def test_rms_radius_is_the_rms_width_of_the_profile_state(natural_ground_profile):
+    state = state_from_profile(natural_ground_profile)
+    assert rms_radius(natural_ground_profile) == rms_width(state)
 
 
 def test_profile_is_normalized_without_renormalization(natural_ground_profile):

@@ -18,6 +18,7 @@ from sng.shooting import (
     UniversalSolution,
     default_grid,
     find_bracket,
+    find_brackets,
     integrate_universal,
     scan_brackets,
     shoot_gamma0,
@@ -112,6 +113,19 @@ def test_find_bracket_ends_classify_differently():
     out_hi = integrate_universal(hi, grid=grid)
     assert (out_lo.node_count, out_lo.classification) != (
         out_hi.node_count, out_hi.classification)
+
+
+def test_rung_two_brackets_are_frozen_and_shared():
+    # on this grid the 101-point rung skips n = 8; only the 404-point rung
+    # brackets it, while n = 7 is bracketed on the first rung
+    grid = make_grid(60.0, 1201)
+    frozen = {
+        8: (-1.6377171215880892, -1.6253101736972702),
+        7: (-1.65, -1.5999999999999996),
+    }
+    assert find_bracket(8, grid=grid) == frozen[8]
+    assert find_bracket(7, grid=grid) == frozen[7]
+    assert find_brackets([7, 8], grid=grid) == frozen
 
 
 def test_find_bracket_out_of_range_raises():
