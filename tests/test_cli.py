@@ -105,6 +105,14 @@ def test_negative_node_count_is_exit_2_before_shooting(argv, monkeypatch, capsys
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_is_exit_2(tol, capsys):
+    assert main(["solve", "--n", "0", "--points", "801", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # --- rescale -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")

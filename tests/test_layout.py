@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import sng
 
 PACKAGE_DIR = Path(sng.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -29,3 +32,14 @@ def test_no_module_imports_private_names_of_another():
     assert sources
     offenders = [hit for path in sources for hit in _private_imports(path)]
     assert offenders == []
+
+
+def test_readme_library_example_imports_exist():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    imports = [(node.module, alias.name) for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "sng"
+               for alias in node.names]
+    assert ("sng", "shoot_gamma0") in imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

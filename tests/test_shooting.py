@@ -8,6 +8,8 @@ no external source publishes these digits.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,12 @@ def test_invalid_node_count_rejected():
         shoot_gamma0(-1, (-1.0, -0.9), grid=make_grid(40.0, 2001))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_invalid_tol_rejected(tol):
+    with pytest.raises(InvalidArgumentError):
+        shoot_gamma0(0, (-1.0, -0.9), grid=make_grid(40.0, 2001), tol=tol)
+
+
 # --- classification ----------------------------------------------------------
 
 def test_classification_labels_partition_parameter_space():
@@ -178,6 +186,54 @@ def test_shooting_is_bitwise_deterministic():
     assert a.epsilon_star == b.epsilon_star
     assert np.array_equal(a.f_star.values, b.f_star.values)
     assert np.array_equal(a.g_star.values, b.g_star.values)
+
+
+# n -> repr of (gamma0, gamma1, epsilon_star) and sha256 of the f*, g* bytes
+# on make_grid(40.0, 2001), recorded from the numpy-array RK4 loop: the
+# frozen tolerances above would pass a reordered kernel, these pins would not
+PINNED_STATES = {
+    0: (("-0.9185797727201128", "3.468256148908851", "-0.9789591777449074"),
+        "8ce8ef60dfa7c0ae76e70f5565cb051dca0cd1622488e36c0d16b4774059413d",
+        "9f3c75536cc7c131bf3dfe1104ed79ff37fd8affc7d144b616c3f05f8aca3cad"),
+    1: (("-1.2099590005818754", "7.713950175217904", "-0.9162748290530685"),
+        "e5172df3a2fddb1fe578e88086dd109a2c5069dcbcc1a974f71b7abf8f3eafc0",
+        "3429a2720427f892bb741169fa0381b9b06bbfbec964e8b5af0ae291d01e268a"),
+}
+
+# gamma0 -> label, valid_points and sha256 of the f, g, f', g' bytes
+PINNED_SHOTS = {
+    -0.3: ((0, "diverged_up"), 279,
+           "b25cb5c09a7c74037c07e7dc0a08bcb329ad36145fd3d5de7bfe983af396fad4"),
+    -3.0: ((19, "max_radius_reached"), 2001,
+           "02fd3ff3b932664d952ec42f70b812e5a13173b0e81a11efc752d48b691190a6"),
+}
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def test_solved_states_are_bitwise_pinned():
+    grid = make_grid(40.0, 2001)
+    for n, (scalars, f_sha, g_sha) in PINNED_STATES.items():
+        sol = shoot_gamma0(n, find_bracket(n, grid=grid), grid=grid)
+        assert tuple(map(repr, (sol.gamma0, sol.gamma1, sol.epsilon_star))) == scalars
+        assert _sha256(sol.f_star.values) == f_sha, f"n={n}"
+        assert _sha256(sol.g_star.values) == g_sha, f"n={n}"
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_shots_are_bitwise_pinned(kind):
+    grid = make_grid(40.0, 2001)
+    for gamma0, (label, valid, digest) in PINNED_SHOTS.items():
+        out = integrate_universal(kind(gamma0), grid=grid)
+        assert (out.label, out.valid_points) == (label, valid)
+        assert type(out.gamma0) is float and out.gamma0 == gamma0
+        values = (*(fld.values for fld in out.trajectory), *out.derivs)
+        assert _sha256(*values) == digest, f"gamma0={gamma0}"
 
 
 def test_default_grid_matches_documented_geometry():
