@@ -18,6 +18,7 @@ eps_star = (3/gamma1) int f^2 g rho^2 drho converge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -75,7 +76,8 @@ class ShootOutcome:
     """
 
     gamma0: float
-    classification: str  # converged | diverged_up | diverged_down | max_radius_reached
+    # converged | diverged_up | diverged_down | max_radius_reached | node_ceiling
+    classification: str
     node_count: int
     trajectory: tuple[RadialField, RadialField]
     blowup_radius: Optional[float]
@@ -130,20 +132,25 @@ class UniversalSolution:
 # ---------------------------------------------------------------------------
 
 def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
-                        cap: float = DEFAULT_CAP) -> ShootOutcome:
+                        cap: float = DEFAULT_CAP,
+                        max_nodes: int | None = None) -> ShootOutcome:
     """Integrate the universal system outward from the origin at one gamma0.
 
     Fixed-step RK4 on (f, f', g, g').  The first step leaves rho=0 on the
     series f = 1 + gamma0 rho^2/6, g = gamma0 + rho^2/6 whose coefficients
-    are forced by the ODEs; integration stops at rho_max or as soon as
-    |f| > cap, whichever comes first.  Divergence is a classification, not
-    an error.
+    are forced by the ODEs; integration stops at rho_max, as soon as
+    |f| > cap, or, when ``max_nodes`` is given, at the first sign change of f
+    past ``max_nodes``, whichever comes first.  Divergence is a
+    classification, not an error.  Nodes are strict sign changes between
+    consecutive samples; an exact zero does not count.
 
     Returns
     -------
     ShootOutcome
-        classification is ``diverged_up``/``diverged_down`` when |f| crossed
-        the cap, ``converged`` when the trajectory reached rho_max with
+        classification is ``node_ceiling`` when f changed sign
+        ``max_nodes + 1`` times (the count then stops there),
+        ``diverged_up``/``diverged_down`` when |f| crossed the cap,
+        ``converged`` when the trajectory reached rho_max with
         |f(rho_max)| < 1e-6 still shrinking, ``max_radius_reached`` otherwise.
     """
     if grid is None:
@@ -152,6 +159,13 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
         raise InvalidArgumentError(f"gamma0 must be finite, got {gamma0}")
     if not cap > 1.0:
         raise InvalidArgumentError(f"cap must exceed 1, got {cap}")
+    if max_nodes is None:
+        ceiling = math.inf
+    elif isinstance(max_nodes, bool) or not (max_nodes >= 0 and float(max_nodes).is_integer()):
+        raise InvalidArgumentError(
+            f"max_nodes must be a non-negative integer, got {max_nodes!r}")
+    else:
+        ceiling = int(max_nodes)
 
     gamma0 = float(gamma0)
     n = grid.n_points
@@ -163,6 +177,7 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
     yg = gamma0 + h * h / 6.0
     ygp = h / 3.0
     fs, fps, gs, gps = [1.0, yf], [0.0, yfp], [gamma0, yg], [0.0, ygp]
+    nodes = int(yf < 0.0)  # the pair (f[0], f[1]) = (1, yf)
     rho = h
     classification = None
     blowup = None
@@ -205,7 +220,9 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
         c4 = gp4
         d4 = f4 * f4 - 2.0 * gp4 / r1
 
-        yf += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        f_new = yf + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        crossed = f_new * yf < 0.0
+        yf = f_new
         yfp += sixth * (b1 + 2.0 * (b2 + b3) + b4)
         yg += sixth * (c1 + 2.0 * (c2 + c3) + c4)
         ygp += sixth * (d1 + 2.0 * (d2 + d3) + d4)
@@ -214,6 +231,13 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
         fps.append(yfp)
         gs.append(yg)
         gps.append(ygp)
+        if crossed:
+            nodes += 1
+            # Checked before the cap, so every shot whose count would pass
+            # the ceiling carries the same label, however it would have ended.
+            if nodes > ceiling:
+                classification = "node_ceiling"
+                break
         if abs(yf) > cap:
             classification = "diverged_up" if yf > 0.0 else "diverged_down"
             blowup = rho
@@ -224,8 +248,6 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
         tail_shrinking = abs(yf) < 1e-6 and abs(yf) <= abs(fs[-2])
         classification = "converged" if tail_shrinking else "max_radius_reached"
     f, fp, g, gp = (np.pad(v, (0, n - valid), mode="edge") for v in (fs, fps, gs, gps))
-
-    nodes = int(np.count_nonzero(f[: valid - 1] * f[1:valid] < 0.0))
     return ShootOutcome(
         gamma0=gamma0,
         classification=classification,
@@ -244,13 +266,18 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
 def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
                   steps: int = 101,
                   grid: RadialGrid | None = None,
-                  cap: float = DEFAULT_CAP) -> list[tuple[int, tuple[float, float]]]:
+                  cap: float = DEFAULT_CAP,
+                  max_nodes: int | None = None) -> list[tuple[int, tuple[float, float]]]:
     """Locate candidate eigenvalue brackets on a uniform gamma0 lattice.
 
     Every pair of consecutive lattice points whose (node count, divergence)
     labels differ is returned as ``(candidate_n, (lo, hi))`` with candidate_n
     the smaller of the two node counts.  Empty list when no transition is
     found (e.g. any scan over gamma0 >= 0, where g* > 0 forbids decay).
+
+    With ``max_nodes`` every shot stops at its first node past it (see
+    :func:`integrate_universal`) and only candidates <= ``max_nodes`` are
+    returned: the same ones, with the same brackets, as the unbounded scan.
     """
     lo, hi = gamma0_range
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -260,12 +287,13 @@ def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
     if grid is None:
         grid = default_grid()
     lattice = np.linspace(lo, hi, steps)
-    labels = [integrate_universal(g0, grid, cap).label for g0 in lattice]
+    labels = [integrate_universal(g0, grid, cap, max_nodes).label for g0 in lattice]
     out = []
     for i in range(steps - 1):
         if labels[i] != labels[i + 1]:
             candidate = min(labels[i][0], labels[i + 1][0])
-            out.append((candidate, (float(lattice[i]), float(lattice[i + 1]))))
+            if max_nodes is None or candidate <= max_nodes:
+                out.append((candidate, (float(lattice[i]), float(lattice[i + 1]))))
     return out
 
 
@@ -273,7 +301,8 @@ def find_brackets(ns: Iterable[int], grid: RadialGrid | None = None,
                   cap: float = DEFAULT_CAP) -> dict[int, tuple[float, float]]:
     """Brackets for the node counts ``ns`` from one walk of the scan ladder,
     which stops at the first rung after which every n has one.  Each n keeps
-    its first bracket in lattice order.  An empty request or a negative or
+    its first bracket in lattice order.  Scan shots stop at their first node
+    past the highest requested n.  An empty request or a negative or
     fractional n raises InvalidArgumentError before any shot; an n left
     without a bracket raises InvalidBracketError."""
     wanted = set(ns)
@@ -282,7 +311,7 @@ def find_brackets(ns: Iterable[int], grid: RadialGrid | None = None,
             f"need one or more non-negative integer node counts, got {sorted(wanted)}")
     found: dict[int, tuple[float, float]] = {}
     for gamma0_range, steps in _SCAN_LADDER:
-        for candidate, bracket in scan_brackets(gamma0_range, steps, grid, cap):
+        for candidate, bracket in scan_brackets(gamma0_range, steps, grid, cap, max(wanted)):
             if candidate in wanted:
                 found.setdefault(candidate, bracket)
         if found.keys() == wanted:
@@ -344,6 +373,11 @@ def _tail_decay_rate(rho: np.ndarray, f: np.ndarray, e: int, c: int,
     return float(np.sqrt(max(g_at_clamp, 1e-12)))
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidArgumentError(f"tol must be positive and finite, got {tol}")
+
+
 def shoot_gamma0(n: int, bracket: tuple[float, float],
                  grid: RadialGrid | None = None,
                  tol: float = DEFAULT_TOL,
@@ -371,8 +405,7 @@ def shoot_gamma0(n: int, bracket: tuple[float, float],
     """
     if n < 0 or int(n) != n:
         raise InvalidArgumentError(f"n must be a non-negative integer, got {n}")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InvalidArgumentError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if grid is None:
         grid = default_grid()
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -445,7 +478,9 @@ def solve_states(ns: Iterable[int], grid: RadialGrid | None = None,
                  tol: float = DEFAULT_TOL, cap: float = DEFAULT_CAP) -> list[UniversalSolution]:
     """Solve the bound states with the requested node counts, in the order
     given: one walk of the scan ladder brackets them all (see
-    :func:`find_brackets`), then :func:`shoot_gamma0` bisects each."""
+    :func:`find_brackets`), then :func:`shoot_gamma0` bisects each.  A bad
+    ``tol`` raises InvalidArgumentError before any shot."""
     ns = list(ns)
+    _check_tol(tol)
     brackets = find_brackets(ns, grid, cap)
     return [shoot_gamma0(n, brackets[n], grid, tol, cap) for n in ns]

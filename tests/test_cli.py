@@ -106,7 +106,11 @@ def test_negative_node_count_is_exit_2_before_shooting(argv, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])
-def test_non_finite_tol_is_exit_2(tol, capsys):
+def test_non_finite_tol_is_exit_2(tol, monkeypatch, capsys):
+    def no_shot(*args, **kwargs):
+        raise AssertionError("shot taken for a rejected tol")
+
+    monkeypatch.setattr("sng.shooting.integrate_universal", no_shot)
     assert main(["solve", "--n", "0", "--points", "801", "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -130,6 +130,49 @@ def test_rung_two_brackets_are_frozen_and_shared():
     assert find_brackets([7, 8], grid=grid) == frozen
 
 
+def test_default_grid_brackets_are_frozen():
+    # recorded from the scan whose shots ran to divergence or rho_max
+    frozen = {
+        4: (-1.5, -1.4499999999999997),
+        3: (-1.4499999999999997, -1.4),
+        2: (-1.3499999999999996, -1.2999999999999998),
+        1: (-1.25, -1.1999999999999997),
+        0: (-0.9500000000000002, -0.8999999999999995),
+    }
+    assert find_brackets(range(5), default_grid()) == frozen
+
+
+@pytest.fixture(scope="module")
+def unbounded_scan():
+    grid = make_grid(40.0, 2001)
+    return grid, scan_brackets(grid=grid)
+
+
+@pytest.mark.parametrize("max_nodes", [0, 2, 4])
+def test_node_ceiling_scan_keeps_the_unbounded_brackets(max_nodes, unbounded_scan):
+    grid, unbounded = unbounded_scan
+    expected = [(c, bracket) for c, bracket in unbounded if c <= max_nodes]
+    assert scan_brackets(grid=grid, max_nodes=max_nodes) == expected
+
+
+def test_node_ceiling_stops_on_the_unbounded_prefix():
+    grid = make_grid(40.0, 2001)
+    full = integrate_universal(-3.0, grid=grid)
+    cut = integrate_universal(-3.0, grid=grid, max_nodes=0)
+    assert cut.label == (1, "node_ceiling")
+    assert cut.blowup_radius is None
+    k = cut.valid_points
+    assert k < grid.n_points
+    full_values = (*(fld.values for fld in full.trajectory), *full.derivs)
+    cut_values = (*(fld.values for fld in cut.trajectory), *cut.derivs)
+    for a, b in zip(full_values, cut_values):
+        assert a[:k].tobytes() == b[:k].tobytes()
+    # the first node sits between the last two computed samples
+    f = cut.trajectory[0].values
+    assert f[k - 2] * f[k - 1] < 0.0
+    assert np.count_nonzero(f[:k - 2] * f[1:k - 1] < 0.0) == 0
+
+
 def test_find_bracket_out_of_range_raises():
     with pytest.raises(InvalidBracketError):
         find_bracket(40, grid=make_grid(40.0, 801))
@@ -152,8 +195,14 @@ def test_oscillatory_tail_raises_wrong_state():
 
 
 def test_invalid_node_count_rejected():
+    grid = make_grid(40.0, 2001)
     with pytest.raises(InvalidArgumentError):
-        shoot_gamma0(-1, (-1.0, -0.9), grid=make_grid(40.0, 2001))
+        shoot_gamma0(-1, (-1.0, -0.9), grid=grid)
+    for max_nodes in (-1, 1.5, True, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            integrate_universal(-1.0, grid=grid, max_nodes=max_nodes)
+        with pytest.raises(InvalidArgumentError):
+            scan_brackets(grid=grid, max_nodes=max_nodes)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
@@ -227,13 +276,15 @@ def test_solved_states_are_bitwise_pinned():
 
 @pytest.mark.parametrize("kind", [float, np.float64])
 def test_shots_are_bitwise_pinned(kind):
+    # a node ceiling the shots never pass leaves them as they were
     grid = make_grid(40.0, 2001)
-    for gamma0, (label, valid, digest) in PINNED_SHOTS.items():
-        out = integrate_universal(kind(gamma0), grid=grid)
-        assert (out.label, out.valid_points) == (label, valid)
-        assert type(out.gamma0) is float and out.gamma0 == gamma0
-        values = (*(fld.values for fld in out.trajectory), *out.derivs)
-        assert _sha256(*values) == digest, f"gamma0={gamma0}"
+    for max_nodes in (None, 19):
+        for gamma0, (label, valid, digest) in PINNED_SHOTS.items():
+            out = integrate_universal(kind(gamma0), grid=grid, max_nodes=max_nodes)
+            assert (out.label, out.valid_points) == (label, valid)
+            assert type(out.gamma0) is float and out.gamma0 == gamma0
+            values = (*(fld.values for fld in out.trajectory), *out.derivs)
+            assert _sha256(*values) == digest, f"gamma0={gamma0}, max_nodes={max_nodes}"
 
 
 def test_default_grid_matches_documented_geometry():
