@@ -8,7 +8,10 @@ the radial Laplacian is tridiagonal:
 with V pluggable: free (V=0), cubic (V = ±kappa |psi|^2), or gravitational
 Hartree (V = m Phi, lap Phi = 4 pi G m N |psi|^2 / norm).  Each step is one
 Crank–Nicolson solve predicted with V[psi_t] and corrected once with
-V[(psi_t + psi_pred)/2].  The gravitational equation also carries a constant
+V[(psi_t + psi_pred)/2].  With V = 0 the corrector would repeat the
+predictor exactly, so a free step is a single solve.  ``evolve`` computes
+the potential of each observed state once: its energy row and the next
+step share it.  The gravitational equation also carries a constant
 -E_grav/norm term; a constant only rotates the global phase, so it is
 integrated into a phase ledger on the state instead of the matrix (the
 physical wavefunction is exp(i*phase) * u/r).
@@ -184,6 +187,11 @@ def scheme_energy(state: RadialState, nl: NonlinearityKind) -> float:
     stepper: (sign kappa/2) int |psi|^4 d^3x for cubic and the
     norm-scaled potential energy (1/2) int rho m Phi d^3x for gravity.
     """
+    return _scheme_energy(state, nl, _potential(state.u, state, nl)[0])
+
+
+def _scheme_energy(state: RadialState, nl: NonlinearityKind, v: np.ndarray) -> float:
+    """:func:`scheme_energy` with the potential samples V of ``state`` in hand."""
     du = np.diff(state.u)
     dr = state.grid.spacing
     e_kin = (
@@ -194,7 +202,6 @@ def scheme_energy(state: RadialState, nl: NonlinearityKind) -> float:
         return e_kin
     # both interactions have V linear in rho, so (1/2) int V rho d^3x is
     # their conserved potential term; |u|^2 carries the r^2 weight already
-    v, _ = _potential(state.u, state, nl)
     return e_kin + 0.5 * 4.0 * np.pi * float(np.sum(v * np.abs(state.u) ** 2)) * dr
 
 
@@ -242,8 +249,18 @@ def _cn_solve(u: np.ndarray, V: np.ndarray, dt: float, state: RadialState) -> np
     return out
 
 
-def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
+def _check_dt(dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise InvalidArgumentError(f"dt must be positive, got {dt}")
+
+
+def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
+         v_old: Optional[np.ndarray] = None) -> RadialState:
     """Advance one Crank–Nicolson step with a single predictor–corrector pass.
+
+    ``v_old`` is the potential of ``state`` under ``nl`` when the caller
+    already has it (``evolve`` does for observed states); it is computed
+    here otherwise.  A free step is the predictor solve alone.
 
     Raises
     ------
@@ -252,10 +269,12 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
         the starting potential by more than 50% (sup norm, relative); the
         error carries a suggested smaller dt aiming at a 25% change.
     """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    v_old, _ = _potential(state.u, state, nl)
+    _check_dt(dt)
+    if v_old is None:
+        v_old, _ = _potential(state.u, state, nl)
     u_pred = _cn_solve(state.u, v_old, dt, state)
+    if nl.kind == "free":
+        return replace(state, u=u_pred, time=state.time + dt)
     u_mid = 0.5 * (state.u + u_pred)
     v_mid, off_mid = _potential(u_mid, state, nl)
 
@@ -288,6 +307,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     exceeds 1e-8 of its peak (domain too small for strict norm
     conservation).
     """
+    _check_dt(dt)
     if not t_final > state.time:
         raise InvalidArgumentError("t_final must exceed state.time")
     if observe_every < 1 or int(observe_every) != observe_every:
@@ -298,16 +318,24 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     if n_steps < 1:
         raise InvalidArgumentError("t_final is less than half a step away")
 
-    def energy_of(s: RadialState) -> float:
-        return scheme_energy(s, nl)
-
     def density_field(s: RadialState) -> RadialField:
         return RadialField(s.grid, np.abs(s.psi()) ** 2)
 
-    times = [state.time]
-    norms = [state_norm(state)]
-    energies = [energy_of(state)]
-    widths = [rms_width(state)]
+    times: list[float] = []
+    norms: list[float] = []
+    energies: list[float] = []
+    widths: list[float] = []
+
+    def observe(s: RadialState) -> np.ndarray:
+        """Record one row; return the potential of s for the next step."""
+        v, _ = _potential(s.u, s, nl)
+        times.append(s.time)
+        norms.append(state_norm(s))
+        energies.append(_scheme_energy(s, nl, v))
+        widths.append(rms_width(s))
+        return v
+
+    v = observe(state)
     snaps: list[tuple[float, RadialField]] = []
     if snapshot_every is not None:
         snaps.append((state.time, density_field(state)))
@@ -315,13 +343,11 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     boundary_warned = False
     current = state
     for k in range(1, n_steps + 1):
-        current = step(current, dt, nl)
+        current = step(current, dt, nl, v_old=v)
+        v = None
         at_obs = (k % observe_every == 0) or (k == n_steps)
         if at_obs:
-            times.append(current.time)
-            norms.append(state_norm(current))
-            energies.append(energy_of(current))
-            widths.append(rms_width(current))
+            v = observe(current)
             if not boundary_warned:
                 psi_edge = abs(current.u[-2]) / current.grid.nodes[-2]
                 peak = float(np.max(np.abs(current.psi())))

@@ -11,9 +11,9 @@ the field treated as zero beyond the grid and Phi -> 0 at infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InvalidArgumentError, InvalidFieldError
 
@@ -36,7 +36,8 @@ class RadialGrid:
 
     Two grids compare equal when they have the same extent and point count;
     node arrays are recomputed deterministically from those two numbers, so
-    geometry equality is value equality.
+    geometry equality is value equality.  Quadrature and Poisson weights
+    depend on the nodes only and are computed once per grid object.
     """
 
     rho_max: float
@@ -49,6 +50,34 @@ class RadialGrid:
     @property
     def spacing(self) -> float:
         return self.rho_max / (self.n_points - 1)
+
+    @cached_property
+    def _simpson_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-panel factors of scipy's non-uniform Simpson rule on the nodes
+        (odd point counts), with scipy's expressions, so that
+        sum(s * (y0 a + y1 b + y2 c)) is bitwise ``simpson(y, x=nodes)``;
+        the uniform ``dx=`` rule differs from it in the last bit."""
+        h = np.diff(self.nodes)
+        h0, h1 = h[0:-1:2], h[1::2]
+        hsum = h0 + h1
+        h0divh1 = h0 / h1
+        return (hsum / 6.0, 2.0 - 1.0 / h0divh1, hsum * (hsum / (h0 * h1)),
+                2.0 - h0divh1)
+
+    @cached_property
+    def _poisson_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Grid-only factors of the per-cell moments in
+        :func:`solve_radial_poisson`: the r^3 and r^2 cell differences and
+        the weights of the in-cell density slope."""
+        r = self.nodes
+        dr = self.spacing
+        r_lo = r[:-1]
+        return (
+            np.diff(r**3),
+            np.diff(r**2),
+            r_lo * r_lo * dr / 2.0 + 2.0 * r_lo * dr * dr / 3.0 + dr**3 / 4.0,
+            r_lo * dr / 2.0 + dr * dr / 3.0,
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadialGrid):
@@ -110,8 +139,10 @@ def make_grid(rho_max: float, n_points: int) -> RadialGrid:
 def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:
     """Plain quadrature of int v(r) dr: composite Simpson on odd point
     counts, trapezoid otherwise; complex samples give a complex value."""
+    values = np.asarray(values)
     if grid.n_points % 2 == 1:
-        result = simpson(values, x=grid.nodes)
+        s, a, b, c = grid._simpson_weights
+        result = np.sum(s * (values[0:-2:2] * a + values[1::2] * b + values[2::2] * c))
     else:
         result = np.trapezoid(values, grid.nodes)
     return complex(result) if np.iscomplexobj(values) else float(result)
@@ -176,19 +207,14 @@ def solve_radial_poisson(density: RadialField, coupling: float) -> RadialField:
         raise InvalidArgumentError(f"coupling must be finite, got {coupling}")
     r = density.grid.nodes
     rho = density.values
-    dr = density.grid.spacing
     # exact per-cell moments of the piecewise-linear density; plain
     # trapezoid cells are badly biased near the origin, where the s^2*rho
     # integrand bends within a single cell, and the bias does not shrink
     # with refinement once divided by r
+    d_r3, d_r2, inner_slope, outer_slope = density.grid._poisson_weights
     drho = np.diff(rho)
-    r_lo = r[:-1]
-    inner_cells = rho[:-1] * np.diff(r**3) / 3.0 + drho * (
-        r_lo * r_lo * dr / 2.0 + 2.0 * r_lo * dr * dr / 3.0 + dr**3 / 4.0
-    )
-    outer_cells = rho[:-1] * np.diff(r**2) / 2.0 + drho * (
-        r_lo * dr / 2.0 + dr * dr / 3.0
-    )
+    inner_cells = rho[:-1] * d_r3 / 3.0 + drho * inner_slope
+    outer_cells = rho[:-1] * d_r2 / 2.0 + drho * outer_slope
     inner = np.concatenate(([0.0], np.cumsum(inner_cells)))
     outer = np.concatenate(([0.0], np.cumsum(outer_cells[::-1])))[::-1]
     phi = np.empty_like(inner)

@@ -257,6 +257,16 @@ def test_oversized_step_is_exit_5(tmp_path, capsys):
     assert "suggested dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["inf", "nan"])
+def test_non_finite_dt_is_exit_2(dt, tmp_path, capsys):
+    code = main(["evolve", "--free", "--gaussian-sigma", "1.0", "--points", "201",
+                 "--dt", dt, "--steps", "3", "--out-csv", str(tmp_path / "x.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "dt must be positive" in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_check_suite_is_exit_2(capsys):
     assert main(["check", "--suites", "nonsense"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sng.evolution
 from sng.errors import InvalidArgumentError, StepRejectedError
 from sng.evolution import (
     NonlinearityKind,
@@ -22,7 +24,8 @@ from sng.evolution import (
     step,
 )
 from sng.grids import make_grid
-from sng.physical import energy_breakdown
+from sng.physical import PhysicalParams, energy_breakdown, rescale_to_physical
+from sng.shooting import solve_states
 
 
 @pytest.fixture(scope="module")
@@ -164,9 +167,11 @@ def test_rejected_step_leaves_state_untouched(packet):
 
 
 def test_invalid_dt_rejected(packet):
-    for dt in (0.0, -1.0, np.nan):
-        with pytest.raises(InvalidArgumentError):
+    for dt in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError, match="dt must be positive"):
             step(packet, dt, NonlinearityKind.free())
+        with pytest.raises(InvalidArgumentError, match="dt must be positive"):
+            evolve(packet, t_final=1.0, dt=dt, nl=NonlinearityKind.free())
 
 
 # --- evolve bookkeeping ------------------------------------------------------
@@ -243,3 +248,85 @@ def test_time_reversal_round_trip(packet):
     back = replace(fwd, u=np.conj(fwd.u), time=0.0)
     round_trip = step(back, 0.01, nl)
     assert np.abs(np.conj(round_trip.u) - packet.u).max() < 1e-13
+
+
+# --- bitwise pins and work counts ------------------------------------------
+#
+# sha256 of norms, energies, widths and snapshot densities, recorded before
+# the stepper shared the observed potential and skipped the free corrector;
+# any reordering of the floating-point work shows up here
+
+def _series_sha256(series):
+    arrays = [series.norms, series.energies, series.widths]
+    if series.snapshots is not None:
+        arrays += [fld.values for _, fld in series.snapshots]
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+PINNED_SERIES = {
+    ("free", 1): (101, "d9b27a21e1a77a4054003ad8ccc527cee8cb5913e4f6b03194e5def7501de002"),
+    ("free", 50): (3, "0fb2965cd86ada4a6237b50f568c9c7ea3656e935294c9f9f7e74c373e8a9828"),
+    ("cubic", 1): (51, "c4682a0b6461301eee93d645b1763fe00859b9a42396131df2869debeb5a03e9"),
+    ("cubic", -1): (51, "0c060cefa842edbe173854451d35bfbd31f8f64df583678d0de83c1b542c1926"),
+    ("gravity", 1): (101, "2e22d7c32780cbc58a028a52f471d25b50cf7cbce4dbe92d599af01d9fcacc8c"),
+    ("gravity", 50): (3, "82ac44292e978afad24928327ef416a2484bb7116146e45471ad426b3a4a75a3"),
+}
+
+
+@pytest.fixture(scope="module")
+def coarse_ground_state():
+    """n = 0 in natural units on a coarse grid, for fast gravity runs."""
+    sol = solve_states([0], make_grid(40.0, 801))[0]
+    return state_from_profile(rescale_to_physical(sol, PhysicalParams.natural_units()))
+
+
+def test_evolution_outputs_are_bitwise_pinned(coarse_ground_state):
+    packet = gaussian_state(make_grid(30.0, 401), sigma=1.0)
+    runs = {}
+    for every in (1, 50):
+        runs["free", every] = evolve(packet, t_final=1.0, dt=0.01,
+                                     nl=NonlinearityKind.free(), observe_every=every)
+        runs["gravity", every] = evolve(coarse_ground_state, t_final=10.0, dt=0.1,
+                                        nl=NonlinearityKind.gravity(G=1.0, n_particles=1.0),
+                                        observe_every=every, snapshot_every=25)
+        assert len(runs["gravity", every].snapshots) == 5
+    for sign in (1, -1):
+        runs["cubic", sign] = evolve(packet, t_final=0.5, dt=0.01,
+                                     nl=NonlinearityKind.cubic(kappa=1.0, sign=sign))
+    for key, (length, digest) in PINNED_SERIES.items():
+        assert len(runs[key].times) == length, key
+        assert _series_sha256(runs[key]) == digest, key
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of the name ``sng.evolution`` looks up."""
+    calls = []
+    real = getattr(sng.evolution, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sng.evolution, name, counted)
+    return calls
+
+
+def test_free_step_is_one_banded_solve(packet, monkeypatch):
+    # with V = 0 the corrector would repeat the predictor solve exactly
+    calls = _count_calls(monkeypatch, "solve_banded")
+    step(packet, 0.01, NonlinearityKind.free())
+    assert len(calls) == 1
+
+
+def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monkeypatch):
+    # one solve at the predictor midpoint inside each step, one for each
+    # observed state (shared by its energy row and the next step), plus the
+    # initial state
+    calls = _count_calls(monkeypatch, "solve_radial_poisson")
+    n_steps = 7
+    evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
+           nl=NonlinearityKind.gravity(G=1.0, n_particles=1.0), observe_every=1)
+    assert len(calls) == 2 * n_steps + 1

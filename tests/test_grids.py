@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from sng.errors import InvalidArgumentError, InvalidFieldError
 from sng.grids import (
@@ -97,6 +100,30 @@ def test_integrate_radial_is_the_line_quadrature_of_h_rho_squared(points):
         assert isinstance(expected, complex) == np.iscomplexobj(values)
 
 
+@pytest.mark.parametrize("points", [3, 5, 2001, 8001])
+def test_integrate_line_is_bitwise_scipy_simpson_on_odd_grids(points):
+    # scipy's non-uniform rule on the nodes is the reference; the uniform
+    # dx= form differs in the last bit on the 8001-point grid
+    grid = make_grid(40.0, points)
+    r = grid.nodes
+    real = np.exp(-0.3 * r) * np.cos(2.0 * r) * r * r
+    for values in (real, (0.5 - 1.5j) * real + 1j * np.sin(r)):
+        got = integrate_line(values, grid)
+        expected = simpson(values, x=grid.nodes)
+        assert type(got) is (complex if np.iscomplexobj(values) else float)
+        assert got == expected
+        assert np.signbit(got.real) == np.signbit(expected.real)
+
+
+@pytest.mark.parametrize("points", [4, 2000])
+def test_integrate_line_is_the_trapezoid_on_even_grids(points):
+    grid = make_grid(40.0, points)
+    r = grid.nodes
+    real = np.exp(-0.3 * r) * np.cos(2.0 * r) * r * r
+    for values in (real, (0.5 - 1.5j) * real):
+        assert integrate_line(values, grid) == np.trapezoid(values, grid.nodes)
+
+
 # --- Laplacian ---------------------------------------------------------------
 
 def test_radial_laplacian_exact_on_quadratic():
@@ -188,6 +215,29 @@ def test_poisson_discrete_laplacian_residual_refines_at_second_order():
     for spacing, sup in sups:
         assert sup <= 8.0 * spacing**2
     assert sups[0][1] / sups[1][1] == pytest.approx(4.0, rel=0.4)
+
+
+# sha256 of the potential, recorded before the grid-only factors of the
+# cell moments were cached on the grid
+PINNED_POTENTIALS = {
+    "ball": "7e64560424b2a55991ed370e1e18abbb7fec7bfd32c1db2723f23ce3f45d03ab",
+    "signed": "a3bc534215add402d5646da81488109b518eedd18a48595e61c7a3f8b01d6e72",
+}
+
+
+def test_poisson_potentials_are_bitwise_pinned():
+    grid = make_grid(10.0, 201)
+    r = grid.nodes
+    sources = {
+        "ball": np.where(r <= 2.0, 1.0, 0.0),
+        "signed": np.exp(-r * r) - 0.3 * np.exp(-(r - 3.0) ** 2),
+    }
+    for name, source in sources.items():
+        phi = solve_radial_poisson(RadialField(grid, source), 4.0 * np.pi).values
+        assert hashlib.sha256(phi.tobytes()).hexdigest() == PINNED_POTENTIALS[name], name
+        # a second solve on the same grid object reads the same values
+        again = solve_radial_poisson(RadialField(grid, source), 4.0 * np.pi).values
+        assert np.array_equal(phi, again)
 
 
 def test_poisson_rejects_bad_coupling_and_complex_sources():
