@@ -36,6 +36,7 @@ from .physical import (
     EnergyBreakdown,
     PhysicalParams,
     PhysicalProfile,
+    UnitScales,
     energy_breakdown,
     gravitational_bohr_radius,
     half_max_radius,
@@ -86,6 +87,7 @@ __all__ = [
     # physical
     "PhysicalParams",
     "PhysicalProfile",
+    "UnitScales",
     "EnergyBreakdown",
     "gravitational_bohr_radius",
     "rescale_to_physical",

@@ -40,16 +40,6 @@ from .shooting import UniversalSolution, solve_states
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 
-SUITES: tuple[str, ...] = (
-    "virial",
-    "homogeneity",
-    "poisson",
-    "oracle",
-    "evolution",
-    "continuity",
-)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """One row of a check table: a measured number against its bound."""
@@ -112,8 +102,7 @@ def _suite_virial() -> list[CheckResult]:
 # homogeneity
 # ---------------------------------------------------------------------------
 
-def _homogeneity_states() -> list[tuple[str, RadialState, PhysicalParams]]:
-    natural = PhysicalParams.natural_units()
+def _homogeneity_states() -> list[tuple[str, RadialState]]:
     stationary = state_from_profile(_natural_profile(0, 40.0, 4001))
     grid = make_grid(60.0, 2001)
     packet = gaussian_state(grid, sigma=3.0)
@@ -121,19 +110,15 @@ def _homogeneity_states() -> list[tuple[str, RadialState, PhysicalParams]]:
     chirped = replace(
         packet, u=packet.u * np.exp(1j * (0.2 * r * r + 0.4 * r))
     )
-    return [
-        ("stationary", stationary, natural),
-        ("gaussian", packet, natural),
-        ("chirped_gaussian", chirped, natural),
-    ]
+    return [("stationary", stationary), ("gaussian", packet), ("chirped_gaussian", chirped)]
 
 def _suite_homogeneity() -> list[CheckResult]:
     rows = []
-    for label, state, params in _homogeneity_states():
-        base = hamiltonian_functional(state, params)
+    for label, state in _homogeneity_states():
+        base = hamiltonian_functional(state)
         worst = 0.0
         for lam in (0.1, 2.5, 10.0):
-            scaled = hamiltonian_functional(replace(state, u=lam * state.u), params)
+            scaled = hamiltonian_functional(replace(state, u=lam * state.u))
             worst = max(worst, abs(scaled - lam * lam * base) / abs(base))
         rows.append(_row("homogeneity", f"degree2_{label}", worst, 1e-12,
                          "max over scale factors {0.1, 2.5, 10}"))
@@ -158,7 +143,7 @@ def _suite_poisson() -> list[CheckResult]:
     a = (np.floor(5.0 / grid.spacing) + 0.5) * grid.spacing
     rho0 = 1.0
     density = np.where(r < a, rho0, 0.0)
-    coupling = 4.0 * np.pi  # 4 pi G with G = 1
+    coupling = 4.0 * np.pi
     phi = solve_radial_poisson(RadialField(grid, density), coupling).values
     inside = r < a
     exact = np.where(
@@ -199,13 +184,12 @@ def _suite_poisson() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _oracle_rows(n: int, tol: float) -> list[CheckResult]:
-    natural = PhysicalParams.natural_units()
     profile = _natural_profile(n, 40.0, 4001)
-    scf = scf_solve(n, profile.f.grid, natural)
+    scf = scf_solve(n, profile.f_ag.grid)
     uni = universal_from_scf(scf)
     sol = _solved(n, 40.0, 4001)
     gamma_rel = abs(uni.gamma0 - sol.gamma0) / abs(sol.gamma0)
-    dens_shoot = profile.f.values**2
+    dens_shoot = profile.f_ag.values**2
     dens_scf = scf.f.values**2
     dens_rel = float(np.abs(dens_shoot - dens_scf).max() / dens_scf[0])
     return [
@@ -245,10 +229,8 @@ def _free_dispersion_series(points: int = 2001, dt: float = 0.01):
 def _stationary_gravity_series(n_steps: int = 1000):
     profile = _natural_profile(0, 40.0, 4001)
     state = state_from_profile(profile)
-    eb = energy_breakdown(profile)
-    period = 2.0 * np.pi * profile.params.hbar / abs(eb.e_single)
-    nl = NonlinearityKind.gravity(profile.params.G, profile.params.n_particles)
-    series = evolve(state, t_final=period, dt=period / n_steps, nl=nl,
+    period = 2.0 * np.pi / abs(energy_breakdown(profile).e_single)
+    series = evolve(state, t_final=period, dt=period / n_steps, nl=NonlinearityKind.gravity(),
                     observe_every=50, snapshot_every=100)
     return state, series
 
@@ -299,8 +281,7 @@ def _suite_continuity() -> list[CheckResult]:
     rows = []
     profile = _natural_profile(0, 40.0, 4001)
     st0 = state_from_profile(profile)
-    nl = NonlinearityKind.gravity(profile.params.G, profile.params.n_particles)
-    st1 = step(st0, 0.1, nl)
+    st1 = step(st0, 0.1, NonlinearityKind.gravity())
     rows.append(_row("continuity", "stationary_residual",
                      continuity_residual(st0, st1), 1e-6,
                      "real stationary profile, one step"))
@@ -327,22 +308,25 @@ _SUITE_FNS = {
     "evolution": _suite_evolution,
     "continuity": _suite_continuity,
 }
+SUITES: tuple[str, ...] = tuple(_SUITE_FNS)
+
+
+def _check_suite_names(names: list[str]) -> None:
+    unknown = [s for s in names if s not in SUITES]
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown suite(s): {', '.join(unknown)}; valid: {', '.join(SUITES)}")
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one named suite; unknown names raise InvalidArgumentError."""
-    try:
-        fn = _SUITE_FNS[name]
-    except KeyError:
-        raise InvalidArgumentError(
-            f"unknown suite {name!r}; valid suites: {', '.join(SUITES)}"
-        ) from None
-    return fn()
+    """Run one named suite; an unknown name raises InvalidArgumentError."""
+    _check_suite_names([name])
+    return _SUITE_FNS[name]()
 
 
 def run_suites(names: list[str] | None = None) -> list[CheckResult]:
-    """Run several suites (all six when names is None), concatenated."""
-    rows: list[CheckResult] = []
-    for name in names if names is not None else SUITES:
-        rows.extend(run_suite(name))
-    return rows
+    """Run several suites (all six when names is None), each once and
+    concatenated; every name is checked before any suite runs."""
+    names = list(dict.fromkeys(names)) if names is not None else list(SUITES)
+    _check_suite_names(names)
+    return [row for name in names for row in run_suite(name)]

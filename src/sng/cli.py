@@ -9,6 +9,10 @@ produce byte-identical files, so no timestamps appear anywhere.
 Exit codes: 0 success; 1 check-suite failure; 2 invalid flags or input
 schema; 3 no eigenvalue bracket found; 4 convergence failure; 5 evolution
 step rejected (a suggested smaller dt is printed).
+
+The library computes in units of the gravitational Bohr radius a_g; SI
+flags are divided by their units when read and SI outputs multiplied by
+them when written.  In natural units every factor is exactly 1.0.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .evolution import NonlinearityKind, evolve, gaussian_state, state_from_prof
 from .grids import RadialField, make_grid
 from .physical import (
     PhysicalParams,
+    UnitScales,
     energy_breakdown,
-    gravitational_bohr_radius,
     half_max_radius,
     rescale_to_physical,
     rms_radius,
@@ -55,6 +59,15 @@ _GENERATED_BY = f"sng {__version__}"
 def _fmt(x: float) -> str:
     """17 significant digits, scientific — round-trips any double."""
     return f"{x:.16e}"
+
+
+def _si(name: str, values, unit: float):
+    """``values`` (an array or a float) in a_g units times their SI ``unit``;
+    InvalidArgumentError names the column when a product is not finite."""
+    out = values * unit
+    if not np.all(np.isfinite(out)):
+        raise InvalidArgumentError(f"{name} in SI units is not representable as a double")
+    return out
 
 
 def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
@@ -85,11 +98,6 @@ def _solution_summary(sol: UniversalSolution) -> dict:
         "grid": {"rho_max": sol.grid.rho_max, "points": sol.grid.n_points},
         "generated_by": _GENERATED_BY,
     }
-
-
-def _write_profile_csv(sol: UniversalSolution, path: str) -> None:
-    _write_csv(path, "rho,f_star,g_star",
-               [sol.grid.nodes, sol.f_star.values, sol.g_star.values])
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +190,8 @@ def _cmd_solve(args) -> int:
     if csv_path is None and args.out_json is not None:
         csv_path = os.path.splitext(args.out_json)[0] + ".csv"
     if csv_path is not None:
-        _write_profile_csv(sol, csv_path)
+        _write_csv(csv_path, "rho,f_star,g_star",
+                   [sol.grid.nodes, sol.f_star.values, sol.g_star.values])
         summary["x_csv"] = os.path.basename(csv_path)
     _emit_json(summary, args.out_json)
     return 0
@@ -200,11 +209,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_rescale(args) -> int:
     sol = _load_solution(args.in_json)
-    params = _params_from_flags(args, required=True)
-    profile = rescale_to_physical(sol, params)
+    profile = rescale_to_physical(sol, _params_from_flags(args, required=True))
     eb = energy_breakdown(profile)
     summary = {
-        "bohr_radius_m": gravitational_bohr_radius(params),
+        "bohr_radius_m": profile.units.length,
         "half_max_radius_m": half_max_radius(profile),
         "rms_radius_m": rms_radius(profile),
         "e_kinetic_J": eb.e_kinetic,
@@ -232,55 +240,55 @@ def _cmd_evolve(args) -> int:
     if args.cubic and args.kappa is None:
         raise InvalidArgumentError("--cubic needs --kappa (and --sign, default +1)")
 
-    params = _params_from_flags(args, required=False)
+    units = UnitScales.of(_params_from_flags(args, required=False))
+    density_unit = units.density if args.snapshot_every is not None else None
     if args.free:
         nl = NonlinearityKind.free()
     elif args.cubic:
-        nl = NonlinearityKind.cubic(kappa=args.kappa, sign=args.sign)
+        nl = NonlinearityKind.cubic(kappa=args.kappa / units.coupling, sign=args.sign)
     else:
-        nl = NonlinearityKind.gravity(G=params.G, n_particles=params.n_particles)
+        nl = NonlinearityKind.gravity()
 
+    # every (m, N) evolves the same a_g-unit state
     profile = None
     if args.from_json is not None:
-        sol = _load_solution(args.from_json)
-        profile = rescale_to_physical(sol, params)
+        profile = rescale_to_physical(_load_solution(args.from_json),
+                                      PhysicalParams.natural_units())
         state = state_from_profile(profile)
     else:
-        grid = make_grid(args.r_max, args.points)
-        state = gaussian_state(grid, args.gaussian_sigma,
-                               mass=params.mass, hbar=params.hbar)
+        sigma = args.gaussian_sigma / units.length
+        state = gaussian_state(make_grid(args.r_max / units.length, args.points), sigma)
 
     if args.dt is not None:
-        dt = args.dt
+        dt = args.dt / units.time
     elif profile is not None:
-        eb = energy_breakdown(profile)
-        dt = 2.0 * np.pi * params.hbar / abs(eb.e_single) / 200.0
+        dt = 2.0 * np.pi / abs(energy_breakdown(profile).e_single) / 200.0
     else:
-        dt = 2.0 * state.mass * args.gaussian_sigma**2 / (200.0 * state.hbar)
+        dt = 2.0 * sigma**2 / 200.0
 
-    series = evolve(state, t_final=state.time + args.steps * dt, dt=dt, nl=nl,
-                    observe_every=args.observe_every,
-                    snapshot_every=args.snapshot_every)
-    _write_csv(args.out_csv, "t,norm,energy,rms_width",
-               [series.times, series.norms, series.energies, series.widths])
-    if series.snapshots is not None:
-        stem = os.path.splitext(args.out_csv)[0]
-        for idx, (_, field) in enumerate(series.snapshots):
-            _write_csv(f"{stem}_snap_{idx:04d}.csv", "r,density",
-                       [field.grid.nodes, field.values])
+    try:
+        series = evolve(state, t_final=state.time + args.steps * dt, dt=dt, nl=nl,
+                        observe_every=args.observe_every,
+                        snapshot_every=args.snapshot_every)
+    except StepRejectedError as exc:
+        # the stepper reports dt in m a_g^2/hbar; report it in seconds, like --dt
+        message = str(exc).replace(f"dt={dt:.3e}", f"dt={dt * units.time:.3e}")
+        raise StepRejectedError(message, _si("suggested dt", exc.suggested_dt, units.time)) from exc
+    columns = [_si("t", series.times, units.time), series.norms,
+               _si("energy", series.energies, units.energy),
+               _si("rms_width", series.widths, units.length)]
+    snapshots = [[_si("r", field.grid.nodes, units.length),
+                  _si("density", field.values, density_unit)]
+                 for _, field in series.snapshots or ()]
+    _write_csv(args.out_csv, "t,norm,energy,rms_width", columns)
+    stem = os.path.splitext(args.out_csv)[0]
+    for idx, snapshot in enumerate(snapshots):
+        _write_csv(f"{stem}_snap_{idx:04d}.csv", "r,density", snapshot)
     return 0
 
 
 def _cmd_check(args) -> int:
-    names = list(dict.fromkeys(args.suites)) if args.suites else list(SUITES)
-    unknown = [s for s in names if s not in SUITES]
-    if unknown:
-        sys.stderr.write(
-            f"unknown suite(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(SUITES)}\n"
-        )
-        return 2
-    rows = run_suites(names)
+    rows = run_suites(args.suites)
     width = max(len(r.name) for r in rows)
     for row in rows:
         flag = "PASS" if row.passed else "FAIL"

@@ -1,12 +1,13 @@
 """Crank–Nicolson time evolution of the radial one-body nonlinear equation.
 
-Works on the reduced wavefunction u(r) = r psi(r) with Dirichlet ends, where
-the radial Laplacian is tridiagonal:
+Works on the reduced wavefunction u(r) = r psi(r) with Dirichlet ends, in
+the a_g units of :mod:`sng.physical`, where the radial Laplacian is
+tridiagonal:
 
-    i hbar du/dt = -(hbar^2/2m) u'' + V[psi] u,
+    i du/dt = -(1/2) u'' + V[psi] u,
 
 with V pluggable: free (V=0), cubic (V = ±kappa |psi|^2), or gravitational
-Hartree (V = m Phi, lap Phi = 4 pi G m N |psi|^2 / norm).  Each step is one
+Hartree (lap V = 4 pi |psi|^2 / norm).  Each step is one
 Crank–Nicolson solve predicted with V[psi_t] and corrected once with
 V[(psi_t + psi_pred)/2].  With V = 0 the corrector would repeat the
 predictor exactly, so a free step is a single solve.  ``evolve`` computes
@@ -56,8 +57,6 @@ class RadialState:
 
     grid: RadialGrid
     u: np.ndarray = field(repr=False)
-    mass: float
-    hbar: float
     time: float
     phase: float = 0.0
 
@@ -71,10 +70,8 @@ class RadialState:
             raise InvalidArgumentError("u contains non-finite samples")
         if u[0] != 0.0:
             raise InvalidArgumentError("u(0) must be exactly 0 (psi regular at origin)")
-        for name in ("mass", "hbar"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InvalidArgumentError(f"{name} must be positive and finite, got {v}")
+        if not np.any(u):
+            raise InvalidArgumentError("u is zero at every node; a state needs positive norm")
         object.__setattr__(self, "u", u)
         u.setflags(write=False)
 
@@ -89,14 +86,12 @@ class NonlinearityKind:
 
     Use the constructors: ``NonlinearityKind.free()``,
     ``NonlinearityKind.cubic(kappa, sign)``,
-    ``NonlinearityKind.gravity(G, n_particles)``.
+    ``NonlinearityKind.gravity()``.
     """
 
     kind: str
     kappa: float = 0.0
     sign: int = 1
-    G: float = 0.0
-    n_particles: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("free", "cubic", "gravity"):
@@ -115,8 +110,8 @@ class NonlinearityKind:
         return cls(kind="cubic", kappa=float(kappa), sign=int(sign))
 
     @classmethod
-    def gravity(cls, G: float, n_particles: float) -> "NonlinearityKind":
-        return cls(kind="gravity", G=float(G), n_particles=float(n_particles))
+    def gravity(cls) -> "NonlinearityKind":
+        return cls(kind="gravity")
 
 
 @dataclass(frozen=True)
@@ -142,19 +137,12 @@ class ObservableSeries:
 # ---------------------------------------------------------------------------
 
 def state_from_profile(profile: PhysicalProfile, time: float = 0.0) -> RadialState:
-    """u = r f from a stationary profile (real, unit norm)."""
-    grid = profile.f.grid
-    return RadialState(
-        grid=grid,
-        u=grid.nodes * profile.f.values,
-        mass=profile.params.mass,
-        hbar=profile.params.hbar,
-        time=time,
-    )
+    """u = r f from a stationary profile (real, unit norm), in a_g units."""
+    grid = profile.f_ag.grid
+    return RadialState(grid=grid, u=grid.nodes * profile.f_ag.values, time=time)
 
 
-def gaussian_state(grid: RadialGrid, sigma: float, mass: float = 1.0,
-                   hbar: float = 1.0, time: float = 0.0) -> RadialState:
+def gaussian_state(grid: RadialGrid, sigma: float, time: float = 0.0) -> RadialState:
     """Normalized isotropic Gaussian packet; sigma is the initial per-axis
     position standard deviation, so |psi|^2 ∝ exp(-r^2/2 sigma^2) and the
     RMS radius starts at sqrt(3) sigma."""
@@ -162,7 +150,7 @@ def gaussian_state(grid: RadialGrid, sigma: float, mass: float = 1.0,
         raise InvalidArgumentError(f"sigma must be positive, got {sigma}")
     r = grid.nodes
     psi = (2.0 * np.pi * sigma**2) ** -0.75 * np.exp(-r * r / (4.0 * sigma**2))
-    return RadialState(grid=grid, u=r * psi, mass=mass, hbar=hbar, time=time)
+    return RadialState(grid=grid, u=r * psi, time=time)
 
 
 def state_norm(state: RadialState) -> float:
@@ -185,19 +173,16 @@ def scheme_energy(state: RadialState, nl: NonlinearityKind) -> float:
     report estimator mismatch as spurious drift.  The interaction part
     uses plain nodal weights, matching the pointwise action of V in the
     stepper: (sign kappa/2) int |psi|^4 d^3x for cubic and the
-    norm-scaled potential energy (1/2) int rho m Phi d^3x for gravity.
+    norm-scaled potential energy (1/2) int rho V d^3x for gravity.
     """
-    return _scheme_energy(state, nl, _potential(state.u, state, nl)[0])
+    return _scheme_energy(state, nl, _potential(state.u, state.grid, nl)[0])
 
 
 def _scheme_energy(state: RadialState, nl: NonlinearityKind, v: np.ndarray) -> float:
     """:func:`scheme_energy` with the potential samples V of ``state`` in hand."""
     du = np.diff(state.u)
     dr = state.grid.spacing
-    e_kin = (
-        state.hbar**2 / (2.0 * state.mass) * 4.0 * np.pi
-        * float(np.sum(np.abs(du) ** 2)) / dr
-    )
+    e_kin = 0.5 * 4.0 * np.pi * float(np.sum(np.abs(du) ** 2)) / dr
     if nl.kind == "free":
         return e_kin
     # both interactions have V linear in rho, so (1/2) int V rho d^3x is
@@ -209,11 +194,10 @@ def _scheme_energy(state: RadialState, nl: NonlinearityKind, v: np.ndarray) -> f
 # the stepper
 # ---------------------------------------------------------------------------
 
-def _potential(u: np.ndarray, state: RadialState, nl: NonlinearityKind) -> tuple[np.ndarray, float]:
+def _potential(u: np.ndarray, grid: RadialGrid, nl: NonlinearityKind) -> tuple[np.ndarray, float]:
     """Potential samples V(r) for the given reduced wavefunction, plus the
     constant offset E_grav/norm destined for the phase ledger (0 unless
     gravitational)."""
-    grid = state.grid
     if nl.kind == "free":
         return np.zeros(grid.n_points), 0.0
     psi = psi_from_u(u, grid)
@@ -221,21 +205,17 @@ def _potential(u: np.ndarray, state: RadialState, nl: NonlinearityKind) -> tuple
     if nl.kind == "cubic":
         return nl.sign * nl.kappa * density, 0.0
     norm = 4.0 * np.pi * integrate_line(np.abs(u) ** 2, grid)
-    coupling = 4.0 * np.pi * nl.G * state.mass * nl.n_particles / norm
-    phi = solve_radial_poisson(RadialField(grid, density), coupling).values
-    e_grav_over_norm = 0.5 * state.mass * 4.0 * np.pi * integrate_line(
-        density * phi * grid.nodes**2, grid
-    )
-    return state.mass * phi, e_grav_over_norm
+    v = solve_radial_poisson(RadialField(grid, density), 4.0 * np.pi / norm).values
+    e_grav_over_norm = 0.5 * 4.0 * np.pi * integrate_line(density * v * grid.nodes**2, grid)
+    return v, e_grav_over_norm
 
 
-def _cn_solve(u: np.ndarray, V: np.ndarray, dt: float, state: RadialState) -> np.ndarray:
-    """One Crank–Nicolson solve (I + i dt H/2hbar) u' = (I - i dt H/2hbar) u
+def _cn_solve(u: np.ndarray, V: np.ndarray, dt: float, grid: RadialGrid) -> np.ndarray:
+    """One Crank–Nicolson solve (I + i dt H/2) u' = (I - i dt H/2) u
     with frozen potential V and Dirichlet ends."""
-    grid = state.grid
     dr = grid.spacing
-    lam = state.hbar * dt / (4.0 * state.mass * dr * dr)
-    vterm = 0.5j * dt * V / state.hbar
+    lam = dt / (4.0 * dr * dr)
+    vterm = 0.5j * dt * V
     a_diag = 1.0 + 2.0j * lam + vterm
     b_diag = 1.0 - 2.0j * lam - vterm
     rhs = b_diag[1:-1] * u[1:-1] + 1.0j * lam * (u[2:] + u[:-2])
@@ -271,12 +251,12 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
     """
     _check_dt(dt)
     if v_old is None:
-        v_old, _ = _potential(state.u, state, nl)
-    u_pred = _cn_solve(state.u, v_old, dt, state)
+        v_old, _ = _potential(state.u, state.grid, nl)
+    u_pred = _cn_solve(state.u, v_old, dt, state.grid)
     if nl.kind == "free":
         return replace(state, u=u_pred, time=state.time + dt)
     u_mid = 0.5 * (state.u + u_pred)
-    v_mid, off_mid = _potential(u_mid, state, nl)
+    v_mid, off_mid = _potential(u_mid, state.grid, nl)
 
     scale = float(np.max(np.abs(v_old)))
     if scale > 0.0:
@@ -286,12 +266,12 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
                 f"potential changed {change:.1%} within one step of dt={dt:.3e}",
                 suggested_dt=0.25 * dt / change,
             )
-    u_new = _cn_solve(state.u, v_mid, dt, state)
+    u_new = _cn_solve(state.u, v_mid, dt, state.grid)
     return replace(
         state,
         u=u_new,
         time=state.time + dt,
-        phase=state.phase + off_mid * dt / state.hbar,
+        phase=state.phase + off_mid * dt,
     )
 
 
@@ -328,7 +308,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
 
     def observe(s: RadialState) -> np.ndarray:
         """Record one row; return the potential of s for the next step."""
-        v, _ = _potential(s.u, s, nl)
+        v, _ = _potential(s.u, s.grid, nl)
         times.append(s.time)
         norms.append(state_norm(s))
         energies.append(_scheme_energy(s, nl, v))
@@ -376,7 +356,7 @@ def continuity_residual(before: RadialState, after: RadialState) -> float:
     of states, in flux form: d_t(r^2 rho) + d_r(r^2 j).
 
     rho = |psi|^2 is differenced in time; the radial current
-    j = (hbar/m) Im(psi* d_r psi) is averaged over the two states, so both
+    j = Im(psi* d_r psi) is averaged over the two states, so both
     terms are centered at the midpoint time.  The flux form is used because
     it stays uniformly second order through the origin — the pointwise
     rho-form divides by r^2 and its stencils lose consistency at the first
@@ -386,15 +366,10 @@ def continuity_residual(before: RadialState, after: RadialState) -> float:
         raise InvalidArgumentError("states live on different grids")
     if not after.time > before.time:
         raise InvalidArgumentError("after.time must exceed before.time")
-    if (before.mass, before.hbar) != (after.mass, after.hbar):
-        raise InvalidArgumentError("states carry different physical constants")
     dt = after.time - before.time
     r = before.grid.nodes
     psi_b, psi_a = before.psi(), after.psi()
     dp_dt = r * r * (np.abs(psi_a) ** 2 - np.abs(psi_b) ** 2) / dt
-
-    def current(psi: np.ndarray) -> np.ndarray:
-        return before.hbar / before.mass * np.imag(np.conj(psi) * np.gradient(psi, r))
-
-    j_mid = 0.5 * (current(psi_b) + current(psi_a))
+    j_mid = 0.5 * np.imag(np.conj(psi_b) * np.gradient(psi_b, r)
+                          + np.conj(psi_a) * np.gradient(psi_a, r))
     return float(np.max(np.abs(dp_dt + np.gradient(r * r * j_mid, r))))

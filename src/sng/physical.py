@@ -1,23 +1,28 @@
 """Homology rescaling of universal solutions to physical units, and the
 energy functionals of the self-gravitating condensate.
 
-A universal solution (f*, g*) maps onto a physical one-particle wavefunction
-and potential through the gravitational Bohr radius a_g = hbar^2/(G N m^3):
+Every (m, N) is one dimensionless problem in units of the gravitational
+Bohr radius a_g = hbar^2/(G N m^3): lengths in a_g, energies in
+hbar^2/(m a_g^2), times in m a_g^2/hbar.  In these units a universal
+solution (f*, g*) maps onto the one-particle wavefunction and potential
 
-    f(r)   = sqrt(2/pi) / (gamma1^2 a_g^(3/2)) * f*(beta r),
-    Phi(r) = (2/gamma1^2) (G^2 N^2 m^4 / hbar^2) * { g*(beta r) + eps* },
+    f(x)     = sqrt(2/pi) / gamma1^2 * f*(beta x),
+    m Phi(x) = (2/gamma1^2) * { g*(beta x) + eps* },
 
-with beta = 2/(gamma1 a_g).  The amplitude prefactor yields unit norm
-int 4 pi r^2 f^2 dr = 1 identically under this gamma1 convention (checked at
-construction; a renormalization branch exists and flags itself).  Energies
-are per particle throughout: E_kin = (hbar^2/2m) int 4 pi r^2 (df/dr)^2 dr,
-E_grav = (1/2) int 4 pi r^2 m f^2 Phi dr (the 1/2 avoids double counting),
-and the eigenparameter obeys eps = (3/2) E_grav with single-particle
-eigenvalue E = eps/3.
+with beta = 2/gamma1 and lap(m Phi) = 4 pi f^2.  The amplitude prefactor
+yields unit norm int 4 pi x^2 f^2 dx = 1 identically under this gamma1
+convention (checked at construction; a renormalization branch exists and
+flags itself).  Energies are per particle throughout:
+E_kin = (1/2) int 4 pi x^2 (df/dx)^2 dx, E_grav = (1/2) int 4 pi x^2 f^2 m Phi dx
+(the 1/2 avoids double counting), and eps = (3/2) E_grav with
+single-particle eigenvalue E = eps/3.  SI values are these times the
+factors of :class:`UnitScales`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,6 +41,7 @@ __all__ = [
     "NEWTON_G",
     "NUCLEON_MASS",
     "PhysicalParams",
+    "UnitScales",
     "PhysicalProfile",
     "EnergyBreakdown",
     "gravitational_bohr_radius",
@@ -62,9 +68,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("mass", "n_particles", "hbar", "G"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InvalidArgumentError(f"{name} must be positive and finite, got {v}")
+            _normal(name, getattr(self, name))
 
     @classmethod
     def natural_units(cls) -> "PhysicalParams":
@@ -72,37 +76,101 @@ class PhysicalParams:
         return cls(mass=1.0, n_particles=1.0, hbar=1.0, G=1.0)
 
 
+def _normal(name: str, value: float) -> float:
+    """``value`` if it is a positive finite normal double, else
+    InvalidArgumentError naming it."""
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise InvalidArgumentError(f"{name} = {value!r} is not a positive finite normal double")
+    return value
+
+
 def gravitational_bohr_radius(params: PhysicalParams) -> float:
-    """a_g = hbar^2 / (G N m^3), the natural length of the rescaling."""
-    return params.hbar**2 / (params.G * params.n_particles * params.mass**3)
+    """a_g = hbar^2 / (G N m^3), the natural length of the rescaling;
+    InvalidArgumentError if G N m^3 or a_g is not a finite normal double."""
+    m = params.mass  # m * m * m overflows to inf where m**3 raises
+    gnm3 = _normal("G N m^3", params.G * params.n_particles * (m * m * m))
+    return _normal("a_g", params.hbar**2 / gnm3)
+
+
+@dataclass(frozen=True)
+class UnitScales:
+    """SI size of the units the library computes in, for one (m, N): length
+    a_g, energy hbar^2/(m a_g^2), time m a_g^2/hbar and potential Phi = V/m,
+    each from a_g rather than powers such as G^2 N^2 m^5 (subnormal at
+    m = 1e-60 kg), and each exactly 1.0 in natural units.  The properties
+    are checked when read: a_g^-3 underflows at 1e-60 kg."""
+
+    length: float
+    energy: float
+    time: float
+    potential: float
+
+    @classmethod
+    def of(cls, params: PhysicalParams) -> "UnitScales":
+        """Raises InvalidArgumentError naming a unit that is not a finite normal double."""
+        m, hbar = float(params.mass), float(params.hbar)
+        a_g = float(gravitational_bohr_radius(params))
+        energy = _normal("energy unit hbar^2/(m a_g^2)", hbar * hbar / m / a_g / a_g)
+        return cls(a_g, energy, _normal("time unit m a_g^2/hbar", hbar / energy),
+                   _normal("potential unit hbar^2/(m a_g)^2", energy / m))
+
+    @property
+    def density(self) -> float:  # of |psi|^2
+        return _normal("density unit a_g^-3", 1.0 / self.length / self.length / self.length)
+
+    @property
+    def coupling(self) -> float:  # of kappa in V = kappa |psi|^2
+        return _normal("coupling unit hbar^2 a_g/m",
+                       self.energy * self.length * self.length * self.length)
 
 
 @dataclass(frozen=True)
 class PhysicalProfile:
-    """A bound state in physical units.
+    """A bound state of one (m, N): its shape in a_g units and its SI scales.
 
-    ``phi`` is the closed-form potential shifted by ``phi_tail_shift`` so it
+    ``f_ag`` and ``phi_ag`` (= m Phi) live on the a_g-unit grid; the SI
+    ``f``, ``phi``, ``epsilon`` and ``phi_tail_shift`` derive from them.
+    The potential is the closed form shifted by ``phi_tail_shift`` so it
     meets -G M_total/r at the outer edge (and hence tends to zero at
     infinity); the shift is recorded rather than hidden.
     """
 
-    params: PhysicalParams
-    f: RadialField
-    phi: RadialField
-    bohr_radius: float
-    beta: float
-    epsilon: float
+    units: UnitScales
+    f_ag: RadialField
+    phi_ag: RadialField
+    epsilon_ag: float
+    phi_tail_shift_ag: float
     norm: float
     renormalized: bool
-    phi_tail_shift: float
 
     def __post_init__(self):
         if abs(self.norm - 1.0) > 1e-6:
             raise InvalidArgumentError(f"profile norm {self.norm} is not 1 within 1e-6")
-        f = self.f.values
+        f = self.f_ag.values
         core = np.abs(f) >= 0.1 * np.max(np.abs(f))
-        if not np.all(self.phi.values[core] < 0.0):
+        if not np.all(self.phi_ag.values[core] < 0.0):
             raise InvalidArgumentError("potential must be negative where f is appreciable")
+
+    def _si(self, field: RadialField, unit: float) -> RadialField:
+        grid = make_grid(field.grid.rho_max * self.units.length, field.grid.n_points)
+        return RadialField(grid, field.values * unit)
+
+    @property
+    def f(self) -> RadialField:
+        a_g = self.units.length
+        return self._si(self.f_ag, _normal("amplitude unit a_g^-1.5", 1.0 / a_g / math.sqrt(a_g)))
+
+    @property
+    def phi(self) -> RadialField:
+        return self._si(self.phi_ag, self.units.potential)
+
+    @property
+    def epsilon(self) -> float:
+        return self.epsilon_ag * self.units.energy
+
+    @property
+    def phi_tail_shift(self) -> float:
+        return self.phi_tail_shift_ag * self.units.potential
 
 
 @dataclass(frozen=True)
@@ -125,23 +193,21 @@ class EnergyBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# shared quadrature paths (energy_breakdown and hamiltonian_functional MUST
-# run through the same float paths for their cross-agreement to hold)
+# unit-free kernels (energy_breakdown and hamiltonian_functional MUST run
+# through the same float paths for their cross-agreement to hold)
 # ---------------------------------------------------------------------------
 
-def _kinetic_energy(psi: np.ndarray, grid: RadialGrid, mass: float, hbar: float) -> float:
+def _kinetic_energy(psi: np.ndarray, grid: RadialGrid) -> float:
+    """(1/2) int 4 pi r^2 |dpsi/dr|^2 dr."""
     dpsi = np.gradient(psi, grid.nodes)
-    density = np.abs(dpsi) ** 2
-    return hbar**2 / (2.0 * mass) * 4.0 * np.pi * integrate_radial(RadialField(grid, density))
+    return 0.5 * 4.0 * np.pi * integrate_radial(RadialField(grid, np.abs(dpsi) ** 2))
 
 
-def _self_energy_raw(density: np.ndarray, grid: RadialGrid, params: PhysicalParams) -> float:
-    """(1/2) int 4 pi r^2 m rho Phi[rho] dr with Phi sourced by
-    coupling 4 pi G m N; degree 2 in the density (degree 4 in psi)."""
-    coupling = 4.0 * np.pi * params.G * params.mass * params.n_particles
-    phi = solve_radial_poisson(RadialField(grid, density), coupling)
-    integrand = density * phi.values
-    return 0.5 * params.mass * 4.0 * np.pi * integrate_radial(RadialField(grid, integrand))
+def _self_energy_raw(density: np.ndarray, grid: RadialGrid) -> float:
+    """(1/2) int 4 pi r^2 rho Phi[rho] dr with Phi sourced by coupling 4 pi;
+    degree 2 in the density (degree 4 in psi)."""
+    phi = solve_radial_poisson(RadialField(grid, density), 4.0 * np.pi)
+    return 0.5 * 4.0 * np.pi * integrate_radial(RadialField(grid, density * phi.values))
 
 
 # ---------------------------------------------------------------------------
@@ -151,25 +217,22 @@ def _self_energy_raw(density: np.ndarray, grid: RadialGrid, params: PhysicalPara
 def rescale_to_physical(sol: UniversalSolution, params: PhysicalParams) -> PhysicalProfile:
     """Map a universal solution onto physical units via homology scaling.
 
-    The radial coordinate stretches by 1/beta = gamma1 a_g / 2; the
-    amplitude prefactor sqrt(2/pi)/(gamma1^2 a_g^(3/2)) is verified to give
-    unit norm and only replaced by explicit renormalization (flagged on the
-    profile) if it misses by more than 1e-6.  The closed-form potential is
-    shifted to meet -G M/r at the grid edge; the shift is stored.
-
-    Raises
-    ------
-    InvalidArgumentError
-        If the input solution or parameters are malformed.
+    The radial coordinate stretches by 1/beta = gamma1/2 in a_g units; the
+    amplitude prefactor sqrt(2/pi)/gamma1^2 is verified to give unit norm
+    and only replaced by explicit renormalization (flagged on the profile)
+    if it misses by more than 1e-6.  The closed-form potential is shifted
+    to meet -G M/r (-norm/x in a_g units) at the grid edge; the shift is
+    stored.  InvalidArgumentError for a malformed solution, or a unit of
+    ``params`` that is not a finite normal double.
     """
     if not isinstance(sol, UniversalSolution):
         raise InvalidArgumentError("rescale_to_physical needs a UniversalSolution")
-    a_g = gravitational_bohr_radius(params)
+    units = UnitScales.of(params)
     gamma1 = sol.gamma1
-    beta = 2.0 / (gamma1 * a_g)
+    beta = 2.0 / gamma1
     grid = make_grid(sol.grid.rho_max / beta, sol.grid.n_points)
 
-    amplitude = np.sqrt(2.0 / np.pi) / (gamma1**2 * a_g**1.5)
+    amplitude = np.sqrt(2.0 / np.pi) / gamma1**2
     f_vals = amplitude * sol.f_star.values
     norm = 4.0 * np.pi * integrate_radial(RadialField(grid, f_vals * f_vals))
     renormalized = abs(norm - 1.0) > 1e-6
@@ -177,44 +240,38 @@ def rescale_to_physical(sol: UniversalSolution, params: PhysicalParams) -> Physi
         f_vals = f_vals / np.sqrt(norm)
         norm = 4.0 * np.pi * integrate_radial(RadialField(grid, f_vals * f_vals))
 
-    m, N, hbar, G = params.mass, params.n_particles, params.hbar, params.G
-    phi_prefactor = (2.0 / gamma1**2) * (G**2 * N**2 * m**4 / hbar**2)
-    phi_raw = phi_prefactor * (sol.g_star.values + sol.epsilon_star)
-    mass_total = N * m * norm
-    shift = phi_raw[-1] - (-G * mass_total / grid.nodes[-1])
-    phi_vals = phi_raw - shift
-
-    epsilon = (2.0 / gamma1**2) * (G**2 * N**2 * m**5 / hbar**2) * sol.epsilon_star
+    phi_raw = (2.0 / gamma1**2) * (sol.g_star.values + sol.epsilon_star)
+    shift = phi_raw[-1] - (-norm / grid.nodes[-1])
     return PhysicalProfile(
-        params=params,
-        f=RadialField(grid, f_vals),
-        phi=RadialField(grid, phi_vals),
-        bohr_radius=a_g,
-        beta=beta,
-        epsilon=epsilon,
+        units=units,
+        f_ag=RadialField(grid, f_vals),
+        phi_ag=RadialField(grid, phi_raw - shift),
+        epsilon_ag=(2.0 / gamma1**2) * sol.epsilon_star,
+        phi_tail_shift_ag=shift,
         norm=norm,
         renormalized=renormalized,
-        phi_tail_shift=shift,
     )
 
 
 def half_max_radius(profile: PhysicalProfile) -> float:
     """First radius where f drops through half its central value
-    (linear interpolation between the bracketing samples)."""
-    f = profile.f.values
-    r = profile.f.grid.nodes
+    (linear interpolation between the bracketing samples), in meters."""
+    f = profile.f_ag.values
+    r = profile.f_ag.grid.nodes
     target = 0.5 * f[0]
     below = np.nonzero(f < target)[0]
     if below.size == 0:
         raise InvalidArgumentError("profile never falls below half maximum on the grid")
     i = int(below[0])
-    return float(r[i - 1] + (r[i] - r[i - 1]) * (f[i - 1] - target) / (f[i - 1] - f[i]))
+    x = float(r[i - 1] + (r[i] - r[i - 1]) * (f[i - 1] - target) / (f[i - 1] - f[i]))
+    return x * profile.units.length
 
 
 def rms_radius(profile: PhysicalProfile) -> float:
-    """Root-mean-square radius of the density |f|^2, by the body of rms_width."""
-    grid = profile.f.grid
-    return rms_from_u(grid.nodes * profile.f.values, grid)
+    """Root-mean-square radius of the density |f|^2 in meters, by the body
+    of rms_width."""
+    grid = profile.f_ag.grid
+    return rms_from_u(grid.nodes * profile.f_ag.values, grid) * profile.units.length
 
 
 # ---------------------------------------------------------------------------
@@ -222,43 +279,31 @@ def rms_radius(profile: PhysicalProfile) -> float:
 # ---------------------------------------------------------------------------
 
 def energy_breakdown(profile: PhysicalProfile) -> EnergyBreakdown:
-    """Kinetic/gravitational split of a normalized profile, per particle.
+    """Kinetic/gravitational split of a normalized profile, per particle, in J.
 
     The gravitational term re-solves the Poisson problem for the profile's
     own density (one inner solve), so it is the self-consistent potential of
     the same f; eps = (3/2) e_gravity and e_single = eps/3 close the
-    eigenvalue bookkeeping.
+    eigenvalue bookkeeping.  All five are computed in a_g units, then
+    scaled by the energy unit.
     """
-    if abs(profile.norm - 1.0) > 1e-6:
-        raise InvalidArgumentError("energy_breakdown needs a unit-norm profile")
-    grid = profile.f.grid
-    p = profile.params
-    e_kin = _kinetic_energy(profile.f.values, grid, p.mass, p.hbar)
-    e_grav = _self_energy_raw(profile.f.values**2, grid, p)
+    grid = profile.f_ag.grid
+    e_kin = _kinetic_energy(profile.f_ag.values, grid)
+    e_grav = _self_energy_raw(profile.f_ag.values**2, grid)
     epsilon = 1.5 * e_grav
-    return EnergyBreakdown(
-        e_kinetic=e_kin,
-        e_gravity=e_grav,
-        e_total=e_kin + e_grav,
-        epsilon=epsilon,
-        e_single=epsilon / 3.0,
-    )
+    # e_kinetic, e_gravity, e_total, epsilon, e_single
+    return EnergyBreakdown(*(e * profile.units.energy for e in
+                             (e_kin, e_grav, e_kin + e_grav, epsilon, epsilon / 3.0)))
 
 
-def hamiltonian_functional(state: "RadialState", params: PhysicalParams) -> float:
-    """H[psi] = E_kin[psi] + E_grav[psi]/norm — the degree-2 homogeneous
-    energy of the one-body nonlinear equation; valid for unnormalized states.
-
-    Raises
-    ------
-    InvalidArgumentError
-        For a zero-norm state.
+def hamiltonian_functional(state: "RadialState") -> float:
+    """H[psi] = E_kin[psi] + E_grav[psi]/norm in a_g units — the degree-2
+    homogeneous energy of the one-body nonlinear equation; valid for
+    unnormalized states.  InvalidArgumentError when the norm underflows to 0.
     """
     grid = state.grid
     norm = 4.0 * np.pi * integrate_line(np.abs(state.u) ** 2, grid)
     if not norm > 0.0:
         raise InvalidArgumentError("hamiltonian_functional needs a state with positive norm")
     psi = state.psi()
-    e_kin = _kinetic_energy(psi, grid, state.mass, state.hbar)
-    e_grav_raw = _self_energy_raw(np.abs(psi) ** 2, grid, params)
-    return e_kin + e_grav_raw / norm
+    return _kinetic_energy(psi, grid) + _self_energy_raw(np.abs(psi) ** 2, grid) / norm

@@ -1,16 +1,16 @@
 """Self-consistent-field oracle: an independent route to the bound states.
 
 Instead of shooting on the universal system, iterate the physical fixed
-point directly on u(r) = r f(r):
+point directly on u(r) = r f(r), in units of a_g (see :mod:`sng.physical`):
 
-    -(hbar^2/2m) u'' + m Phi u = eps u,      lap Phi = 4 pi G m N f^2,
+    -(1/2) u'' + V u = eps u,      lap V = 4 pi f^2,
 
 alternating a frozen-potential tridiagonal eigensolve (selecting the n-th
 eigenpair) with a Poisson update of the potential, under damped mixing.
 The converged state maps back to the universal normalization through
-f*(0) = 1, giving gamma0 = (2m/(hbar beta)^... see universal_from_scf) for
-direct comparison with the shooting route.  Nothing here shares algorithmic
-structure with the shooting module beyond the Poisson quadrature.
+f*(0) = 1, giving gamma0 (see universal_from_scf) for direct comparison
+with the shooting route.  Nothing here shares algorithmic structure with
+the shooting module beyond the Poisson quadrature.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, InvalidArgumentError
 from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
-from .physical import PhysicalParams, gravitational_bohr_radius
 
 __all__ = ["SCFResult", "ScfUniversal", "scf_solve", "universal_from_scf"]
 
@@ -32,9 +31,8 @@ class SCFResult:
     """Converged fixed point of the eigensolve/Poisson iteration."""
 
     n: int
-    params: PhysicalParams
     f: RadialField          # unit-norm radial wavefunction
-    phi: RadialField        # potential sourced by f^2
+    phi: RadialField        # potential energy V sourced by f^2
     epsilon: float          # n-th eigenvalue in that potential
     iterations: int
     converged: bool
@@ -50,9 +48,8 @@ class ScfUniversal:
     epsilon_star: float
 
 
-def scf_solve(n: int, grid: RadialGrid, params: PhysicalParams,
-              mix: float = 0.5, tol: float = 1e-10, max_iter: int = 400,
-              sigma0: float | None = None) -> SCFResult:
+def scf_solve(n: int, grid: RadialGrid, mix: float = 0.5, tol: float = 1e-10,
+              max_iter: int = 400, sigma0: float | None = None) -> SCFResult:
     """Iterate eigensolve + Poisson update to the n-th bound state.
 
     Parameters
@@ -60,9 +57,7 @@ def scf_solve(n: int, grid: RadialGrid, params: PhysicalParams,
     n : int
         Radial quantum number (eigenvalue index in the frozen potential).
     grid : RadialGrid
-        Physical grid; must extend well past the state's support.
-    params : PhysicalParams
-        Mass, particle number and constants.
+        Grid in units of a_g; must extend well past the state's support.
     mix : float
         Damping of the potential update, 0 < mix <= 1.
     tol : float
@@ -82,19 +77,17 @@ def scf_solve(n: int, grid: RadialGrid, params: PhysicalParams,
         raise InvalidArgumentError(f"mix must lie in (0, 1], got {mix}")
     r = grid.nodes
     dr = grid.spacing
-    m, hbar = params.mass, params.hbar
-    coupling = 4.0 * np.pi * params.G * m * params.n_particles
 
     sigma = sigma0 if sigma0 is not None else grid.rho_max / 12.0
     f = np.exp(-r * r / (2.0 * sigma * sigma))
     f /= np.sqrt(4.0 * np.pi * integrate_line(f * f * r * r, grid))
 
-    kin_diag = hbar**2 / (m * dr * dr)
-    kin_off = np.full(grid.n_points - 3, -hbar**2 / (2.0 * m * dr * dr))
+    kin_diag = 1.0 / (dr * dr)
+    kin_off = np.full(grid.n_points - 3, -1.0 / (2.0 * dr * dr))
 
     def eigenstate(phi: np.ndarray) -> tuple[float, np.ndarray]:
         """n-th eigenvalue in the frozen phi and its unit-norm f, u's lead lobe positive."""
-        w, v = eigh_tridiagonal(kin_diag + m * phi[1:-1], kin_off,
+        w, v = eigh_tridiagonal(kin_diag + phi[1:-1], kin_off,
                                 select="i", select_range=(n, n))
         u = np.zeros(grid.n_points)
         u[1:-1] = v[:, 0]
@@ -108,7 +101,7 @@ def scf_solve(n: int, grid: RadialGrid, params: PhysicalParams,
     eps_prev = None
     eps = np.nan
     for it in range(1, max_iter + 1):
-        phi_new = solve_radial_poisson(RadialField(grid, f * f), coupling).values
+        phi_new = solve_radial_poisson(RadialField(grid, f * f), 4.0 * np.pi).values
         phi_mix = phi_new if phi_mix is None else (1.0 - mix) * phi_mix + mix * phi_new
         eps, f = eigenstate(phi_mix)
         dphi = np.max(np.abs(phi_mix - phi_new)) / np.max(np.abs(phi_new))
@@ -123,11 +116,10 @@ def scf_solve(n: int, grid: RadialGrid, params: PhysicalParams,
         )
 
     # one polishing eigensolve in the unmixed potential of the converged density
-    phi_final = solve_radial_poisson(RadialField(grid, f * f), coupling).values
+    phi_final = solve_radial_poisson(RadialField(grid, f * f), 4.0 * np.pi).values
     eps, f = eigenstate(phi_final)
     return SCFResult(
         n=n,
-        params=params,
         f=RadialField(grid, f),
         phi=RadialField(grid, phi_final),
         epsilon=eps,
@@ -140,19 +132,12 @@ def universal_from_scf(result: SCFResult) -> ScfUniversal:
     """Convert a converged SCF state to the universal normalization.
 
     The amplitude mapping f(r) = f(0) f*(beta r) with f*(0) = 1 and unit
-    norm fixes beta^4 = 8 pi f(0)^2 / a_g; the central value follows from
-    the radial equation at the origin:
-    gamma0 = (2m/(hbar^2 beta^2)) (m Phi(0) - eps).
+    norm fixes beta^4 = 8 pi f(0)^2 (a_g = 1); the central value follows
+    from the radial equation at the origin: gamma0 = (2/beta^2) (V(0) - eps).
     """
-    p = result.params
-    a_g = gravitational_bohr_radius(p)
     f0 = float(result.f.values[0])
-    beta = (8.0 * np.pi * f0 * f0 / a_g) ** 0.25
-    gamma0 = 2.0 * p.mass * (p.mass * float(result.phi.values[0]) - result.epsilon) / (
-        p.hbar**2 * beta**2
-    )
-    gamma1 = 2.0 / (beta * a_g)
-    epsilon_star = result.epsilon * gamma1**2 * p.hbar**2 / (
-        2.0 * p.G**2 * p.n_particles**2 * p.mass**5
-    )
+    beta = (8.0 * np.pi * f0 * f0) ** 0.25
+    gamma0 = 2.0 * (float(result.phi.values[0]) - result.epsilon) / beta**2
+    gamma1 = 2.0 / beta
+    epsilon_star = result.epsilon * gamma1**2 / 2.0
     return ScfUniversal(gamma0=gamma0, beta=beta, gamma1=gamma1, epsilon_star=epsilon_star)

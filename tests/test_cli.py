@@ -8,7 +8,9 @@ import re
 import numpy as np
 import pytest
 
+import sng.checks
 from sng.cli import main
+from sng.physical import PhysicalParams, UnitScales
 
 # one float field in the fixed CSV format: 17 significant digits, e-notation
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -176,6 +178,20 @@ def test_rescale_missing_companion_csv_is_exit_2(solved, tmp_path):
     assert main(["rescale", str(orphan), "--natural"]) == 2
 
 
+@pytest.mark.parametrize("mass", ["1e-200", "1e200"])
+@pytest.mark.parametrize("command", ["rescale", "evolve"])
+def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, capsys):
+    # G N m^3 underflows to 0 at 1e-200 kg and overflows at 1e200 kg
+    ground = str(solved / "ground.json")
+    argv = {"rescale": ["rescale", ground],
+            "evolve": ["evolve", "--gravity", "--from", ground, "--steps", "1",
+                       "--out-csv", str(tmp_path / "x.csv")]}[command]
+    assert main([*argv, "--mass-kg", mass, "--n-particles", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: G N m^3 = ")
+
+
 # --- evolve ------------------------------------------------------------------
 
 def test_evolve_free_gaussian_observables(tmp_path):
@@ -225,6 +241,10 @@ def test_evolve_needs_exactly_one_initial_state(tmp_path, solved):
     assert main(["evolve", "--free", *base]) == 2
     assert main(["evolve", "--free", "--gaussian-sigma", "1.0",
                  "--from", str(solved / "ground.json"), *base]) == 2
+    # a packet far narrower than the spacing samples u = 0 at every node
+    for kind in ("--free", "--gravity"):
+        assert main(["evolve", kind, "--gaussian-sigma", "1e-4", "--points", "201",
+                     *base]) == 2
 
 
 def test_evolve_cubic_requires_kappa(tmp_path):
@@ -257,6 +277,34 @@ def test_oversized_step_is_exit_5(tmp_path, capsys):
     assert "suggested dt" in capsys.readouterr().err
 
 
+def _follow_suggested_dt(argv, dt, capsys):
+    """Rerun with each printed suggested dt until a run is accepted; the dts tried."""
+    tried = [dt]
+    while main([*argv, "--dt", repr(tried[-1])]) == 5:
+        err = capsys.readouterr().err
+        assert f"dt={tried[-1]:.3e}" in err
+        tried.append(float(re.search(r"suggested dt: (\S+)", err).group(1)))
+        assert len(tried) <= 4
+    return tried
+
+
+@pytest.mark.parametrize("mass, n", [("1.67262192369e-27", "1e23"), ("1e3", "1")])
+def test_oversized_step_suggests_dt_in_seconds(mass, n, tmp_path, capsys):
+    # the rejected run above at physical units (time unit ~2e6 s and ~3e-97 s):
+    # the rejected dt and each suggestion are in seconds, like --dt, and
+    # following them retraces the natural-unit run up to an accepted step
+    units = UnitScales.of(PhysicalParams(mass=float(mass), n_particles=float(n)))
+    common = ["evolve", "--gravity", "--points", "1001", "--steps", "3",
+              "--out-csv", str(tmp_path / "x.csv")]
+    natural = _follow_suggested_dt([*common, "--gaussian-sigma", "1.0"], 50.0, capsys)
+    si = _follow_suggested_dt([*common, "--mass-kg", mass, "--n-particles", n,
+                               "--gaussian-sigma", repr(units.length),
+                               "--r-max", repr(60.0 * units.length)],
+                              50.0 * units.time, capsys)
+    assert len(natural) == len(si) > 1
+    assert [t / units.time for t in si] == pytest.approx(natural, rel=1e-5)
+
+
 @pytest.mark.parametrize("dt", ["inf", "nan"])
 def test_non_finite_dt_is_exit_2(dt, tmp_path, capsys):
     code = main(["evolve", "--free", "--gaussian-sigma", "1.0", "--points", "201",
@@ -267,9 +315,17 @@ def test_non_finite_dt_is_exit_2(dt, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_unknown_check_suite_is_exit_2(capsys):
+def test_unknown_check_suite_is_exit_2(capsys, monkeypatch):
     assert main(["check", "--suites", "nonsense"]) == 2
     assert "unknown suite" in capsys.readouterr().err
+
+    def not_run():
+        raise AssertionError("suite run before every name was checked")
+
+    monkeypatch.setitem(sng.checks._SUITE_FNS, "virial", not_run)
+    assert main(["check", "--suites", "virial", "nonsense"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown suite(s): nonsense;" in err
 
 
 # --- check -------------------------------------------------------------------

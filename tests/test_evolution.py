@@ -47,20 +47,18 @@ def test_state_rejects_nonzero_origin_and_bad_shapes():
     grid = make_grid(10.0, 101)
     u = np.ones(101, dtype=complex)
     with pytest.raises(InvalidArgumentError):
-        RadialState(grid=grid, u=u, mass=1.0, hbar=1.0, time=0.0)
+        RadialState(grid=grid, u=u, time=0.0)
     with pytest.raises(InvalidArgumentError):
-        RadialState(grid=grid, u=np.zeros(100, dtype=complex),
-                    mass=1.0, hbar=1.0, time=0.0)
-    with pytest.raises(InvalidArgumentError):
-        RadialState(grid=grid, u=np.zeros(101, dtype=complex),
-                    mass=-1.0, hbar=1.0, time=0.0)
+        RadialState(grid=grid, u=np.zeros(100, dtype=complex), time=0.0)
+    with pytest.raises(InvalidArgumentError, match="zero at every node"):
+        RadialState(grid=grid, u=np.zeros(101, dtype=complex), time=0.0)
 
 
 def test_state_from_profile_preserves_norm_and_energy(natural_ground_profile):
     state = state_from_profile(natural_ground_profile)
     eb = energy_breakdown(natural_ground_profile)
     assert state_norm(state) == pytest.approx(1.0, abs=1e-9)
-    nl = NonlinearityKind.gravity(G=1.0, n_particles=1.0)
+    nl = NonlinearityKind.gravity()
     # scheme energy and quadrature energy are different discretizations of
     # the same functional; they agree to the grid's truncation level
     assert scheme_energy(state, nl) == pytest.approx(eb.e_total, rel=1e-4)
@@ -105,7 +103,7 @@ def test_cubic_sign_shifts_energy_symmetrically(packet):
 
 def test_stationary_profile_density_is_static(natural_ground_profile):
     state = state_from_profile(natural_ground_profile)
-    nl = NonlinearityKind.gravity(G=1.0, n_particles=1.0)
+    nl = NonlinearityKind.gravity()
     dens0 = np.abs(state.psi()) ** 2
     current = state
     for _ in range(50):
@@ -121,7 +119,7 @@ def test_phase_ledger_decomposition(natural_ground_profile):
     # which is the physically observable rate
     eb = energy_breakdown(natural_ground_profile)
     state = state_from_profile(natural_ground_profile)
-    nl = NonlinearityKind.gravity(G=1.0, n_particles=1.0)
+    nl = NonlinearityKind.gravity()
     t_span = 2.0
     current = state
     for _ in range(20):
@@ -142,13 +140,13 @@ def test_phase_ledger_decomposition(natural_ground_profile):
 
 def test_exact_eigenstate_never_trips_the_guard(natural_ground_profile):
     state = state_from_profile(natural_ground_profile)
-    nl = NonlinearityKind.gravity(G=1.0, n_particles=1.0)
+    nl = NonlinearityKind.gravity()
     stepped = step(state, 50.0, nl)  # half a period in one stride: fine
     assert state_norm(stepped) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oversized_gravity_step_is_rejected(packet):
-    nl = NonlinearityKind.gravity(G=1.0, n_particles=1.0)
+    nl = NonlinearityKind.gravity()
     with pytest.raises(StepRejectedError) as exc_info:
         step(packet, 50.0, nl)
     suggested = exc_info.value.suggested_dt
@@ -159,7 +157,7 @@ def test_oversized_gravity_step_is_rejected(packet):
 
 def test_rejected_step_leaves_state_untouched(packet):
     u_before = packet.u.copy()
-    nl = NonlinearityKind.gravity(G=1.0, n_particles=1.0)
+    nl = NonlinearityKind.gravity()
     with pytest.raises(StepRejectedError):
         step(packet, 50.0, nl)
     assert np.array_equal(packet.u, u_before)
@@ -213,7 +211,7 @@ def test_evolve_rejects_bad_cadence(packet):
 
 def test_continuity_residual_tiny_for_stationary_state(natural_ground_profile):
     state = state_from_profile(natural_ground_profile)
-    nl = NonlinearityKind.gravity(G=1.0, n_particles=1.0)
+    nl = NonlinearityKind.gravity()
     after = step(state, 0.1, nl)
     assert continuity_residual(state, after) < 1e-6
 
@@ -290,7 +288,7 @@ def test_evolution_outputs_are_bitwise_pinned(coarse_ground_state):
         runs["free", every] = evolve(packet, t_final=1.0, dt=0.01,
                                      nl=NonlinearityKind.free(), observe_every=every)
         runs["gravity", every] = evolve(coarse_ground_state, t_final=10.0, dt=0.1,
-                                        nl=NonlinearityKind.gravity(G=1.0, n_particles=1.0),
+                                        nl=NonlinearityKind.gravity(),
                                         observe_every=every, snapshot_every=25)
         assert len(runs["gravity", every].snapshots) == 5
     for sign in (1, -1):
@@ -328,5 +326,5 @@ def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monke
     calls = _count_calls(monkeypatch, "solve_radial_poisson")
     n_steps = 7
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
-           nl=NonlinearityKind.gravity(G=1.0, n_particles=1.0), observe_every=1)
+           nl=NonlinearityKind.gravity(), observe_every=1)
     assert len(calls) == 2 * n_steps + 1

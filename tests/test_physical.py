@@ -131,11 +131,9 @@ def test_potential_satisfies_its_own_field_equation(ground_state):
     # the quadrature route uses: compare the two potentials directly
     from sng.grids import solve_radial_poisson
 
-    p = PhysicalParams.natural_units()
-    prof = rescale_to_physical(ground_state, p)
+    prof = rescale_to_physical(ground_state, PhysicalParams.natural_units())
     density = prof.f.values**2
-    coupling = 4.0 * np.pi * p.G * p.mass * p.n_particles
-    phi_q = solve_radial_poisson(RadialField(prof.f.grid, density), coupling)
+    phi_q = solve_radial_poisson(RadialField(prof.f.grid, density), 4.0 * np.pi)
     scale = np.abs(prof.phi.values).max()
     assert np.abs(prof.phi.values - phi_q.values).max() / scale < 1e-4
 
@@ -159,13 +157,13 @@ def _gaussian_density(grid, sigma=1.0):
 
 
 def test_self_energy_matches_gaussian_closed_form():
-    # E = -G m^2 N / (2 sigma sqrt(pi)) for a unit-norm Gaussian cloud;
-    # Richardson extrapolation over a 2x grid pair cancels the O(dr^2) bias
-    params = PhysicalParams.natural_units()
-    exact = -params.G * params.mass**2 * params.n_particles / (2.0 * np.sqrt(np.pi))
+    # E = -G m^2 N / (2 sigma sqrt(pi)) for a unit-norm Gaussian cloud, in
+    # a_g units -1/(2 sigma sqrt(pi)); Richardson extrapolation over a 2x
+    # grid pair cancels the O(dr^2) bias
+    exact = -1.0 / (2.0 * np.sqrt(np.pi))
     coarse_grid, fine_grid = make_grid(16.0, 2001), make_grid(16.0, 4001)
-    coarse = _self_energy_raw(_gaussian_density(coarse_grid), coarse_grid, params)
-    fine = _self_energy_raw(_gaussian_density(fine_grid), fine_grid, params)
+    coarse = _self_energy_raw(_gaussian_density(coarse_grid), coarse_grid)
+    fine = _self_energy_raw(_gaussian_density(fine_grid), fine_grid)
     assert abs(fine / exact - 1.0) < 1e-5
     richardson = (4.0 * fine - coarse) / 3.0
     assert abs(richardson / exact - 1.0) < 1e-8
@@ -175,7 +173,6 @@ def test_self_energy_matches_literal_double_integral():
     # O(M^2) pair sum over the 1/max(r, s) kernel on a coarse grid;
     # trapezoid weights, kink on-node; agreement limited by the kink's
     # O(dr^2) quadrature error
-    params = PhysicalParams.natural_units()
     grid = make_grid(16.0, 401)
     r = grid.nodes
     density = _gaussian_density(grid)
@@ -185,18 +182,19 @@ def test_self_energy_matches_literal_double_integral():
     rmax[0, 0] = 1.0  # weighted by r^2 = 0 either way
     src = w * r * r * density
     pair_sum = float(src @ (1.0 / rmax) @ src)
-    e_double = -8.0 * np.pi**2 * params.G * params.mass**2 * params.n_particles * pair_sum
-    e_green = _self_energy_raw(density, grid, params)
+    e_double = -8.0 * np.pi**2 * pair_sum
+    e_green = _self_energy_raw(density, grid)
     assert abs(e_double / e_green - 1.0) < 5e-4
 
 
 def test_kinetic_energy_matches_gaussian_closed_form():
-    # E_kin = 3 hbar^2 / (8 m sigma^2) at second order in the spacing
+    # E_kin = 3 hbar^2 / (8 m sigma^2), 3/8 in a_g units, at second order
+    # in the spacing
     errs = []
     for pts in (2001, 4001):
         grid = make_grid(60.0, pts)
         psi = gaussian_state(grid, sigma=1.0).psi()
-        e = _kinetic_energy(psi, grid, 1.0, 1.0)
+        e = _kinetic_energy(psi, grid)
         errs.append(abs(e / 0.375 - 1.0))
     assert errs[0] < 2e-4
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
@@ -209,21 +207,19 @@ def test_hamiltonian_functional_is_degree_two(natural_ground_profile):
 
     from sng.evolution import state_from_profile
 
-    params = PhysicalParams.natural_units()
     state = state_from_profile(natural_ground_profile)
-    base = hamiltonian_functional(state, params)
+    base = hamiltonian_functional(state)
     rng = np.random.default_rng(20260822)
     for lam in (*rng.uniform(0.05, 20.0, size=4), 0.1, 2.5, 10.0):
-        scaled = hamiltonian_functional(replace(state, u=lam * state.u), params)
+        scaled = hamiltonian_functional(replace(state, u=lam * state.u))
         assert abs(scaled - lam * lam * base) <= 1e-12 * abs(base) * max(1.0, lam * lam)
 
 
 def test_weak_field_limit_is_kinetic_dominated():
     # narrow packets barely feel self-gravity: for sigma = 0.01 a_g the
     # interaction term is below one percent of the kinetic term
-    params = PhysicalParams.natural_units()
     grid = make_grid(0.6, 2001)
     state = gaussian_state(grid, sigma=0.01)
-    h = hamiltonian_functional(state, params)
-    e_kin = _kinetic_energy(state.psi(), grid, 1.0, 1.0)
+    h = hamiltonian_functional(state)
+    e_kin = _kinetic_energy(state.psi(), grid)
     assert abs(h - e_kin) / e_kin < 0.01

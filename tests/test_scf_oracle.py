@@ -12,7 +12,6 @@ import pytest
 
 from sng.errors import ConvergenceError
 from sng.grids import RadialField, integrate_radial, make_grid
-from sng.physical import PhysicalParams
 from sng.scf import scf_solve, universal_from_scf
 
 GAMMA0_GROUND = -0.9185797718
@@ -21,7 +20,7 @@ GAMMA0_FIRST = -1.2099590044
 
 @pytest.fixture(scope="module")
 def scf_ground():
-    return scf_solve(0, make_grid(40.0, 2001), PhysicalParams.natural_units())
+    return scf_solve(0, make_grid(40.0, 2001))
 
 
 def test_scf_converges_with_margin(scf_ground):
@@ -55,7 +54,7 @@ def test_scf_recovers_ground_state_central_value(scf_ground):
 
 
 def test_scf_excited_state_has_one_node():
-    result = scf_solve(1, make_grid(40.0, 2001), PhysicalParams.natural_units())
+    result = scf_solve(1, make_grid(40.0, 2001))
     assert result.converged
     f = result.f.values
     signs = np.sign(f[np.abs(f) > 1e-10 * np.abs(f).max()])
@@ -69,8 +68,7 @@ def test_scf_excited_state_has_one_node():
 
 def test_scf_impossible_tolerance_raises():
     with pytest.raises(ConvergenceError):
-        scf_solve(0, make_grid(40.0, 1001), PhysicalParams.natural_units(),
-                  tol=0.0, max_iter=5)
+        scf_solve(0, make_grid(40.0, 1001), tol=0.0, max_iter=5)
 
 
 def test_suite_rows_meet_their_bounds(oracle_suite_rows):
