@@ -28,13 +28,7 @@ from .evolution import (
     step,
 )
 from .grids import RadialField, make_grid, radial_laplacian, solve_radial_poisson
-from .physical import (
-    PhysicalParams,
-    PhysicalProfile,
-    energy_breakdown,
-    hamiltonian_functional,
-    rescale_to_physical,
-)
+from .physical import PhysicalProfile, energy_breakdown, hamiltonian_functional, rescale_to_physical
 from .scf import scf_solve, universal_from_scf
 from .shooting import UniversalSolution, solve_states
 
@@ -72,9 +66,7 @@ def _solved(n: int, rho_max: float, points: int) -> UniversalSolution:
 
 @lru_cache(maxsize=8)
 def _natural_profile(n: int, rho_max: float, points: int) -> PhysicalProfile:
-    return rescale_to_physical(
-        _solved(n, rho_max, points), PhysicalParams.natural_units()
-    )
+    return rescale_to_physical(_solved(n, rho_max, points))
 
 
 # ---------------------------------------------------------------------------

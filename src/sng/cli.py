@@ -10,9 +10,11 @@ Exit codes: 0 success; 1 check-suite failure; 2 invalid flags or input
 schema; 3 no eigenvalue bracket found; 4 convergence failure; 5 evolution
 step rejected (a suggested smaller dt is printed).
 
-The library computes in units of the gravitational Bohr radius a_g; SI
-flags are divided by their units when read and SI outputs multiplied by
-them when written.  In natural units every factor is exactly 1.0.
+The library computes and reports in units of the gravitational Bohr
+radius a_g only; this module is the one place SI enters.  SI flags are
+divided by their :class:`~sng.physical.UnitScales` factor when read, and
+SI outputs are the a_g values times that factor when written.  In
+natural units every factor is exactly 1.0.
 """
 
 from __future__ import annotations
@@ -113,16 +115,16 @@ def _add_params_flags(sub: argparse.ArgumentParser) -> None:
                      help="number of particles in the condensate")
 
 
-def _params_from_flags(args, required: bool) -> PhysicalParams:
+def _units_from_flags(args, required: bool) -> UnitScales:
     physical = args.mass_kg is not None or args.n_particles is not None
     if args.natural and physical:
         raise InvalidArgumentError("--natural excludes --mass-kg/--n-particles")
     if physical and (args.mass_kg is None or args.n_particles is None):
         raise InvalidArgumentError("--mass-kg and --n-particles go together")
     if physical:
-        return PhysicalParams(mass=args.mass_kg, n_particles=args.n_particles)
+        return UnitScales.of(PhysicalParams(mass=args.mass_kg, n_particles=args.n_particles))
     if args.natural or not required:
-        return PhysicalParams.natural_units()
+        return UnitScales(1.0, 1.0, 1.0, 1.0)
     raise InvalidArgumentError("pick units: --natural, or --mass-kg with --n-particles")
 
 
@@ -209,26 +211,29 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_rescale(args) -> int:
     sol = _load_solution(args.in_json)
-    profile = rescale_to_physical(sol, _params_from_flags(args, required=True))
+    units = _units_from_flags(args, required=True)
+    profile = rescale_to_physical(sol)
     eb = energy_breakdown(profile)
+    energies = {f"{name}_J": _si(name, getattr(eb, name), units.energy)
+                for name in ("e_kinetic", "e_gravity", "e_total", "epsilon", "e_single")}
     summary = {
-        "bohr_radius_m": profile.units.length,
-        "half_max_radius_m": half_max_radius(profile),
-        "rms_radius_m": rms_radius(profile),
-        "e_kinetic_J": eb.e_kinetic,
-        "e_gravity_J": eb.e_gravity,
-        "e_total_J": eb.e_total,
-        "epsilon_J": eb.epsilon,
-        "e_single_J": eb.e_single,
-        "virial_residual": abs(2.0 * eb.e_kinetic / abs(eb.e_gravity) - 1.0),
+        "bohr_radius_m": units.length,
+        "half_max_radius_m": _si("half_max_radius", half_max_radius(profile), units.length),
+        "rms_radius_m": _si("rms_radius", rms_radius(profile), units.length),
+        **energies,
+        # from the SI energies, as written
+        "virial_residual": abs(2.0 * energies["e_kinetic_J"] / abs(energies["e_gravity_J"]) - 1.0),
         "renormalized": profile.renormalized,
         "x_norm": profile.norm,
-        "x_phi_tail_shift": profile.phi_tail_shift,
+        "x_phi_tail_shift": _si("phi_tail_shift", profile.phi_tail_shift_ag, units.potential),
         "generated_by": _GENERATED_BY,
     }
     if args.out_csv is not None:
+        grid = profile.f_ag.grid
         _write_csv(args.out_csv, "r_m,f,phi",
-                   [profile.f.grid.nodes, profile.f.values, profile.phi.values])
+                   [make_grid(grid.rho_max * units.length, grid.n_points).nodes,
+                    _si("f", profile.f_ag.values, units.amplitude),
+                    _si("phi", profile.phi_ag.values, units.potential)])
         summary["x_csv"] = os.path.basename(args.out_csv)
     _emit_json(summary, args.out_json)
     return 0
@@ -240,7 +245,7 @@ def _cmd_evolve(args) -> int:
     if args.cubic and args.kappa is None:
         raise InvalidArgumentError("--cubic needs --kappa (and --sign, default +1)")
 
-    units = UnitScales.of(_params_from_flags(args, required=False))
+    units = _units_from_flags(args, required=False)
     density_unit = units.density if args.snapshot_every is not None else None
     if args.free:
         nl = NonlinearityKind.free()
@@ -252,8 +257,7 @@ def _cmd_evolve(args) -> int:
     # every (m, N) evolves the same a_g-unit state
     profile = None
     if args.from_json is not None:
-        profile = rescale_to_physical(_load_solution(args.from_json),
-                                      PhysicalParams.natural_units())
+        profile = rescale_to_physical(_load_solution(args.from_json))
         state = state_from_profile(profile)
     else:
         sigma = args.gaussian_sigma / units.length

@@ -20,6 +20,7 @@ physical wavefunction is exp(i*phase) * u/r).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -136,21 +137,29 @@ class ObservableSeries:
 # constructors and observables
 # ---------------------------------------------------------------------------
 
-def state_from_profile(profile: PhysicalProfile, time: float = 0.0) -> RadialState:
-    """u = r f from a stationary profile (real, unit norm), in a_g units."""
+def state_from_profile(profile: PhysicalProfile) -> RadialState:
+    """u = r f at t = 0 from a stationary profile (real, unit norm), in a_g units."""
     grid = profile.f_ag.grid
-    return RadialState(grid=grid, u=grid.nodes * profile.f_ag.values, time=time)
+    return RadialState(grid=grid, u=grid.nodes * profile.f_ag.values, time=0.0)
 
 
-def gaussian_state(grid: RadialGrid, sigma: float, time: float = 0.0) -> RadialState:
-    """Normalized isotropic Gaussian packet; sigma is the initial per-axis
-    position standard deviation, so |psi|^2 ∝ exp(-r^2/2 sigma^2) and the
-    RMS radius starts at sqrt(3) sigma."""
+def gaussian_state(grid: RadialGrid, sigma: float) -> RadialState:
+    """Normalized isotropic Gaussian packet at t = 0; sigma is the initial
+    per-axis position standard deviation, so |psi|^2 ∝ exp(-r^2/2 sigma^2)
+    and the RMS radius starts at sqrt(3) sigma.  InvalidArgumentError when
+    the sampled packet's norm misses 1 by more than 1e-6: the spacing is
+    too coarse for sigma, or the domain too small."""
     if not (np.isfinite(sigma) and sigma > 0):
         raise InvalidArgumentError(f"sigma must be positive, got {sigma}")
     r = grid.nodes
     psi = (2.0 * np.pi * sigma**2) ** -0.75 * np.exp(-r * r / (4.0 * sigma**2))
-    return RadialState(grid=grid, u=r * psi, time=time)
+    state = RadialState(grid=grid, u=r * psi, time=0.0)
+    norm = state_norm(state)
+    if not abs(norm - 1.0) <= 1e-6:
+        raise InvalidArgumentError(
+            f"a Gaussian of sigma {sigma:.6g} sampled with spacing {grid.spacing:.6g} "
+            f"and r_max {grid.rho_max:.6g} has norm {norm:.6g}, not 1 within 1e-6")
+    return state
 
 
 def state_norm(state: RadialState) -> float:
@@ -283,8 +292,9 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     density snapshots every ``snapshot_every`` steps when requested.
 
     The recorded energy is scheme_energy — the discrete functional the
-    stepper conserves.  Warns once if |psi| near the outer boundary
-    exceeds 1e-8 of its peak (domain too small for strict norm
+    stepper conserves.  An observable that is not finite raises
+    InvalidArgumentError naming it.  Warns once if |psi| near the outer
+    boundary exceeds 1e-8 of its peak (domain too small for strict norm
     conservation).
     """
     _check_dt(dt)
@@ -309,10 +319,15 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     def observe(s: RadialState) -> np.ndarray:
         """Record one row; return the potential of s for the next step."""
         v, _ = _potential(s.u, s.grid, nl)
+        row = {"norm": state_norm(s), "energy": _scheme_energy(s, nl, v), "rms_width": rms_width(s)}
+        for name, value in row.items():
+            if not math.isfinite(value):
+                raise InvalidArgumentError(
+                    f"{name} is {value} at t = {s.time:.6g}; the state's scale is beyond a double")
         times.append(s.time)
-        norms.append(state_norm(s))
-        energies.append(_scheme_energy(s, nl, v))
-        widths.append(rms_width(s))
+        norms.append(row["norm"])
+        energies.append(row["energy"])
+        widths.append(row["rms_width"])
         return v
 
     v = observe(state)

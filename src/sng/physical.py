@@ -1,5 +1,5 @@
-"""Homology rescaling of universal solutions to physical units, and the
-energy functionals of the self-gravitating condensate.
+"""Homology rescaling of universal solutions to a_g units, and the energy
+functionals of the self-gravitating condensate.
 
 Every (m, N) is one dimensionless problem in units of the gravitational
 Bohr radius a_g = hbar^2/(G N m^3): lengths in a_g, energies in
@@ -15,8 +15,9 @@ convention (checked at construction; a renormalization branch exists and
 flags itself).  Energies are per particle throughout:
 E_kin = (1/2) int 4 pi x^2 (df/dx)^2 dx, E_grav = (1/2) int 4 pi x^2 f^2 m Phi dx
 (the 1/2 avoids double counting), and eps = (3/2) E_grav with
-single-particle eigenvalue E = eps/3.  SI values are these times the
-factors of :class:`UnitScales`.
+single-particle eigenvalue E = eps/3.  Every function here returns a_g
+units; :class:`UnitScales` holds the SI size of each unit for one (m, N),
+and only the CLI multiplies by it.
 """
 
 from __future__ import annotations
@@ -59,21 +60,14 @@ NUCLEON_MASS = 1.67262192369e-27  # kg
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Particle mass, particle number, and the two fundamental constants."""
+    """Particle mass in kg and particle number."""
 
     mass: float
     n_particles: float
-    hbar: float = HBAR
-    G: float = NEWTON_G
 
     def __post_init__(self):
-        for name in ("mass", "n_particles", "hbar", "G"):
+        for name in ("mass", "n_particles"):
             _normal(name, getattr(self, name))
-
-    @classmethod
-    def natural_units(cls) -> "PhysicalParams":
-        """hbar = G = m = N = 1."""
-        return cls(mass=1.0, n_particles=1.0, hbar=1.0, G=1.0)
 
 
 def _normal(name: str, value: float) -> float:
@@ -88,8 +82,8 @@ def gravitational_bohr_radius(params: PhysicalParams) -> float:
     """a_g = hbar^2 / (G N m^3), the natural length of the rescaling;
     InvalidArgumentError if G N m^3 or a_g is not a finite normal double."""
     m = params.mass  # m * m * m overflows to inf where m**3 raises
-    gnm3 = _normal("G N m^3", params.G * params.n_particles * (m * m * m))
-    return _normal("a_g", params.hbar**2 / gnm3)
+    gnm3 = _normal("G N m^3", NEWTON_G * params.n_particles * (m * m * m))
+    return _normal("a_g", HBAR**2 / gnm3)
 
 
 @dataclass(frozen=True)
@@ -97,8 +91,9 @@ class UnitScales:
     """SI size of the units the library computes in, for one (m, N): length
     a_g, energy hbar^2/(m a_g^2), time m a_g^2/hbar and potential Phi = V/m,
     each from a_g rather than powers such as G^2 N^2 m^5 (subnormal at
-    m = 1e-60 kg), and each exactly 1.0 in natural units.  The properties
-    are checked when read: a_g^-3 underflows at 1e-60 kg."""
+    m = 1e-60 kg).  Natural units (hbar = G = m = N = 1) are
+    ``UnitScales(1.0, 1.0, 1.0, 1.0)``.  The properties are checked when
+    read: a_g^-3 underflows at 1e-60 kg."""
 
     length: float
     energy: float
@@ -108,11 +103,15 @@ class UnitScales:
     @classmethod
     def of(cls, params: PhysicalParams) -> "UnitScales":
         """Raises InvalidArgumentError naming a unit that is not a finite normal double."""
-        m, hbar = float(params.mass), float(params.hbar)
+        m = float(params.mass)
         a_g = float(gravitational_bohr_radius(params))
-        energy = _normal("energy unit hbar^2/(m a_g^2)", hbar * hbar / m / a_g / a_g)
-        return cls(a_g, energy, _normal("time unit m a_g^2/hbar", hbar / energy),
+        energy = _normal("energy unit hbar^2/(m a_g^2)", HBAR * HBAR / m / a_g / a_g)
+        return cls(a_g, energy, _normal("time unit m a_g^2/hbar", HBAR / energy),
                    _normal("potential unit hbar^2/(m a_g)^2", energy / m))
+
+    @property
+    def amplitude(self) -> float:  # of psi
+        return _normal("amplitude unit a_g^-1.5", 1.0 / self.length / math.sqrt(self.length))
 
     @property
     def density(self) -> float:  # of |psi|^2
@@ -126,16 +125,14 @@ class UnitScales:
 
 @dataclass(frozen=True)
 class PhysicalProfile:
-    """A bound state of one (m, N): its shape in a_g units and its SI scales.
+    """A bound state in a_g units, the same for every (m, N).
 
-    ``f_ag`` and ``phi_ag`` (= m Phi) live on the a_g-unit grid; the SI
-    ``f``, ``phi``, ``epsilon`` and ``phi_tail_shift`` derive from them.
-    The potential is the closed form shifted by ``phi_tail_shift`` so it
+    ``f_ag`` and ``phi_ag`` (= m Phi) live on the a_g-unit grid.  The
+    potential is the closed form shifted by ``phi_tail_shift_ag`` so it
     meets -G M_total/r at the outer edge (and hence tends to zero at
     infinity); the shift is recorded rather than hidden.
     """
 
-    units: UnitScales
     f_ag: RadialField
     phi_ag: RadialField
     epsilon_ag: float
@@ -150,27 +147,6 @@ class PhysicalProfile:
         core = np.abs(f) >= 0.1 * np.max(np.abs(f))
         if not np.all(self.phi_ag.values[core] < 0.0):
             raise InvalidArgumentError("potential must be negative where f is appreciable")
-
-    def _si(self, field: RadialField, unit: float) -> RadialField:
-        grid = make_grid(field.grid.rho_max * self.units.length, field.grid.n_points)
-        return RadialField(grid, field.values * unit)
-
-    @property
-    def f(self) -> RadialField:
-        a_g = self.units.length
-        return self._si(self.f_ag, _normal("amplitude unit a_g^-1.5", 1.0 / a_g / math.sqrt(a_g)))
-
-    @property
-    def phi(self) -> RadialField:
-        return self._si(self.phi_ag, self.units.potential)
-
-    @property
-    def epsilon(self) -> float:
-        return self.epsilon_ag * self.units.energy
-
-    @property
-    def phi_tail_shift(self) -> float:
-        return self.phi_tail_shift_ag * self.units.potential
 
 
 @dataclass(frozen=True)
@@ -214,20 +190,18 @@ def _self_energy_raw(density: np.ndarray, grid: RadialGrid) -> float:
 # rescaling
 # ---------------------------------------------------------------------------
 
-def rescale_to_physical(sol: UniversalSolution, params: PhysicalParams) -> PhysicalProfile:
-    """Map a universal solution onto physical units via homology scaling.
+def rescale_to_physical(sol: UniversalSolution) -> PhysicalProfile:
+    """Map a universal solution onto a_g units via homology scaling.
 
     The radial coordinate stretches by 1/beta = gamma1/2 in a_g units; the
     amplitude prefactor sqrt(2/pi)/gamma1^2 is verified to give unit norm
     and only replaced by explicit renormalization (flagged on the profile)
     if it misses by more than 1e-6.  The closed-form potential is shifted
     to meet -G M/r (-norm/x in a_g units) at the grid edge; the shift is
-    stored.  InvalidArgumentError for a malformed solution, or a unit of
-    ``params`` that is not a finite normal double.
+    stored.  InvalidArgumentError for a malformed solution.
     """
     if not isinstance(sol, UniversalSolution):
         raise InvalidArgumentError("rescale_to_physical needs a UniversalSolution")
-    units = UnitScales.of(params)
     gamma1 = sol.gamma1
     beta = 2.0 / gamma1
     grid = make_grid(sol.grid.rho_max / beta, sol.grid.n_points)
@@ -243,7 +217,6 @@ def rescale_to_physical(sol: UniversalSolution, params: PhysicalParams) -> Physi
     phi_raw = (2.0 / gamma1**2) * (sol.g_star.values + sol.epsilon_star)
     shift = phi_raw[-1] - (-norm / grid.nodes[-1])
     return PhysicalProfile(
-        units=units,
         f_ag=RadialField(grid, f_vals),
         phi_ag=RadialField(grid, phi_raw - shift),
         epsilon_ag=(2.0 / gamma1**2) * sol.epsilon_star,
@@ -255,7 +228,7 @@ def rescale_to_physical(sol: UniversalSolution, params: PhysicalParams) -> Physi
 
 def half_max_radius(profile: PhysicalProfile) -> float:
     """First radius where f drops through half its central value
-    (linear interpolation between the bracketing samples), in meters."""
+    (linear interpolation between the bracketing samples), in a_g."""
     f = profile.f_ag.values
     r = profile.f_ag.grid.nodes
     target = 0.5 * f[0]
@@ -263,15 +236,14 @@ def half_max_radius(profile: PhysicalProfile) -> float:
     if below.size == 0:
         raise InvalidArgumentError("profile never falls below half maximum on the grid")
     i = int(below[0])
-    x = float(r[i - 1] + (r[i] - r[i - 1]) * (f[i - 1] - target) / (f[i - 1] - f[i]))
-    return x * profile.units.length
+    return float(r[i - 1] + (r[i] - r[i - 1]) * (f[i - 1] - target) / (f[i - 1] - f[i]))
 
 
 def rms_radius(profile: PhysicalProfile) -> float:
-    """Root-mean-square radius of the density |f|^2 in meters, by the body
+    """Root-mean-square radius of the density |f|^2 in a_g, by the body
     of rms_width."""
     grid = profile.f_ag.grid
-    return rms_from_u(grid.nodes * profile.f_ag.values, grid) * profile.units.length
+    return rms_from_u(grid.nodes * profile.f_ag.values, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +251,19 @@ def rms_radius(profile: PhysicalProfile) -> float:
 # ---------------------------------------------------------------------------
 
 def energy_breakdown(profile: PhysicalProfile) -> EnergyBreakdown:
-    """Kinetic/gravitational split of a normalized profile, per particle, in J.
+    """Kinetic/gravitational split of a normalized profile, per particle,
+    in units of hbar^2/(m a_g^2).
 
     The gravitational term re-solves the Poisson problem for the profile's
     own density (one inner solve), so it is the self-consistent potential of
     the same f; eps = (3/2) e_gravity and e_single = eps/3 close the
-    eigenvalue bookkeeping.  All five are computed in a_g units, then
-    scaled by the energy unit.
+    eigenvalue bookkeeping.
     """
     grid = profile.f_ag.grid
     e_kin = _kinetic_energy(profile.f_ag.values, grid)
     e_grav = _self_energy_raw(profile.f_ag.values**2, grid)
     epsilon = 1.5 * e_grav
-    # e_kinetic, e_gravity, e_total, epsilon, e_single
-    return EnergyBreakdown(*(e * profile.units.energy for e in
-                             (e_kin, e_grav, e_kin + e_grav, epsilon, epsilon / 3.0)))
+    return EnergyBreakdown(e_kin, e_grav, e_kin + e_grav, epsilon, epsilon / 3.0)
 
 
 def hamiltonian_functional(state: "RadialState") -> float:

@@ -25,6 +25,9 @@ from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_ra
 
 __all__ = ["SCFResult", "ScfUniversal", "scf_solve", "universal_from_scf"]
 
+# Share of each new potential mixed into the old one.
+_MIX = 0.5
+
 
 @dataclass(frozen=True)
 class SCFResult:
@@ -48,9 +51,10 @@ class ScfUniversal:
     epsilon_star: float
 
 
-def scf_solve(n: int, grid: RadialGrid, mix: float = 0.5, tol: float = 1e-10,
-              max_iter: int = 400, sigma0: float | None = None) -> SCFResult:
-    """Iterate eigensolve + Poisson update to the n-th bound state.
+def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 400) -> SCFResult:
+    """Iterate eigensolve + Poisson update to the n-th bound state, from a
+    normalized Gaussian of width rho_max/12, mixing half of each new
+    potential into the old.
 
     Parameters
     ----------
@@ -58,13 +62,9 @@ def scf_solve(n: int, grid: RadialGrid, mix: float = 0.5, tol: float = 1e-10,
         Radial quantum number (eigenvalue index in the frozen potential).
     grid : RadialGrid
         Grid in units of a_g; must extend well past the state's support.
-    mix : float
-        Damping of the potential update, 0 < mix <= 1.
     tol : float
         Relative eigenvalue stall threshold; the potential must also settle
         to 100*tol relative.
-    sigma0 : float, optional
-        Width of the normalized Gaussian start (default rho_max/12).
 
     Raises
     ------
@@ -73,12 +73,10 @@ def scf_solve(n: int, grid: RadialGrid, mix: float = 0.5, tol: float = 1e-10,
     """
     if n < 0 or int(n) != n:
         raise InvalidArgumentError(f"n must be a non-negative integer, got {n}")
-    if not 0.0 < mix <= 1.0:
-        raise InvalidArgumentError(f"mix must lie in (0, 1], got {mix}")
     r = grid.nodes
     dr = grid.spacing
 
-    sigma = sigma0 if sigma0 is not None else grid.rho_max / 12.0
+    sigma = grid.rho_max / 12.0
     f = np.exp(-r * r / (2.0 * sigma * sigma))
     f /= np.sqrt(4.0 * np.pi * integrate_line(f * f * r * r, grid))
 
@@ -102,7 +100,7 @@ def scf_solve(n: int, grid: RadialGrid, mix: float = 0.5, tol: float = 1e-10,
     eps = np.nan
     for it in range(1, max_iter + 1):
         phi_new = solve_radial_poisson(RadialField(grid, f * f), 4.0 * np.pi).values
-        phi_mix = phi_new if phi_mix is None else (1.0 - mix) * phi_mix + mix * phi_new
+        phi_mix = phi_new if phi_mix is None else (1.0 - _MIX) * phi_mix + _MIX * phi_new
         eps, f = eigenstate(phi_mix)
         dphi = np.max(np.abs(phi_mix - phi_new)) / np.max(np.abs(phi_new))
         if (eps_prev is not None

@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_RHO_MAX",
     "DEFAULT_POINTS",
     "DEFAULT_TOL",
-    "DEFAULT_CAP",
     "ShootOutcome",
     "UniversalSolution",
     "default_grid",
@@ -52,7 +51,9 @@ __all__ = [
 DEFAULT_RHO_MAX = 40.0
 DEFAULT_POINTS = 8001
 DEFAULT_TOL = 1e-10
-DEFAULT_CAP = 1e3
+
+# |f| past this marks a shot as diverged.
+_CAP = 1e3
 
 # A trajectory extremum below this amplitude is tail residue, not a lobe.
 _LOBE_FLOOR = 1e-2
@@ -131,15 +132,14 @@ class UniversalSolution:
 # outward integration
 # ---------------------------------------------------------------------------
 
-def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
-                        cap: float = DEFAULT_CAP,
+def integrate_universal(gamma0: float, grid: RadialGrid | None = None, *,
                         max_nodes: int | None = None) -> ShootOutcome:
     """Integrate the universal system outward from the origin at one gamma0.
 
     Fixed-step RK4 on (f, f', g, g').  The first step leaves rho=0 on the
     series f = 1 + gamma0 rho^2/6, g = gamma0 + rho^2/6 whose coefficients
     are forced by the ODEs; integration stops at rho_max, as soon as
-    |f| > cap, or, when ``max_nodes`` is given, at the first sign change of f
+    |f| > 1e3, or, when ``max_nodes`` is given, at the first sign change of f
     past ``max_nodes``, whichever comes first.  Divergence is a
     classification, not an error.  Nodes are strict sign changes between
     consecutive samples; an exact zero does not count.
@@ -157,8 +157,6 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
         grid = default_grid()
     if not np.isfinite(gamma0):
         raise InvalidArgumentError(f"gamma0 must be finite, got {gamma0}")
-    if not cap > 1.0:
-        raise InvalidArgumentError(f"cap must exceed 1, got {cap}")
     if max_nodes is None:
         ceiling = math.inf
     elif isinstance(max_nodes, bool) or not (max_nodes >= 0 and float(max_nodes).is_integer()):
@@ -183,6 +181,7 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
     blowup = None
     half = 0.5 * h
     sixth = h / 6.0
+    cap = _CAP
     for _ in range(n - 2):
         # RK4 stage derivatives for y' = (f', g f - 2f'/r, g', f^2 - 2g'/r)
         r0 = rho
@@ -265,8 +264,7 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None,
 
 def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
                   steps: int = 101,
-                  grid: RadialGrid | None = None,
-                  cap: float = DEFAULT_CAP,
+                  grid: RadialGrid | None = None, *,
                   max_nodes: int | None = None) -> list[tuple[int, tuple[float, float]]]:
     """Locate candidate eigenvalue brackets on a uniform gamma0 lattice.
 
@@ -287,7 +285,7 @@ def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
     if grid is None:
         grid = default_grid()
     lattice = np.linspace(lo, hi, steps)
-    labels = [integrate_universal(g0, grid, cap, max_nodes).label for g0 in lattice]
+    labels = [integrate_universal(g0, grid, max_nodes=max_nodes).label for g0 in lattice]
     out = []
     for i in range(steps - 1):
         if labels[i] != labels[i + 1]:
@@ -297,8 +295,8 @@ def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
     return out
 
 
-def find_brackets(ns: Iterable[int], grid: RadialGrid | None = None,
-                  cap: float = DEFAULT_CAP) -> dict[int, tuple[float, float]]:
+def find_brackets(ns: Iterable[int],
+                  grid: RadialGrid | None = None) -> dict[int, tuple[float, float]]:
     """Brackets for the node counts ``ns`` from one walk of the scan ladder,
     which stops at the first rung after which every n has one.  Each n keeps
     its first bracket in lattice order.  Scan shots stop at their first node
@@ -311,7 +309,7 @@ def find_brackets(ns: Iterable[int], grid: RadialGrid | None = None,
             f"need one or more non-negative integer node counts, got {sorted(wanted)}")
     found: dict[int, tuple[float, float]] = {}
     for gamma0_range, steps in _SCAN_LADDER:
-        for candidate, bracket in scan_brackets(gamma0_range, steps, grid, cap, max(wanted)):
+        for candidate, bracket in scan_brackets(gamma0_range, steps, grid, max_nodes=max(wanted)):
             if candidate in wanted:
                 found.setdefault(candidate, bracket)
         if found.keys() == wanted:
@@ -323,10 +321,9 @@ def find_brackets(ns: Iterable[int], grid: RadialGrid | None = None,
     )
 
 
-def find_bracket(n: int, grid: RadialGrid | None = None,
-                 cap: float = DEFAULT_CAP) -> tuple[float, float]:
+def find_bracket(n: int, grid: RadialGrid | None = None) -> tuple[float, float]:
     """The bracket for one node count (see :func:`find_brackets`)."""
-    return find_brackets([n], grid, cap)[n]
+    return find_brackets([n], grid)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +377,7 @@ def _check_tol(tol: float) -> None:
 
 def shoot_gamma0(n: int, bracket: tuple[float, float],
                  grid: RadialGrid | None = None,
-                 tol: float = DEFAULT_TOL,
-                 cap: float = DEFAULT_CAP) -> UniversalSolution:
+                 tol: float = DEFAULT_TOL) -> UniversalSolution:
     """Bisect gamma0 inside ``bracket`` until the width falls below ``tol``
     and return the clamped mid-bracket trajectory as a UniversalSolution.
 
@@ -412,8 +408,8 @@ def shoot_gamma0(n: int, bracket: tuple[float, float],
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
 
-    label_lo = integrate_universal(lo, grid, cap).label
-    if label_lo == integrate_universal(hi, grid, cap).label:
+    label_lo = integrate_universal(lo, grid).label
+    if label_lo == integrate_universal(hi, grid).label:
         raise InvalidBracketError(
             f"bracket ends {bracket} classify identically as {label_lo}"
         )
@@ -423,13 +419,13 @@ def shoot_gamma0(n: int, bracket: tuple[float, float],
             raise ConvergenceError(
                 f"bisection exhausted float resolution at width {hi - lo:.3e} > tol {tol:.3e}"
             )
-        if integrate_universal(mid, grid, cap).label == label_lo:
+        if integrate_universal(mid, grid).label == label_lo:
             lo = mid
         else:
             hi = mid
 
     gamma0 = 0.5 * (lo + hi)
-    outcome = integrate_universal(gamma0, grid, cap)
+    outcome = integrate_universal(gamma0, grid)
     f = outcome.trajectory[0].values.copy()
     g = outcome.trajectory[1].values.copy()
     fp, gp = outcome.derivs
@@ -475,12 +471,12 @@ def shoot_gamma0(n: int, bracket: tuple[float, float],
 
 
 def solve_states(ns: Iterable[int], grid: RadialGrid | None = None,
-                 tol: float = DEFAULT_TOL, cap: float = DEFAULT_CAP) -> list[UniversalSolution]:
+                 tol: float = DEFAULT_TOL) -> list[UniversalSolution]:
     """Solve the bound states with the requested node counts, in the order
     given: one walk of the scan ladder brackets them all (see
     :func:`find_brackets`), then :func:`shoot_gamma0` bisects each.  A bad
     ``tol`` raises InvalidArgumentError before any shot."""
     ns = list(ns)
     _check_tol(tol)
-    brackets = find_brackets(ns, grid, cap)
-    return [shoot_gamma0(n, brackets[n], grid, tol, cap) for n in ns]
+    brackets = find_brackets(ns, grid)
+    return [shoot_gamma0(n, brackets[n], grid, tol) for n in ns]

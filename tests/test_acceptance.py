@@ -17,8 +17,11 @@ import pytest
 from sng.checks import run_suite
 from sng.cli import main as cli_main
 from sng.physical import (
+    HBAR,
+    NEWTON_G,
     NUCLEON_MASS,
     PhysicalParams,
+    UnitScales,
     energy_breakdown,
     gravitational_bohr_radius,
     half_max_radius,
@@ -117,7 +120,7 @@ def test_criterion_04_eigenvalue_chain(criterion, natural_ground_profile):
         eb = energy_breakdown(natural_ground_profile)
         routes = {
             "threehalves_gravity": 1.5 * eb.e_gravity,
-            "rescale": natural_ground_profile.epsilon,
+            "rescale": natural_ground_profile.epsilon_ag,
             "three_single": 3.0 * eb.e_single,
         }
         for (na, va), (nb, vb) in [
@@ -149,9 +152,10 @@ def test_criterion_06_physical_scales(criterion, ground_state):
     with criterion(6, title) as c:
         single = PhysicalParams(mass=NUCLEON_MASS, n_particles=1.0)
         a_g = gravitational_bohr_radius(single)
-        c.require(abs(a_g / (single.hbar**2 / (single.G * single.mass**3)) - 1) < 1e-12,
+        c.require(abs(a_g / (HBAR**2 / (NEWTON_G * single.mass**3)) - 1) < 1e-12,
                   "Bohr-radius arithmetic broken")
-        r_half = half_max_radius(rescale_to_physical(ground_state, single))
+        r_half_ag = half_max_radius(rescale_to_physical(ground_state))
+        r_half = r_half_ag * UnitScales.of(single).length
         ratio_10ag = 10.0 * a_g / r_half
         c.require(1.0 / 3.0 <= ratio_10ag <= 3.0,
                   f"10 a_g vs half-max radius off by {ratio_10ag:.2f}x")
@@ -160,7 +164,7 @@ def test_criterion_06_physical_scales(criterion, ground_state):
                   f"half-max radius {r_half:.3e} m vs 1e23 m off by {ratio_23:.2f}x")
 
         condensate = PhysicalParams(mass=NUCLEON_MASS, n_particles=1e23)
-        r_half_23 = half_max_radius(rescale_to_physical(ground_state, condensate))
+        r_half_23 = r_half_ag * UnitScales.of(condensate).length
         c.require(0.3 <= r_half_23 <= 10.0,
                   f"N=1e23 localization {r_half_23:.3f} m outside [0.3, 10] m")
         c.note(f"a_g {a_g:.3e} m, half-max {r_half:.3e} m (N=1), "

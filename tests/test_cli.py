@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -178,6 +179,35 @@ def test_rescale_missing_companion_csv_is_exit_2(solved, tmp_path):
     assert main(["rescale", str(orphan), "--natural"]) == 2
 
 
+# sha256 of the rescale JSON and CSV of a 401-point ground state, recorded
+# while sng.physical still applied the SI units itself
+PINNED_RESCALE = {
+    "natural": ("b2d890787b748789a85547a2539dc743a65044273f9128d7b01b1f4fc7b6cb60",
+                "1e1645d505fc209edcd1f2205329769e366939a8195c4c147a8d9371abed093a"),
+    "nucleon": ("39f01b53bc98c63f740c613dd5b44ae1fef4d415ae7a8a8ddd5425d0323633b4",
+                "640ccd294b2695aec85456e215a29a61e300b64a2826ac25f8348b395e981657"),
+}
+
+
+@pytest.fixture(scope="module")
+def coarse_solved(tmp_path_factory):
+    root = tmp_path_factory.mktemp("coarse")
+    assert main(["solve", "--n", "0", "--points", "401",
+                 "--out-json", str(root / "ground.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("units", sorted(PINNED_RESCALE))
+def test_rescale_outputs_are_bitwise_pinned(units, coarse_solved, tmp_path):
+    flags = {"natural": ["--natural"],
+             "nucleon": ["--mass-kg", "1.67262192369e-27", "--n-particles", "1e23"]}[units]
+    out_json, out_csv = tmp_path / "rescale.json", tmp_path / "rescale.csv"
+    assert main(["rescale", str(coarse_solved / "ground.json"), *flags,
+                 "--out-json", str(out_json), "--out-csv", str(out_csv)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out_json, out_csv))
+    assert digests == PINNED_RESCALE[units]
+
+
 @pytest.mark.parametrize("mass", ["1e-200", "1e200"])
 @pytest.mark.parametrize("command", ["rescale", "evolve"])
 def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, capsys):
@@ -245,6 +275,30 @@ def test_evolve_needs_exactly_one_initial_state(tmp_path, solved):
     for kind in ("--free", "--gravity"):
         assert main(["evolve", kind, "--gaussian-sigma", "1e-4", "--points", "201",
                      *base]) == 2
+
+
+def test_evolve_refuses_a_packet_the_grid_cannot_hold(tmp_path, capsys):
+    # spacing 0.3: the sampled packet has norm 0.319 and RMS width 0.300
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--free", "--gaussian-sigma", "0.1", "--points", "201",
+                 "--steps", "3", "--out-csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sigma 0.1" in err and "spacing 0.3" in err and "r_max 60" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma, r_max, named", [("1e-160", "1e-158", "has norm"),
+                                                 ("1e-155", "1e-153", "energy is inf")])
+def test_out_of_range_packet_is_exit_2_in_a_g_units(sigma, r_max, named, tmp_path, capsys):
+    # natural units: nothing is converted, so SI units are not to blame
+    out = tmp_path / "x.csv"
+    with np.errstate(over="ignore"):
+        assert main(["evolve", "--free", "--natural", "--gaussian-sigma", sigma,
+                     "--r-max", r_max, "--points", "201", "--steps", "3",
+                     "--out-csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "SI units" not in err
+    assert not out.exists()
 
 
 def test_evolve_cubic_requires_kappa(tmp_path):

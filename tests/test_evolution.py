@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from sng.evolution import (
     step,
 )
 from sng.grids import make_grid
-from sng.physical import PhysicalParams, energy_breakdown, rescale_to_physical
+from sng.physical import energy_breakdown, rescale_to_physical
 from sng.shooting import solve_states
 
 
@@ -41,6 +42,30 @@ def test_gaussian_state_invariants(packet):
     # origin value filled by the even-function limit
     assert packet.psi()[0].real == pytest.approx((2.0 * np.pi) ** -0.75, rel=1e-6)
     assert packet.u[0] == 0.0
+
+
+@pytest.mark.parametrize("r_max, sigma, norm", [(60.0, 0.1, 0.319), (60.0, 0.3, 1.043),
+                                                (10.0, 3.0, 0.989)])
+def test_gaussian_state_refuses_a_packet_the_grid_cannot_hold(r_max, sigma, norm):
+    # 201 points: sigma 0.1 and 0.3 are too narrow for spacing 0.3, and
+    # sigma 3 is too wide for r_max 10
+    grid = make_grid(r_max, 201)
+    with pytest.raises(InvalidArgumentError, match="norm") as info:
+        gaussian_state(grid, sigma)
+    message = str(info.value)
+    assert f"sigma {sigma:g}" in message and f"spacing {grid.spacing:g}" in message
+    assert f"r_max {r_max:g}" in message
+    measured = float(re.search(r"has norm (\S+),", message).group(1))
+    assert measured == pytest.approx(norm, abs=1e-3)
+
+
+def test_evolve_refuses_non_finite_observables():
+    # a 1e160-scaled unit Gaussian has norm 1e320, past the largest double
+    packet = gaussian_state(make_grid(60.0, 201), sigma=1.0)
+    huge = replace(packet, u=1e160 * packet.u)
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError,
+                                                   match="norm is inf at t = 0"):
+        evolve(huge, t_final=0.03, dt=0.01, nl=NonlinearityKind.free())
 
 
 def test_state_rejects_nonzero_origin_and_bad_shapes():
@@ -278,7 +303,7 @@ PINNED_SERIES = {
 def coarse_ground_state():
     """n = 0 in natural units on a coarse grid, for fast gravity runs."""
     sol = solve_states([0], make_grid(40.0, 801))[0]
-    return state_from_profile(rescale_to_physical(sol, PhysicalParams.natural_units()))
+    return state_from_profile(rescale_to_physical(sol))
 
 
 def test_evolution_outputs_are_bitwise_pinned(coarse_ground_state):

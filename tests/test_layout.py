@@ -34,6 +34,28 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == []
 
 
+def _unit_scale_uses(path: Path) -> list[str]:
+    """Places where ``path`` imports or names PhysicalParams or UnitScales."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found += [f"{path.name}:{node.lineno} uses {name}" for name in names
+                  if name in ("PhysicalParams", "UnitScales")]
+    return found
+
+
+def test_only_the_cli_applies_si_units():
+    # the library reports a_g units; SI factors belong to the CLI's edge
+    allowed = {"physical.py", "cli.py", "__init__.py"}
+    sources = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name not in allowed]
+    assert sources
+    offenders = [hit for path in sources for hit in _unit_scale_uses(path)]
+    assert offenders == []
+
+
 def test_readme_library_example_imports_exist():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     imports = [(node.module, alias.name) for block in blocks for node in ast.walk(ast.parse(block))

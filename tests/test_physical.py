@@ -8,6 +8,8 @@ kinetic anchors are closed forms, independent of any solver here.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from sng.physical import (
     NUCLEON_MASS,
     EnergyBreakdown,
     PhysicalParams,
+    UnitScales,
     _kinetic_energy,
     _self_energy_raw,
     energy_breakdown,
@@ -45,9 +48,10 @@ FROZEN = {
 # --- parameters --------------------------------------------------------------
 
 def test_natural_units_are_all_ones():
-    p = PhysicalParams.natural_units()
-    assert (p.mass, p.n_particles, p.hbar, p.G) == (1.0, 1.0, 1.0, 1.0)
-    assert gravitational_bohr_radius(p) == 1.0
+    units = UnitScales(1.0, 1.0, 1.0, 1.0)
+    assert (units.amplitude, units.density, units.coupling) == (1.0, 1.0, 1.0)
+    # hbar and G are constants, not parameters
+    assert [f.name for f in fields(PhysicalParams)] == ["mass", "n_particles"]
 
 
 def test_params_reject_nonpositive_values():
@@ -92,6 +96,12 @@ def test_profile_is_normalized_without_renormalization(natural_ground_profile):
     assert natural_ground_profile.norm == pytest.approx(1.0, abs=1e-9)
 
 
+def test_profile_carries_no_si_values(natural_ground_profile):
+    # an old caller of the SI properties gets an AttributeError, not a_g numbers
+    for name in ("units", "f", "phi", "epsilon", "phi_tail_shift"):
+        assert not hasattr(natural_ground_profile, name), name
+
+
 def test_virial_residual_small(natural_ground_profile):
     eb = energy_breakdown(natural_ground_profile)
     assert abs(2.0 * eb.e_kinetic / abs(eb.e_gravity) - 1.0) < 1e-4
@@ -102,7 +112,7 @@ def test_eigenvalue_routes_agree(natural_ground_profile):
     assert eb.epsilon == pytest.approx(1.5 * eb.e_gravity, rel=1e-12)
     assert eb.e_single == pytest.approx(eb.epsilon / 3.0, rel=1e-12)
     # the independent route: eigenvalue carried through the homology rescale
-    assert natural_ground_profile.epsilon == pytest.approx(eb.epsilon, rel=1e-4)
+    assert natural_ground_profile.epsilon_ag == pytest.approx(eb.epsilon, rel=1e-4)
 
 
 # --- physical-unit scaling ---------------------------------------------------
@@ -110,10 +120,11 @@ def test_eigenvalue_routes_agree(natural_ground_profile):
 def test_rescaled_lengths_scale_with_bohr_radius(ground_state):
     single = PhysicalParams(mass=NUCLEON_MASS, n_particles=1.0)
     a_g = gravitational_bohr_radius(single)
-    prof = rescale_to_physical(ground_state, single)
-    assert half_max_radius(prof) / a_g == pytest.approx(
+    length = UnitScales.of(single).length
+    prof = rescale_to_physical(ground_state)
+    assert half_max_radius(prof) * length / a_g == pytest.approx(
         FROZEN["half_max_radius"], rel=1e-4)
-    assert rms_radius(prof) / a_g == pytest.approx(FROZEN["rms_radius"], rel=1e-4)
+    assert rms_radius(prof) * length / a_g == pytest.approx(FROZEN["rms_radius"], rel=1e-4)
 
 
 def test_rescaled_energy_scales_with_n_squared_m_to_fifth(ground_state):
@@ -121,7 +132,8 @@ def test_rescaled_energy_scales_with_n_squared_m_to_fifth(ground_state):
     base = PhysicalParams(mass=NUCLEON_MASS, n_particles=1.0)
     heavier = PhysicalParams(mass=2.0 * NUCLEON_MASS, n_particles=1.0)
     more = PhysicalParams(mass=NUCLEON_MASS, n_particles=3.0)
-    eps = lambda p: rescale_to_physical(ground_state, p).epsilon  # noqa: E731
+    epsilon_ag = rescale_to_physical(ground_state).epsilon_ag
+    eps = lambda p: epsilon_ag * UnitScales.of(p).energy  # noqa: E731
     assert eps(heavier) / eps(base) == pytest.approx(32.0, rel=1e-9)
     assert eps(more) / eps(base) == pytest.approx(9.0, rel=1e-9)
 
@@ -131,11 +143,11 @@ def test_potential_satisfies_its_own_field_equation(ground_state):
     # the quadrature route uses: compare the two potentials directly
     from sng.grids import solve_radial_poisson
 
-    prof = rescale_to_physical(ground_state, PhysicalParams.natural_units())
-    density = prof.f.values**2
-    phi_q = solve_radial_poisson(RadialField(prof.f.grid, density), 4.0 * np.pi)
-    scale = np.abs(prof.phi.values).max()
-    assert np.abs(prof.phi.values - phi_q.values).max() / scale < 1e-4
+    prof = rescale_to_physical(ground_state)
+    density = prof.f_ag.values**2
+    phi_q = solve_radial_poisson(RadialField(prof.f_ag.grid, density), 4.0 * np.pi)
+    scale = np.abs(prof.phi_ag.values).max()
+    assert np.abs(prof.phi_ag.values - phi_q.values).max() / scale < 1e-4
 
 
 # --- energy breakdown validation --------------------------------------------

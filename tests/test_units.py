@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from sng.cli import main
 from sng.grids import make_grid
 from sng.physical import (
+    HBAR,
     NUCLEON_MASS,
     PhysicalParams,
+    UnitScales,
     energy_breakdown,
     gravitational_bohr_radius,
     half_max_radius,
@@ -49,12 +51,12 @@ def coarse_ground():
 
 @pytest.fixture(scope="module")
 def natural_reference(coarse_ground):
-    profile = rescale_to_physical(coarse_ground, PhysicalParams.natural_units())
+    profile = rescale_to_physical(coarse_ground)
     return energy_breakdown(profile), half_max_radius(profile)
 
 
-def _virial_residual(eb):
-    return abs(2.0 * eb.e_kinetic / abs(eb.e_gravity) - 1.0)
+def _virial_residual(e_kinetic, e_gravity):
+    return abs(2.0 * e_kinetic / abs(e_gravity) - 1.0)
 
 
 @PROPERTY
@@ -62,16 +64,22 @@ def _virial_residual(eb):
 @given(log_m=LOG_MASS, log_n=LOG_COUNT)
 def test_scaled_energy_and_radius_do_not_depend_on_mass_or_number(
         coarse_ground, natural_reference, log_m, log_n):
+    # the SI values are the a_g values times the UnitScales factors
     params = PhysicalParams(mass=10.0**log_m, n_particles=10.0**log_n)
-    profile = rescale_to_physical(coarse_ground, params)
+    units = UnitScales.of(params)
+    profile = rescale_to_physical(coarse_ground)
     eb = energy_breakdown(profile)
+    e_single, e_kinetic, e_gravity = (e * units.energy
+                                      for e in (eb.e_single, eb.e_kinetic, eb.e_gravity))
     a_g = gravitational_bohr_radius(params)
     natural_eb, natural_half_max = natural_reference
     # e_single m a_g^2 / hbar^2, grouped so no intermediate leaves the normal range
-    scaled = eb.e_single * (params.mass * a_g * a_g / (params.hbar * params.hbar))
+    scaled = e_single * (params.mass * a_g * a_g / (HBAR * HBAR))
     assert scaled == pytest.approx(natural_eb.e_single, rel=1e-12, abs=0.0)
-    assert half_max_radius(profile) / a_g == pytest.approx(natural_half_max, rel=1e-12, abs=0.0)
-    assert _virial_residual(eb) == pytest.approx(_virial_residual(natural_eb), rel=0.0, abs=1e-10)
+    assert half_max_radius(profile) * units.length / a_g == pytest.approx(
+        natural_half_max, rel=1e-12, abs=0.0)
+    assert _virial_residual(e_kinetic, e_gravity) == pytest.approx(
+        _virial_residual(natural_eb.e_kinetic, natural_eb.e_gravity), rel=0.0, abs=1e-10)
 
 
 @pytest.fixture(scope="module")
