@@ -49,7 +49,6 @@ from .shooting import (
     ShootOutcome,
     UniversalSolution,
     default_grid,
-    find_bracket,
     integrate_universal,
     scan_brackets,
     shoot_gamma0,
@@ -81,7 +80,6 @@ __all__ = [
     "default_grid",
     "integrate_universal",
     "scan_brackets",
-    "find_bracket",
     "shoot_gamma0",
     "solve_states",
     # physical

@@ -47,7 +47,7 @@ from .physical import (
     rescale_to_physical,
     rms_radius,
 )
-from .shooting import UniversalSolution, solve_states
+from .shooting import DEFAULT_POINTS, DEFAULT_RHO_MAX, DEFAULT_TOL, UniversalSolution, solve_states
 
 __all__ = ["main"]
 
@@ -72,9 +72,17 @@ def _si(name: str, values, unit: float):
     return out
 
 
+def _open_output(path: str):
+    """``path`` opened for writing; InvalidArgumentError names it when it cannot be."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
     rows = zip(*columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -85,7 +93,7 @@ def _emit_json(obj, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_output(path) as fh:
             fh.write(text)
 
 
@@ -95,7 +103,7 @@ def _solution_summary(sol: UniversalSolution) -> dict:
         "gamma0": sol.gamma0,
         "gamma1": sol.gamma1,
         "epsilon_star": sol.epsilon_star,
-        "node_count": sol.node_count,
+        "node_count": sol.n,
         "bracket_width": sol.bracket_width,
         "grid": {"rho_max": sol.grid.rho_max, "points": sol.grid.n_points},
         "generated_by": _GENERATED_BY,
@@ -168,6 +176,8 @@ def _load_solution(json_path: str) -> UniversalSolution:
     grid = make_grid(rho_max, points)
     if not np.allclose(table[:, 0], grid.nodes, rtol=0.0, atol=1e-9 * rho_max):
         raise InvalidArgumentError(f"{csv_path} rho column disagrees with the grid")
+    if node_count != n:
+        raise WrongStateError(f"trajectory has {node_count} nodes, wanted n={n}")
     return UniversalSolution(
         n=n,
         gamma0=gamma0,
@@ -175,7 +185,6 @@ def _load_solution(json_path: str) -> UniversalSolution:
         epsilon_star=epsilon_star,
         f_star=RadialField(grid, table[:, 1]),
         g_star=RadialField(grid, table[:, 2]),
-        node_count=node_count,
         bracket_width=bracket_width,
         grid=grid,
     )
@@ -316,11 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_grid_flags(p):
-        p.add_argument("--rho-max", type=float, default=40.0,
+        p.add_argument("--rho-max", type=float, default=DEFAULT_RHO_MAX,
                        help="outer radius of the universal grid")
-        p.add_argument("--points", type=int, default=8001,
+        p.add_argument("--points", type=int, default=DEFAULT_POINTS,
                        help="grid points including both ends")
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="bisection bracket-width target")
 
     p = sub.add_parser("solve", help="solve one universal bound state")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks
+that raise them."""
+
+import math
 
 __all__ = [
     "SngError",
@@ -50,3 +53,27 @@ class StepRejectedError(SngError):
     def __init__(self, message: str, suggested_dt: float):
         super().__init__(message)
         self.suggested_dt = suggested_dt
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int when it is an integer no smaller than ``minimum``;
+    InvalidArgumentError naming ``name`` otherwise (a bool is not a count)."""
+    try:
+        ok = not isinstance(value, bool) and value >= minimum and float(value).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float when it is finite and positive;
+    InvalidArgumentError naming ``name`` otherwise."""
+    try:
+        ok = math.isfinite(value) and value > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import InvalidArgumentError, StepRejectedError
+from .errors import InvalidArgumentError, StepRejectedError, check_count, check_positive
 from .grids import (RadialField, RadialGrid, integrate_line, psi_from_u, rms_from_u,
                     solve_radial_poisson)
 from .physical import PhysicalProfile
@@ -97,8 +97,8 @@ class NonlinearityKind:
     def __post_init__(self):
         if self.kind not in ("free", "cubic", "gravity"):
             raise InvalidArgumentError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kappa < 0:
-            raise InvalidArgumentError(f"kappa must be non-negative, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise InvalidArgumentError(f"kappa must be non-negative and finite, got {self.kappa}")
         if self.sign not in (-1, 1):
             raise InvalidArgumentError(f"sign must be +1 or -1, got {self.sign}")
 
@@ -147,10 +147,12 @@ def gaussian_state(grid: RadialGrid, sigma: float) -> RadialState:
     """Normalized isotropic Gaussian packet at t = 0; sigma is the initial
     per-axis position standard deviation, so |psi|^2 ∝ exp(-r^2/2 sigma^2)
     and the RMS radius starts at sqrt(3) sigma.  InvalidArgumentError when
-    the sampled packet's norm misses 1 by more than 1e-6: the spacing is
-    too coarse for sigma, or the domain too small."""
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise InvalidArgumentError(f"sigma must be positive, got {sigma}")
+    sigma^2 is not a normal double, or when the sampled packet's norm
+    misses 1 by more than 1e-6: the spacing is too coarse for sigma, or the
+    domain too small."""
+    check_positive("sigma", sigma)
+    if not np.finfo(float).tiny <= sigma * sigma < math.inf:
+        raise InvalidArgumentError(f"sigma^2 = {sigma * sigma:.6g} is not a normal double")
     r = grid.nodes
     psi = (2.0 * np.pi * sigma**2) ** -0.75 * np.exp(-r * r / (4.0 * sigma**2))
     state = RadialState(grid=grid, u=r * psi, time=0.0)
@@ -238,11 +240,6 @@ def _cn_solve(u: np.ndarray, V: np.ndarray, dt: float, grid: RadialGrid) -> np.n
     return out
 
 
-def _check_dt(dt: float) -> None:
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-
-
 def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
          v_old: Optional[np.ndarray] = None) -> RadialState:
     """Advance one Crank–Nicolson step with a single predictor–corrector pass.
@@ -258,7 +255,7 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
         the starting potential by more than 50% (sup norm, relative); the
         error carries a suggested smaller dt aiming at a 25% change.
     """
-    _check_dt(dt)
+    check_positive("dt", dt)
     if v_old is None:
         v_old, _ = _potential(state.u, state.grid, nl)
     u_pred = _cn_solve(state.u, v_old, dt, state.grid)
@@ -297,13 +294,11 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     boundary exceeds 1e-8 of its peak (domain too small for strict norm
     conservation).
     """
-    _check_dt(dt)
-    if not t_final > state.time:
-        raise InvalidArgumentError("t_final must exceed state.time")
-    if observe_every < 1 or int(observe_every) != observe_every:
-        raise InvalidArgumentError(f"observe_every must be a positive integer, got {observe_every}")
-    if snapshot_every is not None and (snapshot_every < 1 or int(snapshot_every) != snapshot_every):
-        raise InvalidArgumentError(f"snapshot_every must be a positive integer, got {snapshot_every}")
+    check_positive("dt", dt)
+    check_positive("t_final - state.time", t_final - state.time)
+    check_count("observe_every", observe_every, 1)
+    if snapshot_every is not None:
+        check_count("snapshot_every", snapshot_every, 1)
     n_steps = int(round((t_final - state.time) / dt))
     if n_steps < 1:
         raise InvalidArgumentError("t_final is less than half a step away")

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidFieldError
+from .errors import InvalidArgumentError, InvalidFieldError, check_count, check_positive
 
 __all__ = [
     "RadialGrid",
@@ -30,22 +30,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RadialGrid:
     """Uniform samples of the radial coordinate on [0, rho_max].
 
-    Two grids compare equal when they have the same extent and point count;
-    node arrays are recomputed deterministically from those two numbers, so
-    geometry equality is value equality.  Quadrature and Poisson weights
-    depend on the nodes only and are computed once per grid object.
+    The extent and the point count are the whole grid: equality and hash
+    are those of the pair, and the read-only ``nodes`` array and the
+    quadrature and Poisson weights are derived from it once per grid
+    object.  Build grids with :func:`make_grid`, which validates the pair.
     """
 
     rho_max: float
     n_points: int
-    nodes: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        nodes = np.linspace(0.0, self.rho_max, self.n_points)
+        nodes.setflags(write=False)
+        return nodes
 
     @property
     def spacing(self) -> float:
@@ -78,14 +80,6 @@ class RadialGrid:
             r_lo * r_lo * dr / 2.0 + 2.0 * r_lo * dr * dr / 3.0 + dr**3 / 4.0,
             r_lo * dr / 2.0 + dr * dr / 3.0,
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadialGrid):
-            return NotImplemented
-        return self.rho_max == other.rho_max and self.n_points == other.n_points
-
-    def __hash__(self) -> int:
-        return hash((self.rho_max, self.n_points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +121,10 @@ def make_grid(rho_max: float, n_points: int) -> RadialGrid:
     Raises
     ------
     InvalidArgumentError
-        If rho_max is not a positive finite number or n_points < 3.
+        If rho_max is not a positive finite number or n_points is not an
+        integer >= 3.
     """
-    if not np.isfinite(rho_max) or rho_max <= 0:
-        raise InvalidArgumentError(f"rho_max must be positive and finite, got {rho_max}")
-    if int(n_points) != n_points or n_points < 3:
-        raise InvalidArgumentError(f"n_points must be an integer >= 3, got {n_points}")
-    return RadialGrid(float(rho_max), int(n_points), np.linspace(0.0, float(rho_max), int(n_points)))
+    return RadialGrid(check_positive("rho_max", rho_max), check_count("n_points", n_points, 3))
 
 
 def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import ConvergenceError, check_count
 from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
 
 __all__ = ["SCFResult", "ScfUniversal", "scf_solve", "universal_from_scf"]
@@ -38,7 +38,6 @@ class SCFResult:
     phi: RadialField        # potential energy V sourced by f^2
     epsilon: float          # n-th eigenvalue in that potential
     iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ class ScfUniversal:
     """SCF results converted to the universal normalization."""
 
     gamma0: float
-    beta: float
     gamma1: float
     epsilon_star: float
 
@@ -68,11 +66,12 @@ def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 4
 
     Raises
     ------
+    InvalidArgumentError
+        If n is not a non-negative integer.
     ConvergenceError
         If the fixed point is not reached within max_iter sweeps.
     """
-    if n < 0 or int(n) != n:
-        raise InvalidArgumentError(f"n must be a non-negative integer, got {n}")
+    check_count("n", n, 0)
     r = grid.nodes
     dr = grid.spacing
 
@@ -122,7 +121,6 @@ def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 4
         phi=RadialField(grid, phi_final),
         epsilon=eps,
         iterations=it,
-        converged=True,
     )
 
 
@@ -138,4 +136,4 @@ def universal_from_scf(result: SCFResult) -> ScfUniversal:
     gamma0 = 2.0 * (float(result.phi.values[0]) - result.epsilon) / beta**2
     gamma1 = 2.0 / beta
     epsilon_star = result.epsilon * gamma1**2 / 2.0
-    return ScfUniversal(gamma0=gamma0, beta=beta, gamma1=gamma1, epsilon_star=epsilon_star)
+    return ScfUniversal(gamma0=gamma0, gamma1=gamma1, epsilon_star=epsilon_star)

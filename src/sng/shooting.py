@@ -29,7 +29,10 @@ from .errors import (
     ConvergenceError,
     InvalidArgumentError,
     InvalidBracketError,
+    InvalidFieldError,
     WrongStateError,
+    check_count,
+    check_positive,
 )
 from .grids import RadialField, RadialGrid, integrate_radial, make_grid
 
@@ -43,7 +46,6 @@ __all__ = [
     "integrate_universal",
     "scan_brackets",
     "find_brackets",
-    "find_bracket",
     "shoot_gamma0",
     "solve_states",
 ]
@@ -64,6 +66,7 @@ _SCAN_LADDER = (((-5.0, 0.0), 101), ((-5.0, 0.0), 404), ((-10.0, 0.0), 808))
 
 
 def default_grid() -> RadialGrid:
+    """The grid the CLI solves on unless told otherwise."""
     return make_grid(DEFAULT_RHO_MAX, DEFAULT_POINTS)
 
 
@@ -71,19 +74,22 @@ def default_grid() -> RadialGrid:
 class ShootOutcome:
     """Result of one outward integration at fixed gamma0.
 
-    ``trajectory`` holds (f, g) on the full grid; samples beyond
-    ``valid_points`` repeat the last computed value and carry no information.
-    ``derivs`` are the raw RK4 slope samples (f', g'), same validity window.
+    ``trajectory`` holds the computed samples (f, g) on the first
+    ``valid_points`` grid nodes, where the shot stopped; ``derivs`` holds
+    the raw RK4 slope samples (f', g') on the same nodes.  All four arrays
+    are read-only.
     """
 
     gamma0: float
     # converged | diverged_up | diverged_down | max_radius_reached | node_ceiling
     classification: str
     node_count: int
-    trajectory: tuple[RadialField, RadialField]
-    blowup_radius: Optional[float]
-    valid_points: int
+    trajectory: tuple[np.ndarray, np.ndarray] = field(repr=False)
     derivs: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @property
+    def valid_points(self) -> int:
+        return len(self.trajectory[0])
 
     @property
     def label(self) -> tuple[int, str]:
@@ -106,16 +112,11 @@ class UniversalSolution:
     epsilon_star: float
     f_star: RadialField
     g_star: RadialField
-    node_count: int
     bracket_width: float
     grid: RadialGrid
     clamp_index: Optional[int] = None
 
     def __post_init__(self):
-        if self.node_count != self.n:
-            raise WrongStateError(
-                f"trajectory has {self.node_count} nodes, wanted n={self.n}"
-            )
         f = self.f_star.values
         if f[0] != 1.0:
             raise WrongStateError(f"f*(0) must be exactly 1, got {f[0]!r}")
@@ -132,7 +133,7 @@ class UniversalSolution:
 # outward integration
 # ---------------------------------------------------------------------------
 
-def integrate_universal(gamma0: float, grid: RadialGrid | None = None, *,
+def integrate_universal(gamma0: float, grid: RadialGrid, *,
                         max_nodes: int | None = None) -> ShootOutcome:
     """Integrate the universal system outward from the origin at one gamma0.
 
@@ -152,18 +153,15 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None, *,
         ``diverged_up``/``diverged_down`` when |f| crossed the cap,
         ``converged`` when the trajectory reached rho_max with
         |f(rho_max)| < 1e-6 still shrinking, ``max_radius_reached`` otherwise.
+
+    Raises
+    ------
+    InvalidFieldError
+        If a sample overflows a double.
     """
-    if grid is None:
-        grid = default_grid()
     if not np.isfinite(gamma0):
         raise InvalidArgumentError(f"gamma0 must be finite, got {gamma0}")
-    if max_nodes is None:
-        ceiling = math.inf
-    elif isinstance(max_nodes, bool) or not (max_nodes >= 0 and float(max_nodes).is_integer()):
-        raise InvalidArgumentError(
-            f"max_nodes must be a non-negative integer, got {max_nodes!r}")
-    else:
-        ceiling = int(max_nodes)
+    ceiling = math.inf if max_nodes is None else check_count("max_nodes", max_nodes, 0)
 
     gamma0 = float(gamma0)
     n = grid.n_points
@@ -178,7 +176,6 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None, *,
     nodes = int(yf < 0.0)  # the pair (f[0], f[1]) = (1, yf)
     rho = h
     classification = None
-    blowup = None
     half = 0.5 * h
     sixth = h / 6.0
     cap = _CAP
@@ -239,21 +236,22 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None, *,
                 break
         if abs(yf) > cap:
             classification = "diverged_up" if yf > 0.0 else "diverged_down"
-            blowup = rho
             break
 
-    valid = len(fs)
+    # a sum with a non-finite term is not finite, so the last samples decide
+    if not (math.isfinite(yf) and math.isfinite(yg)):
+        raise InvalidFieldError(f"the shot at gamma0={gamma0} overflows a double")
     if classification is None:
         tail_shrinking = abs(yf) < 1e-6 and abs(yf) <= abs(fs[-2])
         classification = "converged" if tail_shrinking else "max_radius_reached"
-    f, fp, g, gp = (np.pad(v, (0, n - valid), mode="edge") for v in (fs, fps, gs, gps))
+    f, fp, g, gp = (np.array(v) for v in (fs, fps, gs, gps))
+    for v in (f, fp, g, gp):
+        v.setflags(write=False)
     return ShootOutcome(
         gamma0=gamma0,
         classification=classification,
         node_count=nodes,
-        trajectory=(RadialField(grid, f), RadialField(grid, g)),
-        blowup_radius=blowup,
-        valid_points=valid,
+        trajectory=(f, g),
         derivs=(fp, gp),
     )
 
@@ -262,9 +260,7 @@ def integrate_universal(gamma0: float, grid: RadialGrid | None = None, *,
 # bracketing
 # ---------------------------------------------------------------------------
 
-def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
-                  steps: int = 101,
-                  grid: RadialGrid | None = None, *,
+def scan_brackets(gamma0_range: tuple[float, float], steps: int, grid: RadialGrid, *,
                   max_nodes: int | None = None) -> list[tuple[int, tuple[float, float]]]:
     """Locate candidate eigenvalue brackets on a uniform gamma0 lattice.
 
@@ -280,10 +276,7 @@ def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
     lo, hi = gamma0_range
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need lo < hi, got {gamma0_range}")
-    if steps < 2:
-        raise InvalidArgumentError(f"need at least 2 scan steps, got {steps}")
-    if grid is None:
-        grid = default_grid()
+    steps = check_count("steps", steps, 2)
     lattice = np.linspace(lo, hi, steps)
     labels = [integrate_universal(g0, grid, max_nodes=max_nodes).label for g0 in lattice]
     out = []
@@ -295,18 +288,16 @@ def scan_brackets(gamma0_range: tuple[float, float] = (-5.0, 0.0),
     return out
 
 
-def find_brackets(ns: Iterable[int],
-                  grid: RadialGrid | None = None) -> dict[int, tuple[float, float]]:
+def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float, float]]:
     """Brackets for the node counts ``ns`` from one walk of the scan ladder,
     which stops at the first rung after which every n has one.  Each n keeps
     its first bracket in lattice order.  Scan shots stop at their first node
     past the highest requested n.  An empty request or a negative or
     fractional n raises InvalidArgumentError before any shot; an n left
     without a bracket raises InvalidBracketError."""
-    wanted = set(ns)
-    if not wanted or any(n < 0 or int(n) != n for n in wanted):
-        raise InvalidArgumentError(
-            f"need one or more non-negative integer node counts, got {sorted(wanted)}")
+    wanted = {check_count("n", n, 0) for n in ns}
+    if not wanted:
+        raise InvalidArgumentError("need one or more node counts, got none")
     found: dict[int, tuple[float, float]] = {}
     for gamma0_range, steps in _SCAN_LADDER:
         for candidate, bracket in scan_brackets(gamma0_range, steps, grid, max_nodes=max(wanted)):
@@ -321,17 +312,12 @@ def find_brackets(ns: Iterable[int],
     )
 
 
-def find_bracket(n: int, grid: RadialGrid | None = None) -> tuple[float, float]:
-    """The bracket for one node count (see :func:`find_brackets`)."""
-    return find_brackets([n], grid)[n]
-
-
 # ---------------------------------------------------------------------------
 # bisection + tail clamp
 # ---------------------------------------------------------------------------
 
-def _clamp_point(f: np.ndarray, valid: int) -> tuple[int, int]:
-    """Index where the exponential tail breaks.
+def _clamp_point(f: np.ndarray) -> tuple[int, int]:
+    """Index where the exponential tail breaks in the computed samples f.
 
     Returns (last_lobe_extremum, clamp_index).  The clamp sits at the last
     sample that still carries the final lobe's sign: near-eigenvalue
@@ -339,11 +325,11 @@ def _clamp_point(f: np.ndarray, valid: int) -> tuple[int, int]:
     diverging, and that crossing must stay out of both the stored tail and
     the node count.
     """
-    slopes = np.diff(f[:valid])
+    slopes = np.diff(f)
     turns = np.where(slopes[:-1] * slopes[1:] < 0.0)[0] + 1
     lobes = turns[np.abs(f[turns]) >= _LOBE_FLOOR] if turns.size else turns
     e = int(lobes[-1]) if lobes.size else 0
-    seg = f[e:valid]
+    seg = f[e:]
     crossings = np.where(seg[:-1] * seg[1:] < 0.0)[0]
     if crossings.size:
         c = e + int(crossings[0])
@@ -370,13 +356,7 @@ def _tail_decay_rate(rho: np.ndarray, f: np.ndarray, e: int, c: int,
     return float(np.sqrt(max(g_at_clamp, 1e-12)))
 
 
-def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InvalidArgumentError(f"tol must be positive and finite, got {tol}")
-
-
-def shoot_gamma0(n: int, bracket: tuple[float, float],
-                 grid: RadialGrid | None = None,
+def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> UniversalSolution:
     """Bisect gamma0 inside ``bracket`` until the width falls below ``tol``
     and return the clamped mid-bracket trajectory as a UniversalSolution.
@@ -399,11 +379,8 @@ def shoot_gamma0(n: int, bracket: tuple[float, float],
     ConvergenceError
         If bisection exhausts floating point resolution before reaching tol.
     """
-    if n < 0 or int(n) != n:
-        raise InvalidArgumentError(f"n must be a non-negative integer, got {n}")
-    _check_tol(tol)
-    if grid is None:
-        grid = default_grid()
+    check_count("n", n, 0)
+    check_positive("tol", tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
@@ -426,11 +403,13 @@ def shoot_gamma0(n: int, bracket: tuple[float, float],
 
     gamma0 = 0.5 * (lo + hi)
     outcome = integrate_universal(gamma0, grid)
-    f = outcome.trajectory[0].values.copy()
-    g = outcome.trajectory[1].values.copy()
-    fp, gp = outcome.derivs
+    e, c = _clamp_point(outcome.trajectory[0])
+    # extend the shot to the grid; the tail continuation below overwrites
+    # every sample past the clamp, and the clamp is a computed sample
+    f, g = np.empty((2, grid.n_points))
+    f[:outcome.valid_points], g[:outcome.valid_points] = outcome.trajectory
+    gp = outcome.derivs[1]
     rho = grid.nodes
-    e, c = _clamp_point(f, outcome.valid_points)
 
     if g[c] <= 0.0:
         raise WrongStateError(
@@ -463,20 +442,19 @@ def shoot_gamma0(n: int, bracket: tuple[float, float],
         epsilon_star=epsilon_star,
         f_star=f_star,
         g_star=g_star,
-        node_count=nodes,
         bracket_width=hi - lo,
         grid=grid,
         clamp_index=c,
     )
 
 
-def solve_states(ns: Iterable[int], grid: RadialGrid | None = None,
+def solve_states(ns: Iterable[int], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> list[UniversalSolution]:
     """Solve the bound states with the requested node counts, in the order
     given: one walk of the scan ladder brackets them all (see
     :func:`find_brackets`), then :func:`shoot_gamma0` bisects each.  A bad
     ``tol`` raises InvalidArgumentError before any shot."""
     ns = list(ns)
-    _check_tol(tol)
+    check_positive("tol", tol)
     brackets = find_brackets(ns, grid)
     return [shoot_gamma0(n, brackets[n], grid, tol) for n in ns]

@@ -179,6 +179,15 @@ def test_rescale_missing_companion_csv_is_exit_2(solved, tmp_path):
     assert main(["rescale", str(orphan), "--natural"]) == 2
 
 
+def test_rescale_refuses_a_summary_whose_node_count_is_not_n(solved, tmp_path, capsys):
+    data = _read_json(solved / "ground.json")
+    data["node_count"] = 1
+    (tmp_path / "ground.csv").write_bytes((solved / "ground.csv").read_bytes())
+    (tmp_path / "ground.json").write_text(json.dumps(data))
+    assert main(["rescale", str(tmp_path / "ground.json"), "--natural"]) == 4
+    assert "trajectory has 1 nodes, wanted n=0" in capsys.readouterr().err
+
+
 # sha256 of the rescale JSON and CSV of a 401-point ground state, recorded
 # while sng.physical still applied the SI units itself
 PINNED_RESCALE = {
@@ -287,8 +296,8 @@ def test_evolve_refuses_a_packet_the_grid_cannot_hold(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma, r_max, named", [("1e-160", "1e-158", "has norm"),
-                                                 ("1e-155", "1e-153", "energy is inf")])
+@pytest.mark.parametrize("sigma, r_max, named", [("1e-160", "1e-158", "sigma^2"),
+                                                 ("1e-155", "1e-153", "sigma^2")])
 def test_out_of_range_packet_is_exit_2_in_a_g_units(sigma, r_max, named, tmp_path, capsys):
     # natural units: nothing is converted, so SI units are not to blame
     out = tmp_path / "x.csv"
@@ -304,6 +313,27 @@ def test_out_of_range_packet_is_exit_2_in_a_g_units(sigma, r_max, named, tmp_pat
 def test_evolve_cubic_requires_kappa(tmp_path):
     assert main(["evolve", "--cubic", "--gaussian-sigma", "1.0",
                  "--steps", "5", "--out-csv", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_non_finite_kappa_is_exit_2(kappa, tmp_path, capsys):
+    assert main(["evolve", "--cubic", "--kappa", kappa, "--gaussian-sigma", "1.0",
+                 "--points", "201", "--steps", "3", "--out-csv", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: kappa must be")
+
+
+# solve writes its profile table first, next to the summary
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--n", "0", "--points", "201", "--out-json", "missing/x.json"], "missing/x.csv"),
+    (["spectrum", "--n-max", "0", "--points", "201", "--out-json", "missing/x.json"],
+     "missing/x.json"),
+    (["evolve", "--free", "--gaussian-sigma", "1.0", "--points", "201", "--steps", "3",
+      "--out-csv", "missing/a.csv"], "missing/a.csv"),
+])
+def test_unwritable_output_path_is_exit_2(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {named}: ")
 
 
 # --- exit codes for solver failures -----------------------------------------

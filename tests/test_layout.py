@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -65,3 +68,30 @@ def test_readme_library_example_imports_exist():
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+# Raise only in the change that adds a settable value, saying why in CHANGES.md.
+SETTABLE_VALUES_CEILING = 132
+
+
+def _settable_values(obj) -> int:
+    """Values a caller can set on one public name: a function's parameters, a
+    dataclass's public fields plus its classmethods' parameters, or 1 for a
+    constant."""
+    if inspect.isclass(obj):
+        fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+        return (sum(not f.name.startswith("_") for f in fields)
+                + sum(len(inspect.signature(getattr(obj, name)).parameters)
+                      for name, raw in vars(obj).items()
+                      if isinstance(raw, classmethod) and not name.startswith("_")))
+    if inspect.isroutine(obj):
+        return len(inspect.signature(obj).parameters)
+    return 1
+
+
+def test_settable_values_do_not_grow():
+    modules = [importlib.import_module(f"sng.{info.name}")
+               for info in pkgutil.iter_modules(sng.__path__)]
+    count = sum(_settable_values(getattr(module, name))
+                for module in modules for name in module.__all__)
+    assert count <= SETTABLE_VALUES_CEILING

@@ -1,0 +1,62 @@
+"""Every argument check refuses a bad value with a typed error that names
+the argument, however the value is bad (non-finite, fractional, a bool)."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from sng.errors import InvalidArgumentError
+from sng.evolution import NonlinearityKind, evolve, gaussian_state, step
+from sng.grids import make_grid
+from sng.scf import scf_solve
+from sng.shooting import find_brackets, scan_brackets, shoot_gamma0, solve_states
+
+GRID = make_grid(40.0, 201)
+NAN, INF = math.nan, math.inf
+
+
+def _evolve(**kwargs):
+    state = gaussian_state(make_grid(20.0, 201), 1.0)
+    args = {"t_final": 1.0, "dt": 0.1, "nl": NonlinearityKind.free(), **kwargs}
+    return evolve(state, **args)
+
+
+# (argument named at the start of the message, call)
+CASES = [
+    ("rho_max", lambda: make_grid(NAN, 11)),
+    ("n_points", lambda: make_grid(40.0, NAN)),
+    ("n_points", lambda: make_grid(40.0, INF)),
+    ("n_points", lambda: make_grid(40.0, 2)),
+    ("n", lambda: find_brackets([NAN], GRID)),
+    ("n", lambda: find_brackets([INF], GRID)),
+    ("n", lambda: solve_states([True], GRID)),
+    ("n", lambda: shoot_gamma0(NAN, (-1.0, -0.9), GRID)),
+    ("n", lambda: scf_solve(NAN, GRID)),
+    ("n", lambda: scf_solve(INF, GRID)),
+    ("max_nodes", lambda: scan_brackets((-5.0, 0.0), 11, GRID, max_nodes=NAN)),
+    ("steps", lambda: scan_brackets((-5.0, 0.0), NAN, GRID)),
+    ("steps", lambda: scan_brackets((-5.0, 0.0), 2.5, GRID)),
+    ("tol", lambda: solve_states([0], GRID, tol=NAN)),
+    ("sigma", lambda: gaussian_state(GRID, NAN)),
+    ("sigma^2", lambda: gaussian_state(make_grid(1e-158, 201), 1e-160)),
+    ("sigma^2", lambda: gaussian_state(GRID, 1e200)),
+    ("kappa", lambda: NonlinearityKind.cubic(NAN, 1)),
+    ("kappa", lambda: NonlinearityKind.cubic(INF, 1)),
+    ("dt", lambda: step(gaussian_state(GRID, 2.0), NAN, NonlinearityKind.free())),
+    ("dt", lambda: _evolve(dt=INF)),
+    ("t_final", lambda: _evolve(t_final=INF)),
+    ("t_final", lambda: _evolve(t_final=NAN)),
+    ("observe_every", lambda: _evolve(observe_every=NAN)),
+    ("observe_every", lambda: _evolve(observe_every=INF)),
+    ("snapshot_every", lambda: _evolve(snapshot_every=NAN)),
+]
+
+
+@pytest.mark.parametrize("named, call", CASES,
+                         ids=[f"{i}-{named}" for i, (named, _) in enumerate(CASES)])
+def test_bad_argument_is_refused_by_name(named, call):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value).startswith(f"{named} "), str(info.value)

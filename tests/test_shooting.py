@@ -19,7 +19,6 @@ from sng.grids import make_grid
 from sng.shooting import (
     UniversalSolution,
     default_grid,
-    find_bracket,
     find_brackets,
     integrate_universal,
     scan_brackets,
@@ -69,7 +68,6 @@ def test_solution_profile_invariants(spectrum):
     for n, sol in spectrum.items():
         assert isinstance(sol, UniversalSolution)
         assert sol.n == n
-        assert sol.node_count == n
         assert sol.f_star.values[0] == 1.0  # exact, by the series start
         assert sol.bracket_width <= 1e-8
         assert abs(sol.g_star.values[0] - sol.gamma0) <= max(sol.bracket_width, 1e-12)
@@ -98,7 +96,7 @@ def test_mass_potential_is_monotone_and_negative_at_origin(spectrum):
 def test_scan_brackets_orders_candidates():
     grid = make_grid(40.0, 2001)
     found = {}
-    for candidate, (lo, hi) in scan_brackets(grid=grid):
+    for candidate, (lo, hi) in scan_brackets((-5.0, 0.0), 101, grid):
         assert lo < hi
         found.setdefault(candidate, (lo, hi))
     for n in range(3):
@@ -110,7 +108,7 @@ def test_scan_brackets_orders_candidates():
 
 def test_find_bracket_ends_classify_differently():
     grid = make_grid(40.0, 2001)
-    lo, hi = find_bracket(1, grid=grid)
+    lo, hi = find_brackets([1], grid)[1]
     out_lo = integrate_universal(lo, grid=grid)
     out_hi = integrate_universal(hi, grid=grid)
     assert (out_lo.node_count, out_lo.classification) != (
@@ -125,8 +123,8 @@ def test_rung_two_brackets_are_frozen_and_shared():
         8: (-1.6377171215880892, -1.6253101736972702),
         7: (-1.65, -1.5999999999999996),
     }
-    assert find_bracket(8, grid=grid) == frozen[8]
-    assert find_bracket(7, grid=grid) == frozen[7]
+    assert find_brackets([8], grid)[8] == frozen[8]
+    assert find_brackets([7], grid)[7] == frozen[7]
     assert find_brackets([7, 8], grid=grid) == frozen
 
 
@@ -145,14 +143,14 @@ def test_default_grid_brackets_are_frozen():
 @pytest.fixture(scope="module")
 def unbounded_scan():
     grid = make_grid(40.0, 2001)
-    return grid, scan_brackets(grid=grid)
+    return grid, scan_brackets((-5.0, 0.0), 101, grid)
 
 
 @pytest.mark.parametrize("max_nodes", [0, 2, 4])
 def test_node_ceiling_scan_keeps_the_unbounded_brackets(max_nodes, unbounded_scan):
     grid, unbounded = unbounded_scan
     expected = [(c, bracket) for c, bracket in unbounded if c <= max_nodes]
-    assert scan_brackets(grid=grid, max_nodes=max_nodes) == expected
+    assert scan_brackets((-5.0, 0.0), 101, grid, max_nodes=max_nodes) == expected
 
 
 def test_node_ceiling_stops_on_the_unbounded_prefix():
@@ -160,22 +158,19 @@ def test_node_ceiling_stops_on_the_unbounded_prefix():
     full = integrate_universal(-3.0, grid=grid)
     cut = integrate_universal(-3.0, grid=grid, max_nodes=0)
     assert cut.label == (1, "node_ceiling")
-    assert cut.blowup_radius is None
     k = cut.valid_points
     assert k < grid.n_points
-    full_values = (*(fld.values for fld in full.trajectory), *full.derivs)
-    cut_values = (*(fld.values for fld in cut.trajectory), *cut.derivs)
-    for a, b in zip(full_values, cut_values):
-        assert a[:k].tobytes() == b[:k].tobytes()
+    for a, b in zip((*full.trajectory, *full.derivs), (*cut.trajectory, *cut.derivs)):
+        assert a[:k].tobytes() == b.tobytes()
     # the first node sits between the last two computed samples
-    f = cut.trajectory[0].values
+    f = cut.trajectory[0]
     assert f[k - 2] * f[k - 1] < 0.0
     assert np.count_nonzero(f[:k - 2] * f[1:k - 1] < 0.0) == 0
 
 
 def test_find_bracket_out_of_range_raises():
     with pytest.raises(InvalidBracketError):
-        find_bracket(40, grid=make_grid(40.0, 801))
+        find_brackets([40], make_grid(40.0, 801))
 
 
 # --- error paths -------------------------------------------------------------
@@ -191,7 +186,7 @@ def test_oscillatory_tail_raises_wrong_state():
     # the mass potential is still negative at the clamp point
     grid = make_grid(10.0, 1001)
     with pytest.raises(WrongStateError):
-        shoot_gamma0(2, find_bracket(2, grid=grid), grid=grid)
+        shoot_gamma0(2, find_brackets([2], grid)[2], grid=grid)
 
 
 def test_invalid_node_count_rejected():
@@ -202,7 +197,7 @@ def test_invalid_node_count_rejected():
         with pytest.raises(InvalidArgumentError):
             integrate_universal(-1.0, grid=grid, max_nodes=max_nodes)
         with pytest.raises(InvalidArgumentError):
-            scan_brackets(grid=grid, max_nodes=max_nodes)
+            scan_brackets((-5.0, 0.0), 101, grid, max_nodes=max_nodes)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
@@ -227,7 +222,7 @@ def test_classification_labels_partition_parameter_space():
 
 def test_shooting_is_bitwise_deterministic():
     grid = make_grid(40.0, 2001)
-    bracket = find_bracket(0, grid=grid)
+    bracket = find_brackets([0], grid)[0]
     a = shoot_gamma0(0, bracket, grid=grid)
     b = shoot_gamma0(0, bracket, grid=grid)
     assert a.gamma0 == b.gamma0
@@ -249,7 +244,8 @@ PINNED_STATES = {
         "3429a2720427f892bb741169fa0381b9b06bbfbec964e8b5af0ae291d01e268a"),
 }
 
-# gamma0 -> label, valid_points and sha256 of the f, g, f', g' bytes
+# gamma0 -> label, valid_points and sha256 of the f, g, f', g' bytes, each
+# edge-padded from the computed samples to the full grid
 PINNED_SHOTS = {
     -0.3: ((0, "diverged_up"), 279,
            "b25cb5c09a7c74037c07e7dc0a08bcb329ad36145fd3d5de7bfe983af396fad4"),
@@ -268,7 +264,7 @@ def _sha256(*arrays):
 def test_solved_states_are_bitwise_pinned():
     grid = make_grid(40.0, 2001)
     for n, (scalars, f_sha, g_sha) in PINNED_STATES.items():
-        sol = shoot_gamma0(n, find_bracket(n, grid=grid), grid=grid)
+        sol = shoot_gamma0(n, find_brackets([n], grid)[n], grid=grid)
         assert tuple(map(repr, (sol.gamma0, sol.gamma1, sol.epsilon_star))) == scalars
         assert _sha256(sol.f_star.values) == f_sha, f"n={n}"
         assert _sha256(sol.g_star.values) == g_sha, f"n={n}"
@@ -283,7 +279,8 @@ def test_shots_are_bitwise_pinned(kind):
             out = integrate_universal(kind(gamma0), grid=grid, max_nodes=max_nodes)
             assert (out.label, out.valid_points) == (label, valid)
             assert type(out.gamma0) is float and out.gamma0 == gamma0
-            values = (*(fld.values for fld in out.trajectory), *out.derivs)
+            values = (np.pad(v, (0, grid.n_points - valid), mode="edge")
+                      for v in (*out.trajectory, *out.derivs))
             assert _sha256(*values) == digest, f"gamma0={gamma0}, max_nodes={max_nodes}"
 
 
