@@ -59,9 +59,18 @@ def _row(suite: str, name: str, measured: float, bound: float,
 # shared slow artifacts, cached per process
 # ---------------------------------------------------------------------------
 
+# every state the suites use on each grid, bracketed by one ladder walk
+_STATES_PER_GRID = {(40.0, 8001): (0, 1, 2), (40.0, 4001): (0, 1)}
+
+
 @lru_cache(maxsize=8)
+def _solved_grid(rho_max: float, points: int) -> dict[int, UniversalSolution]:
+    ns = _STATES_PER_GRID[rho_max, points]
+    return dict(zip(ns, solve_states(ns, make_grid(rho_max, points))))
+
+
 def _solved(n: int, rho_max: float, points: int) -> UniversalSolution:
-    return solve_states([n], make_grid(rho_max, points))[0]
+    return _solved_grid(rho_max, points)[n]
 
 
 @lru_cache(maxsize=8)

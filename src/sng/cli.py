@@ -58,11 +58,6 @@ _GENERATED_BY = f"sng {__version__}"
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    """17 significant digits, scientific — round-trips any double."""
-    return f"{x:.16e}"
-
-
 def _si(name: str, values, unit: float):
     """``values`` (an array or a float) in a_g units times their SI ``unit``;
     InvalidArgumentError names the column when a product is not finite."""
@@ -81,11 +76,13 @@ def _open_output(path: str):
 
 
 def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
+    """One row per sample; every value in 17 significant digits, scientific,
+    which round-trips any double."""
+    row_format = ",".join(["%.16e"] * len(columns)) + "\n"
+    rows = zip(*(column.tolist() for column in columns))
     with _open_output(path) as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row_format % row for row in rows)
 
 
 def _emit_json(obj, path: str | None) -> None:

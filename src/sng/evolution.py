@@ -10,9 +10,12 @@ with V pluggable: free (V=0), cubic (V = ±kappa |psi|^2), or gravitational
 Hartree (lap V = 4 pi |psi|^2 / norm).  Each step is one
 Crank–Nicolson solve predicted with V[psi_t] and corrected once with
 V[(psi_t + psi_pred)/2].  With V = 0 the corrector would repeat the
-predictor exactly, so a free step is a single solve.  ``evolve`` computes
-the potential of each observed state once: its energy row and the next
-step share it.  The gravitational equation also carries a constant
+predictor exactly, so a free step is a single solve; the free matrix
+depends only on the grid and dt, so it is factored once per (grid, dt) and
+a free step is one back-substitution.  A step with a potential factors its
+matrix and back-substitutes with the same two LAPACK routines.  ``evolve``
+computes the potential of each observed state once: its energy row and the
+next step share it.  The gravitational equation also carries a constant
 -E_grav/norm term; a constant only rotates the global phase, so it is
 integrated into a phase ledger on the state instead of the matrix (the
 physical wavefunction is exp(i*phase) * u/r).
@@ -23,10 +26,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import InvalidArgumentError, StepRejectedError, check_count, check_positive
 from .grids import (RadialField, RadialGrid, integrate_line, psi_from_u, rms_from_u,
@@ -221,23 +225,83 @@ def _potential(u: np.ndarray, grid: RadialGrid, nl: NonlinearityKind) -> tuple[n
     return v, e_grav_over_norm
 
 
-def _cn_solve(u: np.ndarray, V: np.ndarray, dt: float, grid: RadialGrid) -> np.ndarray:
-    """One Crank–Nicolson solve (I + i dt H/2) u' = (I - i dt H/2) u
-    with frozen potential V and Dirichlet ends."""
-    dr = grid.spacing
-    lam = dt / (4.0 * dr * dr)
-    vterm = 0.5j * dt * V
-    a_diag = 1.0 + 2.0j * lam + vterm
-    b_diag = 1.0 - 2.0j * lam - vterm
-    rhs = b_diag[1:-1] * u[1:-1] + 1.0j * lam * (u[2:] + u[:-2])
-    n_int = grid.n_points - 2
-    ab = np.empty((3, n_int), dtype=np.complex128)
-    ab[0, :] = -1.0j * lam
-    ab[1, :] = a_diag[1:-1]
-    ab[2, :] = -1.0j * lam
-    out = np.zeros(grid.n_points, dtype=np.complex128)
-    out[1:-1] = solve_banded((1, 1), ab, rhs)
-    return out
+class _CrankNicolson:
+    """The Crank–Nicolson system (I + i dt H/2) u' = (I - i dt H/2) u of one
+    grid and dt, with H = -(1/2) d^2/dr^2 + V on the interior nodes and
+    Dirichlet ends.  Its off-diagonal -i lam, lam = dt/(4 dr^2), never
+    changes, and the V = 0 left matrix is LU-factored once, on the first
+    free solve.  Every solve is LAPACK's tridiagonal factorization (zgttrf)
+    and back-substitution (zgttrs), which together do the arithmetic of one
+    gtsv call."""
+
+    def __init__(self, grid: RadialGrid, dt: float):
+        # scipy's zgttrf and zgttrs wrappers need three interior unknowns
+        check_count("n_points", grid.n_points, 5)
+        dr = grid.spacing
+        self.dt = dt
+        self.lam = dt / (4.0 * dr * dr)
+        if not math.isfinite(self.lam):
+            raise _non_finite_system()
+        self.off = _read_only(np.full(grid.n_points - 3, -1.0j * self.lam))
+
+    @cached_property
+    def free(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The right diagonal and the left matrix's factors at V = 0."""
+        a_diag, b_diag = self._diagonals(np.zeros(len(self.off) + 1))
+        return _read_only(b_diag), self._factor(a_diag)
+
+    def _diagonals(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right diagonals for the interior potential samples v."""
+        vterm = 0.5j * self.dt * v
+        return 1.0 + 2.0j * self.lam + vterm, 1.0 - 2.0j * self.lam - vterm
+
+    def _factor(self, a_diag: np.ndarray) -> tuple[np.ndarray, ...]:
+        """zgttrf's (dl, d, du, du2, ipiv) of the left matrix with diagonal a_diag."""
+        if not np.isfinite(a_diag).all():
+            raise _non_finite_system()
+        *lu, info = zgttrf(self.off, a_diag, self.off)
+        _check_info("zgttrf", info)
+        return tuple(_read_only(factor) for factor in lu)
+
+    def solve(self, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+        """u advanced by dt with the potential samples v frozen; V = 0 when
+        v is None, which reuses the factored free matrix."""
+        if v is None:
+            b_diag, lu = self.free
+        else:
+            a_diag, b_diag = self._diagonals(v[1:-1])
+            lu = self._factor(a_diag)
+        rhs = b_diag * u[1:-1] + 1.0j * self.lam * (u[2:] + u[:-2])
+        if not np.isfinite(rhs).all():
+            raise _non_finite_system()
+        x, info = zgttrs(*lu, rhs, overwrite_b=1)
+        _check_info("zgttrs", info)
+        out = np.zeros(len(u), dtype=np.complex128)
+        out[1:-1] = x
+        return out
+
+
+@lru_cache(maxsize=8)
+def _crank_nicolson(grid: RadialGrid, dt: float) -> _CrankNicolson:
+    return _CrankNicolson(grid, dt)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _non_finite_system() -> InvalidArgumentError:
+    return InvalidArgumentError(
+        "dt is too large: the Crank–Nicolson system is not finite, because "
+        "dt/dr^2 or dt times the potential overflows a double")
+
+
+def _check_info(routine: str, info: int) -> None:
+    """Refuse a non-zero LAPACK info: > 0 is an exactly zero pivot, < 0 an
+    illegal argument."""
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} returned info = {info}")
 
 
 def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
@@ -256,11 +320,12 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
         error carries a suggested smaller dt aiming at a 25% change.
     """
     check_positive("dt", dt)
+    cn = _crank_nicolson(state.grid, dt)
+    if nl.kind == "free":
+        return replace(state, u=cn.solve(state.u), time=state.time + dt)
     if v_old is None:
         v_old, _ = _potential(state.u, state.grid, nl)
-    u_pred = _cn_solve(state.u, v_old, dt, state.grid)
-    if nl.kind == "free":
-        return replace(state, u=u_pred, time=state.time + dt)
+    u_pred = cn.solve(state.u, v_old)
     u_mid = 0.5 * (state.u + u_pred)
     v_mid, off_mid = _potential(u_mid, state.grid, nl)
 
@@ -272,7 +337,7 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
                 f"potential changed {change:.1%} within one step of dt={dt:.3e}",
                 suggested_dt=0.25 * dt / change,
             )
-    u_new = _cn_solve(state.u, v_mid, dt, state.grid)
+    u_new = cn.solve(state.u, v_mid)
     return replace(
         state,
         u=u_new,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sng.checks
+import sng.cli
 from sng.cli import main
 from sng.physical import PhysicalParams, UnitScales
 
@@ -397,6 +398,30 @@ def test_non_finite_dt_is_exit_2(dt, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "dt must be positive" in captured.err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_csv_bytes_match_the_per_value_formatter(tmp_path):
+    # the formatter every CSV used to be written with, value by value
+    values = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, -1.0 / 3.0, -2.5e-10, 1.0])
+    columns = [values, values[::-1], -values]
+    expected = "a,b,c\n" + "".join(",".join(f"{x:.16e}" for x in row) + "\n"
+                                   for row in zip(*columns))
+    path = tmp_path / "c.csv"
+    sng.cli._write_csv(str(path), "a,b,c", columns)
+    assert path.read_bytes() == expected.encode()
+    assert "-0.0000000000000000e+00," in expected and ",-4.9406564584124654e-324," in expected
+
+
+def test_overflowing_crank_nicolson_system_is_exit_2(tmp_path, capsys):
+    # a finite dt whose cubic matrix overflows; a raw solver traceback exited 1
+    out = tmp_path / "x.csv"
+    code = main(["evolve", "--cubic", "--kappa", "1e308", "--dt", "1e300",
+                 "--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--steps", "1",
+                 "--natural", "--out-csv", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: dt is too large" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_check_suite_is_exit_2(capsys, monkeypatch):

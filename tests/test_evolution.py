@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import sng.evolution
 from sng.errors import InvalidArgumentError, StepRejectedError
@@ -337,11 +338,51 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_free_step_is_one_banded_solve(packet, monkeypatch):
-    # with V = 0 the corrector would repeat the predictor solve exactly
-    calls = _count_calls(monkeypatch, "solve_banded")
-    step(packet, 0.01, NonlinearityKind.free())
-    assert len(calls) == 1
+def test_free_evolve_factors_once_and_back_substitutes_per_step(packet, coarse_ground_state,
+                                                               monkeypatch):
+    # with V = 0 the corrector would repeat the predictor solve exactly, and
+    # the free matrix depends only on the grid and dt
+    sng.evolution._crank_nicolson.cache_clear()
+    factors = _count_calls(monkeypatch, "zgttrf")
+    solves = _count_calls(monkeypatch, "zgttrs")
+    n_steps = 7
+    evolve(packet, t_final=n_steps * 0.01, dt=0.01, nl=NonlinearityKind.free(), observe_every=3)
+    assert (len(factors), len(solves)) == (1, n_steps)
+
+    # a gravity step factors and solves its predictor and its corrector
+    factors.clear()
+    solves.clear()
+    step(coarse_ground_state, 0.1, NonlinearityKind.gravity())
+    assert (len(factors), len(solves)) == (2, 2)
+
+
+def _banded_reference(u, v, dt, grid):
+    """The Crank–Nicolson solve as scipy's general banded solver does it."""
+    dr = grid.spacing
+    lam = dt / (4.0 * dr * dr)
+    vterm = 0.5j * dt * v
+    ab = np.empty((3, grid.n_points - 2), dtype=np.complex128)
+    ab[0, :] = -1.0j * lam
+    ab[1, :] = (1.0 + 2.0j * lam + vterm)[1:-1]
+    ab[2, :] = -1.0j * lam
+    rhs = (1.0 - 2.0j * lam - vterm)[1:-1] * u[1:-1] + 1.0j * lam * (u[2:] + u[:-2])
+    out = np.zeros(grid.n_points, dtype=np.complex128)
+    out[1:-1] = solve_banded((1, 1), ab, rhs)
+    return out
+
+
+@pytest.mark.parametrize("nl", [NonlinearityKind.free(), NonlinearityKind.cubic(3.0, -1),
+                                NonlinearityKind.gravity()], ids=lambda nl: nl.kind)
+def test_crank_nicolson_solve_equals_banded_solve_bitwise(nl):
+    grid = make_grid(30.0, 401)
+    packet = gaussian_state(grid, sigma=1.0)
+    u = packet.u * np.exp(0.3j * grid.nodes)
+    v, _ = sng.evolution._potential(u, grid, nl)
+    cn = sng.evolution._crank_nicolson(grid, 0.01)
+    expected = _banded_reference(u, v, 0.01, grid)
+    assert np.array_equal(cn.solve(u, v), expected)
+    if nl.kind == "free":
+        assert np.array_equal(cn.solve(u), expected)
 
 
 def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monkeypatch):

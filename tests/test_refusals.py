@@ -8,7 +8,7 @@ import math
 import pytest
 
 from sng.errors import InvalidArgumentError
-from sng.evolution import NonlinearityKind, evolve, gaussian_state, step
+from sng.evolution import NonlinearityKind, RadialState, evolve, gaussian_state, step
 from sng.grids import make_grid
 from sng.scf import scf_solve
 from sng.shooting import find_brackets, scan_brackets, shoot_gamma0, solve_states
@@ -51,6 +51,11 @@ CASES = [
     ("observe_every", lambda: _evolve(observe_every=NAN)),
     ("observe_every", lambda: _evolve(observe_every=INF)),
     ("snapshot_every", lambda: _evolve(snapshot_every=NAN)),
+    # a finite dt whose Crank–Nicolson matrix overflows: dt/dr^2, dt kappa
+    ("dt", lambda: step(gaussian_state(GRID, 2.0), 1e308, NonlinearityKind.free())),
+    ("dt", lambda: step(gaussian_state(GRID, 2.0), 1e300, NonlinearityKind.cubic(1e308, 1))),
+    ("n_points", lambda: step(RadialState(make_grid(10.0, 4), [0.0, 1.0, 1.0, 0.0], 0.0), 0.1,
+                              NonlinearityKind.free())),
 ]
 
 

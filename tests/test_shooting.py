@@ -23,6 +23,7 @@ from sng.shooting import (
     integrate_universal,
     scan_brackets,
     shoot_gamma0,
+    solve_states,
 )
 
 # n -> (gamma0, gamma1, epsilon_star) on the default (40, 8001) grid
@@ -37,7 +38,9 @@ FROZEN_SPECTRUM = {
 
 @pytest.fixture(scope="module")
 def spectrum():
-    return {n: _solved(n, 40.0, 8001) for n in range(5)}
+    # n <= 2 shared with the virial suite's cache; n = 3 and 4 in one more walk
+    solved = {n: _solved(n, 40.0, 8001) for n in range(3)}
+    return {**solved, **dict(zip((3, 4), solve_states([3, 4], make_grid(40.0, 8001))))}
 
 
 # --- frozen values -----------------------------------------------------------
