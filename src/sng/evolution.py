@@ -13,12 +13,18 @@ V[(psi_t + psi_pred)/2].  With V = 0 the corrector would repeat the
 predictor exactly, so a free step is a single solve; the free matrix
 depends only on the grid and dt, so it is factored once per (grid, dt) and
 a free step is one back-substitution.  A step with a potential factors its
-matrix and back-substitutes with the same two LAPACK routines.  ``evolve``
-computes the potential of each observed state once: its energy row and the
-next step share it.  The gravitational equation also carries a constant
--E_grav/norm term; a constant only rotates the global phase, so it is
-integrated into a phase ledger on the state instead of the matrix (the
-physical wavefunction is exp(i*phase) * u/r).
+matrix and back-substitutes with the same two LAPACK routines, and its
+predictor and corrector share the hopping term of the right-hand side.
+
+Each state is evaluated once: one private kernel derives |u|^2, its line
+integral, |psi| = |u/r|, the density and V from u, each on first use.
+``evolve``'s observation (norm, energy, RMS width, the boundary check and
+density snapshots) and the next step's potential read the same
+evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
+The gravitational equation also carries a constant -E_grav/norm term; a
+constant only rotates the global phase, so the step integrates it at the
+predictor midpoint into a phase ledger on the state instead of the matrix
+(the physical wavefunction is exp(i*phase) * u/r).
 """
 
 from __future__ import annotations
@@ -27,15 +33,16 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import InvalidArgumentError, StepRejectedError, check_count, check_positive
-from .grids import (RadialField, RadialGrid, integrate_line, psi_from_u, rms_from_u,
-                    solve_radial_poisson)
-from .physical import PhysicalProfile
+from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .physical import PhysicalProfile
 
 __all__ = [
     "RadialState",
@@ -71,7 +78,7 @@ class RadialState:
             raise InvalidArgumentError(
                 f"u has shape {u.shape}, grid has {self.grid.n_points} nodes"
             )
-        if not (np.all(np.isfinite(u.real)) and np.all(np.isfinite(u.imag))):
+        if not np.isfinite(u).all():
             raise InvalidArgumentError("u contains non-finite samples")
         if u[0] != 0.0:
             raise InvalidArgumentError("u(0) must be exactly 0 (psi regular at origin)")
@@ -170,12 +177,12 @@ def gaussian_state(grid: RadialGrid, sigma: float) -> RadialState:
 
 def state_norm(state: RadialState) -> float:
     """norm = int 4 pi |u|^2 dr (= int |psi|^2 d^3x)."""
-    return 4.0 * np.pi * integrate_line(np.abs(state.u) ** 2, state.grid)
+    return _Evaluation(state.grid, state.u).norm
 
 
 def rms_width(state: RadialState) -> float:
     """Root-mean-square radius sqrt(<r^2>)."""
-    return rms_from_u(state.u, state.grid)
+    return _Evaluation(state.grid, state.u).rms_width
 
 
 def scheme_energy(state: RadialState, nl: NonlinearityKind) -> float:
@@ -190,40 +197,88 @@ def scheme_energy(state: RadialState, nl: NonlinearityKind) -> float:
     stepper: (sign kappa/2) int |psi|^4 d^3x for cubic and the
     norm-scaled potential energy (1/2) int rho V d^3x for gravity.
     """
-    return _scheme_energy(state, nl, _potential(state.u, state.grid, nl)[0])
+    return _Evaluation(state.grid, state.u, nl).energy
 
 
-def _scheme_energy(state: RadialState, nl: NonlinearityKind, v: np.ndarray) -> float:
-    """:func:`scheme_energy` with the potential samples V of ``state`` in hand."""
-    du = np.diff(state.u)
-    dr = state.grid.spacing
-    e_kin = 0.5 * 4.0 * np.pi * float(np.sum(np.abs(du) ** 2)) / dr
-    if nl.kind == "free":
-        return e_kin
-    # both interactions have V linear in rho, so (1/2) int V rho d^3x is
-    # their conserved potential term; |u|^2 carries the r^2 weight already
-    return e_kin + 0.5 * 4.0 * np.pi * float(np.sum(v * np.abs(state.u) ** 2)) * dr
+# ---------------------------------------------------------------------------
+# one evaluation per state
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Evaluation:
+    """The fields derived from one reduced wavefunction u under ``nl``.
+
+    Each field is computed on first use and kept, so the observables, the
+    boundary check, a snapshot and a step's potential of the same u share
+    one |u|^2, one int |u|^2 dr, one |psi| and one potential.
+    """
+
+    grid: RadialGrid
+    u: np.ndarray
+    nl: NonlinearityKind = NonlinearityKind.free()
+
+    @cached_property
+    def u2(self) -> np.ndarray:
+        return np.abs(self.u) ** 2
+
+    @cached_property
+    def u2_line(self) -> float:
+        """int |u|^2 dr."""
+        return integrate_line(self.u2, self.grid)
+
+    @property
+    def norm(self) -> float:
+        return 4.0 * np.pi * self.u2_line
+
+    @property
+    def rms_width(self) -> float:
+        r = self.grid.nodes
+        return float(np.sqrt(integrate_line(r * r * self.u2, self.grid) / self.u2_line))
+
+    @cached_property
+    def psi_abs(self) -> np.ndarray:
+        """|psi| with psi = u/r."""
+        return np.abs(psi_from_u(self.u, self.grid))
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        return self.psi_abs ** 2
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """Potential samples V(r); zero when free."""
+        if self.nl.kind == "free":
+            return np.zeros(self.grid.n_points)
+        if self.nl.kind == "cubic":
+            return self.nl.sign * self.nl.kappa * self.density
+        return solve_radial_poisson(RadialField(self.grid, self.density),
+                                    4.0 * np.pi / self.norm).values
+
+    @property
+    def energy(self) -> float:
+        """:func:`scheme_energy` of u."""
+        du = np.diff(self.u)
+        dr = self.grid.spacing
+        e_kin = 0.5 * 4.0 * np.pi * float(np.sum(np.abs(du) ** 2)) / dr
+        if self.nl.kind == "free":
+            return e_kin
+        # both interactions have V linear in rho, so (1/2) int V rho d^3x is
+        # their conserved potential term; |u|^2 carries the r^2 weight already
+        return e_kin + 0.5 * 4.0 * np.pi * float(np.sum(self.v * self.u2)) * dr
+
+    @property
+    def phase_rate(self) -> float:
+        """The constant E_grav/norm of the gravitational equation, which the
+        phase ledger integrates (0 unless gravitational)."""
+        if self.nl.kind != "gravity":
+            return 0.0
+        r = self.grid.nodes
+        return 0.5 * 4.0 * np.pi * integrate_line(self.density * self.v * r**2, self.grid)
 
 
 # ---------------------------------------------------------------------------
 # the stepper
 # ---------------------------------------------------------------------------
-
-def _potential(u: np.ndarray, grid: RadialGrid, nl: NonlinearityKind) -> tuple[np.ndarray, float]:
-    """Potential samples V(r) for the given reduced wavefunction, plus the
-    constant offset E_grav/norm destined for the phase ledger (0 unless
-    gravitational)."""
-    if nl.kind == "free":
-        return np.zeros(grid.n_points), 0.0
-    psi = psi_from_u(u, grid)
-    density = np.abs(psi) ** 2
-    if nl.kind == "cubic":
-        return nl.sign * nl.kappa * density, 0.0
-    norm = 4.0 * np.pi * integrate_line(np.abs(u) ** 2, grid)
-    v = solve_radial_poisson(RadialField(grid, density), 4.0 * np.pi / norm).values
-    e_grav_over_norm = 0.5 * 4.0 * np.pi * integrate_line(density * v * grid.nodes**2, grid)
-    return v, e_grav_over_norm
-
 
 class _CrankNicolson:
     """The Crank–Nicolson system (I + i dt H/2) u' = (I - i dt H/2) u of one
@@ -251,9 +306,12 @@ class _CrankNicolson:
         return _read_only(b_diag), self._factor(a_diag)
 
     def _diagonals(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right diagonals for the interior potential samples v."""
-        vterm = 0.5j * self.dt * v
-        return 1.0 + 2.0j * self.lam + vterm, 1.0 - 2.0j * self.lam - vterm
+        """Left and right diagonals for the interior potential samples v.
+        An overflow here is refused by :meth:`_factor`, so numpy's warning
+        about it is silenced."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vterm = 0.5j * self.dt * v
+            return 1.0 + 2.0j * self.lam + vterm, 1.0 - 2.0j * self.lam - vterm
 
     def _factor(self, a_diag: np.ndarray) -> tuple[np.ndarray, ...]:
         """zgttrf's (dl, d, du, du2, ipiv) of the left matrix with diagonal a_diag."""
@@ -263,15 +321,24 @@ class _CrankNicolson:
         _check_info("zgttrf", info)
         return tuple(_read_only(factor) for factor in lu)
 
-    def solve(self, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+    def hopping(self, u: np.ndarray) -> np.ndarray:
+        """The off-diagonal part i lam (u[k+1] + u[k-1]) of the right-hand
+        side on the interior nodes, which does not depend on V."""
+        return 1.0j * self.lam * (u[2:] + u[:-2])
+
+    def solve(self, u: np.ndarray, v: Optional[np.ndarray] = None,
+              hop: Optional[np.ndarray] = None) -> np.ndarray:
         """u advanced by dt with the potential samples v frozen; V = 0 when
-        v is None, which reuses the factored free matrix."""
+        v is None, which reuses the factored free matrix.  ``hop`` is
+        :meth:`hopping` of u when the caller already has it."""
         if v is None:
             b_diag, lu = self.free
         else:
             a_diag, b_diag = self._diagonals(v[1:-1])
             lu = self._factor(a_diag)
-        rhs = b_diag * u[1:-1] + 1.0j * self.lam * (u[2:] + u[:-2])
+        if hop is None:
+            hop = self.hopping(u)
+        rhs = b_diag * u[1:-1] + hop
         if not np.isfinite(rhs).all():
             raise _non_finite_system()
         x, info = zgttrs(*lu, rhs, overwrite_b=1)
@@ -309,8 +376,8 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
     """Advance one Crank–Nicolson step with a single predictor–corrector pass.
 
     ``v_old`` is the potential of ``state`` under ``nl`` when the caller
-    already has it (``evolve`` does for observed states); it is computed
-    here otherwise.  A free step is the predictor solve alone.
+    already has it (``evolve`` does); it is computed here otherwise.  A
+    free step is the predictor solve alone.
 
     Raises
     ------
@@ -324,10 +391,11 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
     if nl.kind == "free":
         return replace(state, u=cn.solve(state.u), time=state.time + dt)
     if v_old is None:
-        v_old, _ = _potential(state.u, state.grid, nl)
-    u_pred = cn.solve(state.u, v_old)
-    u_mid = 0.5 * (state.u + u_pred)
-    v_mid, off_mid = _potential(u_mid, state.grid, nl)
+        v_old = _Evaluation(state.grid, state.u, nl).v
+    hop = cn.hopping(state.u)
+    u_pred = cn.solve(state.u, v_old, hop)
+    mid = _Evaluation(state.grid, 0.5 * (state.u + u_pred), nl)
+    v_mid = mid.v
 
     scale = float(np.max(np.abs(v_old)))
     if scale > 0.0:
@@ -337,12 +405,12 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
                 f"potential changed {change:.1%} within one step of dt={dt:.3e}",
                 suggested_dt=0.25 * dt / change,
             )
-    u_new = cn.solve(state.u, v_mid)
+    u_new = cn.solve(state.u, v_mid, hop)
     return replace(
         state,
         u=u_new,
         time=state.time + dt,
-        phase=state.phase + off_mid * dt,
+        phase=state.phase + mid.phase_rate * dt,
     )
 
 
@@ -368,44 +436,38 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     if n_steps < 1:
         raise InvalidArgumentError("t_final is less than half a step away")
 
-    def density_field(s: RadialState) -> RadialField:
-        return RadialField(s.grid, np.abs(s.psi()) ** 2)
-
     times: list[float] = []
     norms: list[float] = []
     energies: list[float] = []
     widths: list[float] = []
+    snaps: list[tuple[float, RadialField]] = []
 
-    def observe(s: RadialState) -> np.ndarray:
-        """Record one row; return the potential of s for the next step."""
-        v, _ = _potential(s.u, s.grid, nl)
-        row = {"norm": state_norm(s), "energy": _scheme_energy(s, nl, v), "rms_width": rms_width(s)}
+    def observe(time: float, ev: _Evaluation) -> None:
+        row = {"norm": ev.norm, "energy": ev.energy, "rms_width": ev.rms_width}
         for name, value in row.items():
             if not math.isfinite(value):
                 raise InvalidArgumentError(
-                    f"{name} is {value} at t = {s.time:.6g}; the state's scale is beyond a double")
-        times.append(s.time)
+                    f"{name} is {value} at t = {time:.6g}; the state's scale is beyond a double")
+        times.append(time)
         norms.append(row["norm"])
         energies.append(row["energy"])
         widths.append(row["rms_width"])
-        return v
 
-    v = observe(state)
-    snaps: list[tuple[float, RadialField]] = []
+    current = state
+    ev = _Evaluation(state.grid, state.u, nl)
+    observe(state.time, ev)
     if snapshot_every is not None:
-        snaps.append((state.time, density_field(state)))
+        snaps.append((state.time, RadialField(state.grid, ev.density)))
 
     boundary_warned = False
-    current = state
     for k in range(1, n_steps + 1):
-        current = step(current, dt, nl, v_old=v)
-        v = None
-        at_obs = (k % observe_every == 0) or (k == n_steps)
-        if at_obs:
-            v = observe(current)
+        current = step(current, dt, nl, v_old=None if nl.kind == "free" else ev.v)
+        ev = _Evaluation(current.grid, current.u, nl)
+        if (k % observe_every == 0) or (k == n_steps):
+            observe(current.time, ev)
             if not boundary_warned:
                 psi_edge = abs(current.u[-2]) / current.grid.nodes[-2]
-                peak = float(np.max(np.abs(current.psi())))
+                peak = float(np.max(ev.psi_abs))
                 if peak > 0.0 and psi_edge > 1e-8 * peak:
                     warnings.warn(
                         "wavefunction amplitude at the outer boundary exceeds "
@@ -415,7 +477,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
                     )
                     boundary_warned = True
         if snapshot_every is not None and k % snapshot_every == 0:
-            snaps.append((current.time, density_field(current)))
+            snaps.append((current.time, RadialField(current.grid, ev.density)))
 
     return ObservableSeries(
         times=np.asarray(times),

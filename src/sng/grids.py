@@ -24,7 +24,6 @@ __all__ = [
     "integrate_line",
     "integrate_radial",
     "psi_from_u",
-    "rms_from_u",
     "solve_radial_poisson",
     "radial_laplacian",
 ]
@@ -154,13 +153,6 @@ def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return psi
 
 
-def rms_from_u(u: np.ndarray, grid: RadialGrid) -> float:
-    """Root-mean-square radius sqrt(<r^2>) of the density |u/r|^2."""
-    r = grid.nodes
-    u2 = np.abs(u) ** 2
-    return float(np.sqrt(integrate_line(r * r * u2, grid) / integrate_line(u2, grid)))
-
-
 def solve_radial_poisson(density: RadialField, coupling: float) -> RadialField:
     """Solve lap(Phi) = coupling * density in spherical symmetry.
 
@@ -206,8 +198,13 @@ def solve_radial_poisson(density: RadialField, coupling: float) -> RadialField:
     drho = np.diff(rho)
     inner_cells = rho[:-1] * d_r3 / 3.0 + drho * inner_slope
     outer_cells = rho[:-1] * d_r2 / 2.0 + drho * outer_slope
-    inner = np.concatenate(([0.0], np.cumsum(inner_cells)))
-    outer = np.concatenate(([0.0], np.cumsum(outer_cells[::-1])))[::-1]
+    # running sums from the origin out, and from the edge in
+    inner = np.empty(len(rho))
+    inner[0] = 0.0
+    np.cumsum(inner_cells, out=inner[1:])
+    outer = np.empty(len(rho))
+    outer[-1] = 0.0
+    np.cumsum(outer_cells[::-1], out=outer[-2::-1])
     phi = np.empty_like(inner)
     phi[0] = -coupling * outer[0]
     phi[1:] = -coupling * (inner[1:] / r[1:] + outer[1:])

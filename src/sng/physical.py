@@ -25,17 +25,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import (RadialField, RadialGrid, integrate_line, integrate_radial, make_grid,
-                    rms_from_u, solve_radial_poisson)
+from .evolution import RadialState, rms_width, state_from_profile, state_norm
+from .grids import RadialField, RadialGrid, integrate_radial, make_grid, solve_radial_poisson
 from .shooting import UniversalSolution
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .evolution import RadialState
 
 __all__ = [
     "HBAR",
@@ -240,10 +236,9 @@ def half_max_radius(profile: PhysicalProfile) -> float:
 
 
 def rms_radius(profile: PhysicalProfile) -> float:
-    """Root-mean-square radius of the density |f|^2 in a_g, by the body
-    of rms_width."""
-    grid = profile.f_ag.grid
-    return rms_from_u(grid.nodes * profile.f_ag.values, grid)
+    """Root-mean-square radius of the density |f|^2 in a_g: the rms_width
+    of the profile's state."""
+    return rms_width(state_from_profile(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +261,13 @@ def energy_breakdown(profile: PhysicalProfile) -> EnergyBreakdown:
     return EnergyBreakdown(e_kin, e_grav, e_kin + e_grav, epsilon, epsilon / 3.0)
 
 
-def hamiltonian_functional(state: "RadialState") -> float:
+def hamiltonian_functional(state: RadialState) -> float:
     """H[psi] = E_kin[psi] + E_grav[psi]/norm in a_g units — the degree-2
     homogeneous energy of the one-body nonlinear equation; valid for
     unnormalized states.  InvalidArgumentError when the norm underflows to 0.
     """
     grid = state.grid
-    norm = 4.0 * np.pi * integrate_line(np.abs(state.u) ** 2, grid)
+    norm = state_norm(state)
     if not norm > 0.0:
         raise InvalidArgumentError("hamiltonian_functional needs a state with positive norm")
     psi = state.psi()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,44 @@ def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, 
 
 # --- evolve ------------------------------------------------------------------
 
+# sha256 of each evolve CSV, then of its snapshot CSVs in order, recorded
+# before an observation and the next step shared one evaluation of the state
+NUCLEON_FLAGS = ["--mass-kg", "1.67262192369e-27", "--n-particles", "1e23"]
+PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--natural",
+                "--steps", "30", "--dt", "0.01"]
+PINNED_EVOLVE = {
+    "gravity-natural": (["--gravity", "--natural"], (
+        "e7295c735ad78ab05c6b784a8b7087bcb157734cb4d7a5f75ddfa76c8187340a",
+        "b22543cffa0bbc938bb2a1cc8c773709cb1d5aa36a2f6ad808a966868a4a3883",
+        "0fef542d8cff50ce9eaa04992cf4a7abef6f2ff556d3b10c506ea6ce878f0d24",
+        "fdf857bcd9ef112eff170b8ce2e5b05bdef66a6122654f5230e3846ce580e8fe",
+        "e7fb01bcc61614aa207f98b1a7c370282dc979f3a3305e4567a8ab6c287f12df")),
+    "gravity-nucleon": (["--gravity", *NUCLEON_FLAGS], (
+        "902f2633fe720de9f4d43853d463a44725394692e55089c3ebbae442f4ec22ac",
+        "24d0b8f41c9a3819ae58b7c5acbb7d3003f74fdf8179bfeef6883585ff4067cd",
+        "e34b7e65df5139c6a5f8d9219c8aaf53952cf06cf8666d31904fd47a9db7b028",
+        "65de6b1e7c80e07a9a3240f13032c1a440af95a990e45c5edbfdd1ad7e2d87b5",
+        "8e2779dacf4613cd9c934047d7d2c8d2dd8ca893c8c1cebb08a3484ced73c8de")),
+    "free": (["--free", *PACKET_FLAGS], (
+        "88295ded407ba6880a4d3f178beb31e2137c27a3321e267a1ce890bb091cc60d",)),
+    "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (
+        "e7c108a42cb344672b4a48c957bbd72bee770a6fd0f78e8ececa6c8e49bd859d",)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_EVOLVE))
+def test_evolve_outputs_are_bitwise_pinned(run, coarse_solved, tmp_path):
+    flags, expected = PINNED_EVOLVE[run]
+    if "--gravity" in flags:
+        flags = [*flags, "--from", str(coarse_solved / "ground.json"), "--steps", "30",
+                 "--observe-every", "2", "--snapshot-every", "10"]
+    out = tmp_path / "run.csv"
+    assert main(["evolve", *flags, "--out-csv", str(out)]) == 0
+    paths = [out, *sorted(tmp_path.glob("run_snap_*.csv"))]
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    assert digests == expected
+
+
 def test_evolve_free_gaussian_observables(tmp_path):
     out = tmp_path / "free.csv"
     code = main(["evolve", "--free", "--gaussian-sigma", "1.0",
@@ -414,13 +453,18 @@ def test_csv_bytes_match_the_per_value_formatter(tmp_path):
 
 def test_overflowing_crank_nicolson_system_is_exit_2(tmp_path, capsys):
     # a finite dt whose cubic matrix overflows; a raw solver traceback exited 1
+    # numpy's overflow warning used to be printed before the error line
     out = tmp_path / "x.csv"
-    code = main(["evolve", "--cubic", "--kappa", "1e308", "--dt", "1e300",
-                 "--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--steps", "1",
-                 "--natural", "--out-csv", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["evolve", "--cubic", "--kappa", "1e308", "--dt", "1e300",
+                     "--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--steps", "1",
+                     "--natural", "--out-csv", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "error: dt is too large" in err and "Traceback" not in err
+    assert err.startswith("error: dt is too large") and "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught] == []
     assert not out.exists()
 
 

@@ -80,6 +80,17 @@ def test_state_rejects_nonzero_origin_and_bad_shapes():
         RadialState(grid=grid, u=np.zeros(101, dtype=complex), time=0.0)
 
 
+@pytest.mark.parametrize("sample", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                    complex(-np.inf, 0.0), complex(0.0, np.nan),
+                                    complex(0.0, np.inf), complex(0.0, -np.inf)], ids=str)
+def test_state_rejects_a_non_finite_sample(sample):
+    grid = make_grid(10.0, 101)
+    u = grid.nodes * np.exp(-grid.nodes) + 0.0j
+    u[50] = sample
+    with pytest.raises(InvalidArgumentError, match="non-finite samples"):
+        RadialState(grid=grid, u=u, time=0.0)
+
+
 def test_state_from_profile_preserves_norm_and_energy(natural_ground_profile):
     state = state_from_profile(natural_ground_profile)
     eb = energy_breakdown(natural_ground_profile)
@@ -377,7 +388,7 @@ def test_crank_nicolson_solve_equals_banded_solve_bitwise(nl):
     grid = make_grid(30.0, 401)
     packet = gaussian_state(grid, sigma=1.0)
     u = packet.u * np.exp(0.3j * grid.nodes)
-    v, _ = sng.evolution._potential(u, grid, nl)
+    v = sng.evolution._Evaluation(grid, u, nl).v
     cn = sng.evolution._crank_nicolson(grid, 0.01)
     expected = _banded_reference(u, v, 0.01, grid)
     assert np.array_equal(cn.solve(u, v), expected)
@@ -394,3 +405,18 @@ def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monke
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
            nl=NonlinearityKind.gravity(), observe_every=1)
     assert len(calls) == 2 * n_steps + 1
+
+
+def test_gravity_evolve_evaluates_each_state_once(coarse_ground_state, monkeypatch):
+    # psi once per observed state, shared by its energy row, the boundary
+    # check, its snapshot and the next step's potential, and once at each
+    # step's predictor midpoint.  The line integrals are int |u|^2 dr and
+    # the width's int r^2 |u|^2 dr per observed state, and int |u|^2 dr and
+    # the phase ledger's E_grav/norm per midpoint.
+    psis = _count_calls(monkeypatch, "psi_from_u")
+    lines = _count_calls(monkeypatch, "integrate_line")
+    n_steps = 7
+    evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
+           nl=NonlinearityKind.gravity(), observe_every=1, snapshot_every=1)
+    assert len(psis) == (n_steps + 1) + n_steps
+    assert len(lines) == 2 * (n_steps + 1) + 2 * n_steps
