@@ -10,7 +10,12 @@ node count n of f.  This module integrates the initial-value problem
 outward with fixed-step RK4 (series start at the origin), classifies
 trajectories by node count and divergence direction, brackets eigenvalues
 by scanning gamma0, and bisects to convergence; :func:`solve_states` is the
-one path from node counts to solved states.  Converged trajectories are
+one path from node counts to solved states.  Every shot runs one RK4
+kernel.  Scan, bracket-end and bisection shots keep only their label;
+only :func:`integrate_universal`, and through it the final shot of each
+solved state, records the samples.  :func:`solve_states` takes each
+bracket end's label from the scan rather than shooting it again, unless
+the scan shot stopped at its node ceiling.  Converged trajectories are
 clamped at the break of the exponential tail and extended analytically so
 the moment integrals gamma1 = int f^2 rho^2 drho and
 eps_star = (3/gamma1) int f^2 g rho^2 drho converge.
@@ -159,6 +164,27 @@ def integrate_universal(gamma0: float, grid: RadialGrid, *,
     InvalidFieldError
         If a sample overflows a double.
     """
+    (nodes, classification), samples = _shoot(gamma0, grid, max_nodes, record=True)
+    f, fp, g, gp = (np.array(v) for v in samples)
+    for v in (f, fp, g, gp):
+        v.setflags(write=False)
+    return ShootOutcome(
+        gamma0=float(gamma0),
+        classification=classification,
+        node_count=nodes,
+        trajectory=(f, g),
+        derivs=(fp, gp),
+    )
+
+
+def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None,
+           record: bool) -> tuple[tuple[int, str], tuple[list, list, list, list] | None]:
+    """The RK4 kernel behind every shot; see :func:`integrate_universal`.
+
+    Returns the label ``(node_count, classification)`` and, when ``record``
+    is true, the computed samples as the lists (f, f', g, g'); else None,
+    and the loop keeps nothing but its state and the previous f.
+    """
     if not np.isfinite(gamma0):
         raise InvalidArgumentError(f"gamma0 must be finite, got {gamma0}")
     ceiling = math.inf if max_nodes is None else check_count("max_nodes", max_nodes, 0)
@@ -172,7 +198,9 @@ def integrate_universal(gamma0: float, grid: RadialGrid, *,
     yfp = gamma0 * h / 3.0
     yg = gamma0 + h * h / 6.0
     ygp = h / 3.0
-    fs, fps, gs, gps = [1.0, yf], [0.0, yfp], [gamma0, yg], [0.0, ygp]
+    if record:
+        fs, fps, gs, gps = [1.0, yf], [0.0, yfp], [gamma0, yg], [0.0, ygp]
+    f_prev = 1.0  # the sample before yf, as fs[-2] is when recording
     nodes = int(yf < 0.0)  # the pair (f[0], f[1]) = (1, yf)
     rho = h
     classification = None
@@ -180,54 +208,46 @@ def integrate_universal(gamma0: float, grid: RadialGrid, *,
     sixth = h / 6.0
     cap = _CAP
     for _ in range(n - 2):
-        # RK4 stage derivatives for y' = (f', g f - 2f'/r, g', f^2 - 2g'/r)
-        r0 = rho
-        a1 = yfp
-        b1 = yg * yf - 2.0 * yfp / r0
-        c1 = ygp
-        d1 = yf * yf - 2.0 * ygp / r0
+        # RK4 stages for y' = (f', g f - 2f'/r, g', f^2 - 2g'/r); the f and g
+        # slopes of each stage are its own f' and g' samples
+        b1 = yg * yf - 2.0 * yfp / rho
+        d1 = yf * yf - 2.0 * ygp / rho
 
         rm = rho + half
-        f2 = yf + half * a1
+        f2 = yf + half * yfp
         fp2 = yfp + half * b1
-        g2 = yg + half * c1
+        g2 = yg + half * ygp
         gp2 = ygp + half * d1
-        a2 = fp2
         b2 = g2 * f2 - 2.0 * fp2 / rm
-        c2 = gp2
         d2 = f2 * f2 - 2.0 * gp2 / rm
 
-        f3 = yf + half * a2
+        f3 = yf + half * fp2
         fp3 = yfp + half * b2
-        g3 = yg + half * c2
+        g3 = yg + half * gp2
         gp3 = ygp + half * d2
-        a3 = fp3
         b3 = g3 * f3 - 2.0 * fp3 / rm
-        c3 = gp3
         d3 = f3 * f3 - 2.0 * gp3 / rm
 
         r1 = rho + h
-        f4 = yf + h * a3
+        f4 = yf + h * fp3
         fp4 = yfp + h * b3
-        g4 = yg + h * c3
+        g4 = yg + h * gp3
         gp4 = ygp + h * d3
-        a4 = fp4
         b4 = g4 * f4 - 2.0 * fp4 / r1
-        c4 = gp4
         d4 = f4 * f4 - 2.0 * gp4 / r1
 
-        f_new = yf + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        crossed = f_new * yf < 0.0
-        yf = f_new
+        f_prev = yf
+        yf += sixth * (yfp + 2.0 * (fp2 + fp3) + fp4)
         yfp += sixth * (b1 + 2.0 * (b2 + b3) + b4)
-        yg += sixth * (c1 + 2.0 * (c2 + c3) + c4)
+        yg += sixth * (ygp + 2.0 * (gp2 + gp3) + gp4)
         ygp += sixth * (d1 + 2.0 * (d2 + d3) + d4)
         rho = r1
-        fs.append(yf)
-        fps.append(yfp)
-        gs.append(yg)
-        gps.append(ygp)
-        if crossed:
+        if record:
+            fs.append(yf)
+            fps.append(yfp)
+            gs.append(yg)
+            gps.append(ygp)
+        if yf * f_prev < 0.0:
             nodes += 1
             # Checked before the cap, so every shot whose count would pass
             # the ceiling carries the same label, however it would have ended.
@@ -242,18 +262,9 @@ def integrate_universal(gamma0: float, grid: RadialGrid, *,
     if not (math.isfinite(yf) and math.isfinite(yg)):
         raise InvalidFieldError(f"the shot at gamma0={gamma0} overflows a double")
     if classification is None:
-        tail_shrinking = abs(yf) < 1e-6 and abs(yf) <= abs(fs[-2])
+        tail_shrinking = abs(yf) < 1e-6 and abs(yf) <= abs(f_prev)
         classification = "converged" if tail_shrinking else "max_radius_reached"
-    f, fp, g, gp = (np.array(v) for v in (fs, fps, gs, gps))
-    for v in (f, fp, g, gp):
-        v.setflags(write=False)
-    return ShootOutcome(
-        gamma0=gamma0,
-        classification=classification,
-        node_count=nodes,
-        trajectory=(f, g),
-        derivs=(fp, gp),
-    )
+    return (nodes, classification), ((fs, fps, gs, gps) if record else None)
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +284,25 @@ def scan_brackets(gamma0_range: tuple[float, float], steps: int, grid: RadialGri
     :func:`integrate_universal`) and only candidates <= ``max_nodes`` are
     returned: the same ones, with the same brackets, as the unbounded scan.
     """
+    return [(candidate, bracket)
+            for candidate, bracket, _ in _scan(gamma0_range, steps, grid, max_nodes)]
+
+
+def _scan(gamma0_range, steps, grid, max_nodes):
+    """:func:`scan_brackets`, each bracket followed by its end labels."""
     lo, hi = gamma0_range
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need lo < hi, got {gamma0_range}")
     steps = check_count("steps", steps, 2)
     lattice = np.linspace(lo, hi, steps)
-    labels = [integrate_universal(g0, grid, max_nodes=max_nodes).label for g0 in lattice]
+    labels = [_shoot(g0, grid, max_nodes, record=False)[0] for g0 in lattice]
     out = []
     for i in range(steps - 1):
         if labels[i] != labels[i + 1]:
             candidate = min(labels[i][0], labels[i + 1][0])
             if max_nodes is None or candidate <= max_nodes:
-                out.append((candidate, (float(lattice[i]), float(lattice[i + 1]))))
+                out.append((candidate, (float(lattice[i]), float(lattice[i + 1])),
+                            (labels[i], labels[i + 1])))
     return out
 
 
@@ -295,14 +313,19 @@ def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float,
     past the highest requested n.  An empty request or a negative or
     fractional n raises InvalidArgumentError before any shot; an n left
     without a bracket raises InvalidBracketError."""
+    return {n: bracket for n, (bracket, _) in _find_brackets(ns, grid).items()}
+
+
+def _find_brackets(ns, grid):
+    """:func:`find_brackets`, each bracket paired with its end labels."""
     wanted = {check_count("n", n, 0) for n in ns}
     if not wanted:
         raise InvalidArgumentError("need one or more node counts, got none")
-    found: dict[int, tuple[float, float]] = {}
+    found = {}
     for gamma0_range, steps in _SCAN_LADDER:
-        for candidate, bracket in scan_brackets(gamma0_range, steps, grid, max_nodes=max(wanted)):
+        for candidate, bracket, labels in _scan(gamma0_range, steps, grid, max(wanted)):
             if candidate in wanted:
-                found.setdefault(candidate, bracket)
+                found.setdefault(candidate, (bracket, labels))
         if found.keys() == wanted:
             return found
     missing = ", ".join(str(n) for n in sorted(wanted - found.keys()))
@@ -384,9 +407,20 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
+    return _bisect(n, (lo, hi), (None, None), grid, tol)
 
-    label_lo = integrate_universal(lo, grid).label
-    if label_lo == integrate_universal(hi, grid).label:
+
+def _bisect(n, bracket, labels, grid, tol):
+    """:func:`shoot_gamma0` past its argument checks.  ``labels`` holds each
+    bracket end's label from the scan, or None; an end without one, or whose
+    scan shot stopped at its node ceiling, is shot here without a ceiling."""
+    lo, hi = bracket
+    label_lo, label_hi = (
+        _shoot(end, grid, None, record=False)[0] if label is None or label[1] == "node_ceiling"
+        else label
+        for end, label in zip(bracket, labels)
+    )
+    if label_lo == label_hi:
         raise InvalidBracketError(
             f"bracket ends {bracket} classify identically as {label_lo}"
         )
@@ -396,7 +430,7 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
             raise ConvergenceError(
                 f"bisection exhausted float resolution at width {hi - lo:.3e} > tol {tol:.3e}"
             )
-        if integrate_universal(mid, grid).label == label_lo:
+        if _shoot(mid, grid, None, record=False)[0] == label_lo:
             lo = mid
         else:
             hi = mid
@@ -456,5 +490,5 @@ def solve_states(ns: Iterable[int], grid: RadialGrid,
     ``tol`` raises InvalidArgumentError before any shot."""
     ns = list(ns)
     check_positive("tol", tol)
-    brackets = find_brackets(ns, grid)
-    return [shoot_gamma0(n, brackets[n], grid, tol) for n in ns]
+    found = _find_brackets(ns, grid)
+    return [_bisect(n, *found[n], grid, tol) for n in ns]

@@ -103,7 +103,7 @@ def test_negative_node_count_is_exit_2_before_shooting(argv, monkeypatch, capsys
     def no_shot(*args, **kwargs):
         raise AssertionError("shot taken for a rejected node count")
 
-    monkeypatch.setattr("sng.shooting.integrate_universal", no_shot)
+    monkeypatch.setattr("sng.shooting._shoot", no_shot)  # the kernel of every shot
     assert main([*argv, "--points", "801"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -115,7 +115,7 @@ def test_non_finite_tol_is_exit_2(tol, monkeypatch, capsys):
     def no_shot(*args, **kwargs):
         raise AssertionError("shot taken for a rejected tol")
 
-    monkeypatch.setattr("sng.shooting.integrate_universal", no_shot)
+    monkeypatch.setattr("sng.shooting._shoot", no_shot)  # the kernel of every shot
     assert main(["solve", "--n", "0", "--points", "801", "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

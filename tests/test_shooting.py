@@ -8,16 +8,19 @@ no external source publishes these digits.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 
 import numpy as np
 import pytest
 
 from sng.checks import _solved
-from sng.errors import InvalidArgumentError, InvalidBracketError, WrongStateError
+from sng import shooting
+from sng.errors import InvalidArgumentError, InvalidBracketError, InvalidFieldError, WrongStateError
 from sng.grids import make_grid
 from sng.shooting import (
     UniversalSolution,
+    _shoot,
     default_grid,
     find_brackets,
     integrate_universal,
@@ -285,6 +288,77 @@ def test_shots_are_bitwise_pinned(kind):
             values = (np.pad(v, (0, grid.n_points - valid), mode="edge")
                       for v in (*out.trajectory, *out.derivs))
             assert _sha256(*values) == digest, f"gamma0={gamma0}, max_nodes={max_nodes}"
+
+
+# --- label-only shots -------------------------------------------------------
+
+def _label_only(gamma0, grid, max_nodes=None):
+    label, samples = _shoot(gamma0, grid, max_nodes, record=False)
+    assert samples is None
+    return label
+
+
+def _recorded_label(gamma0, grid, max_nodes=None):
+    return integrate_universal(gamma0, grid, max_nodes=max_nodes).label
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize("max_nodes", [None, 2])
+def test_label_only_shots_match_recorded_labels(kind, max_nodes):
+    grid = make_grid(40.0, 2001)
+    labels = []
+    for gamma0 in np.linspace(-5.0, 0.0, 101):
+        label = _recorded_label(kind(gamma0), grid, max_nodes)
+        assert _label_only(kind(gamma0), grid, max_nodes) == label, f"gamma0={gamma0}"
+        labels.append(label)
+    deep = "max_radius_reached" if max_nodes is None else "node_ceiling"
+    assert {c for _, c in labels} == {"diverged_up", "diverged_down", deep}
+
+
+@pytest.mark.parametrize("rho_max, points, gamma0, label", [
+    # near-eigenvalue shots whose tail is still shrinking below 1e-6 at rho_max
+    (15.0, 601, -1.2100194931030273, (2, "converged")),
+    (12.0, 481, -0.9185807708326024, (1, "converged")),
+    # three points take one RK4 step; its previous f is the series sample
+    (1.0, 3, -8.676144101067043, (1, "converged")),
+    (1.0, 3, -8.676144101067042, (0, "converged")),
+    (1.0, 3, -1.0, (0, "max_radius_reached")),
+    (40.0, 3, -0.3, (1, "diverged_down")),
+    *((40.0, 2001, gamma0, label) for gamma0, (label, _, _) in PINNED_SHOTS.items()),
+])
+def test_label_only_shots_match_on_short_and_converged_grids(rho_max, points, gamma0, label):
+    grid = make_grid(rho_max, points)
+    assert _recorded_label(gamma0, grid) == label
+    assert _label_only(gamma0, grid) == label
+    assert _label_only(np.float64(gamma0), grid) == label
+
+
+def test_label_only_shots_keep_the_recorded_checks():
+    grid = make_grid(40.0, 2001)
+    for shot in (_recorded_label, _label_only):
+        with pytest.raises(InvalidFieldError):
+            shot(-1e300, grid, None)
+        for gamma0 in (np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError):
+                shot(gamma0, grid, None)
+        for max_nodes in (-1, 1.5, True, np.nan):
+            with pytest.raises(InvalidArgumentError):
+                shot(-1.0, grid, max_nodes)
+
+
+def test_solve_states_shot_counts(monkeypatch):
+    # one label-only scan rung bounded at n = 1, one re-shot node-ceiling
+    # bracket end, 29 label-only bisection shots per state and one recorded
+    # shot per state; the other three ends come from the scan
+    counts = collections.Counter()
+
+    def counted(gamma0, grid, max_nodes, record):
+        counts[record, max_nodes] += 1
+        return _shoot(gamma0, grid, max_nodes, record)
+
+    monkeypatch.setattr(shooting, "_shoot", counted)
+    solve_states([0, 1], make_grid(40.0, 2001))
+    assert counts == {(False, 1): 101, (False, None): 1 + 2 * 29, (True, None): 2}
 
 
 def test_default_grid_matches_documented_geometry():
