@@ -12,9 +12,10 @@ Crank–Nicolson solve predicted with V[psi_t] and corrected once with
 V[(psi_t + psi_pred)/2].  With V = 0 the corrector would repeat the
 predictor exactly, so a free step is a single solve; the free matrix
 depends only on the grid and dt, so it is factored once per (grid, dt) and
-a free step is one back-substitution.  A step with a potential factors its
-matrix and back-substitutes with the same two LAPACK routines, and its
-predictor and corrector share the hopping term of the right-hand side.
+a free step is one back-substitution on the cached factors.  A solve with
+a potential uses its matrix once, so it is one fused LAPACK zgtsv call
+(factor and back-substitute), and a step's predictor and corrector share
+the hopping term of the right-hand side.
 
 Each state is evaluated once: one private kernel derives |u|^2, its line
 integral, |psi| = |u/r|, the density and V from u, each on first use.
@@ -36,7 +37,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import InvalidArgumentError, StepRejectedError, check_count, check_positive
 from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
@@ -284,13 +285,13 @@ class _CrankNicolson:
     """The Crank–Nicolson system (I + i dt H/2) u' = (I - i dt H/2) u of one
     grid and dt, with H = -(1/2) d^2/dr^2 + V on the interior nodes and
     Dirichlet ends.  Its off-diagonal -i lam, lam = dt/(4 dr^2), never
-    changes, and the V = 0 left matrix is LU-factored once, on the first
-    free solve.  Every solve is LAPACK's tridiagonal factorization (zgttrf)
-    and back-substitution (zgttrs), which together do the arithmetic of one
-    gtsv call."""
+    changes, and the V = 0 left matrix is LU-factored once (zgttrf), on
+    the first free solve, so a free solve is one back-substitution (zgttrs).
+    A solve with a potential is one zgtsv call, which does the arithmetic of
+    zgttrf followed by zgttrs in one pass."""
 
     def __init__(self, grid: RadialGrid, dt: float):
-        # scipy's zgttrf and zgttrs wrappers need three interior unknowns
+        # scipy's zgttrf, zgttrs and zgtsv wrappers need three interior unknowns
         check_count("n_points", grid.n_points, 5)
         dr = grid.spacing
         self.dt = dt
@@ -301,25 +302,22 @@ class _CrankNicolson:
 
     @cached_property
     def free(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The right diagonal and the left matrix's factors at V = 0."""
+        """The right diagonal and zgttrf's (dl, d, du, du2, ipiv) of the left
+        matrix at V = 0."""
         a_diag, b_diag = self._diagonals(np.zeros(len(self.off) + 1))
-        return _read_only(b_diag), self._factor(a_diag)
-
-    def _diagonals(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right diagonals for the interior potential samples v.
-        An overflow here is refused by :meth:`_factor`, so numpy's warning
-        about it is silenced."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            vterm = 0.5j * self.dt * v
-            return 1.0 + 2.0j * self.lam + vterm, 1.0 - 2.0j * self.lam - vterm
-
-    def _factor(self, a_diag: np.ndarray) -> tuple[np.ndarray, ...]:
-        """zgttrf's (dl, d, du, du2, ipiv) of the left matrix with diagonal a_diag."""
         if not np.isfinite(a_diag).all():
             raise _non_finite_system()
         *lu, info = zgttrf(self.off, a_diag, self.off)
         _check_info("zgttrf", info)
-        return tuple(_read_only(factor) for factor in lu)
+        return _read_only(b_diag), tuple(_read_only(factor) for factor in lu)
+
+    def _diagonals(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right diagonals for the interior potential samples v.
+        An overflow here is refused before any LAPACK call, so numpy's
+        warning about it is silenced."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vterm = 0.5j * self.dt * v
+            return 1.0 + 2.0j * self.lam + vterm, 1.0 - 2.0j * self.lam - vterm
 
     def hopping(self, u: np.ndarray) -> np.ndarray:
         """The off-diagonal part i lam (u[k+1] + u[k-1]) of the right-hand
@@ -329,20 +327,27 @@ class _CrankNicolson:
     def solve(self, u: np.ndarray, v: Optional[np.ndarray] = None,
               hop: Optional[np.ndarray] = None) -> np.ndarray:
         """u advanced by dt with the potential samples v frozen; V = 0 when
-        v is None, which reuses the factored free matrix.  ``hop`` is
-        :meth:`hopping` of u when the caller already has it."""
+        v is None, which back-substitutes on the factored free matrix.
+        ``hop`` is :meth:`hopping` of u when the caller already has it."""
         if v is None:
             b_diag, lu = self.free
         else:
             a_diag, b_diag = self._diagonals(v[1:-1])
-            lu = self._factor(a_diag)
+            if not np.isfinite(a_diag).all():
+                raise _non_finite_system()
         if hop is None:
             hop = self.hopping(u)
         rhs = b_diag * u[1:-1] + hop
         if not np.isfinite(rhs).all():
             raise _non_finite_system()
-        x, info = zgttrs(*lu, rhs, overwrite_b=1)
-        _check_info("zgttrs", info)
+        if v is None:
+            x, info = zgttrs(*lu, rhs, overwrite_b=1)
+            _check_info("zgttrs", info)
+        else:
+            # the shared off-diagonal is read-only, so zgtsv works on copies
+            # of it; the fresh diagonal and right-hand side are overwritten
+            *_, x, info = zgtsv(self.off, a_diag, self.off, rhs, overwrite_d=1, overwrite_b=1)
+            _check_info("zgtsv", info)
         out = np.zeros(len(u), dtype=np.complex128)
         out[1:-1] = x
         return out

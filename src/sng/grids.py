@@ -35,8 +35,9 @@ class RadialGrid:
 
     The extent and the point count are the whole grid: equality and hash
     are those of the pair, and the read-only ``nodes`` array and the
-    quadrature and Poisson weights are derived from it once per grid
-    object.  Build grids with :func:`make_grid`, which validates the pair.
+    quadrature and Poisson weights and the reciprocal nodes are derived
+    from it once per grid object.  Build grids with :func:`make_grid`,
+    which validates the pair.
     """
 
     rho_max: float
@@ -64,6 +65,11 @@ class RadialGrid:
         h0divh1 = h0 / h1
         return (hsum / 6.0, 2.0 - 1.0 / h0divh1, hsum * (hsum / (h0 * h1)),
                 2.0 - h0divh1)
+
+    @cached_property
+    def _reciprocal_nodes(self) -> np.ndarray:
+        """1/r at the nodes past the origin, for :func:`psi_from_u`."""
+        return 1.0 / self.nodes[1:]
 
     @cached_property
     def _poisson_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -145,10 +151,18 @@ def integrate_radial(h: RadialField) -> float | complex:
 
 
 def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """psi = u/r with the even-function quadratic limit at the origin."""
+    """psi = u/r with the even-function quadratic limit at the origin.
+
+    numpy divides a complex by a real as a multiply by the reciprocal, so
+    complex u is multiplied by the grid's cached 1/r with the same result;
+    a real divide and a multiply by the reciprocal differ in the last bit,
+    so real u is divided."""
     r = grid.nodes
     psi = np.empty_like(u)
-    psi[1:] = u[1:] / r[1:]
+    if np.iscomplexobj(u):
+        psi[1:] = u[1:] * grid._reciprocal_nodes
+    else:
+        psi[1:] = u[1:] / r[1:]
     psi[0] = (psi[1] * r[2] ** 2 - psi[2] * r[1] ** 2) / (r[2] ** 2 - r[1] ** 2)
     return psi
 

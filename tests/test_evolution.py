@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 import sng.evolution
 from sng.errors import InvalidArgumentError, StepRejectedError
@@ -356,15 +357,20 @@ def test_free_evolve_factors_once_and_back_substitutes_per_step(packet, coarse_g
     sng.evolution._crank_nicolson.cache_clear()
     factors = _count_calls(monkeypatch, "zgttrf")
     solves = _count_calls(monkeypatch, "zgttrs")
+    fused = _count_calls(monkeypatch, "zgtsv")
     n_steps = 7
     evolve(packet, t_final=n_steps * 0.01, dt=0.01, nl=NonlinearityKind.free(), observe_every=3)
-    assert (len(factors), len(solves)) == (1, n_steps)
+    assert (len(factors), len(solves), len(fused)) == (1, n_steps, 0)
 
-    # a gravity step factors and solves its predictor and its corrector
-    factors.clear()
-    solves.clear()
-    step(coarse_ground_state, 0.1, NonlinearityKind.gravity())
-    assert (len(factors), len(solves)) == (2, 2)
+    # a step with a potential uses each matrix once: its predictor and its
+    # corrector are one fused factor-and-solve each
+    for state, dt, nl in [(coarse_ground_state, 0.1, NonlinearityKind.gravity()),
+                          (packet, 0.01, NonlinearityKind.cubic(1.0, -1))]:
+        factors.clear()
+        solves.clear()
+        fused.clear()
+        step(state, dt, nl)
+        assert (len(factors), len(solves), len(fused)) == (0, 0, 2), nl.kind
 
 
 def _banded_reference(u, v, dt, grid):
@@ -394,6 +400,28 @@ def test_crank_nicolson_solve_equals_banded_solve_bitwise(nl):
     assert np.array_equal(cn.solve(u, v), expected)
     if nl.kind == "free":
         assert np.array_equal(cn.solve(u), expected)
+
+
+def test_pivoted_crank_nicolson_solve_equals_factor_and_back_substitute_bitwise():
+    # a strongly attractive cubic potential makes zgttrf swap rows; the fused
+    # zgtsv solve must still match the factor-then-solve pair and scipy's
+    # banded solver byte for byte
+    grid = make_grid(60.0, 2001)
+    dt = 0.5
+    u = gaussian_state(grid, sigma=1.0).u * np.exp(0.3j * grid.nodes)
+    v = sng.evolution._Evaluation(grid, u, NonlinearityKind.cubic(1e3, -1)).v
+    cn = sng.evolution._crank_nicolson(grid, dt)
+    a_diag, b_diag = cn._diagonals(v[1:-1])
+    *lu, info = zgttrf(cn.off, a_diag, cn.off)
+    assert info == 0
+    ipiv = lu[-1]
+    assert np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1)) > 0
+    rhs = b_diag * u[1:-1] + cn.hopping(u)
+    x, info = zgttrs(*lu, rhs)
+    assert info == 0
+    got = cn.solve(u, v)
+    assert got[1:-1].tobytes() == x.tobytes()
+    assert got.tobytes() == _banded_reference(u, v, dt, grid).tobytes()
 
 
 def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monkeypatch):

@@ -14,6 +14,7 @@ from sng.grids import (
     integrate_line,
     integrate_radial,
     make_grid,
+    psi_from_u,
     radial_laplacian,
     solve_radial_poisson,
 )
@@ -122,6 +123,30 @@ def test_integrate_line_is_the_trapezoid_on_even_grids(points):
     real = np.exp(-0.3 * r) * np.cos(2.0 * r) * r * r
     for values in (real, (0.5 - 1.5j) * real):
         assert integrate_line(values, grid) == np.trapezoid(values, grid.nodes)
+
+
+@pytest.mark.parametrize("rho_max, points", [(30.0, 401), (60.0, 2001), (12.0, 4001),
+                                             (40.0, 8001)])
+def test_psi_from_u_is_the_division_by_r(rho_max, points):
+    # complex u is multiplied by the cached 1/r; numpy's complex / real
+    # division scales by the same reciprocal, so the values agree.  A -0 + 0j
+    # sample may come back with either zero sign, so values are compared,
+    # and |psi| byte for byte.  Real u, where the two differ in the last
+    # bit, is divided.
+    grid = make_grid(rho_max, points)
+    rng = np.random.default_rng(points)
+    magnitude = 10.0 ** rng.uniform(-300.0, 300.0, size=(2, points))
+    sign = rng.choice([-1.0, 1.0], size=(2, points))
+    u = np.empty(points, dtype=np.complex128)
+    u.real, u.imag = sign * magnitude
+    u[1:12] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-300, -1e300j,
+               5e-324, 1.0, -1.0, 1j, 1e300 + 1e-300j]
+    u[0] = 0.0
+    psi = psi_from_u(u, grid)
+    expected = u[1:] / grid.nodes[1:]
+    assert np.array_equal(psi[1:], expected)
+    assert np.abs(psi[1:]).tobytes() == np.abs(expected).tobytes()
+    assert psi_from_u(u.real, grid)[1:].tobytes() == (u.real[1:] / grid.nodes[1:]).tobytes()
 
 
 # --- Laplacian ---------------------------------------------------------------
