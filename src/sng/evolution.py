@@ -17,11 +17,17 @@ a potential uses its matrix once, so it is one fused LAPACK zgtsv call
 (factor and back-substitute), and a step's predictor and corrector share
 the hopping term of the right-hand side.
 
-Each state is evaluated once: one private kernel derives |u|^2, its line
+``step`` and ``evolve`` run one private per-step kernel on the bare u
+array.  ``evolve`` carries u and the time through it and builds no
+RadialState per step; ``step`` wraps the kernel's result in one.  Each
+state is evaluated once: one plain private object derives |u|^2, its line
 integral, |psi| = |u/r|, the density and V from u, each on first use.
 ``evolve``'s observation (norm, energy, RMS width, the boundary check and
 density snapshots) and the next step's potential read the same
 evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
+The gravitational potential goes through the Poisson kernel as a bare
+array; the samples it is built from are finite, and a non-finite result
+is refused by the solve's finiteness checks or the observation.
 The gravitational equation also carries a constant -E_grav/norm term; a
 constant only rotates the global phase, so the step integrates it at the
 predictor midpoint into a phase ledger on the state instead of the matrix
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional
 
@@ -40,7 +46,7 @@ import numpy as np
 from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import InvalidArgumentError, StepRejectedError, check_count, check_positive
-from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
+from .grids import RadialField, RadialGrid, integrate_line, poisson_values, psi_from_u
 
 if TYPE_CHECKING:  # pragma: no cover
     from .physical import PhysicalProfile
@@ -83,8 +89,13 @@ class RadialState:
             raise InvalidArgumentError("u contains non-finite samples")
         if u[0] != 0.0:
             raise InvalidArgumentError("u(0) must be exactly 0 (psi regular at origin)")
-        if not np.any(u):
-            raise InvalidArgumentError("u is zero at every node; a state needs positive norm")
+        # an infinite norm is left to evolve's observable check
+        with np.errstate(over="ignore"):
+            u2_line = integrate_line(np.abs(u) ** 2, self.grid)
+        if not u2_line > 0.0:
+            raise InvalidArgumentError(
+                "norm is 0 in double precision: u is zero at every node, or so "
+                "small that |u|^2 underflows; a state needs positive norm")
         object.__setattr__(self, "u", u)
         u.setflags(write=False)
 
@@ -205,27 +216,35 @@ def scheme_energy(state: RadialState, nl: NonlinearityKind) -> float:
 # one evaluation per state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class _Evaluation:
     """The fields derived from one reduced wavefunction u under ``nl``.
 
     Each field is computed on first use and kept, so the observables, the
     boundary check, a snapshot and a step's potential of the same u share
-    one |u|^2, one int |u|^2 dr, one |psi| and one potential.
-    """
+    one |u|^2, one int |u|^2 dr, one |psi| and one potential.  The stepper
+    makes two of these per step, so they are plain slotted objects."""
 
-    grid: RadialGrid
-    u: np.ndarray
-    nl: NonlinearityKind = NonlinearityKind.free()
+    __slots__ = ("grid", "u", "nl", "_u2", "_u2_line", "_psi_abs", "_density", "_v")
 
-    @cached_property
+    def __init__(self, grid: RadialGrid, u: np.ndarray,
+                 nl: NonlinearityKind = NonlinearityKind.free()):
+        self.grid = grid
+        self.u = u
+        self.nl = nl
+        self._u2 = self._u2_line = self._psi_abs = self._density = self._v = None
+
+    @property
     def u2(self) -> np.ndarray:
-        return np.abs(self.u) ** 2
+        if self._u2 is None:
+            self._u2 = np.abs(self.u) ** 2
+        return self._u2
 
-    @cached_property
+    @property
     def u2_line(self) -> float:
         """int |u|^2 dr."""
-        return integrate_line(self.u2, self.grid)
+        if self._u2_line is None:
+            self._u2_line = integrate_line(self.u2, self.grid)
+        return self._u2_line
 
     @property
     def norm(self) -> float:
@@ -236,24 +255,30 @@ class _Evaluation:
         r = self.grid.nodes
         return float(np.sqrt(integrate_line(r * r * self.u2, self.grid) / self.u2_line))
 
-    @cached_property
+    @property
     def psi_abs(self) -> np.ndarray:
         """|psi| with psi = u/r."""
-        return np.abs(psi_from_u(self.u, self.grid))
+        if self._psi_abs is None:
+            self._psi_abs = np.abs(psi_from_u(self.u, self.grid))
+        return self._psi_abs
 
-    @cached_property
+    @property
     def density(self) -> np.ndarray:
-        return self.psi_abs ** 2
+        if self._density is None:
+            self._density = self.psi_abs ** 2
+        return self._density
 
-    @cached_property
+    @property
     def v(self) -> np.ndarray:
         """Potential samples V(r); zero when free."""
-        if self.nl.kind == "free":
-            return np.zeros(self.grid.n_points)
-        if self.nl.kind == "cubic":
-            return self.nl.sign * self.nl.kappa * self.density
-        return solve_radial_poisson(RadialField(self.grid, self.density),
-                                    4.0 * np.pi / self.norm).values
+        if self._v is None:
+            if self.nl.kind == "free":
+                self._v = np.zeros(self.grid.n_points)
+            elif self.nl.kind == "cubic":
+                self._v = self.nl.sign * self.nl.kappa * self.density
+            else:
+                self._v = poisson_values(self.density, self.grid, 4.0 * np.pi / self.norm)
+        return self._v
 
     @property
     def energy(self) -> float:
@@ -376,13 +401,33 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"{routine} returned info = {info}")
 
 
-def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
-         v_old: Optional[np.ndarray] = None) -> RadialState:
-    """Advance one Crank–Nicolson step with a single predictor–corrector pass.
+def _advance(cn: _CrankNicolson, ev: _Evaluation) -> tuple[np.ndarray, float]:
+    """The kernel of :func:`step` and :func:`evolve`: ``ev.u`` advanced by
+    ``cn.dt`` under ``ev.nl``, and the phase rate of the step's predictor
+    midpoint (0 unless gravitational).  The step's starting potential is
+    ``ev.v``, so an observation of the same state shares it."""
+    if ev.nl.kind == "free":
+        return cn.solve(ev.u), 0.0
+    u, v_old = ev.u, ev.v
+    hop = cn.hopping(u)
+    u_pred = cn.solve(u, v_old, hop)
+    mid = _Evaluation(ev.grid, 0.5 * (u + u_pred), ev.nl)
+    v_mid = mid.v
 
-    ``v_old`` is the potential of ``state`` under ``nl`` when the caller
-    already has it (``evolve`` does); it is computed here otherwise.  A
-    free step is the predictor solve alone.
+    scale = float(np.max(np.abs(v_old)))
+    if scale > 0.0:
+        change = float(np.max(np.abs(v_mid - v_old))) / scale
+        if change > 0.5:
+            raise StepRejectedError(
+                f"potential changed {change:.1%} within one step of dt={cn.dt:.3e}",
+                suggested_dt=0.25 * cn.dt / change,
+            )
+    return cn.solve(u, v_mid, hop), mid.phase_rate
+
+
+def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
+    """Advance one Crank–Nicolson step with a single predictor–corrector
+    pass; a free step is the predictor solve alone.
 
     Raises
     ------
@@ -392,31 +437,8 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind, *,
         error carries a suggested smaller dt aiming at a 25% change.
     """
     check_positive("dt", dt)
-    cn = _crank_nicolson(state.grid, dt)
-    if nl.kind == "free":
-        return replace(state, u=cn.solve(state.u), time=state.time + dt)
-    if v_old is None:
-        v_old = _Evaluation(state.grid, state.u, nl).v
-    hop = cn.hopping(state.u)
-    u_pred = cn.solve(state.u, v_old, hop)
-    mid = _Evaluation(state.grid, 0.5 * (state.u + u_pred), nl)
-    v_mid = mid.v
-
-    scale = float(np.max(np.abs(v_old)))
-    if scale > 0.0:
-        change = float(np.max(np.abs(v_mid - v_old))) / scale
-        if change > 0.5:
-            raise StepRejectedError(
-                f"potential changed {change:.1%} within one step of dt={dt:.3e}",
-                suggested_dt=0.25 * dt / change,
-            )
-    u_new = cn.solve(state.u, v_mid, hop)
-    return replace(
-        state,
-        u=u_new,
-        time=state.time + dt,
-        phase=state.phase + mid.phase_rate * dt,
-    )
+    u, phase_rate = _advance(_crank_nicolson(state.grid, dt), _Evaluation(state.grid, state.u, nl))
+    return RadialState(state.grid, u, state.time + dt, state.phase + phase_rate * dt)
 
 
 def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
@@ -458,20 +480,23 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
         energies.append(row["energy"])
         widths.append(row["rms_width"])
 
-    current = state
-    ev = _Evaluation(state.grid, state.u, nl)
-    observe(state.time, ev)
+    grid = state.grid
+    cn = _crank_nicolson(grid, dt)
+    time = state.time
+    ev = _Evaluation(grid, state.u, nl)
+    observe(time, ev)
     if snapshot_every is not None:
-        snaps.append((state.time, RadialField(state.grid, ev.density)))
+        snaps.append((time, RadialField(grid, ev.density)))
 
     boundary_warned = False
     for k in range(1, n_steps + 1):
-        current = step(current, dt, nl, v_old=None if nl.kind == "free" else ev.v)
-        ev = _Evaluation(current.grid, current.u, nl)
+        u, _ = _advance(cn, ev)
+        time += dt
+        ev = _Evaluation(grid, u, nl)
         if (k % observe_every == 0) or (k == n_steps):
-            observe(current.time, ev)
+            observe(time, ev)
             if not boundary_warned:
-                psi_edge = abs(current.u[-2]) / current.grid.nodes[-2]
+                psi_edge = abs(u[-2]) / grid.nodes[-2]
                 peak = float(np.max(ev.psi_abs))
                 if peak > 0.0 and psi_edge > 1e-8 * peak:
                     warnings.warn(
@@ -482,7 +507,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
                     )
                     boundary_warned = True
         if snapshot_every is not None and k % snapshot_every == 0:
-            snaps.append((current.time, RadialField(current.grid, ev.density)))
+            snaps.append((time, RadialField(grid, ev.density)))
 
     return ObservableSeries(
         times=np.asarray(times),

@@ -202,13 +202,20 @@ def solve_radial_poisson(density: RadialField, coupling: float) -> RadialField:
         raise InvalidFieldError("Poisson source must be real")
     if not np.isfinite(coupling):
         raise InvalidArgumentError(f"coupling must be finite, got {coupling}")
-    r = density.grid.nodes
-    rho = density.values
+    return RadialField(density.grid, poisson_values(density.values, density.grid, coupling))
+
+
+def poisson_values(rho: np.ndarray, grid: RadialGrid, coupling: float) -> np.ndarray:
+    """:func:`solve_radial_poisson` on bare samples: the potential of the real
+    samples ``rho`` on ``grid``, without checking them or wrapping either
+    side in a :class:`RadialField`.  For callers whose samples are checked
+    already, such as the time stepper; not exported."""
+    r = grid.nodes
     # exact per-cell moments of the piecewise-linear density; plain
     # trapezoid cells are badly biased near the origin, where the s^2*rho
     # integrand bends within a single cell, and the bias does not shrink
     # with refinement once divided by r
-    d_r3, d_r2, inner_slope, outer_slope = density.grid._poisson_weights
+    d_r3, d_r2, inner_slope, outer_slope = grid._poisson_weights
     drho = np.diff(rho)
     inner_cells = rho[:-1] * d_r3 / 3.0 + drho * inner_slope
     outer_cells = rho[:-1] * d_r2 / 2.0 + drho * outer_slope
@@ -222,7 +229,7 @@ def solve_radial_poisson(density: RadialField, coupling: float) -> RadialField:
     phi = np.empty_like(inner)
     phi[0] = -coupling * outer[0]
     phi[1:] = -coupling * (inner[1:] / r[1:] + outer[1:])
-    return RadialField(density.grid, phi)
+    return phi
 
 
 def radial_laplacian(h: RadialField) -> np.ndarray:

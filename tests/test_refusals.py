@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from sng.errors import InvalidArgumentError
@@ -56,6 +57,13 @@ CASES = [
     ("dt", lambda: step(gaussian_state(GRID, 2.0), 1e300, NonlinearityKind.cubic(1e308, 1))),
     ("n_points", lambda: step(RadialState(make_grid(10.0, 4), [0.0, 1.0, 1.0, 0.0], 0.0), 0.1,
                               NonlinearityKind.free())),
+    ("max_iter", lambda: scf_solve(0, GRID, max_iter=2.5)),
+    ("max_iter", lambda: scf_solve(0, GRID, max_iter=0)),
+    ("tol", lambda: scf_solve(0, GRID, tol=NAN)),
+    ("tol", lambda: scf_solve(0, GRID, tol=INF)),
+    ("tol", lambda: scf_solve(0, GRID, tol=-1e-10)),
+    # one sample of 1e-170: |u|^2 underflows, so the norm is 0 in doubles
+    ("norm", lambda: RadialState(make_grid(10.0, 101), 1e-170 * (np.arange(101) == 50), 0.0)),
 ]
 
 

@@ -1,7 +1,7 @@
 """Self-consistent-field oracle: fixed-point structure and cross-route accuracy.
 
 The SCF route (frozen-potential tridiagonal eigensolve + Poisson update
-with damped mixing) shares no discretization choices with the shooting
+with Anderson mixing) shares no discretization choices with the shooting
 route beyond the grid itself, so agreement validates both.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sng.checks import _natural_profile
 from sng.errors import ConvergenceError
 from sng.grids import RadialField, integrate_radial, make_grid
 from sng.scf import scf_solve, universal_from_scf
@@ -66,6 +67,17 @@ def test_scf_excited_state_has_one_node():
 def test_scf_impossible_tolerance_raises():
     with pytest.raises(ConvergenceError):
         scf_solve(0, make_grid(40.0, 1001), tol=0.0, max_iter=5)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_scf_reaches_the_fixed_point_in_few_sweeps_on_the_oracle_grids(n):
+    # the oracle suite's grids; half-and-half linear mixing took 91 and 102
+    # sweeps there and stopped 1.3e-10 short of the tol = 1e-14 fixed point
+    grid = _natural_profile(n, 40.0, 4001).f_ag.grid
+    result = scf_solve(n, grid)
+    tight = universal_from_scf(scf_solve(n, grid, tol=1e-14)).gamma0
+    assert result.iterations <= 30
+    assert abs(universal_from_scf(result).gamma0 / tight - 1.0) <= 1e-11
 
 
 def test_suite_rows_meet_their_bounds(oracle_suite_rows):
