@@ -401,13 +401,14 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"{routine} returned info = {info}")
 
 
-def _advance(cn: _CrankNicolson, ev: _Evaluation) -> tuple[np.ndarray, float]:
+def _advance(cn: _CrankNicolson, ev: _Evaluation) -> tuple[np.ndarray, _Evaluation]:
     """The kernel of :func:`step` and :func:`evolve`: ``ev.u`` advanced by
-    ``cn.dt`` under ``ev.nl``, and the phase rate of the step's predictor
-    midpoint (0 unless gravitational).  The step's starting potential is
-    ``ev.v``, so an observation of the same state shares it."""
+    ``cn.dt`` under ``ev.nl``, and the evaluation of the step's predictor
+    midpoint (``ev`` itself when free), whose phase rate :func:`step`
+    carries.  The step's starting potential is ``ev.v``, so an observation
+    of the same state shares it."""
     if ev.nl.kind == "free":
-        return cn.solve(ev.u), 0.0
+        return cn.solve(ev.u), ev
     u, v_old = ev.u, ev.v
     hop = cn.hopping(u)
     u_pred = cn.solve(u, v_old, hop)
@@ -422,7 +423,7 @@ def _advance(cn: _CrankNicolson, ev: _Evaluation) -> tuple[np.ndarray, float]:
                 f"potential changed {change:.1%} within one step of dt={cn.dt:.3e}",
                 suggested_dt=0.25 * cn.dt / change,
             )
-    return cn.solve(u, v_mid, hop), mid.phase_rate
+    return cn.solve(u, v_mid, hop), mid
 
 
 def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
@@ -437,8 +438,8 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
         error carries a suggested smaller dt aiming at a 25% change.
     """
     check_positive("dt", dt)
-    u, phase_rate = _advance(_crank_nicolson(state.grid, dt), _Evaluation(state.grid, state.u, nl))
-    return RadialState(state.grid, u, state.time + dt, state.phase + phase_rate * dt)
+    u, mid = _advance(_crank_nicolson(state.grid, dt), _Evaluation(state.grid, state.u, nl))
+    return RadialState(state.grid, u, state.time + dt, state.phase + mid.phase_rate * dt)
 
 
 def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,

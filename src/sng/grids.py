@@ -10,6 +10,7 @@ the field treated as zero beyond the grid and Phi -> 0 at infinity.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -126,10 +127,15 @@ def make_grid(rho_max: float, n_points: int) -> RadialGrid:
     Raises
     ------
     InvalidArgumentError
-        If rho_max is not a positive finite number or n_points is not an
-        integer >= 3.
+        If rho_max is not a positive finite number, n_points is not an
+        integer >= 3, or the spacing between them is below the smallest
+        normal double (a shot divides by it).
     """
-    return RadialGrid(check_positive("rho_max", rho_max), check_count("n_points", n_points, 3))
+    rho_max, n_points = check_positive("rho_max", rho_max), check_count("n_points", n_points, 3)
+    if rho_max / (n_points - 1) < sys.float_info.min:
+        raise InvalidArgumentError(f"rho_max {rho_max!r} over {n_points} points spaces "
+                                   "them below the smallest normal double")
+    return RadialGrid(rho_max, n_points)
 
 
 def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:

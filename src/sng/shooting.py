@@ -6,29 +6,25 @@ The pair of radial ODEs
 
 with f(0)=1, f'(0)=0, g(0)=gamma0, g'(0)=0, has square-integrable solutions
 only for a discrete set of central values gamma0(n) < 0, labelled by the
-node count n of f.  This module integrates the initial-value problem
-outward with fixed-step RK4 (series start at the origin), classifies
-trajectories by node count and divergence direction, brackets eigenvalues
-by scanning gamma0, and bisects to convergence; :func:`solve_states` is the
-one path from node counts to solved states.  Every shot runs one RK4
-kernel.  Scan, bracket-end and bisection shots keep only their label;
-only :func:`integrate_universal`, and through it the final shot of each
-solved state, records the samples.  :func:`solve_states` takes each
-bracket end's label from the scan rather than shooting it again, unless
-the scan shot stopped at its node ceiling.  Converged trajectories are
-clamped at the break of the exponential tail and extended analytically so
-the moment integrals gamma1 = int f^2 rho^2 drho and
-eps_star = (3/gamma1) int f^2 g rho^2 drho converge.
+node count n of f.  Every shot runs one RK4 kernel outward from a series
+start at the origin; :func:`solve_states` brackets the eigenvalues by
+scanning gamma0 and bisects each on one condition, a match at rho_m =
+(last node of f, or 0 for n = 0) + 16.  Past rho_m the source f^2 is
+negligible: g = g_inf - M/rho with M = rho_m^2 g'(rho_m) and g_inf =
+g + rho_m g'(rho_m), and u = rho f obeys u'' = (g_inf - M/rho) u, whose
+decaying solution is the Whittaker function W_{kappa,1/2}(2 k rho), k^2 =
+g_inf, kappa = M/(2k).  The eigenvalue is the gamma0 where the Wronskian
+mismatch (f + rho f') - rho f y_tail vanishes at rho_m, y_tail being that
+tail's log-derivative; past rho_m the solved f* and g* are the tail itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     ConvergenceError,
@@ -62,8 +58,16 @@ DEFAULT_TOL = 1e-10
 # |f| past this marks a shot as diverged.
 _CAP = 1e3
 
-# A trajectory extremum below this amplitude is tail residue, not a lobe.
-_LOBE_FLOOR = 1e-2
+# The match radius rho_m sits this far past the last node of f.
+_MATCH_MARGIN = 16.0
+
+# The tail's log-derivative starts this far past its last radius, on its
+# asymptotic form, and is integrated inward in RK4 steps of at most this.
+_RICCATI_RUN_IN = 40.0
+_RICCATI_STEP = 0.05
+
+# A solved state whose tail-identity residual exceeds this is under-resolved.
+_TAIL_RESIDUAL_LIMIT = 1e-3
 
 # The scan ladder: (gamma0 range, lattice points) per rung, each rung scanned
 # only when the ones before it left a requested state without a bracket.
@@ -106,9 +110,9 @@ class ShootOutcome:
 class UniversalSolution:
     """A converged bound state of the universal system.
 
-    ``f_star`` is clamped at ``clamp_index`` and continued by the fitted
-    exponential tail; ``g_star`` is continued by its mass-function quadrature.
-    ``clamp_index`` is None for solutions reconstructed from serialized data.
+    Up to the match radius rho_m, ``f_star`` and ``g_star`` are the final
+    shot's samples; past it they are the matched Coulomb tail u_tail/rho and
+    g_inf - M/rho (see the module docstring).
     """
 
     n: int
@@ -119,7 +123,6 @@ class UniversalSolution:
     g_star: RadialField
     bracket_width: float
     grid: RadialGrid
-    clamp_index: Optional[int] = None
 
     def __post_init__(self):
         f = self.f_star.values
@@ -133,6 +136,12 @@ class UniversalSolution:
         if not np.all(np.diff(tail) < 0.0):
             raise WrongStateError("|f*| must decay strictly over the final 10% of the grid")
 
+    @property
+    def tail_residual(self) -> float:
+        """g*(rho_max) + gamma1/rho_max + epsilon_star: 0 for an exact state,
+        whose g* = -epsilon_star - gamma1/rho past the mass."""
+        return float(self.g_star.values[-1] + self.gamma1 / self.grid.rho_max + self.epsilon_star)
+
 
 # ---------------------------------------------------------------------------
 # outward integration
@@ -142,27 +151,15 @@ def integrate_universal(gamma0: float, grid: RadialGrid, *,
                         max_nodes: int | None = None) -> ShootOutcome:
     """Integrate the universal system outward from the origin at one gamma0.
 
-    Fixed-step RK4 on (f, f', g, g').  The first step leaves rho=0 on the
-    series f = 1 + gamma0 rho^2/6, g = gamma0 + rho^2/6 whose coefficients
-    are forced by the ODEs; integration stops at rho_max, as soon as
-    |f| > 1e3, or, when ``max_nodes`` is given, at the first sign change of f
-    past ``max_nodes``, whichever comes first.  Divergence is a
-    classification, not an error.  Nodes are strict sign changes between
-    consecutive samples; an exact zero does not count.
-
-    Returns
-    -------
-    ShootOutcome
-        classification is ``node_ceiling`` when f changed sign
-        ``max_nodes + 1`` times (the count then stops there),
-        ``diverged_up``/``diverged_down`` when |f| crossed the cap,
-        ``converged`` when the trajectory reached rho_max with
-        |f(rho_max)| < 1e-6 still shrinking, ``max_radius_reached`` otherwise.
-
-    Raises
-    ------
-    InvalidFieldError
-        If a sample overflows a double.
+    Fixed-step RK4 on (f, f', g, g') from the series f = 1 + gamma0 rho^2/6,
+    g = gamma0 + rho^2/6 that the ODEs force at rho = 0.  Nodes are strict
+    sign changes between consecutive samples; an exact zero does not count.
+    The shot stops at rho_max, or as soon as |f| > 1e3 (``diverged_up`` or
+    ``diverged_down``, a classification, not an error), or with
+    ``max_nodes`` at node max_nodes + 1 (``node_ceiling``; the count stops
+    there).  At rho_max it is ``converged`` when |f| < 1e-6 still shrinks,
+    else ``max_radius_reached``.  A sample that overflows a double raises
+    InvalidFieldError.
     """
     (nodes, classification), samples = _shoot(gamma0, grid, max_nodes, record=True)
     f, fp, g, gp = (np.array(v) for v in samples)
@@ -177,13 +174,16 @@ def integrate_universal(gamma0: float, grid: RadialGrid, *,
     )
 
 
-def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None,
-           record: bool) -> tuple[tuple[int, str], tuple[list, list, list, list] | None]:
+def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
+           stop: int | None = None) -> tuple[tuple[int, str], tuple]:
     """The RK4 kernel behind every shot; see :func:`integrate_universal`.
 
     Returns the label ``(node_count, classification)`` and, when ``record``
-    is true, the computed samples as the lists (f, f', g, g'); else None,
-    and the loop keeps nothing but its state and the previous f.
+    is true, the computed samples as the lists (f, f', g, g'); else the
+    state ``(index, f, f', g, g')`` of the last computed sample, and the
+    loop keeps nothing but its state and the previous f.  With ``stop``
+    (and ``max_nodes``), the shot also ends ``stop`` samples past f's sign
+    change number ``max_nodes`` (past the origin for 0): ``match_radius``.
     """
     if not np.isfinite(gamma0):
         raise InvalidArgumentError(f"gamma0 must be finite, got {gamma0}")
@@ -202,12 +202,14 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None,
         fs, fps, gs, gps = [1.0, yf], [0.0, yfp], [gamma0, yg], [0.0, ygp]
     f_prev = 1.0  # the sample before yf, as fs[-2] is when recording
     nodes = int(yf < 0.0)  # the pair (f[0], f[1]) = (1, yf)
+    # the index the shot stops at once it is known; n is past the grid
+    target = nodes + stop if stop is not None and nodes == ceiling else n
     rho = h
     classification = None
     half = 0.5 * h
     sixth = h / 6.0
     cap = _CAP
-    for _ in range(n - 2):
+    for i in range(2, n):
         # RK4 stages for y' = (f', g f - 2f'/r, g', f^2 - 2g'/r); the f and g
         # slopes of each stage are its own f' and g' samples
         b1 = yg * yf - 2.0 * yfp / rho
@@ -254,8 +256,13 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None,
             if nodes > ceiling:
                 classification = "node_ceiling"
                 break
+            if nodes == ceiling and stop is not None:
+                target = i + stop
         if abs(yf) > cap:
             classification = "diverged_up" if yf > 0.0 else "diverged_down"
+            break
+        if i == target:
+            classification = "match_radius"
             break
 
     # a sum with a non-finite term is not finite, so the last samples decide
@@ -264,7 +271,7 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None,
     if classification is None:
         tail_shrinking = abs(yf) < 1e-6 and abs(yf) <= abs(f_prev)
         classification = "converged" if tail_shrinking else "max_radius_reached"
-    return (nodes, classification), ((fs, fps, gs, gps) if record else None)
+    return (nodes, classification), ((fs, fps, gs, gps) if record else (i, yf, yfp, yg, ygp))
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +291,6 @@ def scan_brackets(gamma0_range: tuple[float, float], steps: int, grid: RadialGri
     :func:`integrate_universal`) and only candidates <= ``max_nodes`` are
     returned: the same ones, with the same brackets, as the unbounded scan.
     """
-    return [(candidate, bracket)
-            for candidate, bracket, _ in _scan(gamma0_range, steps, grid, max_nodes)]
-
-
-def _scan(gamma0_range, steps, grid, max_nodes):
-    """:func:`scan_brackets`, each bracket followed by its end labels."""
     lo, hi = gamma0_range
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need lo < hi, got {gamma0_range}")
@@ -301,8 +302,7 @@ def _scan(gamma0_range, steps, grid, max_nodes):
         if labels[i] != labels[i + 1]:
             candidate = min(labels[i][0], labels[i + 1][0])
             if max_nodes is None or candidate <= max_nodes:
-                out.append((candidate, (float(lattice[i]), float(lattice[i + 1])),
-                            (labels[i], labels[i + 1])))
+                out.append((candidate, (float(lattice[i]), float(lattice[i + 1]))))
     return out
 
 
@@ -313,19 +313,14 @@ def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float,
     past the highest requested n.  An empty request or a negative or
     fractional n raises InvalidArgumentError before any shot; an n left
     without a bracket raises InvalidBracketError."""
-    return {n: bracket for n, (bracket, _) in _find_brackets(ns, grid).items()}
-
-
-def _find_brackets(ns, grid):
-    """:func:`find_brackets`, each bracket paired with its end labels."""
     wanted = {check_count("n", n, 0) for n in ns}
     if not wanted:
         raise InvalidArgumentError("need one or more node counts, got none")
     found = {}
     for gamma0_range, steps in _SCAN_LADDER:
-        for candidate, bracket, labels in _scan(gamma0_range, steps, grid, max(wanted)):
+        for candidate, bracket in scan_brackets(gamma0_range, steps, grid, max_nodes=max(wanted)):
             if candidate in wanted:
-                found.setdefault(candidate, (bracket, labels))
+                found.setdefault(candidate, bracket)
         if found.keys() == wanted:
             return found
     missing = ", ".join(str(n) for n in sorted(wanted - found.keys()))
@@ -336,69 +331,92 @@ def _find_brackets(ns, grid):
 
 
 # ---------------------------------------------------------------------------
-# bisection + tail clamp
+# bisection on the tail match
 # ---------------------------------------------------------------------------
 
-def _clamp_point(f: np.ndarray) -> tuple[int, int]:
-    """Index where the exponential tail breaks in the computed samples f.
+def _tail(k2: float, mass: float, radii: list[float]) -> tuple[list[float], list[float]] | None:
+    """The decaying solution u of u'' = (k2 - mass/rho) u at the increasing
+    ``radii``: y = u'/u and log(u / u(radii[0])); None when k2 <= 0 or u
+    has a zero past radii[0] (a pole of y, where the steps run off).  y
+    solves y' = k2 - mass/rho - y^2, stable inward, from the asymptotic
+    form -k + mass/(2 k rho), k = sqrt(k2), _RICCATI_RUN_IN past the last
+    radius, in RK4 steps of at most _RICCATI_STEP."""
+    if not k2 > 0.0:
+        return None
+    k = math.sqrt(k2)
+    r = radii[-1] + _RICCATI_RUN_IN
+    y = -k + mass / (2.0 * k * r)
+    log_u = 0.0
+    ys, logs = [], []
+    for end in reversed(radii):
+        steps = math.ceil((r - end) / _RICCATI_STEP)
+        dr = (end - r) / steps
+        half = 0.5 * dr
+        for _ in range(steps):
+            rm = r + half
+            a1 = k2 - mass / r - y * y
+            y2 = y + half * a1
+            a2 = k2 - mass / rm - y2 * y2
+            y3 = y + half * a2
+            a3 = k2 - mass / rm - y3 * y3
+            y4 = y + dr * a3
+            r += dr
+            a4 = k2 - mass / r - y4 * y4
+            log_u += dr / 6.0 * (y + 2.0 * (y2 + y3) + y4)
+            y += dr / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
+        r = end
+        ys.append(y)
+        logs.append(log_u)
+    if not math.isfinite(y):
+        return None
+    return ys[::-1], [v - log_u for v in reversed(logs)]
 
-    Returns (last_lobe_extremum, clamp_index).  The clamp sits at the last
-    sample that still carries the final lobe's sign: near-eigenvalue
-    trajectories often cross zero spuriously once more just before
-    diverging, and that crossing must stay out of both the stored tail and
-    the node count.
+
+def _side(n: int, gamma0: float, grid: RadialGrid, stop: int) -> int:
+    """+1 when gamma0 lies above the n-node eigenvalue, where the growing
+    mode carries the sign (-1)^n of f's last lobe, and -1 below.
+
+    A shot that reaches rho_m tells by the sign of the mismatch, which is
+    that of its growing mode.  One that stops before rho_m, or whose tail
+    there does not decay yet, tells by its label up to rho_m, or else
+    rho_max: an (n+1)-th node means below, divergence above.
     """
-    slopes = np.diff(f)
-    turns = np.where(slopes[:-1] * slopes[1:] < 0.0)[0] + 1
-    lobes = turns[np.abs(f[turns]) >= _LOBE_FLOOR] if turns.size else turns
-    e = int(lobes[-1]) if lobes.size else 0
-    seg = f[e:]
-    crossings = np.where(seg[:-1] * seg[1:] < 0.0)[0]
-    if crossings.size:
-        c = e + int(crossings[0])
-    else:
-        c = e + int(np.argmin(np.abs(seg)))
-    while c > 0 and f[c] == 0.0:
-        c -= 1
-    return e, c
-
-
-def _tail_decay_rate(rho: np.ndarray, f: np.ndarray, e: int, c: int,
-                     g_at_clamp: float) -> float:
-    """Exponential rate of the observed tail, from a log-linear fit of
-    |f|*rho over the clean mid-decay decades; falls back to sqrt(g(clamp))
-    when the window is degenerate."""
-    lobe_amp = abs(f[e]) if e > 0 else 1.0
-    mag = np.abs(f[e:c + 1])
-    window = np.nonzero((mag >= 10.0 * abs(f[c])) & (mag <= 0.1 * lobe_amp))[0]
-    if window.size >= 8:
-        idx = e + window
-        slope = np.polyfit(rho[idx], np.log(np.abs(f[idx]) * rho[idx]), 1)[0]
-        if slope < 0.0:
-            return -float(slope)
-    return float(np.sqrt(max(g_at_clamp, 1e-12)))
+    (nodes, classification), (i, f, fp, g, gp) = _shoot(gamma0, grid, n, False, stop)
+    if classification == "match_radius":
+        rho = float(grid.nodes[i])
+        tail = _tail(g + rho * gp, rho * rho * gp, [rho])
+        if tail is not None:
+            return 1 if (-1) ** n * (f + rho * fp - rho * f * tail[0][0]) > 0.0 else -1
+        (nodes, classification), _ = _shoot(gamma0, grid, n, False)
+    if nodes > n:
+        return -1
+    if classification.startswith("diverged"):
+        return 1
+    raise WrongStateError(
+        f"the n={n} shot at gamma0={gamma0!r} has no decaying tail at its match radius, "
+        f"{_MATCH_MARGIN:g} past its last node, inside rho_max={grid.rho_max:g}; enlarge --rho-max"
+    )
 
 
 def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> UniversalSolution:
     """Bisect gamma0 inside ``bracket`` until the width falls below ``tol``
-    and return the clamped mid-bracket trajectory as a UniversalSolution.
+    and return the mid-bracket state as a UniversalSolution.
 
-    The bracket ends must classify differently (different node counts, or
-    the same count with opposite divergence).  After convergence the
-    trajectory is truncated where its exponential decay breaks; beyond the
-    clamp f* continues on the fitted exponential (times 1/rho) and g*
-    continues by integrating its own ODE with the clamped f* as source,
-    starting from the enclosed moment rho_c^2 g'(rho_c).
+    Each shot stops at its own rho_m, 16 past its n-th node.  One that
+    stops earlier halves the bracket on its label (an extra node, or
+    divergence); one that reaches rho_m halves it on the sign of the
+    Wronskian mismatch there.  Past rho_m, f* = u_tail/rho with u_tail from
+    the same tail as the mismatch, and g* = g_inf - M/rho.
 
     Raises
     ------
     InvalidBracketError
-        If both bracket ends carry the same label.
+        If both bracket ends lie on the same side of the eigenvalue.
     WrongStateError
-        If the converged trajectory has the wrong node count, or its tail
-        sits where g* <= 0 (no exponentially decaying regime inside the
-        grid; enlarge rho_max).
+        If rho_m does not fit in the grid (enlarge --rho-max), or the state
+        has no decaying tail past rho_m or a tail-identity residual above
+        1e-3 (refine --points).
     ConvergenceError
         If bisection exhausts floating point resolution before reaching tol.
     """
@@ -407,79 +425,53 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
-    return _bisect(n, (lo, hi), (None, None), grid, tol)
-
-
-def _bisect(n, bracket, labels, grid, tol):
-    """:func:`shoot_gamma0` past its argument checks.  ``labels`` holds each
-    bracket end's label from the scan, or None; an end without one, or whose
-    scan shot stopped at its node ceiling, is shot here without a ceiling."""
-    lo, hi = bracket
-    label_lo, label_hi = (
-        _shoot(end, grid, None, record=False)[0] if label is None or label[1] == "node_ceiling"
-        else label
-        for end, label in zip(bracket, labels)
-    )
-    if label_lo == label_hi:
-        raise InvalidBracketError(
-            f"bracket ends {bracket} classify identically as {label_lo}"
-        )
+    # rho_m in samples past the last node; at least the first RK4 sample
+    stop = max(2, round(_MATCH_MARGIN / grid.spacing))
+    side_lo = _side(n, lo, grid, stop)
+    if _side(n, hi, grid, stop) == side_lo:
+        raise InvalidBracketError(f"bracket ends {bracket} lie on one side of the n={n} eigenvalue")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             raise ConvergenceError(
                 f"bisection exhausted float resolution at width {hi - lo:.3e} > tol {tol:.3e}"
             )
-        if _shoot(mid, grid, None, record=False)[0] == label_lo:
+        if _side(n, mid, grid, stop) == side_lo:
             lo = mid
         else:
             hi = mid
 
     gamma0 = 0.5 * (lo + hi)
-    outcome = integrate_universal(gamma0, grid)
-    e, c = _clamp_point(outcome.trajectory[0])
-    # extend the shot to the grid; the tail continuation below overwrites
-    # every sample past the clamp, and the clamp is a computed sample
-    f, g = np.empty((2, grid.n_points))
-    f[:outcome.valid_points], g[:outcome.valid_points] = outcome.trajectory
-    gp = outcome.derivs[1]
+    (_, classification), (f_shot, _, g_shot, gp_shot) = _shoot(gamma0, grid, n, True, stop)
+    m = len(f_shot) - 1
     rho = grid.nodes
-
-    if g[c] <= 0.0:
-        raise WrongStateError(
-            f"tail clamp at rho={rho[c]:.3f} where g*={g[c]:.3f} <= 0: the "
-            "trajectory is still oscillatory there; enlarge rho_max"
-        )
-    nodes = int(np.count_nonzero(f[:c] * f[1:c + 1] < 0.0))
-    if nodes != n:
-        raise WrongStateError(
-            f"converged trajectory has {nodes} nodes, wanted n={n}; rebracket"
-        )
-
-    k = _tail_decay_rate(rho, f, e, c, g[c])
-    if c + 1 < grid.n_points:
-        tail = rho[c + 1:]
-        f[c + 1:] = f[c] * (rho[c] / tail) * np.exp(-k * (tail - rho[c]))
-        sub = rho[c:]
-        moment = rho[c] ** 2 * gp[c] + cumulative_trapezoid(sub ** 2 * f[c:] ** 2, sub, initial=0.0)
-        g[c:] = g[c] + cumulative_trapezoid(moment / sub ** 2, sub, initial=0.0)
-
-    f_star = RadialField(grid, f)
-    g_star = RadialField(grid, g)
-    f_sq = RadialField(grid, f * f)
-    gamma1 = integrate_radial(f_sq)
-    epsilon_star = 3.0 / gamma1 * integrate_radial(RadialField(grid, f * f * g))
-    return UniversalSolution(
+    rho_m = float(rho[m])
+    mass, k2 = rho_m * rho_m * gp_shot[m], g_shot[m] + rho_m * gp_shot[m]
+    tail = _tail(k2, mass, rho[m:].tolist()) if classification == "match_radius" else None
+    if tail is None:
+        raise WrongStateError(f"the n={n} shot at gamma0={gamma0!r} ends at rho={rho_m:.6g} "
+                              "with no decaying tail past it; refine --points")
+    f, g = np.empty((2, grid.n_points))
+    f[:m + 1], g[:m + 1] = f_shot, g_shot
+    f[m + 1:] = rho_m * f_shot[m] * np.exp(tail[1][1:]) / rho[m + 1:]
+    g[m + 1:] = k2 - mass / rho[m + 1:]
+    gamma1 = integrate_radial(RadialField(grid, f * f))
+    sol = UniversalSolution(
         n=n,
         gamma0=gamma0,
         gamma1=gamma1,
-        epsilon_star=epsilon_star,
-        f_star=f_star,
-        g_star=g_star,
+        epsilon_star=3.0 / gamma1 * integrate_radial(RadialField(grid, f * f * g)),
+        f_star=RadialField(grid, f),
+        g_star=RadialField(grid, g),
         bracket_width=hi - lo,
         grid=grid,
-        clamp_index=c,
     )
+    if not abs(sol.tail_residual) <= _TAIL_RESIDUAL_LIMIT:
+        raise WrongStateError(
+            f"the n={n} state on {grid.n_points} points has tail-identity residual "
+            f"{sol.tail_residual:.3e} (limit {_TAIL_RESIDUAL_LIMIT:g}); refine --points"
+        )
+    return sol
 
 
 def solve_states(ns: Iterable[int], grid: RadialGrid,
@@ -490,5 +482,5 @@ def solve_states(ns: Iterable[int], grid: RadialGrid,
     ``tol`` raises InvalidArgumentError before any shot."""
     ns = list(ns)
     check_positive("tol", tol)
-    found = _find_brackets(ns, grid)
-    return [_bisect(n, *found[n], grid, tol) for n in ns]
+    found = find_brackets(ns, grid)
+    return [shoot_gamma0(n, found[n], grid, tol) for n in ns]

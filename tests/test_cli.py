@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sng.checks
 import sng.cli
@@ -110,6 +115,29 @@ def test_negative_node_count_is_exit_2_before_shooting(argv, monkeypatch, capsys
     assert captured.err.startswith("error: ")
 
 
+# rho_max and tol values at and past the ends of the doubles
+EXTREME = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 7), points=st.integers(3, 401),
+       rho_max=st.one_of(st.sampled_from(EXTREME), st.floats(1.0, 200.0)),
+       tol=st.one_of(st.sampled_from(EXTREME), st.floats(1e-12, 1e-2)))
+# a spacing of 5e-324 / 10 = 0 divided the first RK4 step by zero
+@example(n=0, points=11, rho_max=5e-324, tol=1e-10)
+def test_solve_exits_with_a_documented_code(n, points, rho_max, tol):
+    argv = ["solve", "--n", str(n), "--points", str(points),
+            f"--rho-max={rho_max!r}", f"--tol={tol!r}"]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_non_finite_tol_is_exit_2(tol, monkeypatch, capsys):
     def no_shot(*args, **kwargs):
@@ -191,12 +219,12 @@ def test_rescale_refuses_a_summary_whose_node_count_is_not_n(solved, tmp_path, c
 
 
 # sha256 of the rescale JSON and CSV of a 401-point ground state, recorded
-# while sng.physical still applied the SI units itself
+# once the state's tail was matched at rho_m
 PINNED_RESCALE = {
-    "natural": ("b2d890787b748789a85547a2539dc743a65044273f9128d7b01b1f4fc7b6cb60",
-                "1e1645d505fc209edcd1f2205329769e366939a8195c4c147a8d9371abed093a"),
-    "nucleon": ("39f01b53bc98c63f740c613dd5b44ae1fef4d415ae7a8a8ddd5425d0323633b4",
-                "640ccd294b2695aec85456e215a29a61e300b64a2826ac25f8348b395e981657"),
+    "natural": ("c8d9c901fc56ca3c4740f9b4cdc5328f255388c02f066d496f691490b6bc5cf3",
+                "594a830284fa91b6bdbd9a0c1d3045b8d192b2a760b9ed84983a53fe0711ebd2"),
+    "nucleon": ("bcd47c37f5d4669593bbfddaabba0130d18c276193a3f3d5daaa1f11957aa31d",
+                "646344e6dcfd2718ead0220f248766bddb0f604dd73bd27a6153c15270a64496"),
 }
 
 
@@ -235,24 +263,25 @@ def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, 
 
 # --- evolve ------------------------------------------------------------------
 
-# sha256 of each evolve CSV, then of its snapshot CSVs in order, recorded
-# before an observation and the next step shared one evaluation of the state
+# sha256 of each evolve CSV, then of its snapshot CSVs in order: the free and
+# cubic runs recorded before an observation and the next step shared one
+# evaluation of the state, the gravity runs from the tail-matched ground state
 NUCLEON_FLAGS = ["--mass-kg", "1.67262192369e-27", "--n-particles", "1e23"]
 PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--natural",
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
     "gravity-natural": (["--gravity", "--natural"], (
-        "e7295c735ad78ab05c6b784a8b7087bcb157734cb4d7a5f75ddfa76c8187340a",
-        "b22543cffa0bbc938bb2a1cc8c773709cb1d5aa36a2f6ad808a966868a4a3883",
-        "0fef542d8cff50ce9eaa04992cf4a7abef6f2ff556d3b10c506ea6ce878f0d24",
-        "fdf857bcd9ef112eff170b8ce2e5b05bdef66a6122654f5230e3846ce580e8fe",
-        "e7fb01bcc61614aa207f98b1a7c370282dc979f3a3305e4567a8ab6c287f12df")),
+        "1f481d9f06edc42303cb2197c65b92a3239be7c7e11c814ceed905c965cb9c97",
+        "99260d30400459bb28e0e37ec9e9eb2ee260aef777b996835ecfb1dbdc175f2a",
+        "f6a8966dc887c9fdc6d24e0b55961ef858f3b3e34181c5af78f7bab89062ca8f",
+        "f5ba3b37bcb4b3af0632f7d5e653c17a245ecbd0bfac3c8dac2147438f05b128",
+        "1480871a68e313c26c950a68191698040ebb15c1ed1e704b85d67ee3c4963512")),
     "gravity-nucleon": (["--gravity", *NUCLEON_FLAGS], (
-        "902f2633fe720de9f4d43853d463a44725394692e55089c3ebbae442f4ec22ac",
-        "24d0b8f41c9a3819ae58b7c5acbb7d3003f74fdf8179bfeef6883585ff4067cd",
-        "e34b7e65df5139c6a5f8d9219c8aaf53952cf06cf8666d31904fd47a9db7b028",
-        "65de6b1e7c80e07a9a3240f13032c1a440af95a990e45c5edbfdd1ad7e2d87b5",
-        "8e2779dacf4613cd9c934047d7d2c8d2dd8ca893c8c1cebb08a3484ced73c8de")),
+        "dac8b7b2df7fe90988a39e1f8ca2e63434f0d3628d5531c5d5c2a29e67da77ce",
+        "5bb65b76b8c0321d67e8d5a7f2f499e1ccdff61d624e10ba935dfd9d36ca674f",
+        "9facc7a7fa373f4d04e6a7466fd8a5501cbd7e906709b914d5de5f3dfc6d00ec",
+        "475f63bafda0b32014e6c0cee83f2655b8014fb31efaba6697173f676f23fd7b",
+        "c05fe06aa4384c6a4e0b363933c8569c4f31c50d674677999ae69c61c95f28a7")),
     "free": (["--free", *PACKET_FLAGS], (
         "88295ded407ba6880a4d3f178beb31e2137c27a3321e267a1ce890bb091cc60d",)),
     "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (
@@ -389,6 +418,23 @@ def test_unreachable_decay_regime_is_exit_4(capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "rho_max" in err or "oscillatory" in err
+
+
+def test_match_radius_past_the_default_grid_is_exit_4(capsys):
+    # n = 6 has its last node near rho = 25.2, so rho_m lies past rho_max = 40
+    assert main(["solve", "--n", "6"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--rho-max" in captured.err
+
+
+@pytest.mark.parametrize("points", ["5", "11", "41"])
+def test_under_resolved_state_is_exit_4(points, capsys):
+    # at 5 points E came out as +4.6e4 with exit 0, at 41 points 21% off
+    assert main(["solve", "--n", "0", "--points", points]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--points" in captured.err
 
 
 def test_oversized_step_is_exit_5(tmp_path, capsys):

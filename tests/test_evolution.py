@@ -170,6 +170,14 @@ def test_phase_ledger_decomposition(natural_ground_profile):
     assert total == pytest.approx(-eb.e_single * t_span, abs=5e-5)
 
 
+def test_gravity_step_phase_advances_at_the_midpoint_rate():
+    # a dispersing packet's E_grav/norm moves within the step, so the pin
+    # tells the predictor midpoint's rate (recorded while _advance still
+    # returned it) from the starting state's, -0.028229310550184322
+    state = gaussian_state(make_grid(30.0, 401), sigma=1.0)
+    assert repr(step(state, 0.1, NonlinearityKind.gravity()).phase) == "-0.028218596124462703"
+
+
 # --- step rejection ----------------------------------------------------------
 #
 # rejection needs a state whose density SHAPE moves within the step: the
@@ -307,8 +315,8 @@ PINNED_SERIES = {
     ("free", 50): (3, "0fb2965cd86ada4a6237b50f568c9c7ea3656e935294c9f9f7e74c373e8a9828"),
     ("cubic", 1): (51, "c4682a0b6461301eee93d645b1763fe00859b9a42396131df2869debeb5a03e9"),
     ("cubic", -1): (51, "0c060cefa842edbe173854451d35bfbd31f8f64df583678d0de83c1b542c1926"),
-    ("gravity", 1): (101, "2e22d7c32780cbc58a028a52f471d25b50cf7cbce4dbe92d599af01d9fcacc8c"),
-    ("gravity", 50): (3, "82ac44292e978afad24928327ef416a2484bb7116146e45471ad426b3a4a75a3"),
+    ("gravity", 1): (101, "0eb3cea71ae8a57c924af315d732737e8794b829340c3e36ba7e5bcde63dec4c"),
+    ("gravity", 50): (3, "bd5f35466ce676c717b282ac138f241a0799159d3022a2b499c64adc5e1d79ed"),
 }
 
 
@@ -458,12 +466,12 @@ def test_gravity_evolve_evaluates_each_state_once(coarse_ground_state, monkeypat
     # psi once per observed state, shared by its energy row, the boundary
     # check, its snapshot and the next step's potential, and once at each
     # step's predictor midpoint.  The line integrals are int |u|^2 dr and
-    # the width's int r^2 |u|^2 dr per observed state, and int |u|^2 dr and
-    # the phase ledger's E_grav/norm per midpoint.
+    # the width's int r^2 |u|^2 dr per observed state, and int |u|^2 dr per
+    # midpoint; evolve keeps no phase ledger, so it takes no E_grav/norm.
     psis = _count_calls(monkeypatch, "psi_from_u")
     lines = _count_calls(monkeypatch, "integrate_line")
     n_steps = 7
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
            nl=NonlinearityKind.gravity(), observe_every=1, snapshot_every=1)
     assert len(psis) == (n_steps + 1) + n_steps
-    assert len(lines) == 2 * (n_steps + 1) + 2 * n_steps
+    assert len(lines) == 2 * (n_steps + 1) + n_steps

@@ -41,7 +41,7 @@ FROZEN = {
     "epsilon": -0.162770262656652,
     "e_single": -0.054256754218884005,
     "half_max_radius": 3.8882204049888958,
-    "rms_radius": 4.63521365094028,
+    "rms_radius": 4.635213656124281,
 }
 
 

@@ -64,6 +64,9 @@ CASES = [
     ("tol", lambda: scf_solve(0, GRID, tol=-1e-10)),
     # one sample of 1e-170: |u|^2 underflows, so the norm is 0 in doubles
     ("norm", lambda: RadialState(make_grid(10.0, 101), 1e-170 * (np.arange(101) == 50), 0.0)),
+    # a spacing that underflows to 0 (or a subnormal) divides a shot by zero
+    ("rho_max", lambda: make_grid(5e-324, 11)),
+    ("rho_max", lambda: make_grid(1e-310, 3)),
 ]
 
 

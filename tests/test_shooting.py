@@ -1,15 +1,18 @@
-"""Universal bound-state solver: bracket scan, bisection, frozen spectrum.
+"""Universal bound-state solver: bracket scan, tail-matched bisection,
+frozen spectrum.
 
-The frozen eigenvalue table below was computed by this package's own two
-independent routes (RK4 shooting and the self-consistent-field oracle,
-which agree to ~1e-5 relative on the central value) on the default grid;
-no external source publishes these digits.
+The frozen table below was computed by this package on the default grid;
+its central values agree with bisection on domains of rho_max = 80 and 120
+(LARGE_DOMAIN_GAMMA0), and its energies with the published ones
+(Moroz, Penrose & Tod, Class. Quantum Grav. 15, 2733 (1998)).
 """
 
 from __future__ import annotations
 
 import collections
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from sng.grids import make_grid
 from sng.shooting import (
     UniversalSolution,
     _shoot,
+    _tail,
     default_grid,
     find_brackets,
     integrate_universal,
@@ -32,18 +36,35 @@ from sng.shooting import (
 # n -> (gamma0, gamma1, epsilon_star) on the default (40, 8001) grid
 FROZEN_SPECTRUM = {
     0: (-0.9185797718, 3.46825617, -0.97895919),
-    1: (-1.2099590044, 7.71395024, -0.91627485),
-    2: (-1.3437012033, 11.93511283, -0.89225164),
-    3: (-1.4283173848, 16.09640367, -0.88079352),
-    4: (-1.4908042052, 19.17964308, -0.93176125),
+    1: (-1.2099590020, 7.71395112, -0.91627463),
+    2: (-1.3437006495, 11.93547272, -0.89220605),
+    3: (-1.4282759852, 16.13218473, -0.87798617),
+    4: (-1.4894253540, 20.31018581, -0.86811799),
 }
+
+# n -> gamma0 from label bisection on domains large enough that the domain's
+# end no longer moves it: rho_max = 80 with 16001 points for n <= 4, 120
+# with 24001 points for n = 5 (the spacing of the default grid)
+LARGE_DOMAIN_GAMMA0 = {
+    0: -0.918579772,
+    1: -1.209959002,
+    2: -1.343700650,
+    3: -1.428275985,
+    4: -1.489425354,
+    5: -1.537010258,
+}
+
+# E_n = 2 epsilon_star / gamma1^2 and its tolerance, half a unit in the last
+# published digit
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text())["spectrum"]
 
 
 @pytest.fixture(scope="module")
 def spectrum():
-    # n <= 2 shared with the virial suite's cache; n = 3 and 4 in one more walk
+    # n <= 2 shared with the virial suite's cache; n = 3 to 5 in one more walk
     solved = {n: _solved(n, 40.0, 8001) for n in range(3)}
-    return {**solved, **dict(zip((3, 4), solve_states([3, 4], make_grid(40.0, 8001))))}
+    return {**solved, **dict(zip((3, 4, 5), solve_states([3, 4, 5], make_grid(40.0, 8001))))}
 
 
 # --- frozen values -----------------------------------------------------------
@@ -64,8 +85,60 @@ def test_frozen_eigenvalue_parameters(spectrum):
 
 
 def test_central_values_strictly_decrease_with_node_count(spectrum):
-    gammas = [spectrum[n].gamma0 for n in range(5)]
+    gammas = [spectrum[n].gamma0 for n in range(6)]
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
+
+
+def test_central_values_match_large_domains(spectrum):
+    # the tail match makes the default grid's answers those of a domain
+    # whose end no longer matters
+    for n, gamma0 in LARGE_DOMAIN_GAMMA0.items():
+        assert spectrum[n].gamma0 == pytest.approx(gamma0, abs=1e-8), f"n={n}"
+
+
+def test_energies_match_published_values(spectrum):
+    for n, (energy, tol) in enumerate(zip(REFERENCES["E"], REFERENCES["abs_tol"])):
+        sol = spectrum[n]
+        assert 2.0 * sol.epsilon_star / sol.gamma1**2 == pytest.approx(energy, abs=tol), f"n={n}"
+
+
+def test_tail_residual_is_small_on_the_default_grid(spectrum):
+    for n, sol in spectrum.items():
+        assert abs(sol.tail_residual) < 1e-4, f"n={n}"
+
+
+def test_answers_do_not_depend_on_the_domain():
+    # every shot stops at rho_m, so a larger domain with the same spacing
+    # leaves the central value bit for bit; past rho_m both states are the
+    # same matched tail, and the moments differ by the tail's mass past 30
+    small = solve_states([0, 1], make_grid(30.0, 1501))
+    large = solve_states([0, 1], make_grid(60.0, 3001))
+    for a, b in zip(small, large):
+        assert a.gamma0 == b.gamma0, f"n={a.n}"
+        assert a.gamma1 == pytest.approx(b.gamma1, rel=1e-13), f"n={a.n}"
+        assert a.epsilon_star == pytest.approx(b.epsilon_star, rel=1e-13), f"n={a.n}"
+        np.testing.assert_allclose(a.f_star.values, b.f_star.values[:1501], rtol=0.0, atol=1e-17)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("radii", [[30.0], list(np.linspace(16.0, 40.0, 4801))],
+                         ids=["match-radius", "default-grid-tail"])
+def test_coulomb_tail_is_exact_at_kappa_one(k, radii):
+    # kappa = mass/(2k) = 1: W_{1,1/2}(z) = z exp(-z/2), so u = rho exp(-k rho)
+    # and y = 1/rho - k, the asymptotic start itself; what is left is the
+    # RK4 error of 0.05-steps
+    ys, log_u = _tail(k * k, 2.0 * k, radii)
+    rho = np.array(radii)
+    np.testing.assert_allclose(ys, 1.0 / rho - k, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(log_u, np.log(rho / rho[0]) - k * (rho - rho[0]),
+                               rtol=0.0, atol=1e-10)
+
+
+def test_coulomb_tail_refuses_a_tail_that_does_not_decay():
+    assert _tail(0.0, 1.0, [10.0]) is None
+    assert _tail(-1.0, 1.0, [10.0]) is None
+    # deep inside the turning point mass/k2 = 100 the decaying tail has zeros
+    assert _tail(1.0, 100.0, [5.0]) is None
 
 
 # --- structural invariants ---------------------------------------------------
@@ -188,10 +261,10 @@ def test_same_label_bracket_is_rejected():
 
 
 def test_oscillatory_tail_raises_wrong_state():
-    # at rho_max = 10 the n=2 trajectory never reaches its decay regime:
-    # the mass potential is still negative at the clamp point
+    # at rho_max = 10 the n=2 match radius, 16 past the last node, lies
+    # outside the grid
     grid = make_grid(10.0, 1001)
-    with pytest.raises(WrongStateError):
+    with pytest.raises(WrongStateError, match="--rho-max"):
         shoot_gamma0(2, find_brackets([2], grid)[2], grid=grid)
 
 
@@ -239,15 +312,15 @@ def test_shooting_is_bitwise_deterministic():
 
 
 # n -> repr of (gamma0, gamma1, epsilon_star) and sha256 of the f*, g* bytes
-# on make_grid(40.0, 2001), recorded from the numpy-array RK4 loop: the
+# on make_grid(40.0, 2001), recorded once the tail was matched at rho_m: the
 # frozen tolerances above would pass a reordered kernel, these pins would not
 PINNED_STATES = {
-    0: (("-0.9185797727201128", "3.468256148908851", "-0.9789591777449074"),
-        "8ce8ef60dfa7c0ae76e70f5565cb051dca0cd1622488e36c0d16b4774059413d",
-        "9f3c75536cc7c131bf3dfe1104ed79ff37fd8affc7d144b616c3f05f8aca3cad"),
-    1: (("-1.2099590005818754", "7.713950175217904", "-0.9162748290530685"),
-        "e5172df3a2fddb1fe578e88086dd109a2c5069dcbcc1a974f71b7abf8f3eafc0",
-        "3429a2720427f892bb741169fa0381b9b06bbfbec964e8b5af0ae291d01e268a"),
+    0: (("-0.9185797727201128", "3.4682561482351604", "-0.9789591783911351"),
+        "ef9d3c771296b59bf69c5357311f64364cd018ff58d0f453f062735017f136ef",
+        "69f135c65cc53363fdd4f90a5b5515212a6a5072fb7dc144cccf0d5424876b33"),
+    1: (("-1.2099589981604366", "7.713951060126822", "-0.9162746104709981"),
+        "c4ca96fc5fe30a81cf8b818a5d986e8d91b1a47792cb59d635ef4e9080750f31",
+        "a763c76a27dd94845d463d60eef22b2fc3e30d9e4ed1ac7d0978696982633aee"),
 }
 
 # gamma0 -> label, valid_points and sha256 of the f, g, f', g' bytes, each
@@ -292,14 +365,28 @@ def test_shots_are_bitwise_pinned(kind):
 
 # --- label-only shots -------------------------------------------------------
 
-def _label_only(gamma0, grid, max_nodes=None):
-    label, samples = _shoot(gamma0, grid, max_nodes, record=False)
-    assert samples is None
-    return label
+def _kernel_order(outcome):
+    """A recorded shot's sample arrays in the kernel's order (f, f', g, g')."""
+    (f, g), (fp, gp) = outcome.trajectory, outcome.derivs
+    return f, fp, g, gp
 
 
-def _recorded_label(gamma0, grid, max_nodes=None):
-    return integrate_universal(gamma0, grid, max_nodes=max_nodes).label
+def _label_only(gamma0, grid, max_nodes=None, stop=None):
+    """A label-only shot's label and the state (index, f, f', g, g') it returns."""
+    return _shoot(gamma0, grid, max_nodes, False, stop)
+
+
+def _recorded(gamma0, grid, max_nodes=None, stop=None):
+    """The same from the recorded shot: its label and last sample, or, with
+    ``stop``, the full recorded shot's sample ``stop`` past node max_nodes."""
+    if stop is None:
+        out = integrate_universal(gamma0, grid, max_nodes=max_nodes)
+        return out.label, (out.valid_points - 1, *(v[-1] for v in _kernel_order(out)))
+    samples = _kernel_order(integrate_universal(gamma0, grid))
+    f = samples[0]
+    crossings = np.flatnonzero(f[:-1] * f[1:] < 0.0) + 1
+    index = (crossings[max_nodes - 1] if max_nodes else 0) + stop
+    return (max_nodes, "match_radius"), (index, *(v[index] for v in samples))
 
 
 @pytest.mark.parametrize("kind", [float, np.float64])
@@ -308,9 +395,9 @@ def test_label_only_shots_match_recorded_labels(kind, max_nodes):
     grid = make_grid(40.0, 2001)
     labels = []
     for gamma0 in np.linspace(-5.0, 0.0, 101):
-        label = _recorded_label(kind(gamma0), grid, max_nodes)
-        assert _label_only(kind(gamma0), grid, max_nodes) == label, f"gamma0={gamma0}"
-        labels.append(label)
+        expected = _recorded(kind(gamma0), grid, max_nodes)
+        assert _label_only(kind(gamma0), grid, max_nodes) == expected, f"gamma0={gamma0}"
+        labels.append(expected[0])
     deep = "max_radius_reached" if max_nodes is None else "node_ceiling"
     assert {c for _, c in labels} == {"diverged_up", "diverged_down", deep}
 
@@ -325,17 +412,27 @@ def test_label_only_shots_match_recorded_labels(kind, max_nodes):
     (1.0, 3, -1.0, (0, "max_radius_reached")),
     (40.0, 3, -0.3, (1, "diverged_down")),
     *((40.0, 2001, gamma0, label) for gamma0, (label, _, _) in PINNED_SHOTS.items()),
+    # shots that stop at their match radius, 800 samples (16) past node n
+    (40.0, 2001, -0.9185797727201128, (0, "match_radius")),
+    (40.0, 2001, -1.2099589981604366, (1, "match_radius")),
+    (40.0, 2001, -1.3437, (2, "match_radius")),
 ])
 def test_label_only_shots_match_on_short_and_converged_grids(rho_max, points, gamma0, label):
     grid = make_grid(rho_max, points)
-    assert _recorded_label(gamma0, grid) == label
-    assert _label_only(gamma0, grid) == label
-    assert _label_only(np.float64(gamma0), grid) == label
+    max_nodes, stop = (label[0], 800) if label[1] == "match_radius" else (None, None)
+    expected = _recorded(gamma0, grid, max_nodes, stop)
+    assert expected[0] == label
+    assert _label_only(gamma0, grid, max_nodes, stop) == expected
+    assert _label_only(np.float64(gamma0), grid, max_nodes, stop) == expected
+    if stop is not None:
+        # a recorded stop shot keeps the samples up to its stop
+        _, samples = _shoot(gamma0, grid, max_nodes, True, stop)
+        assert (len(samples[0]) - 1, *(v[-1] for v in samples)) == expected[1]
 
 
 def test_label_only_shots_keep_the_recorded_checks():
     grid = make_grid(40.0, 2001)
-    for shot in (_recorded_label, _label_only):
+    for shot in (_recorded, _label_only):
         with pytest.raises(InvalidFieldError):
             shot(-1e300, grid, None)
         for gamma0 in (np.nan, np.inf):
@@ -347,18 +444,20 @@ def test_label_only_shots_keep_the_recorded_checks():
 
 
 def test_solve_states_shot_counts(monkeypatch):
-    # one label-only scan rung bounded at n = 1, one re-shot node-ceiling
-    # bracket end, 29 label-only bisection shots per state and one recorded
-    # shot per state; the other three ends come from the scan
+    # one label-only scan rung bounded at n = 1; then per state two bracket
+    # ends and 29 halvings, each shot stopping at its match radius 800
+    # samples (16) past its n-th node, and one recorded shot to rho_m
     counts = collections.Counter()
 
-    def counted(gamma0, grid, max_nodes, record):
-        counts[record, max_nodes] += 1
-        return _shoot(gamma0, grid, max_nodes, record)
+    def counted(gamma0, grid, max_nodes, record, stop=None):
+        counts[record, max_nodes, stop] += 1
+        return _shoot(gamma0, grid, max_nodes, record, stop)
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
-    assert counts == {(False, 1): 101, (False, None): 1 + 2 * 29, (True, None): 2}
+    assert counts == {(False, 1, None): 101,
+                      (False, 0, 800): 2 + 29, (False, 1, 800): 2 + 29,
+                      (True, 0, 800): 1, (True, 1, 800): 1}
 
 
 def test_default_grid_matches_documented_geometry():

@@ -121,10 +121,10 @@ NUCLEON_ROWS = {
         [4.7582020400892245e05, 1.0000000000000002, 2.4917030644714122e-42, 1.7322451282545517],
     ],
     "gravity": [
-        [0.0, 1.0, -2.8502949426008230e-42, 1.6505245626260172],
-        [1.1637097232478894e06, 0.99999999958247388, -2.8502950151733521e-42, 1.6505226673687021],
-        [2.3274194464957789e06, 0.99999999999995648, -2.8502952560727865e-42, 1.6505169861969211],
-        [3.4911291697436683e06, 0.99999999958254471, -2.8502956132112158e-42, 1.6505075383201828],
+        [0.0, 1.0000000000000004, -2.8502949427853012e-42, 1.6505245644298918],
+        [1.1637097234032557e06, 0.99999999958237595, -2.8502950153583929e-42, 1.6505226691693089],
+        [2.3274194468065114e06, 0.99999999999996858, -2.8502952562571987e-42, 1.6505169880001824],
+        [3.4911291702097668e06, 0.99999999958244112, -2.8502956133962881e-42, 1.6505075401184792],
     ],
 }
 
