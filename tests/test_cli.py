@@ -126,8 +126,27 @@ EXTREME = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e
 # a spacing of 5e-324 / 10 = 0 divided the first RK4 step by zero
 @example(n=0, points=11, rho_max=5e-324, tol=1e-10)
 def test_solve_exits_with_a_documented_code(n, points, rho_max, tol):
-    argv = ["solve", "--n", str(n), "--points", str(points),
-            f"--rho-max={rho_max!r}", f"--tol={tol!r}"]
+    _assert_documented_exit(["solve", "--n", str(n), "--points", str(points),
+                             f"--rho-max={rho_max!r}", f"--tol={tol!r}"])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(n_max=st.integers(0, 2), points=st.integers(3, 401),
+       rho_max=st.one_of(st.sampled_from(EXTREME), st.floats(1.0, 200.0)),
+       tol=st.one_of(st.sampled_from(EXTREME), st.floats(1e-12, 1e-2)))
+# the draws above exit 2 or 4; these reach an answer, a missing bracket and
+# a bisection that runs out of doubles
+@example(n_max=2, points=401, rho_max=40.0, tol=1e-6)
+@example(n_max=2, points=101, rho_max=1.5, tol=1e-10)
+@example(n_max=2, points=401, rho_max=40.0, tol=5e-324)
+def test_spectrum_exits_with_a_documented_code(n_max, points, rho_max, tol):
+    _assert_documented_exit(["spectrum", "--n-max", str(n_max), "--points", str(points),
+                             f"--rho-max={rho_max!r}", f"--tol={tol!r}"])
+
+
+def _assert_documented_exit(argv):
+    """``sng argv`` in process exits 0, 2, 3 or 4, with no traceback and no
+    numpy RuntimeWarning."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

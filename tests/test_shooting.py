@@ -19,7 +19,13 @@ import pytest
 
 from sng.checks import _solved
 from sng import shooting
-from sng.errors import InvalidArgumentError, InvalidBracketError, InvalidFieldError, WrongStateError
+from sng.errors import (
+    ConvergenceError,
+    InvalidArgumentError,
+    InvalidBracketError,
+    InvalidFieldError,
+    WrongStateError,
+)
 from sng.grids import make_grid
 from sng.shooting import (
     UniversalSolution,
@@ -445,8 +451,10 @@ def test_label_only_shots_keep_the_recorded_checks():
 
 def test_solve_states_shot_counts(monkeypatch):
     # one label-only scan rung bounded at n = 1; then per state two bracket
-    # ends and 29 halvings, each shot stopping at its match radius 800
-    # samples (16) past its n-th node, and one recorded shot to rho_m
+    # ends and the shots the bisection could not decide from the earlier
+    # ones (16 for n = 0, 10 for n = 1, of 29 halvings), each stopping at
+    # its match radius 800 samples (16) past its n-th node, and one
+    # recorded shot to rho_m
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -456,8 +464,161 @@ def test_solve_states_shot_counts(monkeypatch):
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
     assert counts == {(False, 1, None): 101,
-                      (False, 0, 800): 2 + 29, (False, 1, 800): 2 + 29,
+                      (False, 0, 800): 2 + 16, (False, 1, 800): 2 + 10,
                       (True, 0, 800): 1, (True, 1, 800): 1}
+
+
+# --- secant-guided bisection against plain bisection -------------------------
+
+def _plain_bisection(n, bracket, grid, tol):
+    """The brackets (lo, hi, shots) of a plain bisection over shooting._side,
+    from the bracket ends to the first width <= tol, ``shots`` counting the
+    _shoot calls made so far.  The brackets of every wider tol are a prefix."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _shoot(*args)
+
+    stop = max(2, round(shooting._MATCH_MARGIN / grid.spacing))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shooting, "_shoot", counted)
+        lo, hi = bracket
+        side_lo = shooting._side(n, lo, grid, stop)[0]
+        assert shooting._side(n, hi, grid, stop)[0] != side_lo
+        sequence = [(lo, hi, calls)]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            assert lo < mid < hi
+            if shooting._side(n, mid, grid, stop)[0] == side_lo:
+                lo = mid
+            else:
+                hi = mid
+            sequence.append((lo, hi, calls))
+    return sequence
+
+
+def _plain_result(sequence, tol):
+    """The plain bisection's final (lo, hi, shots) at ``tol``."""
+    return next(entry for entry in sequence if entry[1] - entry[0] <= tol)
+
+
+@pytest.fixture(scope="module")
+def plain_bisection():
+    """(points, n) -> the scan bracket on make_grid(40, points) and its plain
+    bisection down to a width of 1e-15, the narrowest tol compared below."""
+    cache = {}
+
+    def brackets(points, n):
+        if (points, n) not in cache:
+            grid = make_grid(40.0, points)
+            bracket = find_brackets([n], grid)[n]
+            cache[points, n] = bracket, _plain_bisection(n, bracket, grid, 1e-15)
+        return cache[points, n]
+
+    return brackets
+
+
+@pytest.mark.parametrize("points", [401, 2001])
+@pytest.mark.parametrize("n", range(4))
+def test_bisection_never_shoots_more_than_plain_bisection(points, n, plain_bisection,
+                                                          monkeypatch):
+    bracket, sequence = plain_bisection(points, n)
+    grid = make_grid(40.0, points)
+    shots = 0
+
+    def counted(gamma0, grid, max_nodes, record, stop=None):
+        nonlocal shots
+        shots += not record  # the final recorded shot is not bisection's
+        return _shoot(gamma0, grid, max_nodes, record, stop)
+
+    monkeypatch.setattr(shooting, "_shoot", counted)
+    for tol in (1e-15, 1e-10, 1e-6, 1e-3, 0.02):
+        shots = 0
+        try:
+            shoot_gamma0(n, bracket, grid, tol)
+        except WrongStateError as exc:
+            # coarse tols leave a state too rough to keep, after bisection
+            assert "refine --points" in str(exc)
+        assert shots <= _plain_result(sequence, tol)[2], f"tol={tol}"
+
+
+def _assert_same_solution(sol, lo, hi, grid):
+    """``sol`` is the state plain bisection's final bracket (lo, hi) gives."""
+    assert (sol.gamma0, sol.bracket_width) == (0.5 * (lo + hi), hi - lo)
+    # a bracket no wider than tol is solved with no halving
+    expected = shoot_gamma0(sol.n, (lo, hi), grid, tol=hi - lo)
+    assert (expected.gamma0, expected.bracket_width) == (sol.gamma0, sol.bracket_width)
+    assert _sha256(sol.f_star.values) == _sha256(expected.f_star.values)
+    assert _sha256(sol.g_star.values) == _sha256(expected.g_star.values)
+
+
+@pytest.mark.parametrize("points", [2001, 8001])
+@pytest.mark.parametrize("n", range(5))
+def test_bisection_matches_plain_bisection_bit_for_bit(points, n, plain_bisection):
+    bracket, sequence = plain_bisection(points, n)
+    grid = make_grid(40.0, points)
+    for tol in (1e-15, 1e-10, 1e-6):
+        lo, hi, _ = _plain_result(sequence, tol)
+        _assert_same_solution(shoot_gamma0(n, bracket, grid, tol), lo, hi, grid)
+
+
+def test_secant_shots_stay_clear_of_the_rounding_band():
+    # within a few ulps of the n = 4 eigenvalue on the default grid the
+    # mismatch's rounding flips its sign back and forth; a secant shot
+    # aimed only tol/4 past the root would land there, and a later midpoint
+    # beyond it would take its side where plain bisection's own shot tells
+    # the other
+    grid = default_grid()
+    bracket, tol = (-1.4898281949018854, -1.489073440046018), 2.5e-16
+    lo, hi, _ = _plain_result(_plain_bisection(4, bracket, grid, tol), tol)
+    _assert_same_solution(shoot_gamma0(4, bracket, grid, tol), lo, hi, grid)
+
+
+def test_secant_shots_never_outnumber_halvings(monkeypatch):
+    # a mismatch as flat as d^10 at a distance d below the root draws secant
+    # steps that each creep a few percent closer, about 240 of them before
+    # one passes the root; secant shots that may not outnumber halvings
+    # keep the loop within twice the 2 + 29 shots of bisection, and it
+    # still ends on bisection's bracket
+    root = float(PINNED_STATES[0][0][0])  # n = 0 on the grid below
+    shots = 0
+
+    def side(n, gamma0, grid, stop):
+        nonlocal shots
+        shots += 1
+        return (1, None) if gamma0 > root else (-1, -(root - gamma0) ** 10)
+
+    lo, hi = -0.95, -0.9
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if side(0, mid, None, None)[0] < 0 else (lo, mid)
+    assert shots == 29
+    shots = 0
+    monkeypatch.setattr(shooting, "_side", side)
+    sol = shoot_gamma0(0, (-0.95, -0.9), make_grid(40.0, 2001), 1e-10)
+    assert (sol.gamma0, sol.bracket_width) == (0.5 * (lo + hi), hi - lo)
+    assert shots <= 2 * (2 + 29)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+def test_bisection_below_float_resolution_is_a_convergence_error(tol, monkeypatch):
+    # a loop that stops only at tol would never end: cap the shots at four
+    # times the ~50 halvings a double holds, so it fails instead of hanging
+    shots = 0
+
+    def capped(*args):
+        nonlocal shots
+        shots += 1
+        assert shots <= 200, "bisection did not stop at float resolution"
+        return _shoot(*args)
+
+    grid = make_grid(40.0, 401)
+    bracket = find_brackets([1], grid)[1]
+    monkeypatch.setattr(shooting, "_shoot", capped)
+    with pytest.raises(ConvergenceError, match="bisection exhausted float resolution"):
+        shoot_gamma0(1, bracket, grid, tol)
 
 
 def test_default_grid_matches_documented_geometry():
