@@ -46,10 +46,8 @@ from .physical import (
 )
 from .scf import ScfUniversal, SCFResult, scf_solve, universal_from_scf
 from .shooting import (
-    ShootOutcome,
     UniversalSolution,
     default_grid,
-    integrate_universal,
     scan_brackets,
     shoot_gamma0,
     solve_states,
@@ -75,10 +73,8 @@ __all__ = [
     "solve_radial_poisson",
     "radial_laplacian",
     # shooting
-    "ShootOutcome",
     "UniversalSolution",
     "default_grid",
-    "integrate_universal",
     "scan_brackets",
     "shoot_gamma0",
     "solve_states",

@@ -183,7 +183,6 @@ def _load_solution(json_path: str) -> UniversalSolution:
         f_star=RadialField(grid, table[:, 1]),
         g_star=RadialField(grid, table[:, 2]),
         bracket_width=bracket_width,
-        grid=grid,
     )
 
 

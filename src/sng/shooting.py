@@ -24,7 +24,7 @@ on the mismatch, which is close to linear there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -44,10 +44,8 @@ __all__ = [
     "DEFAULT_RHO_MAX",
     "DEFAULT_POINTS",
     "DEFAULT_TOL",
-    "ShootOutcome",
     "UniversalSolution",
     "default_grid",
-    "integrate_universal",
     "scan_brackets",
     "find_brackets",
     "shoot_gamma0",
@@ -89,39 +87,13 @@ def default_grid() -> RadialGrid:
 
 
 @dataclass(frozen=True)
-class ShootOutcome:
-    """Result of one outward integration at fixed gamma0.
-
-    ``trajectory`` holds the computed samples (f, g) on the first
-    ``valid_points`` grid nodes, where the shot stopped; ``derivs`` holds
-    the raw RK4 slope samples (f', g') on the same nodes.  All four arrays
-    are read-only.
-    """
-
-    gamma0: float
-    # converged | diverged_up | diverged_down | max_radius_reached | node_ceiling
-    classification: str
-    node_count: int
-    trajectory: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    derivs: tuple[np.ndarray, np.ndarray] = field(repr=False)
-
-    @property
-    def valid_points(self) -> int:
-        return len(self.trajectory[0])
-
-    @property
-    def label(self) -> tuple[int, str]:
-        """Bracket label: node count first, divergence direction as tie-break."""
-        return (self.node_count, self.classification)
-
-
-@dataclass(frozen=True)
 class UniversalSolution:
     """A converged bound state of the universal system.
 
     Up to the match radius rho_m, ``f_star`` and ``g_star`` are the final
     shot's samples; past it they are the matched Coulomb tail u_tail/rho and
-    g_inf - M/rho (see the module docstring).
+    g_inf - M/rho (see the module docstring).  The two lie on one grid,
+    ``grid``; a pair on two grids is refused.
     """
 
     n: int
@@ -131,9 +103,11 @@ class UniversalSolution:
     f_star: RadialField
     g_star: RadialField
     bracket_width: float
-    grid: RadialGrid
 
     def __post_init__(self):
+        if self.g_star.grid != self.f_star.grid:
+            raise WrongStateError(
+                f"f* and g* lie on different grids: {self.f_star.grid} and {self.g_star.grid}")
         f = self.f_star.values
         if f[0] != 1.0:
             raise WrongStateError(f"f*(0) must be exactly 1, got {f[0]!r}")
@@ -146,6 +120,10 @@ class UniversalSolution:
             raise WrongStateError("|f*| must decay strictly over the final 10% of the grid")
 
     @property
+    def grid(self) -> RadialGrid:
+        return self.f_star.grid
+
+    @property
     def tail_residual(self) -> float:
         """g*(rho_max) + gamma1/rho_max + epsilon_star: 0 for an exact state,
         whose g* = -epsilon_star - gamma1/rho past the mass."""
@@ -156,9 +134,10 @@ class UniversalSolution:
 # outward integration
 # ---------------------------------------------------------------------------
 
-def integrate_universal(gamma0: float, grid: RadialGrid, *,
-                        max_nodes: int | None = None) -> ShootOutcome:
-    """Integrate the universal system outward from the origin at one gamma0.
+def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
+           stop: int | None = None) -> tuple[tuple[int, str], tuple]:
+    """Integrate the universal system outward from the origin at one gamma0:
+    the one RK4 kernel behind every shot.
 
     Fixed-step RK4 on (f, f', g, g') from the series f = 1 + gamma0 rho^2/6,
     g = gamma0 + rho^2/6 that the ODEs force at rho = 0.  Nodes are strict
@@ -166,33 +145,17 @@ def integrate_universal(gamma0: float, grid: RadialGrid, *,
     The shot stops at rho_max, or as soon as |f| > 1e3 (``diverged_up`` or
     ``diverged_down``, a classification, not an error), or with
     ``max_nodes`` at node max_nodes + 1 (``node_ceiling``; the count stops
-    there).  At rho_max it is ``converged`` when |f| < 1e-6 still shrinks,
-    else ``max_radius_reached``.  A sample that overflows a double raises
-    InvalidFieldError.
-    """
-    (nodes, classification), samples = _shoot(gamma0, grid, max_nodes, record=True)
-    f, fp, g, gp = (np.array(v) for v in samples)
-    for v in (f, fp, g, gp):
-        v.setflags(write=False)
-    return ShootOutcome(
-        gamma0=float(gamma0),
-        classification=classification,
-        node_count=nodes,
-        trajectory=(f, g),
-        derivs=(fp, gp),
-    )
-
-
-def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
-           stop: int | None = None) -> tuple[tuple[int, str], tuple]:
-    """The RK4 kernel behind every shot; see :func:`integrate_universal`.
+    there).  With ``stop`` (and ``max_nodes``), it also ends ``stop``
+    samples past f's sign change number ``max_nodes`` (past the origin for
+    0): ``match_radius``.  At rho_max it is ``converged`` when |f| < 1e-6
+    still shrinks, else ``max_radius_reached``.  A non-finite gamma0 or a
+    bad ``max_nodes`` raises InvalidArgumentError; a sample that overflows
+    a double raises InvalidFieldError.
 
     Returns the label ``(node_count, classification)`` and, when ``record``
     is true, the computed samples as the lists (f, f', g, g'); else the
     state ``(index, f, f', g, g')`` of the last computed sample, and the
-    loop keeps nothing but its state and the previous f.  With ``stop``
-    (and ``max_nodes``), the shot also ends ``stop`` samples past f's sign
-    change number ``max_nodes`` (past the origin for 0): ``match_radius``.
+    loop keeps nothing but its state and the previous f.
     """
     if not np.isfinite(gamma0):
         raise InvalidArgumentError(f"gamma0 must be finite, got {gamma0}")
@@ -297,7 +260,7 @@ def scan_brackets(gamma0_range: tuple[float, float], steps: int, grid: RadialGri
     found (e.g. any scan over gamma0 >= 0, where g* > 0 forbids decay).
 
     With ``max_nodes`` every shot stops at its first node past it (see
-    :func:`integrate_universal`) and only candidates <= ``max_nodes`` are
+    :func:`_shoot`) and only candidates <= ``max_nodes`` are
     returned: the same ones, with the same brackets, as the unbounded scan.
     """
     lo, hi = gamma0_range
@@ -435,7 +398,8 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     WrongStateError
         If rho_m does not fit in the grid (enlarge --rho-max), or the state
         has no decaying tail past rho_m or a tail-identity residual above
-        1e-3 (refine --points).
+        1e-3 (refine --points, or lower a tol that leaves gamma0 too far
+        off the eigenvalue).
     ConvergenceError
         If bisection exhausts floating point resolution before reaching tol.
     """
@@ -493,9 +457,11 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     rho_m = float(rho[m])
     mass, k2 = rho_m * rho_m * gp_shot[m], g_shot[m] + rho_m * gp_shot[m]
     tail = _tail(k2, mass, rho[m:].tolist()) if classification == "match_radius" else None
+    # a mid-bracket gamma0 up to tol/2 off the eigenvalue can be what spoils the state
+    refine = f"refine --points, or lower --tol (bracket width {hi - lo:.3e})"
     if tail is None:
         raise WrongStateError(f"the n={n} shot at gamma0={gamma0!r} ends at rho={rho_m:.6g} "
-                              "with no decaying tail past it; refine --points")
+                              f"with no decaying tail past it; {refine}")
     f, g = np.empty((2, grid.n_points))
     f[:m + 1], g[:m + 1] = f_shot, g_shot
     f[m + 1:] = rho_m * f_shot[m] * np.exp(tail[1][1:]) / rho[m + 1:]
@@ -509,12 +475,11 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
         f_star=RadialField(grid, f),
         g_star=RadialField(grid, g),
         bracket_width=hi - lo,
-        grid=grid,
     )
     if not abs(sol.tail_residual) <= _TAIL_RESIDUAL_LIMIT:
         raise WrongStateError(
             f"the n={n} state on {grid.n_points} points has tail-identity residual "
-            f"{sol.tail_residual:.3e} (limit {_TAIL_RESIDUAL_LIMIT:g}); refine --points"
+            f"{sol.tail_residual:.3e} (limit {_TAIL_RESIDUAL_LIMIT:g}); {refine}"
         )
     return sol
 

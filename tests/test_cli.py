@@ -456,6 +456,13 @@ def test_under_resolved_state_is_exit_4(points, capsys):
     assert "--points" in captured.err
 
 
+def test_coarse_tol_refusal_is_exit_4_and_names_tol(capsys):
+    assert main(["solve", "--n", "0", "--points", "2001", "--tol", "1e-7"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
 def test_oversized_step_is_exit_5(tmp_path, capsys):
     # a dispersing packet under gravity changes shape too fast at dt=50
     # (an exact eigenstate would sail through: its potential is static)
@@ -547,6 +554,13 @@ def test_unknown_check_suite_is_exit_2(capsys, monkeypatch):
 
 
 # --- check -------------------------------------------------------------------
+
+def test_check_runs_a_repeated_suite_once(capsys):
+    assert main(["check", "--suites", "poisson", "poisson"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS  poisson") for line in lines[:4])
+    assert lines[4] == "4/4 checks passed"
+
 
 def test_check_single_suite_reports_rows(capsys):
     code = main(["check", "--suites", "homogeneity"])

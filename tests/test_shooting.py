@@ -10,6 +10,7 @@ its central values agree with bisection on domains of rho_max = 80 and 120
 from __future__ import annotations
 
 import collections
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -26,14 +27,13 @@ from sng.errors import (
     InvalidFieldError,
     WrongStateError,
 )
-from sng.grids import make_grid
+from sng.grids import RadialField, make_grid
 from sng.shooting import (
     UniversalSolution,
     _shoot,
     _tail,
     default_grid,
     find_brackets,
-    integrate_universal,
     scan_brackets,
     shoot_gamma0,
     solve_states,
@@ -71,6 +71,12 @@ def spectrum():
     # n <= 2 shared with the virial suite's cache; n = 3 to 5 in one more walk
     solved = {n: _solved(n, 40.0, 8001) for n in range(3)}
     return {**solved, **dict(zip((3, 4, 5), solve_states([3, 4, 5], make_grid(40.0, 8001))))}
+
+
+def _shot(gamma0, grid, max_nodes=None):
+    """A recorded shot's label and its samples (f, f', g, g') as arrays."""
+    label, samples = _shoot(gamma0, grid, max_nodes, True)
+    return label, tuple(np.array(v) for v in samples)
 
 
 # --- frozen values -----------------------------------------------------------
@@ -161,6 +167,17 @@ def test_solution_profile_invariants(spectrum):
         assert np.all(np.diff(tail) < 0.0), f"n={n} tail not strictly decaying"
 
 
+def test_solution_keeps_one_grid():
+    # the grid is f*'s and g* must lie on it: a grid the fields do not lie
+    # on would make rescaling renormalize f* silently
+    sol = _solved(0, 40.0, 8001)
+    assert "grid" not in {f.name for f in dataclasses.fields(sol)}
+    assert sol.grid is sol.f_star.grid
+    other = RadialField(make_grid(20.0, 8001), sol.g_star.values)
+    with pytest.raises(WrongStateError, match="different grids"):
+        dataclasses.replace(sol, g_star=other)
+
+
 def test_node_counts_match_sign_changes(spectrum):
     for n, sol in spectrum.items():
         f = sol.f_star.values
@@ -194,10 +211,7 @@ def test_scan_brackets_orders_candidates():
 def test_find_bracket_ends_classify_differently():
     grid = make_grid(40.0, 2001)
     lo, hi = find_brackets([1], grid)[1]
-    out_lo = integrate_universal(lo, grid=grid)
-    out_hi = integrate_universal(hi, grid=grid)
-    assert (out_lo.node_count, out_lo.classification) != (
-        out_hi.node_count, out_hi.classification)
+    assert _shot(lo, grid)[0] != _shot(hi, grid)[0]
 
 
 def test_rung_two_brackets_are_frozen_and_shared():
@@ -240,15 +254,15 @@ def test_node_ceiling_scan_keeps_the_unbounded_brackets(max_nodes, unbounded_sca
 
 def test_node_ceiling_stops_on_the_unbounded_prefix():
     grid = make_grid(40.0, 2001)
-    full = integrate_universal(-3.0, grid=grid)
-    cut = integrate_universal(-3.0, grid=grid, max_nodes=0)
-    assert cut.label == (1, "node_ceiling")
-    k = cut.valid_points
+    _, full = _shot(-3.0, grid)
+    label, cut = _shot(-3.0, grid, max_nodes=0)
+    assert label == (1, "node_ceiling")
+    k = len(cut[0])
     assert k < grid.n_points
-    for a, b in zip((*full.trajectory, *full.derivs), (*cut.trajectory, *cut.derivs)):
+    for a, b in zip(full, cut):
         assert a[:k].tobytes() == b.tobytes()
     # the first node sits between the last two computed samples
-    f = cut.trajectory[0]
+    f = cut[0]
     assert f[k - 2] * f[k - 1] < 0.0
     assert np.count_nonzero(f[:k - 2] * f[1:k - 1] < 0.0) == 0
 
@@ -280,9 +294,25 @@ def test_invalid_node_count_rejected():
         shoot_gamma0(-1, (-1.0, -0.9), grid=grid)
     for max_nodes in (-1, 1.5, True, np.nan):
         with pytest.raises(InvalidArgumentError):
-            integrate_universal(-1.0, grid=grid, max_nodes=max_nodes)
+            _shot(-1.0, grid, max_nodes=max_nodes)
         with pytest.raises(InvalidArgumentError):
             scan_brackets((-5.0, 0.0), 101, grid, max_nodes=max_nodes)
+
+
+@pytest.mark.parametrize("n, tol, refusal", [
+    (1, 1e-4, "tail-identity residual"),
+    # the mid-bracket gamma0 gains a node before rho_m = 16
+    (0, 1e-5, "no decaying tail past it"),
+    (0, 1e-7, "no decaying tail past it"),
+])
+def test_coarse_tol_refusals_name_tol(n, tol, refusal):
+    # the refusal is the coarse tol's, not the grid's: a tenth of it solves
+    grid = make_grid(40.0, 2001)
+    bracket = find_brackets([n], grid)[n]
+    with pytest.raises(WrongStateError, match=refusal) as info:
+        shoot_gamma0(n, bracket, grid, tol)
+    assert "refine --points, or lower --tol (bracket width " in str(info.value)
+    assert shoot_gamma0(n, bracket, grid, tol / 10).bracket_width <= tol / 10
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
@@ -295,12 +325,12 @@ def test_invalid_tol_rejected(tol):
 
 def test_classification_labels_partition_parameter_space():
     grid = make_grid(40.0, 2001)
-    up = integrate_universal(-0.3, grid=grid)
-    down = integrate_universal(-1.0, grid=grid)
-    deep = integrate_universal(-3.0, grid=grid)
-    assert up.classification == "diverged_up" and up.node_count == 0
-    assert down.classification == "diverged_down" and down.node_count == 1
-    assert deep.classification == "max_radius_reached"
+    (up_nodes, up), _ = _shot(-0.3, grid)
+    (down_nodes, down), _ = _shot(-1.0, grid)
+    (_, deep), _ = _shot(-3.0, grid)
+    assert up == "diverged_up" and up_nodes == 0
+    assert down == "diverged_down" and down_nodes == 1
+    assert deep == "max_radius_reached"
 
 
 # --- determinism -------------------------------------------------------------
@@ -361,21 +391,13 @@ def test_shots_are_bitwise_pinned(kind):
     grid = make_grid(40.0, 2001)
     for max_nodes in (None, 19):
         for gamma0, (label, valid, digest) in PINNED_SHOTS.items():
-            out = integrate_universal(kind(gamma0), grid=grid, max_nodes=max_nodes)
-            assert (out.label, out.valid_points) == (label, valid)
-            assert type(out.gamma0) is float and out.gamma0 == gamma0
-            values = (np.pad(v, (0, grid.n_points - valid), mode="edge")
-                      for v in (*out.trajectory, *out.derivs))
+            shot_label, (f, fp, g, gp) = _shot(kind(gamma0), grid, max_nodes)
+            assert (shot_label, len(f)) == (label, valid)
+            values = (np.pad(v, (0, grid.n_points - valid), mode="edge") for v in (f, g, fp, gp))
             assert _sha256(*values) == digest, f"gamma0={gamma0}, max_nodes={max_nodes}"
 
 
 # --- label-only shots -------------------------------------------------------
-
-def _kernel_order(outcome):
-    """A recorded shot's sample arrays in the kernel's order (f, f', g, g')."""
-    (f, g), (fp, gp) = outcome.trajectory, outcome.derivs
-    return f, fp, g, gp
-
 
 def _label_only(gamma0, grid, max_nodes=None, stop=None):
     """A label-only shot's label and the state (index, f, f', g, g') it returns."""
@@ -386,9 +408,9 @@ def _recorded(gamma0, grid, max_nodes=None, stop=None):
     """The same from the recorded shot: its label and last sample, or, with
     ``stop``, the full recorded shot's sample ``stop`` past node max_nodes."""
     if stop is None:
-        out = integrate_universal(gamma0, grid, max_nodes=max_nodes)
-        return out.label, (out.valid_points - 1, *(v[-1] for v in _kernel_order(out)))
-    samples = _kernel_order(integrate_universal(gamma0, grid))
+        label, samples = _shot(gamma0, grid, max_nodes)
+        return label, (len(samples[0]) - 1, *(v[-1] for v in samples))
+    _, samples = _shot(gamma0, grid)
     f = samples[0]
     crossings = np.flatnonzero(f[:-1] * f[1:] < 0.0) + 1
     index = (crossings[max_nodes - 1] if max_nodes else 0) + stop
