@@ -89,6 +89,10 @@ class RadialState:
             raise InvalidArgumentError("u contains non-finite samples")
         if u[0] != 0.0:
             raise InvalidArgumentError("u(0) must be exactly 0 (psi regular at origin)")
+        # the quadrature weights and the Laplacian divide by dr^2
+        if not self.grid.spacing * self.grid.spacing >= np.finfo(float).tiny:
+            raise InvalidArgumentError(
+                f"grid spacing {self.grid.spacing:.6g} is too fine: its square underflows a double")
         # an infinite norm is left to evolve's observable check
         with np.errstate(over="ignore"):
             u2_line = integrate_line(np.abs(u) ** 2, self.grid)
@@ -172,10 +176,15 @@ def gaussian_state(grid: RadialGrid, sigma: float) -> RadialState:
     and the RMS radius starts at sqrt(3) sigma.  InvalidArgumentError when
     sigma^2 is not a normal double, or when the sampled packet's norm
     misses 1 by more than 1e-6: the spacing is too coarse for sigma, or the
-    domain too small."""
+    domain too small; or, before sampling, when r_max^2 / 4 sigma^2
+    overflows a double."""
     check_positive("sigma", sigma)
     if not np.finfo(float).tiny <= sigma * sigma < math.inf:
         raise InvalidArgumentError(f"sigma^2 = {sigma * sigma:.6g} is not a normal double")
+    if not grid.rho_max * grid.rho_max / (4.0 * sigma**2) < math.inf:
+        raise InvalidArgumentError(
+            f"r_max {grid.rho_max:.6g} is too far out for a Gaussian of sigma {sigma:.6g}: "
+            f"r_max^2 / 4 sigma^2 overflows a double")
     r = grid.nodes
     psi = (2.0 * np.pi * sigma**2) ** -0.75 * np.exp(-r * r / (4.0 * sigma**2))
     state = RadialState(grid=grid, u=r * psi, time=0.0)

@@ -8,7 +8,8 @@ with f(0)=1, f'(0)=0, g(0)=gamma0, g'(0)=0, has square-integrable solutions
 only for a discrete set of central values gamma0(n) < 0, labelled by the
 node count n of f.  Every shot runs one RK4 kernel outward from a series
 start at the origin; :func:`solve_states` brackets the eigenvalues by
-scanning gamma0 and bisects each on one condition, a match at rho_m =
+halving a gamma0 lattice to find where the shots' labels change, and
+bisects each on one condition, a match at rho_m =
 (last node of f, or 0 for n = 0) + 16.  Past rho_m the source f^2 is
 negligible: g = g_inf - M/rho with M = rho_m^2 g'(rho_m) and g_inf =
 g + rho_m g'(rho_m), and u = rho f obeys u'' = (g_inf - M/rho) u, whose
@@ -79,6 +80,9 @@ _TAIL_RESIDUAL_LIMIT = 1e-3
 # The scan ladder: (gamma0 range, lattice points) per rung, each rung scanned
 # only when the ones before it left a requested state without a bracket.
 _SCAN_LADDER = (((-5.0, 0.0), 101), ((-5.0, 0.0), 404), ((-10.0, 0.0), 808))
+
+# Shot labels decided inside rho_max; see scan_brackets.
+_SETTLED = frozenset({"diverged_up", "diverged_down", "node_ceiling"})
 
 
 def default_grid() -> RadialGrid:
@@ -256,8 +260,22 @@ def scan_brackets(gamma0_range: tuple[float, float], steps: int, grid: RadialGri
 
     Every pair of consecutive lattice points whose (node count, divergence)
     labels differ is returned as ``(candidate_n, (lo, hi))`` with candidate_n
-    the smaller of the two node counts.  Empty list when no transition is
-    found (e.g. any scan over gamma0 >= 0, where g* > 0 forbids decay).
+    the smaller of the two node counts, in lattice order.  Empty list when
+    no transition is found (e.g. any scan over gamma0 >= 0, where g* > 0
+    forbids decay).
+
+    The lattice is searched, not walked: an index interval is halved at
+    (i + j) // 2 until its ends are adjacent, and each point is shot at most
+    once.  An interval whose ends carry the same settled label
+    (``diverged_up``, ``diverged_down`` or ``node_ceiling``) is skipped.
+    A diverging f runs off in the sign (-1)^n of its last lobe, so a
+    settled label is fixed by its node count, and the count does not rise
+    with gamma0; so the count is the same all between such ends.  Ends
+    that both reached rho_max unclassified (``max_radius_reached`` or
+    ``converged``) are split on: a run of those can hold diverging shots,
+    and brackets, inside it.  The converse, an unclassified shot inside a
+    run of diverging ones of its count, would be missed; the tests compare
+    the search with a shot at every point over a sweep of grids.
 
     With ``max_nodes`` every shot stops at its first node past it (see
     :func:`_shoot`) and only candidates <= ``max_nodes`` are
@@ -268,23 +286,38 @@ def scan_brackets(gamma0_range: tuple[float, float], steps: int, grid: RadialGri
         raise InvalidArgumentError(f"need lo < hi, got {gamma0_range}")
     steps = check_count("steps", steps, 2)
     lattice = np.linspace(lo, hi, steps)
-    labels = [_shoot(g0, grid, max_nodes, record=False)[0] for g0 in lattice]
+    labels = {}
+
+    def label(i: int) -> tuple[int, str]:
+        if i not in labels:
+            labels[i] = _shoot(lattice[i], grid, max_nodes, record=False)[0]
+        return labels[i]
+
     out = []
-    for i in range(steps - 1):
-        if labels[i] != labels[i + 1]:
-            candidate = min(labels[i][0], labels[i + 1][0])
+    pending = [(0, steps - 1)]  # index intervals, the leftmost last
+    while pending:
+        i, j = pending.pop()
+        a, b = label(i), label(j)
+        if a == b and a[1] in _SETTLED:
+            continue
+        if j - i > 1:
+            m = (i + j) // 2
+            pending += [(m, j), (i, m)]
+        elif a != b:
+            candidate = min(a[0], b[0])
             if max_nodes is None or candidate <= max_nodes:
-                out.append((candidate, (float(lattice[i]), float(lattice[i + 1]))))
+                out.append((candidate, (float(lattice[i]), float(lattice[j]))))
     return out
 
 
 def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float, float]]:
-    """Brackets for the node counts ``ns`` from one walk of the scan ladder,
-    which stops at the first rung after which every n has one.  Each n keeps
-    its first bracket in lattice order.  Scan shots stop at their first node
-    past the highest requested n.  An empty request or a negative or
-    fractional n raises InvalidArgumentError before any shot; an n left
-    without a bracket raises InvalidBracketError."""
+    """Brackets for the node counts ``ns`` from one climb of the scan
+    ladder, each rung searched by :func:`scan_brackets`; the climb stops at
+    the first rung after which every n has one.  Each n keeps its first
+    bracket in lattice order.  Scan shots stop at their first node past
+    the highest requested n.  An empty request or a negative or fractional
+    n raises InvalidArgumentError before any shot; an n left without a
+    bracket raises InvalidBracketError."""
     wanted = {check_count("n", n, 0) for n in ns}
     if not wanted:
         raise InvalidArgumentError("need one or more node counts, got none")
@@ -487,7 +520,7 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
 def solve_states(ns: Iterable[int], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> list[UniversalSolution]:
     """Solve the bound states with the requested node counts, in the order
-    given: one walk of the scan ladder brackets them all (see
+    given: one climb of the scan ladder brackets them all (see
     :func:`find_brackets`), then :func:`shoot_gamma0` bisects each.  A bad
     ``tol`` raises InvalidArgumentError before any shot."""
     ns = list(ns)

@@ -7,7 +7,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -145,14 +147,14 @@ def test_spectrum_exits_with_a_documented_code(n_max, points, rho_max, tol):
 
 
 def _assert_documented_exit(argv):
-    """``sng argv`` in process exits 0, 2, 3 or 4, with no traceback and no
-    numpy RuntimeWarning."""
+    """``sng argv`` in process exits 0, 2, 3 or 4 (or 5, for evolve), with no
+    traceback and no numpy RuntimeWarning."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
-    assert code in (0, 2, 3, 4), argv
+    assert code in ((0, 2, 3, 4, 5) if argv[0] == "evolve" else (0, 2, 3, 4)), argv
     assert "Traceback" not in err.getvalue()
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
 
@@ -396,6 +398,38 @@ def test_out_of_range_packet_is_exit_2_in_a_g_units(sigma, r_max, named, tmp_pat
     err = capsys.readouterr().err
     assert named in err and "SI units" not in err
     assert not out.exists()
+
+
+# an absent flag (None), or a value at or past the ends of the doubles
+def _evolve_values(typical):
+    return st.one_of(st.none(), st.sampled_from(EXTREME), typical)
+
+
+# a_g is 0.36 m for the nucleon condensate and 1.7e-67 m for one tonne
+KILO_FLAGS = ["--mass-kg", "1e3", "--n-particles", "1"]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["--free", "--gravity", "--cubic"]),
+       points=st.integers(3, 401), steps=st.integers(0, 3),
+       dt=_evolve_values(st.floats(1e-4, 10.0)), r_max=_evolve_values(st.floats(1.0, 100.0)),
+       sigma=_evolve_values(st.floats(0.05, 10.0)), kappa=_evolve_values(st.floats(-10.0, 10.0)),
+       units=st.sampled_from([[], NUCLEON_FLAGS, KILO_FLAGS]))
+# the packet's r^2 overflowed a double and numpy warned before the refusal
+@example(kind="--free", points=303, steps=2, dt=0.01, r_max=1.7e308, sigma=1.0, kappa=None,
+         units=[])
+# a spacing of 1.5e-257 a_g, whose square underflows: the quadrature
+# weights divided by zero
+@example(kind="--free", points=3, steps=0, dt=None, r_max=5e-324, sigma=1.0, kappa=None,
+         units=KILO_FLAGS)
+def test_evolve_exits_with_a_documented_code(kind, points, steps, dt, r_max, sigma, kappa,
+                                             units):
+    values = {"--dt": dt, "--r-max": r_max, "--gaussian-sigma": sigma, "--kappa": kappa}
+    with tempfile.TemporaryDirectory() as root:
+        _assert_documented_exit(["evolve", kind, "--points", str(points), "--steps", str(steps),
+                                 *(f"{flag}={value!r}" for flag, value in values.items()
+                                   if value is not None),
+                                 *units, "--out-csv", os.path.join(root, "x.csv")])
 
 
 def test_evolve_cubic_requires_kappa(tmp_path):

@@ -67,6 +67,10 @@ CASES = [
     # a spacing that underflows to 0 (or a subnormal) divides a shot by zero
     ("rho_max", lambda: make_grid(5e-324, 11)),
     ("rho_max", lambda: make_grid(1e-310, 3)),
+    # r^2 of the outer nodes overflows a double
+    ("r_max", lambda: gaussian_state(make_grid(1.7e308, 303), 1.0)),
+    # a spacing whose square underflows: the quadrature and dt/dr^2 divide by it
+    ("grid", lambda: RadialState(make_grid(1e-200, 3), [0.0, 1.0, 0.0], 0.0)),
 ]
 
 

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sng.checks import _solved
 from sng import shooting
@@ -25,6 +27,7 @@ from sng.errors import (
     InvalidArgumentError,
     InvalidBracketError,
     InvalidFieldError,
+    SngError,
     WrongStateError,
 )
 from sng.grids import RadialField, make_grid
@@ -68,7 +71,7 @@ REFERENCES = json.loads(
 
 @pytest.fixture(scope="module")
 def spectrum():
-    # n <= 2 shared with the virial suite's cache; n = 3 to 5 in one more walk
+    # n <= 2 shared with the virial suite's cache; n = 3 to 5 in one more climb
     solved = {n: _solved(n, 40.0, 8001) for n in range(3)}
     return {**solved, **dict(zip((3, 4, 5), solve_states([3, 4, 5], make_grid(40.0, 8001))))}
 
@@ -265,6 +268,76 @@ def test_node_ceiling_stops_on_the_unbounded_prefix():
     f = cut[0]
     assert f[k - 2] * f[k - 1] < 0.0
     assert np.count_nonzero(f[:k - 2] * f[1:k - 1] < 0.0) == 0
+
+
+def _walk_brackets(gamma0_range, steps, grid, max_nodes=None):
+    """The reference scan: shoot every lattice point in order and return each
+    adjacent pair whose labels differ, as scan_brackets returns them."""
+    lattice = np.linspace(*gamma0_range, steps)
+    labels = [_shoot(g0, grid, max_nodes, False)[0] for g0 in lattice]
+    out = []
+    for i in range(steps - 1):
+        if labels[i] != labels[i + 1]:
+            candidate = min(labels[i][0], labels[i + 1][0])
+            if max_nodes is None or candidate <= max_nodes:
+                out.append((candidate, (float(lattice[i]), float(lattice[i + 1]))))
+    return out
+
+
+def _scan_outcome(scan, rung, grid, max_nodes):
+    """The scan's bracket list, or the type of the error it raised."""
+    gamma0_range, steps = rung
+    try:
+        return scan(gamma0_range, steps, grid, max_nodes=max_nodes)
+    except SngError as exc:
+        return type(exc)
+
+
+def _assert_search_matches_walk(grid, rung, ceilings):
+    # the search shoots a subset of the walk's points; shoot each once
+    labels = {}
+
+    def cached(gamma0, grid, max_nodes, record, stop=None):
+        key = float(gamma0), max_nodes
+        if key not in labels:
+            try:
+                labels[key] = _shoot(gamma0, grid, max_nodes, record, stop)
+            except SngError as exc:
+                labels[key] = exc
+        if isinstance(labels[key], SngError):
+            raise labels[key]
+        return labels[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shooting, "_shoot", cached)
+        for max_nodes in ceilings:
+            walked = _scan_outcome(_walk_brackets, rung, grid, max_nodes)
+            searched = _scan_outcome(scan_brackets, rung, grid, max_nodes)
+            assert searched == walked, (grid, rung, max_nodes)
+
+
+def test_search_matches_the_walk_on_the_default_grid():
+    _assert_search_matches_walk(default_grid(), shooting._SCAN_LADDER[0], range(6))
+
+
+@pytest.mark.parametrize("rung", shooting._SCAN_LADDER)
+@pytest.mark.parametrize("rho_max, points", [(40.0, 41), (30.0, 97)])
+def test_search_matches_the_walk_on_every_rung(rho_max, points, rung):
+    _assert_search_matches_walk(make_grid(rho_max, points), rung, [*range(8), None])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(points=st.integers(3, 401), rho_max=st.floats(1.0, 120.0),
+       rung=st.sampled_from(shooting._SCAN_LADDER),
+       max_nodes=st.one_of(st.none(), st.integers(0, 7)))
+# a run of shots that reach rho_max unclassified holds diverging shots, and
+# two brackets, inside it: skipping every interval whose end labels agree
+# drops both
+@example(points=266, rho_max=43.8, rung=shooting._SCAN_LADDER[1], max_nodes=None)
+@example(points=306, rho_max=44.3, rung=shooting._SCAN_LADDER[1], max_nodes=6)
+@example(points=231, rho_max=43.1, rung=shooting._SCAN_LADDER[1], max_nodes=7)
+def test_search_matches_the_walk_on_fuzzed_grids(points, rho_max, rung, max_nodes):
+    _assert_search_matches_walk(make_grid(rho_max, points), rung, [max_nodes])
 
 
 def test_find_bracket_out_of_range_raises():
@@ -472,11 +545,11 @@ def test_label_only_shots_keep_the_recorded_checks():
 
 
 def test_solve_states_shot_counts(monkeypatch):
-    # one label-only scan rung bounded at n = 1; then per state two bracket
-    # ends and the shots the bisection could not decide from the earlier
-    # ones (16 for n = 0, 10 for n = 1, of 29 halvings), each stopping at
-    # its match radius 800 samples (16) past its n-th node, and one
-    # recorded shot to rho_m
+    # one label-only scan rung bounded at n = 1, whose search shoots 10 of
+    # its 101 points; then per state two bracket ends and the shots the
+    # bisection could not decide from the earlier ones (16 for n = 0, 10
+    # for n = 1, of 29 halvings), each stopping at its match radius 800
+    # samples (16) past its n-th node, and one recorded shot to rho_m
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -485,9 +558,22 @@ def test_solve_states_shot_counts(monkeypatch):
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
-    assert counts == {(False, 1, None): 101,
+    assert counts == {(False, 1, None): 10,
                       (False, 0, 800): 2 + 16, (False, 1, 800): 2 + 10,
                       (True, 0, 800): 1, (True, 1, 800): 1}
+
+
+def test_default_grid_scan_shots(monkeypatch):
+    # the search shoots 18 of the first rung's 101 points
+    counts = collections.Counter()
+
+    def counted(gamma0, grid, max_nodes, record, stop=None):
+        counts[record, max_nodes, stop] += 1
+        return _shoot(gamma0, grid, max_nodes, record, stop)
+
+    monkeypatch.setattr(shooting, "_shoot", counted)
+    find_brackets(range(5), default_grid())
+    assert counts == {(False, 4, None): 18}
 
 
 # --- secant-guided bisection against plain bisection -------------------------
