@@ -36,6 +36,7 @@ from .errors import (
     SngError,
     StepRejectedError,
     WrongStateError,
+    check_count,
 )
 from .evolution import NonlinearityKind, evolve, gaussian_state, state_from_profile
 from .grids import RadialField, make_grid
@@ -60,8 +61,10 @@ _GENERATED_BY = f"sng {__version__}"
 
 def _si(name: str, values, unit: float):
     """``values`` (an array or a float) in a_g units times their SI ``unit``;
-    InvalidArgumentError names the column when a product is not finite."""
-    out = values * unit
+    InvalidArgumentError names the column when a product is not finite (so
+    numpy's overflow warning is silenced)."""
+    with np.errstate(over="ignore"):
+        out = values * unit
     if not np.all(np.isfinite(out)):
         raise InvalidArgumentError(f"{name} in SI units is not representable as a double")
     return out
@@ -142,21 +145,22 @@ def _load_solution(json_path: str) -> UniversalSolution:
     try:
         with open(json_path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise InvalidArgumentError(f"cannot read {json_path}: {exc}") from exc
     try:
-        n = int(data["n"])
+        n, node_count, points = data["n"], data["node_count"], data["grid"]["points"]
         gamma0 = float(data["gamma0"])
         gamma1 = float(data["gamma1"])
         epsilon_star = float(data["epsilon_star"])
-        node_count = int(data["node_count"])
         bracket_width = float(data["bracket_width"])
         rho_max = float(data["grid"]["rho_max"])
-        points = int(data["grid"]["points"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"{json_path} is not a solve summary: {exc}") from exc
+    # counts are refused, not truncated, when infinite or fractional
+    n, node_count = check_count("n", n, 0), check_count("node_count", node_count, 0)
+    points = check_count("points", points, 3)
     csv_name = data.get("x_csv")
-    if not csv_name:
+    if not (isinstance(csv_name, str) and csv_name):
         raise InvalidArgumentError(
             f"{json_path} carries no profile table (x_csv); "
             "re-run solve with --out-json to get the companion CSV"
@@ -166,12 +170,17 @@ def _load_solution(json_path: str) -> UniversalSolution:
         table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     except OSError as exc:
         raise InvalidArgumentError(f"profile table missing: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"profile table {csv_path} is not rows of three numbers: {exc}") from exc
     if table.ndim != 2 or table.shape[1] != 3 or table.shape[0] != points:
         raise InvalidArgumentError(
             f"{csv_path} does not match the summary grid ({points} points)"
         )
     grid = make_grid(rho_max, points)
-    if not np.allclose(table[:, 0], grid.nodes, rtol=0.0, atol=1e-9 * rho_max):
+    with np.errstate(over="ignore"):  # an overflowing difference disagrees too
+        agrees = np.allclose(table[:, 0], grid.nodes, rtol=0.0, atol=1e-9 * rho_max)
+    if not agrees:
         raise InvalidArgumentError(f"{csv_path} rho column disagrees with the grid")
     if node_count != n:
         raise WrongStateError(f"trajectory has {node_count} nodes, wanted n={n}")

@@ -15,7 +15,9 @@ depends only on the grid and dt, so it is factored once per (grid, dt) and
 a free step is one back-substitution on the cached factors.  A solve with
 a potential uses its matrix once, so it is one fused LAPACK zgtsv call
 (factor and back-substitute), and a step's predictor and corrector share
-the hopping term of the right-hand side.
+the hopping term of the right-hand side.  scipy's wrappers of these LAPACK
+routines are imported with the first Crank–Nicolson system, not with this
+module, so that importing sng loads no scipy.
 
 ``step`` and ``evolve`` run one private per-step kernel on the bare u
 array.  ``evolve`` carries u and the time through it and builds no
@@ -43,7 +45,6 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import InvalidArgumentError, StepRejectedError, check_count, check_positive
 from .grids import RadialField, RadialGrid, integrate_line, poisson_values, psi_from_u
@@ -327,6 +328,11 @@ class _CrankNicolson:
     def __init__(self, grid: RadialGrid, dt: float):
         # scipy's zgttrf, zgttrs and zgtsv wrappers need three interior unknowns
         check_count("n_points", grid.n_points, 5)
+        # imported once per cached system, not at module top, so that
+        # commands that never call LAPACK do not pay scipy's import
+        from scipy.linalg import lapack
+
+        self.lapack = lapack
         dr = grid.spacing
         self.dt = dt
         self.lam = dt / (4.0 * dr * dr)
@@ -341,7 +347,7 @@ class _CrankNicolson:
         a_diag, b_diag = self._diagonals(np.zeros(len(self.off) + 1))
         if not np.isfinite(a_diag).all():
             raise _non_finite_system()
-        *lu, info = zgttrf(self.off, a_diag, self.off)
+        *lu, info = self.lapack.zgttrf(self.off, a_diag, self.off)
         _check_info("zgttrf", info)
         return _read_only(b_diag), tuple(_read_only(factor) for factor in lu)
 
@@ -375,12 +381,13 @@ class _CrankNicolson:
         if not np.isfinite(rhs).all():
             raise _non_finite_system()
         if v is None:
-            x, info = zgttrs(*lu, rhs, overwrite_b=1)
+            x, info = self.lapack.zgttrs(*lu, rhs, overwrite_b=1)
             _check_info("zgttrs", info)
         else:
             # the shared off-diagonal is read-only, so zgtsv works on copies
             # of it; the fresh diagonal and right-hand side are overwritten
-            *_, x, info = zgtsv(self.off, a_diag, self.off, rhs, overwrite_d=1, overwrite_b=1)
+            *_, x, info = self.lapack.zgtsv(self.off, a_diag, self.off, rhs,
+                                            overwrite_d=1, overwrite_b=1)
             _check_info("zgtsv", info)
         out = np.zeros(len(u), dtype=np.complex128)
         out[1:-1] = x

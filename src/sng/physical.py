@@ -194,27 +194,41 @@ def rescale_to_physical(sol: UniversalSolution) -> PhysicalProfile:
     and only replaced by explicit renormalization (flagged on the profile)
     if it misses by more than 1e-6.  The closed-form potential is shifted
     to meet -G M/r (-norm/x in a_g units) at the grid edge; the shift is
-    stored.  InvalidArgumentError for a malformed solution.
+    stored.  InvalidArgumentError for a malformed solution, and for one
+    whose rescaled profile or potential does not fit in doubles.
     """
     if not isinstance(sol, UniversalSolution):
         raise InvalidArgumentError("rescale_to_physical needs a UniversalSolution")
     gamma1 = sol.gamma1
+    square = gamma1 * gamma1
+    if not (0.0 < square < math.inf and 2.0 / square < math.inf):
+        raise InvalidArgumentError(f"gamma1 {gamma1!r} is out of range: 2/gamma1^2 is not "
+                                   "a finite, nonzero double")
     beta = 2.0 / gamma1
     grid = make_grid(sol.grid.rho_max / beta, sol.grid.n_points)
 
-    amplitude = np.sqrt(2.0 / np.pi) / gamma1**2
-    f_vals = amplitude * sol.f_star.values
-    norm = 4.0 * np.pi * integrate_radial(RadialField(grid, f_vals * f_vals))
-    renormalized = abs(norm - 1.0) > 1e-6
-    if renormalized:
-        f_vals = f_vals / np.sqrt(norm)
+    # overflows are refused below, so numpy's warnings about them are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = np.sqrt(2.0 / np.pi) / gamma1**2
+        f_vals = amplitude * sol.f_star.values
         norm = 4.0 * np.pi * integrate_radial(RadialField(grid, f_vals * f_vals))
+        if not 0.0 < norm < math.inf:
+            raise InvalidArgumentError(f"gamma1 {gamma1!r} rescales f* to a norm of {norm}, "
+                                       "not a finite, nonzero double")
+        renormalized = abs(norm - 1.0) > 1e-6
+        if renormalized:
+            f_vals = f_vals / np.sqrt(norm)
+            norm = 4.0 * np.pi * integrate_radial(RadialField(grid, f_vals * f_vals))
 
-    phi_raw = (2.0 / gamma1**2) * (sol.g_star.values + sol.epsilon_star)
-    shift = phi_raw[-1] - (-norm / grid.nodes[-1])
+        phi_raw = (2.0 / gamma1**2) * (sol.g_star.values + sol.epsilon_star)
+        shift = phi_raw[-1] - (-norm / grid.nodes[-1])
+        phi = phi_raw - shift
+    if not np.isfinite(phi).all():
+        raise InvalidArgumentError("epsilon_star and g* rescale to a potential that "
+                                   "overflows a double")
     return PhysicalProfile(
         f_ag=RadialField(grid, f_vals),
-        phi_ag=RadialField(grid, phi_raw - shift),
+        phi_ag=RadialField(grid, phi),
         epsilon_ag=(2.0 / gamma1**2) * sol.epsilon_star,
         phi_tail_shift_ag=shift,
         norm=norm,

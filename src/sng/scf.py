@@ -6,11 +6,14 @@ point directly on u(r) = r f(r), in units of a_g (see :mod:`sng.physical`):
     -(1/2) u'' + V u = eps u,      lap V = 4 pi f^2,
 
 alternating a frozen-potential tridiagonal eigensolve (selecting the n-th
-eigenpair) with a Poisson update of the potential.  Each sweep's input
-potential is Anderson-mixed (D. G. Anderson, J. ACM 12, 547 (1965)) from
-the last few inputs and their Poisson residuals, which reaches the fixed
-point in far fewer sweeps than plain half-and-half mixing (16 and 17
-against 91 and 102 for n = 0 and 1 on the oracle suite's grids).
+eigenpair) with a Poisson update of the potential.  The eigensolve is
+scipy's eigh_tridiagonal, which calls LAPACK; scf_solve imports it when
+it runs, not at module top, so that importing sng loads no scipy.  Each
+sweep's input potential is Anderson-mixed (D. G. Anderson, J. ACM 12,
+547 (1965)) from the last few inputs and their Poisson residuals, which
+reaches the fixed point in far fewer sweeps than plain half-and-half
+mixing (16 and 17 against 91 and 102 for n = 0 and 1 on the oracle
+suite's grids).
 The converged state maps back to the universal normalization through
 f*(0) = 1, giving gamma0 (see universal_from_scf) for direct comparison
 with the shooting route.  Nothing here shares algorithmic structure with
@@ -24,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, InvalidArgumentError, check_count
 from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
@@ -90,6 +92,10 @@ def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 4
     max_iter = check_count("max_iter", max_iter, 1)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidArgumentError(f"tol must be non-negative and finite, got {tol!r}")
+    # imported here, not at module top, so that commands that never call
+    # LAPACK do not pay scipy's import
+    from scipy.linalg import eigh_tridiagonal
+
     r = grid.nodes
     dr = grid.spacing
 

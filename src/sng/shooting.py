@@ -97,7 +97,9 @@ class UniversalSolution:
     Up to the match radius rho_m, ``f_star`` and ``g_star`` are the final
     shot's samples; past it they are the matched Coulomb tail u_tail/rho and
     g_inf - M/rho (see the module docstring).  The two lie on one grid,
-    ``grid``; a pair on two grids is refused.
+    ``grid``; a pair on two grids is refused.  So are a non-finite gamma0,
+    gamma1 or epsilon_star, and a bracket_width that is not finite and
+    positive (InvalidArgumentError).
     """
 
     n: int
@@ -109,6 +111,10 @@ class UniversalSolution:
     bracket_width: float
 
     def __post_init__(self):
+        for name in ("gamma0", "gamma1", "epsilon_star"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)!r}")
+        check_positive("bracket_width", self.bracket_width)
         if self.g_star.grid != self.f_star.grid:
             raise WrongStateError(
                 f"f* and g* lie on different grids: {self.f_star.grid} and {self.g_star.grid}")

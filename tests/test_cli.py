@@ -157,6 +157,7 @@ def _assert_documented_exit(argv):
     assert code in ((0, 2, 3, 4, 5) if argv[0] == "evolve" else (0, 2, 3, 4)), argv
     assert "Traceback" not in err.getvalue()
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
+    return code
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])
@@ -172,6 +173,11 @@ def test_non_finite_tol_is_exit_2(tol, monkeypatch, capsys):
 
 
 # --- rescale -----------------------------------------------------------------
+
+# a_g is 0.36 m for the nucleon condensate and 1.7e-67 m for one tonne
+NUCLEON_FLAGS = ["--mass-kg", "1.67262192369e-27", "--n-particles", "1e23"]
+KILO_FLAGS = ["--mass-kg", "1e3", "--n-particles", "1"]
+
 
 @pytest.fixture(scope="module")
 def rescaled_natural(solved, tmp_path_factory):
@@ -230,6 +236,14 @@ def test_rescale_missing_companion_csv_is_exit_2(solved, tmp_path):
     assert main(["rescale", str(orphan), "--natural"]) == 2
 
 
+def test_rescale_refuses_a_summary_that_is_not_utf8(tmp_path, capsys):
+    # json.load raised UnicodeDecodeError, which is not a JSONDecodeError
+    summary = tmp_path / "ground.json"
+    summary.write_bytes(b"\xff\xfe{}")
+    assert main(["rescale", str(summary), "--natural"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_rescale_refuses_a_summary_whose_node_count_is_not_n(solved, tmp_path, capsys):
     data = _read_json(solved / "ground.json")
     data["node_count"] = 1
@@ -268,6 +282,118 @@ def test_rescale_outputs_are_bitwise_pinned(units, coarse_solved, tmp_path):
     assert digests == PINNED_RESCALE[units]
 
 
+# the summary's fields as key paths, and what the fuzz puts in one: a value
+# at or past the ends of the doubles, a fraction, a number too large for a
+# double, a wrong type, or nothing (DELETE drops the key)
+SUMMARY_FIELDS = [("n",), ("node_count",), ("gamma0",), ("gamma1",), ("epsilon_star",),
+                  ("bracket_width",), ("grid", "rho_max"), ("grid", "points"), ("grid",),
+                  ("x_csv",)]
+COUNTS = {"n", "node_count", "points"}
+DELETE = "<delete>"
+ODD_FIELD_VALUES = [*EXTREME, 1.5, 401.5, 1e154, 10**400, "0", None, [], True, DELETE]
+# what the fuzz puts in one profile cell; DELETE drops the cell from its row
+ODD_CELLS = ["nan", "inf", "-inf", "a", "", "1e309", "1e300", "-1.7e308", "5e-324", "0", DELETE]
+
+
+def _corrupt_summary(text, field, value, cut):
+    data = json.loads(text)
+    if field is not None:
+        *outer, key = field
+        target = data
+        for name in outer:
+            target = target[name]
+        if value == DELETE:
+            del target[key]
+        else:
+            target[key] = value
+    return json.dumps(data)[:cut]
+
+
+def _corrupt_profile(text, row, column, cell, cut):
+    lines = text.splitlines()
+    if cell is not None:
+        cells = lines[row].split(",")
+        if cell == DELETE:
+            del cells[column]
+        else:
+            cells[column] = cell
+        lines[row] = ",".join(cells)
+    return "".join(line + "\n" for line in lines[:cut])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(field=st.none() | st.sampled_from(SUMMARY_FIELDS),
+       value=st.sampled_from(ODD_FIELD_VALUES), cut_json=st.none() | st.integers(0, 300),
+       row=st.integers(1, 401), column=st.integers(0, 2),
+       cell=st.none() | st.sampled_from(ODD_CELLS), cut_csv=st.none() | st.integers(0, 402),
+       units=st.sampled_from([["--natural"], NUCLEON_FLAGS, KILO_FLAGS]))
+# int() of an infinite count raised OverflowError, and a fractional count was
+# truncated
+@example(field=("n",), value=math.inf, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+@example(field=("grid", "points"), value=math.inf, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+@example(field=("n",), value=1.5, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+@example(field=("grid", "points"), value=401.5, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+# a cell numpy cannot read, and a row of two cells, raised from np.loadtxt
+@example(field=None, value=DELETE, cut_json=None, row=5, column=0, cell="a",
+         cut_csv=None, units=["--natural"])
+@example(field=None, value=DELETE, cut_json=None, row=5, column=2, cell=DELETE,
+         cut_csv=None, units=["--natural"])
+# numpy warned "invalid value encountered in subtract" before the refusal
+@example(field=("epsilon_star",), value=math.inf, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+# a NaN bracket width, or a NaN gamma0, passed the g*(0) check and exited 0
+@example(field=("bracket_width",), value=math.nan, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+@example(field=("gamma0",), value=math.nan, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+# float() of an integer too large for a double raised OverflowError
+@example(field=("gamma0",), value=10**400, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+# an infinite gamma1 divided by zero; gamma1^2 overflowed (OverflowError),
+# or 2/gamma1^2 did, or the profile's norm underflowed to 0 (numpy warnings)
+@example(field=("gamma1",), value=math.inf, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+@example(field=("gamma1",), value=1e300, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+@example(field=("gamma1",), value=1e-300, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+@example(field=("gamma1",), value=1e154, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+# numpy warned that f*^2 overflowed before the refusal
+@example(field=None, value=DELETE, cut_json=None, row=5, column=1, cell="1e300",
+         cut_csv=None, units=["--natural"])
+# a profile table named by a number raised TypeError from os.path.join
+@example(field=("x_csv",), value=True, cut_json=None, row=1, column=0, cell=None,
+         cut_csv=None, units=["--natural"])
+# numpy warned about the SI potential's overflow before the refusal
+@example(field=None, value=DELETE, cut_json=None, row=2, column=2, cell="-1.7e308",
+         cut_csv=None, units=KILO_FLAGS)
+# numpy warned that the rho column's distance from the grid overflowed
+@example(field=("grid", "rho_max"), value=1.7e308, cut_json=None, row=340, column=0,
+         cell="-1.7e308", cut_csv=None, units=["--natural"])
+def test_rescale_exits_with_a_documented_code(field, value, cut_json, row, column, cell,
+                                              cut_csv, units, coarse_solved):
+    with tempfile.TemporaryDirectory() as root:
+        summary = os.path.join(root, "ground.json")
+        with open(summary, "w", encoding="utf-8") as fh:
+            fh.write(_corrupt_summary((coarse_solved / "ground.json").read_text(),
+                                      field, value, cut_json))
+        with open(os.path.join(root, "ground.csv"), "w", encoding="utf-8") as fh:
+            fh.write(_corrupt_profile((coarse_solved / "ground.csv").read_text(),
+                                      row, column, cell, cut_csv))
+        code = _assert_documented_exit(["rescale", summary, *units,
+                                        "--out-json", os.path.join(root, "out.json"),
+                                        "--out-csv", os.path.join(root, "out.csv")])
+    # a non-finite number, or a fractional count, in the summary is refused
+    if field is not None and isinstance(value, float) and (
+            not math.isfinite(value) or field[-1] in COUNTS and not value.is_integer()):
+        assert code == 2
+
+
 @pytest.mark.parametrize("mass", ["1e-200", "1e200"])
 @pytest.mark.parametrize("command", ["rescale", "evolve"])
 def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, capsys):
@@ -287,7 +413,6 @@ def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, 
 # sha256 of each evolve CSV, then of its snapshot CSVs in order: the free and
 # cubic runs recorded before an observation and the next step shared one
 # evaluation of the state, the gravity runs from the tail-matched ground state
-NUCLEON_FLAGS = ["--mass-kg", "1.67262192369e-27", "--n-particles", "1e23"]
 PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--natural",
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
@@ -403,10 +528,6 @@ def test_out_of_range_packet_is_exit_2_in_a_g_units(sigma, r_max, named, tmp_pat
 # an absent flag (None), or a value at or past the ends of the doubles
 def _evolve_values(typical):
     return st.one_of(st.none(), st.sampled_from(EXTREME), typical)
-
-
-# a_g is 0.36 m for the nucleon condensate and 1.7e-67 m for one tonne
-KILO_FLAGS = ["--mass-kg", "1e3", "--n-particles", "1"]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -364,16 +365,17 @@ def test_repeated_steps_reproduce_evolve_bitwise(kind, coarse_ground_state):
         series.norms[-1], series.energies[-1], series.widths[-1])
 
 
-def _count_calls(monkeypatch, name):
-    """Record each call of the name ``sng.evolution`` looks up."""
+def _count_calls(monkeypatch, module, name):
+    """Record each call of ``module.name`` made by code that looks the name
+    up on ``module`` at call time."""
     calls = []
-    real = getattr(sng.evolution, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sng.evolution, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -382,9 +384,10 @@ def test_free_evolve_factors_once_and_back_substitutes_per_step(packet, coarse_g
     # with V = 0 the corrector would repeat the predictor solve exactly, and
     # the free matrix depends only on the grid and dt
     sng.evolution._crank_nicolson.cache_clear()
-    factors = _count_calls(monkeypatch, "zgttrf")
-    solves = _count_calls(monkeypatch, "zgttrs")
-    fused = _count_calls(monkeypatch, "zgtsv")
+    # the stepper calls LAPACK through the module, imported on first use
+    factors = _count_calls(monkeypatch, scipy.linalg.lapack, "zgttrf")
+    solves = _count_calls(monkeypatch, scipy.linalg.lapack, "zgttrs")
+    fused = _count_calls(monkeypatch, scipy.linalg.lapack, "zgtsv")
     n_steps = 7
     evolve(packet, t_final=n_steps * 0.01, dt=0.01, nl=NonlinearityKind.free(), observe_every=3)
     assert (len(factors), len(solves), len(fused)) == (1, n_steps, 0)
@@ -455,7 +458,7 @@ def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monke
     # one solve at the predictor midpoint inside each step, one for each
     # observed state (shared by its energy row and the next step), plus the
     # initial state; every solve goes through the bare-array Poisson kernel
-    calls = _count_calls(monkeypatch, "poisson_values")
+    calls = _count_calls(monkeypatch, sng.evolution, "poisson_values")
     n_steps = 7
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
            nl=NonlinearityKind.gravity(), observe_every=1)
@@ -468,8 +471,8 @@ def test_gravity_evolve_evaluates_each_state_once(coarse_ground_state, monkeypat
     # step's predictor midpoint.  The line integrals are int |u|^2 dr and
     # the width's int r^2 |u|^2 dr per observed state, and int |u|^2 dr per
     # midpoint; evolve keeps no phase ledger, so it takes no E_grav/norm.
-    psis = _count_calls(monkeypatch, "psi_from_u")
-    lines = _count_calls(monkeypatch, "integrate_line")
+    psis = _count_calls(monkeypatch, sng.evolution, "psi_from_u")
+    lines = _count_calls(monkeypatch, sng.evolution, "integrate_line")
     n_steps = 7
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
            nl=NonlinearityKind.gravity(), observe_every=1, snapshot_every=1)

@@ -6,8 +6,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sng
@@ -95,3 +99,37 @@ def test_settable_values_do_not_grow():
     count = sum(_settable_values(getattr(module, name))
                 for module in modules for name in module.__all__)
     assert count <= SETTABLE_VALUES_CEILING
+
+
+# Runs in a fresh interpreter, since this one already holds scipy: the
+# commands that call no LAPACK, then one that does, so that the probe
+# cannot pass by failing to see an import.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import sng, sng.cli
+from sng.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["solve", "--n", "0", "--points", "401", "--out-json", "ground.json"]),
+             main(["spectrum", "--n-max", "1", "--points", "401"]),
+             main(["rescale", "ground.json", "--natural"])]
+    lean = scipy_modules()
+    codes.append(main(["evolve", "--free", "--gaussian-sigma", "1", "--r-max", "10",
+                       "--points", "201", "--steps", "2", "--out-csv", "free.csv"]))
+print(json.dumps({"codes": codes, "lean": lean, "after_evolve": scipy_modules()}))
+"""
+
+
+def test_only_lapack_callers_import_scipy(tmp_path):
+    # solve, spectrum and rescale call no LAPACK, so they leave scipy's
+    # import (about 0.3 s) out of the process; evolve loads it on first use
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["lean"] == []
+    assert "scipy.linalg" in report["after_evolve"]

@@ -3,16 +3,27 @@ the argument, however the value is bad (non-finite, fractional, a bool)."""
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from sng.cli import _load_solution
 from sng.errors import InvalidArgumentError
 from sng.evolution import NonlinearityKind, RadialState, evolve, gaussian_state, step
-from sng.grids import make_grid
+from sng.grids import RadialField, make_grid
+from sng.physical import rescale_to_physical
 from sng.scf import scf_solve
-from sng.shooting import find_brackets, scan_brackets, shoot_gamma0, solve_states
+from sng.shooting import (
+    UniversalSolution,
+    find_brackets,
+    scan_brackets,
+    shoot_gamma0,
+    solve_states,
+)
 
 GRID = make_grid(40.0, 201)
 NAN, INF = math.nan, math.inf
@@ -22,6 +33,29 @@ def _evolve(**kwargs):
     state = gaussian_state(make_grid(20.0, 201), 1.0)
     args = {"t_final": 1.0, "dt": 0.1, "nl": NonlinearityKind.free(), **kwargs}
     return evolve(state, **args)
+
+
+def _solution(**changes):
+    """A made-up decaying state on 11 points, with ``changes`` to its fields."""
+    grid = make_grid(10.0, 11)
+    fields = {"n": 0, "gamma0": -1.0, "gamma1": 1.0, "epsilon_star": -1.0,
+              "f_star": RadialField(grid, np.exp(-grid.nodes)),
+              "g_star": RadialField(grid, np.full(11, -1.0)), "bracket_width": 1e-10}
+    return UniversalSolution(**{**fields, **changes})
+
+
+def _load(profile="rho,f_star,g_star\n0,1,-1\n", **changes):
+    """The CLI's reading of a solve summary with ``changes`` to its fields,
+    next to the profile table ``profile``."""
+    summary = {"n": 0, "node_count": 0, "gamma0": -1.0, "gamma1": 1.0, "epsilon_star": -1.0,
+               "bracket_width": 1e-10, "grid": {"rho_max": 10.0, "points": 11},
+               "x_csv": "ground.csv", **changes}
+    with tempfile.TemporaryDirectory() as root:
+        with open(os.path.join(root, "ground.csv"), "w", encoding="utf-8") as fh:
+            fh.write(profile)
+        with open(os.path.join(root, "ground.json"), "w", encoding="utf-8") as fh:
+            json.dump(summary, fh)
+        return _load_solution(os.path.join(root, "ground.json"))
 
 
 # (argument named at the start of the message, call)
@@ -71,6 +105,25 @@ CASES = [
     ("r_max", lambda: gaussian_state(make_grid(1.7e308, 303), 1.0)),
     # a spacing whose square underflows: the quadrature and dt/dr^2 divide by it
     ("grid", lambda: RadialState(make_grid(1e-200, 3), [0.0, 1.0, 0.0], 0.0)),
+    # a solve summary's counts at infinity (int() raised OverflowError) or
+    # fractional (int() truncated them)
+    ("n", lambda: _load(n=INF)),
+    ("n", lambda: _load(n=1.5, node_count=1.5)),
+    ("points", lambda: _load(grid={"rho_max": 10.0, "points": INF})),
+    ("points", lambda: _load(grid={"rho_max": 10.0, "points": 11.5})),
+    # a profile cell that is not a number, or a row of two cells
+    ("profile", lambda: _load(profile="rho,f_star,g_star\n0,1,-1\na,b,c\n")),
+    ("profile", lambda: _load(profile="rho,f_star,g_star\n0,1,-1\n1,0.5\n")),
+    # numpy warned while rescaling an infinite epsilon_star; a NaN
+    # bracket_width or gamma0 passed the g*(0) check
+    ("epsilon_star", lambda: _solution(epsilon_star=INF)),
+    ("bracket_width", lambda: _solution(bracket_width=NAN)),
+    ("bracket_width", lambda: _solution(bracket_width=-1e-10)),
+    ("gamma0", lambda: _solution(gamma0=NAN)),
+    ("gamma1", lambda: _solution(gamma1=INF)),
+    # gamma1^2 overflowed, and 2/gamma1^2 did
+    ("gamma1", lambda: rescale_to_physical(_solution(gamma1=1e300))),
+    ("gamma1", lambda: rescale_to_physical(_solution(gamma1=1e-300))),
 ]
 
 
