@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -167,12 +168,17 @@ def _load_solution(json_path: str) -> UniversalSolution:
         )
     csv_path = os.path.join(os.path.dirname(os.path.abspath(json_path)), csv_name)
     try:
-        table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            # a table without data rows is refused below, naming the file
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     except OSError as exc:
         raise InvalidArgumentError(f"profile table missing: {exc}") from exc
     except ValueError as exc:
         raise InvalidArgumentError(
             f"profile table {csv_path} is not rows of three numbers: {exc}") from exc
+    if table.size == 0:
+        raise InvalidArgumentError(f"profile table {csv_path} holds no data rows")
     if table.ndim != 2 or table.shape[1] != 3 or table.shape[0] != points:
         raise InvalidArgumentError(
             f"{csv_path} does not match the summary grid ({points} points)"
@@ -182,6 +188,14 @@ def _load_solution(json_path: str) -> UniversalSolution:
         agrees = np.allclose(table[:, 0], grid.nodes, rtol=0.0, atol=1e-9 * rho_max)
     if not agrees:
         raise InvalidArgumentError(f"{csv_path} rho column disagrees with the grid")
+    # the rescaling squares f* into a density
+    with np.errstate(over="ignore"):
+        columns = {"f_star": table[:, 1] ** 2, "g_star": table[:, 2]}
+    for name, values in columns.items():
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError(
+                f"profile table {csv_path} column {name} holds a sample that is not finite"
+                + (" or whose square overflows a double" if name == "f_star" else ""))
     if node_count != n:
         raise WrongStateError(f"trajectory has {node_count} nodes, wanted n={n}")
     return UniversalSolution(

@@ -7,21 +7,25 @@ tridiagonal:
     i du/dt = -(1/2) u'' + V[psi] u,
 
 with V pluggable: free (V=0), cubic (V = ±kappa |psi|^2), or gravitational
-Hartree (lap V = 4 pi |psi|^2 / norm).  Each step is one
+Hartree (lap V = 4 pi |psi|^2 / norm).  Each step with a potential is one
 Crank–Nicolson solve predicted with V[psi_t] and corrected once with
-V[(psi_t + psi_pred)/2].  With V = 0 the corrector would repeat the
-predictor exactly, so a free step is a single solve; the free matrix
-depends only on the grid and dt, so it is factored once per (grid, dt) and
-a free step is one back-substitution on the cached factors.  A solve with
-a potential uses its matrix once, so it is one fused LAPACK zgtsv call
-(factor and back-substitute), and a step's predictor and corrector share
-the hopping term of the right-hand side.  scipy's wrappers of these LAPACK
-routines are imported with the first Crank–Nicolson system, not with this
-module, so that importing sng loads no scipy.
+V[(psi_t + psi_pred)/2].  Such a solve uses its matrix once, so it is one
+fused LAPACK zgtsv call (factor and back-substitute), and a step's
+predictor and corrector share the hopping term of the right-hand side.
+scipy's wrapper of zgtsv is imported with the first such system, not with
+this module, so that importing sng loads no scipy.
 
-``step`` and ``evolve`` run one private per-step kernel on the bare u
-array.  ``evolve`` carries u and the time through it and builds no
-RadialState per step; ``step`` wraps the kernel's result in one.  Each
+Where V is identically zero (free, and cubic with kappa = 0) the corrector
+would repeat the predictor, and the Crank–Nicolson step is diagonal in the
+sine modes of the interior nodes (the type-I discrete sine transform,
+DST-I, diagonalises the Dirichlet second difference): each mode is
+multiplied by one fixed phase per step.  A V = 0 run transforms u to its
+modes once, jumps them between the steps it observes or snapshots, and
+transforms back only there, with numpy's FFT and no LAPACK.
+
+``step`` and ``evolve`` run the same kernels on the bare u array.
+``evolve`` carries u and the time through them and builds no RadialState
+per step; ``step`` wraps the kernel's result in one.  Each
 state is evaluated once: one plain private object derives |u|^2, its line
 integral, |psi| = |u/r|, the density and V from u, each on first use.
 ``evolve``'s observation (norm, energy, RMS width, the boundary check and
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -282,12 +286,10 @@ class _Evaluation:
     def v(self) -> np.ndarray:
         """Potential samples V(r); zero when free."""
         if self._v is None:
-            if self.nl.kind == "free":
-                self._v = np.zeros(self.grid.n_points)
-            elif self.nl.kind == "cubic":
-                self._v = self.nl.sign * self.nl.kappa * self.density
-            else:
+            if self.nl.kind == "gravity":
                 self._v = poisson_values(self.density, self.grid, 4.0 * np.pi / self.norm)
+            else:  # free has kappa = 0
+                self._v = self.nl.sign * self.nl.kappa * self.density
         return self._v
 
     @property
@@ -313,20 +315,102 @@ class _Evaluation:
 
 
 # ---------------------------------------------------------------------------
-# the stepper
+# the steppers
 # ---------------------------------------------------------------------------
+
+def _potential_is_zero(nl: NonlinearityKind) -> bool:
+    """Whether V vanishes identically under ``nl``: free, or cubic with kappa = 0."""
+    return nl.kind == "free" or (nl.kind == "cubic" and nl.kappa == 0.0)
+
+
+def _turn(theta: np.ndarray, g: int) -> np.ndarray:
+    """exp(-2i g theta) - 1, accurate where g theta is small."""
+    angle = g * theta
+    return -2.0 * np.sin(angle) ** 2 - 1j * np.sin(2.0 * angle)
+
+
+@lru_cache(maxsize=8)
+def _sine_spectrum(grid: RadialGrid, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only arrays that every V = 0 run of one grid and dt shares:
+    theta_k, the outer-end term and the one-step :func:`_turn` (see
+    :class:`_SineModes`)."""
+    # the minimum and the refusals of a system with a potential
+    check_count("n_points", grid.n_points, 5)
+    dr = grid.spacing
+    lam = dt / (4.0 * dr * dr)
+    if not math.isfinite(2.0 * lam):  # the diagonal 1 + 2i lam
+        raise _non_finite_system()
+    n = grid.n_points - 2
+    k = np.arange(1, n + 1)
+    half = np.pi * k / (2.0 * (n + 1))
+    with np.errstate(over="ignore"):  # where 4 lam overflows, atan(inf) = pi/2
+        theta = np.arctan(4.0 * lam * np.sin(half) ** 2)
+    # The first step's right-hand side also carries i lam u[-1] at the last
+    # interior node.  Over 1 - i beta_k, its DST-I is u[-1] times
+    # i (-1)^(k+1) cot(half) sin(theta) e^(i theta) / 2, a form free of lam;
+    # edge is that times the fft's -2i, to be added to the fft of u.
+    odd = np.where(k % 2 == 1, 1.0, -1.0)
+    edge = odd / np.tan(half) * np.sin(theta) * np.exp(1j * theta)
+    arrays = (theta, edge, _turn(theta, 1))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+class _SineModes:
+    """The DST-I modes of one V = 0 run, which jump from step to step.
+
+    With lam = dt/(4 dr^2) and N = n_points - 2 interior nodes, a
+    Crank–Nicolson step multiplies mode k of u by
+    (1 - i beta_k)/(1 + i beta_k) = exp(-2i theta_k), where
+    theta_k = atan beta_k = atan(4 lam sin^2(pi k / 2(N+1))), and g steps
+    multiply it by exp(-2i g theta_k).  A jump adds the modes times
+    exp(-2i g theta_k) - 1, formed from sines: a product with the rounded
+    phase shifts every modulus alike at each step, a norm drift of 1e-14
+    over 1000 steps.  The DST-I is one fft of the odd extension
+    [0, x, 0, -x[::-1]]; the modes are scaled so that the same fft of
+    theirs returns u, and the run keeps its buffers."""
+
+    def __init__(self, grid: RadialGrid, dt: float, u: np.ndarray):
+        self.theta, edge, turn = _sine_spectrum(grid, dt)
+        n = grid.n_points - 2
+        self._turns = {1: turn}
+        self._product = np.empty(n, dtype=np.complex128)
+        self._ext = np.zeros(2 * n + 2, dtype=np.complex128)
+        self._spec = np.empty_like(self._ext)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.modes = -0.5 / (n + 1) * (self._transform(u[1:-1]) + edge * u[-1])
+        if not np.isfinite(self.modes).all():
+            raise _non_finite_system()
+
+    def _transform(self, x: np.ndarray) -> np.ndarray:
+        """Rows 1..N of the fft of x's odd extension: -2i times its DST-I."""
+        n = len(x)
+        self._ext[1:n + 1] = x
+        np.negative(x[::-1], out=self._ext[n + 2:])
+        np.fft.fft(self._ext, out=self._spec)
+        return self._spec[1:n + 1]
+
+    def jump(self, g: int) -> np.ndarray:
+        """The modes advanced by g steps, and the u they are, a fresh array."""
+        turn = self._turns.get(g)
+        if turn is None:
+            turn = self._turns[g] = _turn(self.theta, g)
+        self.modes += np.multiply(self.modes, turn, out=self._product)
+        u = np.zeros(len(self.modes) + 2, dtype=np.complex128)
+        u[1:-1] = self._transform(self.modes)
+        return u
+
 
 class _CrankNicolson:
     """The Crank–Nicolson system (I + i dt H/2) u' = (I - i dt H/2) u of one
     grid and dt, with H = -(1/2) d^2/dr^2 + V on the interior nodes and
     Dirichlet ends.  Its off-diagonal -i lam, lam = dt/(4 dr^2), never
-    changes, and the V = 0 left matrix is LU-factored once (zgttrf), on
-    the first free solve, so a free solve is one back-substitution (zgttrs).
-    A solve with a potential is one zgtsv call, which does the arithmetic of
-    zgttrf followed by zgttrs in one pass."""
+    changes.  A solve with a potential is one zgtsv call, which factors the
+    matrix and back-substitutes in one pass."""
 
     def __init__(self, grid: RadialGrid, dt: float):
-        # scipy's zgttrf, zgttrs and zgtsv wrappers need three interior unknowns
+        # scipy's zgtsv wrapper needs three interior unknowns
         check_count("n_points", grid.n_points, 5)
         # imported once per cached system, not at module top, so that
         # commands that never call LAPACK do not pay scipy's import
@@ -338,18 +422,8 @@ class _CrankNicolson:
         self.lam = dt / (4.0 * dr * dr)
         if not math.isfinite(self.lam):
             raise _non_finite_system()
-        self.off = _read_only(np.full(grid.n_points - 3, -1.0j * self.lam))
-
-    @cached_property
-    def free(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The right diagonal and zgttrf's (dl, d, du, du2, ipiv) of the left
-        matrix at V = 0."""
-        a_diag, b_diag = self._diagonals(np.zeros(len(self.off) + 1))
-        if not np.isfinite(a_diag).all():
-            raise _non_finite_system()
-        *lu, info = self.lapack.zgttrf(self.off, a_diag, self.off)
-        _check_info("zgttrf", info)
-        return _read_only(b_diag), tuple(_read_only(factor) for factor in lu)
+        self.off = np.full(grid.n_points - 3, -1.0j * self.lam)
+        self.off.setflags(write=False)
 
     def _diagonals(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left and right diagonals for the interior potential samples v.
@@ -364,31 +438,24 @@ class _CrankNicolson:
         side on the interior nodes, which does not depend on V."""
         return 1.0j * self.lam * (u[2:] + u[:-2])
 
-    def solve(self, u: np.ndarray, v: Optional[np.ndarray] = None,
+    def solve(self, u: np.ndarray, v: np.ndarray,
               hop: Optional[np.ndarray] = None) -> np.ndarray:
-        """u advanced by dt with the potential samples v frozen; V = 0 when
-        v is None, which back-substitutes on the factored free matrix.
-        ``hop`` is :meth:`hopping` of u when the caller already has it."""
-        if v is None:
-            b_diag, lu = self.free
-        else:
-            a_diag, b_diag = self._diagonals(v[1:-1])
-            if not np.isfinite(a_diag).all():
-                raise _non_finite_system()
+        """u advanced by dt with the potential samples v frozen.  ``hop`` is
+        :meth:`hopping` of u when the caller already has it."""
+        a_diag, b_diag = self._diagonals(v[1:-1])
+        if not np.isfinite(a_diag).all():
+            raise _non_finite_system()
         if hop is None:
             hop = self.hopping(u)
         rhs = b_diag * u[1:-1] + hop
         if not np.isfinite(rhs).all():
             raise _non_finite_system()
-        if v is None:
-            x, info = self.lapack.zgttrs(*lu, rhs, overwrite_b=1)
-            _check_info("zgttrs", info)
-        else:
-            # the shared off-diagonal is read-only, so zgtsv works on copies
-            # of it; the fresh diagonal and right-hand side are overwritten
-            *_, x, info = self.lapack.zgtsv(self.off, a_diag, self.off, rhs,
-                                            overwrite_d=1, overwrite_b=1)
-            _check_info("zgtsv", info)
+        # the shared off-diagonal is read-only, so zgtsv works on copies
+        # of it; the fresh diagonal and right-hand side are overwritten
+        *_, x, info = self.lapack.zgtsv(self.off, a_diag, self.off, rhs,
+                                        overwrite_d=1, overwrite_b=1)
+        if info != 0:  # > 0 is an exactly zero pivot, < 0 an illegal argument
+            raise np.linalg.LinAlgError(f"zgtsv returned info = {info}")
         out = np.zeros(len(u), dtype=np.complex128)
         out[1:-1] = x
         return out
@@ -399,32 +466,18 @@ def _crank_nicolson(grid: RadialGrid, dt: float) -> _CrankNicolson:
     return _CrankNicolson(grid, dt)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _non_finite_system() -> InvalidArgumentError:
     return InvalidArgumentError(
         "dt is too large: the Crank–Nicolson system is not finite, because "
         "dt/dr^2 or dt times the potential overflows a double")
 
 
-def _check_info(routine: str, info: int) -> None:
-    """Refuse a non-zero LAPACK info: > 0 is an exactly zero pivot, < 0 an
-    illegal argument."""
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine} returned info = {info}")
-
-
 def _advance(cn: _CrankNicolson, ev: _Evaluation) -> tuple[np.ndarray, _Evaluation]:
-    """The kernel of :func:`step` and :func:`evolve`: ``ev.u`` advanced by
-    ``cn.dt`` under ``ev.nl``, and the evaluation of the step's predictor
-    midpoint (``ev`` itself when free), whose phase rate :func:`step`
-    carries.  The step's starting potential is ``ev.v``, so an observation
-    of the same state shares it."""
-    if ev.nl.kind == "free":
-        return cn.solve(ev.u), ev
+    """The kernel of :func:`step` and :func:`evolve` where V is not zero:
+    ``ev.u`` advanced by ``cn.dt`` under ``ev.nl``, and the evaluation of
+    the step's predictor midpoint, whose phase rate :func:`step` carries.
+    The step's starting potential is ``ev.v``, so an observation of the
+    same state shares it."""
     u, v_old = ev.u, ev.v
     hop = cn.hopping(u)
     u_pred = cn.solve(u, v_old, hop)
@@ -444,7 +497,8 @@ def _advance(cn: _CrankNicolson, ev: _Evaluation) -> tuple[np.ndarray, _Evaluati
 
 def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
     """Advance one Crank–Nicolson step with a single predictor–corrector
-    pass; a free step is the predictor solve alone.
+    pass; where V is identically zero, the step is one jump of the sine
+    modes.
 
     Raises
     ------
@@ -454,6 +508,9 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
         error carries a suggested smaller dt aiming at a 25% change.
     """
     check_positive("dt", dt)
+    if _potential_is_zero(nl):
+        u = _SineModes(state.grid, dt, state.u).jump(1)
+        return RadialState(state.grid, u, state.time + dt, state.phase)
     u, mid = _advance(_crank_nicolson(state.grid, dt), _Evaluation(state.grid, state.u, nl))
     return RadialState(state.grid, u, state.time + dt, state.phase + mid.phase_rate * dt)
 
@@ -463,7 +520,9 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
            snapshot_every: Optional[int] = None) -> ObservableSeries:
     """Step from state.time to t_final, recording norm, energy,
     and RMS width every ``observe_every`` steps (plus start and end), and
-    density snapshots every ``snapshot_every`` steps when requested.
+    density snapshots every ``snapshot_every`` steps when requested.  Where
+    V is identically zero, the sine modes jump from one recorded step to
+    the next.
 
     The recorded energy is scheme_energy — the discrete functional the
     stepper conserves.  An observable that is not finite raises
@@ -498,19 +557,31 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
         widths.append(row["rms_width"])
 
     grid = state.grid
-    cn = _crank_nicolson(grid, dt)
+    free = _potential_is_zero(nl)
+    if not free:
+        cn = _crank_nicolson(grid, dt)
     time = state.time
     ev = _Evaluation(grid, state.u, nl)
     observe(time, ev)
     if snapshot_every is not None:
         snaps.append((time, RadialField(grid, ev.density)))
+    if free:
+        sine, jumped_to = _SineModes(grid, dt, state.u), 0
 
     boundary_warned = False
     for k in range(1, n_steps + 1):
-        u, _ = _advance(cn, ev)
         time += dt
+        observed = k % observe_every == 0 or k == n_steps
+        snapped = snapshot_every is not None and k % snapshot_every == 0
+        if not free:
+            u, _ = _advance(cn, ev)
+        elif observed or snapped:
+            u = sine.jump(k - jumped_to)
+            jumped_to = k
+        else:
+            continue
         ev = _Evaluation(grid, u, nl)
-        if (k % observe_every == 0) or (k == n_steps):
+        if observed:
             observe(time, ev)
             if not boundary_warned:
                 psi_edge = abs(u[-2]) / grid.nodes[-2]
@@ -523,7 +594,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
                         stacklevel=2,
                     )
                     boundary_warned = True
-        if snapshot_every is not None and k % snapshot_every == 0:
+        if snapped:
             snaps.append((time, RadialField(grid, ev.density)))
 
     return ObservableSeries(

@@ -244,6 +244,41 @@ def test_rescale_refuses_a_summary_that_is_not_utf8(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+# the refusal of a profile table: numpy warned before refusing one of its
+# header alone, and f*^2 overflowed inside the rescaling, refused as a bare
+# "field contains non-finite samples"
+UNUSABLE_PROFILE = {
+    "header": "holds no data rows",
+    "square": "column f_star holds a sample that is not finite or whose square "
+              "overflows a double",
+}
+
+
+@pytest.mark.parametrize("command", [["rescale", "--natural"],
+                                     ["evolve", "--gravity", "--natural", "--steps", "1"]],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("cut", sorted(UNUSABLE_PROFILE))
+def test_unusable_profile_table_is_exit_2_naming_it(cut, command, solved, tmp_path, capsys):
+    rows = (solved / "ground.csv").read_text().splitlines(keepends=True)
+    if cut == "header":
+        rows = rows[:1]
+    else:
+        cells = rows[100].split(",")
+        rows[100] = ",".join([cells[0], "1e300", cells[2]])
+    (tmp_path / "ground.csv").write_text("".join(rows))
+    (tmp_path / "ground.json").write_text((solved / "ground.json").read_text())
+    verb, *flags = command
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([verb, *(["--from"] if verb == "evolve" else []),
+                     str(tmp_path / "ground.json"), *flags,
+                     *(["--out-csv", str(tmp_path / "x.csv")] if verb == "evolve" else [])])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == f"error: profile table {tmp_path / 'ground.csv'} {UNUSABLE_PROFILE[cut]}\n"
+
+
 def test_rescale_refuses_a_summary_whose_node_count_is_not_n(solved, tmp_path, capsys):
     data = _read_json(solved / "ground.json")
     data["node_count"] = 1
@@ -410,9 +445,11 @@ def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, 
 
 # --- evolve ------------------------------------------------------------------
 
-# sha256 of each evolve CSV, then of its snapshot CSVs in order: the free and
-# cubic runs recorded before an observation and the next step shared one
-# evaluation of the state, the gravity runs from the tail-matched ground state
+# sha256 of each evolve CSV, then of its snapshot CSVs in order: the cubic
+# run recorded before an observation and the next step shared one
+# evaluation of the state, the free run when V = 0 moved to the sine modes
+# (within 2e-15 of the LAPACK stepper's), the gravity runs from the
+# tail-matched ground state
 PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--natural",
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
@@ -429,7 +466,7 @@ PINNED_EVOLVE = {
         "475f63bafda0b32014e6c0cee83f2655b8014fb31efaba6697173f676f23fd7b",
         "c05fe06aa4384c6a4e0b363933c8569c4f31c50d674677999ae69c61c95f28a7")),
     "free": (["--free", *PACKET_FLAGS], (
-        "88295ded407ba6880a4d3f178beb31e2137c27a3321e267a1ce890bb091cc60d",)),
+        "94f0ecf92656078a9cfdc385b526fae80ea200f30663c014487a76f80024ea4d",)),
     "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (
         "e7c108a42cb344672b4a48c957bbd72bee770a6fd0f78e8ececa6c8e49bd859d",)),
 }
@@ -715,6 +752,33 @@ def test_check_runs_a_repeated_suite_once(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5 and all(line.startswith("PASS  poisson") for line in lines[:4])
     assert lines[4] == "4/4 checks passed"
+
+
+# the two suites cheap enough to draw, and names that are not suites:
+# empty, blank, another case, padded, a comma list, and drawn words
+CHEAP_SUITES = ("poisson", "homogeneity")
+NOT_SUITES = st.one_of(
+    st.sampled_from(["", " ", "Poisson", "poisson ", "poisson,homogeneity", "all"]),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", max_size=12),
+).filter(lambda name: name not in sng.checks.SUITES)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(names=st.lists(st.one_of(st.sampled_from(CHEAP_SUITES), NOT_SUITES), max_size=5))
+@example(names=[])
+@example(names=["poisson", "homogeneity", "poisson"])
+@example(names=["homogeneity", "nonsense"])
+@example(names=[""])
+def test_check_suites_exit_with_a_documented_code(names):
+    argv = ["check", "--suites", *names]
+    if not names:
+        # argparse refuses --suites without a name before any suite runs
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        return
+    code = _assert_documented_exit(argv)
+    assert code == (0 if set(names) <= set(CHEAP_SUITES) else 2), names
 
 
 def test_check_single_suite_reports_rows(capsys):

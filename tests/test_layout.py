@@ -112,24 +112,26 @@ from sng.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+packet = ["--gaussian-sigma", "1", "--r-max", "10", "--points", "201", "--steps", "2"]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["solve", "--n", "0", "--points", "401", "--out-json", "ground.json"]),
              main(["spectrum", "--n-max", "1", "--points", "401"]),
-             main(["rescale", "ground.json", "--natural"])]
+             main(["rescale", "ground.json", "--natural"]),
+             main(["evolve", "--free", *packet, "--out-csv", "free.csv"])]
     lean = scipy_modules()
-    codes.append(main(["evolve", "--free", "--gaussian-sigma", "1", "--r-max", "10",
-                       "--points", "201", "--steps", "2", "--out-csv", "free.csv"]))
+    codes.append(main(["evolve", "--cubic", "--kappa", "1", *packet, "--out-csv", "cubic.csv"]))
 print(json.dumps({"codes": codes, "lean": lean, "after_evolve": scipy_modules()}))
 """
 
 
 def test_only_lapack_callers_import_scipy(tmp_path):
-    # solve, spectrum and rescale call no LAPACK, so they leave scipy's
-    # import (about 0.3 s) out of the process; evolve loads it on first use
+    # solve, spectrum, rescale and a free evolve call no LAPACK, so they
+    # leave scipy's import (about 0.3 s) out of the process; an evolve with
+    # a potential loads it on its first solve
     done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
                           capture_output=True, text=True, timeout=60, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["lean"] == []
     assert "scipy.linalg" in report["after_evolve"]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ def _load(profile="rho,f_star,g_star\n0,1,-1\n", **changes):
         with open(os.path.join(root, "ground.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh)
         return _load_solution(os.path.join(root, "ground.json"))
+
+
+def _quiet(call):
+    """``call`` with every warning raised as an error."""
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return call()
+    return run
+
+
+def _profile(f_cell=None):
+    """The 11-row profile table that ``_load`` expects, its f* cell at
+    rho = 5 replaced by ``f_cell`` when given."""
+    rows = [[rho, math.exp(-rho), -1.0] for rho in range(11)]
+    if f_cell is not None:
+        rows[5][1] = f_cell
+    return "rho,f_star,g_star\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # (argument named at the start of the message, call)
@@ -124,6 +143,10 @@ CASES = [
     # gamma1^2 overflowed, and 2/gamma1^2 did
     ("gamma1", lambda: rescale_to_physical(_solution(gamma1=1e300))),
     ("gamma1", lambda: rescale_to_physical(_solution(gamma1=1e-300))),
+    # a profile table of its header alone made numpy warn before the refusal
+    ("profile", _quiet(lambda: _load(profile="rho,f_star,g_star\n"))),
+    # an f* cell whose square overflows was refused as a bare non-finite field
+    ("profile", lambda: _load(profile=_profile(f_cell=1e300))),
 ]
 
 
