@@ -40,7 +40,6 @@ from .physical import (
     energy_breakdown,
     gravitational_bohr_radius,
     half_max_radius,
-    hamiltonian_functional,
     rescale_to_physical,
     rms_radius,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "half_max_radius",
     "rms_radius",
     "energy_breakdown",
-    "hamiltonian_functional",
     # scf
     "SCFResult",
     "ScfUniversal",

@@ -24,11 +24,12 @@ from .evolution import (
     continuity_residual,
     evolve,
     gaussian_state,
+    scheme_energy,
     state_from_profile,
     step,
 )
 from .grids import RadialField, make_grid, radial_laplacian, solve_radial_poisson
-from .physical import PhysicalProfile, energy_breakdown, hamiltonian_functional, rescale_to_physical
+from .physical import PhysicalProfile, energy_breakdown, rescale_to_physical
 from .scf import scf_solve, universal_from_scf
 from .shooting import UniversalSolution, solve_states
 
@@ -115,11 +116,12 @@ def _homogeneity_states() -> list[tuple[str, RadialState]]:
 
 def _suite_homogeneity() -> list[CheckResult]:
     rows = []
+    gravity = NonlinearityKind.gravity()
     for label, state in _homogeneity_states():
-        base = hamiltonian_functional(state)
+        base = scheme_energy(state, gravity)
         worst = 0.0
         for lam in (0.1, 2.5, 10.0):
-            scaled = hamiltonian_functional(replace(state, u=lam * state.u))
+            scaled = scheme_energy(replace(state, u=lam * state.u), gravity)
             worst = max(worst, abs(scaled - lam * lam * base) / abs(base))
         rows.append(_row("homogeneity", f"degree2_{label}", worst, 1e-12,
                          "max over scale factors {0.1, 2.5, 10}"))

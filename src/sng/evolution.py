@@ -37,7 +37,8 @@ is refused by the solve's finiteness checks or the observation.
 The gravitational equation also carries a constant -E_grav/norm term; a
 constant only rotates the global phase, so the step integrates it at the
 predictor midpoint into a phase ledger on the state instead of the matrix
-(the physical wavefunction is exp(i*phase) * u/r).
+(the physical wavefunction is exp(i*phase) * u/r), at the rate of
+``scheme_energy``'s interaction term over the norm.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ def scheme_energy(state: RadialState, nl: NonlinearityKind) -> float:
     report estimator mismatch as spurious drift.  The interaction part
     uses plain nodal weights, matching the pointwise action of V in the
     stepper: (sign kappa/2) int |psi|^4 d^3x for cubic and the
-    norm-scaled potential energy (1/2) int rho V d^3x for gravity.
+    norm-scaled potential energy (1/2) int rho V d^3x for gravity, whose
+    energy is thus homogeneous of degree 2 in u.  It is a state's energy.
     """
     return _Evaluation(state.grid, state.u, nl).energy
 
@@ -293,16 +295,19 @@ class _Evaluation:
         return self._v
 
     @property
+    def interaction(self) -> float:
+        """(1/2) int V rho d^3x with nodal weights (|u|^2 carries r^2), the
+        conserved potential term of both interactions, as V is linear in rho."""
+        return 0.5 * 4.0 * np.pi * float(np.sum(self.v * self.u2)) * self.grid.spacing
+
+    @property
     def energy(self) -> float:
         """:func:`scheme_energy` of u."""
         du = np.diff(self.u)
-        dr = self.grid.spacing
-        e_kin = 0.5 * 4.0 * np.pi * float(np.sum(np.abs(du) ** 2)) / dr
+        e_kin = 0.5 * 4.0 * np.pi * float(np.sum(np.abs(du) ** 2)) / self.grid.spacing
         if self.nl.kind == "free":
             return e_kin
-        # both interactions have V linear in rho, so (1/2) int V rho d^3x is
-        # their conserved potential term; |u|^2 carries the r^2 weight already
-        return e_kin + 0.5 * 4.0 * np.pi * float(np.sum(self.v * self.u2)) * dr
+        return e_kin + self.interaction
 
     @property
     def phase_rate(self) -> float:
@@ -310,8 +315,7 @@ class _Evaluation:
         phase ledger integrates (0 unless gravitational)."""
         if self.nl.kind != "gravity":
             return 0.0
-        r = self.grid.nodes
-        return 0.5 * 4.0 * np.pi * integrate_line(self.density * self.v * r**2, self.grid)
+        return self.interaction / self.norm
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Homology rescaling of universal solutions to a_g units, and the energy
-functionals of the self-gravitating condensate.
+breakdown of a stationary profile (a state's is ``scheme_energy``).
 
 Every (m, N) is one dimensionless problem in units of the gravitational
 Bohr radius a_g = hbar^2/(G N m^3): lengths in a_g, energies in
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .evolution import RadialState, rms_width, state_from_profile, state_norm
+from .evolution import rms_width, state_from_profile
 from .grids import RadialField, RadialGrid, integrate_radial, make_grid, solve_radial_poisson
 from .shooting import UniversalSolution
 
@@ -44,7 +44,6 @@ __all__ = [
     "gravitational_bohr_radius",
     "rescale_to_physical",
     "energy_breakdown",
-    "hamiltonian_functional",
     "half_max_radius",
     "rms_radius",
 ]
@@ -147,26 +146,33 @@ class PhysicalProfile:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Per-particle energy bookkeeping of a stationary profile."""
+    """Per-particle energies of a stationary profile; the total, the
+    eigenvalue eps = (3/2) e_gravity and e_single = eps/3 derive from them."""
 
     e_kinetic: float
     e_gravity: float
-    e_total: float
-    epsilon: float
-    e_single: float
 
     def __post_init__(self):
         if not self.e_kinetic > 0.0:
             raise InvalidArgumentError(f"kinetic energy must be positive, got {self.e_kinetic}")
         if not self.e_gravity < 0.0:
             raise InvalidArgumentError(f"bound profiles have negative e_gravity, got {self.e_gravity}")
-        if abs(self.e_total - (self.e_kinetic + self.e_gravity)) > 1e-9 * abs(self.e_total):
-            raise InvalidArgumentError("e_total must equal e_kinetic + e_gravity")
+
+    @property
+    def e_total(self) -> float:
+        return self.e_kinetic + self.e_gravity
+
+    @property
+    def epsilon(self) -> float:
+        return 1.5 * self.e_gravity
+
+    @property
+    def e_single(self) -> float:
+        return self.epsilon / 3.0
 
 
 # ---------------------------------------------------------------------------
-# unit-free kernels (energy_breakdown and hamiltonian_functional MUST run
-# through the same float paths for their cross-agreement to hold)
+# unit-free kernels
 # ---------------------------------------------------------------------------
 
 def _kinetic_energy(psi: np.ndarray, grid: RadialGrid) -> float:
@@ -265,24 +271,9 @@ def energy_breakdown(profile: PhysicalProfile) -> EnergyBreakdown:
 
     The gravitational term re-solves the Poisson problem for the profile's
     own density (one inner solve), so it is the self-consistent potential of
-    the same f; eps = (3/2) e_gravity and e_single = eps/3 close the
-    eigenvalue bookkeeping.
+    the same f; the breakdown derives eps and e_single from it.
     """
     grid = profile.f_ag.grid
-    e_kin = _kinetic_energy(profile.f_ag.values, grid)
-    e_grav = _self_energy_raw(profile.f_ag.values**2, grid)
-    epsilon = 1.5 * e_grav
-    return EnergyBreakdown(e_kin, e_grav, e_kin + e_grav, epsilon, epsilon / 3.0)
+    return EnergyBreakdown(_kinetic_energy(profile.f_ag.values, grid),
+                           _self_energy_raw(profile.f_ag.values**2, grid))
 
-
-def hamiltonian_functional(state: RadialState) -> float:
-    """H[psi] = E_kin[psi] + E_grav[psi]/norm in a_g units — the degree-2
-    homogeneous energy of the one-body nonlinear equation; valid for
-    unnormalized states.  InvalidArgumentError when the norm underflows to 0.
-    """
-    grid = state.grid
-    norm = state_norm(state)
-    if not norm > 0.0:
-        raise InvalidArgumentError("hamiltonian_functional needs a state with positive norm")
-    psi = state.psi()
-    return _kinetic_energy(psi, grid) + _self_energy_raw(np.abs(psi) ** 2, grid) / norm

@@ -356,12 +356,35 @@ def _corrupt_profile(text, row, column, cell, cut):
     return "".join(line + "\n" for line in lines[:cut])
 
 
+# the draws of a fuzz over solve's JSON + CSV pair, and the unit flags
+MUTATIONS = dict(field=st.none() | st.sampled_from(SUMMARY_FIELDS),
+                 value=st.sampled_from(ODD_FIELD_VALUES), cut_json=st.none() | st.integers(0, 300),
+                 row=st.integers(1, 401), column=st.integers(0, 2),
+                 cell=st.none() | st.sampled_from(ODD_CELLS),
+                 cut_csv=st.none() | st.integers(0, 402),
+                 units=st.sampled_from([["--natural"], NUCLEON_FLAGS, KILO_FLAGS]))
+
+
+def _exit_on_corrupted_pair(argv, solved, field, value, cut_json, row, column, cell, cut_csv):
+    """_assert_documented_exit of ``argv(summary, root)`` on a mutated copy
+    of the pair in ``solved``, written to a fresh directory ``root``."""
+    with tempfile.TemporaryDirectory() as root:
+        summary = os.path.join(root, "ground.json")
+        with open(summary, "w", encoding="utf-8") as fh:
+            fh.write(_corrupt_summary((solved / "ground.json").read_text(),
+                                      field, value, cut_json))
+        with open(os.path.join(root, "ground.csv"), "w", encoding="utf-8") as fh:
+            fh.write(_corrupt_profile((solved / "ground.csv").read_text(),
+                                      row, column, cell, cut_csv))
+        code = _assert_documented_exit(argv(summary, root))
+    # a non-finite number, or a fractional count, in the summary is refused
+    if field is not None and isinstance(value, float) and (
+            not math.isfinite(value) or field[-1] in COUNTS and not value.is_integer()):
+        assert code == 2
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(field=st.none() | st.sampled_from(SUMMARY_FIELDS),
-       value=st.sampled_from(ODD_FIELD_VALUES), cut_json=st.none() | st.integers(0, 300),
-       row=st.integers(1, 401), column=st.integers(0, 2),
-       cell=st.none() | st.sampled_from(ODD_CELLS), cut_csv=st.none() | st.integers(0, 402),
-       units=st.sampled_from([["--natural"], NUCLEON_FLAGS, KILO_FLAGS]))
+@given(**MUTATIONS)
 # int() of an infinite count raised OverflowError, and a fractional count was
 # truncated
 @example(field=("n",), value=math.inf, cut_json=None, row=1, column=0, cell=None,
@@ -412,21 +435,22 @@ def _corrupt_profile(text, row, column, cell, cut):
          cell="-1.7e308", cut_csv=None, units=["--natural"])
 def test_rescale_exits_with_a_documented_code(field, value, cut_json, row, column, cell,
                                               cut_csv, units, coarse_solved):
-    with tempfile.TemporaryDirectory() as root:
-        summary = os.path.join(root, "ground.json")
-        with open(summary, "w", encoding="utf-8") as fh:
-            fh.write(_corrupt_summary((coarse_solved / "ground.json").read_text(),
-                                      field, value, cut_json))
-        with open(os.path.join(root, "ground.csv"), "w", encoding="utf-8") as fh:
-            fh.write(_corrupt_profile((coarse_solved / "ground.csv").read_text(),
-                                      row, column, cell, cut_csv))
-        code = _assert_documented_exit(["rescale", summary, *units,
-                                        "--out-json", os.path.join(root, "out.json"),
-                                        "--out-csv", os.path.join(root, "out.csv")])
-    # a non-finite number, or a fractional count, in the summary is refused
-    if field is not None and isinstance(value, float) and (
-            not math.isfinite(value) or field[-1] in COUNTS and not value.is_integer()):
-        assert code == 2
+    _exit_on_corrupted_pair(
+        lambda summary, root: ["rescale", summary, *units,
+                               "--out-json", os.path.join(root, "out.json"),
+                               "--out-csv", os.path.join(root, "out.csv")],
+        coarse_solved, field, value, cut_json, row, column, cell, cut_csv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**MUTATIONS)
+def test_evolve_from_exits_with_a_documented_code(field, value, cut_json, row, column, cell,
+                                                  cut_csv, units, coarse_solved):
+    # evolve --from reads the files rescale reads, so it meets the same mutations
+    _exit_on_corrupted_pair(
+        lambda summary, root: ["evolve", "--gravity", "--from", summary, *units, "--steps", "2",
+                               "--out-csv", os.path.join(root, "out.csv")],
+        coarse_solved, field, value, cut_json, row, column, cell, cut_csv)
 
 
 @pytest.mark.parametrize("mass", ["1e-200", "1e200"])

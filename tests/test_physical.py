@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from sng.errors import InvalidArgumentError
-from sng.evolution import gaussian_state, rms_width, state_from_profile
+from sng.evolution import (
+    NonlinearityKind,
+    gaussian_state,
+    rms_width,
+    scheme_energy,
+    state_from_profile,
+)
 from sng.grids import RadialField, make_grid
 from sng.physical import (
     HBAR,
@@ -28,7 +34,6 @@ from sng.physical import (
     energy_breakdown,
     gravitational_bohr_radius,
     half_max_radius,
-    hamiltonian_functional,
     rescale_to_physical,
     rms_radius,
 )
@@ -153,12 +158,13 @@ def test_potential_satisfies_its_own_field_equation(ground_state):
 # --- energy breakdown validation --------------------------------------------
 
 def test_energy_breakdown_rejects_inconsistent_totals():
+    # the totals are derived, so only the signs of the two energies can be wrong
     with pytest.raises(InvalidArgumentError):
-        EnergyBreakdown(e_kinetic=1.0, e_gravity=-2.0, e_total=-0.5,
-                        epsilon=-3.0, e_single=-1.0)
+        EnergyBreakdown(e_kinetic=-1.0, e_gravity=-2.0)
     with pytest.raises(InvalidArgumentError):
-        EnergyBreakdown(e_kinetic=-1.0, e_gravity=-2.0, e_total=-3.0,
-                        epsilon=-3.0, e_single=-1.0)
+        EnergyBreakdown(e_kinetic=1.0, e_gravity=0.0)
+    eb = EnergyBreakdown(e_kinetic=1.0, e_gravity=-2.0)
+    assert (eb.e_total, eb.epsilon, eb.e_single) == (-1.0, -3.0, -1.0)
 
 
 # --- analytic anchors --------------------------------------------------------
@@ -212,18 +218,36 @@ def test_kinetic_energy_matches_gaussian_closed_form():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
 
+def test_scheme_energy_matches_gaussian_closed_form():
+    # a unit-norm Gaussian of per-axis sigma has E = 3/(8 sigma^2) -
+    # 1/(2 sqrt(pi) sigma) in a_g units; the scheme energy meets it at
+    # second order (1.9e-4 - 1.7e-5 at spacing 0.05, four times less at
+    # 0.025), and changes sign at sigma_c = 3 sqrt(pi)/4 = 1.33 as it does
+    gravity = NonlinearityKind.gravity()
+    sigmas = (1.0, 1.25, 1.5, 2.0)
+    exact = np.array([3.0 / (8.0 * s * s) - 1.0 / (2.0 * np.sqrt(np.pi) * s) for s in sigmas])
+    errs = []
+    for points in (2401, 4801):
+        grid = make_grid(120.0, points)
+        energies = np.array([scheme_energy(gaussian_state(grid, s), gravity) for s in sigmas])
+        errs.append(np.abs(energies - exact))
+        assert energies[1] > 0.0 > energies[2]
+    assert errs[0].max() <= 2.5e-4
+    assert np.all((3.5 <= errs[0] / errs[1]) & (errs[0] / errs[1] <= 4.5))
+
+
 # --- homogeneity -------------------------------------------------------------
 
 def test_hamiltonian_functional_is_degree_two(natural_ground_profile):
+    # the gravitational scheme energy divides its potential by the norm
     from dataclasses import replace
 
-    from sng.evolution import state_from_profile
-
     state = state_from_profile(natural_ground_profile)
-    base = hamiltonian_functional(state)
+    gravity = NonlinearityKind.gravity()
+    base = scheme_energy(state, gravity)
     rng = np.random.default_rng(20260822)
     for lam in (*rng.uniform(0.05, 20.0, size=4), 0.1, 2.5, 10.0):
-        scaled = hamiltonian_functional(replace(state, u=lam * state.u))
+        scaled = scheme_energy(replace(state, u=lam * state.u), gravity)
         assert abs(scaled - lam * lam * base) <= 1e-12 * abs(base) * max(1.0, lam * lam)
 
 
@@ -232,6 +256,6 @@ def test_weak_field_limit_is_kinetic_dominated():
     # interaction term is below one percent of the kinetic term
     grid = make_grid(0.6, 2001)
     state = gaussian_state(grid, sigma=0.01)
-    h = hamiltonian_functional(state)
-    e_kin = _kinetic_energy(state.psi(), grid)
+    h = scheme_energy(state, NonlinearityKind.gravity())
+    e_kin = scheme_energy(state, NonlinearityKind.free())
     assert abs(h - e_kin) / e_kin < 0.01
