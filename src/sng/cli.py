@@ -71,6 +71,17 @@ def _si(name: str, values, unit: float):
     return out
 
 
+def _si_scalar(name: str, value: float, unit: float) -> float:
+    """:func:`_si` of one summary value, refused also where it is nonzero
+    but subnormal: it would be written with too few significant bits.  A
+    table column is left to underflow, as the far tail of f does."""
+    out = _si(name, value, unit)
+    if out != 0.0 and abs(out) < sys.float_info.min:
+        raise InvalidArgumentError(f"{name} in SI units = {out!r} is subnormal, "
+                                   "below the smallest normal double")
+    return out
+
+
 def _open_output(path: str):
     """``path`` opened for writing; InvalidArgumentError names it when it cannot be."""
     try:
@@ -242,18 +253,20 @@ def _cmd_rescale(args) -> int:
     units = _units_from_flags(args, required=True)
     profile = rescale_to_physical(sol)
     eb = energy_breakdown(profile)
-    energies = {f"{name}_J": _si(name, getattr(eb, name), units.energy)
+    energies = {f"{name}_J": _si_scalar(name, getattr(eb, name), units.energy)
                 for name in ("e_kinetic", "e_gravity", "e_total", "epsilon", "e_single")}
     summary = {
         "bohr_radius_m": units.length,
-        "half_max_radius_m": _si("half_max_radius", half_max_radius(profile), units.length),
-        "rms_radius_m": _si("rms_radius", rms_radius(profile), units.length),
+        "half_max_radius_m": _si_scalar("half_max_radius", half_max_radius(profile),
+                                        units.length),
+        "rms_radius_m": _si_scalar("rms_radius", rms_radius(profile), units.length),
         **energies,
         # from the SI energies, as written
         "virial_residual": abs(2.0 * energies["e_kinetic_J"] / abs(energies["e_gravity_J"]) - 1.0),
         "renormalized": profile.renormalized,
         "x_norm": profile.norm,
-        "x_phi_tail_shift": _si("phi_tail_shift", profile.phi_tail_shift_ag, units.potential),
+        "x_phi_tail_shift": _si_scalar("phi_tail_shift", profile.phi_tail_shift_ag,
+                                       units.potential),
         "generated_by": _GENERATED_BY,
     }
     if args.out_csv is not None:

@@ -12,8 +12,8 @@ Crank–Nicolson solve predicted with V[psi_t] and corrected once with
 V[(psi_t + psi_pred)/2].  Such a solve uses its matrix once, so it is one
 fused LAPACK zgtsv call (factor and back-substitute), and a step's
 predictor and corrector share the hopping term of the right-hand side.
-scipy's wrapper of zgtsv is imported with the first such system, not with
-this module, so that importing sng loads no scipy.
+Each solve imports scipy's wrapper of zgtsv, which after the first is a
+sys.modules lookup, so that importing sng loads no scipy.
 
 Where V is identically zero (free, and cubic with kappa = 0) the corrector
 would repeat the predictor, and the Crank–Nicolson step is diagonal in the
@@ -327,6 +327,26 @@ def _potential_is_zero(nl: NonlinearityKind) -> bool:
     return nl.kind == "free" or (nl.kind == "cubic" and nl.kappa == 0.0)
 
 
+def _lam(grid: RadialGrid, dt: float) -> float:
+    """lam = dt/(4 dr^2) of the Crank–Nicolson system of one grid and dt,
+    whose off-diagonal is -i lam and whose diagonal is 1 + 2i lam + i dt V/2.
+    InvalidArgumentError where the grid has fewer than 5 nodes or 2 lam
+    overflows a double."""
+    # scipy's zgtsv wrapper needs three interior unknowns
+    check_count("n_points", grid.n_points, 5)
+    dr = grid.spacing
+    lam = dt / (4.0 * dr * dr)
+    if not math.isfinite(2.0 * lam):
+        raise _non_finite_system()
+    return lam
+
+
+def _non_finite_system() -> InvalidArgumentError:
+    return InvalidArgumentError(
+        "dt is too large: the Crank–Nicolson system is not finite, because "
+        "dt/dr^2 or dt times the potential overflows a double")
+
+
 def _turn(theta: np.ndarray, g: int) -> np.ndarray:
     """exp(-2i g theta) - 1, accurate where g theta is small."""
     angle = g * theta
@@ -338,12 +358,7 @@ def _sine_spectrum(grid: RadialGrid, dt: float) -> tuple[np.ndarray, np.ndarray,
     """The read-only arrays that every V = 0 run of one grid and dt shares:
     theta_k, the outer-end term and the one-step :func:`_turn` (see
     :class:`_SineModes`)."""
-    # the minimum and the refusals of a system with a potential
-    check_count("n_points", grid.n_points, 5)
-    dr = grid.spacing
-    lam = dt / (4.0 * dr * dr)
-    if not math.isfinite(2.0 * lam):  # the diagonal 1 + 2i lam
-        raise _non_finite_system()
+    lam = _lam(grid, dt)
     n = grid.n_points - 2
     k = np.arange(1, n + 1)
     half = np.pi * k / (2.0 * (n + 1))
@@ -406,85 +421,48 @@ class _SineModes:
         return u
 
 
-class _CrankNicolson:
-    """The Crank–Nicolson system (I + i dt H/2) u' = (I - i dt H/2) u of one
-    grid and dt, with H = -(1/2) d^2/dr^2 + V on the interior nodes and
-    Dirichlet ends.  Its off-diagonal -i lam, lam = dt/(4 dr^2), never
-    changes.  A solve with a potential is one zgtsv call, which factors the
-    matrix and back-substitutes in one pass."""
+def _solve(u: np.ndarray, v: np.ndarray, lam: float, dt: float,
+           hop: np.ndarray) -> np.ndarray:
+    """u advanced by dt through (I + i dt H/2) u' = (I - i dt H/2) u, with
+    H = -(1/2) d^2/dr^2 + V on the interior nodes, Dirichlet ends and the
+    potential samples v frozen; lam is :func:`_lam` and ``hop`` the
+    off-diagonal part i lam (u[k+1] + u[k-1]) of the right-hand side.  One
+    zgtsv call factors the matrix and back-substitutes in one pass."""
+    # imported here, not at module top, so that commands that never call
+    # LAPACK do not pay scipy's import
+    from scipy.linalg import lapack
 
-    def __init__(self, grid: RadialGrid, dt: float):
-        # scipy's zgtsv wrapper needs three interior unknowns
-        check_count("n_points", grid.n_points, 5)
-        # imported once per cached system, not at module top, so that
-        # commands that never call LAPACK do not pay scipy's import
-        from scipy.linalg import lapack
-
-        self.lapack = lapack
-        dr = grid.spacing
-        self.dt = dt
-        self.lam = dt / (4.0 * dr * dr)
-        if not math.isfinite(self.lam):
-            raise _non_finite_system()
-        self.off = np.full(grid.n_points - 3, -1.0j * self.lam)
-        self.off.setflags(write=False)
-
-    def _diagonals(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right diagonals for the interior potential samples v.
-        An overflow here is refused before any LAPACK call, so numpy's
-        warning about it is silenced."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            vterm = 0.5j * self.dt * v
-            return 1.0 + 2.0j * self.lam + vterm, 1.0 - 2.0j * self.lam - vterm
-
-    def hopping(self, u: np.ndarray) -> np.ndarray:
-        """The off-diagonal part i lam (u[k+1] + u[k-1]) of the right-hand
-        side on the interior nodes, which does not depend on V."""
-        return 1.0j * self.lam * (u[2:] + u[:-2])
-
-    def solve(self, u: np.ndarray, v: np.ndarray,
-              hop: Optional[np.ndarray] = None) -> np.ndarray:
-        """u advanced by dt with the potential samples v frozen.  ``hop`` is
-        :meth:`hopping` of u when the caller already has it."""
-        a_diag, b_diag = self._diagonals(v[1:-1])
-        if not np.isfinite(a_diag).all():
-            raise _non_finite_system()
-        if hop is None:
-            hop = self.hopping(u)
-        rhs = b_diag * u[1:-1] + hop
-        if not np.isfinite(rhs).all():
-            raise _non_finite_system()
-        # the shared off-diagonal is read-only, so zgtsv works on copies
-        # of it; the fresh diagonal and right-hand side are overwritten
-        *_, x, info = self.lapack.zgtsv(self.off, a_diag, self.off, rhs,
-                                        overwrite_d=1, overwrite_b=1)
-        if info != 0:  # > 0 is an exactly zero pivot, < 0 an illegal argument
-            raise np.linalg.LinAlgError(f"zgtsv returned info = {info}")
-        out = np.zeros(len(u), dtype=np.complex128)
-        out[1:-1] = x
-        return out
+    # an overflow here is refused before any LAPACK call, so numpy's
+    # warning about it is silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        vterm = 0.5j * dt * v[1:-1]
+        a_diag, b_diag = 1.0 + 2.0j * lam + vterm, 1.0 - 2.0j * lam - vterm
+    if not np.isfinite(a_diag).all():
+        raise _non_finite_system()
+    rhs = b_diag * u[1:-1] + hop
+    if not np.isfinite(rhs).all():
+        raise _non_finite_system()
+    # zgtsv overwrites both off-diagonals, so each is a fresh array, like
+    # the diagonal and the right-hand side: f2py copies none of them
+    lower = np.full(len(u) - 3, -1.0j * lam)
+    *_, x, info = lapack.zgtsv(lower, a_diag, lower.copy(), rhs, overwrite_dl=1,
+                               overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info != 0:  # > 0 is an exactly zero pivot, < 0 an illegal argument
+        raise np.linalg.LinAlgError(f"zgtsv returned info = {info}")
+    out = np.zeros(len(u), dtype=np.complex128)
+    out[1:-1] = x
+    return out
 
 
-@lru_cache(maxsize=8)
-def _crank_nicolson(grid: RadialGrid, dt: float) -> _CrankNicolson:
-    return _CrankNicolson(grid, dt)
-
-
-def _non_finite_system() -> InvalidArgumentError:
-    return InvalidArgumentError(
-        "dt is too large: the Crank–Nicolson system is not finite, because "
-        "dt/dr^2 or dt times the potential overflows a double")
-
-
-def _advance(cn: _CrankNicolson, ev: _Evaluation) -> tuple[np.ndarray, _Evaluation]:
+def _advance(ev: _Evaluation, dt: float, lam: float) -> tuple[np.ndarray, _Evaluation]:
     """The kernel of :func:`step` and :func:`evolve` where V is not zero:
-    ``ev.u`` advanced by ``cn.dt`` under ``ev.nl``, and the evaluation of
-    the step's predictor midpoint, whose phase rate :func:`step` carries.
-    The step's starting potential is ``ev.v``, so an observation of the
-    same state shares it."""
+    ``ev.u`` advanced by dt under ``ev.nl``, and the evaluation of the
+    step's predictor midpoint, whose phase rate :func:`step` carries.  The
+    step's starting potential is ``ev.v``, so an observation of the same
+    state shares it; its predictor and corrector share the hopping term."""
     u, v_old = ev.u, ev.v
-    hop = cn.hopping(u)
-    u_pred = cn.solve(u, v_old, hop)
+    hop = 1.0j * lam * (u[2:] + u[:-2])
+    u_pred = _solve(u, v_old, lam, dt, hop)
     mid = _Evaluation(ev.grid, 0.5 * (u + u_pred), ev.nl)
     v_mid = mid.v
 
@@ -493,10 +471,10 @@ def _advance(cn: _CrankNicolson, ev: _Evaluation) -> tuple[np.ndarray, _Evaluati
         change = float(np.max(np.abs(v_mid - v_old))) / scale
         if change > 0.5:
             raise StepRejectedError(
-                f"potential changed {change:.1%} within one step of dt={cn.dt:.3e}",
-                suggested_dt=0.25 * cn.dt / change,
+                f"potential changed {change:.1%} within one step of dt={dt:.3e}",
+                suggested_dt=0.25 * dt / change,
             )
-    return cn.solve(u, v_mid, hop), mid
+    return _solve(u, v_mid, lam, dt, hop), mid
 
 
 def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
@@ -515,7 +493,7 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
     if _potential_is_zero(nl):
         u = _SineModes(state.grid, dt, state.u).jump(1)
         return RadialState(state.grid, u, state.time + dt, state.phase)
-    u, mid = _advance(_crank_nicolson(state.grid, dt), _Evaluation(state.grid, state.u, nl))
+    u, mid = _advance(_Evaluation(state.grid, state.u, nl), dt, _lam(state.grid, dt))
     return RadialState(state.grid, u, state.time + dt, state.phase + mid.phase_rate * dt)
 
 
@@ -563,7 +541,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     grid = state.grid
     free = _potential_is_zero(nl)
     if not free:
-        cn = _crank_nicolson(grid, dt)
+        lam = _lam(grid, dt)
     time = state.time
     ev = _Evaluation(grid, state.u, nl)
     observe(time, ev)
@@ -578,7 +556,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
         observed = k % observe_every == 0 or k == n_steps
         snapped = snapshot_every is not None and k % snapshot_every == 0
         if not free:
-            u, _ = _advance(cn, ev)
+            u, _ = _advance(ev, dt, lam)
         elif observed or snapped:
             u = sine.jump(k - jumped_to)
             jumped_to = k

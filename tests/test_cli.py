@@ -317,6 +317,16 @@ def test_rescale_outputs_are_bitwise_pinned(units, coarse_solved, tmp_path):
     assert digests == PINNED_RESCALE[units]
 
 
+def test_rescale_refuses_a_subnormal_summary_value(coarse_solved, tmp_path, capsys):
+    # at 1e-60 kg and 5e-28 particles the energy unit is a normal double,
+    # but the kinetic energy, 5.4e-309 J, is not
+    out_json = tmp_path / "rescale.json"
+    assert main(["rescale", str(coarse_solved / "ground.json"), "--mass-kg", "1e-60",
+                 "--n-particles", "5e-28", "--out-json", str(out_json)]) == 2
+    assert "error: e_kinetic in SI units = 5.43" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 # the summary's fields as key paths, and what the fuzz puts in one: a value
 # at or past the ends of the doubles, a fraction, a number too large for a
 # double, a wrong type, or nothing (DELETE drops the key)
@@ -708,11 +718,14 @@ def test_oversized_step_suggests_dt_in_seconds(mass, n, tmp_path, capsys):
     units = UnitScales.of(PhysicalParams(mass=float(mass), n_particles=float(n)))
     common = ["evolve", "--gravity", "--points", "1001", "--steps", "3",
               "--out-csv", str(tmp_path / "x.csv")]
-    natural = _follow_suggested_dt([*common, "--gaussian-sigma", "1.0"], 50.0, capsys)
-    si = _follow_suggested_dt([*common, "--mass-kg", mass, "--n-particles", n,
-                               "--gaussian-sigma", repr(units.length),
-                               "--r-max", repr(60.0 * units.length)],
-                              50.0 * units.time, capsys)
+    # a rejected run spreads the packet to the outer boundary before the
+    # step that is refused
+    with pytest.warns(UserWarning, match="outer boundary"):
+        natural = _follow_suggested_dt([*common, "--gaussian-sigma", "1.0"], 50.0, capsys)
+        si = _follow_suggested_dt([*common, "--mass-kg", mass, "--n-particles", n,
+                                   "--gaussian-sigma", repr(units.length),
+                                   "--r-max", repr(60.0 * units.length)],
+                                  50.0 * units.time, capsys)
     assert len(natural) == len(si) > 1
     assert [t / units.time for t in si] == pytest.approx(natural, rel=1e-5)
 

@@ -452,9 +452,8 @@ def _count_calls(monkeypatch, module, name):
 def test_zero_potential_calls_no_lapack_and_a_potential_step_two_zgtsv(
         packet, coarse_ground_state, monkeypatch):
     # with V = 0 the step is a jump of the sine modes, done by numpy's FFT
-    sng.evolution._crank_nicolson.cache_clear()
     sng.evolution._sine_spectrum.cache_clear()
-    # the stepper calls LAPACK through the module, imported on first use
+    # the stepper calls LAPACK through the module, which each solve imports
     names = ("zgttrf", "zgttrs", "zgtsv")
     calls = {name: _count_calls(monkeypatch, scipy.linalg.lapack, name) for name in names}
     for nl in (NonlinearityKind.free(), NonlinearityKind.cubic(0.0, -1)):
@@ -537,9 +536,10 @@ def test_crank_nicolson_solve_equals_banded_solve_bitwise(nl):
     packet = gaussian_state(grid, sigma=1.0)
     u = packet.u * np.exp(0.3j * grid.nodes)
     v = sng.evolution._Evaluation(grid, u, nl).v
-    cn = sng.evolution._crank_nicolson(grid, 0.01)
+    lam = sng.evolution._lam(grid, 0.01)
+    hop = 1.0j * lam * (u[2:] + u[:-2])
     expected = _banded_reference(u, v, 0.01, grid)
-    assert np.array_equal(cn.solve(u, v), expected)
+    assert np.array_equal(sng.evolution._solve(u, v, lam, 0.01, hop), expected)
     if nl.kind == "free":
         assert _relative_error(step(replace(packet, u=u), 0.01, nl).u, expected) < 1e-13
 
@@ -552,16 +552,17 @@ def test_pivoted_crank_nicolson_solve_equals_factor_and_back_substitute_bitwise(
     dt = 0.5
     u = gaussian_state(grid, sigma=1.0).u * np.exp(0.3j * grid.nodes)
     v = sng.evolution._Evaluation(grid, u, NonlinearityKind.cubic(1e3, -1)).v
-    cn = sng.evolution._crank_nicolson(grid, dt)
-    a_diag, b_diag = cn._diagonals(v[1:-1])
-    *lu, info = zgttrf(cn.off, a_diag, cn.off)
+    lam = sng.evolution._lam(grid, dt)
+    hop = 1.0j * lam * (u[2:] + u[:-2])
+    vterm = 0.5j * dt * v[1:-1]
+    off = np.full(grid.n_points - 3, -1.0j * lam)
+    *lu, info = zgttrf(off, 1.0 + 2.0j * lam + vterm, off)
     assert info == 0
     ipiv = lu[-1]
     assert np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1)) > 0
-    rhs = b_diag * u[1:-1] + cn.hopping(u)
-    x, info = zgttrs(*lu, rhs)
+    x, info = zgttrs(*lu, (1.0 - 2.0j * lam - vterm) * u[1:-1] + hop)
     assert info == 0
-    got = cn.solve(u, v)
+    got = sng.evolution._solve(u, v, lam, dt, hop)
     assert got[1:-1].tobytes() == x.tobytes()
     assert got.tobytes() == _banded_reference(u, v, dt, grid).tobytes()
 

@@ -147,6 +147,16 @@ CASES = [
     ("profile", _quiet(lambda: _load(profile="rho,f_star,g_star\n"))),
     # an f* cell whose square overflows was refused as a bare non-finite field
     ("profile", lambda: _load(profile=_profile(f_cell=1e300))),
+    # a step with a potential checks its system as a free step does: too few
+    # nodes, dt/dr^2 overflowing, and a finite lam = dt/dr^2/4 whose 2 lam
+    # overflows (1e308 on 30/401)
+    ("n_points", lambda: step(RadialState(make_grid(10.0, 4), [0.0, 1.0, 1.0, 0.0], 0.0), 0.1,
+                              NonlinearityKind.gravity())),
+    ("n_points", lambda: step(RadialState(make_grid(10.0, 4), [0.0, 1.0, 1.0, 0.0], 0.0), 0.1,
+                              NonlinearityKind.cubic(1, 1))),
+    ("dt", lambda: step(gaussian_state(GRID, 2.0), 1e308, NonlinearityKind.gravity())),
+    ("dt", lambda: step(gaussian_state(make_grid(30.0, 401), 1.0), 2.25e306,
+                        NonlinearityKind.gravity())),
 ]
 
 
