@@ -508,9 +508,9 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
 
     The recorded energy is scheme_energy — the discrete functional the
     stepper conserves.  An observable that is not finite raises
-    InvalidArgumentError naming it.  Warns once if |psi| near the outer
-    boundary exceeds 1e-8 of its peak (domain too small for strict norm
-    conservation).
+    InvalidArgumentError naming it.  Warns once, when the run is complete,
+    if |psi| near the outer boundary exceeded 1e-8 of its peak at an
+    observed step (domain too small for strict norm conservation).
     """
     check_positive("dt", dt)
     check_positive("t_final - state.time", t_final - state.time)
@@ -550,7 +550,9 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     if free:
         sine, jumped_to = _SineModes(grid, dt, state.u), 0
 
-    boundary_warned = False
+    # decided at each observed step, warned once the run is complete: a run
+    # refused part-way has no domain to enlarge
+    at_boundary = False
     for k in range(1, n_steps + 1):
         time += dt
         observed = k % observe_every == 0 or k == n_steps
@@ -565,19 +567,19 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
         ev = _Evaluation(grid, u, nl)
         if observed:
             observe(time, ev)
-            if not boundary_warned:
+            if not at_boundary:
                 psi_edge = abs(u[-2]) / grid.nodes[-2]
                 peak = float(np.max(ev.psi_abs))
-                if peak > 0.0 and psi_edge > 1e-8 * peak:
-                    warnings.warn(
-                        "wavefunction amplitude at the outer boundary exceeds "
-                        "1e-8 of its peak; enlarge the domain for strict norm "
-                        "conservation",
-                        stacklevel=2,
-                    )
-                    boundary_warned = True
+                at_boundary = peak > 0.0 and psi_edge > 1e-8 * peak
         if snapped:
             snaps.append((time, RadialField(grid, ev.density)))
+    if at_boundary:
+        warnings.warn(
+            "wavefunction amplitude at the outer boundary exceeds "
+            "1e-8 of its peak; enlarge the domain for strict norm "
+            "conservation",
+            stacklevel=2,
+        )
 
     return ObservableSeries(
         times=np.asarray(times),

@@ -19,7 +19,15 @@ mismatch (f + rho f') - rho f y_tail vanishes at rho_m, y_tail being that
 tail's log-derivative; past rho_m the solved f* and g* are the tail itself.
 The bisection makes plain bisection's halvings but shoots only at the
 midpoints its earlier shots leave undecided, near the root at secant steps
-on the mismatch, which is close to linear there.
+on the mismatch, which is close to linear there.  Its first shots are
+aimed by the same bisection on every eighth grid point, at an eighth of
+the cost a shot: just above that coarse root, then either side of the
+Newton step the coarse slope gives from there, and the bracket ends are
+not shot once those shots straddle the root.  A coarse pass that fails
+or leaves no two mismatches, or a tol above 1e-9 |gamma0|, leaves the
+bisection unaimed.  On the default grid, solve_states(range(5)) takes 51
+shots there and 68 on the coarse grid, 245,281 RK4 steps in all, against
+91 shots and 373,204 steps unaimed.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidBracketError,
     InvalidFieldError,
+    SngError,
     WrongStateError,
     check_count,
     check_positive,
@@ -73,6 +82,12 @@ _RICCATI_STEP = 0.05
 # around the eigenvalue where rounding decides the mismatch's sign.
 _SECANT_PAST = 0.25
 _SECANT_FLOOR = 2.0**-40
+
+# A bisection to a tol below _AIM_OFFSET |gamma0| is aimed from one on every
+# _COARSE-th point, whose root gamma_c it first shoots _AIM_OFFSET |gamma_c|
+# above, then 8 times as far, and so on.
+_COARSE = 8
+_AIM_OFFSET = 1e-9
 
 # A solved state whose tail-identity residual exceeds this is under-resolved.
 _TAIL_RESIDUAL_LIMIT = 1e-3
@@ -383,6 +398,11 @@ def _tail(k2: float, mass: float, radii: list[float]) -> tuple[list[float], list
     return ys[::-1], [v - log_u for v in reversed(logs)]
 
 
+def _stop(grid: RadialGrid) -> int:
+    """rho_m in samples past the last node; at least the first RK4 sample."""
+    return max(2, round(_MATCH_MARGIN / grid.spacing))
+
+
 def _side(n: int, gamma0: float, grid: RadialGrid, stop: int) -> tuple[int, float | None]:
     """+1 when gamma0 lies above the n-node eigenvalue, where the growing
     mode carries the sign (-1)^n of f's last lobe, and -1 below; with the
@@ -412,55 +432,92 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int) -> tuple[int, floa
     )
 
 
-def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
-                 tol: float = DEFAULT_TOL) -> UniversalSolution:
-    """Bisect gamma0 inside ``bracket`` until the width falls below ``tol``
-    and return the mid-bracket state as a UniversalSolution.
+def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
+                tol: float) -> tuple[float, float] | None:
+    """The root and slope that aim a bisection on ``grid``: the unaimed
+    bisection of the same bracket on every _COARSE-th point gives the
+    mid-bracket gamma0 and the secant slope of its last two mismatches.
+    None when that grid is refused, the bisection raises, or it leaves no
+    two distinct mismatches."""
+    try:
+        coarse = make_grid(grid.rho_max, (grid.n_points - 1) // _COARSE + 1)
+        lo, hi, seen = _bisect(n, bracket, coarse, tol, aimed=False)
+    except SngError:
+        return None
+    if len(seen) < 2 or seen[-1][1] == seen[-2][1]:
+        return None
+    (x0, v0), (x1, v1) = seen[-2:]
+    return 0.5 * (lo + hi), (v1 - v0) / (x1 - x0)
 
-    Each shot stops at its own rho_m, 16 past its n-th node.  One that
-    stops earlier sides gamma0 by its label (an extra node, or
-    divergence); one that reaches rho_m by the sign of the Wronskian
-    mismatch there.  The halvings are plain bisection's, so while the side
-    changes once inside ``bracket`` the result is plain bisection's bit for
-    bit; but a midpoint that lies past a shot already taken takes that
-    shot's side, and near the root the shots are secant steps on the
-    mismatch aimed just past the root toward the midpoint.  Secant shots
-    never outnumber the halvings made, so the loop ends within twice plain
-    bisection's shots (on the eigenvalue problems tested, it takes fewer).
-    Past rho_m, f* = u_tail/rho with u_tail from the same tail as the
-    mismatch, and g* = g_inf - M/rho.
 
-    Raises
-    ------
-    InvalidBracketError
-        If both bracket ends lie on the same side of the eigenvalue.
-    WrongStateError
-        If rho_m does not fit in the grid (enlarge --rho-max), or the state
-        has no decaying tail past rho_m or a tail-identity residual above
-        1e-3 (refine --points, or lower a tol that leaves gamma0 too far
-        off the eigenvalue).
-    ConvergenceError
-        If bisection exhausts floating point resolution before reaching tol.
+def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
+            aimed: bool = True) -> tuple[float, float, list[tuple[float, float]]]:
+    """Plain bisection's bracket of width <= tol on the n-node eigenvalue
+    inside ``bracket``, and the (gamma0, mismatch) pairs of the shots taken,
+    in the order the secant reads them.
+
+    A midpoint inside the narrowest bracket (a, b) the shots have
+    established costs one shot: while more than two halvings remain and
+    secant shots do not outnumber halvings, at the root of the secant
+    through the last two mismatches, moved toward the midpoint by
+    _SECANT_PAST * tol (at least _SECANT_FLOOR of the root) but not past
+    it; else at the midpoint.  A midpoint outside (a, b) takes the side of
+    the shot that set that end.
+
+    ``aimed`` first shoots from the coarse pass's root gamma_c and slope
+    (see :func:`_coarse_aim`): at gamma_c + d, d growing 8-fold from
+    max(_AIM_OFFSET |gamma_c|, tol), until a shot lands above the
+    eigenvalue with a mismatch v there, then a secant step past each side
+    of the Newton point x - v/slope; every such shot lies inside (a, b).
+    Bracket ends are shot only while the shots do not yet straddle the
+    eigenvalue.  An aimed shot that raises ends the aim.
     """
-    check_count("n", n, 0)
-    check_positive("tol", tol)
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
-    # rho_m in samples past the last node; at least the first RK4 sample
-    stop = max(2, round(_MATCH_MARGIN / grid.spacing))
-    side_lo, v_lo = _side(n, lo, grid, stop)
-    side_hi, v_hi = _side(n, hi, grid, stop)
-    if side_hi == side_lo:
-        raise InvalidBracketError(f"bracket ends {bracket} lie on one side of the n={n} eigenvalue")
-    # (a, b) is the narrowest bracket the shots have established, lo <= a <
-    # b <= hi.  A midpoint inside it costs one shot: while more than two
-    # halvings remain and secant shots do not outnumber halvings, at the
-    # root of the secant through the last two mismatches, moved toward the
-    # midpoint by _SECANT_PAST * tol (at least _SECANT_FLOOR of the root)
-    # but not past it; else at the midpoint.
+    stop = _stop(grid)
     a, b = lo, hi
-    seen = [(x, v) for x, v in ((lo, v_lo), (hi, v_hi)) if v is not None]
+    seen = []
+    side_lo = -1  # the lower end's side: below, unless its own shot says otherwise
+
+    def shoot(x: float) -> tuple[int, float | None]:
+        nonlocal a, b
+        side, v = _side(n, x, grid, stop)
+        if v is not None:
+            seen.append((x, v))
+        if side == side_lo:
+            a = x
+        else:
+            b = x
+        return side, v
+
+    # a coarser tol leaves too few halvings to always repay the coarse pass
+    # (n = 0 on 40/401 at tol 1e-6: 2,313 RK4 steps aimed, 2,223 plain)
+    aimed = aimed and tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
+    aim = _coarse_aim(n, bracket, grid, tol) if aimed else None
+    if aim is not None:
+        gamma_c, slope = aim
+        d = max(_AIM_OFFSET * abs(gamma_c), tol)
+        try:
+            side, v = -1, None
+            while side < 0 and a < gamma_c + d < b:
+                x = gamma_c + d
+                side, v = shoot(x)
+                d *= 8.0
+            if side > 0 and v is not None:
+                x -= v / slope
+                past = max(_SECANT_PAST * tol, _SECANT_FLOOR * abs(x))
+                for y in (x - past, x + past):
+                    if a < y < b:
+                        shoot(y)
+        except SngError:
+            pass
+    if a == lo or b == hi:
+        side_lo, v_lo = _side(n, lo, grid, stop)
+        side_hi, v_hi = _side(n, hi, grid, stop)
+        if side_hi == side_lo:
+            raise InvalidBracketError(
+                f"bracket ends {bracket} lie on one side of the n={n} eigenvalue")
+        seen[:0] = [(x, v) for x, v in ((lo, v_lo), (hi, v_hi)) if v is not None]
+
     credit = 0  # halvings made minus secant shots taken
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -481,14 +538,47 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
                 x = min(root + past, mid) if root < mid else max(root - past, mid)
                 if x != mid:
                     credit -= 1
-        side, v = _side(n, x, grid, stop)
-        if v is not None:
-            seen.append((x, v))
-        if side == side_lo:
-            a = x
-        else:
-            b = x
+        shoot(x)
+    return lo, hi, seen
 
+
+def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
+                 tol: float = DEFAULT_TOL) -> UniversalSolution:
+    """Bisect gamma0 inside ``bracket`` until the width falls below ``tol``
+    and return the mid-bracket state as a UniversalSolution.
+
+    Each shot stops at its own rho_m, 16 past its n-th node.  One that
+    stops earlier sides gamma0 by its label (an extra node, or
+    divergence); one that reaches rho_m by the sign of the Wronskian
+    mismatch there.  The halvings are plain bisection's, so while the side
+    changes once inside ``bracket`` the result is plain bisection's bit for
+    bit; but a midpoint that lies past a shot already taken takes that
+    shot's side.  The first shots are aimed from a bisection on a grid of
+    every eighth point, and near the root the shots are secant steps on
+    the mismatch aimed just past the root toward the midpoint (see
+    :func:`_bisect`).  Secant shots never outnumber the halvings made.
+    Past rho_m, f* = u_tail/rho with u_tail from the same tail as the
+    mismatch, and g* = g_inf - M/rho.
+
+    Raises
+    ------
+    InvalidBracketError
+        If both bracket ends lie on the same side of the eigenvalue.
+    WrongStateError
+        If rho_m does not fit in the grid (enlarge --rho-max), or the state
+        has no decaying tail past rho_m or a tail-identity residual above
+        1e-3 (refine --points, or lower a tol that leaves gamma0 too far
+        off the eigenvalue).
+    ConvergenceError
+        If bisection exhausts floating point resolution before reaching tol.
+    """
+    check_count("n", n, 0)
+    check_positive("tol", tol)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
+    lo, hi, _ = _bisect(n, bracket, grid, tol)
+    stop = _stop(grid)
     gamma0 = 0.5 * (lo + hi)
     (_, classification), (f_shot, _, g_shot, gp_shot) = _shoot(gamma0, grid, n, True, stop)
     m = len(f_shot) - 1

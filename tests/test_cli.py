@@ -105,6 +105,31 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
 
+# sha256 of the outputs the benchmark reads, recorded before bisection was
+# aimed from a coarse grid: the aim only chooses where to shoot
+PINNED_SPECTRUM = "5ab4f56b53f00a7cd6bf447ae6e9990d0873cc47e8eb7285690d749e119cf9c8"
+PINNED_GROUND_4001 = ("a9cc67d7e1da9de642327d434b7166a243039bc64382fb55a7440ac4a9281ddf",
+                      "348ed014d31c85237618b825f93d5fcf56cfd7cf5515407bf8a4d30065796955")
+
+
+def _sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_spectrum_output_is_bitwise_pinned(tmp_path):
+    # spectrum --n-max 4 on the default grid
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--n-max", "4", "--out-json", str(out)]) == 0
+    assert _sha256_file(out) == PINNED_SPECTRUM
+
+
+def test_ground_state_outputs_are_bitwise_pinned(tmp_path):
+    # the ground state an evolve --gravity --from run starts from
+    out = tmp_path / "ground.json"
+    assert main(["solve", "--n", "0", "--points", "4001", "--out-json", str(out)]) == 0
+    assert (_sha256_file(out), _sha256_file(tmp_path / "ground.csv")) == PINNED_GROUND_4001
+
+
 @pytest.mark.parametrize("argv", [["solve", "--n", "-1"], ["spectrum", "--n-max", "-1"]])
 def test_negative_node_count_is_exit_2_before_shooting(argv, monkeypatch, capsys):
     def no_shot(*args, **kwargs):
@@ -313,7 +338,7 @@ def test_rescale_outputs_are_bitwise_pinned(units, coarse_solved, tmp_path):
     out_json, out_csv = tmp_path / "rescale.json", tmp_path / "rescale.csv"
     assert main(["rescale", str(coarse_solved / "ground.json"), *flags,
                  "--out-json", str(out_json), "--out-csv", str(out_csv)]) == 0
-    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out_json, out_csv))
+    digests = tuple(_sha256_file(p) for p in (out_json, out_csv))
     assert digests == PINNED_RESCALE[units]
 
 
@@ -515,7 +540,7 @@ def test_evolve_outputs_are_bitwise_pinned(run, coarse_solved, tmp_path):
     out = tmp_path / "run.csv"
     assert main(["evolve", *flags, "--out-csv", str(out)]) == 0
     paths = [out, *sorted(tmp_path.glob("run_snap_*.csv"))]
-    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    digests = tuple(_sha256_file(p) for p in paths)
     assert digests == expected
 
 
@@ -699,6 +724,20 @@ def test_oversized_step_is_exit_5(tmp_path, capsys):
     assert "suggested dt" in capsys.readouterr().err
 
 
+def test_refused_run_warns_of_nothing(tmp_path, capsys):
+    # step 1 spreads the packet to the outer boundary and step 2 is
+    # refused: the boundary warning is a run's, given once it is complete
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["evolve", "--gravity", "--gaussian-sigma", "1.0", "--points", "1001",
+                     "--steps", "3", "--dt", "19.02351", "--out-csv", str(out)])
+    assert code == 5
+    assert "suggested dt" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
 def _follow_suggested_dt(argv, dt, capsys):
     """Rerun with each printed suggested dt until a run is accepted; the dts tried."""
     tried = [dt]
@@ -718,14 +757,17 @@ def test_oversized_step_suggests_dt_in_seconds(mass, n, tmp_path, capsys):
     units = UnitScales.of(PhysicalParams(mass=float(mass), n_particles=float(n)))
     common = ["evolve", "--gravity", "--points", "1001", "--steps", "3",
               "--out-csv", str(tmp_path / "x.csv")]
-    # a rejected run spreads the packet to the outer boundary before the
-    # step that is refused
-    with pytest.warns(UserWarning, match="outer boundary"):
+    # a rejected run can spread the packet to the outer boundary before the
+    # step that is refused; it warns of nothing, and the accepted run does
+    # not reach the boundary
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         natural = _follow_suggested_dt([*common, "--gaussian-sigma", "1.0"], 50.0, capsys)
         si = _follow_suggested_dt([*common, "--mass-kg", mass, "--n-particles", n,
                                    "--gaussian-sigma", repr(units.length),
                                    "--r-max", repr(60.0 * units.length)],
                                   50.0 * units.time, capsys)
+    assert [str(w.message) for w in caught] == []
     assert len(natural) == len(si) > 1
     assert [t / units.time for t in si] == pytest.approx(natural, rel=1e-5)
 

@@ -544,23 +544,49 @@ def test_label_only_shots_keep_the_recorded_checks():
                 shot(-1.0, grid, max_nodes)
 
 
+def _rk4_steps(record, state):
+    """The RK4 steps a _shoot call took: one per sample past the series pair."""
+    return (len(state[0]) if record else state[0] + 1) - 2
+
+
 def test_solve_states_shot_counts(monkeypatch):
     # one label-only scan rung bounded at n = 1, whose search shoots 10 of
-    # its 101 points; then per state two bracket ends and the shots the
-    # bisection could not decide from the earlier ones (16 for n = 0, 10
-    # for n = 1, of 29 halvings), each stopping at its match radius 800
-    # samples (16) past its n-th node, and one recorded shot to rho_m
+    # its 101 points; then per state the unaimed bisection on the 251-point
+    # coarse grid (stop 100 samples), whose root and slope aim the shots on
+    # 2001 points (stop 800 samples, 16 past the n-th node): 9 for n = 0
+    # and 5 for n = 1, against 2 + 16 and 2 + 10 unaimed, and one recorded
+    # shot to rho_m
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
-        counts[record, max_nodes, stop] += 1
+        counts[grid.n_points, record, max_nodes, stop] += 1
         return _shoot(gamma0, grid, max_nodes, record, stop)
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
-    assert counts == {(False, 1, None): 10,
-                      (False, 0, 800): 2 + 16, (False, 1, 800): 2 + 10,
-                      (True, 0, 800): 1, (True, 1, 800): 1}
+    assert counts == {(2001, False, 1, None): 10,
+                      (251, False, 0, 100): 17, (251, False, 1, 100): 13,
+                      (2001, False, 0, 800): 9, (2001, False, 1, 800): 5,
+                      (2001, True, 0, 800): 1, (2001, True, 1, 800): 1}
+
+
+def test_default_grid_rk4_steps(monkeypatch):
+    # solve_states(range(5)) on the default grid: the scan, the aimed and
+    # the recorded shots on 8001 points, and the coarse passes on 1001
+    # points (one of whose n = 4 shots has no decaying tail at rho_m and is
+    # shot again to rho_max).  Unaimed, all 91 shots were on 8001 points,
+    # with 373,204 RK4 steps.
+    shots, steps = collections.Counter(), collections.Counter()
+
+    def counted(gamma0, grid, max_nodes, record, stop=None):
+        label, state = _shoot(gamma0, grid, max_nodes, record, stop)
+        shots[grid.n_points] += 1
+        steps[grid.n_points] += _rk4_steps(record, state)
+        return label, state
+
+    monkeypatch.setattr(shooting, "_shoot", counted)
+    solve_states(range(5), default_grid())
+    assert (shots, steps) == ({8001: 51, 1001: 68}, {8001: 208_974, 1001: 36_307})
 
 
 def test_default_grid_scan_shots(monkeypatch):
@@ -576,100 +602,173 @@ def test_default_grid_scan_shots(monkeypatch):
     assert counts == {(False, 4, None): 18}
 
 
-# --- secant-guided bisection against plain bisection -------------------------
+# --- aimed bisection against plain bisection ---------------------------------
 
 def _plain_bisection(n, bracket, grid, tol):
-    """The brackets (lo, hi, shots) of a plain bisection over shooting._side,
-    from the bracket ends to the first width <= tol, ``shots`` counting the
-    _shoot calls made so far.  The brackets of every wider tol are a prefix."""
-    calls = 0
+    """The brackets (lo, hi, shots, steps) of a plain bisection over
+    shooting._side, from the bracket ends to the first width <= tol,
+    ``shots`` and ``steps`` counting the _shoot calls made so far and their
+    RK4 steps.  The brackets of every wider tol are a prefix.  It refuses
+    as shoot_gamma0 does: InvalidBracketError for ends on one side,
+    ConvergenceError at float resolution, and the errors of _side."""
+    calls = steps = 0
 
     def counted(*args):
-        nonlocal calls
+        nonlocal calls, steps
+        label, state = _shoot(*args)
         calls += 1
-        return _shoot(*args)
+        steps += _rk4_steps(args[3], state)
+        return label, state
 
-    stop = max(2, round(shooting._MATCH_MARGIN / grid.spacing))
+    stop = shooting._stop(grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shooting, "_shoot", counted)
-        lo, hi = bracket
+        lo, hi = map(float, bracket)
         side_lo = shooting._side(n, lo, grid, stop)[0]
-        assert shooting._side(n, hi, grid, stop)[0] != side_lo
-        sequence = [(lo, hi, calls)]
+        if shooting._side(n, hi, grid, stop)[0] == side_lo:
+            raise InvalidBracketError(
+                f"bracket ends {bracket} lie on one side of the n={n} eigenvalue")
+        sequence = [(lo, hi, calls, steps)]
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            assert lo < mid < hi
+            if mid == lo or mid == hi:
+                raise ConvergenceError(f"bisection exhausted float resolution at width "
+                                       f"{hi - lo:.3e} > tol {tol:.3e}")
             if shooting._side(n, mid, grid, stop)[0] == side_lo:
                 lo = mid
             else:
                 hi = mid
-            sequence.append((lo, hi, calls))
+            sequence.append((lo, hi, calls, steps))
     return sequence
 
 
 def _plain_result(sequence, tol):
-    """The plain bisection's final (lo, hi, shots) at ``tol``."""
+    """The plain bisection's final (lo, hi, shots, steps) at ``tol``."""
     return next(entry for entry in sequence if entry[1] - entry[0] <= tol)
+
+
+def _outcome(solve):
+    """gamma0, bracket_width and the sha256 of f* and g* of the state
+    ``solve()`` returns, or the type and message of the error it raises."""
+    try:
+        sol = solve()
+    except SngError as exc:
+        return type(exc), str(exc)
+    return sol.gamma0, sol.bracket_width, _sha256(sol.f_star.values), _sha256(sol.g_star.values)
+
+
+def _plain_outcome(n, bracket, grid, tol, sequence=None):
+    """The _outcome shoot_gamma0 must have: that of plain bisection's final
+    bracket, solved with no halving, or plain bisection's own refusal."""
+    try:
+        if sequence is None:
+            sequence = _plain_bisection(n, bracket, grid, tol)
+        lo, hi = _plain_result(sequence, tol)[:2]
+    except SngError as exc:
+        return type(exc), str(exc)
+    # a bracket no wider than tol is solved with no halving
+    return _outcome(lambda: shoot_gamma0(n, (lo, hi), grid, tol=hi - lo))
+
+
+def _assert_same_as_plain(n, bracket, grid, tol, sequence=None):
+    assert (_outcome(lambda: shoot_gamma0(n, bracket, grid, tol))
+            == _plain_outcome(n, bracket, grid, tol, sequence)), (grid, n, bracket, tol)
 
 
 @pytest.fixture(scope="module")
 def plain_bisection():
-    """(points, n) -> the scan bracket on make_grid(40, points) and its plain
-    bisection down to a width of 1e-15, the narrowest tol compared below."""
+    """(rho_max, points, n, bracket) -> the plain bisection of ``bracket``
+    on make_grid(rho_max, points) down to a width of 1e-15, the narrowest
+    tol compared below; ``bracket`` defaults to find_brackets'."""
     cache = {}
 
-    def brackets(points, n):
-        if (points, n) not in cache:
-            grid = make_grid(40.0, points)
-            bracket = find_brackets([n], grid)[n]
-            cache[points, n] = bracket, _plain_bisection(n, bracket, grid, 1e-15)
-        return cache[points, n]
+    def bisect(rho_max, points, n, bracket=None):
+        grid = make_grid(rho_max, points)
+        bracket = bracket or find_brackets([n], grid)[n]
+        if (grid, n, bracket) not in cache:
+            cache[grid, n, bracket] = _plain_bisection(n, bracket, grid, 1e-15)
+        return bracket, cache[grid, n, bracket]
 
-    return brackets
+    return bisect
 
 
 @pytest.mark.parametrize("points", [401, 2001])
 @pytest.mark.parametrize("n", range(4))
 def test_bisection_never_shoots_more_than_plain_bisection(points, n, plain_bisection,
                                                           monkeypatch):
-    bracket, sequence = plain_bisection(points, n)
+    # the shots on the solve's own grid, and the RK4 steps on every grid,
+    # coarse pass included: the aim pays for itself at every tol
+    bracket, sequence = plain_bisection(40.0, points, n)
     grid = make_grid(40.0, points)
-    shots = 0
+    work = collections.Counter()
 
-    def counted(gamma0, grid, max_nodes, record, stop=None):
-        nonlocal shots
-        shots += not record  # the final recorded shot is not bisection's
-        return _shoot(gamma0, grid, max_nodes, record, stop)
+    def counted(gamma0, shot_grid, max_nodes, record, stop=None):
+        label, state = _shoot(gamma0, shot_grid, max_nodes, record, stop)
+        if not record:  # the final recorded shot is not bisection's
+            work["shots"] += shot_grid == grid
+            work["steps"] += _rk4_steps(record, state)
+        return label, state
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     for tol in (1e-15, 1e-10, 1e-6, 1e-3, 0.02):
-        shots = 0
+        work.clear()
         try:
             shoot_gamma0(n, bracket, grid, tol)
         except WrongStateError as exc:
             # coarse tols leave a state too rough to keep, after bisection
             assert "refine --points" in str(exc)
-        assert shots <= _plain_result(sequence, tol)[2], f"tol={tol}"
-
-
-def _assert_same_solution(sol, lo, hi, grid):
-    """``sol`` is the state plain bisection's final bracket (lo, hi) gives."""
-    assert (sol.gamma0, sol.bracket_width) == (0.5 * (lo + hi), hi - lo)
-    # a bracket no wider than tol is solved with no halving
-    expected = shoot_gamma0(sol.n, (lo, hi), grid, tol=hi - lo)
-    assert (expected.gamma0, expected.bracket_width) == (sol.gamma0, sol.bracket_width)
-    assert _sha256(sol.f_star.values) == _sha256(expected.f_star.values)
-    assert _sha256(sol.g_star.values) == _sha256(expected.g_star.values)
+        _, _, shots, steps = _plain_result(sequence, tol)
+        assert work["shots"] <= shots, f"tol={tol}"
+        assert work["steps"] <= steps, f"tol={tol}"
 
 
 @pytest.mark.parametrize("points", [2001, 8001])
 @pytest.mark.parametrize("n", range(5))
 def test_bisection_matches_plain_bisection_bit_for_bit(points, n, plain_bisection):
-    bracket, sequence = plain_bisection(points, n)
+    bracket, sequence = plain_bisection(40.0, points, n)
+    for tol in (1e-15, 1e-10, 1e-6, 1e-3, 0.02):
+        _assert_same_as_plain(n, bracket, make_grid(40.0, points), tol, sequence)
+
+
+@pytest.mark.parametrize("rho_max, points, n_max", [
+    (40.0, 8001, 4), (40.0, 4001, 1), (40.0, 4001, 4), (40.0, 2001, 3),
+    (60.0, 12001, 5), (40.0, 16001, 2),
+])
+def test_solve_states_matches_plain_bisection_bit_for_bit(rho_max, points, n_max,
+                                                          plain_bisection):
+    # solve_states' brackets, at its default tol
+    grid = make_grid(rho_max, points)
+    for n, bracket in find_brackets(range(n_max + 1), grid).items():
+        _, sequence = plain_bisection(rho_max, points, n, bracket)
+        _assert_same_as_plain(n, bracket, grid, shooting.DEFAULT_TOL, sequence)
+
+
+@pytest.mark.parametrize("points", [5, 11, 41])
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_refused_grids_refuse_as_plain_bisection(points, tol):
+    # no state on these grids is kept; where the scan finds no bracket, a
+    # bracket of n = 1 on the default grid lies on one side of the eigenvalue
     grid = make_grid(40.0, points)
-    for tol in (1e-15, 1e-10, 1e-6):
-        lo, hi, _ = _plain_result(sequence, tol)
-        _assert_same_solution(shoot_gamma0(n, bracket, grid, tol), lo, hi, grid)
+    for n in range(3):
+        try:
+            bracket = find_brackets([n], grid)[n]
+        except InvalidBracketError:
+            bracket = (-1.25, -1.2)
+        outcome = _plain_outcome(n, bracket, grid, tol)
+        assert outcome[0] in (WrongStateError, InvalidBracketError)
+        _assert_same_as_plain(n, bracket, grid, tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(points=st.integers(3, 601), rho_max=st.floats(8.0, 80.0), n=st.integers(0, 3),
+       tol=st.sampled_from([1e-15, 1e-10, 1e-6, 1e-3]))
+def test_bisection_matches_plain_bisection_on_fuzzed_grids(points, rho_max, n, tol):
+    grid = make_grid(rho_max, points)
+    try:
+        bracket = find_brackets([n], grid)[n]
+    except InvalidBracketError:
+        return
+    _assert_same_as_plain(n, bracket, grid, tol)
 
 
 def test_secant_shots_stay_clear_of_the_rounding_band():
@@ -680,8 +779,7 @@ def test_secant_shots_stay_clear_of_the_rounding_band():
     # the other
     grid = default_grid()
     bracket, tol = (-1.4898281949018854, -1.489073440046018), 2.5e-16
-    lo, hi, _ = _plain_result(_plain_bisection(4, bracket, grid, tol), tol)
-    _assert_same_solution(shoot_gamma0(4, bracket, grid, tol), lo, hi, grid)
+    _assert_same_as_plain(4, bracket, grid, tol)
 
 
 def test_secant_shots_never_outnumber_halvings(monkeypatch):
@@ -689,23 +787,25 @@ def test_secant_shots_never_outnumber_halvings(monkeypatch):
     # steps that each creep a few percent closer, about 240 of them before
     # one passes the root; secant shots that may not outnumber halvings
     # keep the loop within twice the 2 + 29 shots of bisection, and it
-    # still ends on bisection's bracket
+    # still ends on bisection's bracket; the coarse pass that aims it shoots
+    # on another grid
     root = float(PINNED_STATES[0][0][0])  # n = 0 on the grid below
+    grid = make_grid(40.0, 2001)
     shots = 0
 
-    def side(n, gamma0, grid, stop):
+    def side(n, gamma0, shot_grid, stop):
         nonlocal shots
-        shots += 1
+        shots += shot_grid == grid
         return (1, None) if gamma0 > root else (-1, -(root - gamma0) ** 10)
 
     lo, hi = -0.95, -0.9
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if side(0, mid, None, None)[0] < 0 else (lo, mid)
+        lo, hi = (mid, hi) if side(0, mid, grid, None)[0] < 0 else (lo, mid)
     assert shots == 29
     shots = 0
     monkeypatch.setattr(shooting, "_side", side)
-    sol = shoot_gamma0(0, (-0.95, -0.9), make_grid(40.0, 2001), 1e-10)
+    sol = shoot_gamma0(0, (-0.95, -0.9), grid, 1e-10)
     assert (sol.gamma0, sol.bracket_width) == (0.5 * (lo + hi), hi - lo)
     assert shots <= 2 * (2 + 29)
 
