@@ -153,7 +153,8 @@ def _units_from_flags(args, required: bool) -> UnitScales:
 # ---------------------------------------------------------------------------
 
 def _load_solution(json_path: str) -> UniversalSolution:
-    """Rebuild a UniversalSolution from a solve JSON and its profile CSV."""
+    """Rebuild a UniversalSolution from a solve JSON's profile CSV; refuse
+    a summary whose gamma0, gamma1 or epsilon_star is not read off it."""
     try:
         with open(json_path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -161,9 +162,7 @@ def _load_solution(json_path: str) -> UniversalSolution:
         raise InvalidArgumentError(f"cannot read {json_path}: {exc}") from exc
     try:
         n, node_count, points = data["n"], data["node_count"], data["grid"]["points"]
-        gamma0 = float(data["gamma0"])
-        gamma1 = float(data["gamma1"])
-        epsilon_star = float(data["epsilon_star"])
+        summary = {name: float(data[name]) for name in ("gamma0", "gamma1", "epsilon_star")}
         bracket_width = float(data["bracket_width"])
         rho_max = float(data["grid"]["rho_max"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -209,15 +208,14 @@ def _load_solution(json_path: str) -> UniversalSolution:
                 + (" or whose square overflows a double" if name == "f_star" else ""))
     if node_count != n:
         raise WrongStateError(f"trajectory has {node_count} nodes, wanted n={n}")
-    return UniversalSolution(
-        n=n,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        epsilon_star=epsilon_star,
-        f_star=RadialField(grid, table[:, 1]),
-        g_star=RadialField(grid, table[:, 2]),
-        bracket_width=bracket_width,
-    )
+    sol = UniversalSolution(n, RadialField(grid, table[:, 1]), RadialField(grid, table[:, 2]),
+                            bracket_width)
+    # both files round-trip their doubles, so an untampered pair agrees bit for bit
+    for name, value in summary.items():
+        if value != getattr(sol, name):
+            raise InvalidArgumentError(f"{name} = {value!r} in {json_path} disagrees with "
+                                       f"{getattr(sol, name)!r}, read off {csv_path}")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +261,8 @@ def _cmd_rescale(args) -> int:
         **energies,
         # from the SI energies, as written
         "virial_residual": abs(2.0 * energies["e_kinetic_J"] / abs(energies["e_gravity_J"]) - 1.0),
-        "renormalized": profile.renormalized,
+        # kept so that the schema does not change: gamma1 is f*'s own norm
+        "renormalized": False,
         "x_norm": profile.norm,
         "x_phi_tail_shift": _si_scalar("phi_tail_shift", profile.phi_tail_shift_ag,
                                        units.potential),
@@ -285,13 +284,22 @@ def _cmd_evolve(args) -> int:
         raise InvalidArgumentError("pick an initial state: --gaussian-sigma or --from")
     if args.cubic and args.kappa is None:
         raise InvalidArgumentError("--cubic needs --kappa (and --sign, default +1)")
+    # a flag that does not apply to the run is refused, not ignored
+    for flag, value, applies, kind in (
+            ("--kappa", args.kappa, args.cubic, "--cubic runs"),
+            ("--sign", args.sign, args.cubic, "--cubic runs"),
+            ("--points", args.points, args.from_json is None, "--gaussian-sigma starts"),
+            ("--r-max", args.r_max, args.from_json is None, "--gaussian-sigma starts")):
+        if value is not None and not applies:
+            raise InvalidArgumentError(f"{flag} applies only to {kind}")
 
     units = _units_from_flags(args, required=False)
     density_unit = units.density if args.snapshot_every is not None else None
     if args.free:
         nl = NonlinearityKind.free()
     elif args.cubic:
-        nl = NonlinearityKind.cubic(kappa=args.kappa / units.coupling, sign=args.sign)
+        nl = NonlinearityKind.cubic(kappa=args.kappa / units.coupling,
+                                    sign=1 if args.sign is None else args.sign)
     else:
         nl = NonlinearityKind.gravity()
 
@@ -302,7 +310,9 @@ def _cmd_evolve(args) -> int:
         state = state_from_profile(profile)
     else:
         sigma = args.gaussian_sigma / units.length
-        state = gaussian_state(make_grid(args.r_max / units.length, args.points), sigma)
+        r_max = 60.0 if args.r_max is None else args.r_max
+        points = 4001 if args.points is None else args.points
+        state = gaussian_state(make_grid(r_max / units.length, points), sigma)
 
     if args.dt is not None:
         dt = args.dt / units.time
@@ -392,16 +402,16 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--gravity", action="store_true", help="self-gravity interaction")
     p.add_argument("--kappa", type=float, default=None,
                    help="cubic coupling strength (with --cubic)")
-    p.add_argument("--sign", type=int, choices=(-1, 1), default=1,
-                   help="cubic interaction sign: +1 repulsive, -1 attractive")
+    p.add_argument("--sign", type=int, choices=(-1, 1), default=None,
+                   help="cubic interaction sign: +1 repulsive (default), -1 attractive")
     p.add_argument("--gaussian-sigma", type=float, default=None,
                    help="start from a Gaussian with this per-axis width")
     p.add_argument("--from", dest="from_json", default=None,
                    help="start from a solve summary (rescaled to the given units)")
-    p.add_argument("--r-max", type=float, default=60.0,
-                   help="domain radius for --gaussian-sigma starts")
-    p.add_argument("--points", type=int, default=4001,
-                   help="grid points for --gaussian-sigma starts")
+    p.add_argument("--r-max", type=float, default=None,
+                   help="domain radius for --gaussian-sigma starts (default 60)")
+    p.add_argument("--points", type=int, default=None,
+                   help="grid points for --gaussian-sigma starts (default 4001)")
     _add_params_flags(p)
     p.add_argument("--dt", type=float, default=None,
                    help="time step (default: 1/200 of the natural timescale)")

@@ -437,10 +437,8 @@ def _solve(u: np.ndarray, v: np.ndarray, lam: float, dt: float,
     with np.errstate(over="ignore", invalid="ignore"):
         vterm = 0.5j * dt * v[1:-1]
         a_diag, b_diag = 1.0 + 2.0j * lam + vterm, 1.0 - 2.0j * lam - vterm
-    if not np.isfinite(a_diag).all():
-        raise _non_finite_system()
-    rhs = b_diag * u[1:-1] + hop
-    if not np.isfinite(rhs).all():
+        rhs = b_diag * u[1:-1] + hop
+    if not (np.isfinite(a_diag).all() and np.isfinite(rhs).all()):
         raise _non_finite_system()
     # zgtsv overwrites both off-diagonals, so each is a fresh array, like
     # the diagonal and the right-hand side: f2py copies none of them

@@ -11,8 +11,8 @@ solution (f*, g*) maps onto the one-particle wavefunction and potential
 
 with beta = 2/gamma1 and lap(m Phi) = 4 pi f^2.  The amplitude prefactor
 yields unit norm int 4 pi x^2 f^2 dx = 1 identically under this gamma1
-convention (checked at construction; a renormalization branch exists and
-flags itself).  Energies are per particle throughout:
+convention, gamma1 being f*'s own norm integral (checked at
+construction).  Energies are per particle throughout:
 E_kin = (1/2) int 4 pi x^2 (df/dx)^2 dx, E_grav = (1/2) int 4 pi x^2 f^2 m Phi dx
 (the 1/2 avoids double counting), and eps = (3/2) E_grav with
 single-particle eigenvalue E = eps/3.  Every function here returns a_g
@@ -133,7 +133,6 @@ class PhysicalProfile:
     epsilon_ag: float
     phi_tail_shift_ag: float
     norm: float
-    renormalized: bool
 
     def __post_init__(self):
         if abs(self.norm - 1.0) > 1e-6:
@@ -195,13 +194,13 @@ def _self_energy_raw(density: np.ndarray, grid: RadialGrid) -> float:
 def rescale_to_physical(sol: UniversalSolution) -> PhysicalProfile:
     """Map a universal solution onto a_g units via homology scaling.
 
-    The radial coordinate stretches by 1/beta = gamma1/2 in a_g units; the
-    amplitude prefactor sqrt(2/pi)/gamma1^2 is verified to give unit norm
-    and only replaced by explicit renormalization (flagged on the profile)
-    if it misses by more than 1e-6.  The closed-form potential is shifted
-    to meet -G M/r (-norm/x in a_g units) at the grid edge; the shift is
-    stored.  InvalidArgumentError for a malformed solution, and for one
-    whose rescaled profile or potential does not fit in doubles.
+    The radial coordinate stretches by 1/beta = gamma1/2 in a_g units, and
+    the amplitude prefactor sqrt(2/pi)/gamma1^2 gives unit norm up to
+    rounding, since gamma1 is read off f* itself; the profile checks it.
+    The closed-form potential is shifted to meet -G M/r (-norm/x in a_g
+    units) at the grid edge; the shift is stored.  InvalidArgumentError for
+    a malformed solution, and for one whose rescaled profile or potential
+    does not fit in doubles.
     """
     if not isinstance(sol, UniversalSolution):
         raise InvalidArgumentError("rescale_to_physical needs a UniversalSolution")
@@ -221,11 +220,6 @@ def rescale_to_physical(sol: UniversalSolution) -> PhysicalProfile:
         if not 0.0 < norm < math.inf:
             raise InvalidArgumentError(f"gamma1 {gamma1!r} rescales f* to a norm of {norm}, "
                                        "not a finite, nonzero double")
-        renormalized = abs(norm - 1.0) > 1e-6
-        if renormalized:
-            f_vals = f_vals / np.sqrt(norm)
-            norm = 4.0 * np.pi * integrate_radial(RadialField(grid, f_vals * f_vals))
-
         phi_raw = (2.0 / gamma1**2) * (sol.g_star.values + sol.epsilon_star)
         shift = phi_raw[-1] - (-norm / grid.nodes[-1])
         phi = phi_raw - shift
@@ -238,7 +232,6 @@ def rescale_to_physical(sol: UniversalSolution) -> PhysicalProfile:
         epsilon_ag=(2.0 / gamma1**2) * sol.epsilon_star,
         phi_tail_shift_ag=shift,
         norm=norm,
-        renormalized=renormalized,
     )
 
 

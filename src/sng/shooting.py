@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -48,7 +49,7 @@ from .errors import (
     check_count,
     check_positive,
 )
-from .grids import RadialField, RadialGrid, integrate_radial, make_grid
+from .grids import RadialField, RadialGrid, integrate_line, make_grid
 
 __all__ = [
     "DEFAULT_RHO_MAX",
@@ -94,7 +95,7 @@ _TAIL_RESIDUAL_LIMIT = 1e-3
 
 # The scan ladder: (gamma0 range, lattice points) per rung, each rung scanned
 # only when the ones before it left a requested state without a bracket.
-_SCAN_LADDER = (((-5.0, 0.0), 101), ((-5.0, 0.0), 404), ((-10.0, 0.0), 808))
+_SCAN_LADDER = (((-5.0, 0.0), 101), ((-5.0, 0.0), 404))
 
 # Shot labels decided inside rho_max; see scan_brackets.
 _SETTLED = frozenset({"diverged_up", "diverged_down", "node_ceiling"})
@@ -107,28 +108,22 @@ def default_grid() -> RadialGrid:
 
 @dataclass(frozen=True)
 class UniversalSolution:
-    """A converged bound state of the universal system.
+    """A converged bound state of the universal system: its profile.
 
     Up to the match radius rho_m, ``f_star`` and ``g_star`` are the final
     shot's samples; past it they are the matched Coulomb tail u_tail/rho and
-    g_inf - M/rho (see the module docstring).  The two lie on one grid,
-    ``grid``; a pair on two grids is refused.  So are a non-finite gamma0,
-    gamma1 or epsilon_star, and a bracket_width that is not finite and
-    positive (InvalidArgumentError).
+    g_inf - M/rho (see the module docstring).  gamma0 = g*(0), and gamma1 and
+    epsilon_star are read off the pair once.  A pair on two grids is refused,
+    as are a bracket_width or gamma1 that is not finite and positive and an
+    epsilon_star that is not finite (InvalidArgumentError).
     """
 
     n: int
-    gamma0: float
-    gamma1: float
-    epsilon_star: float
     f_star: RadialField
     g_star: RadialField
     bracket_width: float
 
     def __post_init__(self):
-        for name in ("gamma0", "gamma1", "epsilon_star"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgumentError(f"{name} must be finite, got {getattr(self, name)!r}")
         check_positive("bracket_width", self.bracket_width)
         if self.g_star.grid != self.f_star.grid:
             raise WrongStateError(
@@ -136,13 +131,30 @@ class UniversalSolution:
         f = self.f_star.values
         if f[0] != 1.0:
             raise WrongStateError(f"f*(0) must be exactly 1, got {f[0]!r}")
-        if not self.gamma1 > 0:
-            raise WrongStateError(f"gamma1 must be positive, got {self.gamma1}")
-        if abs(self.g_star.values[0] - self.gamma0) > max(self.bracket_width, 1e-12):
-            raise WrongStateError("g*(0) disagrees with gamma0 beyond bracket width")
         tail = np.abs(f[-(self.grid.n_points // 10):])
         if not np.all(np.diff(tail) < 0.0):
             raise WrongStateError("|f*| must decay strictly over the final 10% of the grid")
+        check_positive("gamma1", self.gamma1)
+        if not math.isfinite(self.epsilon_star):
+            raise InvalidArgumentError(f"epsilon_star must be finite, got {self.epsilon_star!r}")
+
+    @property
+    def gamma0(self) -> float:
+        return float(self.g_star.values[0])
+
+    @cached_property
+    def gamma1(self) -> float:
+        """int f*^2 rho^2 drho, by integrate_radial's sum; an overflow is refused."""
+        f, rho = self.f_star.values, self.grid.nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            return integrate_line(f * f * rho * rho, self.grid)
+
+    @cached_property
+    def epsilon_star(self) -> float:
+        """(3/gamma1) int f*^2 g* rho^2 drho, the eigenvalue -g*(infinity)."""
+        f, g, rho = self.f_star.values, self.g_star.values, self.grid.nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 3.0 / self.gamma1 * integrate_line(f * f * g * rho * rho, self.grid)
 
     @property
     def grid(self) -> RadialGrid:
@@ -545,7 +557,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
 def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> UniversalSolution:
     """Bisect gamma0 inside ``bracket`` until the width falls below ``tol``
-    and return the mid-bracket state as a UniversalSolution.
+    and return the profile shot from the mid-bracket gamma0 = g*(0).
 
     Each shot stops at its own rho_m, 16 past its n-th node.  One that
     stops earlier sides gamma0 by its label (an extra node, or
@@ -595,16 +607,7 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     f[:m + 1], g[:m + 1] = f_shot, g_shot
     f[m + 1:] = rho_m * f_shot[m] * np.exp(tail[1][1:]) / rho[m + 1:]
     g[m + 1:] = k2 - mass / rho[m + 1:]
-    gamma1 = integrate_radial(RadialField(grid, f * f))
-    sol = UniversalSolution(
-        n=n,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        epsilon_star=3.0 / gamma1 * integrate_radial(RadialField(grid, f * f * g)),
-        f_star=RadialField(grid, f),
-        g_star=RadialField(grid, g),
-        bracket_width=hi - lo,
-    )
+    sol = UniversalSolution(n, RadialField(grid, f), RadialField(grid, g), hi - lo)
     if not abs(sol.tail_residual) <= _TAIL_RESIDUAL_LIMIT:
         raise WrongStateError(
             f"the n={n} state on {grid.n_points} points has tail-identity residual "

@@ -304,6 +304,41 @@ def test_unusable_profile_table_is_exit_2_naming_it(cut, command, solved, tmp_pa
     assert err == f"error: profile table {tmp_path / 'ground.csv'} {UNUSABLE_PROFILE[cut]}\n"
 
 
+def test_rescale_needs_both_physical_flags(solved, capsys):
+    assert main(["rescale", str(solved / "ground.json"), "--mass-kg", "1e-27"]) == 2
+    assert "--mass-kg and --n-particles go together" in capsys.readouterr().err
+
+
+# a summary value edited away from the one read off its profile table
+EDITED_SUMMARY = {
+    "gamma1": lambda value: value * 1.01,
+    "epsilon_star": lambda value: value * 1.001,
+    "gamma0": lambda value: float(np.nextafter(value, 0.0)),
+}
+
+
+@pytest.mark.parametrize("command", [["rescale", "--natural"],
+                                     ["evolve", "--gravity", "--natural", "--steps", "2"]],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("field", sorted(EDITED_SUMMARY))
+def test_summary_that_disagrees_with_its_table_is_exit_2(field, command, coarse_solved,
+                                                         tmp_path, capsys):
+    # the table is the solution; a summary value that is not read off it
+    # is refused, naming the field, before anything is written
+    data = _read_json(coarse_solved / "ground.json")
+    data[field] = EDITED_SUMMARY[field](data[field])
+    (tmp_path / "ground.csv").write_bytes((coarse_solved / "ground.csv").read_bytes())
+    (tmp_path / "ground.json").write_text(json.dumps(data))
+    verb, *flags = command
+    out = tmp_path / "out.csv"
+    assert main([verb, *(["--from"] if verb == "evolve" else []), str(tmp_path / "ground.json"),
+                 *flags, "--out-csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} = {data[field]!r} in ")
+    assert "disagrees with" in err and "read off " in err
+    assert not out.exists()
+
+
 def test_rescale_refuses_a_summary_whose_node_count_is_not_n(solved, tmp_path, capsys):
     data = _read_json(solved / "ground.json")
     data["node_count"] = 1
@@ -647,6 +682,27 @@ def test_evolve_exits_with_a_documented_code(kind, points, steps, dt, r_max, sig
                                  *(f"{flag}={value!r}" for flag, value in values.items()
                                    if value is not None),
                                  *units, "--out-csv", os.path.join(root, "x.csv")])
+
+
+# flags that do not apply to the run, with the flag each refusal names
+INAPPLICABLE_FLAGS = {
+    "from-points": (["--gravity", "--from", "ground.json", "--points", "2001", "--r-max", "5"],
+                    "--points"),
+    "from-r-max": (["--gravity", "--from", "ground.json", "--r-max", "5"], "--r-max"),
+    "free-kappa": (["--free", "--gaussian-sigma", "1", "--kappa", "3", "--sign", "-1"],
+                   "--kappa"),
+    "free-sign": (["--free", "--gaussian-sigma", "1", "--sign", "-1"], "--sign"),
+    "gravity-kappa": (["--gravity", "--gaussian-sigma", "1", "--kappa", "3"], "--kappa"),
+}
+
+
+@pytest.mark.parametrize("flags, named", INAPPLICABLE_FLAGS.values(), ids=INAPPLICABLE_FLAGS)
+def test_evolve_refuses_a_flag_that_does_not_apply(flags, named, solved, tmp_path, capsys):
+    flags = [str(solved / flag) if flag == "ground.json" else flag for flag in flags]
+    out = tmp_path / "x.csv"
+    assert main(["evolve", *flags, "--steps", "2", "--out-csv", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named} applies only to ")
+    assert not out.exists()
 
 
 def test_evolve_cubic_requires_kappa(tmp_path):

@@ -308,6 +308,26 @@ def test_observable_series_validates_time_ordering():
                          energies=np.ones(2), widths=np.ones(2))
 
 
+def test_observable_series_refuses_series_of_different_lengths():
+    with pytest.raises(InvalidArgumentError, match="lengths differ"):
+        ObservableSeries(times=np.array([0.0, 1.0]), norms=np.ones(2),
+                         energies=np.ones(3), widths=np.ones(2))
+
+
+def test_nonlinearity_kind_refuses_an_unknown_kind():
+    with pytest.raises(InvalidArgumentError, match="unknown nonlinearity kind 'quartic'"):
+        NonlinearityKind("quartic")
+
+
+def test_free_step_refuses_sine_modes_that_overflow():
+    # samples near the top of the doubles pass the state's own checks (its
+    # norm may be infinite), and their sine modes' sums overflow
+    u = np.zeros(201)
+    u[1:-1] = 1e308
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        step(RadialState(make_grid(40.0, 201), u, 0.0), 0.1, NonlinearityKind.free())
+
+
 def test_evolve_warns_when_packet_reaches_boundary():
     state = gaussian_state(make_grid(8.0, 201), sigma=1.0)
     with pytest.warns(UserWarning, match="outer boundary"):

@@ -58,6 +58,12 @@ def test_field_validates_shape_and_finiteness():
         RadialField(grid, bad)
 
 
+def test_field_stores_integer_samples_as_doubles():
+    field = RadialField(make_grid(5.0, 6), np.arange(6))
+    assert field.values.dtype == np.float64
+    assert field.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
 def test_field_values_are_write_protected():
     grid = make_grid(5.0, 51)
     field = RadialField(grid, np.ones(51))

@@ -28,6 +28,7 @@ from sng.physical import (
     NUCLEON_MASS,
     EnergyBreakdown,
     PhysicalParams,
+    PhysicalProfile,
     UnitScales,
     _kinetic_energy,
     _self_energy_raw,
@@ -37,6 +38,7 @@ from sng.physical import (
     rescale_to_physical,
     rms_radius,
 )
+from sng.shooting import UniversalSolution
 
 # ground state, natural units, (40, 4001) grid
 FROZEN = {
@@ -97,8 +99,49 @@ def test_rms_radius_is_the_rms_width_of_the_profile_state(natural_ground_profile
 
 
 def test_profile_is_normalized_without_renormalization(natural_ground_profile):
-    assert natural_ground_profile.renormalized is False
-    assert natural_ground_profile.norm == pytest.approx(1.0, abs=1e-9)
+    # gamma1 is f*'s own norm integral, so the amplitude prefactor needs no repair
+    assert "renormalized" not in {f.name for f in fields(PhysicalProfile)}
+    assert natural_ground_profile.norm == pytest.approx(1.0, abs=1e-12)
+
+
+def _flat_profile(norm=1.0, phi=-1.0):
+    """A profile of constant f and potential on 10/11, f of unit norm."""
+    grid = make_grid(10.0, 11)
+    f = np.full(11, np.sqrt(3.0 / (4.0 * np.pi * 1000.0)))
+    return PhysicalProfile(RadialField(grid, f), RadialField(grid, np.full(11, phi)),
+                           epsilon_ag=-1.0, phi_tail_shift_ag=0.0, norm=norm)
+
+
+@pytest.mark.parametrize("changes, refusal", [
+    ({"norm": 1.001}, "profile norm 1.001 is not 1 within 1e-6"),
+    ({"phi": 1.0}, "potential must be negative where f is appreciable"),
+])
+def test_profile_refuses_a_norm_or_potential_off_its_contract(changes, refusal):
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        _flat_profile(**changes)
+
+
+def test_half_max_radius_refuses_a_profile_that_never_halves():
+    with pytest.raises(InvalidArgumentError, match="never falls below half maximum"):
+        half_max_radius(_flat_profile())
+
+
+def test_rescale_refuses_what_is_not_a_solution(natural_ground_profile):
+    with pytest.raises(InvalidArgumentError, match="needs a UniversalSolution"):
+        rescale_to_physical(natural_ground_profile)
+
+
+def test_rescale_refuses_a_potential_that_overflows():
+    # f* = 1e-25 and g* = 1e209 at rho = 1 give gamma1 = 4/3 1e-50 and
+    # epsilon_star = 3e209, so 2/gamma1^2 (g* + epsilon_star) overflows
+    # while the profile's norm stays 1
+    grid = make_grid(10.0, 11)
+    f, g = np.zeros(11), np.full(11, -1.0)
+    f[0], f[1], g[1] = 1.0, 1e-25, 1e209
+    sol = UniversalSolution(0, RadialField(grid, f), RadialField(grid, g), 1e-10)
+    assert np.isfinite(sol.epsilon_star)
+    with pytest.raises(InvalidArgumentError, match="rescale to a potential that overflows"):
+        rescale_to_physical(sol)
 
 
 def test_profile_carries_no_si_values(natural_ground_profile):

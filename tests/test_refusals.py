@@ -27,6 +27,7 @@ from sng.shooting import (
 )
 
 GRID = make_grid(40.0, 201)
+GRID_11 = make_grid(10.0, 11)
 NAN, INF = math.nan, math.inf
 
 
@@ -36,21 +37,31 @@ def _evolve(**kwargs):
     return evolve(state, **args)
 
 
-def _solution(**changes):
-    """A made-up decaying state on 11 points, with ``changes`` to its fields."""
-    grid = make_grid(10.0, 11)
-    fields = {"n": 0, "gamma0": -1.0, "gamma1": 1.0, "epsilon_star": -1.0,
-              "f_star": RadialField(grid, np.exp(-grid.nodes)),
-              "g_star": RadialField(grid, np.full(11, -1.0)), "bracket_width": 1e-10}
-    return UniversalSolution(**{**fields, **changes})
+def _samples(f=(), g=()):
+    """The samples of a made-up decaying state on 11 points, f* = exp(-rho)
+    and g* = -1, with the (index, value) pairs ``f`` and ``g`` put in."""
+    f_star, g_star = np.exp(-GRID_11.nodes), np.full(11, -1.0)
+    for samples, changes in ((f_star, f), (g_star, g)):
+        for i, value in changes:
+            samples[i] = value
+    return f_star, g_star
+
+
+def _solution(f=(), g=(), bracket_width=1e-10):
+    """The made-up state of :func:`_samples` as a solution."""
+    f_star, g_star = _samples(f, g)
+    return UniversalSolution(0, RadialField(GRID_11, f_star), RadialField(GRID_11, g_star),
+                             bracket_width)
 
 
 def _load(profile="rho,f_star,g_star\n0,1,-1\n", **changes):
     """The CLI's reading of a solve summary with ``changes`` to its fields,
-    next to the profile table ``profile``."""
-    summary = {"n": 0, "node_count": 0, "gamma0": -1.0, "gamma1": 1.0, "epsilon_star": -1.0,
-               "bracket_width": 1e-10, "grid": {"rho_max": 10.0, "points": 11},
-               "x_csv": "ground.csv", **changes}
+    next to the profile table ``profile``; its gamma0, gamma1 and
+    epsilon_star are those of the made-up state."""
+    made_up = _solution()
+    summary = {"n": 0, "node_count": 0, "gamma0": made_up.gamma0, "gamma1": made_up.gamma1,
+               "epsilon_star": made_up.epsilon_star, "bracket_width": 1e-10,
+               "grid": {"rho_max": 10.0, "points": 11}, "x_csv": "ground.csv", **changes}
     with tempfile.TemporaryDirectory() as root:
         with open(os.path.join(root, "ground.csv"), "w", encoding="utf-8") as fh:
             fh.write(profile)
@@ -69,11 +80,10 @@ def _quiet(call):
 
 
 def _profile(f_cell=None):
-    """The 11-row profile table that ``_load`` expects, its f* cell at
-    rho = 5 replaced by ``f_cell`` when given."""
-    rows = [[rho, math.exp(-rho), -1.0] for rho in range(11)]
-    if f_cell is not None:
-        rows[5][1] = f_cell
+    """The made-up state's 11-row profile table, as ``_load`` expects it,
+    its f* cell at rho = 5 replaced by ``f_cell`` when given."""
+    f_star, g_star = _samples(f=() if f_cell is None else [(5, f_cell)])
+    rows = zip(GRID_11.nodes.tolist(), f_star.tolist(), g_star.tolist())
     return "rho,f_star,g_star\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
@@ -133,16 +143,19 @@ CASES = [
     # a profile cell that is not a number, or a row of two cells
     ("profile", lambda: _load(profile="rho,f_star,g_star\n0,1,-1\na,b,c\n")),
     ("profile", lambda: _load(profile="rho,f_star,g_star\n0,1,-1\n1,0.5\n")),
-    # numpy warned while rescaling an infinite epsilon_star; a NaN
-    # bracket_width or gamma0 passed the g*(0) check
-    ("epsilon_star", lambda: _solution(epsilon_star=INF)),
+    # a product f*^2 g* that overflows, so epsilon_star is not finite; a NaN
+    # bracket_width passed the g*(0) check, and a NaN gamma0 in a summary
+    # disagrees with the table's g*(0)
+    ("epsilon_star", lambda: _solution(f=[(1, 1e100)], g=[(1, 1e300)])),
     ("bracket_width", lambda: _solution(bracket_width=NAN)),
     ("bracket_width", lambda: _solution(bracket_width=-1e-10)),
-    ("gamma0", lambda: _solution(gamma0=NAN)),
-    ("gamma1", lambda: _solution(gamma1=INF)),
+    ("gamma0", lambda: _load(profile=_profile(), gamma0=NAN)),
+    # the integral of f*^2 rho^2 overflows
+    ("gamma1", lambda: _solution(f=[(9, 1e153), (10, 1e152)])),
     # gamma1^2 overflowed, and 2/gamma1^2 did
-    ("gamma1", lambda: rescale_to_physical(_solution(gamma1=1e300))),
-    ("gamma1", lambda: rescale_to_physical(_solution(gamma1=1e-300))),
+    ("gamma1", lambda: rescale_to_physical(_solution(f=[(1, 1e150)]))),
+    ("gamma1", lambda: rescale_to_physical(
+        _solution(f=[(1, 1e-150), *((i, 0.0) for i in range(2, 11))]))),
     # a profile table of its header alone made numpy warn before the refusal
     ("profile", _quiet(lambda: _load(profile="rho,f_star,g_star\n"))),
     # an f* cell whose square overflows was refused as a bare non-finite field
@@ -157,6 +170,20 @@ CASES = [
     ("dt", lambda: step(gaussian_state(GRID, 2.0), 1e308, NonlinearityKind.gravity())),
     ("dt", lambda: step(gaussian_state(make_grid(30.0, 401), 1.0), 2.25e306,
                         NonlinearityKind.gravity())),
+    # a summary whose gamma1 or epsilon_star disagrees with its profile table
+    ("gamma1", lambda: _load(profile=_profile(), gamma1=_solution().gamma1 * 1.01)),
+    ("epsilon_star", lambda: _load(profile=_profile(), epsilon_star=INF)),
+    # f* whose square underflows to 0 off the origin: gamma1 is 0
+    ("gamma1", lambda: _solution(f=[(i, 10.0 ** -(169 + i)) for i in range(1, 11)])),
+    ("sign", lambda: NonlinearityKind.cubic(1.0, 0)),
+    ("t_final", lambda: _evolve(t_final=0.04)),
+    # a value that cannot be compared with a number
+    ("n_points", lambda: make_grid(40.0, "11")),
+    ("rho_max", lambda: make_grid("40", 11)),
+    # a finite diagonal times u overflows: u of 1e150 under a cubic
+    # potential of 1e300 (numpy warned before the refusal)
+    ("dt", lambda: step(RadialState(GRID, np.r_[0.0, np.full(199, 1e150), 0.0], 0.0), 1e-10,
+                        NonlinearityKind.cubic(1.0, 1))),
 ]
 
 

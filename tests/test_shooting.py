@@ -30,7 +30,7 @@ from sng.errors import (
     SngError,
     WrongStateError,
 )
-from sng.grids import RadialField, make_grid
+from sng.grids import RadialField, integrate_radial, make_grid
 from sng.shooting import (
     UniversalSolution,
     _shoot,
@@ -168,6 +168,36 @@ def test_solution_profile_invariants(spectrum):
         # strict decay over the matched tail
         tail = np.abs(sol.f_star.values[-len(sol.f_star.values) // 10:])
         assert np.all(np.diff(tail) < 0.0), f"n={n} tail not strictly decaying"
+
+
+def test_solution_is_its_profile(spectrum):
+    # gamma0, gamma1 and epsilon_star are read off (f*, g*), by the
+    # integrals integrate_radial takes, bit for bit
+    assert [f.name for f in dataclasses.fields(UniversalSolution)] == [
+        "n", "f_star", "g_star", "bracket_width"]
+    for n, sol in spectrum.items():
+        f, g = sol.f_star.values, sol.g_star.values
+        gamma1 = integrate_radial(RadialField(sol.grid, f * f))
+        assert sol.gamma0 == g[0], f"n={n}"
+        assert sol.gamma1 == gamma1, f"n={n}"
+        assert sol.epsilon_star == 3.0 / gamma1 * integrate_radial(RadialField(sol.grid, f * f * g))
+
+
+def test_solution_refuses_an_f_star_that_does_not_start_at_one():
+    sol = _solved(0, 40.0, 8001)
+    f = sol.f_star.values.copy()
+    f[0] = 0.5
+    with pytest.raises(WrongStateError, match="f\\*\\(0\\) must be exactly 1"):
+        dataclasses.replace(sol, f_star=RadialField(sol.grid, f))
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid: scan_brackets((0.0, -5.0), 11, grid),
+    lambda grid: shoot_gamma0(0, (-0.9, -1.0), grid),
+], ids=["scan_brackets", "shoot_gamma0"])
+def test_reversed_gamma0_range_is_refused(call):
+    with pytest.raises(InvalidArgumentError, match="lo < hi"):
+        call(make_grid(40.0, 201))
 
 
 def test_solution_keeps_one_grid():
@@ -324,6 +354,14 @@ def test_search_matches_the_walk_on_the_default_grid():
 @pytest.mark.parametrize("rho_max, points", [(40.0, 41), (30.0, 97)])
 def test_search_matches_the_walk_on_every_rung(rho_max, points, rung):
     _assert_search_matches_walk(make_grid(rho_max, points), rung, [*range(8), None])
+
+
+@pytest.mark.parametrize("rho_max, points", [(40.0, 41), (30.0, 97)])
+def test_search_matches_the_walk_on_the_wide_lattice(rho_max, points):
+    # scan_brackets takes any lattice, such as 808 points on (-10, 0), deeper
+    # than the ladder's rungs
+    _assert_search_matches_walk(make_grid(rho_max, points), ((-10.0, 0.0), 808),
+                                [*range(8), None])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -808,6 +846,45 @@ def test_secant_shots_never_outnumber_halvings(monkeypatch):
     sol = shoot_gamma0(0, (-0.95, -0.9), grid, 1e-10)
     assert (sol.gamma0, sol.bracket_width) == (0.5 * (lo + hi), hi - lo)
     assert shots <= 2 * (2 + 29)
+
+
+# an aimed bisection of n = 0 on 40/401, whose coarse pass runs on 51 points
+AIM_CASE = (0, (-0.95, -0.9), make_grid(40.0, 401), 1e-10)
+
+
+def test_coarse_pass_without_two_mismatches_leaves_the_bisection_unaimed(monkeypatch):
+    # coarse shots that tell their side by label alone leave no slope to aim by
+    n, bracket, grid, tol = AIM_CASE
+    real_side, real_aim, aims = shooting._side, shooting._coarse_aim, []
+
+    def side(n, gamma0, shot_grid, stop):
+        told, mismatch = real_side(n, gamma0, shot_grid, stop)
+        return told, mismatch if shot_grid == grid else None
+
+    def aim(*args):
+        aims.append(real_aim(*args))
+        return aims[-1]
+
+    monkeypatch.setattr(shooting, "_side", side)
+    monkeypatch.setattr(shooting, "_coarse_aim", aim)
+    _assert_same_as_plain(n, bracket, grid, tol)
+    assert aims == [None]
+
+
+def test_aimed_shot_that_raises_ends_the_aim(monkeypatch):
+    # the first shot on the solve's own grid is the aimed one
+    n, bracket, grid, tol = AIM_CASE
+    real_side, raised = shooting._side, []
+
+    def side(n, gamma0, shot_grid, stop):
+        if shot_grid == grid and not raised:
+            raised.append(gamma0)
+            raise WrongStateError("an aimed shot refused")
+        return real_side(n, gamma0, shot_grid, stop)
+
+    monkeypatch.setattr(shooting, "_side", side)
+    _assert_same_as_plain(n, bracket, grid, tol)
+    assert len(raised) == 1 and bracket[0] < raised[0] < bracket[1]
 
 
 @pytest.mark.parametrize("tol", [1e-300, 5e-324])
