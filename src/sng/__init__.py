@@ -27,7 +27,7 @@ from .evolution import (
 from .grids import (
     RadialField,
     RadialGrid,
-    integrate_radial,
+    integrate_line,
     make_grid,
     radial_laplacian,
     solve_radial_poisson,
@@ -43,7 +43,7 @@ from .physical import (
     rescale_to_physical,
     rms_radius,
 )
-from .scf import ScfUniversal, SCFResult, scf_solve, universal_from_scf
+from .scf import SCFResult, scf_solve
 from .shooting import (
     UniversalSolution,
     default_grid,
@@ -68,7 +68,7 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "make_grid",
-    "integrate_radial",
+    "integrate_line",
     "solve_radial_poisson",
     "radial_laplacian",
     # shooting
@@ -89,9 +89,7 @@ __all__ = [
     "energy_breakdown",
     # scf
     "SCFResult",
-    "ScfUniversal",
     "scf_solve",
-    "universal_from_scf",
     # evolution
     "RadialState",
     "NonlinearityKind",

@@ -28,9 +28,9 @@ from .evolution import (
     state_from_profile,
     step,
 )
-from .grids import RadialField, make_grid, radial_laplacian, solve_radial_poisson
+from .grids import make_grid, radial_laplacian, solve_radial_poisson
 from .physical import PhysicalProfile, energy_breakdown, rescale_to_physical
-from .scf import scf_solve, universal_from_scf
+from .scf import scf_solve
 from .shooting import UniversalSolution, solve_states
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
@@ -147,7 +147,7 @@ def _suite_poisson() -> list[CheckResult]:
     rho0 = 1.0
     density = np.where(r < a, rho0, 0.0)
     coupling = 4.0 * np.pi
-    phi = solve_radial_poisson(RadialField(grid, density), coupling).values
+    phi = solve_radial_poisson(density, grid, coupling)
     inside = r < a
     exact = np.where(
         inside,
@@ -163,15 +163,14 @@ def _suite_poisson() -> list[CheckResult]:
     d1 = np.exp(-0.5 * r * r)
     d2 = r * r * np.exp(-((r - 3.0) ** 2) / 1.7)
     combo = 2.5 * d1 - 1.25 * d2
-    phi_combo = solve_radial_poisson(RadialField(grid, combo), coupling).values
-    phi_g = solve_radial_poisson(RadialField(grid, d1), coupling)
-    lin = (phi_combo - 2.5 * phi_g.values
-           + 1.25 * solve_radial_poisson(RadialField(grid, d2), coupling).values)
+    phi_combo = solve_radial_poisson(combo, grid, coupling)
+    phi_g = solve_radial_poisson(d1, grid, coupling)
+    lin = phi_combo - 2.5 * phi_g + 1.25 * solve_radial_poisson(d2, grid, coupling)
     scale = np.abs(phi_combo).max()
     rows.append(_row("poisson", "linearity", float(np.abs(lin).max() / scale),
                      1e-12, "superposition of two smooth sources"))
 
-    resid = radial_laplacian(phi_g) - coupling * d1
+    resid = radial_laplacian(phi_g, grid) - coupling * d1
     rows.append(_row("poisson", "laplacian_residual",
                      float(np.abs(resid[:-1]).max()),
                      _LAPLACIAN_C * grid.spacing**2,
@@ -186,9 +185,8 @@ def _suite_poisson() -> list[CheckResult]:
 def _oracle_rows(n: int, tol: float) -> list[CheckResult]:
     profile = _natural_profile(n, 40.0, 4001)
     scf = scf_solve(n, profile.f_ag.grid)
-    uni = universal_from_scf(scf)
     sol = _solved(n, 40.0, 4001)
-    gamma_rel = abs(uni.gamma0 - sol.gamma0) / abs(sol.gamma0)
+    gamma_rel = abs(scf.gamma0 - sol.gamma0) / abs(sol.gamma0)
     dens_shoot = profile.f_ag.values**2
     dens_scf = scf.f.values**2
     dens_rel = float(np.abs(dens_shoot - dens_scf).max() / dens_scf[0])

@@ -2,6 +2,7 @@
 that raise them."""
 
 import math
+import sys
 
 __all__ = [
     "SngError",
@@ -65,6 +66,14 @@ def check_count(name: str, value, minimum: int) -> int:
     if not ok:
         raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_normal(name: str, value: float) -> float:
+    """``value`` if it is a positive finite normal double, else
+    InvalidArgumentError naming ``name``."""
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise InvalidArgumentError(f"{name} = {value!r} is not a positive finite normal double")
+    return value
 
 
 def check_positive(name: str, value) -> float:

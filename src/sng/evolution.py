@@ -31,9 +31,9 @@ integral, |psi| = |u/r|, the density and V from u, each on first use.
 ``evolve``'s observation (norm, energy, RMS width, the boundary check and
 density snapshots) and the next step's potential read the same
 evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
-The gravitational potential goes through the Poisson kernel as a bare
-array; the samples it is built from are finite, and a non-finite result
-is refused by the solve's finiteness checks or the observation.
+The gravitational potential is the one Poisson kernel's solve of the
+density samples; a density that overflows is refused there, and a
+non-finite potential by the solve's or the observation's finiteness checks.
 The gravitational equation also carries a constant -E_grav/norm term; a
 constant only rotates the global phase, so the step integrates it at the
 predictor midpoint into a phase ledger on the state instead of the matrix
@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, StepRejectedError, check_count, check_positive
-from .grids import RadialField, RadialGrid, integrate_line, poisson_values, psi_from_u
+from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
 
 if TYPE_CHECKING:  # pragma: no cover
     from .physical import PhysicalProfile
@@ -289,7 +289,7 @@ class _Evaluation:
         """Potential samples V(r); zero when free."""
         if self._v is None:
             if self.nl.kind == "gravity":
-                self._v = poisson_values(self.density, self.grid, 4.0 * np.pi / self.norm)
+                self._v = solve_radial_poisson(self.density, self.grid, 4.0 * np.pi / self.norm)
             else:  # free has kappa = 0
                 self._v = self.nl.sign * self.nl.kappa * self.density
         return self._v
@@ -399,8 +399,9 @@ class _SineModes:
         self._spec = np.empty_like(self._ext)
         with np.errstate(over="ignore", invalid="ignore"):
             self.modes = -0.5 / (n + 1) * (self._transform(u[1:-1]) + edge * u[-1])
+        # the modes depend on dt only through bounded phases: only u can overflow them
         if not np.isfinite(self.modes).all():
-            raise _non_finite_system()
+            raise InvalidArgumentError("u is too large for a free step: its sine modes overflow")
 
     def _transform(self, x: np.ndarray) -> np.ndarray:
         """Rows 1..N of the fft of x's odd extension: -2i times its DST-I."""

@@ -2,10 +2,12 @@
 wavefunction u = r psi, and the radial Poisson solver.
 
 Conventions: a radial coordinate r >= 0 sampled uniformly with r[0] = 0.
-Volume integrals of spherically symmetric functions reduce to
-int h(r) r^2 dr (the 4*pi is the caller's business).  The Poisson solver
-returns the shell-theorem potential of a compactly supported source, with
-the field treated as zero beyond the grid and Phi -> 0 at infinity.
+Kernels take samples and their grid; a :class:`RadialField` is a stored
+field.  A volume integral of a spherically symmetric function is
+``integrate_line(h * r * r, grid)`` (the 4*pi is the caller's business).
+The Poisson solver returns the shell-theorem potential of a compactly
+supported source, with the field treated as zero beyond the grid and
+Phi -> 0 at infinity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "RadialField",
     "make_grid",
     "integrate_line",
-    "integrate_radial",
     "psi_from_u",
     "solve_radial_poisson",
     "radial_laplacian",
@@ -96,21 +97,23 @@ class RadialField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.dtype.kind not in "fc":
-            values = values.astype(np.float64)
-        if values.shape != (self.grid.n_points,):
-            raise InvalidFieldError(
-                f"field has {values.shape} samples, grid has {self.grid.n_points} nodes"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidFieldError("field contains non-finite samples")
+        values = _samples("field", self.values, self.grid)
         object.__setattr__(self, "values", values)
         values.setflags(write=False)
 
-    @property
-    def is_complex(self) -> bool:
-        return self.values.dtype.kind == "c"
+
+def _samples(name: str, values, grid: RadialGrid) -> np.ndarray:
+    """``values`` as an array of one finite sample per node of ``grid``,
+    integers as doubles; InvalidFieldError naming ``name`` otherwise."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "fc":
+        values = values.astype(np.float64)
+    if values.shape != (grid.n_points,):
+        raise InvalidFieldError(
+            f"{name} has {values.shape} samples, grid has {grid.n_points} nodes")
+    if not np.isfinite(values).all():
+        raise InvalidFieldError(f"{name} contains non-finite samples")
+    return values
 
 
 def make_grid(rho_max: float, n_points: int) -> RadialGrid:
@@ -122,7 +125,7 @@ def make_grid(rho_max: float, n_points: int) -> RadialGrid:
         Outer radius, strictly positive.
     n_points : int
         Number of samples including both endpoints; at least 3.  Odd counts
-        give Simpson-quality quadrature in :func:`integrate_radial`.
+        give Simpson-quality quadrature in :func:`integrate_line`.
 
     Raises
     ------
@@ -150,12 +153,6 @@ def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:
     return complex(result) if np.iscomplexobj(values) else float(result)
 
 
-def integrate_radial(h: RadialField) -> float | complex:
-    """Quadrature of int h(rho) rho^2 drho over the grid by :func:`integrate_line`."""
-    rho = h.grid.nodes
-    return integrate_line(h.values * rho * rho, h.grid)
-
-
 def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """psi = u/r with the even-function quadratic limit at the origin.
 
@@ -173,7 +170,7 @@ def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return psi
 
 
-def solve_radial_poisson(density: RadialField, coupling: float) -> RadialField:
+def solve_radial_poisson(density: np.ndarray, grid: RadialGrid, coupling: float) -> np.ndarray:
     """Solve lap(Phi) = coupling * density in spherical symmetry.
 
     Shell theorem: Phi(r) = -(coupling/4pi) * [ (4pi/r) int_0^r s^2 rho ds
@@ -187,35 +184,30 @@ def solve_radial_poisson(density: RadialField, coupling: float) -> RadialField:
 
     Parameters
     ----------
-    density : RadialField
-        Real source samples; signed sources are allowed.
+    density : np.ndarray
+        Real source samples on ``grid``; signed sources are allowed.
+    grid : RadialGrid
     coupling : float
         Constant multiplying the source (e.g. 4*pi*G*m for a mass density).
 
     Returns
     -------
-    RadialField
+    np.ndarray
         The potential on the same grid.
 
     Raises
     ------
     InvalidFieldError
-        If the density is complex or non-finite.
+        If the density is complex, has the wrong number of samples, or has
+        a non-finite sample.
     InvalidArgumentError
         If the coupling is not finite.
     """
-    if density.is_complex:
+    rho = _samples("Poisson source", density, grid)
+    if np.iscomplexobj(rho):
         raise InvalidFieldError("Poisson source must be real")
     if not np.isfinite(coupling):
         raise InvalidArgumentError(f"coupling must be finite, got {coupling}")
-    return RadialField(density.grid, poisson_values(density.values, density.grid, coupling))
-
-
-def poisson_values(rho: np.ndarray, grid: RadialGrid, coupling: float) -> np.ndarray:
-    """:func:`solve_radial_poisson` on bare samples: the potential of the real
-    samples ``rho`` on ``grid``, without checking them or wrapping either
-    side in a :class:`RadialField`.  For callers whose samples are checked
-    already, such as the time stepper; not exported."""
     r = grid.nodes
     # exact per-cell moments of the piecewise-linear density; plain
     # trapezoid cells are badly biased near the origin, where the s^2*rho
@@ -238,17 +230,16 @@ def poisson_values(rho: np.ndarray, grid: RadialGrid, coupling: float) -> np.nda
     return phi
 
 
-def radial_laplacian(h: RadialField) -> np.ndarray:
-    """Discrete radial Laplacian h'' + (2/r) h' on the grid.
+def radial_laplacian(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Discrete radial Laplacian h'' + (2/r) h' of the samples v of h on ``grid``.
 
     Three-point central differences in the interior; the origin uses the
     even-extension limit lap(h)(0) = 3 h''(0) = 6 (h[1]-h[0]) / dr^2; the
     outer endpoint uses one-sided differences (lower order — mask it off in
     convergence studies).
     """
-    r = h.grid.nodes
-    v = h.values
-    dr = h.grid.spacing
+    r = grid.nodes
+    dr = grid.spacing
     lap = np.empty_like(v)
     d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dr**2
     d1 = (v[2:] - v[:-2]) / (2.0 * dr)

@@ -23,14 +23,14 @@ and only the CLI multiplies by it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_normal
 from .evolution import rms_width, state_from_profile
-from .grids import RadialField, RadialGrid, integrate_radial, make_grid, solve_radial_poisson
+from .grids import RadialField, RadialGrid, integrate_line, make_grid, solve_radial_poisson
 from .shooting import UniversalSolution
 
 __all__ = [
@@ -62,23 +62,15 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("mass", "n_particles"):
-            _normal(name, getattr(self, name))
-
-
-def _normal(name: str, value: float) -> float:
-    """``value`` if it is a positive finite normal double, else
-    InvalidArgumentError naming it."""
-    if not (math.isfinite(value) and value >= sys.float_info.min):
-        raise InvalidArgumentError(f"{name} = {value!r} is not a positive finite normal double")
-    return value
+            check_normal(name, getattr(self, name))
 
 
 def gravitational_bohr_radius(params: PhysicalParams) -> float:
     """a_g = hbar^2 / (G N m^3), the natural length of the rescaling;
     InvalidArgumentError if G N m^3 or a_g is not a finite normal double."""
     m = params.mass  # m * m * m overflows to inf where m**3 raises
-    gnm3 = _normal("G N m^3", NEWTON_G * params.n_particles * (m * m * m))
-    return _normal("a_g", HBAR**2 / gnm3)
+    gnm3 = check_normal("G N m^3", NEWTON_G * params.n_particles * (m * m * m))
+    return check_normal("a_g", HBAR**2 / gnm3)
 
 
 @dataclass(frozen=True)
@@ -100,22 +92,22 @@ class UnitScales:
         """Raises InvalidArgumentError naming a unit that is not a finite normal double."""
         m = float(params.mass)
         a_g = float(gravitational_bohr_radius(params))
-        energy = _normal("energy unit hbar^2/(m a_g^2)", HBAR * HBAR / m / a_g / a_g)
-        return cls(a_g, energy, _normal("time unit m a_g^2/hbar", HBAR / energy),
-                   _normal("potential unit hbar^2/(m a_g)^2", energy / m))
+        energy = check_normal("energy unit hbar^2/(m a_g^2)", HBAR * HBAR / m / a_g / a_g)
+        return cls(a_g, energy, check_normal("time unit m a_g^2/hbar", HBAR / energy),
+                   check_normal("potential unit hbar^2/(m a_g)^2", energy / m))
 
     @property
     def amplitude(self) -> float:  # of psi
-        return _normal("amplitude unit a_g^-1.5", 1.0 / self.length / math.sqrt(self.length))
+        return check_normal("amplitude unit a_g^-1.5", 1.0 / self.length / math.sqrt(self.length))
 
     @property
     def density(self) -> float:  # of |psi|^2
-        return _normal("density unit a_g^-3", 1.0 / self.length / self.length / self.length)
+        return check_normal("density unit a_g^-3", 1.0 / self.length / self.length / self.length)
 
     @property
     def coupling(self) -> float:  # of kappa in V = kappa |psi|^2
-        return _normal("coupling unit hbar^2 a_g/m",
-                       self.energy * self.length * self.length * self.length)
+        return check_normal("coupling unit hbar^2 a_g/m",
+                            self.energy * self.length * self.length * self.length)
 
 
 @dataclass(frozen=True)
@@ -125,22 +117,29 @@ class PhysicalProfile:
     ``f_ag`` and ``phi_ag`` (= m Phi) live on the a_g-unit grid.  The
     potential is the closed form shifted by ``phi_tail_shift_ag`` so it
     meets -G M_total/r at the outer edge (and hence tends to zero at
-    infinity); the shift is recorded rather than hidden.
+    infinity); the shift is recorded rather than hidden.  ``norm`` is read
+    off ``f_ag`` and must be 1 within 1e-6.
     """
 
     f_ag: RadialField
     phi_ag: RadialField
     epsilon_ag: float
     phi_tail_shift_ag: float
-    norm: float
 
     def __post_init__(self):
-        if abs(self.norm - 1.0) > 1e-6:
+        if not abs(self.norm - 1.0) <= 1e-6:
             raise InvalidArgumentError(f"profile norm {self.norm} is not 1 within 1e-6")
         f = self.f_ag.values
         core = np.abs(f) >= 0.1 * np.max(np.abs(f))
         if not np.all(self.phi_ag.values[core] < 0.0):
             raise InvalidArgumentError("potential must be negative where f is appreciable")
+
+    @cached_property
+    def norm(self) -> float:
+        """int 4 pi x^2 f^2 dx; one that overflows is refused as not 1."""
+        f, x = self.f_ag.values, self.f_ag.grid.nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 4.0 * np.pi * integrate_line(f * f * x * x, self.f_ag.grid)
 
 
 @dataclass(frozen=True)
@@ -176,15 +175,16 @@ class EnergyBreakdown:
 
 def _kinetic_energy(psi: np.ndarray, grid: RadialGrid) -> float:
     """(1/2) int 4 pi r^2 |dpsi/dr|^2 dr."""
-    dpsi = np.gradient(psi, grid.nodes)
-    return 0.5 * 4.0 * np.pi * integrate_radial(RadialField(grid, np.abs(dpsi) ** 2))
+    r = grid.nodes
+    return 0.5 * 4.0 * np.pi * integrate_line(np.abs(np.gradient(psi, r)) ** 2 * r * r, grid)
 
 
 def _self_energy_raw(density: np.ndarray, grid: RadialGrid) -> float:
     """(1/2) int 4 pi r^2 rho Phi[rho] dr with Phi sourced by coupling 4 pi;
     degree 2 in the density (degree 4 in psi)."""
-    phi = solve_radial_poisson(RadialField(grid, density), 4.0 * np.pi)
-    return 0.5 * 4.0 * np.pi * integrate_radial(RadialField(grid, density * phi.values))
+    r = grid.nodes
+    phi = solve_radial_poisson(density, grid, 4.0 * np.pi)
+    return 0.5 * 4.0 * np.pi * integrate_line(density * phi * r * r, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,8 @@ def rescale_to_physical(sol: UniversalSolution) -> PhysicalProfile:
     with np.errstate(over="ignore", invalid="ignore"):
         amplitude = np.sqrt(2.0 / np.pi) / gamma1**2
         f_vals = amplitude * sol.f_star.values
-        norm = 4.0 * np.pi * integrate_radial(RadialField(grid, f_vals * f_vals))
+        x = grid.nodes
+        norm = 4.0 * np.pi * integrate_line(f_vals * f_vals * x * x, grid)
         if not 0.0 < norm < math.inf:
             raise InvalidArgumentError(f"gamma1 {gamma1!r} rescales f* to a norm of {norm}, "
                                        "not a finite, nonzero double")
@@ -231,7 +232,6 @@ def rescale_to_physical(sol: UniversalSolution) -> PhysicalProfile:
         phi_ag=RadialField(grid, phi),
         epsilon_ag=(2.0 / gamma1**2) * sol.epsilon_star,
         phi_tail_shift_ag=shift,
-        norm=norm,
     )
 
 

@@ -15,7 +15,7 @@ reaches the fixed point in far fewer sweeps than plain half-and-half
 mixing (16 and 17 against 91 and 102 for n = 0 and 1 on the oracle
 suite's grids).
 The converged state maps back to the universal normalization through
-f*(0) = 1, giving gamma0 (see universal_from_scf) for direct comparison
+f*(0) = 1, giving gamma0 (see SCFResult.gamma0) for direct comparison
 with the shooting route.  Nothing here shares algorithmic structure with
 the shooting module beyond the Poisson quadrature.
 """
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidArgumentError, check_count
 from .grids import RadialField, RadialGrid, integrate_line, psi_from_u, solve_radial_poisson
 
-__all__ = ["SCFResult", "ScfUniversal", "scf_solve", "universal_from_scf"]
+__all__ = ["SCFResult", "scf_solve"]
 
 # Anderson's damping beta: the share of each sweep's Poisson residual
 # added to its input potential before the history correction.
@@ -51,14 +51,17 @@ class SCFResult:
     epsilon: float          # n-th eigenvalue in that potential
     iterations: int
 
+    @property
+    def gamma0(self) -> float:
+        """The state's g*(0) in the universal normalization.
 
-@dataclass(frozen=True)
-class ScfUniversal:
-    """SCF results converted to the universal normalization."""
-
-    gamma0: float
-    gamma1: float
-    epsilon_star: float
+        The amplitude mapping f(r) = f(0) f*(beta r) with f*(0) = 1 and
+        unit norm fixes beta^4 = 8 pi f(0)^2 (a_g = 1); the central value
+        follows from the radial equation at the origin:
+        gamma0 = (2/beta^2) (V(0) - eps)."""
+        f0 = float(self.f.values[0])
+        beta = (8.0 * np.pi * f0 * f0) ** 0.25
+        return 2.0 * (float(self.phi.values[0]) - self.epsilon) / beta**2
 
 
 def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 400) -> SCFResult:
@@ -123,7 +126,7 @@ def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 4
     eps_prev = None
     eps = np.nan
     for it in range(1, max_iter + 1):
-        phi_new = solve_radial_poisson(RadialField(grid, f * f), 4.0 * np.pi).values
+        phi_new = solve_radial_poisson(f * f, grid, 4.0 * np.pi)
         phi_mix = phi_new if phi_mix is None else _anderson(history, phi_mix, phi_new)
         eps, f = eigenstate(phi_mix)
         dphi = np.max(np.abs(phi_mix - phi_new)) / np.max(np.abs(phi_new))
@@ -138,7 +141,7 @@ def scf_solve(n: int, grid: RadialGrid, *, tol: float = 1e-10, max_iter: int = 4
         )
 
     # one polishing eigensolve in the unmixed potential of the converged density
-    phi_final = solve_radial_poisson(RadialField(grid, f * f), 4.0 * np.pi).values
+    phi_final = solve_radial_poisson(f * f, grid, 4.0 * np.pi)
     eps, f = eigenstate(phi_final)
     return SCFResult(
         n=n,
@@ -166,17 +169,3 @@ def _anderson(history: deque, phi_in: np.ndarray, phi_out: np.ndarray) -> np.nda
         mixed -= (inputs + _MIX * residuals) @ gamma
     return mixed
 
-
-def universal_from_scf(result: SCFResult) -> ScfUniversal:
-    """Convert a converged SCF state to the universal normalization.
-
-    The amplitude mapping f(r) = f(0) f*(beta r) with f*(0) = 1 and unit
-    norm fixes beta^4 = 8 pi f(0)^2 (a_g = 1); the central value follows
-    from the radial equation at the origin: gamma0 = (2/beta^2) (V(0) - eps).
-    """
-    f0 = float(result.f.values[0])
-    beta = (8.0 * np.pi * f0 * f0) ** 0.25
-    gamma0 = 2.0 * (float(result.phi.values[0]) - result.epsilon) / beta**2
-    gamma1 = 2.0 / beta
-    epsilon_star = result.epsilon * gamma1**2 / 2.0
-    return ScfUniversal(gamma0=gamma0, gamma1=gamma1, epsilon_star=epsilon_star)

@@ -47,6 +47,7 @@ from .errors import (
     SngError,
     WrongStateError,
     check_count,
+    check_normal,
     check_positive,
 )
 from .grids import RadialField, RadialGrid, integrate_line, make_grid
@@ -114,8 +115,9 @@ class UniversalSolution:
     shot's samples; past it they are the matched Coulomb tail u_tail/rho and
     g_inf - M/rho (see the module docstring).  gamma0 = g*(0), and gamma1 and
     epsilon_star are read off the pair once.  A pair on two grids is refused,
-    as are a bracket_width or gamma1 that is not finite and positive and an
-    epsilon_star that is not finite (InvalidArgumentError).
+    as are a bracket_width that is not finite and positive, a gamma1 that is
+    not a finite normal double and an epsilon_star that is not finite
+    (InvalidArgumentError).
     """
 
     n: int
@@ -134,7 +136,7 @@ class UniversalSolution:
         tail = np.abs(f[-(self.grid.n_points // 10):])
         if not np.all(np.diff(tail) < 0.0):
             raise WrongStateError("|f*| must decay strictly over the final 10% of the grid")
-        check_positive("gamma1", self.gamma1)
+        check_normal("gamma1", self.gamma1)
         if not math.isfinite(self.epsilon_star):
             raise InvalidArgumentError(f"epsilon_star must be finite, got {self.epsilon_star!r}")
 
@@ -144,7 +146,7 @@ class UniversalSolution:
 
     @cached_property
     def gamma1(self) -> float:
-        """int f*^2 rho^2 drho, by integrate_radial's sum; an overflow is refused."""
+        """int f*^2 rho^2 drho; an overflow or underflow is refused."""
         f, rho = self.f_star.values, self.grid.nodes
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate_line(f * f * rho * rho, self.grid)

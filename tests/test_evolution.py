@@ -28,7 +28,7 @@ from sng.evolution import (
     state_norm,
     step,
 )
-from sng.grids import RadialField, integrate_radial, make_grid
+from sng.grids import integrate_line, make_grid
 from sng.physical import energy_breakdown, rescale_to_physical
 from sng.shooting import solve_states
 
@@ -212,8 +212,9 @@ def test_scf_eigenstate_rotates_at_the_exact_crank_nicolson_phase(n):
 
 def _share_inside(field, radius):
     """int 4 pi r^2 rho dr over r < radius."""
-    inside = np.where(field.grid.nodes < radius, field.values, 0.0)
-    return 4.0 * np.pi * integrate_radial(RadialField(field.grid, inside))
+    r = field.grid.nodes
+    inside = np.where(r < radius, field.values, 0.0)
+    return 4.0 * np.pi * integrate_line(inside * r * r, field.grid)
 
 
 def test_self_gravity_holds_packets_wider_than_the_energy_scale():
@@ -321,11 +322,15 @@ def test_nonlinearity_kind_refuses_an_unknown_kind():
 
 def test_free_step_refuses_sine_modes_that_overflow():
     # samples near the top of the doubles pass the state's own checks (its
-    # norm may be infinite), and their sine modes' sums overflow
+    # norm may be infinite), and their sine modes' sums overflow whatever
+    # the step: the refusal names the samples, not dt
     u = np.zeros(201)
     u[1:-1] = 1e308
-    with pytest.raises(InvalidArgumentError, match="not finite"):
-        step(RadialState(make_grid(40.0, 201), u, 0.0), 0.1, NonlinearityKind.free())
+    state = RadialState(make_grid(40.0, 201), u, 0.0)
+    for dt in (0.1, 1e-30):
+        with pytest.raises(InvalidArgumentError, match="^u is too large for a free step") as info:
+            step(state, dt, NonlinearityKind.free())
+        assert "dt" not in str(info.value), dt
 
 
 def test_evolve_warns_when_packet_reaches_boundary():
@@ -590,8 +595,8 @@ def test_pivoted_crank_nicolson_solve_equals_factor_and_back_substitute_bitwise(
 def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monkeypatch):
     # one solve at the predictor midpoint inside each step, one for each
     # observed state (shared by its energy row and the next step), plus the
-    # initial state; every solve goes through the bare-array Poisson kernel
-    calls = _count_calls(monkeypatch, sng.evolution, "poisson_values")
+    # initial state; every solve goes through the one Poisson kernel
+    calls = _count_calls(monkeypatch, sng.evolution, "solve_radial_poisson")
     n_steps = 7
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
            nl=NonlinearityKind.gravity(), observe_every=1)

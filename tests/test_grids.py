@@ -12,7 +12,6 @@ from sng.errors import InvalidArgumentError, InvalidFieldError
 from sng.grids import (
     RadialField,
     integrate_line,
-    integrate_radial,
     make_grid,
     psi_from_u,
     radial_laplacian,
@@ -73,38 +72,26 @@ def test_field_values_are_write_protected():
 
 # --- quadrature --------------------------------------------------------------
 
-def test_integrate_radial_is_exact_for_low_order_polynomials():
-    # Simpson weights: exact for cubic integrands; h = 1 makes the
-    # integrand rho^2, h = rho makes it rho^3
+def test_integrate_line_is_exact_for_low_order_polynomials():
+    # Simpson weights: exact for cubic integrands, here rho^2 and rho^3
     grid = make_grid(2.0, 81)
-    ones = RadialField(grid, np.ones(grid.n_points))
-    assert integrate_radial(ones) == pytest.approx(8.0 / 3.0, rel=1e-14)
-    linear = RadialField(grid, grid.nodes)
-    assert integrate_radial(linear) == pytest.approx(4.0, rel=1e-14)
+    rho = grid.nodes
+    assert integrate_line(rho * rho, grid) == pytest.approx(8.0 / 3.0, rel=1e-14)
+    assert integrate_line(rho * rho * rho, grid) == pytest.approx(4.0, rel=1e-14)
 
 
-def test_integrate_radial_even_point_count_falls_back_gracefully():
+def test_integrate_line_even_point_count_falls_back_gracefully():
     grid = make_grid(2.0, 80)
-    ones = RadialField(grid, np.ones(grid.n_points))
-    assert integrate_radial(ones) == pytest.approx(8.0 / 3.0, rel=1e-3)
+    rho = grid.nodes
+    assert integrate_line(rho * rho, grid) == pytest.approx(8.0 / 3.0, rel=1e-3)
 
 
-def test_integrate_radial_gaussian_matches_closed_form():
+def test_integrate_line_gaussian_matches_closed_form():
     # int_0^inf exp(-rho^2) rho^2 drho = sqrt(pi)/4
     grid = make_grid(12.0, 2001)
-    gauss = RadialField(grid, np.exp(-grid.nodes**2))
-    assert integrate_radial(gauss) == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("points", [81, 80])
-def test_integrate_radial_is_the_line_quadrature_of_h_rho_squared(points):
-    grid = make_grid(2.0, points)
     rho = grid.nodes
-    h = np.exp(-rho) * np.cos(3.0 * rho)
-    for values in (h, (1.0 - 2.0j) * h):
-        expected = integrate_line(values * rho * rho, grid)
-        assert integrate_radial(RadialField(grid, values)) == expected
-        assert isinstance(expected, complex) == np.iscomplexobj(values)
+    assert integrate_line(np.exp(-rho**2) * rho * rho, grid) == pytest.approx(
+        np.sqrt(np.pi) / 4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("points", [3, 5, 2001, 8001])
@@ -160,7 +147,7 @@ def test_psi_from_u_is_the_division_by_r(rho_max, points):
 def test_radial_laplacian_exact_on_quadratic():
     # (1/r^2) d/dr (r^2 d/dr) r^2 = 6 everywhere, origin included
     grid = make_grid(4.0, 401)
-    lap = radial_laplacian(RadialField(grid, grid.nodes**2))
+    lap = radial_laplacian(grid.nodes**2, grid)
     assert np.max(np.abs(lap - 6.0)) < 1e-8
 
 
@@ -170,7 +157,7 @@ def test_radial_laplacian_second_order_on_gaussian():
         grid = make_grid(10.0, pts)
         h = np.exp(-0.5 * grid.nodes**2)
         exact = (grid.nodes**2 - 3.0) * h
-        lap = radial_laplacian(RadialField(grid, h))
+        lap = radial_laplacian(h, grid)
         errs.append(np.max(np.abs(lap - exact)[:-1]))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
@@ -187,7 +174,7 @@ def test_poisson_uniform_ball_closed_form():
     # by the piecewise-linear density the solver integrates
     edge = (np.floor(5.0 / grid.spacing) + 0.5) * grid.spacing
     coupling = 4.0 * np.pi
-    phi = solve_radial_poisson(RadialField(grid, _ball_density(grid, edge)), coupling)
+    phi = solve_radial_poisson(_ball_density(grid, edge), grid, coupling)
     r = grid.nodes
     inside = r < edge
     exact = np.where(
@@ -195,7 +182,7 @@ def test_poisson_uniform_ball_closed_form():
         -2.0 * np.pi * (edge**2 - r**2 / 3.0),
         -(4.0 / 3.0) * np.pi * edge**3 / np.maximum(r, grid.spacing),
     )
-    rel = np.abs(phi.values - exact) / np.abs(exact)
+    rel = np.abs(phi - exact) / np.abs(exact)
     assert rel.max() < 1e-4
 
 
@@ -204,14 +191,14 @@ def test_poisson_far_field_sees_total_mass():
     r = grid.nodes
     density = np.exp(-r * r)
     coupling = 4.0 * np.pi
-    phi = solve_radial_poisson(RadialField(grid, density), coupling)
+    phi = solve_radial_poisson(density, grid, coupling)
     # beyond the support the potential is a pure 1/r: r*phi is constant
     # to roundoff (same internal mass measure at every exterior node)
     far = r >= 10.0
-    r_phi = r[far] * phi.values[far]
+    r_phi = r[far] * phi[far]
     assert np.abs(r_phi - r_phi[-1]).max() < 1e-12 * abs(r_phi[-1])
     # and that constant is -M_total (quadrature-rule difference is O(dr^2))
-    total_mass = 4.0 * np.pi * integrate_radial(RadialField(grid, density))
+    total_mass = 4.0 * np.pi * integrate_line(density * r * r, grid)
     assert r_phi[-1] == pytest.approx(-total_mass, rel=1e-4)
 
 
@@ -223,11 +210,9 @@ def test_poisson_is_linear_in_the_source():
         a, b = rng.uniform(-2.0, 2.0, size=2)
         d1 = np.exp(-0.5 * grid.nodes**2) * (1.0 + 0.3 * np.sin(grid.nodes))
         d2 = grid.nodes**2 * np.exp(-((grid.nodes - 3.0) ** 2))
-        combo = solve_radial_poisson(RadialField(grid, a * d1 + b * d2), coupling).values
-        parts = (
-            a * solve_radial_poisson(RadialField(grid, d1), coupling).values
-            + b * solve_radial_poisson(RadialField(grid, d2), coupling).values
-        )
+        combo = solve_radial_poisson(a * d1 + b * d2, grid, coupling)
+        parts = (a * solve_radial_poisson(d1, grid, coupling)
+                 + b * solve_radial_poisson(d2, grid, coupling))
         scale = np.abs(combo).max()
         assert np.abs(combo - parts).max() <= 1e-12 * max(scale, 1.0)
 
@@ -240,8 +225,8 @@ def test_poisson_discrete_laplacian_residual_refines_at_second_order():
         grid = make_grid(12.0, pts)
         density = np.exp(-0.5 * grid.nodes**2)
         coupling = 4.0 * np.pi
-        phi = solve_radial_poisson(RadialField(grid, density), coupling)
-        resid = radial_laplacian(phi) - coupling * density
+        phi = solve_radial_poisson(density, grid, coupling)
+        resid = radial_laplacian(phi, grid) - coupling * density
         sups.append((grid.spacing, np.abs(resid[:-1]).max()))
     for spacing, sup in sups:
         assert sup <= 8.0 * spacing**2
@@ -264,18 +249,27 @@ def test_poisson_potentials_are_bitwise_pinned():
         "signed": np.exp(-r * r) - 0.3 * np.exp(-(r - 3.0) ** 2),
     }
     for name, source in sources.items():
-        phi = solve_radial_poisson(RadialField(grid, source), 4.0 * np.pi).values
+        phi = solve_radial_poisson(source, grid, 4.0 * np.pi)
         assert hashlib.sha256(phi.tobytes()).hexdigest() == PINNED_POTENTIALS[name], name
         # a second solve on the same grid object reads the same values
-        again = solve_radial_poisson(RadialField(grid, source), 4.0 * np.pi).values
+        again = solve_radial_poisson(source, grid, 4.0 * np.pi)
         assert np.array_equal(phi, again)
 
 
 def test_poisson_rejects_bad_coupling_and_complex_sources():
     grid = make_grid(5.0, 101)
-    field = RadialField(grid, np.ones(101))
-    with pytest.raises(InvalidArgumentError):
-        solve_radial_poisson(field, np.inf)
-    complex_field = RadialField(grid, np.ones(101) + 1j)
-    with pytest.raises(InvalidFieldError):
-        solve_radial_poisson(complex_field, 4.0 * np.pi)
+    with pytest.raises(InvalidArgumentError, match="coupling must be finite"):
+        solve_radial_poisson(np.ones(101), grid, np.inf)
+    with pytest.raises(InvalidFieldError, match="must be real"):
+        solve_radial_poisson(np.ones(101) + 1j, grid, 4.0 * np.pi)
+
+
+@pytest.mark.parametrize("source, refusal", [
+    (np.ones(100), "has \\(100,\\) samples, grid has 101 nodes"),
+    (np.r_[np.ones(100), np.nan], "non-finite samples"),
+    (np.r_[np.ones(100), np.inf], "non-finite samples"),
+], ids=["length", "nan", "inf"])
+def test_poisson_refuses_a_source_off_the_grid_or_not_finite(source, refusal):
+    # the checks a RadialField of the source made before the kernel took samples
+    with pytest.raises(InvalidFieldError, match=refusal):
+        solve_radial_poisson(source, make_grid(5.0, 101), 4.0 * np.pi)

@@ -105,20 +105,34 @@ def test_profile_is_normalized_without_renormalization(natural_ground_profile):
 
 
 def _flat_profile(norm=1.0, phi=-1.0):
-    """A profile of constant f and potential on 10/11, f of unit norm."""
+    """A profile of constant f and potential on 10/11, f of norm ``norm``."""
     grid = make_grid(10.0, 11)
-    f = np.full(11, np.sqrt(3.0 / (4.0 * np.pi * 1000.0)))
+    f = np.full(11, np.sqrt(3.0 * norm / (4.0 * np.pi * 1000.0)))
     return PhysicalProfile(RadialField(grid, f), RadialField(grid, np.full(11, phi)),
-                           epsilon_ag=-1.0, phi_tail_shift_ag=0.0, norm=norm)
+                           epsilon_ag=-1.0, phi_tail_shift_ag=0.0)
 
 
 @pytest.mark.parametrize("changes, refusal", [
-    ({"norm": 1.001}, "profile norm 1.001 is not 1 within 1e-6"),
+    ({"norm": 1.001}, r"profile norm 1\.001\d* is not 1 within 1e-6"),
     ({"phi": 1.0}, "potential must be negative where f is appreciable"),
 ])
 def test_profile_refuses_a_norm_or_potential_off_its_contract(changes, refusal):
     with pytest.raises(InvalidArgumentError, match=refusal):
         _flat_profile(**changes)
+
+
+def test_profile_reads_its_norm_off_f():
+    # the norm is no field a caller can set: an f of norm 4 is refused, and
+    # so is one whose square overflows (inf times x = 0 makes the norm NaN,
+    # which the check passed), without numpy's warning
+    assert "norm" not in {f.name for f in fields(PhysicalProfile)}
+    assert _flat_profile().norm == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(InvalidArgumentError, match=r"profile norm 4\.0\d* is not 1"):
+        _flat_profile(norm=4.0)
+    grid = make_grid(10.0, 11)
+    with pytest.raises(InvalidArgumentError, match="profile norm nan is not 1"):
+        PhysicalProfile(RadialField(grid, np.full(11, 1e200)), RadialField(grid, np.full(11, -1.0)),
+                        epsilon_ag=-1.0, phi_tail_shift_ag=0.0)
 
 
 def test_half_max_radius_refuses_a_profile_that_never_halves():
@@ -193,9 +207,9 @@ def test_potential_satisfies_its_own_field_equation(ground_state):
 
     prof = rescale_to_physical(ground_state)
     density = prof.f_ag.values**2
-    phi_q = solve_radial_poisson(RadialField(prof.f_ag.grid, density), 4.0 * np.pi)
+    phi_q = solve_radial_poisson(density, prof.f_ag.grid, 4.0 * np.pi)
     scale = np.abs(prof.phi_ag.values).max()
-    assert np.abs(prof.phi_ag.values - phi_q.values).max() / scale < 1e-4
+    assert np.abs(prof.phi_ag.values - phi_q).max() / scale < 1e-4
 
 
 # --- energy breakdown validation --------------------------------------------

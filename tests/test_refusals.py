@@ -184,6 +184,9 @@ CASES = [
     # potential of 1e300 (numpy warned before the refusal)
     ("dt", lambda: step(RadialState(GRID, np.r_[0.0, np.full(199, 1e150), 0.0], 0.0), 1e-10,
                         NonlinearityKind.cubic(1.0, 1))),
+    # f* whose square is subnormal off the origin: gamma1 is subnormal, and
+    # 3/gamma1 overflowed into an infinite epsilon_star
+    ("gamma1", lambda: _solution(f=[(i, 10.0 ** -(160 + i)) for i in range(1, 11)])),
 ]
 
 

@@ -12,8 +12,8 @@ import pytest
 
 from sng.checks import _natural_profile
 from sng.errors import ConvergenceError
-from sng.grids import RadialField, integrate_radial, make_grid
-from sng.scf import scf_solve, universal_from_scf
+from sng.grids import integrate_line, make_grid
+from sng.scf import scf_solve
 
 GAMMA0_GROUND = -0.9185797718
 GAMMA0_FIRST = -1.2099590044
@@ -31,8 +31,9 @@ def test_scf_converges_with_margin(scf_ground):
 
 def test_scf_state_is_normalized(scf_ground):
     # f is the radial wavefunction; its square integrates to one
-    squared = RadialField(scf_ground.f.grid, scf_ground.f.values**2)
-    assert 4.0 * np.pi * integrate_radial(squared) == pytest.approx(1.0, rel=1e-6)
+    f, grid = scf_ground.f.values, scf_ground.f.grid
+    r = grid.nodes
+    assert 4.0 * np.pi * integrate_line(f * f * r * r, grid) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_scf_eigenvalue_is_bound(scf_ground):
@@ -46,10 +47,7 @@ def test_scf_potential_is_negative_and_monotone(scf_ground):
 
 
 def test_scf_recovers_ground_state_central_value(scf_ground):
-    uni = universal_from_scf(scf_ground)
-    assert uni.gamma0 == pytest.approx(GAMMA0_GROUND, rel=1e-3)
-    assert uni.gamma1 > 0.0
-    assert uni.epsilon_star < 0.0
+    assert scf_ground.gamma0 == pytest.approx(GAMMA0_GROUND, rel=1e-3)
 
 
 def test_scf_excited_state_has_one_node():
@@ -60,8 +58,7 @@ def test_scf_excited_state_has_one_node():
     # the central-value recovery goes through f(0) of a steep excited core,
     # so it is grid-hungry: ~4e-3 at this coarse grid, 4e-6 on the 4001-point
     # grid the oracle suite checks at the 1e-3 gate bound
-    uni = universal_from_scf(result)
-    assert uni.gamma0 == pytest.approx(GAMMA0_FIRST, rel=1e-2)
+    assert result.gamma0 == pytest.approx(GAMMA0_FIRST, rel=1e-2)
 
 
 def test_scf_impossible_tolerance_raises():
@@ -75,9 +72,9 @@ def test_scf_reaches_the_fixed_point_in_few_sweeps_on_the_oracle_grids(n):
     # sweeps there and stopped 1.3e-10 short of the tol = 1e-14 fixed point
     grid = _natural_profile(n, 40.0, 4001).f_ag.grid
     result = scf_solve(n, grid)
-    tight = universal_from_scf(scf_solve(n, grid, tol=1e-14)).gamma0
+    tight = scf_solve(n, grid, tol=1e-14).gamma0
     assert result.iterations <= 30
-    assert abs(universal_from_scf(result).gamma0 / tight - 1.0) <= 1e-11
+    assert abs(result.gamma0 / tight - 1.0) <= 1e-11
 
 
 def test_suite_rows_meet_their_bounds(oracle_suite_rows):

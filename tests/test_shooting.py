@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from sng.checks import _solved
 from sng import shooting
@@ -30,7 +31,7 @@ from sng.errors import (
     SngError,
     WrongStateError,
 )
-from sng.grids import RadialField, integrate_radial, make_grid
+from sng.grids import RadialField, make_grid
 from sng.shooting import (
     UniversalSolution,
     _shoot,
@@ -171,16 +172,16 @@ def test_solution_profile_invariants(spectrum):
 
 
 def test_solution_is_its_profile(spectrum):
-    # gamma0, gamma1 and epsilon_star are read off (f*, g*), by the
-    # integrals integrate_radial takes, bit for bit
+    # gamma0, gamma1 and epsilon_star are read off (f*, g*): the integrals
+    # are scipy's Simpson rule on the nodes, bit for bit
     assert [f.name for f in dataclasses.fields(UniversalSolution)] == [
         "n", "f_star", "g_star", "bracket_width"]
     for n, sol in spectrum.items():
-        f, g = sol.f_star.values, sol.g_star.values
-        gamma1 = integrate_radial(RadialField(sol.grid, f * f))
+        f, g, rho = sol.f_star.values, sol.g_star.values, sol.grid.nodes
+        gamma1 = simpson(f * f * rho * rho, x=rho)
         assert sol.gamma0 == g[0], f"n={n}"
         assert sol.gamma1 == gamma1, f"n={n}"
-        assert sol.epsilon_star == 3.0 / gamma1 * integrate_radial(RadialField(sol.grid, f * f * g))
+        assert sol.epsilon_star == 3.0 / gamma1 * simpson(f * f * g * rho * rho, x=rho)
 
 
 def test_solution_refuses_an_f_star_that_does_not_start_at_one():
