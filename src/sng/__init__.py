@@ -47,7 +47,6 @@ from .scf import SCFResult, scf_solve
 from .shooting import (
     UniversalSolution,
     default_grid,
-    scan_brackets,
     shoot_gamma0,
     solve_states,
 )
@@ -74,7 +73,6 @@ __all__ = [
     # shooting
     "UniversalSolution",
     "default_grid",
-    "scan_brackets",
     "shoot_gamma0",
     "solve_states",
     # physical

@@ -60,7 +60,7 @@ def _row(suite: str, name: str, measured: float, bound: float,
 # shared slow artifacts, cached per process
 # ---------------------------------------------------------------------------
 
-# every state the suites use on each grid, bracketed by one ladder climb
+# every state the suites use on each grid, bracketed on one set of lattice shots
 _STATES_PER_GRID = {(40.0, 8001): (0, 1, 2), (40.0, 4001): (0, 1)}
 
 

@@ -289,7 +289,12 @@ class _Evaluation:
         """Potential samples V(r); zero when free."""
         if self._v is None:
             if self.nl.kind == "gravity":
-                self._v = solve_radial_poisson(self.density, self.grid, 4.0 * np.pi / self.norm)
+                with np.errstate(over="ignore"):  # refused by name below, not warned of
+                    density, norm = self.density, self.norm
+                if not math.isfinite(norm):
+                    raise InvalidArgumentError(
+                        "u is too large for a gravity step: its norm overflows a double")
+                self._v = solve_radial_poisson(density, self.grid, 4.0 * np.pi / norm)
             else:  # free has kappa = 0
                 self._v = self.nl.sign * self.nl.kappa * self.density
         return self._v

@@ -7,9 +7,9 @@ The pair of radial ODEs
 with f(0)=1, f'(0)=0, g(0)=gamma0, g'(0)=0, has square-integrable solutions
 only for a discrete set of central values gamma0(n) < 0, labelled by the
 node count n of f.  Every shot runs one RK4 kernel outward from a series
-start at the origin; :func:`solve_states` brackets the eigenvalues by
-halving a gamma0 lattice to find where the shots' labels change, and
-bisects each on one condition, a match at rho_m =
+start at the origin; :func:`solve_states` brackets each eigenvalue by
+bisecting a gamma0 lattice for the cell where the node count of f falls
+past n, and bisects each bracket on one condition, a match at rho_m =
 (last node of f, or 0 for n = 0) + 16.  Past rho_m the source f^2 is
 negligible: g = g_inf - M/rho with M = rho_m^2 g'(rho_m) and g_inf =
 g + rho_m g'(rho_m), and u = rho f obeys u'' = (g_inf - M/rho) u, whose
@@ -58,7 +58,6 @@ __all__ = [
     "DEFAULT_TOL",
     "UniversalSolution",
     "default_grid",
-    "scan_brackets",
     "find_brackets",
     "shoot_gamma0",
     "solve_states",
@@ -94,12 +93,8 @@ _AIM_OFFSET = 1e-9
 # A solved state whose tail-identity residual exceeds this is under-resolved.
 _TAIL_RESIDUAL_LIMIT = 1e-3
 
-# The scan ladder: (gamma0 range, lattice points) per rung, each rung scanned
-# only when the ones before it left a requested state without a bracket.
-_SCAN_LADDER = (((-5.0, 0.0), 101), ((-5.0, 0.0), 404))
-
-# Shot labels decided inside rho_max; see scan_brackets.
-_SETTLED = frozenset({"diverged_up", "diverged_down", "node_ceiling"})
+# The gamma0 lattice whose cells bracket the eigenvalues; see find_brackets.
+_LATTICE = np.linspace(-5.0, 0.0, 101)
 
 
 def default_grid() -> RadialGrid:
@@ -289,85 +284,49 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
 # bracketing
 # ---------------------------------------------------------------------------
 
-def scan_brackets(gamma0_range: tuple[float, float], steps: int, grid: RadialGrid, *,
-                  max_nodes: int | None = None) -> list[tuple[int, tuple[float, float]]]:
-    """Locate candidate eigenvalue brackets on a uniform gamma0 lattice.
-
-    Every pair of consecutive lattice points whose (node count, divergence)
-    labels differ is returned as ``(candidate_n, (lo, hi))`` with candidate_n
-    the smaller of the two node counts, in lattice order.  Empty list when
-    no transition is found (e.g. any scan over gamma0 >= 0, where g* > 0
-    forbids decay).
-
-    The lattice is searched, not walked: an index interval is halved at
-    (i + j) // 2 until its ends are adjacent, and each point is shot at most
-    once.  An interval whose ends carry the same settled label
-    (``diverged_up``, ``diverged_down`` or ``node_ceiling``) is skipped.
-    A diverging f runs off in the sign (-1)^n of its last lobe, so a
-    settled label is fixed by its node count, and the count does not rise
-    with gamma0; so the count is the same all between such ends.  Ends
-    that both reached rho_max unclassified (``max_radius_reached`` or
-    ``converged``) are split on: a run of those can hold diverging shots,
-    and brackets, inside it.  The converse, an unclassified shot inside a
-    run of diverging ones of its count, would be missed; the tests compare
-    the search with a shot at every point over a sweep of grids.
-
-    With ``max_nodes`` every shot stops at its first node past it (see
-    :func:`_shoot`) and only candidates <= ``max_nodes`` are
-    returned: the same ones, with the same brackets, as the unbounded scan.
-    """
-    lo, hi = gamma0_range
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise InvalidArgumentError(f"need lo < hi, got {gamma0_range}")
-    steps = check_count("steps", steps, 2)
-    lattice = np.linspace(lo, hi, steps)
-    labels = {}
-
-    def label(i: int) -> tuple[int, str]:
-        if i not in labels:
-            labels[i] = _shoot(lattice[i], grid, max_nodes, record=False)[0]
-        return labels[i]
-
-    out = []
-    pending = [(0, steps - 1)]  # index intervals, the leftmost last
-    while pending:
-        i, j = pending.pop()
-        a, b = label(i), label(j)
-        if a == b and a[1] in _SETTLED:
-            continue
-        if j - i > 1:
-            m = (i + j) // 2
-            pending += [(m, j), (i, m)]
-        elif a != b:
-            candidate = min(a[0], b[0])
-            if max_nodes is None or candidate <= max_nodes:
-                out.append((candidate, (float(lattice[i]), float(lattice[j]))))
-    return out
-
-
 def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float, float]]:
-    """Brackets for the node counts ``ns`` from one climb of the scan
-    ladder, each rung searched by :func:`scan_brackets`; the climb stops at
-    the first rung after which every n has one.  Each n keeps its first
-    bracket in lattice order.  Scan shots stop at their first node past
-    the highest requested n.  An empty request or a negative or fractional
-    n raises InvalidArgumentError before any shot; an n left without a
-    bracket raises InvalidBracketError."""
-    wanted = {check_count("n", n, 0) for n in ns}
+    """Brackets for the node counts ``ns``: neighbouring points of a gamma0
+    lattice on (-5, 0).  The node count of f is a Sturm count, which does
+    not rise with gamma0, so the bracket of n is the cell where the count
+    falls from above n to at most n (one cell can bracket several n).  Each
+    n bisects lattice indices on "count > n" from the tightest cell the
+    shots so far give; the shots are shared and stop at their first node
+    past the highest n.  An empty request or a bad n raises
+    InvalidArgumentError before any shot.  InvalidBracketError is raised for
+    an n with count(-5) <= n, and for a count that rises with gamma0 between
+    two of the shots, as on a grid too coarse for the states it shoots."""
+    wanted = sorted({check_count("n", n, 0) for n in ns})
     if not wanted:
         raise InvalidArgumentError("need one or more node counts, got none")
+    counts = {}
+
+    def count(i: int) -> int:
+        if i not in counts:
+            counts[i] = _shoot(_LATTICE[i], grid, wanted[-1], record=False)[0][0]
+        return counts[i]
+
     found = {}
-    for gamma0_range, steps in _SCAN_LADDER:
-        for candidate, bracket in scan_brackets(gamma0_range, steps, grid, max_nodes=max(wanted)):
-            if candidate in wanted:
-                found.setdefault(candidate, bracket)
-        if found.keys() == wanted:
-            return found
-    missing = ", ".join(str(n) for n in sorted(wanted - found.keys()))
-    raise InvalidBracketError(
-        f"no bracket with node count {missing} found scanning gamma0 in "
-        f"{_SCAN_LADDER[-1][0]}; enlarge rho_max"
-    )
+    for n in wanted:
+        if not count(0) > n >= count(len(_LATTICE) - 1):
+            continue
+        lo = max(i for i in counts if counts[i] > n)
+        hi = min(j for j in counts if j > lo and counts[j] <= n)
+        while hi - lo > 1:
+            m = (lo + hi) // 2
+            lo, hi = (m, hi) if count(m) > n else (lo, m)
+        found[n] = float(_LATTICE[lo]), float(_LATTICE[hi])
+    shot = sorted(counts)
+    for i, j in zip(shot, shot[1:]):
+        if counts[i] < counts[j]:
+            raise InvalidBracketError(
+                f"the node count rises with gamma0, from {counts[i]} at {_LATTICE[i]:.6g} "
+                f"to {counts[j]} at {_LATTICE[j]:.6g}; refine --points")
+    missing = [n for n in wanted if n not in found]
+    if missing:
+        raise InvalidBracketError(
+            f"no bracket with node count {', '.join(map(str, missing))} found scanning "
+            f"gamma0 in ({_LATTICE[0]:g}, {_LATTICE[-1]:g}); enlarge --rho-max")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +580,9 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
 def solve_states(ns: Iterable[int], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> list[UniversalSolution]:
     """Solve the bound states with the requested node counts, in the order
-    given: one climb of the scan ladder brackets them all (see
-    :func:`find_brackets`), then :func:`shoot_gamma0` bisects each.  A bad
-    ``tol`` raises InvalidArgumentError before any shot."""
+    given: :func:`find_brackets` brackets them all on its shared shots,
+    then :func:`shoot_gamma0` bisects each.  A bad ``tol`` raises
+    InvalidArgumentError before any shot."""
     ns = list(ns)
     check_positive("tol", tol)
     found = find_brackets(ns, grid)

@@ -739,6 +739,39 @@ def test_unbracketable_state_is_exit_3(capsys):
     assert "no bracket" in capsys.readouterr().err
 
 
+def test_rising_node_count_is_exit_3_and_names_points(capsys):
+    # at a spacing of 1.36 the count rises from 2 at gamma0 = -5 to 6 at -2.5;
+    # the n = 0 state was bisected and refused for its tail (exit 4)
+    assert main(["spectrum", "--n-max", "5", "--rho-max", "76.1", "--points", "57"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node count rises" in captured.err
+    assert "--points" in captured.err
+
+
+def test_state_below_the_count_at_the_lattice_end_is_exit_3(capsys):
+    # count(-5) = 2 on this grid, so no lattice cell brackets n = 2; the
+    # cell where the shots' divergence turned at count 2 once did, and its
+    # bisection was refused (exit 4)
+    assert main(["solve", "--n", "2", "--rho-max", "53.759540648726485", "--points", "16"]) == 3
+    captured = capsys.readouterr()
+    assert "no bracket" in captured.err
+    assert "--rho-max" in captured.err
+
+
+def test_state_in_a_shared_cell_solves(tmp_path):
+    # n = 10 shares its lattice cell with n = 9; a finer lattice once gave a
+    # cell whose upper end had no decaying tail at its match radius (exit 4)
+    gamma0 = {}
+    for rho_max, points in (("61.59410825826832", "972"), ("75.3", "1137")):
+        out = tmp_path / f"{points}.json"
+        assert main(["solve", "--n", "10", "--rho-max", rho_max, "--points", points,
+                     "--out-json", str(out)]) == 0
+        gamma0[points] = _read_json(out)["gamma0"]
+    # the larger grid agrees to its own discretization error
+    assert gamma0["972"] == pytest.approx(gamma0["1137"], abs=1e-6)
+
+
 def test_unreachable_decay_regime_is_exit_4(capsys):
     code = main(["solve", "--n", "2", "--rho-max", "10", "--points", "1001"])
     assert code == 4

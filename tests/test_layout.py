@@ -75,7 +75,7 @@ def test_readme_library_example_imports_exist():
 
 
 # Raise only in the change that adds a settable value, saying why in CHANGES.md.
-SETTABLE_VALUES_CEILING = 107
+SETTABLE_VALUES_CEILING = 103
 
 
 def _settable_values(obj) -> int:

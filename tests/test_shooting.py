@@ -1,4 +1,4 @@
-"""Universal bound-state solver: bracket scan, tail-matched bisection,
+"""Universal bound-state solver: node-count brackets, tail-matched bisection,
 frozen spectrum.
 
 The frozen table below was computed by this package on the default grid;
@@ -38,7 +38,6 @@ from sng.shooting import (
     _tail,
     default_grid,
     find_brackets,
-    scan_brackets,
     shoot_gamma0,
     solve_states,
 )
@@ -193,9 +192,8 @@ def test_solution_refuses_an_f_star_that_does_not_start_at_one():
 
 
 @pytest.mark.parametrize("call", [
-    lambda grid: scan_brackets((0.0, -5.0), 11, grid),
     lambda grid: shoot_gamma0(0, (-0.9, -1.0), grid),
-], ids=["scan_brackets", "shoot_gamma0"])
+], ids=["shoot_gamma0"])
 def test_reversed_gamma0_range_is_refused(call):
     with pytest.raises(InvalidArgumentError, match="lo < hi"):
         call(make_grid(40.0, 201))
@@ -227,20 +225,7 @@ def test_mass_potential_is_monotone_and_negative_at_origin(spectrum):
         assert np.all(np.diff(g) >= 0.0), f"n={n}"
 
 
-# --- bracket scan ------------------------------------------------------------
-
-def test_scan_brackets_orders_candidates():
-    grid = make_grid(40.0, 2001)
-    found = {}
-    for candidate, (lo, hi) in scan_brackets((-5.0, 0.0), 101, grid):
-        assert lo < hi
-        found.setdefault(candidate, (lo, hi))
-    for n in range(3):
-        assert n in found, f"no bracket for n={n}"
-    # brackets for deeper states sit at more negative central values
-    assert found[0][0] >= found[1][1]
-    assert found[1][0] >= found[2][1]
-
+# --- brackets by node count --------------------------------------------------
 
 def test_find_bracket_ends_classify_differently():
     grid = make_grid(40.0, 2001)
@@ -249,11 +234,12 @@ def test_find_bracket_ends_classify_differently():
 
 
 def test_rung_two_brackets_are_frozen_and_shared():
-    # on this grid the 101-point rung skips n = 8; only the 404-point rung
-    # brackets it, while n = 7 is bracketed on the first rung
+    # on this grid the count falls from 9 to 7 across one cell of the
+    # 101-point lattice, which is then the bracket of both n = 7 and 8; a
+    # 404-point lattice once split it for n = 8
     grid = make_grid(60.0, 1201)
     frozen = {
-        8: (-1.6377171215880892, -1.6253101736972702),
+        8: (-1.65, -1.5999999999999996),
         7: (-1.65, -1.5999999999999996),
     }
     assert find_brackets([8], grid)[8] == frozen[8]
@@ -273,17 +259,34 @@ def test_default_grid_brackets_are_frozen():
     assert find_brackets(range(5), default_grid()) == frozen
 
 
+def _walk(grid, max_nodes):
+    """The reference for find_brackets: the node count of a shot at every
+    lattice point, in lattice order."""
+    return [_shoot(gamma0, grid, max_nodes, False)[0][0] for gamma0 in shooting._LATTICE]
+
+
+def _first_drop(counts, n):
+    """The first lattice cell where the walked count falls from above n to
+    at most n, or None."""
+    lattice = shooting._LATTICE
+    return next(((float(lattice[i]), float(lattice[i + 1])) for i in range(len(counts) - 1)
+                 if counts[i] > n >= counts[i + 1]), None)
+
+
 @pytest.fixture(scope="module")
-def unbounded_scan():
+def unbounded_walk():
     grid = make_grid(40.0, 2001)
-    return grid, scan_brackets((-5.0, 0.0), 101, grid)
+    return grid, _walk(grid, None)
 
 
 @pytest.mark.parametrize("max_nodes", [0, 2, 4])
-def test_node_ceiling_scan_keeps_the_unbounded_brackets(max_nodes, unbounded_scan):
-    grid, unbounded = unbounded_scan
-    expected = [(c, bracket) for c, bracket in unbounded if c <= max_nodes]
-    assert scan_brackets((-5.0, 0.0), 101, grid, max_nodes=max_nodes) == expected
+def test_node_ceiling_scan_keeps_the_unbounded_brackets(max_nodes, unbounded_walk):
+    # the shots stop at their first node past the highest requested n, and
+    # the brackets are those of the walk whose shots do not stop there
+    grid, counts = unbounded_walk
+    expected = {n: _first_drop(counts, n) for n in range(max_nodes + 1)}
+    assert find_brackets(range(max_nodes + 1), grid) == expected
+    assert find_brackets([max_nodes], grid) == {max_nodes: expected[max_nodes]}
 
 
 def test_node_ceiling_stops_on_the_unbounded_prefix():
@@ -301,82 +304,49 @@ def test_node_ceiling_stops_on_the_unbounded_prefix():
     assert np.count_nonzero(f[:k - 2] * f[1:k - 1] < 0.0) == 0
 
 
-def _walk_brackets(gamma0_range, steps, grid, max_nodes=None):
-    """The reference scan: shoot every lattice point in order and return each
-    adjacent pair whose labels differ, as scan_brackets returns them."""
-    lattice = np.linspace(*gamma0_range, steps)
-    labels = [_shoot(g0, grid, max_nodes, False)[0] for g0 in lattice]
-    out = []
-    for i in range(steps - 1):
-        if labels[i] != labels[i + 1]:
-            candidate = min(labels[i][0], labels[i + 1][0])
-            if max_nodes is None or candidate <= max_nodes:
-                out.append((candidate, (float(lattice[i]), float(lattice[i + 1]))))
-    return out
-
-
-def _scan_outcome(scan, rung, grid, max_nodes):
-    """The scan's bracket list, or the type of the error it raised."""
-    gamma0_range, steps = rung
-    try:
-        return scan(gamma0_range, steps, grid, max_nodes=max_nodes)
-    except SngError as exc:
-        return type(exc)
-
-
-def _assert_search_matches_walk(grid, rung, ceilings):
-    # the search shoots a subset of the walk's points; shoot each once
-    labels = {}
-
-    def cached(gamma0, grid, max_nodes, record, stop=None):
-        key = float(gamma0), max_nodes
-        if key not in labels:
-            try:
-                labels[key] = _shoot(gamma0, grid, max_nodes, record, stop)
-            except SngError as exc:
-                labels[key] = exc
-        if isinstance(labels[key], SngError):
-            raise labels[key]
-        return labels[key]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shooting, "_shoot", cached)
-        for max_nodes in ceilings:
-            walked = _scan_outcome(_walk_brackets, rung, grid, max_nodes)
-            searched = _scan_outcome(scan_brackets, rung, grid, max_nodes)
-            assert searched == walked, (grid, rung, max_nodes)
+def _assert_search_matches_walk(grid, ns):
+    """find_brackets against a shot at every lattice point, for each n of
+    ``ns`` alone and for all of them in one call.  A shot that stops at its
+    first node past the top n counts min(count, top + 1), so one walk with
+    no ceiling serves every request."""
+    unbounded = _walk(grid, None)
+    index = {float(x): i for i, x in enumerate(shooting._LATTICE)}
+    for request in [[n] for n in ns] + [list(ns)]:
+        counts = [min(c, max(request) + 1) for c in unbounded]
+        try:
+            found = find_brackets(request, grid)
+        except InvalidBracketError:
+            found = None
+        if all(a >= b for a, b in zip(counts, counts[1:])):
+            # refused exactly when some n has no drop: count(-5) <= n
+            expected = {n: _first_drop(counts, n) for n in request}
+            assert found == (None if None in expected.values() else expected), (grid, request)
+        elif found is not None:
+            # a rise between shots the call did not take: each cell it
+            # returns still straddles its n
+            for n, (lo, hi) in found.items():
+                i, j = index[lo], index[hi]
+                assert j == i + 1 and counts[i] > n >= counts[j], (grid, n)
 
 
 def test_search_matches_the_walk_on_the_default_grid():
-    _assert_search_matches_walk(default_grid(), shooting._SCAN_LADDER[0], range(6))
+    _assert_search_matches_walk(default_grid(), range(6))
 
 
-@pytest.mark.parametrize("rung", shooting._SCAN_LADDER)
-@pytest.mark.parametrize("rho_max, points", [(40.0, 41), (30.0, 97)])
-def test_search_matches_the_walk_on_every_rung(rho_max, points, rung):
-    _assert_search_matches_walk(make_grid(rho_max, points), rung, [*range(8), None])
-
-
-@pytest.mark.parametrize("rho_max, points", [(40.0, 41), (30.0, 97)])
-def test_search_matches_the_walk_on_the_wide_lattice(rho_max, points):
-    # scan_brackets takes any lattice, such as 808 points on (-10, 0), deeper
-    # than the ladder's rungs
-    _assert_search_matches_walk(make_grid(rho_max, points), ((-10.0, 0.0), 808),
-                                [*range(8), None])
+@pytest.mark.parametrize("rho_max, points", [(40.0, 41), (30.0, 97), (60.0, 1201)])
+def test_search_matches_the_walk_on_fixed_grids(rho_max, points):
+    _assert_search_matches_walk(make_grid(rho_max, points), range(10))
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(points=st.integers(3, 401), rho_max=st.floats(1.0, 120.0),
-       rung=st.sampled_from(shooting._SCAN_LADDER),
-       max_nodes=st.one_of(st.none(), st.integers(0, 7)))
-# a run of shots that reach rho_max unclassified holds diverging shots, and
-# two brackets, inside it: skipping every interval whose end labels agree
-# drops both
-@example(points=266, rho_max=43.8, rung=shooting._SCAN_LADDER[1], max_nodes=None)
-@example(points=306, rho_max=44.3, rung=shooting._SCAN_LADDER[1], max_nodes=6)
-@example(points=231, rho_max=43.1, rung=shooting._SCAN_LADDER[1], max_nodes=7)
-def test_search_matches_the_walk_on_fuzzed_grids(points, rho_max, rung, max_nodes):
-    _assert_search_matches_walk(make_grid(rho_max, points), rung, [max_nodes])
+@given(points=st.integers(3, 401), rho_max=st.floats(1.0, 120.0), n_max=st.integers(0, 7))
+# spacings above 1.3 where the count rises with gamma0 between lattice
+# points, from the lattice end (-5) or, on 66.7/30, from -2.85
+@example(points=57, rho_max=76.1, n_max=5)
+@example(points=61, rho_max=79.5, n_max=7)
+@example(points=30, rho_max=66.73814806172118, n_max=2)
+def test_search_matches_the_walk_on_fuzzed_grids(points, rho_max, n_max):
+    _assert_search_matches_walk(make_grid(rho_max, points), range(n_max + 1))
 
 
 def test_find_bracket_out_of_range_raises():
@@ -407,8 +377,6 @@ def test_invalid_node_count_rejected():
     for max_nodes in (-1, 1.5, True, np.nan):
         with pytest.raises(InvalidArgumentError):
             _shot(-1.0, grid, max_nodes=max_nodes)
-        with pytest.raises(InvalidArgumentError):
-            scan_brackets((-5.0, 0.0), 101, grid, max_nodes=max_nodes)
 
 
 @pytest.mark.parametrize("n, tol, refusal", [
@@ -589,9 +557,9 @@ def _rk4_steps(record, state):
 
 
 def test_solve_states_shot_counts(monkeypatch):
-    # one label-only scan rung bounded at n = 1, whose search shoots 10 of
-    # its 101 points; then per state the unaimed bisection on the 251-point
-    # coarse grid (stop 100 samples), whose root and slope aim the shots on
+    # label-only lattice shots bounded at n = 1, at 10 of the 101 points;
+    # then per state the unaimed bisection on the 251-point coarse grid
+    # (stop 100 samples), whose root and slope aim the shots on
     # 2001 points (stop 800 samples, 16 past the n-th node): 9 for n = 0
     # and 5 for n = 1, against 2 + 16 and 2 + 10 unaimed, and one recorded
     # shot to rho_m
@@ -610,7 +578,7 @@ def test_solve_states_shot_counts(monkeypatch):
 
 
 def test_default_grid_rk4_steps(monkeypatch):
-    # solve_states(range(5)) on the default grid: the scan, the aimed and
+    # solve_states(range(5)) on the default grid: the lattice, the aimed and
     # the recorded shots on 8001 points, and the coarse passes on 1001
     # points (one of whose n = 4 shots has no decaying tail at rho_m and is
     # shot again to rho_max).  Unaimed, all 91 shots were on 8001 points,
@@ -629,7 +597,7 @@ def test_default_grid_rk4_steps(monkeypatch):
 
 
 def test_default_grid_scan_shots(monkeypatch):
-    # the search shoots 18 of the first rung's 101 points
+    # the count bisection shoots 18 of the lattice's 101 points
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -785,7 +753,7 @@ def test_solve_states_matches_plain_bisection_bit_for_bit(rho_max, points, n_max
 @pytest.mark.parametrize("points", [5, 11, 41])
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])
 def test_refused_grids_refuse_as_plain_bisection(points, tol):
-    # no state on these grids is kept; where the scan finds no bracket, a
+    # no state on these grids is kept; where no lattice cell brackets n, a
     # bracket of n = 1 on the default grid lies on one side of the eigenvalue
     grid = make_grid(40.0, points)
     for n in range(3):
