@@ -31,9 +31,12 @@ integral, |psi| = |u/r|, the density and V from u, each on first use.
 ``evolve``'s observation (norm, energy, RMS width, the boundary check and
 density snapshots) and the next step's potential read the same
 evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
-The gravitational potential is the one Poisson kernel's solve of the
-density samples; a density that overflows is refused there, and a
-non-finite potential by the solve's or the observation's finiteness checks.
+A state's scale has one door: :class:`RadialState` refuses a u whose norm
+or peak density overflows a double, and a step keeps the norm, so no
+kernel guards |u|^2 again.  The gravitational potential is the one Poisson
+kernel's solve of the density samples; a finite state can still meet a
+dt V, an energy or a width that overflows, and those are refused by the
+solve's and the observation's finiteness checks.
 The gravitational equation also carries a constant -E_grav/norm term; a
 constant only rotates the global phase, so the step integrates it at the
 predictor midpoint into a phase ledger on the state instead of the matrix
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -78,6 +81,9 @@ class RadialState:
 
     ``phase`` is the accumulated global-phase ledger from constant terms
     handled analytically; the physical wavefunction is exp(i phase) u / r.
+    InvalidArgumentError for a u whose norm int 4 pi |u|^2 dr or whose
+    peak density |u/r|^2 overflows a double ("u is too large"), or whose
+    norm underflows to 0: this is the one check of a state's scale.
     """
 
     grid: RadialGrid
@@ -99,9 +105,13 @@ class RadialState:
         if not self.grid.spacing * self.grid.spacing >= np.finfo(float).tiny:
             raise InvalidArgumentError(
                 f"grid spacing {self.grid.spacing:.6g} is too fine: its square underflows a double")
-        # an infinite norm is left to evolve's observable check
-        with np.errstate(over="ignore"):
+        # the one door for a state's scale: past it |u|^2, the norm and the
+        # density are finite, so nothing downstream guards them again
+        with np.errstate(over="ignore", invalid="ignore"):
             u2_line = integrate_line(np.abs(u) ** 2, self.grid)
+            peak = float(np.max(np.abs(psi_from_u(u, self.grid))))
+        if not (4.0 * np.pi * u2_line < math.inf and peak * peak < math.inf):
+            raise InvalidArgumentError("u is too large: its norm or its density overflows a double")
         if not u2_line > 0.0:
             raise InvalidArgumentError(
                 "norm is 0 in double precision: u is zero at every node, or so "
@@ -182,17 +192,22 @@ def gaussian_state(grid: RadialGrid, sigma: float) -> RadialState:
     and the RMS radius starts at sqrt(3) sigma.  InvalidArgumentError when
     sigma^2 is not a normal double, or when the sampled packet's norm
     misses 1 by more than 1e-6: the spacing is too coarse for sigma, or the
-    domain too small; or, before sampling, when r_max^2 / 4 sigma^2
-    overflows a double."""
-    check_positive("sigma", sigma)
+    domain too small; or, before sampling, when r_max^2 / 4 sigma^2 or the
+    peak density (2 pi sigma^2)^-1.5 overflows a double."""
+    sigma = check_positive("sigma", sigma)
     if not np.finfo(float).tiny <= sigma * sigma < math.inf:
         raise InvalidArgumentError(f"sigma^2 = {sigma * sigma:.6g} is not a normal double")
+    amplitude = (2.0 * np.pi * sigma**2) ** -0.75
+    if not amplitude * amplitude < math.inf:
+        raise InvalidArgumentError(
+            f"sigma {sigma:.6g} is too small: the packet's peak density "
+            f"(2 pi sigma^2)^-1.5 overflows a double")
     if not grid.rho_max * grid.rho_max / (4.0 * sigma**2) < math.inf:
         raise InvalidArgumentError(
             f"r_max {grid.rho_max:.6g} is too far out for a Gaussian of sigma {sigma:.6g}: "
             f"r_max^2 / 4 sigma^2 overflows a double")
     r = grid.nodes
-    psi = (2.0 * np.pi * sigma**2) ** -0.75 * np.exp(-r * r / (4.0 * sigma**2))
+    psi = amplitude * np.exp(-r * r / (4.0 * sigma**2))
     state = RadialState(grid=grid, u=r * psi, time=0.0)
     norm = state_norm(state)
     if not abs(norm - 1.0) <= 1e-6:
@@ -237,30 +252,24 @@ class _Evaluation:
 
     Each field is computed on first use and kept, so the observables, the
     boundary check, a snapshot and a step's potential of the same u share
-    one |u|^2, one int |u|^2 dr, one |psi| and one potential.  The stepper
-    makes two of these per step, so they are plain slotted objects."""
-
-    __slots__ = ("grid", "u", "nl", "_u2", "_u2_line", "_psi_abs", "_density", "_v")
+    one |u|^2, one int |u|^2 dr, one |psi| and one potential.  u has passed
+    :class:`RadialState`'s scale check, or is a step of such a u, so none of
+    them overflows."""
 
     def __init__(self, grid: RadialGrid, u: np.ndarray,
                  nl: NonlinearityKind = NonlinearityKind.free()):
         self.grid = grid
         self.u = u
         self.nl = nl
-        self._u2 = self._u2_line = self._psi_abs = self._density = self._v = None
 
-    @property
+    @cached_property
     def u2(self) -> np.ndarray:
-        if self._u2 is None:
-            self._u2 = np.abs(self.u) ** 2
-        return self._u2
+        return np.abs(self.u) ** 2
 
-    @property
+    @cached_property
     def u2_line(self) -> float:
         """int |u|^2 dr."""
-        if self._u2_line is None:
-            self._u2_line = integrate_line(self.u2, self.grid)
-        return self._u2_line
+        return integrate_line(self.u2, self.grid)
 
     @property
     def norm(self) -> float:
@@ -271,33 +280,21 @@ class _Evaluation:
         r = self.grid.nodes
         return float(np.sqrt(integrate_line(r * r * self.u2, self.grid) / self.u2_line))
 
-    @property
+    @cached_property
     def psi_abs(self) -> np.ndarray:
         """|psi| with psi = u/r."""
-        if self._psi_abs is None:
-            self._psi_abs = np.abs(psi_from_u(self.u, self.grid))
-        return self._psi_abs
+        return np.abs(psi_from_u(self.u, self.grid))
 
-    @property
+    @cached_property
     def density(self) -> np.ndarray:
-        if self._density is None:
-            self._density = self.psi_abs ** 2
-        return self._density
+        return self.psi_abs ** 2
 
-    @property
+    @cached_property
     def v(self) -> np.ndarray:
         """Potential samples V(r); zero when free."""
-        if self._v is None:
-            if self.nl.kind == "gravity":
-                with np.errstate(over="ignore"):  # refused by name below, not warned of
-                    density, norm = self.density, self.norm
-                if not math.isfinite(norm):
-                    raise InvalidArgumentError(
-                        "u is too large for a gravity step: its norm overflows a double")
-                self._v = solve_radial_poisson(density, self.grid, 4.0 * np.pi / norm)
-            else:  # free has kappa = 0
-                self._v = self.nl.sign * self.nl.kappa * self.density
-        return self._v
+        if self.nl.kind == "gravity":
+            return solve_radial_poisson(self.density, self.grid, 4.0 * np.pi / self.norm)
+        return self.nl.sign * self.nl.kappa * self.density  # free has kappa = 0
 
     @property
     def interaction(self) -> float:
@@ -402,11 +399,7 @@ class _SineModes:
         self._product = np.empty(n, dtype=np.complex128)
         self._ext = np.zeros(2 * n + 2, dtype=np.complex128)
         self._spec = np.empty_like(self._ext)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.modes = -0.5 / (n + 1) * (self._transform(u[1:-1]) + edge * u[-1])
-        # the modes depend on dt only through bounded phases: only u can overflow them
-        if not np.isfinite(self.modes).all():
-            raise InvalidArgumentError("u is too large for a free step: its sine modes overflow")
+        self.modes = -0.5 / (n + 1) * (self._transform(u[1:-1]) + edge * u[-1])
 
     def _transform(self, x: np.ndarray) -> np.ndarray:
         """Rows 1..N of the fft of x's odd extension: -2i times its DST-I."""

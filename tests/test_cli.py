@@ -900,6 +900,26 @@ def test_overflowing_crank_nicolson_system_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", [["--free"], ["--cubic", "--kappa", "1"], ["--gravity"]],
+                         ids=["free", "cubic", "gravity"])
+def test_packet_whose_peak_density_overflows_is_exit_2_naming_sigma(kind, tmp_path, capsys):
+    # sigma 1e-151 is a normal sigma^2 whose packet peaks at (2 pi sigma^2)^-1.5
+    # = 2e452: a free run was refused as a bare non-finite field, a cubic one
+    # as "energy is nan" after two numpy warnings, and a gravity one as a
+    # non-finite Poisson source; each is now refused before sampling
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["evolve", *kind, "--natural", "--gaussian-sigma", "1e-151",
+                     "--r-max", "1e-150", "--points", "201", "--steps", "3",
+                     "--snapshot-every", "1", "--out-csv", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma 1e-151 is too small"), err
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
 def test_unknown_check_suite_is_exit_2(capsys, monkeypatch):
     assert main(["check", "--suites", "nonsense"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -190,6 +190,9 @@ CASES = [
     # f* whose square is subnormal off the origin: gamma1 is subnormal, and
     # 3/gamma1 overflowed into an infinite epsilon_star
     ("gamma1", lambda: _solution(f=[(i, 10.0 ** -(160 + i)) for i in range(1, 11)])),
+    # a normal sigma^2 whose packet's peak density (2 pi sigma^2)^-1.5
+    # overflows: the packet was sampled, and its norm of 1 let it through
+    ("sigma", _quiet(lambda: gaussian_state(make_grid(1e-150, 201), 1e-151))),
 ]
 
 
