@@ -34,11 +34,9 @@ from .grids import (
 )
 from .physical import (
     EnergyBreakdown,
-    PhysicalParams,
     PhysicalProfile,
     UnitScales,
     energy_breakdown,
-    gravitational_bohr_radius,
     half_max_radius,
     rescale_to_physical,
     rms_radius,
@@ -76,11 +74,9 @@ __all__ = [
     "shoot_gamma0",
     "solve_states",
     # physical
-    "PhysicalParams",
     "PhysicalProfile",
     "UnitScales",
     "EnergyBreakdown",
-    "gravitational_bohr_radius",
     "rescale_to_physical",
     "half_max_radius",
     "rms_radius",

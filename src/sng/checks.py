@@ -37,23 +37,19 @@ __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One row of a check table: a measured number against its bound."""
+    """One row of a check table: a measured number against its bound, and
+    against a lower bound when one is set; a NaN passes neither."""
 
     suite: str
     name: str
-    passed: bool
     measured: float
     bound: float
-    detail: str = ""
+    lower: float | None = None
 
-
-def _row(suite: str, name: str, measured: float, bound: float,
-         detail: str = "", lower: float | None = None) -> CheckResult:
-    """measured ≤ bound, optionally also measured ≥ lower."""
-    ok = measured <= bound
-    if lower is not None:
-        ok = ok and measured >= lower
-    return CheckResult(suite, name, bool(ok), float(measured), float(bound), detail)
+    @property
+    def passed(self) -> bool:
+        return bool(self.measured <= self.bound
+                    and (self.lower is None or self.lower <= self.measured))
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +84,11 @@ def _virial_residual(n: int, points: int) -> float:
     return abs(2.0 * eb.e_kinetic / abs(eb.e_gravity) - 1.0)
 
 def _suite_virial() -> list[CheckResult]:
-    rows = [
-        _row("virial", f"residual_n{n}", _virial_residual(n, 8001), 1e-3,
-             "|2 E_kin/|E_grav| - 1|")
-        for n in range(3)
-    ]
+    rows = [CheckResult("virial", f"residual_n{n}", _virial_residual(n, 8001), 1e-3)
+            for n in range(3)]
+    # coarse/fine under 2x spacing refinement: second order gives 4
     ratio = _virial_residual(0, 4001) / _virial_residual(0, 8001)
-    rows.append(_row("virial", "refinement_order", ratio, 6.0,
-                     "coarse/fine residual under 2x spacing refinement; "
-                     "second order gives 4", lower=2.5))
+    rows.append(CheckResult("virial", "refinement_order", ratio, 6.0, lower=2.5))
     return rows
 
 
@@ -123,8 +115,7 @@ def _suite_homogeneity() -> list[CheckResult]:
         for lam in (0.1, 2.5, 10.0):
             scaled = scheme_energy(replace(state, u=lam * state.u), gravity)
             worst = max(worst, abs(scaled - lam * lam * base) / abs(base))
-        rows.append(_row("homogeneity", f"degree2_{label}", worst, 1e-12,
-                         "max over scale factors {0.1, 2.5, 10}"))
+        rows.append(CheckResult("homogeneity", f"degree2_{label}", worst, 1e-12))
     return rows
 
 
@@ -155,10 +146,8 @@ def _suite_poisson() -> list[CheckResult]:
         -(4.0 / 3.0) * np.pi * a**3 * rho0 / np.maximum(r, grid.spacing),
     )
     rel = np.abs(phi - exact) / np.abs(exact)
-    rows.append(_row("poisson", "uniform_ball_interior", float(rel[inside].max()),
-                     1e-4, "pointwise relative vs closed form"))
-    rows.append(_row("poisson", "uniform_ball_tail", float(rel[~inside].max()),
-                     1e-4, "pointwise relative vs -G M/r beyond the support"))
+    rows.append(CheckResult("poisson", "uniform_ball_interior", float(rel[inside].max()), 1e-4))
+    rows.append(CheckResult("poisson", "uniform_ball_tail", float(rel[~inside].max()), 1e-4))
 
     d1 = np.exp(-0.5 * r * r)
     d2 = r * r * np.exp(-((r - 3.0) ** 2) / 1.7)
@@ -167,14 +156,11 @@ def _suite_poisson() -> list[CheckResult]:
     phi_g = solve_radial_poisson(d1, grid, coupling)
     lin = phi_combo - 2.5 * phi_g + 1.25 * solve_radial_poisson(d2, grid, coupling)
     scale = np.abs(phi_combo).max()
-    rows.append(_row("poisson", "linearity", float(np.abs(lin).max() / scale),
-                     1e-12, "superposition of two smooth sources"))
+    rows.append(CheckResult("poisson", "linearity", float(np.abs(lin).max() / scale), 1e-12))
 
     resid = radial_laplacian(phi_g, grid) - coupling * d1
-    rows.append(_row("poisson", "laplacian_residual",
-                     float(np.abs(resid[:-1]).max()),
-                     _LAPLACIAN_C * grid.spacing**2,
-                     "discrete lap(Phi) vs source, frozen C*spacing^2"))
+    rows.append(CheckResult("poisson", "laplacian_residual", float(np.abs(resid[:-1]).max()),
+                            _LAPLACIAN_C * grid.spacing**2))
     return rows
 
 
@@ -190,12 +176,8 @@ def _oracle_rows(n: int, tol: float) -> list[CheckResult]:
     dens_shoot = profile.f_ag.values**2
     dens_scf = scf.f.values**2
     dens_rel = float(np.abs(dens_shoot - dens_scf).max() / dens_scf[0])
-    return [
-        _row("oracle", f"gamma0_n{n}", gamma_rel, tol,
-             "shooting vs self-consistent-field fixed point"),
-        _row("oracle", f"density_n{n}", dens_rel, tol,
-             "sup |rho_shoot - rho_scf| / rho_scf(0), matched grids"),
-    ]
+    return [CheckResult("oracle", f"gamma0_n{n}", gamma_rel, tol),
+            CheckResult("oracle", f"density_n{n}", dens_rel, tol)]
 
 def _suite_oracle() -> list[CheckResult]:
     return _oracle_rows(0, 1e-4) + _oracle_rows(1, 1e-3)
@@ -211,12 +193,8 @@ def _drift_rows(label: str, series, norm_bound: float = 1e-8,
     e_drift = float(
         np.abs(series.energies - series.energies[0]).max() / abs(series.energies[0])
     )
-    return [
-        _row("evolution", f"norm_drift_{label}", norm_drift, norm_bound,
-             "max relative drift over the run"),
-        _row("evolution", f"energy_drift_{label}", e_drift, energy_bound,
-             "max relative drift over the run"),
-    ]
+    return [CheckResult("evolution", f"norm_drift_{label}", norm_drift, norm_bound),
+            CheckResult("evolution", f"energy_drift_{label}", e_drift, energy_bound)]
 
 def _free_dispersion_series(points: int = 2001, dt: float = 0.01):
     sigma = 1.0
@@ -240,8 +218,7 @@ def _suite_evolution() -> list[CheckResult]:
         1.0 + (free_series.times / (2.0 * sigma**2)) ** 2
     )
     width_err = float(np.abs(free_series.widths / w_exact - 1.0).max())
-    rows.append(_row("evolution", "free_width_law", width_err, 1e-3,
-                     "RMS width vs closed-form dispersion, 5 dispersion times"))
+    rows.append(CheckResult("evolution", "free_width_law", width_err, 1e-3))
 
     packet = gaussian_state(make_grid(60.0, 2001), sigma=1.0)
     for sign, tag in ((1, "cubic_repulsive"), (-1, "cubic_attractive")):
@@ -255,8 +232,7 @@ def _suite_evolution() -> list[CheckResult]:
     worst = 0.0
     for _, snap in grav_series.snapshots:
         worst = max(worst, float(np.abs(snap.values - dens0).max() / dens0.max()))
-    rows.append(_row("evolution", "stationary_density", worst, 1e-3,
-                     "L-inf density wander of the n=0 state over one period"))
+    rows.append(CheckResult("evolution", "stationary_density", worst, 1e-3))
     return rows
 
 
@@ -280,17 +256,14 @@ def _suite_continuity() -> list[CheckResult]:
     profile = _natural_profile(0, 40.0, 4001)
     st0 = state_from_profile(profile)
     st1 = step(st0, 0.1, NonlinearityKind.gravity())
-    rows.append(_row("continuity", "stationary_residual",
-                     continuity_residual(st0, st1), 1e-6,
-                     "real stationary profile, one step"))
+    rows.append(CheckResult("continuity", "stationary_residual",
+                            continuity_residual(st0, st1), 1e-6))
 
     coarse = continuity_residual(*_gaussian_pair(2001, 0.01, 10))
     fine = continuity_residual(*_gaussian_pair(4001, 0.005, 20))
-    rows.append(_row("continuity", "dispersing_residual", coarse,
-                     _CONTINUITY_COARSE, "dispersing Gaussian, frozen bound"))
-    rows.append(_row("continuity", "refinement_order", coarse / fine, 6.5,
-                     "2x refinement in spacing and dt; second order gives 4",
-                     lower=2.5))
+    rows.append(CheckResult("continuity", "dispersing_residual", coarse, _CONTINUITY_COARSE))
+    # 2x refinement in spacing and dt: second order gives 4
+    rows.append(CheckResult("continuity", "refinement_order", coarse / fine, 6.5, lower=2.5))
     return rows
 
 

@@ -42,7 +42,6 @@ from .errors import (
 from .evolution import NonlinearityKind, evolve, gaussian_state, state_from_profile
 from .grids import RadialField, make_grid
 from .physical import (
-    PhysicalParams,
     UnitScales,
     energy_breakdown,
     half_max_radius,
@@ -142,7 +141,7 @@ def _units_from_flags(args, required: bool) -> UnitScales:
     if physical and (args.mass_kg is None or args.n_particles is None):
         raise InvalidArgumentError("--mass-kg and --n-particles go together")
     if physical:
-        return UnitScales.of(PhysicalParams(mass=args.mass_kg, n_particles=args.n_particles))
+        return UnitScales.of(args.mass_kg, args.n_particles)
     if args.natural or not required:
         return UnitScales(1.0, 1.0, 1.0, 1.0)
     raise InvalidArgumentError("pick units: --natural, or --mass-kg with --n-particles")

@@ -34,9 +34,9 @@ evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
 A state's scale has one door: :class:`RadialState` refuses a u whose norm
 or peak density overflows a double, and a step keeps the norm, so no
 kernel guards |u|^2 again.  The gravitational potential is the one Poisson
-kernel's solve of the density samples; a finite state can still meet a
-dt V, an energy or a width that overflows, and those are refused by the
-solve's and the observation's finiteness checks.
+kernel's solve of the density samples.  A finite state can still meet an
+overflowing kappa |psi|^2 (refused naming kappa), dt V, energy or width
+(refused by the solve's and the observation's finiteness checks).
 The gravitational equation also carries a constant -E_grav/norm term; a
 constant only rotates the global phase, so the step integrates it at the
 predictor midpoint into a phase ledger on the state instead of the matrix
@@ -83,7 +83,8 @@ class RadialState:
     handled analytically; the physical wavefunction is exp(i phase) u / r.
     InvalidArgumentError for a u whose norm int 4 pi |u|^2 dr or whose
     peak density |u/r|^2 overflows a double ("u is too large"), or whose
-    norm underflows to 0: this is the one check of a state's scale.
+    norm underflows to 0: this is the one check of a state's scale.  Also
+    for a grid whose spacing^2 underflows or whose r_max^2 overflows.
     """
 
     grid: RadialGrid
@@ -105,6 +106,10 @@ class RadialState:
         if not self.grid.spacing * self.grid.spacing >= np.finfo(float).tiny:
             raise InvalidArgumentError(
                 f"grid spacing {self.grid.spacing:.6g} is too fine: its square underflows a double")
+        # psi's origin limit and the RMS width square r
+        if not self.grid.rho_max * self.grid.rho_max < math.inf:
+            raise InvalidArgumentError(
+                f"r_max {self.grid.rho_max:.6g} is too far out: its square overflows a double")
         # the one door for a state's scale: past it |u|^2, the norm and the
         # density are finite, so nothing downstream guards them again
         with np.errstate(over="ignore", invalid="ignore"):
@@ -294,6 +299,10 @@ class _Evaluation:
         """Potential samples V(r); zero when free."""
         if self.nl.kind == "gravity":
             return solve_radial_poisson(self.density, self.grid, 4.0 * np.pi / self.norm)
+        # rounding is monotone: kappa times the peak bounds every product
+        if not self.nl.kappa * float(np.max(self.density)) < math.inf:
+            raise InvalidArgumentError(f"kappa = {self.nl.kappa!r} is too large for this state: "
+                                       "kappa times its peak density overflows a double")
         return self.nl.sign * self.nl.kappa * self.density  # free has kappa = 0
 
     @property

@@ -16,8 +16,8 @@ construction).  Energies are per particle throughout:
 E_kin = (1/2) int 4 pi x^2 (df/dx)^2 dx, E_grav = (1/2) int 4 pi x^2 f^2 m Phi dx
 (the 1/2 avoids double counting), and eps = (3/2) E_grav with
 single-particle eigenvalue E = eps/3.  Every function here returns a_g
-units; :class:`UnitScales` holds the SI size of each unit for one (m, N),
-and only the CLI multiplies by it.
+units; ``UnitScales.of(m, N)`` holds the SI size of each unit for one
+(m, N), a_g being its ``length``, and only the CLI multiplies by it.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ __all__ = [
     "HBAR",
     "NEWTON_G",
     "NUCLEON_MASS",
-    "PhysicalParams",
     "UnitScales",
     "PhysicalProfile",
     "EnergyBreakdown",
-    "gravitational_bohr_radius",
     "rescale_to_physical",
     "energy_breakdown",
     "half_max_radius",
@@ -54,33 +52,14 @@ NUCLEON_MASS = 1.67262192369e-27  # kg
 
 
 @dataclass(frozen=True)
-class PhysicalParams:
-    """Particle mass in kg and particle number."""
-
-    mass: float
-    n_particles: float
-
-    def __post_init__(self):
-        for name in ("mass", "n_particles"):
-            check_normal(name, getattr(self, name))
-
-
-def gravitational_bohr_radius(params: PhysicalParams) -> float:
-    """a_g = hbar^2 / (G N m^3), the natural length of the rescaling;
-    InvalidArgumentError if G N m^3 or a_g is not a finite normal double."""
-    m = params.mass  # m * m * m overflows to inf where m**3 raises
-    gnm3 = check_normal("G N m^3", NEWTON_G * params.n_particles * (m * m * m))
-    return check_normal("a_g", HBAR**2 / gnm3)
-
-
-@dataclass(frozen=True)
 class UnitScales:
     """SI size of the units the library computes in, for one (m, N): length
-    a_g, energy hbar^2/(m a_g^2), time m a_g^2/hbar and potential Phi = V/m,
-    each from a_g rather than powers such as G^2 N^2 m^5 (subnormal at
-    m = 1e-60 kg).  Natural units (hbar = G = m = N = 1) are
-    ``UnitScales(1.0, 1.0, 1.0, 1.0)``.  The properties are checked when
-    read: a_g^-3 underflows at 1e-60 kg."""
+    a_g = hbar^2/(G N m^3), energy hbar^2/(m a_g^2), time m a_g^2/hbar and
+    potential Phi = V/m, each from a_g rather than powers such as
+    G^2 N^2 m^5 (subnormal at m = 1e-60 kg).  ``UnitScales.of(m, N)`` is
+    the one way to name a particle mass and count; natural units
+    (hbar = G = m = N = 1) are ``UnitScales(1.0, 1.0, 1.0, 1.0)``.  The
+    properties are checked when read: a_g^-3 underflows at 1e-60 kg."""
 
     length: float
     energy: float
@@ -88,10 +67,14 @@ class UnitScales:
     potential: float
 
     @classmethod
-    def of(cls, params: PhysicalParams) -> "UnitScales":
-        """Raises InvalidArgumentError naming a unit that is not a finite normal double."""
-        m = float(params.mass)
-        a_g = float(gravitational_bohr_radius(params))
+    def of(cls, mass: float, n_particles: float) -> "UnitScales":
+        """The units of ``n_particles`` particles of ``mass`` kg; InvalidArgumentError
+        naming an input, G N m^3 or a unit that is not a finite normal double."""
+        m = float(check_normal("mass", mass))
+        check_normal("n_particles", n_particles)
+        # m * m * m overflows to inf where m**3 raises
+        gnm3 = check_normal("G N m^3", NEWTON_G * n_particles * (m * m * m))
+        a_g = float(check_normal("a_g", HBAR**2 / gnm3))
         energy = check_normal("energy unit hbar^2/(m a_g^2)", HBAR * HBAR / m / a_g / a_g)
         return cls(a_g, energy, check_normal("time unit m a_g^2/hbar", HBAR / energy),
                    check_normal("potential unit hbar^2/(m a_g)^2", energy / m))

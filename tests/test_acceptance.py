@@ -20,10 +20,8 @@ from sng.physical import (
     HBAR,
     NEWTON_G,
     NUCLEON_MASS,
-    PhysicalParams,
     UnitScales,
     energy_breakdown,
-    gravitational_bohr_radius,
     half_max_radius,
     rescale_to_physical,
 )
@@ -150,12 +148,12 @@ def test_criterion_05_homogeneity(criterion):
 def test_criterion_06_physical_scales(criterion, ground_state):
     title = "nucleon scales: half-max size ~ 10 Bohr radii ~ 1e23 m (N=1), ~ 1 m (N=1e23)"
     with criterion(6, title) as c:
-        single = PhysicalParams(mass=NUCLEON_MASS, n_particles=1.0)
-        a_g = gravitational_bohr_radius(single)
-        c.require(abs(a_g / (HBAR**2 / (NEWTON_G * single.mass**3)) - 1) < 1e-12,
+        single = UnitScales.of(NUCLEON_MASS, 1.0)
+        a_g = single.length
+        c.require(abs(a_g / (HBAR**2 / (NEWTON_G * NUCLEON_MASS**3)) - 1) < 1e-12,
                   "Bohr-radius arithmetic broken")
         r_half_ag = half_max_radius(rescale_to_physical(ground_state))
-        r_half = r_half_ag * UnitScales.of(single).length
+        r_half = r_half_ag * single.length
         ratio_10ag = 10.0 * a_g / r_half
         c.require(1.0 / 3.0 <= ratio_10ag <= 3.0,
                   f"10 a_g vs half-max radius off by {ratio_10ag:.2f}x")
@@ -163,8 +161,7 @@ def test_criterion_06_physical_scales(criterion, ground_state):
         c.require(1.0 / 3.0 <= ratio_23 <= 3.0,
                   f"half-max radius {r_half:.3e} m vs 1e23 m off by {ratio_23:.2f}x")
 
-        condensate = PhysicalParams(mass=NUCLEON_MASS, n_particles=1e23)
-        r_half_23 = r_half_ag * UnitScales.of(condensate).length
+        r_half_23 = r_half_ag * UnitScales.of(NUCLEON_MASS, 1e23).length
         c.require(0.3 <= r_half_23 <= 10.0,
                   f"N=1e23 localization {r_half_23:.3f} m outside [0.3, 10] m")
         c.note(f"a_g {a_g:.3e} m, half-max {r_half:.3e} m (N=1), "

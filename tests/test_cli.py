@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 import sng.checks
 import sng.cli
+from sng.checks import CheckResult
 from sng.cli import main
-from sng.physical import PhysicalParams, UnitScales
+from sng.physical import UnitScales
 
 # one float field in the fixed CSV format: 17 significant digits, e-notation
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -843,7 +844,7 @@ def test_oversized_step_suggests_dt_in_seconds(mass, n, tmp_path, capsys):
     # the rejected run above at physical units (time unit ~2e6 s and ~3e-97 s):
     # the rejected dt and each suggestion are in seconds, like --dt, and
     # following them retraces the natural-unit run up to an accepted step
-    units = UnitScales.of(PhysicalParams(mass=float(mass), n_particles=float(n)))
+    units = UnitScales.of(float(mass), float(n))
     common = ["evolve", "--gravity", "--points", "1001", "--steps", "3",
               "--out-csv", str(tmp_path / "x.csv")]
     # a rejected run can spread the packet to the outer boundary before the
@@ -977,3 +978,16 @@ def test_check_single_suite_reports_rows(capsys):
     assert len(lines) == 3
     assert all(l.startswith("PASS") for l in lines)
     assert "3/3 checks passed" in out
+
+
+@pytest.mark.parametrize("measured, passed", [
+    (0.5, False),         # below the lower bound
+    (2.5, True),          # between the bounds
+    (4.0, True),          # on the bound
+    (4.5, False),         # above the bound
+    (math.nan, False),
+])
+def test_check_row_passes_only_between_its_bounds(measured, passed):
+    assert CheckResult("s", "row", measured, 4.0, lower=1.0).passed is passed
+    # with no lower bound, only the upper one judges
+    assert CheckResult("s", "row", measured, 4.0).passed is (measured <= 4.0)

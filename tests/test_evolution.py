@@ -76,6 +76,20 @@ def test_evolve_refuses_non_finite_observables():
             evolve(heavy, t_final=0.03, dt=0.01, nl=NonlinearityKind.cubic(1e306, sign))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("run", [lambda state, nl: step(state, 0.1, nl),
+                                 lambda state, nl: evolve(state, 0.3, 0.1, nl)],
+                         ids=["step", "evolve"])
+def test_a_cubic_potential_that_overflows_is_refused_naming_kappa(run, sign):
+    # a 100-scaled unit Gaussian (norm 1e4) passes the door, but kappa =
+    # 1e306 times its peak density overflows: numpy warned, then a step
+    # blamed dt and an evolve reported "energy is nan" (warnings are errors)
+    packet = gaussian_state(make_grid(40.0, 201), sigma=1.0)
+    heavy = RadialState(packet.grid, 100.0 * packet.u, 0.0)
+    with pytest.raises(InvalidArgumentError, match=r"^kappa = 1e\+306 is too large"):
+        run(heavy, NonlinearityKind.cubic(1e306, sign))
+
+
 def test_state_rejects_nonzero_origin_and_bad_shapes():
     grid = make_grid(10.0, 101)
     u = np.ones(101, dtype=complex)

@@ -8,6 +8,7 @@ kinetic anchors are closed forms, independent of any solver here.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -27,13 +28,11 @@ from sng.physical import (
     NEWTON_G,
     NUCLEON_MASS,
     EnergyBreakdown,
-    PhysicalParams,
     PhysicalProfile,
     UnitScales,
     _kinetic_energy,
     _self_energy_raw,
     energy_breakdown,
-    gravitational_bohr_radius,
     half_max_radius,
     rescale_to_physical,
     rms_radius,
@@ -58,20 +57,19 @@ def test_natural_units_are_all_ones():
     units = UnitScales(1.0, 1.0, 1.0, 1.0)
     assert (units.amplitude, units.density, units.coupling) == (1.0, 1.0, 1.0)
     # hbar and G are constants, not parameters
-    assert [f.name for f in fields(PhysicalParams)] == ["mass", "n_particles"]
+    assert list(inspect.signature(UnitScales.of).parameters) == ["mass", "n_particles"]
 
 
 def test_params_reject_nonpositive_values():
     with pytest.raises(InvalidArgumentError):
-        PhysicalParams(mass=-1.0, n_particles=1.0)
+        UnitScales.of(mass=-1.0, n_particles=1.0)
     with pytest.raises(InvalidArgumentError):
-        PhysicalParams(mass=1.0, n_particles=0.0)
+        UnitScales.of(mass=1.0, n_particles=0.0)
 
 
 def test_bohr_radius_scales_as_inverse_cube_of_mass():
-    p1 = PhysicalParams(mass=NUCLEON_MASS, n_particles=1.0)
-    p2 = PhysicalParams(mass=2.0 * NUCLEON_MASS, n_particles=1.0)
-    ratio = gravitational_bohr_radius(p1) / gravitational_bohr_radius(p2)
+    a_g = lambda mass: UnitScales.of(mass, 1.0).length  # noqa: E731
+    ratio = a_g(NUCLEON_MASS) / a_g(2.0 * NUCLEON_MASS)
     assert ratio == pytest.approx(8.0, rel=1e-12)
 
 
@@ -180,9 +178,8 @@ def test_eigenvalue_routes_agree(natural_ground_profile):
 # --- physical-unit scaling ---------------------------------------------------
 
 def test_rescaled_lengths_scale_with_bohr_radius(ground_state):
-    single = PhysicalParams(mass=NUCLEON_MASS, n_particles=1.0)
-    a_g = gravitational_bohr_radius(single)
-    length = UnitScales.of(single).length
+    a_g = HBAR**2 / (NEWTON_G * NUCLEON_MASS**3)
+    length = UnitScales.of(NUCLEON_MASS, 1.0).length
     prof = rescale_to_physical(ground_state)
     assert half_max_radius(prof) * length / a_g == pytest.approx(
         FROZEN["half_max_radius"], rel=1e-4)
@@ -191,11 +188,11 @@ def test_rescaled_lengths_scale_with_bohr_radius(ground_state):
 
 def test_rescaled_energy_scales_with_n_squared_m_to_fifth(ground_state):
     # epsilon proportional to G^2 N^2 m^5: check both exponents by ratio
-    base = PhysicalParams(mass=NUCLEON_MASS, n_particles=1.0)
-    heavier = PhysicalParams(mass=2.0 * NUCLEON_MASS, n_particles=1.0)
-    more = PhysicalParams(mass=NUCLEON_MASS, n_particles=3.0)
+    base = (NUCLEON_MASS, 1.0)
+    heavier = (2.0 * NUCLEON_MASS, 1.0)
+    more = (NUCLEON_MASS, 3.0)
     epsilon_ag = rescale_to_physical(ground_state).epsilon_ag
-    eps = lambda p: epsilon_ag * UnitScales.of(p).energy  # noqa: E731
+    eps = lambda p: epsilon_ag * UnitScales.of(*p).energy  # noqa: E731
     assert eps(heavier) / eps(base) == pytest.approx(32.0, rel=1e-9)
     assert eps(more) / eps(base) == pytest.approx(9.0, rel=1e-9)
 

@@ -193,6 +193,10 @@ CASES = [
     # a normal sigma^2 whose packet's peak density (2 pi sigma^2)^-1.5
     # overflows: the packet was sampled, and its norm of 1 let it through
     ("sigma", _quiet(lambda: gaussian_state(make_grid(1e-150, 201), 1e-151))),
+    # a grid whose r^2 overflows: psi's origin limit squares r[2], so a state
+    # of tiny norm and density was refused as "u is too large"
+    ("r_max", _quiet(lambda: RadialState(make_grid(1e200, 201),
+                                         np.r_[0.0, np.full(199, 1e-150), 0.0], 0.0))),
 ]
 
 

@@ -20,10 +20,8 @@ from sng.grids import make_grid
 from sng.physical import (
     HBAR,
     NUCLEON_MASS,
-    PhysicalParams,
     UnitScales,
     energy_breakdown,
-    gravitational_bohr_radius,
     half_max_radius,
     rescale_to_physical,
 )
@@ -65,16 +63,16 @@ def _virial_residual(e_kinetic, e_gravity):
 def test_scaled_energy_and_radius_do_not_depend_on_mass_or_number(
         coarse_ground, natural_reference, log_m, log_n):
     # the SI values are the a_g values times the UnitScales factors
-    params = PhysicalParams(mass=10.0**log_m, n_particles=10.0**log_n)
-    units = UnitScales.of(params)
+    mass = 10.0**log_m
+    units = UnitScales.of(mass, 10.0**log_n)
     profile = rescale_to_physical(coarse_ground)
     eb = energy_breakdown(profile)
     e_single, e_kinetic, e_gravity = (e * units.energy
                                       for e in (eb.e_single, eb.e_kinetic, eb.e_gravity))
-    a_g = gravitational_bohr_radius(params)
+    a_g = units.length
     natural_eb, natural_half_max = natural_reference
     # e_single m a_g^2 / hbar^2, grouped so no intermediate leaves the normal range
-    scaled = e_single * (params.mass * a_g * a_g / (HBAR * HBAR))
+    scaled = e_single * (mass * a_g * a_g / (HBAR * HBAR))
     assert scaled == pytest.approx(natural_eb.e_single, rel=1e-12, abs=0.0)
     assert half_max_radius(profile) * units.length / a_g == pytest.approx(
         natural_half_max, rel=1e-12, abs=0.0)
