@@ -6,7 +6,6 @@ from .errors import (
     ConvergenceError,
     InvalidArgumentError,
     InvalidBracketError,
-    InvalidFieldError,
     SngError,
     StepRejectedError,
     WrongStateError,
@@ -56,7 +55,6 @@ __all__ = [
     # errors
     "SngError",
     "InvalidArgumentError",
-    "InvalidFieldError",
     "InvalidBracketError",
     "WrongStateError",
     "ConvergenceError",

@@ -6,9 +6,12 @@ Five subcommands: ``solve`` (one universal bound state), ``spectrum``
 suites).  Data goes to JSON summaries and CSV tables; identical flags
 produce byte-identical files, so no timestamps appear anywhere.
 
-Exit codes: 0 success; 1 check-suite failure; 2 invalid flags or input
-schema; 3 no eigenvalue bracket found; 4 convergence failure; 5 evolution
-step rejected (a suggested smaller dt is printed).
+Exit codes: 0 success; 1 check-suite failure; otherwise the ``exit_code``
+of the error's type (:mod:`sng.errors`): 2 invalid flags or input
+(InvalidArgumentError), 3 no eigenvalue bracket found
+(InvalidBracketError), 4 convergence failure (ConvergenceError,
+WrongStateError), 5 evolution step rejected (StepRejectedError; a
+suggested smaller dt is printed).
 
 The library computes and reports in units of the gravitational Bohr
 radius a_g only; this module is the one place SI enters.  SI flags are
@@ -30,10 +33,7 @@ import numpy as np
 from . import __version__
 from .checks import SUITES, run_suites
 from .errors import (
-    ConvergenceError,
     InvalidArgumentError,
-    InvalidBracketError,
-    InvalidFieldError,
     SngError,
     StepRejectedError,
     WrongStateError,
@@ -222,7 +222,8 @@ def _load_solution(json_path: str) -> UniversalSolution:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    [sol] = solve_states([args.n], make_grid(args.rho_max, args.points), tol=args.tol)
+    [sol] = solve_states([check_count("--n", args.n, 0)], make_grid(args.rho_max, args.points),
+                         tol=args.tol)
     summary = _solution_summary(sol)
     csv_path = args.out_csv
     if csv_path is None and args.out_json is not None:
@@ -236,8 +237,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    solutions = solve_states(range(args.n_max + 1), make_grid(args.rho_max, args.points),
-                             tol=args.tol)
+    solutions = solve_states(range(check_count("--n-max", args.n_max, 0) + 1),
+                             make_grid(args.rho_max, args.points), tol=args.tol)
     gammas = [s.gamma0 for s in solutions]
     if not all(a > b for a, b in zip(gammas, gammas[1:])):
         raise WrongStateError(f"gamma0 sequence is not strictly decreasing: {gammas}")
@@ -279,6 +280,7 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    check_count("--steps", args.steps, 1)
     if (args.gaussian_sigma is None) == (args.from_json is None):
         raise InvalidArgumentError("pick an initial state: --gaussian-sigma or --from")
     if args.cubic and args.kappa is None:
@@ -324,10 +326,9 @@ def _cmd_evolve(args) -> int:
         series = evolve(state, t_final=state.time + args.steps * dt, dt=dt, nl=nl,
                         observe_every=args.observe_every,
                         snapshot_every=args.snapshot_every)
-    except StepRejectedError as exc:
-        # the stepper reports dt in m a_g^2/hbar; report it in seconds, like --dt
-        message = str(exc).replace(f"dt={dt:.3e}", f"dt={dt * units.time:.3e}")
-        raise StepRejectedError(message, _si("suggested dt", exc.suggested_dt, units.time)) from exc
+    except StepRejectedError as exc:  # the stepper's dt is in m a_g^2/hbar; --dt's in seconds
+        raise StepRejectedError(exc.change, exc.dt * units.time,
+                                _si("suggested dt", exc.suggested_dt, units.time)) from exc
     columns = [_si("t", series.times, units.time), series.norms,
                _si("energy", series.energies, units.energy),
                _si("rms_width", series.widths, units.length)]
@@ -435,22 +436,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidArgumentError, InvalidFieldError) as exc:
+    except SngError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except InvalidBracketError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (ConvergenceError, WrongStateError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except StepRejectedError as exc:
-        sys.stderr.write(f"error: {exc}\n"
-                         f"suggested dt: {exc.suggested_dt:.6e}\n")
-        return 5
-    except SngError as exc:  # pragma: no cover - safety net
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        if isinstance(exc, StepRejectedError):
+            sys.stderr.write(f"suggested dt: {exc.suggested_dt:.6e}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the argument checks
-that raise them."""
+"""Exception types shared across the package, each carrying the CLI's
+exit code for it as ``exit_code``, and the argument checks that raise them."""
 
 import math
 import sys
@@ -7,7 +7,6 @@ import sys
 __all__ = [
     "SngError",
     "InvalidArgumentError",
-    "InvalidFieldError",
     "InvalidBracketError",
     "WrongStateError",
     "ConvergenceError",
@@ -18,17 +17,20 @@ __all__ = [
 class SngError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class InvalidArgumentError(SngError, ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition, a radial field
+    among them (wrong length, non-finite samples, a complex source)."""
 
-
-class InvalidFieldError(SngError, ValueError):
-    """A radial field is malformed (wrong length, non-finite, wrong dtype)."""
+    exit_code = 2
 
 
 class InvalidBracketError(SngError):
     """A bisection bracket does not actually bracket a transition."""
+
+    exit_code = 3
 
 
 class WrongStateError(SngError):
@@ -36,24 +38,25 @@ class WrongStateError(SngError):
     exponentially decaying regime; the caller must rebracket or enlarge the
     domain."""
 
+    exit_code = 4
+
 
 class ConvergenceError(SngError):
     """An iterative procedure failed to converge within its iteration budget."""
 
+    exit_code = 4
+
 
 class StepRejectedError(SngError):
-    """A time step was rejected because the nonlinear potential changed too much
-    between predictor and corrector.
+    """A time step of ``dt`` was rejected because the nonlinear potential
+    changed by the share ``change`` between predictor and corrector;
+    ``suggested_dt`` is a smaller step expected to be accepted."""
 
-    Attributes
-    ----------
-    suggested_dt : float
-        A smaller step size expected to be accepted.
-    """
+    exit_code = 5
 
-    def __init__(self, message: str, suggested_dt: float):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
+    def __init__(self, change: float, dt: float, suggested_dt: float):
+        super().__init__(f"potential changed {change:.1%} within one step of dt={dt:.3e}")
+        self.change, self.dt, self.suggested_dt = change, dt, suggested_dt
 
 
 def check_count(name: str, value, minimum: int) -> int:

@@ -31,12 +31,12 @@ integral, |psi| = |u/r|, the density and V from u, each on first use.
 ``evolve``'s observation (norm, energy, RMS width, the boundary check and
 density snapshots) and the next step's potential read the same
 evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
-A state's scale has one door: :class:`RadialState` refuses a u whose norm
-or peak density overflows a double, and a step keeps the norm, so no
-kernel guards |u|^2 again.  The gravitational potential is the one Poisson
-kernel's solve of the density samples.  A finite state can still meet an
-overflowing kappa |psi|^2 (refused naming kappa), dt V, energy or width
-(refused by the solve's and the observation's finiteness checks).
+A state's scale has one door: :class:`RadialState` refuses a u whose norm,
+peak density or int r^2 |u|^2 dr overflows a double; a step keeps the norm,
+so no kernel guards |u|^2 again.  The gravitational potential is the one
+Poisson kernel's solve of the density samples.  A finite state can still
+meet an overflowing kappa |psi|^2 (refused naming kappa), dt V, energy or
+width (refused by the solve's and the observation's finiteness checks).
 The gravitational equation also carries a constant -E_grav/norm term; a
 constant only rotates the global phase, so the step integrates it at the
 predictor midpoint into a phase ledger on the state instead of the matrix
@@ -81,10 +81,10 @@ class RadialState:
 
     ``phase`` is the accumulated global-phase ledger from constant terms
     handled analytically; the physical wavefunction is exp(i phase) u / r.
-    InvalidArgumentError for a u whose norm int 4 pi |u|^2 dr or whose
-    peak density |u/r|^2 overflows a double ("u is too large"), or whose
-    norm underflows to 0: this is the one check of a state's scale.  Also
-    for a grid whose spacing^2 underflows or whose r_max^2 overflows.
+    InvalidArgumentError for a u whose norm, peak density |u/r|^2 or RMS
+    width's int r^2 |u|^2 dr overflows a double ("u is too large"), or
+    whose norm underflows to 0: this is the one check of a state's scale.
+    Also for a grid whose spacing^2 underflows or whose r_max^2 overflows.
     """
 
     grid: RadialGrid
@@ -110,13 +110,17 @@ class RadialState:
         if not self.grid.rho_max * self.grid.rho_max < math.inf:
             raise InvalidArgumentError(
                 f"r_max {self.grid.rho_max:.6g} is too far out: its square overflows a double")
-        # the one door for a state's scale: past it |u|^2, the norm and the
-        # density are finite, so nothing downstream guards them again
+        # the one door for a state's scale: past it |u|^2, the norm, the
+        # density and the width are finite, so nothing downstream guards them
         with np.errstate(over="ignore", invalid="ignore"):
-            u2_line = integrate_line(np.abs(u) ** 2, self.grid)
+            u2 = np.abs(u) ** 2
+            u2_line = integrate_line(u2, self.grid)
             peak = float(np.max(np.abs(psi_from_u(u, self.grid))))
+            r2_line = integrate_line(self.grid.nodes ** 2 * u2, self.grid)
         if not (4.0 * np.pi * u2_line < math.inf and peak * peak < math.inf):
             raise InvalidArgumentError("u is too large: its norm or its density overflows a double")
+        if not r2_line < math.inf:  # the integral of r^2 |u|^2 that rms_width forms
+            raise InvalidArgumentError("u is too large: its RMS width integral overflows a double")
         if not u2_line > 0.0:
             raise InvalidArgumentError(
                 "norm is 0 in double precision: u is zero at every node, or so "
@@ -149,6 +153,9 @@ class NonlinearityKind:
             raise InvalidArgumentError(f"kappa must be non-negative and finite, got {self.kappa}")
         if self.sign not in (-1, 1):
             raise InvalidArgumentError(f"sign must be +1 or -1, got {self.sign}")
+        if self.kind != "cubic" and (self.kappa, self.sign) != (0.0, 1):  # refused, not ignored
+            name, value = ("kappa", self.kappa) if self.kappa != 0.0 else ("sign", self.sign)
+            raise InvalidArgumentError(f"{name} applies only to cubic, got {value} for {self.kind}")
 
     @classmethod
     def free(cls) -> "NonlinearityKind":
@@ -476,10 +483,7 @@ def _advance(ev: _Evaluation, dt: float, lam: float) -> tuple[np.ndarray, _Evalu
     if scale > 0.0:
         change = float(np.max(np.abs(v_mid - v_old))) / scale
         if change > 0.5:
-            raise StepRejectedError(
-                f"potential changed {change:.1%} within one step of dt={dt:.3e}",
-                suggested_dt=0.25 * dt / change,
-            )
+            raise StepRejectedError(change, dt, 0.25 * dt / change)
     return _solve(u, v_mid, lam, dt, hop), mid
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidFieldError, check_count, check_positive
+from .errors import InvalidArgumentError, check_count, check_positive
 
 __all__ = [
     "RadialGrid",
@@ -104,15 +104,15 @@ class RadialField:
 
 def _samples(name: str, values, grid: RadialGrid) -> np.ndarray:
     """``values`` as an array of one finite sample per node of ``grid``,
-    integers as doubles; InvalidFieldError naming ``name`` otherwise."""
+    integers as doubles; InvalidArgumentError naming ``name`` otherwise."""
     values = np.asarray(values)
     if values.dtype.kind not in "fc":
         values = values.astype(np.float64)
     if values.shape != (grid.n_points,):
-        raise InvalidFieldError(
+        raise InvalidArgumentError(
             f"{name} has {values.shape} samples, grid has {grid.n_points} nodes")
     if not np.isfinite(values).all():
-        raise InvalidFieldError(f"{name} contains non-finite samples")
+        raise InvalidArgumentError(f"{name} contains non-finite samples")
     return values
 
 
@@ -197,15 +197,13 @@ def solve_radial_poisson(density: np.ndarray, grid: RadialGrid, coupling: float)
 
     Raises
     ------
-    InvalidFieldError
-        If the density is complex, has the wrong number of samples, or has
-        a non-finite sample.
     InvalidArgumentError
-        If the coupling is not finite.
+        If the density is complex, has the wrong number of samples, or has
+        a non-finite sample, or if the coupling is not finite.
     """
     rho = _samples("Poisson source", density, grid)
     if np.iscomplexobj(rho):
-        raise InvalidFieldError("Poisson source must be real")
+        raise InvalidArgumentError("Poisson source must be real")
     if not np.isfinite(coupling):
         raise InvalidArgumentError(f"coupling must be finite, got {coupling}")
     r = grid.nodes

@@ -43,7 +43,6 @@ from .errors import (
     ConvergenceError,
     InvalidArgumentError,
     InvalidBracketError,
-    InvalidFieldError,
     SngError,
     WrongStateError,
     check_count,
@@ -182,9 +181,9 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     there).  With ``stop`` (and ``max_nodes``), it also ends ``stop``
     samples past f's sign change number ``max_nodes`` (past the origin for
     0): ``match_radius``.  At rho_max it is ``converged`` when |f| < 1e-6
-    still shrinks, else ``max_radius_reached``.  A non-finite gamma0 or a
-    bad ``max_nodes`` raises InvalidArgumentError; a sample that overflows
-    a double raises InvalidFieldError.
+    still shrinks, else ``max_radius_reached``.  A non-finite gamma0, a
+    bad ``max_nodes`` or a sample that overflows a double raises
+    InvalidArgumentError.
 
     Returns the label ``(node_count, classification)`` and, when ``record``
     is true, the computed samples as the lists (f, f', g, g'); else the
@@ -273,7 +272,7 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
 
     # a sum with a non-finite term is not finite, so the last samples decide
     if not (math.isfinite(yf) and math.isfinite(yg)):
-        raise InvalidFieldError(f"the shot at gamma0={gamma0} overflows a double")
+        raise InvalidArgumentError(f"the shot at gamma0={gamma0} overflows a double")
     if classification is None:
         tail_shrinking = abs(yf) < 1e-6 and abs(yf) <= abs(f_prev)
         classification = "converged" if tail_shrinking else "max_radius_reached"

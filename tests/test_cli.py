@@ -21,6 +21,14 @@ import sng.checks
 import sng.cli
 from sng.checks import CheckResult
 from sng.cli import main
+from sng.errors import (
+    ConvergenceError,
+    InvalidArgumentError,
+    InvalidBracketError,
+    SngError,
+    StepRejectedError,
+    WrongStateError,
+)
 from sng.physical import UnitScales
 
 # one float field in the fixed CSV format: 17 significant digits, e-notation
@@ -131,6 +139,8 @@ def test_ground_state_outputs_are_bitwise_pinned(tmp_path):
     assert (_sha256_file(out), _sha256_file(tmp_path / "ground.csv")) == PINNED_GROUND_4001
 
 
+# each refusal names its flag: spectrum's once named none ("need one or
+# more node counts, got none"), and solve's named the library's n
 @pytest.mark.parametrize("argv", [["solve", "--n", "-1"], ["spectrum", "--n-max", "-1"]])
 def test_negative_node_count_is_exit_2_before_shooting(argv, monkeypatch, capsys):
     def no_shot(*args, **kwargs):
@@ -140,7 +150,7 @@ def test_negative_node_count_is_exit_2_before_shooting(argv, monkeypatch, capsys
     assert main([*argv, "--points", "801"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == f"error: {argv[1]} must be an integer >= 0, got -1\n"
 
 
 # rho_max and tol values at and past the ends of the doubles
@@ -706,6 +716,22 @@ def test_evolve_refuses_a_flag_that_does_not_apply(flags, named, solved, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("start", [["--gaussian-sigma", "1.0"], ["--from", "ground.json"]])
+def test_evolve_refuses_zero_steps_naming_the_flag(start, solved, tmp_path, monkeypatch, capsys):
+    # it was refused as "t_final - state.time must be positive", after the
+    # initial state was built
+    def no_state(*args, **kwargs):
+        raise AssertionError("initial state built for a rejected step count")
+
+    monkeypatch.setattr(sng.cli, "gaussian_state", no_state)
+    monkeypatch.setattr(sng.cli, "_load_solution", no_state)
+    start = [str(solved / flag) if flag == "ground.json" else flag for flag in start]
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--gravity", *start, "--steps", "0", "--out-csv", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --steps must be an integer >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_evolve_cubic_requires_kappa(tmp_path):
     assert main(["evolve", "--cubic", "--gaussian-sigma", "1.0",
                  "--steps", "5", "--out-csv", str(tmp_path / "x.csv")]) == 2
@@ -733,6 +759,38 @@ def test_unwritable_output_path_is_exit_2(argv, named, tmp_path, monkeypatch, ca
 
 
 # --- exit codes for solver failures -----------------------------------------
+
+def test_each_error_type_carries_its_documented_exit_code():
+    types = (SngError, InvalidArgumentError, InvalidBracketError, WrongStateError,
+             ConvergenceError, StepRejectedError)
+    assert [t.exit_code for t in types] == [1, 2, 3, 4, 4, 5]
+
+
+@pytest.mark.parametrize("error", [
+    SngError("a failure of no narrower type"),
+    InvalidArgumentError("x must be positive and finite, got nan"),
+    InvalidBracketError("no bracket"),
+    WrongStateError("trajectory has 1 nodes, wanted n=0"),
+    ConvergenceError("no convergence"),
+    StepRejectedError(0.75, 50.0, 16.0),
+], ids=lambda error: type(error).__name__)
+def test_main_reports_an_error_by_its_type(error, monkeypatch, capsys):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(sng.cli, "_cmd_check", fail)
+    assert main(["check"]) == error.exit_code
+    captured = capsys.readouterr()
+    hint = "suggested dt: 1.600000e+01\n" if isinstance(error, StepRejectedError) else ""
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n{hint}"
+
+
+def test_step_rejection_carries_its_numbers():
+    error = StepRejectedError(0.75, 50.0, 16.0)
+    assert (error.change, error.dt, error.suggested_dt) == (0.75, 50.0, 16.0)
+    assert str(error) == "potential changed 75.0% within one step of dt=5.000e+01"
+
 
 def test_unbracketable_state_is_exit_3(capsys):
     code = main(["solve", "--n", "40", "--points", "801"])

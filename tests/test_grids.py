@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from sng.errors import InvalidArgumentError, InvalidFieldError
+from sng.errors import InvalidArgumentError
 from sng.grids import (
     RadialField,
     integrate_line,
@@ -49,11 +49,11 @@ def test_grids_hash_and_compare_by_geometry():
 
 def test_field_validates_shape_and_finiteness():
     grid = make_grid(5.0, 51)
-    with pytest.raises(InvalidFieldError):
+    with pytest.raises(InvalidArgumentError):
         RadialField(grid, np.zeros(50))
     bad = np.zeros(51)
     bad[3] = np.nan
-    with pytest.raises(InvalidFieldError):
+    with pytest.raises(InvalidArgumentError):
         RadialField(grid, bad)
 
 
@@ -260,7 +260,7 @@ def test_poisson_rejects_bad_coupling_and_complex_sources():
     grid = make_grid(5.0, 101)
     with pytest.raises(InvalidArgumentError, match="coupling must be finite"):
         solve_radial_poisson(np.ones(101), grid, np.inf)
-    with pytest.raises(InvalidFieldError, match="must be real"):
+    with pytest.raises(InvalidArgumentError, match="must be real"):
         solve_radial_poisson(np.ones(101) + 1j, grid, 4.0 * np.pi)
 
 
@@ -271,5 +271,5 @@ def test_poisson_rejects_bad_coupling_and_complex_sources():
 ], ids=["length", "nan", "inf"])
 def test_poisson_refuses_a_source_off_the_grid_or_not_finite(source, refusal):
     # the checks a RadialField of the source made before the kernel took samples
-    with pytest.raises(InvalidFieldError, match=refusal):
+    with pytest.raises(InvalidArgumentError, match=refusal):
         solve_radial_poisson(source, make_grid(5.0, 101), 4.0 * np.pi)

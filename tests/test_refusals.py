@@ -197,6 +197,18 @@ CASES = [
     # of tiny norm and density was refused as "u is too large"
     ("r_max", _quiet(lambda: RadialState(make_grid(1e200, 201),
                                          np.r_[0.0, np.full(199, 1e-150), 0.0], 0.0))),
+    # a state of finite norm and density whose r^2 |u|^2 overflows: the
+    # door let it through, and rms_width and evolve warned of the overflow;
+    # one far out, and one of a single sample where dr < 1, so r_max^2 times
+    # int |u|^2 dr is finite
+    ("u", _quiet(lambda: RadialState(make_grid(1e150, 201),
+                                     np.r_[0.0, np.full(199, 1e10), 0.0], 0.0))),
+    ("u", _quiet(lambda: RadialState(make_grid(100.0, 1001),
+                                     10.0 ** 152.5 * (np.arange(1001) == 999), 0.0))),
+    # a field that does not apply to the kind was ignored: these evolved as
+    # pure gravity and as free
+    ("kappa", lambda: NonlinearityKind("gravity", kappa=2.0, sign=-1)),
+    ("kappa", lambda: NonlinearityKind("free", kappa=3.0)),
 ]
 
 

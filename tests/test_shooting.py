@@ -27,7 +27,6 @@ from sng.errors import (
     ConvergenceError,
     InvalidArgumentError,
     InvalidBracketError,
-    InvalidFieldError,
     SngError,
     WrongStateError,
 )
@@ -541,7 +540,7 @@ def test_label_only_shots_match_on_short_and_converged_grids(rho_max, points, ga
 def test_label_only_shots_keep_the_recorded_checks():
     grid = make_grid(40.0, 2001)
     for shot in (_recorded, _label_only):
-        with pytest.raises(InvalidFieldError):
+        with pytest.raises(InvalidArgumentError):
             shot(-1e300, grid, None)
         for gamma0 in (np.nan, np.inf):
             with pytest.raises(InvalidArgumentError):
