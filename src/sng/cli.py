@@ -23,6 +23,7 @@ natural units every factor is exactly 1.0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,6 +39,7 @@ from .errors import (
     StepRejectedError,
     WrongStateError,
     check_count,
+    check_positive,
 )
 from .evolution import NonlinearityKind, evolve, gaussian_state, state_from_profile
 from .grids import RadialField, make_grid
@@ -281,6 +283,11 @@ def _cmd_rescale(args) -> int:
 
 def _cmd_evolve(args) -> int:
     check_count("--steps", args.steps, 1)
+    check_count("--observe-every", args.observe_every, 1)
+    if args.snapshot_every is not None:
+        check_count("--snapshot-every", args.snapshot_every, 1)
+    if args.dt is not None:
+        check_positive("--dt", args.dt)
     if (args.gaussian_sigma is None) == (args.from_json is None):
         raise InvalidArgumentError("pick an initial state: --gaussian-sigma or --from")
     if args.cubic and args.kappa is None:
@@ -358,7 +365,10 @@ def _cmd_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all five subcommands, built on the first :func:`main`
+    call and reused by the later ones: parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="sng",
         description="Self-gravitating bound states: solve, rescale, evolve, check.",
@@ -380,20 +390,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", default=None, help="summary path (default: stdout)")
     p.add_argument("--out-csv", default=None,
                    help="profile table path (default: alongside --out-json)")
-    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("spectrum", help="solve states n = 0..n_max")
     p.add_argument("--n-max", type=int, required=True)
     add_grid_flags(p)
     p.add_argument("--out-json", default=None, help="summary-array path (default: stdout)")
-    p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("rescale", help="map a solve summary to physical units")
     p.add_argument("in_json", help="JSON written by solve (with its profile CSV)")
     _add_params_flags(p)
     p.add_argument("--out-json", default=None, help="summary path (default: stdout)")
     p.add_argument("--out-csv", default=None, help="physical profile table path")
-    p.set_defaults(fn=_cmd_rescale)
 
     p = sub.add_parser("evolve", help="integrate the time-dependent equation")
     kind = p.add_mutually_exclusive_group(required=True)
@@ -422,20 +429,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write a density snapshot every k steps")
     p.add_argument("--out-csv", default="evolve.csv",
                    help="observable table path (snapshots share its stem)")
-    p.set_defaults(fn=_cmd_evolve)
 
     p = sub.add_parser("check", help="run release-gate check suites")
     p.add_argument("--suites", nargs="+", default=None,
                    help=f"subset to run (default: all of {', '.join(SUITES)})")
-    p.set_defaults(fn=_cmd_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its exit code.  Safe to call repeatedly in one process."""
     args = _build_parser().parse_args(argv)
+    # looked up at call time, so that a replaced _cmd_* function is the one that runs
+    commands = {"solve": _cmd_solve, "spectrum": _cmd_spectrum, "rescale": _cmd_rescale,
+                "evolve": _cmd_evolve, "check": _cmd_check}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except SngError as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, StepRejectedError):

@@ -58,6 +58,10 @@ class StepRejectedError(SngError):
         super().__init__(f"potential changed {change:.1%} within one step of dt={dt:.3e}")
         self.change, self.dt, self.suggested_dt = change, dt, suggested_dt
 
+    def __reduce__(self):
+        # args hold only the message; pickle rebuilds from the three numbers
+        return type(self), (self.change, self.dt, self.suggested_dt)
+
 
 def check_count(name: str, value, minimum: int) -> int:
     """``value`` as an int when it is an integer no smaller than ``minimum``;

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import re
 import tempfile
 import warnings
@@ -590,6 +592,50 @@ def test_evolve_outputs_are_bitwise_pinned(run, coarse_solved, tmp_path):
     assert digests == expected
 
 
+# --- one parser per process ---------------------------------------------------
+
+def test_parser_reuse_carries_nothing_between_runs(tmp_path):
+    # a cubic run's flags do not leak into the free run that follows it
+    for run in ("cubic", "free"):
+        flags, expected = PINNED_EVOLVE[run]
+        out = tmp_path / f"{run}.csv"
+        assert main(["evolve", *flags, "--out-csv", str(out)]) == 0
+        assert (_sha256_file(out),) == expected
+    # nor a solve's --out-csv into the next solve
+    for tag in ("a", "b", "c"):
+        sub = tmp_path / tag
+        sub.mkdir()
+        flags = ["--out-csv", str(sub / "other.csv")] if tag == "b" else []
+        assert main(["solve", "--n", "0", "--points", "401",
+                     "--out-json", str(sub / "state.json"), *flags]) == 0
+    for name in ("state.json", "state.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    sng.cli._build_parser.cache_clear()
+    try:
+        counts = []
+        for argv in (["solve", "--n", "-1"], ["spectrum", "--n-max", "-1"],
+                     ["evolve", "--free", "--gaussian-sigma", "1", "--steps", "0"]):
+            before = len(built)
+            assert main(argv) == 2
+            counts.append(len(built) - before)
+    finally:
+        sng.cli._build_parser.cache_clear()
+    # the top-level parser and one per subcommand, all in the first call
+    assert counts == [6, 0, 0]
+    assert capsys.readouterr().out == ""
+
+
 def test_evolve_free_gaussian_observables(tmp_path):
     out = tmp_path / "free.csv"
     code = main(["evolve", "--free", "--gaussian-sigma", "1.0",
@@ -732,6 +778,29 @@ def test_evolve_refuses_zero_steps_naming_the_flag(start, solved, tmp_path, monk
     assert not out.exists()
 
 
+# each step flag was refused by the library's name for it (observe_every,
+# snapshot_every, dt), after the initial state was built or read
+@pytest.mark.parametrize("flag, value, message", [
+    ("--observe-every", "0", "--observe-every must be an integer >= 1, got 0"),
+    ("--snapshot-every", "0", "--snapshot-every must be an integer >= 1, got 0"),
+    ("--dt", "-1", "--dt must be positive and finite, got -1.0"),
+], ids=["observe-every", "snapshot-every", "dt"])
+@pytest.mark.parametrize("start", [["--gaussian-sigma", "1.0"], ["--from", "missing.json"]],
+                         ids=["gaussian", "from"])
+def test_evolve_refuses_a_bad_step_flag_naming_it(start, flag, value, message, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_state(*args, **kwargs):
+        raise AssertionError("initial state built for a rejected step flag")
+
+    monkeypatch.setattr(sng.cli, "gaussian_state", no_state)
+    monkeypatch.setattr(sng.cli, "_load_solution", no_state)
+    start = [str(tmp_path / arg) if arg == "missing.json" else arg for arg in start]
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--gravity", *start, flag, value, "--out-csv", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_evolve_cubic_requires_kappa(tmp_path):
     assert main(["evolve", "--cubic", "--gaussian-sigma", "1.0",
                  "--steps", "5", "--out-csv", str(tmp_path / "x.csv")]) == 2
@@ -790,6 +859,25 @@ def test_step_rejection_carries_its_numbers():
     error = StepRejectedError(0.75, 50.0, 16.0)
     assert (error.change, error.dt, error.suggested_dt) == (0.75, 50.0, 16.0)
     assert str(error) == "potential changed 75.0% within one step of dt=5.000e+01"
+
+
+@pytest.mark.parametrize("error", [
+    SngError("a failure of no narrower type"),
+    InvalidArgumentError("x must be positive and finite, got nan"),
+    InvalidBracketError("no bracket"),
+    WrongStateError("trajectory has 1 nodes, wanted n=0"),
+    ConvergenceError("no convergence"),
+    StepRejectedError(0.75, 50.0, 16.0),
+], ids=lambda error: type(error).__name__)
+def test_every_error_type_survives_pickle(error):
+    # a step rejection's args hold only its message, and unpickling it
+    # called StepRejectedError(message): TypeError
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert copy.exit_code == error.exit_code
+    if isinstance(error, StepRejectedError):
+        assert (copy.change, copy.dt, copy.suggested_dt) == (0.75, 50.0, 16.0)
 
 
 def test_unbracketable_state_is_exit_3(capsys):
