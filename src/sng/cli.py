@@ -368,7 +368,9 @@ def _cmd_check(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of all five subcommands, built on the first :func:`main`
-    call and reused by the later ones: parsing keeps no state on it."""
+    call and reused by the later ones: parsing keeps no state on it.  The
+    reuse pays only where one process runs many commands (the benchmark
+    loop, the tests); the ``sng`` script runs one and builds it once."""
     parser = argparse.ArgumentParser(
         prog="sng",
         description="Self-gravitating bound states: solve, rescale, evolve, check.",

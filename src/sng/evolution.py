@@ -276,8 +276,7 @@ class _Evaluation:
 
     @cached_property
     def u2(self) -> np.ndarray:
-        u2 = np.abs(self.u)
-        return np.square(u2, out=u2)
+        return np.abs(self.u) ** 2
 
     @cached_property
     def u2_line(self) -> float:
@@ -291,9 +290,7 @@ class _Evaluation:
     @property
     def rms_width(self) -> float:
         r = self.grid.nodes
-        r2u2 = r * r
-        r2u2 *= self.u2
-        return float(np.sqrt(integrate_line(r2u2, self.grid) / self.u2_line))
+        return float(np.sqrt(integrate_line(r * r * self.u2, self.grid) / self.u2_line))
 
     @cached_property
     def psi_abs(self) -> np.ndarray:
@@ -302,7 +299,7 @@ class _Evaluation:
 
     @cached_property
     def density(self) -> np.ndarray:
-        return np.square(self.psi_abs)
+        return self.psi_abs ** 2
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -324,9 +321,8 @@ class _Evaluation:
     @property
     def energy(self) -> float:
         """:func:`scheme_energy` of u."""
-        du2 = np.abs(self.u[1:] - self.u[:-1])
-        np.square(du2, out=du2)
-        e_kin = 0.5 * 4.0 * np.pi * float(du2.sum()) / self.grid.spacing
+        du = np.diff(self.u)
+        e_kin = 0.5 * 4.0 * np.pi * float(np.sum(np.abs(du) ** 2)) / self.grid.spacing
         if self.nl.kind == "free":
             return e_kin
         return e_kin + self.interaction

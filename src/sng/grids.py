@@ -147,14 +147,7 @@ def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:
     values = np.asarray(values)
     if grid.n_points % 2 == 1:
         s, a, b, c = grid._simpson_weights
-        # s * (y0 a + y1 b + y2 c) in two buffers, with scipy's operations in
-        # scipy's order, so that the sum stays bitwise simpson's
-        acc = values[0:-2:2] * a
-        term = values[1::2] * b
-        acc += term
-        acc += np.multiply(values[2::2], c, out=term)
-        acc *= s
-        result = acc.sum()
+        result = np.sum(s * (values[0:-2:2] * a + values[1::2] * b + values[2::2] * c))
     else:
         result = np.trapezoid(values, grid.nodes)
     return complex(result) if np.iscomplexobj(values) else float(result)
