@@ -91,14 +91,27 @@ def _open_output(path: str):
         raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
+def _formatted(column: np.ndarray) -> list[str]:
+    """Each value of ``column`` as :func:`_write_csv` writes it."""
+    return ["%.16e" % value for value in column.tolist()]
+
+
+def _write_csv(path: str, header: str, columns: list[np.ndarray | list[str]]) -> None:
     """One row per sample; every value in 17 significant digits, scientific,
-    which round-trips any double."""
-    row_format = ",".join(["%.16e"] * len(columns)) + "\n"
-    rows = zip(*(column.tolist() for column in columns))
+    which round-trips any double.  A column may also be given as the
+    :func:`_formatted` strings of its values, so that a column shared by
+    many files (the radius of a run's snapshots) is formatted once."""
+    row_format = ",".join("%s" if isinstance(column, list) else "%.16e"
+                          for column in columns) + "\n"
+    # the values row by row, formatted by one % over the whole table
+    width, n_rows = len(columns), len(columns[0])
+    values = [None] * (width * n_rows)
+    for k, column in enumerate(columns):
+        values[k::width] = column if isinstance(column, list) else column.tolist()
+    text = (row_format * n_rows) % tuple(values)
     with _open_output(path) as fh:
         fh.write(header + "\n")
-        fh.writelines(row_format % row for row in rows)
+        fh.write(text)
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -152,6 +165,15 @@ def _units_from_flags(args, required: bool) -> UnitScales:
 # ---------------------------------------------------------------------------
 # reading a solve summary back
 # ---------------------------------------------------------------------------
+
+def _table_reference(csv_path: str, json_path: str | None) -> str:
+    """The ``x_csv`` of a summary: its table's path relative to the
+    summary's directory (the working directory when it goes to stdout),
+    which :func:`_load_solution` joins back; the bare file name when the
+    two files share a directory."""
+    json_dir = os.path.dirname(os.path.abspath(json_path)) if json_path is not None else os.curdir
+    return os.path.relpath(csv_path, json_dir)
+
 
 def _load_solution(json_path: str) -> UniversalSolution:
     """Rebuild a UniversalSolution from a solve JSON's profile CSV; refuse
@@ -233,7 +255,7 @@ def _cmd_solve(args) -> int:
     if csv_path is not None:
         _write_csv(csv_path, "rho,f_star,g_star",
                    [sol.grid.nodes, sol.f_star.values, sol.g_star.values])
-        summary["x_csv"] = os.path.basename(csv_path)
+        summary["x_csv"] = _table_reference(csv_path, args.out_json)
     _emit_json(summary, args.out_json)
     return 0
 
@@ -276,7 +298,7 @@ def _cmd_rescale(args) -> int:
                    [make_grid(grid.rho_max * units.length, grid.n_points).nodes,
                     _si("f", profile.f_ag.values, units.amplitude),
                     _si("phi", profile.phi_ag.values, units.potential)])
-        summary["x_csv"] = os.path.basename(args.out_csv)
+        summary["x_csv"] = _table_reference(args.out_csv, args.out_json)
     _emit_json(summary, args.out_json)
     return 0
 
@@ -339,13 +361,14 @@ def _cmd_evolve(args) -> int:
     columns = [_si("t", series.times, units.time), series.norms,
                _si("energy", series.energies, units.energy),
                _si("rms_width", series.widths, units.length)]
-    snapshots = [[_si("r", field.grid.nodes, units.length),
-                  _si("density", field.values, density_unit)]
-                 for _, field in series.snapshots or ()]
+    snapshots = series.snapshots or ()
+    if snapshots:  # all of a run's snapshots share its grid and unit
+        radius = _formatted(_si("r", state.grid.nodes, units.length))
+    densities = [_si("density", field.values, density_unit) for _, field in snapshots]
     _write_csv(args.out_csv, "t,norm,energy,rms_width", columns)
     stem = os.path.splitext(args.out_csv)[0]
-    for idx, snapshot in enumerate(snapshots):
-        _write_csv(f"{stem}_snap_{idx:04d}.csv", "r,density", snapshot)
+    for idx, density in enumerate(densities):
+        _write_csv(f"{stem}_snap_{idx:04d}.csv", "r,density", [radius, density])
     return 0
 
 

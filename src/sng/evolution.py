@@ -12,7 +12,10 @@ Crank–Nicolson solve predicted with V[psi_t] and corrected once with
 V[(psi_t + psi_pred)/2].  Such a solve uses its matrix once, so it is one
 fused LAPACK zgtsv call (factor and back-substitute), and a step's
 predictor and corrector share the hopping term of the right-hand side.
-Each solve imports scipy's wrapper of zgtsv, which after the first is a
+The solve builds the diagonal and the right-hand side in place, the
+latter in the interior of the array it returns, and zgtsv writes the new
+u over it there; the predicted u becomes the midpoint in place.  Each
+solve imports scipy's wrapper of zgtsv, which after the first is a
 sys.modules lookup, so that importing sng loads no scipy.
 
 Where V is identically zero (free, and cubic with kappa = 0) the corrector
@@ -276,7 +279,8 @@ class _Evaluation:
 
     @cached_property
     def u2(self) -> np.ndarray:
-        return np.abs(self.u) ** 2
+        u2 = np.abs(self.u)
+        return np.square(u2, out=u2)
 
     @cached_property
     def u2_line(self) -> float:
@@ -289,8 +293,8 @@ class _Evaluation:
 
     @property
     def rms_width(self) -> float:
-        r = self.grid.nodes
-        return float(np.sqrt(integrate_line(r * r * self.u2, self.grid) / self.u2_line))
+        r2u2 = np.multiply(self.grid._squared_nodes, self.u2)
+        return float(np.sqrt(integrate_line(r2u2, self.grid) / self.u2_line))
 
     @cached_property
     def psi_abs(self) -> np.ndarray:
@@ -316,13 +320,14 @@ class _Evaluation:
     def interaction(self) -> float:
         """(1/2) int V rho d^3x with nodal weights (|u|^2 carries r^2), the
         conserved potential term of both interactions, as V is linear in rho."""
-        return 0.5 * 4.0 * np.pi * float(np.sum(self.v * self.u2)) * self.grid.spacing
+        return 0.5 * 4.0 * np.pi * float((self.v * self.u2).sum()) * self.grid.spacing
 
     @property
     def energy(self) -> float:
         """:func:`scheme_energy` of u."""
-        du = np.diff(self.u)
-        e_kin = 0.5 * 4.0 * np.pi * float(np.sum(np.abs(du) ** 2)) / self.grid.spacing
+        u = self.u
+        du = np.abs(np.subtract(u[1:], u[:-1]))
+        e_kin = 0.5 * 4.0 * np.pi * float(np.square(du, out=du).sum()) / self.grid.spacing
         if self.nl.kind == "free":
             return e_kin
         return e_kin + self.interaction
@@ -442,28 +447,37 @@ def _solve(u: np.ndarray, v: np.ndarray, lam: float, dt: float,
     H = -(1/2) d^2/dr^2 + V on the interior nodes, Dirichlet ends and the
     potential samples v frozen; lam is :func:`_lam` and ``hop`` the
     off-diagonal part i lam (u[k+1] + u[k-1]) of the right-hand side.  One
-    zgtsv call factors the matrix and back-substitutes in one pass."""
+    zgtsv call factors the matrix and back-substitutes in one pass, writing
+    the new u over the right-hand side, which is built in the interior of
+    the returned array; u, v and hop are left as they are."""
     # imported here, not at module top, so that commands that never call
     # LAPACK do not pay scipy's import
     from scipy.linalg import lapack
 
+    out = np.empty(len(u), dtype=np.complex128)
+    out[0] = out[-1] = 0.0
+    rhs = out[1:-1]
     # an overflow here is refused before any LAPACK call, so numpy's
     # warning about it is silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        vterm = 0.5j * dt * v[1:-1]
-        a_diag, b_diag = 1.0 + 2.0j * lam + vterm, 1.0 - 2.0j * lam - vterm
-        rhs = b_diag * u[1:-1] + hop
-    if not (np.isfinite(a_diag).all() and np.isfinite(rhs).all()):
+        diag = np.multiply(0.5j * dt, v[1:-1])
+        np.subtract(1.0 - 2.0j * lam, diag, out=rhs)
+        np.multiply(rhs, u[1:-1], out=rhs)
+        np.add(rhs, hop, out=rhs)
+        np.add(1.0 + 2.0j * lam, diag, out=diag)
+    # a complex is finite where both its parts are
+    if not (np.isfinite(diag.view(np.float64)).all()
+            and np.isfinite(rhs.view(np.float64)).all()):
         raise _non_finite_system()
-    # zgtsv overwrites both off-diagonals, so each is a fresh array, like
-    # the diagonal and the right-hand side: f2py copies none of them
-    lower = np.full(len(u) - 3, -1.0j * lam)
-    *_, x, info = lapack.zgtsv(lower, a_diag, lower.copy(), rhs, overwrite_dl=1,
+    # zgtsv overwrites both off-diagonals, so each is a fresh row, like
+    # the diagonal; f2py passes all four arrays to LAPACK uncopied
+    lower, upper = np.full((2, len(u) - 3), -1.0j * lam)
+    *_, x, info = lapack.zgtsv(lower, diag, upper, rhs, overwrite_dl=1,
                                overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:  # > 0 is an exactly zero pivot, < 0 an illegal argument
         raise np.linalg.LinAlgError(f"zgtsv returned info = {info}")
-    out = np.zeros(len(u), dtype=np.complex128)
-    out[1:-1] = x
+    if x is not rhs:
+        rhs[...] = x
     return out
 
 
@@ -474,14 +488,20 @@ def _advance(ev: _Evaluation, dt: float, lam: float) -> tuple[np.ndarray, _Evalu
     step's starting potential is ``ev.v``, so an observation of the same
     state shares it; its predictor and corrector share the hopping term."""
     u, v_old = ev.u, ev.v
-    hop = 1.0j * lam * (u[2:] + u[:-2])
-    u_pred = _solve(u, v_old, lam, dt, hop)
-    mid = _Evaluation(ev.grid, 0.5 * (u + u_pred), ev.nl)
+    hop = np.add(u[2:], u[:-2])
+    np.multiply(1.0j * lam, hop, out=hop)
+    # the predicted u becomes the midpoint (u + u_pred)/2 in place
+    u_mid = _solve(u, v_old, lam, dt, hop)
+    np.add(u, u_mid, out=u_mid)
+    np.multiply(0.5, u_mid, out=u_mid)
+    mid = _Evaluation(ev.grid, u_mid, ev.nl)
     v_mid = mid.v
 
-    scale = float(np.max(np.abs(v_old)))
+    work = np.abs(v_old)
+    scale = float(work.max())
     if scale > 0.0:
-        change = float(np.max(np.abs(v_mid - v_old))) / scale
+        np.subtract(v_mid, v_old, out=work)
+        change = float(np.abs(work, out=work).max()) / scale
         if change > 0.5:
             raise StepRejectedError(change, dt, 0.25 * dt / change)
     return _solve(u, v_mid, lam, dt, hop), mid
@@ -579,7 +599,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
             observe(time, ev)
             if not at_boundary:
                 psi_edge = abs(u[-2]) / grid.nodes[-2]
-                peak = float(np.max(ev.psi_abs))
+                peak = float(ev.psi_abs.max())
                 at_boundary = peak > 0.0 and psi_edge > 1e-8 * peak
         if snapped:
             snaps.append((time, RadialField(grid, ev.density)))

@@ -37,9 +37,9 @@ class RadialGrid:
 
     The extent and the point count are the whole grid: equality and hash
     are those of the pair, and the read-only ``nodes`` array and the
-    quadrature and Poisson weights and the reciprocal nodes are derived
-    from it once per grid object.  Build grids with :func:`make_grid`,
-    which validates the pair.
+    quadrature and Poisson weights and the reciprocal and squared nodes are
+    derived from it once per grid object.  Build grids with
+    :func:`make_grid`, which validates the pair.
     """
 
     rho_max: float
@@ -72,6 +72,12 @@ class RadialGrid:
     def _reciprocal_nodes(self) -> np.ndarray:
         """1/r at the nodes past the origin, for :func:`psi_from_u`."""
         return 1.0 / self.nodes[1:]
+
+    @cached_property
+    def _squared_nodes(self) -> np.ndarray:
+        """r * r at the nodes, for the RMS width's int r^2 |u|^2 dr."""
+        r = self.nodes
+        return r * r
 
     @cached_property
     def _poisson_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -147,10 +153,15 @@ def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:
     values = np.asarray(values)
     if grid.n_points % 2 == 1:
         s, a, b, c = grid._simpson_weights
-        result = np.sum(s * (values[0:-2:2] * a + values[1::2] * b + values[2::2] * c))
+        # s * (y0 a + y1 b + y2 c), left to right, in two buffers
+        panels = np.multiply(values[0:-2:2], a)
+        term = np.multiply(values[1::2], b)
+        np.add(panels, term, out=panels)
+        np.add(panels, np.multiply(values[2::2], c, out=term), out=panels)
+        result = np.multiply(s, panels, out=panels).sum()
     else:
         result = np.trapezoid(values, grid.nodes)
-    return complex(result) if np.iscomplexobj(values) else float(result)
+    return complex(result) if values.dtype.kind == "c" else float(result)
 
 
 def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -162,10 +173,10 @@ def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     so real u is divided."""
     r = grid.nodes
     psi = np.empty_like(u)
-    if np.iscomplexobj(u):
-        psi[1:] = u[1:] * grid._reciprocal_nodes
+    if u.dtype.kind == "c":
+        np.multiply(u[1:], grid._reciprocal_nodes, out=psi[1:])
     else:
-        psi[1:] = u[1:] / r[1:]
+        np.divide(u[1:], r[1:], out=psi[1:])
     psi[0] = (psi[1] * r[2] ** 2 - psi[2] * r[1] ** 2) / (r[2] ** 2 - r[1] ** 2)
     return psi
 
@@ -212,19 +223,28 @@ def solve_radial_poisson(density: np.ndarray, grid: RadialGrid, coupling: float)
     # integrand bends within a single cell, and the bias does not shrink
     # with refinement once divided by r
     d_r3, d_r2, inner_slope, outer_slope = grid._poisson_weights
-    drho = np.diff(rho)
-    inner_cells = rho[:-1] * d_r3 / 3.0 + drho * inner_slope
-    outer_cells = rho[:-1] * d_r2 / 2.0 + drho * outer_slope
+    drho = np.subtract(rho[1:], rho[:-1])  # np.diff(rho), without its Python layer
+    cells, slope_term = np.empty_like(drho), np.empty_like(drho)
+
+    def cell_moments(d_rk, k, slope):
+        """rho[:-1] * d_rk / k + drho * slope, into ``cells``."""
+        np.multiply(rho[:-1], d_rk, out=cells)
+        np.divide(cells, k, out=cells)
+        return np.add(cells, np.multiply(drho, slope, out=slope_term), out=cells)
+
     # running sums from the origin out, and from the edge in
     inner = np.empty(len(rho))
     inner[0] = 0.0
-    np.cumsum(inner_cells, out=inner[1:])
+    np.cumsum(cell_moments(d_r3, 3.0, inner_slope), out=inner[1:])
     outer = np.empty(len(rho))
     outer[-1] = 0.0
-    np.cumsum(outer_cells[::-1], out=outer[-2::-1])
-    phi = np.empty_like(inner)
+    np.cumsum(cell_moments(d_r2, 2.0, outer_slope)[::-1], out=outer[-2::-1])
+    # phi = -coupling (inner / r + outer), built in place in inner
+    phi, tail = inner, inner[1:]
     phi[0] = -coupling * outer[0]
-    phi[1:] = -coupling * (inner[1:] / r[1:] + outer[1:])
+    np.divide(tail, r[1:], out=tail)
+    np.add(tail, outer[1:], out=tail)
+    np.multiply(-coupling, tail, out=tail)
     return phi
 
 

@@ -274,6 +274,24 @@ def test_rescale_missing_companion_csv_is_exit_2(solved, tmp_path):
     assert main(["rescale", str(orphan), "--natural"]) == 2
 
 
+def test_summary_and_table_in_sibling_directories_read_back(tmp_path):
+    # x_csv was the table's bare name, so a summary in a/ pointed at a/g.csv
+    # and rescale and evolve --from refused the pair as "profile table missing"
+    for sub in ("a", "b", "c"):
+        (tmp_path / sub).mkdir()
+    ground = tmp_path / "a" / "g.json"
+    assert main(["solve", "--n", "0", "--points", "401", "--out-json", str(ground),
+                 "--out-csv", str(tmp_path / "b" / "g.csv")]) == 0
+    assert _read_json(ground)["x_csv"] == os.path.join("..", "b", "g.csv")
+    rescaled = tmp_path / "c" / "r.json"
+    assert main(["rescale", str(ground), "--natural", "--out-json", str(rescaled),
+                 "--out-csv", str(tmp_path / "b" / "r.csv")]) == 0
+    assert _read_json(rescaled)["x_csv"] == os.path.join("..", "b", "r.csv")
+    assert main(["evolve", "--gravity", "--from", str(ground), "--natural", "--steps", "3",
+                 "--out-csv", str(tmp_path / "c" / "e.csv")]) == 0
+    assert len((tmp_path / "c" / "e.csv").read_text().splitlines()) == 1 + 4
+
+
 def test_rescale_refuses_a_summary_that_is_not_utf8(tmp_path, capsys):
     # json.load raised UnicodeDecodeError, which is not a JSONDecodeError
     summary = tmp_path / "ground.json"

@@ -721,6 +721,37 @@ def test_pivoted_crank_nicolson_solve_equals_factor_and_back_substitute_bitwise(
     assert got.tobytes() == _banded_reference(u, v, dt, grid).tobytes()
 
 
+def test_crank_nicolson_solve_refuses_a_right_hand_side_that_overflows():
+    # the diagonal 1 + 2i lam is finite, but (1 - 2i lam) u overflows at
+    # every interior node
+    grid = make_grid(10.0, 101)
+    u = np.zeros(grid.n_points, dtype=np.complex128)
+    u[1:-1] = 1e300
+    hop = np.zeros(grid.n_points - 2, dtype=np.complex128)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidArgumentError, match="dt is too large"):
+            sng.evolution._solve(u, np.zeros(grid.n_points), 1e10, 0.01, hop)
+    assert [w.category for w in caught] == []
+
+
+@pytest.mark.parametrize("nl", [NonlinearityKind.cubic(3.0, -1), NonlinearityKind.gravity()],
+                         ids=lambda nl: nl.kind)
+def test_crank_nicolson_solve_leaves_its_inputs_alone(nl):
+    # zgtsv overwrites every array it is handed: the solve hands it its own
+    grid = make_grid(30.0, 401)
+    u = gaussian_state(grid, sigma=1.0).u * np.exp(0.3j * grid.nodes)
+    v = sng.evolution._Evaluation(grid, u, nl).v
+    lam = sng.evolution._lam(grid, 0.01)
+    hop = 1.0j * lam * (u[2:] + u[:-2])
+    before = [a.copy() for a in (u, v, hop)]
+    got = sng.evolution._solve(u, v, lam, 0.01, hop)
+    for a, b in zip((u, v, hop), before):
+        assert a.tobytes() == b.tobytes()
+        assert not np.shares_memory(got, a)
+    assert got[0] == got[-1] == 0.0
+
+
 def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monkeypatch):
     # one solve at the predictor midpoint inside each step, one for each
     # observed state (shared by its energy row and the next step), plus the
