@@ -21,13 +21,15 @@ The bisection makes plain bisection's halvings but shoots only at the
 midpoints its earlier shots leave undecided, near the root at secant steps
 on the mismatch, which is close to linear there.  Its first shots are
 aimed by the same bisection on every eighth grid point, at an eighth of
-the cost a shot: just above that coarse root, then either side of the
-Newton step the coarse slope gives from there, and the bracket ends are
-not shot once those shots straddle the root.  A coarse pass that fails
-or leaves no two mismatches, or a tol above 1e-9 |gamma0|, leaves the
-bisection unaimed.  On the default grid, solve_states(range(5)) takes 51
-shots there and 68 on the coarse grid, 245,281 RK4 steps in all, against
-91 shots and 373,204 steps unaimed.
+the cost a shot, its tails too: just above that coarse root, then either
+side of the Newton step the coarse slope gives from there and, while
+those do not straddle the root yet, of the root of the secant through
+the last two mismatches; the bracket ends are not shot once the shots
+straddle the root.  A coarse pass that fails or leaves no two
+mismatches, or a tol above 1e-9 |gamma0|, leaves the bisection unaimed.
+On the default grid, solve_states(range(5)) takes 45 shots there and 73
+on the coarse grid, 224,367 RK4 steps and 40,718 Riccati steps in all,
+against 91 shots, 373,204 and 56,319 unaimed.
 """
 
 from __future__ import annotations
@@ -332,13 +334,14 @@ def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float,
 # bisection on the tail match
 # ---------------------------------------------------------------------------
 
-def _tail(k2: float, mass: float, radii: list[float]) -> tuple[list[float], list[float]] | None:
+def _tail(k2: float, mass: float, radii: list[float],
+          step: float = _RICCATI_STEP) -> tuple[list[float], list[float]] | None:
     """The decaying solution u of u'' = (k2 - mass/rho) u at the increasing
     ``radii``: y = u'/u and log(u / u(radii[0])); None when k2 <= 0 or u
     has a zero past radii[0] (a pole of y, where the steps run off).  y
     solves y' = k2 - mass/rho - y^2, stable inward, from the asymptotic
     form -k + mass/(2 k rho), k = sqrt(k2), _RICCATI_RUN_IN past the last
-    radius, in RK4 steps of at most _RICCATI_STEP."""
+    radius, in RK4 steps of at most ``step``."""
     if not k2 > 0.0:
         return None
     k = math.sqrt(k2)
@@ -347,21 +350,22 @@ def _tail(k2: float, mass: float, radii: list[float]) -> tuple[list[float], list
     log_u = 0.0
     ys, logs = [], []
     for end in reversed(radii):
-        steps = math.ceil((r - end) / _RICCATI_STEP)
+        steps = math.ceil((r - end) / step)
         dr = (end - r) / steps
         half = 0.5 * dr
+        sixth = dr / 6.0
         for _ in range(steps):
-            rm = r + half
             a1 = k2 - mass / r - y * y
             y2 = y + half * a1
-            a2 = k2 - mass / rm - y2 * y2
+            qm = k2 - mass / (r + half)  # the potential at the midpoint
+            a2 = qm - y2 * y2
             y3 = y + half * a2
-            a3 = k2 - mass / rm - y3 * y3
+            a3 = qm - y3 * y3
             y4 = y + dr * a3
             r += dr
             a4 = k2 - mass / r - y4 * y4
-            log_u += dr / 6.0 * (y + 2.0 * (y2 + y3) + y4)
-            y += dr / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
+            log_u += sixth * (y + 2.0 * (y2 + y3) + y4)
+            y += sixth * (a1 + 2.0 * (a2 + a3) + a4)
         r = end
         ys.append(y)
         logs.append(log_u)
@@ -375,13 +379,15 @@ def _stop(grid: RadialGrid) -> int:
     return max(2, round(_MATCH_MARGIN / grid.spacing))
 
 
-def _side(n: int, gamma0: float, grid: RadialGrid, stop: int) -> tuple[int, float | None]:
+def _side(n: int, gamma0: float, grid: RadialGrid, stop: int,
+          step: float = _RICCATI_STEP) -> tuple[int, float | None]:
     """+1 when gamma0 lies above the n-node eigenvalue, where the growing
     mode carries the sign (-1)^n of f's last lobe, and -1 below; with the
     mismatch that told it, or None.
 
     A shot that reaches rho_m tells by the sign of (-1)^n times the
-    mismatch, which is that of its growing mode, and returns that product.
+    mismatch, which is that of its growing mode, and returns that product;
+    its tail takes Riccati steps of at most ``step``.
     One that stops before rho_m, or whose tail there does not decay yet,
     tells by its label up to rho_m, or else rho_max: an (n+1)-th node means
     below, divergence above.
@@ -389,7 +395,7 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int) -> tuple[int, floa
     (nodes, classification), (i, f, fp, g, gp) = _shoot(gamma0, grid, n, False, stop)
     if classification == "match_radius":
         rho = float(grid.nodes[i])
-        tail = _tail(g + rho * gp, rho * rho * gp, [rho])
+        tail = _tail(g + rho * gp, rho * rho * gp, [rho], step)
         if tail is not None:
             mismatch = (-1) ** n * (f + rho * fp - rho * f * tail[0][0])
             return (1 if mismatch > 0.0 else -1), mismatch
@@ -407,13 +413,14 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int) -> tuple[int, floa
 def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
                 tol: float) -> tuple[float, float] | None:
     """The root and slope that aim a bisection on ``grid``: the unaimed
-    bisection of the same bracket on every _COARSE-th point gives the
-    mid-bracket gamma0 and the secant slope of its last two mismatches.
+    bisection of the same bracket on every _COARSE-th point, with tails on
+    a Riccati step _COARSE times as long, gives the mid-bracket gamma0 and
+    the secant slope of its last two mismatches.
     None when that grid is refused, the bisection raises, or it leaves no
     two distinct mismatches."""
     try:
         coarse = make_grid(grid.rho_max, (grid.n_points - 1) // _COARSE + 1)
-        lo, hi, seen = _bisect(n, bracket, coarse, tol, aimed=False)
+        lo, hi, seen = _bisect(n, bracket, coarse, tol, coarse=True)
     except SngError:
         return None
     if len(seen) < 2 or seen[-1][1] == seen[-2][1]:
@@ -423,7 +430,7 @@ def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
 
 
 def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
-            aimed: bool = True) -> tuple[float, float, list[tuple[float, float]]]:
+            coarse: bool = False) -> tuple[float, float, list[tuple[float, float]]]:
     """Plain bisection's bracket of width <= tol on the n-node eigenvalue
     inside ``bracket``, and the (gamma0, mismatch) pairs of the shots taken,
     in the order the secant reads them.
@@ -436,23 +443,28 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
     it; else at the midpoint.  A midpoint outside (a, b) takes the side of
     the shot that set that end.
 
-    ``aimed`` first shoots from the coarse pass's root gamma_c and slope
-    (see :func:`_coarse_aim`): at gamma_c + d, d growing 8-fold from
-    max(_AIM_OFFSET |gamma_c|, tol), until a shot lands above the
-    eigenvalue with a mismatch v there, then a secant step past each side
-    of the Newton point x - v/slope; every such shot lies inside (a, b).
-    Bracket ends are shot only while the shots do not yet straddle the
-    eigenvalue.  An aimed shot that raises ends the aim.
+    Unless ``coarse``, the first shots are aimed from the coarse pass's
+    root gamma_c and slope (see :func:`_coarse_aim`): at gamma_c + d, d
+    growing 8-fold from max(_AIM_OFFSET |gamma_c|, tol), until a shot lands
+    above the eigenvalue with a mismatch v there, then a secant step past
+    each side of the Newton point x - v/slope; while the shots do not yet
+    straddle the eigenvalue, once more past each side of the root of the
+    secant through the last two mismatches.  Every such shot lies inside
+    (a, b).  Bracket ends are shot only while the shots still do not
+    straddle the eigenvalue.  An aimed shot that raises ends the aim.
+    ``coarse`` marks the coarse pass itself, whose tails take Riccati steps
+    _COARSE times as long as the solve's.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     stop = _stop(grid)
+    step = _COARSE * _RICCATI_STEP if coarse else _RICCATI_STEP
     a, b = lo, hi
     seen = []
     side_lo = -1  # the lower end's side: below, unless its own shot says otherwise
 
     def shoot(x: float) -> tuple[int, float | None]:
         nonlocal a, b
-        side, v = _side(n, x, grid, stop)
+        side, v = _side(n, x, grid, stop, step)
         if v is not None:
             seen.append((x, v))
         if side == side_lo:
@@ -463,7 +475,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
 
     # a coarser tol leaves too few halvings to always repay the coarse pass
     # (n = 0 on 40/401 at tol 1e-6: 2,313 RK4 steps aimed, 2,223 plain)
-    aimed = aimed and tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
+    aimed = not coarse and tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
     aim = _coarse_aim(n, bracket, grid, tol) if aimed else None
     if aim is not None:
         gamma_c, slope = aim
@@ -475,16 +487,21 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
                 side, v = shoot(x)
                 d *= 8.0
             if side > 0 and v is not None:
-                x -= v / slope
-                past = max(_SECANT_PAST * tol, _SECANT_FLOOR * abs(x))
-                for y in (x - past, x + past):
-                    if a < y < b:
-                        shoot(y)
+                for _ in range(2):  # the Newton step, then the fine secant's
+                    x -= v / slope
+                    past = max(_SECANT_PAST * tol, _SECANT_FLOOR * abs(x))
+                    for y in (x - past, x + past):
+                        if a < y < b:
+                            shoot(y)
+                    if (a > lo and b < hi) or len(seen) < 2 or seen[-1][1] == seen[-2][1]:
+                        break
+                    (x0, v0), (x, v) = seen[-2:]
+                    slope = (v - v0) / (x - x0)
         except SngError:
             pass
     if a == lo or b == hi:
-        side_lo, v_lo = _side(n, lo, grid, stop)
-        side_hi, v_hi = _side(n, hi, grid, stop)
+        side_lo, v_lo = _side(n, lo, grid, stop, step)
+        side_hi, v_hi = _side(n, hi, grid, stop, step)
         if side_hi == side_lo:
             raise InvalidBracketError(
                 f"bracket ends {bracket} lie on one side of the n={n} eigenvalue")

@@ -13,6 +13,7 @@ import collections
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -558,10 +559,11 @@ def _rk4_steps(record, state):
 def test_solve_states_shot_counts(monkeypatch):
     # label-only lattice shots bounded at n = 1, at 10 of the 101 points;
     # then per state the unaimed bisection on the 251-point coarse grid
-    # (stop 100 samples), whose root and slope aim the shots on
-    # 2001 points (stop 800 samples, 16 past the n-th node): 9 for n = 0
-    # and 5 for n = 1, against 2 + 16 and 2 + 10 unaimed, and one recorded
-    # shot to rho_m
+    # (stop 100 samples; three shots whose tail on the coarse Riccati step
+    # does not decay yet at rho_m are shot again to rho_max), whose root and
+    # slope aim the shots on 2001 points (stop 800 samples, 16 past the
+    # n-th node): 9 for n = 0 and 5 for n = 1, against 2 + 16 and 2 + 10
+    # unaimed, and one recorded shot to rho_m
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -571,18 +573,30 @@ def test_solve_states_shot_counts(monkeypatch):
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
     assert counts == {(2001, False, 1, None): 10,
-                      (251, False, 0, 100): 17, (251, False, 1, 100): 13,
+                      (251, False, 0, 100): 14, (251, False, 1, 100): 15,
+                      (251, False, 0, None): 2, (251, False, 1, None): 1,
                       (2001, False, 0, 800): 9, (2001, False, 1, 800): 5,
                       (2001, True, 0, 800): 1, (2001, True, 1, 800): 1}
+
+
+def _riccati_steps(k2, radii, step):
+    """The RK4 steps a _tail call takes on its Riccati equation: none when
+    k2 <= 0, else those of at most ``step`` from _RICCATI_RUN_IN past the
+    last radius in to each radius in turn."""
+    if not k2 > 0.0:
+        return 0
+    ends = [radii[-1] + shooting._RICCATI_RUN_IN, *reversed(radii)]
+    return sum(math.ceil((r - end) / step) for r, end in zip(ends, ends[1:]))
 
 
 def test_default_grid_rk4_steps(monkeypatch):
     # solve_states(range(5)) on the default grid: the lattice, the aimed and
     # the recorded shots on 8001 points, and the coarse passes on 1001
-    # points (one of whose n = 4 shots has no decaying tail at rho_m and is
-    # shot again to rho_max).  Unaimed, all 91 shots were on 8001 points,
-    # with 373,204 RK4 steps.
-    shots, steps = collections.Counter(), collections.Counter()
+    # points (five of whose shots have no decaying tail at rho_m and are
+    # shot again to rho_max); the tails of the solve's shots take Riccati
+    # steps of 0.05, those of the coarse passes steps of 0.4.  Unaimed, all
+    # 91 shots were on 8001 points, with 373,204 RK4 steps.
+    shots, steps, tails = collections.Counter(), collections.Counter(), collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
         label, state = _shoot(gamma0, grid, max_nodes, record, stop)
@@ -590,9 +604,37 @@ def test_default_grid_rk4_steps(monkeypatch):
         steps[grid.n_points] += _rk4_steps(record, state)
         return label, state
 
+    def tail(k2, mass, radii, step=shooting._RICCATI_STEP):
+        tails[step] += _riccati_steps(k2, radii, step)
+        return _tail(k2, mass, radii, step)
+
     monkeypatch.setattr(shooting, "_shoot", counted)
+    monkeypatch.setattr(shooting, "_tail", tail)
     solve_states(range(5), default_grid())
-    assert (shots, steps) == ({8001: 51, 1001: 68}, {8001: 208_974, 1001: 36_307})
+    assert (shots, steps) == ({8001: 45, 1001: 73}, {8001: 185_407, 1001: 38_960})
+    assert tails == {shooting._RICCATI_STEP: 36_317,
+                     shooting._COARSE * shooting._RICCATI_STEP: 4_401}
+
+
+def test_default_grid_bisections_shoot_no_bracket_end(monkeypatch):
+    # the aimed shots straddle every eigenvalue on the default grid (for
+    # n = 1, 2 and 4 once the secant of the solve's own mismatches follows
+    # the coarse slope's Newton step), so no bisection there shoots an end
+    # of its lattice cell
+    grid = default_grid()
+    found = find_brackets(range(5), grid)
+    real_side, shot = shooting._side, []
+
+    def side(n, gamma0, shot_grid, stop, step=shooting._RICCATI_STEP):
+        if shot_grid == grid:
+            shot.append((n, gamma0))
+        return real_side(n, gamma0, shot_grid, stop, step)
+
+    monkeypatch.setattr(shooting, "_side", side)
+    for n, bracket in found.items():
+        shoot_gamma0(n, bracket, grid)
+    assert {n for n, _ in shot} == set(found)
+    assert [(n, x) for n, x in shot if x in found[n]] == []
 
 
 def test_default_grid_scan_shots(monkeypatch):
@@ -799,7 +841,7 @@ def test_secant_shots_never_outnumber_halvings(monkeypatch):
     grid = make_grid(40.0, 2001)
     shots = 0
 
-    def side(n, gamma0, shot_grid, stop):
+    def side(n, gamma0, shot_grid, stop, step=None):
         nonlocal shots
         shots += shot_grid == grid
         return (1, None) if gamma0 > root else (-1, -(root - gamma0) ** 10)
@@ -825,8 +867,8 @@ def test_coarse_pass_without_two_mismatches_leaves_the_bisection_unaimed(monkeyp
     n, bracket, grid, tol = AIM_CASE
     real_side, real_aim, aims = shooting._side, shooting._coarse_aim, []
 
-    def side(n, gamma0, shot_grid, stop):
-        told, mismatch = real_side(n, gamma0, shot_grid, stop)
+    def side(n, gamma0, shot_grid, stop, step=shooting._RICCATI_STEP):
+        told, mismatch = real_side(n, gamma0, shot_grid, stop, step)
         return told, mismatch if shot_grid == grid else None
 
     def aim(*args):
@@ -844,11 +886,11 @@ def test_aimed_shot_that_raises_ends_the_aim(monkeypatch):
     n, bracket, grid, tol = AIM_CASE
     real_side, raised = shooting._side, []
 
-    def side(n, gamma0, shot_grid, stop):
+    def side(n, gamma0, shot_grid, stop, step=shooting._RICCATI_STEP):
         if shot_grid == grid and not raised:
             raised.append(gamma0)
             raise WrongStateError("an aimed shot refused")
-        return real_side(n, gamma0, shot_grid, stop)
+        return real_side(n, gamma0, shot_grid, stop, step)
 
     monkeypatch.setattr(shooting, "_side", side)
     _assert_same_as_plain(n, bracket, grid, tol)
