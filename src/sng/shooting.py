@@ -8,9 +8,12 @@ with f(0)=1, f'(0)=0, g(0)=gamma0, g'(0)=0, has square-integrable solutions
 only for a discrete set of central values gamma0(n) < 0, labelled by the
 node count n of f.  Every shot runs one RK4 kernel outward from a series
 start at the origin; :func:`solve_states` brackets each eigenvalue by
-bisecting a gamma0 lattice for the cell where the node count of f falls
-past n, and bisects each bracket on one condition, a match at rho_m =
-(last node of f, or 0 for n = 0) + 16.  Past rho_m the source f^2 is
+bisecting a gamma0 lattice, shot on every eighth grid point, for the cell
+where the node count of f falls past n, and bisects each bracket on the
+grid itself on one condition, a match at rho_m = (last node of f, or 0
+for n = 0) + 16.  The lattice runs on the grid itself only when the
+coarse grid is refused, its lattice raises, or the bisection finds both
+ends of a coarse cell on one side.  Past rho_m the source f^2 is
 negligible: g = g_inf - M/rho with M = rho_m^2 g'(rho_m) and g_inf =
 g + rho_m g'(rho_m), and u = rho f obeys u'' = (g_inf - M/rho) u, whose
 decaying solution is the Whittaker function W_{kappa,1/2}(2 k rho), k^2 =
@@ -27,9 +30,10 @@ those do not straddle the root yet, of the root of the secant through
 the last two mismatches; the bracket ends are not shot once the shots
 straddle the root.  A coarse pass that fails or leaves no two
 mismatches, or a tol above 1e-9 |gamma0|, leaves the bisection unaimed.
-On the default grid, solve_states(range(5)) takes 45 shots there and 73
-on the coarse grid, 224,367 RK4 steps and 40,718 Riccati steps in all,
-against 91 shots, 373,204 and 56,319 unaimed.
+On the default grid, solve_states(range(5)) takes 27 shots there and 91
+on the coarse grid (18 of them the lattice's), 172,920 RK4 steps and
+40,718 Riccati steps in all, against 91 shots, 373,204 and 56,319 unaimed
+with the lattice on the grid itself.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ _SECANT_FLOOR = 2.0**-40
 
 # A bisection to a tol below _AIM_OFFSET |gamma0| is aimed from one on every
 # _COARSE-th point, whose root gamma_c it first shoots _AIM_OFFSET |gamma_c|
-# above, then 8 times as far, and so on.
+# above, then 8 times as far, and so on.  solve_states' lattice shoots on
+# the same points.
 _COARSE = 8
 _AIM_OFFSET = 1e-9
 
@@ -285,6 +290,24 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
 # bracketing
 # ---------------------------------------------------------------------------
 
+def _node_counts(ns: Iterable[int]) -> list[int]:
+    """The distinct node counts ``ns``, in increasing order; an empty
+    request or a bad n raises InvalidArgumentError."""
+    wanted = sorted({check_count("n", n, 0) for n in ns})
+    if not wanted:
+        raise InvalidArgumentError("need one or more node counts, got none")
+    return wanted
+
+
+def _coarse_grid(grid: RadialGrid) -> RadialGrid | None:
+    """Every _COARSE-th point of ``grid``, where :func:`solve_states`
+    brackets and :func:`_coarse_aim` aims; None when it is refused."""
+    try:
+        return make_grid(grid.rho_max, (grid.n_points - 1) // _COARSE + 1)
+    except SngError:
+        return None
+
+
 def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float, float]]:
     """Brackets for the node counts ``ns``: neighbouring points of a gamma0
     lattice on (-5, 0).  The node count of f is a Sturm count, which does
@@ -295,10 +318,9 @@ def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float,
     past the highest n.  An empty request or a bad n raises
     InvalidArgumentError before any shot.  InvalidBracketError is raised for
     an n with count(-5) <= n, and for a count that rises with gamma0 between
-    two of the shots, as on a grid too coarse for the states it shoots."""
-    wanted = sorted({check_count("n", n, 0) for n in ns})
-    if not wanted:
-        raise InvalidArgumentError("need one or more node counts, got none")
+    two of the shots, as on a grid too coarse for the states it shoots.
+    :func:`solve_states` runs it on every _COARSE-th point first."""
+    wanted = _node_counts(ns)
     counts = {}
 
     def count(i: int) -> int:
@@ -413,13 +435,16 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int,
 def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
                 tol: float) -> tuple[float, float] | None:
     """The root and slope that aim a bisection on ``grid``: the unaimed
-    bisection of the same bracket on every _COARSE-th point, with tails on
-    a Riccati step _COARSE times as long, gives the mid-bracket gamma0 and
-    the secant slope of its last two mismatches.
+    bisection of the same bracket on every _COARSE-th point (the grid
+    :func:`solve_states` brackets on), with tails on a Riccati step
+    _COARSE times as long, gives the mid-bracket gamma0 and the secant
+    slope of its last two mismatches.
     None when that grid is refused, the bisection raises, or it leaves no
     two distinct mismatches."""
+    coarse = _coarse_grid(grid)
+    if coarse is None:
+        return None
     try:
-        coarse = make_grid(grid.rho_max, (grid.n_points - 1) // _COARSE + 1)
         lo, hi, seen = _bisect(n, bracket, coarse, tol, coarse=True)
     except SngError:
         return None
@@ -596,10 +621,33 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
 def solve_states(ns: Iterable[int], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> list[UniversalSolution]:
     """Solve the bound states with the requested node counts, in the order
-    given: :func:`find_brackets` brackets them all on its shared shots,
-    then :func:`shoot_gamma0` bisects each.  A bad ``tol`` raises
-    InvalidArgumentError before any shot."""
+    given: :func:`find_brackets` brackets them all on its shared shots on
+    every _COARSE-th point (see :func:`_coarse_grid`), then
+    :func:`shoot_gamma0` bisects each on ``grid`` from its cell.  A cell
+    that contains the eigenvalue on ``grid`` is the one the lattice on
+    ``grid`` itself gives, so the states are the same.  That lattice
+    brackets the states instead when the coarse grid is refused, its
+    lattice raises, or a coarse cell lies on one side of the eigenvalue
+    on ``grid`` (InvalidBracketError), from that state on.  A bad ``tol``
+    or ``ns`` raises InvalidArgumentError before any shot."""
     ns = list(ns)
     check_positive("tol", tol)
-    found = find_brackets(ns, grid)
-    return [shoot_gamma0(n, found[n], grid, tol) for n in ns]
+    _node_counts(ns)
+    coarse = _coarse_grid(grid)
+    try:
+        cells = {} if coarse is None else find_brackets(ns, coarse)
+    except SngError:
+        cells = {}
+    found = None  # the brackets of the lattice on grid itself, once needed
+    solved = []
+    for n in ns:
+        if n in cells:
+            try:
+                solved.append(shoot_gamma0(n, cells[n], grid, tol))
+                continue
+            except InvalidBracketError:
+                cells = {}
+        if found is None:
+            found = find_brackets(ns, grid)
+        solved.append(shoot_gamma0(n, found[n], grid, tol))
+    return solved

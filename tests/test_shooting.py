@@ -395,6 +395,19 @@ def test_coarse_tol_refusals_name_tol(n, tol, refusal):
     assert shoot_gamma0(n, bracket, grid, tol / 10).bracket_width <= tol / 10
 
 
+@pytest.mark.parametrize("ns, message", [
+    ([], "need one or more node counts, got none"),
+    ([-1], "n must be"),
+    ([0.5], "n must be"),
+])
+def test_solve_states_refuses_bad_node_counts_before_any_shot(ns, message, monkeypatch):
+    shots = []
+    monkeypatch.setattr(shooting, "_shoot", lambda *args: shots.append(args))
+    with pytest.raises(InvalidArgumentError, match=message):
+        solve_states(ns, make_grid(40.0, 2001))
+    assert shots == []
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
 def test_invalid_tol_rejected(tol):
     with pytest.raises(InvalidArgumentError):
@@ -557,13 +570,13 @@ def _rk4_steps(record, state):
 
 
 def test_solve_states_shot_counts(monkeypatch):
-    # label-only lattice shots bounded at n = 1, at 10 of the 101 points;
-    # then per state the unaimed bisection on the 251-point coarse grid
-    # (stop 100 samples; three shots whose tail on the coarse Riccati step
-    # does not decay yet at rho_m are shot again to rho_max), whose root and
-    # slope aim the shots on 2001 points (stop 800 samples, 16 past the
-    # n-th node): 9 for n = 0 and 5 for n = 1, against 2 + 16 and 2 + 10
-    # unaimed, and one recorded shot to rho_m
+    # label-only lattice shots bounded at n = 1, at 10 of the 101 points, on
+    # the 251-point coarse grid; then per state the unaimed bisection on the
+    # same grid (stop 100 samples; three shots whose tail on the coarse
+    # Riccati step does not decay yet at rho_m are shot again to rho_max),
+    # whose root and slope aim the shots on 2001 points (stop 800 samples,
+    # 16 past the n-th node): 9 for n = 0 and 5 for n = 1, against 2 + 16
+    # and 2 + 10 unaimed, and one recorded shot to rho_m
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -572,9 +585,8 @@ def test_solve_states_shot_counts(monkeypatch):
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
-    assert counts == {(2001, False, 1, None): 10,
-                      (251, False, 0, 100): 14, (251, False, 1, 100): 15,
-                      (251, False, 0, None): 2, (251, False, 1, None): 1,
+    assert counts == {(251, False, 0, 100): 14, (251, False, 1, 100): 15,
+                      (251, False, 0, None): 2, (251, False, 1, None): 10 + 1,
                       (2001, False, 0, 800): 9, (2001, False, 1, 800): 5,
                       (2001, True, 0, 800): 1, (2001, True, 1, 800): 1}
 
@@ -590,12 +602,13 @@ def _riccati_steps(k2, radii, step):
 
 
 def test_default_grid_rk4_steps(monkeypatch):
-    # solve_states(range(5)) on the default grid: the lattice, the aimed and
-    # the recorded shots on 8001 points, and the coarse passes on 1001
-    # points (five of whose shots have no decaying tail at rho_m and are
-    # shot again to rho_max); the tails of the solve's shots take Riccati
-    # steps of 0.05, those of the coarse passes steps of 0.4.  Unaimed, all
-    # 91 shots were on 8001 points, with 373,204 RK4 steps.
+    # solve_states(range(5)) on the default grid: the aimed and the
+    # recorded shots on 8001 points, and the lattice and the coarse passes
+    # on 1001 points (five of whose shots have no decaying tail at rho_m and
+    # are shot again to rho_max); the tails of the solve's shots take
+    # Riccati steps of 0.05, those of the coarse passes steps of 0.4.
+    # Unaimed and bracketed on 8001 points, all 91 shots were on 8001
+    # points, with 373,204 RK4 steps.
     shots, steps, tails = collections.Counter(), collections.Counter(), collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -611,9 +624,29 @@ def test_default_grid_rk4_steps(monkeypatch):
     monkeypatch.setattr(shooting, "_shoot", counted)
     monkeypatch.setattr(shooting, "_tail", tail)
     solve_states(range(5), default_grid())
-    assert (shots, steps) == ({8001: 45, 1001: 73}, {8001: 185_407, 1001: 38_960})
+    assert (shots, steps) == ({8001: 27, 1001: 91}, {8001: 126_616, 1001: 46_304})
     assert tails == {shooting._RICCATI_STEP: 36_317,
                      shooting._COARSE * shooting._RICCATI_STEP: 4_401}
+
+
+def test_default_grid_lattice_runs_on_the_coarse_grid(monkeypatch):
+    # the 18 lattice shots of test_default_grid_scan_shots, on every eighth
+    # point: every coarse cell holds its eigenvalue on the default grid, so
+    # the lattice on the default grid itself never runs
+    lattice, real_find = collections.Counter(), shooting.find_brackets
+
+    def counted(gamma0, grid, max_nodes, record, stop=None):
+        lattice[grid.n_points, record, max_nodes, stop] += 1
+        return _shoot(gamma0, grid, max_nodes, record, stop)
+
+    def find(ns, grid):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shooting, "_shoot", counted)
+            return real_find(ns, grid)
+
+    monkeypatch.setattr(shooting, "find_brackets", find)
+    solve_states(range(5), default_grid())
+    assert lattice == {(1001, False, 4, None): 18}
 
 
 def test_default_grid_bisections_shoot_no_bracket_end(monkeypatch):
@@ -789,6 +822,80 @@ def test_solve_states_matches_plain_bisection_bit_for_bit(rho_max, points, n_max
     for n, bracket in find_brackets(range(n_max + 1), grid).items():
         _, sequence = plain_bisection(rho_max, points, n, bracket)
         _assert_same_as_plain(n, bracket, grid, shooting.DEFAULT_TOL, sequence)
+
+
+# --- coarse-grid lattice against the grid's own --------------------------------
+
+def _states_outcome(solve):
+    """The _outcome of each state ``solve()`` returns, or the type and
+    message of the error it raises."""
+    try:
+        states = solve()
+    except SngError as exc:
+        return type(exc), str(exc)
+    return [_outcome(lambda: sol) for sol in states]
+
+
+def _assert_same_as_own_lattice(ns, grid):
+    # solve_states against each state bisected from the cell of the lattice
+    # on the grid itself
+    def own():
+        found = find_brackets(ns, grid)
+        return [shoot_gamma0(n, found[n], grid) for n in ns]
+
+    assert _states_outcome(lambda: solve_states(ns, grid)) == _states_outcome(own), (grid, ns)
+
+
+@pytest.mark.parametrize("rho_max, points, n_max", [
+    (40.0, 8001, 4), (40.0, 4001, 1), (40.0, 4001, 4), (40.0, 2001, 3),
+    (60.0, 12001, 5), (40.0, 16001, 2),
+])
+def test_solve_states_matches_the_grids_own_lattice_bit_for_bit(rho_max, points, n_max):
+    _assert_same_as_own_lattice(range(n_max + 1), make_grid(rho_max, points))
+
+
+@pytest.mark.parametrize("points", [5, 11, 16])
+def test_refused_coarse_grid_brackets_on_the_grids_own_lattice(points, monkeypatch):
+    # under 17 points, every eighth point is fewer than the 3 a grid needs
+    grid, real_find, lattices = make_grid(40.0, points), shooting.find_brackets, []
+
+    def find(ns, lattice_grid):
+        lattices.append(lattice_grid)
+        return real_find(ns, lattice_grid)
+
+    monkeypatch.setattr(shooting, "find_brackets", find)
+    assert shooting._coarse_grid(grid) is None
+    _assert_same_as_own_lattice(range(3), grid)
+    assert set(lattices) == {grid}
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_coarse_cell_off_the_eigenvalue_falls_back_on_the_grids_own_lattice(shift,
+                                                                             monkeypatch):
+    # a coarse lattice that answers the neighbouring cell: the bisection on
+    # the grid refuses it (both ends on one side), and the grid's own
+    # lattice brackets that state and the rest
+    grid, real_find, lattices = make_grid(40.0, 2001), shooting.find_brackets, []
+    index = {float(x): i for i, x in enumerate(shooting._LATTICE)}
+
+    def find(ns, lattice_grid):
+        lattices.append(lattice_grid.n_points)
+        found = real_find(ns, lattice_grid)
+        if lattice_grid == grid:
+            return found
+        return {n: tuple(float(shooting._LATTICE[index[x] + shift]) for x in cell)
+                for n, cell in found.items()}
+
+    monkeypatch.setattr(shooting, "find_brackets", find)
+    _assert_same_as_own_lattice(range(3), grid)
+    assert lattices == [251, 2001]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(points=st.integers(3, 601), rho_max=st.floats(8.0, 80.0), n_max=st.integers(0, 4))
+def test_solve_states_matches_the_grids_own_lattice_on_fuzzed_grids(points, rho_max, n_max):
+    # refusals included, by type and message
+    _assert_same_as_own_lattice(range(n_max + 1), make_grid(rho_max, points))
 
 
 @pytest.mark.parametrize("points", [5, 11, 41])
