@@ -28,12 +28,15 @@ the cost a shot, its tails too: just above that coarse root, then either
 side of the Newton step the coarse slope gives from there and, while
 those do not straddle the root yet, of the root of the secant through
 the last two mismatches; the bracket ends are not shot once the shots
-straddle the root.  A coarse pass that fails or leaves no two
-mismatches, or a tol above 1e-9 |gamma0|, leaves the bisection unaimed.
+straddle the root.  :func:`shoot_gamma0` alone decides whether to aim:
+a coarse pass that fails or leaves no two mismatches, or a tol above
+1e-9 |gamma0|, leaves the bisection unaimed.
 On the default grid, solve_states(range(5)) takes 27 shots there and 91
 on the coarse grid (18 of them the lattice's), 172,920 RK4 steps and
 40,718 Riccati steps in all, against 91 shots, 373,204 and 56,319 unaimed
-with the lattice on the grid itself.
+with the lattice on the grid itself.  Each shot ends labelled by where
+it stops: match_radius, node_ceiling, diverged_up, diverged_down or
+max_radius (see :func:`_shoot`).
 """
 
 from __future__ import annotations
@@ -187,10 +190,9 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     ``max_nodes`` at node max_nodes + 1 (``node_ceiling``; the count stops
     there).  With ``stop`` (and ``max_nodes``), it also ends ``stop``
     samples past f's sign change number ``max_nodes`` (past the origin for
-    0): ``match_radius``.  At rho_max it is ``converged`` when |f| < 1e-6
-    still shrinks, else ``max_radius_reached``.  A non-finite gamma0, a
-    bad ``max_nodes`` or a sample that overflows a double raises
-    InvalidArgumentError.
+    0): ``match_radius``.  A shot that runs to rho_max is ``max_radius``.
+    A non-finite gamma0, a bad ``max_nodes`` or a sample that overflows a
+    double raises InvalidArgumentError.
 
     Returns the label ``(node_count, classification)`` and, when ``record``
     is true, the computed samples as the lists (f, f', g, g'); else the
@@ -212,12 +214,11 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     ygp = h / 3.0
     if record:
         fs, fps, gs, gps = [1.0, yf], [0.0, yfp], [gamma0, yg], [0.0, ygp]
-    f_prev = 1.0  # the sample before yf, as fs[-2] is when recording
     nodes = int(yf < 0.0)  # the pair (f[0], f[1]) = (1, yf)
     # the index the shot stops at once it is known; n is past the grid
     target = nodes + stop if stop is not None and nodes == ceiling else n
     rho = h
-    classification = None
+    classification = "max_radius"
     half = 0.5 * h
     sixth = h / 6.0
     cap = _CAP
@@ -280,9 +281,6 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     # a sum with a non-finite term is not finite, so the last samples decide
     if not (math.isfinite(yf) and math.isfinite(yg)):
         raise InvalidArgumentError(f"the shot at gamma0={gamma0} overflows a double")
-    if classification is None:
-        tail_shrinking = abs(yf) < 1e-6 and abs(yf) <= abs(f_prev)
-        classification = "converged" if tail_shrinking else "max_radius_reached"
     return (nodes, classification), ((fs, fps, gs, gps) if record else (i, yf, yfp, yg, ygp))
 
 
@@ -435,7 +433,7 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int,
 def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
                 tol: float) -> tuple[float, float] | None:
     """The root and slope that aim a bisection on ``grid``: the unaimed
-    bisection of the same bracket on every _COARSE-th point (the grid
+    :func:`_bisect` of the same bracket on every _COARSE-th point (the grid
     :func:`solve_states` brackets on), with tails on a Riccati step
     _COARSE times as long, gives the mid-bracket gamma0 and the secant
     slope of its last two mismatches.
@@ -445,7 +443,7 @@ def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
     if coarse is None:
         return None
     try:
-        lo, hi, seen = _bisect(n, bracket, coarse, tol, coarse=True)
+        lo, hi, seen = _bisect(n, bracket, coarse, tol, _COARSE * _RICCATI_STEP, None)
     except SngError:
         return None
     if len(seen) < 2 or seen[-1][1] == seen[-2][1]:
@@ -454,11 +452,11 @@ def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
     return 0.5 * (lo + hi), (v1 - v0) / (x1 - x0)
 
 
-def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
-            coarse: bool = False) -> tuple[float, float, list[tuple[float, float]]]:
+def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, step: float,
+            aim: tuple[float, float] | None) -> tuple[float, float, list[tuple[float, float]]]:
     """Plain bisection's bracket of width <= tol on the n-node eigenvalue
     inside ``bracket``, and the (gamma0, mismatch) pairs of the shots taken,
-    in the order the secant reads them.
+    in the order the secant reads them; tails take Riccati steps <= ``step``.
 
     A midpoint inside the narrowest bracket (a, b) the shots have
     established costs one shot: while more than two halvings remain and
@@ -468,7 +466,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
     it; else at the midpoint.  A midpoint outside (a, b) takes the side of
     the shot that set that end.
 
-    Unless ``coarse``, the first shots are aimed from the coarse pass's
+    With an ``aim``, the first shots are aimed from the coarse pass's
     root gamma_c and slope (see :func:`_coarse_aim`): at gamma_c + d, d
     growing 8-fold from max(_AIM_OFFSET |gamma_c|, tol), until a shot lands
     above the eigenvalue with a mismatch v there, then a secant step past
@@ -477,12 +475,9 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
     secant through the last two mismatches.  Every such shot lies inside
     (a, b).  Bracket ends are shot only while the shots still do not
     straddle the eigenvalue.  An aimed shot that raises ends the aim.
-    ``coarse`` marks the coarse pass itself, whose tails take Riccati steps
-    _COARSE times as long as the solve's.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     stop = _stop(grid)
-    step = _COARSE * _RICCATI_STEP if coarse else _RICCATI_STEP
     a, b = lo, hi
     seen = []
     side_lo = -1  # the lower end's side: below, unless its own shot says otherwise
@@ -498,10 +493,6 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
             b = x
         return side, v
 
-    # a coarser tol leaves too few halvings to always repay the coarse pass
-    # (n = 0 on 40/401 at tol 1e-6: 2,313 RK4 steps aimed, 2,223 plain)
-    aimed = not coarse and tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
-    aim = _coarse_aim(n, bracket, grid, tol) if aimed else None
     if aim is not None:
         gamma_c, slope = aim
         d = max(_AIM_OFFSET * abs(gamma_c), tol)
@@ -567,12 +558,13 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     mismatch there.  The halvings are plain bisection's, so while the side
     changes once inside ``bracket`` the result is plain bisection's bit for
     bit; but a midpoint that lies past a shot already taken takes that
-    shot's side.  The first shots are aimed from a bisection on a grid of
-    every eighth point, and near the root the shots are secant steps on
-    the mismatch aimed just past the root toward the midpoint (see
-    :func:`_bisect`).  Secant shots never outnumber the halvings made.
-    Past rho_m, f* = u_tail/rho with u_tail from the same tail as the
-    mismatch, and g* = g_inf - M/rho.
+    shot's side.  Only here is the aim decided: for tol < min(hi - lo,
+    1e-9 max(|lo|, |hi|)) the first shots are aimed from a bisection on
+    every eighth point (:func:`_coarse_aim`), and near the root the shots
+    are secant steps on the mismatch aimed just past the root toward the
+    midpoint (see :func:`_bisect`).  Secant shots never outnumber the
+    halvings made.  Past rho_m, f* = u_tail/rho with u_tail from the same
+    tail as the mismatch, and g* = g_inf - M/rho.
 
     Raises
     ------
@@ -591,7 +583,11 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
-    lo, hi, _ = _bisect(n, bracket, grid, tol)
+    # a coarser tol leaves too few halvings to always repay the coarse pass
+    # (n = 0 on 40/401 at tol 1e-6: 2,313 RK4 steps aimed, 2,223 plain)
+    aimed = tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
+    aim = _coarse_aim(n, bracket, grid, tol) if aimed else None
+    lo, hi, _ = _bisect(n, bracket, grid, tol, _RICCATI_STEP, aim)
     stop = _stop(grid)
     gamma0 = 0.5 * (lo + hi)
     (_, classification), (f_shot, _, g_shot, gp_shot) = _shoot(gamma0, grid, n, True, stop)

@@ -20,6 +20,7 @@ import sng
 
 PACKAGE_DIR = Path(sng.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -153,3 +154,17 @@ def test_only_lapack_callers_import_scipy(tmp_path):
     assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["lean"] == []
     assert "scipy.linalg" in report["after_evolve"]
+
+
+def test_failing_hypothesis_test_shows_its_example(tmp_path):
+    # warnings are errors, yet the one hypothesis' report hook raises must
+    # not turn a falsified property into an INTERNALERROR with no example
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\ndef test_falsified(x):\n    assert x < 0\n")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-c", str(PYPROJECT),
+                           "-p", "no:cacheprovider", "test_falsified.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout
+    assert "Falsifying example" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr

@@ -423,7 +423,7 @@ def test_classification_labels_partition_parameter_space():
     (_, deep), _ = _shot(-3.0, grid)
     assert up == "diverged_up" and up_nodes == 0
     assert down == "diverged_down" and down_nodes == 1
-    assert deep == "max_radius_reached"
+    assert deep == "max_radius"
 
 
 # --- determinism -------------------------------------------------------------
@@ -457,7 +457,7 @@ PINNED_STATES = {
 PINNED_SHOTS = {
     -0.3: ((0, "diverged_up"), 279,
            "b25cb5c09a7c74037c07e7dc0a08bcb329ad36145fd3d5de7bfe983af396fad4"),
-    -3.0: ((19, "max_radius_reached"), 2001,
+    -3.0: ((19, "max_radius"), 2001,
            "02fd3ff3b932664d952ec42f70b812e5a13173b0e81a11efc752d48b691190a6"),
 }
 
@@ -519,18 +519,19 @@ def test_label_only_shots_match_recorded_labels(kind, max_nodes):
         expected = _recorded(kind(gamma0), grid, max_nodes)
         assert _label_only(kind(gamma0), grid, max_nodes) == expected, f"gamma0={gamma0}"
         labels.append(expected[0])
-    deep = "max_radius_reached" if max_nodes is None else "node_ceiling"
+    deep = "max_radius" if max_nodes is None else "node_ceiling"
     assert {c for _, c in labels} == {"diverged_up", "diverged_down", deep}
 
 
 @pytest.mark.parametrize("rho_max, points, gamma0, label", [
-    # near-eigenvalue shots whose tail is still shrinking below 1e-6 at rho_max
-    (15.0, 601, -1.2100194931030273, (2, "converged")),
-    (12.0, 481, -0.9185807708326024, (1, "converged")),
-    # three points take one RK4 step; its previous f is the series sample
-    (1.0, 3, -8.676144101067043, (1, "converged")),
-    (1.0, 3, -8.676144101067042, (0, "converged")),
-    (1.0, 3, -1.0, (0, "max_radius_reached")),
+    # near-eigenvalue shots that reach rho_max with |f| below 1e-6
+    (15.0, 601, -1.2100194931030273, (2, "max_radius")),
+    (12.0, 481, -0.9185807708326024, (1, "max_radius")),
+    # three points take one RK4 step; its previous f is the series sample,
+    # so the node count tells whether that sample is kept
+    (1.0, 3, -8.676144101067043, (1, "max_radius")),
+    (1.0, 3, -8.676144101067042, (0, "max_radius")),
+    (1.0, 3, -1.0, (0, "max_radius")),
     (40.0, 3, -0.3, (1, "diverged_down")),
     *((40.0, 2001, gamma0, label) for gamma0, (label, _, _) in PINNED_SHOTS.items()),
     # shots that stop at their match radius, 800 samples (16) past node n
