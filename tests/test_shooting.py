@@ -528,7 +528,7 @@ def test_label_only_shots_match_recorded_labels(kind, max_nodes):
     (15.0, 601, -1.2100194931030273, (2, "max_radius")),
     (12.0, 481, -0.9185807708326024, (1, "max_radius")),
     # three points take one RK4 step; its previous f is the series sample,
-    # so the node count tells whether that sample is kept
+    # so the node counts check that the step compares against that sample
     (1.0, 3, -8.676144101067043, (1, "max_radius")),
     (1.0, 3, -8.676144101067042, (0, "max_radius")),
     (1.0, 3, -1.0, (0, "max_radius")),
