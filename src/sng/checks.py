@@ -80,8 +80,7 @@ def _natural_profile(n: int, rho_max: float, points: int) -> PhysicalProfile:
 # ---------------------------------------------------------------------------
 
 def _virial_residual(n: int, points: int) -> float:
-    eb = energy_breakdown(_natural_profile(n, 40.0, points))
-    return abs(2.0 * eb.e_kinetic / abs(eb.e_gravity) - 1.0)
+    return energy_breakdown(_natural_profile(n, 40.0, points)).virial_residual
 
 def _suite_virial() -> list[CheckResult]:
     rows = [CheckResult("virial", f"residual_n{n}", _virial_residual(n, 8001), 1e-3)
@@ -205,7 +204,7 @@ def _free_dispersion_series(points: int = 2001, dt: float = 0.01):
 def _stationary_gravity_series(n_steps: int = 1000):
     profile = _natural_profile(0, 40.0, 4001)
     state = state_from_profile(profile)
-    period = 2.0 * np.pi / abs(energy_breakdown(profile).e_single)
+    period = 2.0 * np.pi / abs(profile.epsilon_ag / 3.0)
     series = evolve(state, t_final=period, dt=period / n_steps, nl=NonlinearityKind.gravity(),
                     observe_every=50, snapshot_every=100)
     return state, series

@@ -274,17 +274,18 @@ def _cmd_rescale(args) -> int:
     sol = _load_solution(args.in_json)
     units = _units_from_flags(args, required=True)
     profile = rescale_to_physical(sol)
-    eb = energy_breakdown(profile)
-    energies = {f"{name}_J": _si_scalar(name, getattr(eb, name), units.energy)
-                for name in ("e_kinetic", "e_gravity", "e_total", "epsilon", "e_single")}
+    eps = profile.epsilon_ag  # the virial identities: T = -eps/3, W = 2 eps/3, E = eps/3
+    energies = {f"{name}_J": _si_scalar(name, value, units.energy) for name, value in (
+        ("e_kinetic", -eps / 3.0), ("e_gravity", 2.0 * eps / 3.0), ("e_total", eps / 3.0),
+        ("epsilon", eps), ("e_single", eps / 3.0))}
     summary = {
         "bohr_radius_m": units.length,
         "half_max_radius_m": _si_scalar("half_max_radius", half_max_radius(profile),
                                         units.length),
         "rms_radius_m": _si_scalar("rms_radius", rms_radius(profile), units.length),
         **energies,
-        # from the SI energies, as written
-        "virial_residual": abs(2.0 * energies["e_kinetic_J"] / abs(energies["e_gravity_J"]) - 1.0),
+        # the quadrature's check of the identities above
+        "virial_residual": energy_breakdown(profile).virial_residual,
         # kept so that the schema does not change: gamma1 is f*'s own norm
         "renormalized": False,
         "x_norm": profile.norm,
@@ -347,7 +348,7 @@ def _cmd_evolve(args) -> int:
     if args.dt is not None:
         dt = args.dt / units.time
     elif profile is not None:
-        dt = 2.0 * np.pi / abs(energy_breakdown(profile).e_single) / 200.0
+        dt = 2.0 * np.pi / abs(profile.epsilon_ag / 3.0) / 200.0
     else:
         dt = 2.0 * sigma**2 / 200.0
 

@@ -547,7 +547,10 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     check_count("observe_every", observe_every, 1)
     if snapshot_every is not None:
         check_count("snapshot_every", snapshot_every, 1)
-    n_steps = int(round((t_final - state.time) / dt))
+    span = (t_final - state.time) / dt
+    if span == math.inf:
+        raise InvalidArgumentError(f"t_final = {t_final!r} is too many steps of dt = {dt!r} away")
+    n_steps = int(round(span))
     if n_steps < 1:
         raise InvalidArgumentError("t_final is less than half a step away")
 

@@ -14,8 +14,9 @@ yields unit norm int 4 pi x^2 f^2 dx = 1 identically under this gamma1
 convention, gamma1 being f*'s own norm integral (checked at
 construction).  Energies are per particle throughout:
 E_kin = (1/2) int 4 pi x^2 (df/dx)^2 dx, E_grav = (1/2) int 4 pi x^2 f^2 m Phi dx
-(the 1/2 avoids double counting), and eps = (3/2) E_grav with
-single-particle eigenvalue E = eps/3.  Every function here returns a_g
+(the 1/2 avoids double counting).  A stationary state's eps is ``epsilon_ag``;
+the virial identities give E_kin = -eps/3, E_grav = 2 eps/3 and E = eps/3,
+which ``energy_breakdown`` checks by quadrature.  Every function here returns a_g
 units; ``UnitScales.of(m, N)`` holds the SI size of each unit for one
 (m, N), a_g being its ``length``, and only the CLI multiplies by it.
 """
@@ -127,8 +128,8 @@ class PhysicalProfile:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Per-particle energies of a stationary profile; the total, the
-    eigenvalue eps = (3/2) e_gravity and e_single = eps/3 derive from them."""
+    """Per-particle kinetic and gravitational energies of a stationary
+    profile, as measured by quadrature."""
 
     e_kinetic: float
     e_gravity: float
@@ -140,16 +141,9 @@ class EnergyBreakdown:
             raise InvalidArgumentError(f"bound profiles have negative e_gravity, got {self.e_gravity}")
 
     @property
-    def e_total(self) -> float:
-        return self.e_kinetic + self.e_gravity
-
-    @property
-    def epsilon(self) -> float:
-        return 1.5 * self.e_gravity
-
-    @property
-    def e_single(self) -> float:
-        return self.epsilon / 3.0
+    def virial_residual(self) -> float:
+        """|2 e_kinetic/|e_gravity| - 1|, zero where 2T + W = 0 holds."""
+        return abs(2.0 * self.e_kinetic / abs(self.e_gravity) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +241,8 @@ def energy_breakdown(profile: PhysicalProfile) -> EnergyBreakdown:
 
     The gravitational term re-solves the Poisson problem for the profile's
     own density (one inner solve), so it is the self-consistent potential of
-    the same f; the breakdown derives eps and e_single from it.
+    the same f.  It is a second-order route independent of the shot, behind
+    the virial residual; a profile's eigenvalue is its ``epsilon_ag``.
     """
     grid = profile.f_ag.grid
     return EnergyBreakdown(_kinetic_energy(profile.f_ag.values, grid),

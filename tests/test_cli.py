@@ -382,9 +382,9 @@ def test_rescale_refuses_a_summary_whose_node_count_is_not_n(solved, tmp_path, c
 # sha256 of the rescale JSON and CSV of a 401-point ground state, recorded
 # once the state's tail was matched at rho_m
 PINNED_RESCALE = {
-    "natural": ("c8d9c901fc56ca3c4740f9b4cdc5328f255388c02f066d496f691490b6bc5cf3",
+    "natural": ("b381258a41b2ee0151122f497658345c4b591d176a3033f15374ead24650fc82",
                 "594a830284fa91b6bdbd9a0c1d3045b8d192b2a760b9ed84983a53fe0711ebd2"),
-    "nucleon": ("bcd47c37f5d4669593bbfddaabba0130d18c276193a3f3d5daaa1f11957aa31d",
+    "nucleon": ("cf0558089f3693ca286a952197832cecdff8be91d849f32131f70bb9ff7128cc",
                 "646344e6dcfd2718ead0220f248766bddb0f604dd73bd27a6153c15270a64496"),
 }
 
@@ -406,6 +406,34 @@ def test_rescale_outputs_are_bitwise_pinned(units, coarse_solved, tmp_path):
                  "--out-json", str(out_json), "--out-csv", str(out_csv)]) == 0
     digests = tuple(_sha256_file(p) for p in (out_json, out_csv))
     assert digests == PINNED_RESCALE[units]
+
+
+def _epsilon_ag(summary_path):
+    """The eigenvalue 2 eps*/gamma1^2 in a_g units of a solve summary."""
+    summary = _read_json(summary_path)
+    return (2.0 / summary["gamma1"] ** 2) * summary["epsilon_star"]
+
+
+def test_rescale_energies_are_the_solves_eigenvalue(coarse_solved, tmp_path):
+    # the virial identities of a stationary state: T = -eps/3, W = 2 eps/3, E = eps/3
+    out = tmp_path / "rescale.json"
+    assert main(["rescale", str(coarse_solved / "ground.json"), "--natural",
+                 "--out-json", str(out)]) == 0
+    data, eps = _read_json(out), _epsilon_ag(coarse_solved / "ground.json")
+    assert data["epsilon_J"] == eps
+    assert data["e_single_J"] == data["e_total_J"] == eps / 3.0
+    assert data["e_kinetic_J"] == -eps / 3.0
+    assert data["e_gravity_J"] == 2.0 * eps / 3.0
+
+
+def test_evolve_from_defaults_dt_to_the_solves_period(coarse_solved, tmp_path):
+    # 1/200 of the period 2 pi/|E| of the single-particle energy E = eps/3
+    out = tmp_path / "run.csv"
+    assert main(["evolve", "--gravity", "--from", str(coarse_solved / "ground.json"),
+                 "--natural", "--steps", "1", "--out-csv", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    eps = _epsilon_ag(coarse_solved / "ground.json")
+    assert table[1, 0] == 2.0 * np.pi / abs(eps / 3.0) / 200.0
 
 
 def test_rescale_refuses_a_subnormal_summary_value(coarse_solved, tmp_path, capsys):
@@ -579,17 +607,17 @@ PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
     "gravity-natural": (["--gravity", "--natural"], (
-        "1f481d9f06edc42303cb2197c65b92a3239be7c7e11c814ceed905c965cb9c97",
+        "00f9367d25583c87b2ad88f3a68e642e22f371eee11fd0a0de5637bece11ee06",
         "99260d30400459bb28e0e37ec9e9eb2ee260aef777b996835ecfb1dbdc175f2a",
-        "f6a8966dc887c9fdc6d24e0b55961ef858f3b3e34181c5af78f7bab89062ca8f",
-        "f5ba3b37bcb4b3af0632f7d5e653c17a245ecbd0bfac3c8dac2147438f05b128",
-        "1480871a68e313c26c950a68191698040ebb15c1ed1e704b85d67ee3c4963512")),
+        "ef105eef4e48d87d904992e86fbf2139a14f2e47a5a9780186826e71ae5d27b2",
+        "9d69a493ab88159e6a812b9ca77ec7faca3fc61a464c30fbe83cc205a1f7fb30",
+        "b1f37b30d86b76c52b49326a3150239b9d74f390785c58aa741b9a8436dcdead")),
     "gravity-nucleon": (["--gravity", *NUCLEON_FLAGS], (
-        "dac8b7b2df7fe90988a39e1f8ca2e63434f0d3628d5531c5d5c2a29e67da77ce",
+        "c0720a733ec9b62958bb82447e37718a8105b503cd6b5a76f76056350929edb2",
         "5bb65b76b8c0321d67e8d5a7f2f499e1ccdff61d624e10ba935dfd9d36ca674f",
-        "9facc7a7fa373f4d04e6a7466fd8a5501cbd7e906709b914d5de5f3dfc6d00ec",
-        "475f63bafda0b32014e6c0cee83f2655b8014fb31efaba6697173f676f23fd7b",
-        "c05fe06aa4384c6a4e0b363933c8569c4f31c50d674677999ae69c61c95f28a7")),
+        "f5f2871a1e86ff5d745c387d16c13cfca7fb47d4d3acfe131c8263543bbb983c",
+        "4b3753fcf61b68b89c98d011222a607ffaee31fc7d6e0d848d247d389416ffd6",
+        "e4c3129bd58fe12abb63f6eab8ad36cff2e900d541a69b225cafea635511c945")),
     "free": (["--free", *PACKET_FLAGS], (
         "94f0ecf92656078a9cfdc385b526fae80ea200f30663c014487a76f80024ea4d",)),
     "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (

@@ -114,12 +114,12 @@ def test_state_rejects_a_non_finite_sample(sample):
 
 def test_state_from_profile_preserves_norm_and_energy(natural_ground_profile):
     state = state_from_profile(natural_ground_profile)
-    eb = energy_breakdown(natural_ground_profile)
     assert state_norm(state) == pytest.approx(1.0, abs=1e-9)
     nl = NonlinearityKind.gravity()
-    # scheme energy and quadrature energy are different discretizations of
-    # the same functional; they agree to the grid's truncation level
-    assert scheme_energy(state, nl) == pytest.approx(eb.e_total, rel=1e-4)
+    # the scheme energy discretizes the functional whose stationary value is
+    # eps/3; they agree to the grid's truncation level
+    assert scheme_energy(state, nl) == pytest.approx(natural_ground_profile.epsilon_ag / 3.0,
+                                                     rel=1e-4)
 
 
 # --- stepping ----------------------------------------------------------------
@@ -184,10 +184,11 @@ def test_phase_ledger_decomposition(natural_ground_profile):
         current = step(current, 0.1, nl)
     probe = 500  # r = 5.0, well inside the support
     matrix_rotation = float(np.angle(current.psi()[probe] / state.psi()[probe]))
-    assert matrix_rotation == pytest.approx(-eb.epsilon * t_span, abs=5e-5)
+    epsilon = natural_ground_profile.epsilon_ag
+    assert matrix_rotation == pytest.approx(-epsilon * t_span, abs=5e-5)
     assert current.phase == pytest.approx(eb.e_gravity * t_span, abs=5e-5)
     total = matrix_rotation + current.phase
-    assert total == pytest.approx(-eb.e_single * t_span, abs=5e-5)
+    assert total == pytest.approx(-epsilon / 3.0 * t_span, abs=5e-5)
 
 
 def test_gravity_step_phase_advances_at_the_midpoint_rate():
@@ -474,6 +475,14 @@ def test_evolve_rejects_bad_cadence(packet):
                observe_every=0)
     with pytest.raises(InvalidArgumentError):
         evolve(packet, t_final=-1.0, dt=0.01, nl=NonlinearityKind.free())
+
+
+def test_evolve_refuses_a_step_count_beyond_a_double():
+    # (t_final - time)/dt overflows to inf, which int(round(...)) cannot take
+    state = gaussian_state(make_grid(10.0, 201), 1.0)
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^t_final = 1e\+308 is too many steps of dt = 1e-308 away"):
+        evolve(state, 1e308, 1e-308, NonlinearityKind.free())
 
 
 # --- continuity --------------------------------------------------------------

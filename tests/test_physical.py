@@ -43,9 +43,6 @@ from sng.shooting import UniversalSolution
 FROZEN = {
     "e_kinetic": 0.0542562746478107,
     "e_gravity": -0.108513508437768,
-    "e_total": -0.054257233789957296,
-    "epsilon": -0.162770262656652,
-    "e_single": -0.054256754218884005,
     "half_max_radius": 3.8882204049888958,
     "rms_radius": 4.635213656124281,
 }
@@ -79,9 +76,6 @@ def test_frozen_natural_energies(natural_ground_profile):
     eb = energy_breakdown(natural_ground_profile)
     assert eb.e_kinetic == pytest.approx(FROZEN["e_kinetic"], rel=1e-6)
     assert eb.e_gravity == pytest.approx(FROZEN["e_gravity"], rel=1e-6)
-    assert eb.e_total == pytest.approx(FROZEN["e_total"], rel=1e-6)
-    assert eb.epsilon == pytest.approx(FROZEN["epsilon"], rel=1e-6)
-    assert eb.e_single == pytest.approx(FROZEN["e_single"], rel=1e-6)
 
 
 def test_frozen_geometry(natural_ground_profile):
@@ -169,10 +163,8 @@ def test_virial_residual_small(natural_ground_profile):
 
 def test_eigenvalue_routes_agree(natural_ground_profile):
     eb = energy_breakdown(natural_ground_profile)
-    assert eb.epsilon == pytest.approx(1.5 * eb.e_gravity, rel=1e-12)
-    assert eb.e_single == pytest.approx(eb.epsilon / 3.0, rel=1e-12)
     # the independent route: eigenvalue carried through the homology rescale
-    assert natural_ground_profile.epsilon_ag == pytest.approx(eb.epsilon, rel=1e-4)
+    assert natural_ground_profile.epsilon_ag == pytest.approx(1.5 * eb.e_gravity, rel=1e-4)
 
 
 # --- physical-unit scaling ---------------------------------------------------
@@ -212,13 +204,13 @@ def test_potential_satisfies_its_own_field_equation(ground_state):
 # --- energy breakdown validation --------------------------------------------
 
 def test_energy_breakdown_rejects_inconsistent_totals():
-    # the totals are derived, so only the signs of the two energies can be wrong
+    # only the signs of the two energies can be wrong
     with pytest.raises(InvalidArgumentError):
         EnergyBreakdown(e_kinetic=-1.0, e_gravity=-2.0)
     with pytest.raises(InvalidArgumentError):
         EnergyBreakdown(e_kinetic=1.0, e_gravity=0.0)
     eb = EnergyBreakdown(e_kinetic=1.0, e_gravity=-2.0)
-    assert (eb.e_total, eb.epsilon, eb.e_single) == (-1.0, -3.0, -1.0)
+    assert eb.virial_residual == 0.0
 
 
 # --- analytic anchors --------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Property tests draw log10 m in [-60, 3] (kg) and log10 N in [0, 80], with
 the corners of that box and the masses once refused as explicit examples.
-The nucleon N = 1e23 ``evolve`` rows were recorded when the stepper still
-ran in SI units.
+The nucleon N = 1e23 ``evolve`` free rows were recorded when the stepper
+still ran in SI units; the gravity rows, whose default dt is 1/200 of the
+period 2 pi/|eps/3| of the solve's own eigenvalue, were recorded in a_g units.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def coarse_ground():
 @pytest.fixture(scope="module")
 def natural_reference(coarse_ground):
     profile = rescale_to_physical(coarse_ground)
-    return energy_breakdown(profile), half_max_radius(profile)
+    return profile.epsilon_ag / 3.0, energy_breakdown(profile), half_max_radius(profile)
 
 
 def _virial_residual(e_kinetic, e_gravity):
@@ -67,13 +68,13 @@ def test_scaled_energy_and_radius_do_not_depend_on_mass_or_number(
     units = UnitScales.of(mass, 10.0**log_n)
     profile = rescale_to_physical(coarse_ground)
     eb = energy_breakdown(profile)
-    e_single, e_kinetic, e_gravity = (e * units.energy
-                                      for e in (eb.e_single, eb.e_kinetic, eb.e_gravity))
+    e_single, e_kinetic, e_gravity = (e * units.energy for e in
+                                      (profile.epsilon_ag / 3.0, eb.e_kinetic, eb.e_gravity))
     a_g = units.length
-    natural_eb, natural_half_max = natural_reference
+    natural_e_single, natural_eb, natural_half_max = natural_reference
     # e_single m a_g^2 / hbar^2, grouped so no intermediate leaves the normal range
     scaled = e_single * (mass * a_g * a_g / (HBAR * HBAR))
-    assert scaled == pytest.approx(natural_eb.e_single, rel=1e-12, abs=0.0)
+    assert scaled == pytest.approx(natural_e_single, rel=1e-12, abs=0.0)
     assert half_max_radius(profile) * units.length / a_g == pytest.approx(
         natural_half_max, rel=1e-12, abs=0.0)
     assert _virial_residual(e_kinetic, e_gravity) == pytest.approx(
@@ -120,9 +121,9 @@ NUCLEON_ROWS = {
     ],
     "gravity": [
         [0.0, 1.0000000000000004, -2.8502949427853012e-42, 1.6505245644298918],
-        [1.1637097234032557e06, 0.99999999958237595, -2.8502950153583929e-42, 1.6505226691693089],
-        [2.3274194468065114e06, 0.99999999999996858, -2.8502952562571987e-42, 1.6505169880001824],
-        [3.4911291702097668e06, 0.99999999958244112, -2.8502956133962881e-42, 1.6505075401184792],
+        [1.1644622543767353e06, 0.99999999958237551, -2.8502950154605225e-42, 1.6505226667230053],
+        [2.3289245087534706e06, 0.99999999999996936, -2.8502952566485443e-42, 1.6505169782304308],
+        [3.4933867631302057e06, 0.99999999958243813, -2.8502956141723386e-42, 1.6505075181940438],
     ],
 }
 
