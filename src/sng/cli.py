@@ -177,7 +177,9 @@ def _table_reference(csv_path: str, json_path: str | None) -> str:
 
 def _load_solution(json_path: str) -> UniversalSolution:
     """Rebuild a UniversalSolution from a solve JSON's profile CSV; refuse
-    a summary whose gamma0, gamma1 or epsilon_star is not read off it."""
+    a summary whose n or node_count is not the node count of its f*
+    (WrongStateError), or whose gamma0, gamma1 or epsilon_star is not read
+    off it (InvalidArgumentError)."""
     try:
         with open(json_path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -229,10 +231,11 @@ def _load_solution(json_path: str) -> UniversalSolution:
             raise InvalidArgumentError(
                 f"profile table {csv_path} column {name} holds a sample that is not finite"
                 + (" or whose square overflows a double" if name == "f_star" else ""))
-    if node_count != n:
-        raise WrongStateError(f"trajectory has {node_count} nodes, wanted n={n}")
-    sol = UniversalSolution(n, RadialField(grid, table[:, 1]), RadialField(grid, table[:, 2]),
+    sol = UniversalSolution(RadialField(grid, table[:, 1]), RadialField(grid, table[:, 2]),
                             bracket_width)
+    if n != sol.n or node_count != sol.n:
+        raise WrongStateError(f"n = {n} and node_count = {node_count} in {json_path} disagree "
+                              f"with the {sol.n} nodes of f* in {csv_path}")
     # both files round-trip their doubles, so an untampered pair agrees bit for bit
     for name, value in summary.items():
         if value != getattr(sol, name):

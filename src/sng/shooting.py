@@ -117,14 +117,13 @@ class UniversalSolution:
 
     Up to the match radius rho_m, ``f_star`` and ``g_star`` are the final
     shot's samples; past it they are the matched Coulomb tail u_tail/rho and
-    g_inf - M/rho (see the module docstring).  gamma0 = g*(0), and gamma1 and
-    epsilon_star are read off the pair once.  A pair on two grids is refused,
-    as are a bracket_width that is not finite and positive, a gamma1 that is
-    not a finite normal double and an epsilon_star that is not finite
-    (InvalidArgumentError).
+    g_inf - M/rho (see the module docstring).  gamma0 = g*(0), and the node
+    count n, gamma1 and epsilon_star are read off the pair once.  A pair on
+    two grids is refused, as are a bracket_width that is not finite and
+    positive, a gamma1 that is not a finite normal double and an
+    epsilon_star that is not finite (InvalidArgumentError).
     """
 
-    n: int
     f_star: RadialField
     g_star: RadialField
     bracket_width: float
@@ -147,6 +146,14 @@ class UniversalSolution:
     @property
     def gamma0(self) -> float:
         return float(self.g_star.values[0])
+
+    @cached_property
+    def n(self) -> int:
+        """The node count of f*: strict sign changes between consecutive
+        samples, counted as :func:`_shoot` counts them.  A shot that ends
+        at its match radius stops past node n, and its tail keeps its sign."""
+        f = self.f_star.values
+        return int(np.count_nonzero(f[:-1] * f[1:] < 0.0))
 
     @cached_property
     def gamma1(self) -> float:
@@ -297,13 +304,11 @@ def _node_counts(ns: Iterable[int]) -> list[int]:
     return wanted
 
 
-def _coarse_grid(grid: RadialGrid) -> RadialGrid | None:
+def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     """Every _COARSE-th point of ``grid``, where :func:`solve_states`
-    brackets and :func:`_coarse_aim` aims; None when it is refused."""
-    try:
-        return make_grid(grid.rho_max, (grid.n_points - 1) // _COARSE + 1)
-    except SngError:
-        return None
+    brackets and :func:`_coarse_aim` aims; under 3 points it is refused
+    (InvalidArgumentError)."""
+    return make_grid(grid.rho_max, (grid.n_points - 1) // _COARSE + 1)
 
 
 def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float, float]]:
@@ -439,11 +444,9 @@ def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
     slope of its last two mismatches.
     None when that grid is refused, the bisection raises, or it leaves no
     two distinct mismatches."""
-    coarse = _coarse_grid(grid)
-    if coarse is None:
-        return None
     try:
-        lo, hi, seen = _bisect(n, bracket, coarse, tol, _COARSE * _RICCATI_STEP, None)
+        lo, hi, seen = _bisect(n, bracket, _coarse_grid(grid), tol, _COARSE * _RICCATI_STEP,
+                               None)
     except SngError:
         return None
     if len(seen) < 2 or seen[-1][1] == seen[-2][1]:
@@ -605,7 +608,7 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     f[:m + 1], g[:m + 1] = f_shot, g_shot
     f[m + 1:] = rho_m * f_shot[m] * np.exp(tail[1][1:]) / rho[m + 1:]
     g[m + 1:] = k2 - mass / rho[m + 1:]
-    sol = UniversalSolution(n, RadialField(grid, f), RadialField(grid, g), hi - lo)
+    sol = UniversalSolution(RadialField(grid, f), RadialField(grid, g), hi - lo)
     if not abs(sol.tail_residual) <= _TAIL_RESIDUAL_LIMIT:
         raise WrongStateError(
             f"the n={n} state on {grid.n_points} points has tail-identity residual "
@@ -629,9 +632,8 @@ def solve_states(ns: Iterable[int], grid: RadialGrid,
     ns = list(ns)
     check_positive("tol", tol)
     _node_counts(ns)
-    coarse = _coarse_grid(grid)
     try:
-        cells = {} if coarse is None else find_brackets(ns, coarse)
+        cells = find_brackets(ns, _coarse_grid(grid))
     except SngError:
         cells = {}
     found = None  # the brackets of the lattice on grid itself, once needed

@@ -376,7 +376,34 @@ def test_rescale_refuses_a_summary_whose_node_count_is_not_n(solved, tmp_path, c
     (tmp_path / "ground.csv").write_bytes((solved / "ground.csv").read_bytes())
     (tmp_path / "ground.json").write_text(json.dumps(data))
     assert main(["rescale", str(tmp_path / "ground.json"), "--natural"]) == 4
-    assert "trajectory has 1 nodes, wanted n=0" in capsys.readouterr().err
+    assert "n = 0 and node_count = 1 in " in capsys.readouterr().err
+
+
+# the labels of a summary edited to name another state than its table's f*
+RELABELLED = {"relabelled": {"n": 3, "node_count": 3}, "n": {"n": 3}}
+
+
+@pytest.mark.parametrize("command", [["rescale", "--natural"],
+                                     ["evolve", "--gravity", "--natural", "--steps", "2"]],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("edit", sorted(RELABELLED))
+def test_summary_whose_node_count_is_not_its_tables_is_exit_4(edit, command, coarse_solved,
+                                                               tmp_path, capsys):
+    # n is read off the table's f*: a summary that names another state, in
+    # n alone or in n and node_count, is refused naming both files, before
+    # anything is written
+    data = {**_read_json(coarse_solved / "ground.json"), **RELABELLED[edit]}
+    (tmp_path / "ground.csv").write_bytes((coarse_solved / "ground.csv").read_bytes())
+    (tmp_path / "ground.json").write_text(json.dumps(data))
+    verb, *flags = command
+    out = tmp_path / "out.csv"
+    assert main([verb, *(["--from"] if verb == "evolve" else []), str(tmp_path / "ground.json"),
+                 *flags, "--out-csv", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n = {data['n']} and node_count = {data['node_count']} in ")
+    assert str(tmp_path / "ground.json") in err
+    assert f"disagree with the 0 nodes of f* in {tmp_path / 'ground.csv'}" in err
+    assert not out.exists()
 
 
 # sha256 of the rescale JSON and CSV of a 401-point ground state, recorded

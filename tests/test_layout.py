@@ -93,8 +93,20 @@ def test_readme_library_example_runs():
     assert len(out.getvalue().splitlines()) == 3
 
 
+def test_package_exports_each_modules_all():
+    # a public name is declared once, in its module's __all__; sng re-exports
+    # those lists whole, and no two modules declare the same name
+    modules = [importlib.import_module(f"sng.{name}")
+               for name in ("errors", "grids", "shooting", "physical", "scf", "evolution")]
+    declared = [name for module in modules for name in module.__all__]
+    assert sorted(sng.__all__) == sorted(["__version__", *declared])
+    assert len(set(sng.__all__)) == len(sng.__all__)
+    assert [f"{module.__name__}.{name}" for module in modules for name in module.__all__
+            if getattr(sng, name, None) is not getattr(module, name)] == []
+
+
 # Raise only in the change that adds a settable value, saying why in CHANGES.md.
-SETTABLE_VALUES_CEILING = 100
+SETTABLE_VALUES_CEILING = 99
 
 
 def _settable_values(obj) -> int:

@@ -50,7 +50,7 @@ def _samples(f=(), g=()):
 def _solution(f=(), g=(), bracket_width=1e-10):
     """The made-up state of :func:`_samples` as a solution."""
     f_star, g_star = _samples(f, g)
-    return UniversalSolution(0, RadialField(GRID_11, f_star), RadialField(GRID_11, g_star),
+    return UniversalSolution(RadialField(GRID_11, f_star), RadialField(GRID_11, g_star),
                              bracket_width)
 
 

@@ -171,13 +171,15 @@ def test_solution_profile_invariants(spectrum):
 
 
 def test_solution_is_its_profile(spectrum):
-    # gamma0, gamma1 and epsilon_star are read off (f*, g*): the integrals
-    # are scipy's Simpson rule on the nodes, bit for bit
+    # n, gamma0, gamma1 and epsilon_star are read off (f*, g*): n counts the
+    # strict sign changes of f*, and the integrals are scipy's Simpson rule
+    # on the nodes, bit for bit
     assert [f.name for f in dataclasses.fields(UniversalSolution)] == [
-        "n", "f_star", "g_star", "bracket_width"]
+        "f_star", "g_star", "bracket_width"]
     for n, sol in spectrum.items():
         f, g, rho = sol.f_star.values, sol.g_star.values, sol.grid.nodes
         gamma1 = simpson(f * f * rho * rho, x=rho)
+        assert sol.n == np.count_nonzero(np.diff(np.sign(f)) != 0) == n
         assert sol.gamma0 == g[0], f"n={n}"
         assert sol.gamma1 == gamma1, f"n={n}"
         assert sol.epsilon_star == 3.0 / gamma1 * simpson(f * f * g * rho * rho, x=rho)
@@ -865,7 +867,8 @@ def test_refused_coarse_grid_brackets_on_the_grids_own_lattice(points, monkeypat
         return real_find(ns, lattice_grid)
 
     monkeypatch.setattr(shooting, "find_brackets", find)
-    assert shooting._coarse_grid(grid) is None
+    with pytest.raises(InvalidArgumentError):
+        shooting._coarse_grid(grid)
     _assert_same_as_own_lattice(range(3), grid)
     assert set(lattices) == {grid}
 

@@ -21,6 +21,7 @@ from sng.grids import make_grid
 from sng.physical import (
     HBAR,
     NUCLEON_MASS,
+    EnergyBreakdown,
     UnitScales,
     energy_breakdown,
     half_max_radius,
@@ -54,10 +55,6 @@ def natural_reference(coarse_ground):
     return profile.epsilon_ag / 3.0, energy_breakdown(profile), half_max_radius(profile)
 
 
-def _virial_residual(e_kinetic, e_gravity):
-    return abs(2.0 * e_kinetic / abs(e_gravity) - 1.0)
-
-
 @PROPERTY
 @_box_examples
 @given(log_m=LOG_MASS, log_n=LOG_COUNT)
@@ -77,8 +74,8 @@ def test_scaled_energy_and_radius_do_not_depend_on_mass_or_number(
     assert scaled == pytest.approx(natural_e_single, rel=1e-12, abs=0.0)
     assert half_max_radius(profile) * units.length / a_g == pytest.approx(
         natural_half_max, rel=1e-12, abs=0.0)
-    assert _virial_residual(e_kinetic, e_gravity) == pytest.approx(
-        _virial_residual(natural_eb.e_kinetic, natural_eb.e_gravity), rel=0.0, abs=1e-10)
+    assert EnergyBreakdown(e_kinetic, e_gravity).virial_residual == pytest.approx(
+        natural_eb.virial_residual, rel=0.0, abs=1e-10)
 
 
 @pytest.fixture(scope="module")
