@@ -49,7 +49,8 @@ class ConvergenceError(SngError):
 
 class StepRejectedError(SngError):
     """A time step of ``dt`` was rejected because the nonlinear potential
-    changed by the share ``change`` between predictor and corrector;
+    at the step's midpoint differs by the share ``change`` from the
+    starting potential or from the relaxed one the step solved with;
     ``suggested_dt`` is a smaller step expected to be accepted."""
 
     exit_code = 5

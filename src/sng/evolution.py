@@ -8,29 +8,31 @@ tridiagonal:
 
 with V pluggable: free (V=0), cubic (V = ±kappa |psi|^2), or gravitational
 Hartree (lap V = 4 pi |psi|^2 / norm).  Each step with a potential is one
-Crank–Nicolson solve predicted with V[psi_t] and corrected once with
-V[(psi_t + psi_pred)/2].  Such a solve uses its matrix once, so it is one
-fused LAPACK zgtsv call (factor and back-substitute), and a step's
-predictor and corrector share the hopping term of the right-hand side.
-The solve builds the diagonal and the right-hand side in place, the
-latter in the interior of the array it returns, and zgtsv writes the new
-u over it there; the predicted u becomes the midpoint in place.  Each
+Crank–Nicolson solve under the relaxed half-step potential of Besse's
+relaxation scheme (C. Besse, SIAM J. Numer. Anal. 42(3), 934–952, 2004),
+phi^{n+1/2} = 2 V[psi^n] - phi^{n-1/2}, where a run's first step takes
+phi^{-1/2} = V[psi^0]: the scheme is second order in time and keeps the
+norm exactly.  Such a solve uses its matrix once, so it is one fused
+LAPACK zgtsv call (factor and back-substitute).  The solve builds the
+diagonal and the right-hand side in place, the latter in the interior of
+the array it returns, and zgtsv writes the new u over it there.  Each
 solve imports scipy's wrapper of zgtsv, which after the first is a
 sys.modules lookup, so that importing sng loads no scipy.
 
-Where V is identically zero (free, and cubic with kappa = 0) the corrector
-would repeat the predictor, and the Crank–Nicolson step is diagonal in the
-sine modes of the interior nodes (the type-I discrete sine transform,
-DST-I, diagonalises the Dirichlet second difference): each mode is
-multiplied by one fixed phase per step.  A V = 0 run transforms u to its
-modes once, jumps them between the steps it observes or snapshots, and
-transforms back only there, with numpy's FFT and no LAPACK.
+Where V is identically zero (free, and cubic with kappa = 0) there is
+nothing to relax, and the Crank–Nicolson step is diagonal in the sine
+modes of the interior nodes (the type-I discrete sine transform, DST-I,
+diagonalises the Dirichlet second difference): each mode is multiplied by
+one fixed phase per step.  A V = 0 run transforms u to its modes once,
+jumps them between the steps it observes or snapshots, and transforms
+back only there, with numpy's FFT and no LAPACK.
 
 ``step`` and ``evolve`` run the same kernels on the bare u array.
-``evolve`` carries u and the time through them and builds no RadialState
-per step; ``step`` wraps the kernel's result in one.  Each
-state is evaluated once: one plain private object derives |u|^2, its line
-integral, |psi| = |u/r|, the density and V from u, each on first use.
+``evolve`` carries u, phi^{n-1/2} and the time through them and builds no
+RadialState per step; ``step`` wraps the kernel's result in one, which
+carries phi^{n-1/2} on to the next step of the same nonlinearity and dt.
+Each state is evaluated once: one plain private object derives |u|^2, its
+line integral, |psi| = |u/r|, the density and V from u, each on first use.
 ``evolve``'s observation (norm, energy, RMS width, the boundary check and
 density snapshots) and the next step's potential read the same
 evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
@@ -42,9 +44,9 @@ meet an overflowing kappa |psi|^2 (refused naming kappa), dt V, energy or
 width (refused by the solve's and the observation's finiteness checks).
 The gravitational equation also carries a constant -E_grav/norm term; a
 constant only rotates the global phase, so the step integrates it at the
-predictor midpoint into a phase ledger on the state instead of the matrix
-(the physical wavefunction is exp(i*phase) * u/r), at the rate of
-``scheme_energy``'s interaction term over the norm.
+step's midpoint (psi^n + psi^{n+1})/2 into a phase ledger on the state
+instead of the matrix (the physical wavefunction is exp(i*phase) * u/r),
+at the rate of ``scheme_energy``'s interaction term over the norm.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ class RadialState:
 
     ``phase`` is the accumulated global-phase ledger from constant terms
     handled analytically; the physical wavefunction is exp(i phase) u / r.
+    A state that :func:`step` made privately carries (phi, nl, dt): the
+    relaxed potential phi^{n-1/2} its step solved with, and that step's
+    nonlinearity and time step.  Only a step of the same nl and dt
+    extrapolates from it; any other starts its relaxation afresh.  A state
+    built by a constructor or ``dataclasses.replace`` carries none.
     InvalidArgumentError for a u whose norm, peak density |u/r|^2 or RMS
     width's int r^2 |u|^2 dr overflows a double ("u is too large"), or
     whose norm underflows to 0: this is the one check of a state's scale.
@@ -94,6 +101,8 @@ class RadialState:
     u: np.ndarray = field(repr=False)
     time: float
     phase: float = 0.0
+    _relaxation: Optional[tuple[np.ndarray, NonlinearityKind, float]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.complex128)
@@ -441,15 +450,13 @@ class _SineModes:
         return u
 
 
-def _solve(u: np.ndarray, v: np.ndarray, lam: float, dt: float,
-           hop: np.ndarray) -> np.ndarray:
+def _solve(u: np.ndarray, v: np.ndarray, lam: float, dt: float) -> np.ndarray:
     """u advanced by dt through (I + i dt H/2) u' = (I - i dt H/2) u, with
     H = -(1/2) d^2/dr^2 + V on the interior nodes, Dirichlet ends and the
-    potential samples v frozen; lam is :func:`_lam` and ``hop`` the
-    off-diagonal part i lam (u[k+1] + u[k-1]) of the right-hand side.  One
-    zgtsv call factors the matrix and back-substitutes in one pass, writing
-    the new u over the right-hand side, which is built in the interior of
-    the returned array; u, v and hop are left as they are."""
+    potential samples v frozen; lam is :func:`_lam`.  One zgtsv call
+    factors the matrix and back-substitutes in one pass, writing the new u
+    over the right-hand side, which is built in the interior of the
+    returned array; u and v are left as they are."""
     # imported here, not at module top, so that commands that never call
     # LAPACK do not pay scipy's import
     from scipy.linalg import lapack
@@ -460,6 +467,8 @@ def _solve(u: np.ndarray, v: np.ndarray, lam: float, dt: float,
     # an overflow here is refused before any LAPACK call, so numpy's
     # warning about it is silenced
     with np.errstate(over="ignore", invalid="ignore"):
+        hop = np.add(u[2:], u[:-2])
+        np.multiply(1.0j * lam, hop, out=hop)
         diag = np.multiply(0.5j * dt, v[1:-1])
         np.subtract(1.0 - 2.0j * lam, diag, out=rhs)
         np.multiply(rhs, u[1:-1], out=rhs)
@@ -481,18 +490,34 @@ def _solve(u: np.ndarray, v: np.ndarray, lam: float, dt: float,
     return out
 
 
-def _advance(ev: _Evaluation, dt: float, lam: float) -> tuple[np.ndarray, _Evaluation]:
+def _carried(state: RadialState, nl: NonlinearityKind, dt: float) -> Optional[np.ndarray]:
+    """The phi^{n-1/2} that ``state`` carries for a step of ``nl`` and
+    ``dt``, or None where the relaxation starts afresh: at a start, or from
+    a state that a run of another nonlinearity or dt made."""
+    if state._relaxation is None:
+        return None
+    phi, made_by_nl, made_by_dt = state._relaxation
+    return phi if (made_by_nl, made_by_dt) == (nl, dt) else None
+
+
+def _advance(ev: _Evaluation, dt: float, lam: float,
+             carried: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray, _Evaluation]:
     """The kernel of :func:`step` and :func:`evolve` where V is not zero:
-    ``ev.u`` advanced by dt under ``ev.nl``, and the evaluation of the
-    step's predictor midpoint, whose phase rate :func:`step` carries.  The
-    step's starting potential is ``ev.v``, so an observation of the same
-    state shares it; its predictor and corrector share the hopping term."""
+    ``ev.u`` advanced by dt under ``ev.nl`` in one Crank–Nicolson solve
+    with the relaxed potential phi = 2 V[u] - carried (V[u] itself where
+    ``carried`` is None), that phi, which the next step carries, and the
+    evaluation of the step's midpoint (u + u')/2, whose phase rate
+    :func:`step` carries.  V[u] is ``ev.v``, so an observation of the same
+    state shares it.  StepRejectedError where V at the midpoint differs from
+    V[u], or from phi, by more than half of max|V[u]|."""
     u, v_old = ev.u, ev.v
-    hop = np.add(u[2:], u[:-2])
-    np.multiply(1.0j * lam, hop, out=hop)
-    # the predicted u becomes the midpoint (u + u_pred)/2 in place
-    u_mid = _solve(u, v_old, lam, dt, hop)
-    np.add(u, u_mid, out=u_mid)
+    if carried is None:
+        phi = v_old
+    else:
+        phi = np.multiply(2.0, v_old)
+        np.subtract(phi, carried, out=phi)
+    u_new = _solve(u, phi, lam, dt)
+    u_mid = np.add(u, u_new)
     np.multiply(0.5, u_mid, out=u_mid)
     mid = _Evaluation(ev.grid, u_mid, ev.nl)
     v_mid = mid.v
@@ -500,31 +525,41 @@ def _advance(ev: _Evaluation, dt: float, lam: float) -> tuple[np.ndarray, _Evalu
     work = np.abs(v_old)
     scale = float(work.max())
     if scale > 0.0:
-        np.subtract(v_mid, v_old, out=work)
-        change = float(np.abs(work, out=work).max()) / scale
+        change = 0.0
+        for reference in (v_old, phi):  # one and the same on a run's first step
+            np.subtract(v_mid, reference, out=work)
+            change = max(change, float(np.abs(work, out=work).max()) / scale)
         if change > 0.5:
             raise StepRejectedError(change, dt, 0.25 * dt / change)
-    return _solve(u, v_mid, lam, dt, hop), mid
+    return u_new, phi, mid
 
 
 def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
-    """Advance one Crank–Nicolson step with a single predictor–corrector
-    pass; where V is identically zero, the step is one jump of the sine
-    modes.
+    """Advance one Crank–Nicolson step under the relaxed potential
+    phi^{n+1/2} = 2 V[psi^n] - phi^{n-1/2}, extrapolating from the phi the
+    state carries where the same nl and dt made it, and from V[psi^n]
+    otherwise, so that a run's first step solves with V[psi^n] itself;
+    the new state carries phi^{n+1/2}, and ``step`` called n times ends on
+    the bits of ``evolve`` over n steps.  Where V is identically zero, the
+    step is one jump of the sine modes and carries nothing.
 
     Raises
     ------
     StepRejectedError
-        When the potential sampled at the predictor midpoint differs from
-        the starting potential by more than 50% (sup norm, relative); the
-        error carries a suggested smaller dt aiming at a 25% change.
+        When the potential at the step's midpoint differs from the starting
+        potential, or from the relaxed one the solve used, by more than 50%
+        of the starting potential's sup norm; the error carries the larger
+        change and a suggested smaller dt aiming at a 25% change.
     """
     check_positive("dt", dt)
     if _potential_is_zero(nl):
         u = _SineModes(state.grid, dt, state.u).jump(1)
         return RadialState(state.grid, u, state.time + dt, state.phase)
-    u, mid = _advance(_Evaluation(state.grid, state.u, nl), dt, _lam(state.grid, dt))
-    return RadialState(state.grid, u, state.time + dt, state.phase + mid.phase_rate * dt)
+    u, phi, mid = _advance(_Evaluation(state.grid, state.u, nl), dt, _lam(state.grid, dt),
+                           _carried(state, nl, dt))
+    stepped = RadialState(state.grid, u, state.time + dt, state.phase + mid.phase_rate * dt)
+    object.__setattr__(stepped, "_relaxation", (phi, nl, dt))
+    return stepped
 
 
 def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
@@ -532,9 +567,13 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
            snapshot_every: Optional[int] = None) -> ObservableSeries:
     """Step from state.time to t_final, recording norm, energy,
     and RMS width every ``observe_every`` steps (plus start and end), and
-    density snapshots every ``snapshot_every`` steps when requested.  Where
-    V is identically zero, the sine modes jump from one recorded step to
-    the next.
+    density snapshots every ``snapshot_every`` steps when requested.  Each
+    step is :func:`step`'s relaxation step, carrying phi^{n-1/2} from one
+    step to the next and starting from the one ``state`` carries where the
+    same nl and dt made it, so that k ``step`` calls and an ``evolve`` over
+    the remaining steps end on the bits of one ``evolve``; it raises
+    StepRejectedError as ``step`` does.  Where V is identically zero, the
+    sine modes jump from one recorded step to the next.
 
     The recorded energy is scheme_energy — the discrete functional the
     stepper conserves.  An observable that is not finite raises
@@ -574,7 +613,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
     grid = state.grid
     free = _potential_is_zero(nl)
     if not free:
-        lam = _lam(grid, dt)
+        lam, phi = _lam(grid, dt), _carried(state, nl, dt)
     time = state.time
     ev = _Evaluation(grid, state.u, nl)
     observe(time, ev)
@@ -591,7 +630,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
         observed = k % observe_every == 0 or k == n_steps
         snapped = snapshot_every is not None and k % snapshot_every == 0
         if not free:
-            u, _ = _advance(ev, dt, lam)
+            u, phi, _ = _advance(ev, dt, lam, phi)
         elif observed or snapped:
             u = sine.jump(k - jumped_to)
             jumped_to = k

@@ -31,6 +31,8 @@ from sng.errors import (
     StepRejectedError,
     WrongStateError,
 )
+from sng.evolution import NonlinearityKind, gaussian_state, step
+from sng.grids import make_grid
 from sng.physical import UnitScales
 
 # one float field in the fixed CSV format: 17 significant digits, e-notation
@@ -625,30 +627,29 @@ def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, 
 
 # --- evolve ------------------------------------------------------------------
 
-# sha256 of each evolve CSV, then of its snapshot CSVs in order: the cubic
-# run recorded before an observation and the next step shared one
-# evaluation of the state, the free run when V = 0 moved to the sine modes
-# (within 2e-15 of the LAPACK stepper's), the gravity runs from the
-# tail-matched ground state
+# sha256 of each evolve CSV, then of its snapshot CSVs in order: the free
+# run recorded when V = 0 moved to the sine modes (within 2e-15 of the
+# LAPACK stepper's), the cubic and gravity runs (the latter from the
+# tail-matched ground state) when each step became one relaxation solve
 PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--natural",
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
     "gravity-natural": (["--gravity", "--natural"], (
-        "00f9367d25583c87b2ad88f3a68e642e22f371eee11fd0a0de5637bece11ee06",
+        "91d9b24cff8bf2a1256f68c1b99143436a942862ac22b94e32974fd34a8f23cb",
         "99260d30400459bb28e0e37ec9e9eb2ee260aef777b996835ecfb1dbdc175f2a",
-        "ef105eef4e48d87d904992e86fbf2139a14f2e47a5a9780186826e71ae5d27b2",
-        "9d69a493ab88159e6a812b9ca77ec7faca3fc61a464c30fbe83cc205a1f7fb30",
-        "b1f37b30d86b76c52b49326a3150239b9d74f390785c58aa741b9a8436dcdead")),
+        "1e02837d5b845a2de950dda8b2de1b067129d049d2e7688111787d77e2b55679",
+        "d2967fbe59d81690941b539120be31e3c529447b05209bf7470554fcfe048278",
+        "2e2eebfb44ffddac867feac6c3bec78f749ed84d12fd0ae2b5cd16de456a7a41")),
     "gravity-nucleon": (["--gravity", *NUCLEON_FLAGS], (
-        "c0720a733ec9b62958bb82447e37718a8105b503cd6b5a76f76056350929edb2",
+        "b232dfc27d680f73f5d015d9ef5f12e8f9f05410ef1f3d37555db202eee47bee",
         "5bb65b76b8c0321d67e8d5a7f2f499e1ccdff61d624e10ba935dfd9d36ca674f",
-        "f5f2871a1e86ff5d745c387d16c13cfca7fb47d4d3acfe131c8263543bbb983c",
-        "4b3753fcf61b68b89c98d011222a607ffaee31fc7d6e0d848d247d389416ffd6",
-        "e4c3129bd58fe12abb63f6eab8ad36cff2e900d541a69b225cafea635511c945")),
+        "a580738c4f9243b0742842ff3a5324af64bb8f630676a31251d29f4b7d0025bc",
+        "61ac97310eebc601dfaea584f4071d8271dca9cb46a9d2b6751495d5d449f63c",
+        "aedead255c4d0323657631c84f46ca23caefd5633d2cdbf898e48d5d3c683a7c")),
     "free": (["--free", *PACKET_FLAGS], (
         "94f0ecf92656078a9cfdc385b526fae80ea200f30663c014487a76f80024ea4d",)),
     "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (
-        "e7c108a42cb344672b4a48c957bbd72bee770a6fd0f78e8ececa6c8e49bd859d",)),
+        "23221ca1a59724d3d02961690be63ecc313eef4cbbbd04d2bffbab04108a07d7",)),
 }
 
 
@@ -1028,8 +1029,11 @@ def test_oversized_step_is_exit_5(tmp_path, capsys):
 
 
 def test_refused_run_warns_of_nothing(tmp_path, capsys):
-    # step 1 spreads the packet to the outer boundary and step 2 is
-    # refused: the boundary warning is a run's, given once it is complete
+    # steps 1 and 2 spread the packet toward the outer boundary, and it is
+    # refused at step 3 (91.2% against the relaxed potential): the boundary
+    # warning is a run's, given once it is complete.  Step 2 leaves the
+    # edge at 9.8e-9 of the peak, just short of the warning's 1e-8; the
+    # test below crosses it
     out = tmp_path / "x.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1039,6 +1043,40 @@ def test_refused_run_warns_of_nothing(tmp_path, capsys):
     assert "suggested dt" in capsys.readouterr().err
     assert [str(w.message) for w in caught] == []
     assert not out.exists()
+
+
+def test_refused_run_past_the_boundary_warns_of_nothing(tmp_path, capsys):
+    # at dt 20 step 2 leaves the edge at 1.4e-8 of the peak, past the
+    # warning's 1e-8, and step 3 is refused: the run warns of nothing
+    grid = make_grid(60.0, 1001)
+    state = gaussian_state(grid, 1.0)
+    for _ in range(2):
+        state = step(state, 20.0, NonlinearityKind.gravity())
+    assert abs(state.u[-2]) / grid.nodes[-2] > 1e-8 * np.abs(state.psi()).max()
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["evolve", "--gravity", "--gaussian-sigma", "1.0", "--points", "1001",
+                     "--steps", "3", "--dt", "20", "--out-csv", str(out)])
+    assert code == 5
+    assert "suggested dt" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt, code", [("10", 5), ("2", 0)])
+def test_relaxed_potential_half_of_the_guard(dt, code, tmp_path, capsys):
+    # at dt 10 the midpoint potential of step 2 is 29.6% off the starting
+    # one but 80.3% off the relaxed potential its solve used, so the run is
+    # refused there by the guard's second half; dt 2 stays within both
+    assert main(["evolve", "--gravity", "--gaussian-sigma", "1.0", "--points", "1001",
+                 "--steps", "3", "--dt", dt, "--out-csv", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    if code == 5:
+        assert "potential changed 80.3% within one step of dt=1.000e+01" in err
+        assert "suggested dt" in err
+    else:
+        assert err == ""
 
 
 def _follow_suggested_dt(argv, dt, capsys):

@@ -112,6 +112,22 @@ def test_state_rejects_a_non_finite_sample(sample):
         RadialState(grid=grid, u=u, time=0.0)
 
 
+def test_states_start_with_no_relaxation(natural_ground_profile, packet):
+    # the constructors start a run; a V = 0 step has nothing to relax; a
+    # step with a potential carries the potential its solve used, and a
+    # state rebuilt from it by replace carries none
+    assert state_from_profile(natural_ground_profile)._relaxation is None
+    assert packet._relaxation is None
+    assert step(packet, 0.01, NonlinearityKind.free())._relaxation is None
+    nl = NonlinearityKind.cubic(1.0, -1)
+    stepped = step(packet, 0.01, nl)
+    phi, made_by_nl, made_by_dt = stepped._relaxation
+    assert (made_by_nl, made_by_dt) == (nl, 0.01)
+    assert replace(stepped, u=packet.u)._relaxation is None
+    assert step(replace(stepped, u=packet.u), 0.01, nl).u.tobytes() == \
+        step(replace(packet, time=stepped.time), 0.01, nl).u.tobytes()
+
+
 def test_state_from_profile_preserves_norm_and_energy(natural_ground_profile):
     state = state_from_profile(natural_ground_profile)
     assert state_norm(state) == pytest.approx(1.0, abs=1e-9)
@@ -193,7 +209,7 @@ def test_phase_ledger_decomposition(natural_ground_profile):
 
 def test_gravity_step_phase_advances_at_the_midpoint_rate():
     # a dispersing packet's E_grav/norm moves within the step, so the pin
-    # tells the predictor midpoint's rate from the starting state's,
+    # tells the rate at the step's midpoint from the starting state's,
     # -0.028229310550188475
     state = gaussian_state(make_grid(30.0, 401), sigma=1.0)
     assert repr(step(state, 0.1, NonlinearityKind.gravity()).phase) == "-0.028223825115468587"
@@ -225,6 +241,83 @@ def test_scf_eigenstate_rotates_at_the_exact_crank_nicolson_phase(n):
     dens0 = np.abs(state.psi()) ** 2
     wander = np.abs(np.abs(current.psi()) ** 2 - dens0).max() / dens0.max()
     assert wander <= 1e-9
+
+
+# --- the relaxation step -----------------------------------------------------
+
+@pytest.mark.parametrize("nl", [NonlinearityKind.cubic(2.0, -1), NonlinearityKind.gravity()],
+                         ids=lambda nl: nl.kind)
+def test_relaxation_step_is_second_order_in_time(nl):
+    # a packet on 30/601 to t = 1 at dt 0.05, 0.025 and 0.0125 against
+    # dt 0.05/32: each halving of dt cuts the error by 4.01 and 4.05 for
+    # both kinds (errors 1.33e-4 cubic and 5.07e-5 gravity at dt 0.05)
+    start = gaussian_state(make_grid(30.0, 601), 1.0)
+
+    def run(dt):
+        state = start
+        for _ in range(int(round(1.0 / dt))):
+            state = step(state, dt, nl)
+        assert state.time == pytest.approx(1.0)
+        return state.u
+
+    reference = run(0.05 / 32)
+    errors = [_relative_error(run(dt), reference) for dt in (0.05, 0.025, 0.0125)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, errors
+
+
+@pytest.mark.parametrize("nl", [NonlinearityKind.cubic(1.0, -1), NonlinearityKind.gravity()],
+                         ids=lambda nl: nl.kind)
+def test_first_step_solves_under_the_starting_potential(nl):
+    # phi^{-1/2} = V[u^0], so a run's first step is the Crank–Nicolson solve
+    # under V[u^0] itself, bit for bit
+    grid = make_grid(30.0, 401)
+    packet = gaussian_state(grid, 1.0)
+    state = replace(packet, u=packet.u * np.exp(0.3j * grid.nodes))
+    v = sng.evolution._Evaluation(grid, state.u, nl).v
+    expected = sng.evolution._solve(state.u, v, sng.evolution._lam(grid, 0.01), 0.01)
+    stepped = step(state, 0.01, nl)
+    assert stepped.u.tobytes() == expected.tobytes()
+    assert stepped._relaxation[0].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("other_nl, other_dt", [
+    (NonlinearityKind.cubic(1.0, -1), 0.02),
+    (NonlinearityKind.cubic(2.0, -1), 0.01),
+    (NonlinearityKind.cubic(1.0, 1), 0.01),
+    (NonlinearityKind.gravity(), 0.01),
+], ids=["dt", "kappa", "sign", "kind"])
+def test_a_state_of_another_run_starts_its_relaxation_afresh(other_nl, other_dt):
+    # a state made by cubic(1, -1) steps of dt 0.01, handed to a step or run
+    # of another nonlinearity or dt, is stepped as if it carried nothing
+    stepped = gaussian_state(make_grid(30.0, 401), 1.0)
+    for _ in range(3):
+        stepped = step(stepped, 0.01, NonlinearityKind.cubic(1.0, -1))
+    bare = replace(stepped)  # the same u and time, carrying nothing
+    assert step(stepped, other_dt, other_nl).u.tobytes() == \
+        step(bare, other_dt, other_nl).u.tobytes()
+    runs = [evolve(s, s.time + 3 * other_dt, other_dt, other_nl) for s in (stepped, bare)]
+    assert _series_sha256(runs[0]) == _series_sha256(runs[1])
+
+
+@pytest.mark.parametrize("kind", ["gravity", "cubic"])
+def test_steps_then_evolve_end_on_one_evolve_bitwise(kind, coarse_ground_state):
+    # k steps hand their carried potential to evolve, which takes the
+    # remaining n - k steps and ends on the bits of one n-step evolve
+    if kind == "gravity":
+        state, dt, nl = coarse_ground_state, 0.1, NonlinearityKind.gravity()
+    else:
+        state = gaussian_state(make_grid(30.0, 401), 1.0)
+        dt, nl = 0.01, NonlinearityKind.cubic(1.0, -1)
+    n_steps, k = 10, 4
+    whole = evolve(state, t_final=n_steps * dt, dt=dt, nl=nl, observe_every=n_steps)
+    current = state
+    for _ in range(k):
+        current = step(current, dt, nl)
+    rest = evolve(current, t_final=n_steps * dt, dt=dt, nl=nl, observe_every=n_steps)
+    assert len(rest.times) == 2 and rest.times[-1] == pytest.approx(whole.times[-1])
+    assert (rest.norms[-1], rest.energies[-1], rest.widths[-1]) == (
+        whole.norms[-1], whole.energies[-1], whole.widths[-1])
 
 
 # --- the localization scale --------------------------------------------------
@@ -528,11 +621,11 @@ def test_time_reversal_round_trip(packet):
 
 # --- bitwise pins and work counts ------------------------------------------
 #
-# sha256 of norms, energies, widths and snapshot densities, recorded before
-# the stepper shared the observed potential and skipped the free corrector;
-# any reordering of the floating-point work shows up here.  The free runs
-# were re-recorded when V = 0 moved to the sine modes; they agree with the
-# LAPACK stepper's series to 6e-15 relative.
+# sha256 of norms, energies, widths and snapshot densities; any reordering
+# of the floating-point work shows up here.  The free runs were recorded
+# when V = 0 moved to the sine modes (they agree with the LAPACK stepper's
+# series to 6e-15 relative), the cubic and gravity runs when each step
+# became one solve under the relaxed potential.
 
 def _series_sha256(series):
     arrays = [series.norms, series.energies, series.widths]
@@ -547,10 +640,10 @@ def _series_sha256(series):
 PINNED_SERIES = {
     ("free", 1): (101, "c036a7be319ef4f01ea2fa0701bddf8235df48e2b347b3be855147937ab1ec6f"),
     ("free", 50): (3, "ec2cda515572cda39b6debce7b88c0ae85eafe38b498c9f8dc047d170265d271"),
-    ("cubic", 1): (51, "c4682a0b6461301eee93d645b1763fe00859b9a42396131df2869debeb5a03e9"),
-    ("cubic", -1): (51, "0c060cefa842edbe173854451d35bfbd31f8f64df583678d0de83c1b542c1926"),
-    ("gravity", 1): (101, "0eb3cea71ae8a57c924af315d732737e8794b829340c3e36ba7e5bcde63dec4c"),
-    ("gravity", 50): (3, "bd5f35466ce676c717b282ac138f241a0799159d3022a2b499c64adc5e1d79ed"),
+    ("cubic", 1): (51, "b1b510489f357e24ab493532bcb32c3371c6a5b838db82d28ab877bf2ac286d9"),
+    ("cubic", -1): (51, "c49934d6f6311e31681cff60817a2547d29b63a7854ade4b68165aea01428956"),
+    ("gravity", 1): (101, "35e7937ead073ba4d695cddb501b07c5cb9dca040c9364e7737d8a7fc43e1a7b"),
+    ("gravity", 50): (3, "ee944ab3973622392506f46c24f7d57c0c86d63d2f9071b62064761a5d9af941"),
 }
 
 
@@ -612,7 +705,7 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_zero_potential_calls_no_lapack_and_a_potential_step_two_zgtsv(
+def test_zero_potential_calls_no_lapack_and_a_potential_step_one_zgtsv(
         packet, coarse_ground_state, monkeypatch):
     # with V = 0 the step is a jump of the sine modes, done by numpy's FFT
     sng.evolution._sine_spectrum.cache_clear()
@@ -624,14 +717,16 @@ def test_zero_potential_calls_no_lapack_and_a_potential_step_two_zgtsv(
         step(packet, 0.01, nl)
     assert [len(calls[name]) for name in names] == [0, 0, 0]
 
-    # a step with a potential uses each matrix once: its predictor and its
-    # corrector are one fused factor-and-solve each
+    # a step with a potential is one solve under the relaxed potential, and
+    # it uses its matrix once: one fused factor-and-solve, on a run's first
+    # step and on the steps that extrapolate the carried potential
     for state, dt, nl in [(coarse_ground_state, 0.1, NonlinearityKind.gravity()),
                           (packet, 0.01, NonlinearityKind.cubic(1.0, -1))]:
-        for found in calls.values():
-            found.clear()
-        step(state, dt, nl)
-        assert [len(calls[name]) for name in names] == [0, 0, 2], nl.kind
+        for start in (state, step(state, dt, nl)):
+            for found in calls.values():
+                found.clear()
+            step(start, dt, nl)
+            assert [len(calls[name]) for name in names] == [0, 0, 1], nl.kind
 
 
 def _banded_reference(u, v, dt, grid):
@@ -700,9 +795,8 @@ def test_crank_nicolson_solve_equals_banded_solve_bitwise(nl):
     u = packet.u * np.exp(0.3j * grid.nodes)
     v = sng.evolution._Evaluation(grid, u, nl).v
     lam = sng.evolution._lam(grid, 0.01)
-    hop = 1.0j * lam * (u[2:] + u[:-2])
     expected = _banded_reference(u, v, 0.01, grid)
-    assert np.array_equal(sng.evolution._solve(u, v, lam, 0.01, hop), expected)
+    assert np.array_equal(sng.evolution._solve(u, v, lam, 0.01), expected)
     if nl.kind == "free":
         assert _relative_error(step(replace(packet, u=u), 0.01, nl).u, expected) < 1e-13
 
@@ -716,7 +810,7 @@ def test_pivoted_crank_nicolson_solve_equals_factor_and_back_substitute_bitwise(
     u = gaussian_state(grid, sigma=1.0).u * np.exp(0.3j * grid.nodes)
     v = sng.evolution._Evaluation(grid, u, NonlinearityKind.cubic(1e3, -1)).v
     lam = sng.evolution._lam(grid, dt)
-    hop = 1.0j * lam * (u[2:] + u[:-2])
+    hop = 1.0j * lam * (u[2:] + u[:-2])  # the right-hand side's off-diagonal part
     vterm = 0.5j * dt * v[1:-1]
     off = np.full(grid.n_points - 3, -1.0j * lam)
     *lu, info = zgttrf(off, 1.0 + 2.0j * lam + vterm, off)
@@ -725,22 +819,21 @@ def test_pivoted_crank_nicolson_solve_equals_factor_and_back_substitute_bitwise(
     assert np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1)) > 0
     x, info = zgttrs(*lu, (1.0 - 2.0j * lam - vterm) * u[1:-1] + hop)
     assert info == 0
-    got = sng.evolution._solve(u, v, lam, dt, hop)
+    got = sng.evolution._solve(u, v, lam, dt)
     assert got[1:-1].tobytes() == x.tobytes()
     assert got.tobytes() == _banded_reference(u, v, dt, grid).tobytes()
 
 
 def test_crank_nicolson_solve_refuses_a_right_hand_side_that_overflows():
-    # the diagonal 1 + 2i lam is finite, but (1 - 2i lam) u overflows at
-    # every interior node
+    # the diagonal 1 + 2i lam is finite, but (1 - 2i lam) u and the hopping
+    # term i lam (u[k+1] + u[k-1]) overflow at every interior node
     grid = make_grid(10.0, 101)
     u = np.zeros(grid.n_points, dtype=np.complex128)
     u[1:-1] = 1e300
-    hop = np.zeros(grid.n_points - 2, dtype=np.complex128)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(InvalidArgumentError, match="dt is too large"):
-            sng.evolution._solve(u, np.zeros(grid.n_points), 1e10, 0.01, hop)
+            sng.evolution._solve(u, np.zeros(grid.n_points), 1e10, 0.01)
     assert [w.category for w in caught] == []
 
 
@@ -752,19 +845,18 @@ def test_crank_nicolson_solve_leaves_its_inputs_alone(nl):
     u = gaussian_state(grid, sigma=1.0).u * np.exp(0.3j * grid.nodes)
     v = sng.evolution._Evaluation(grid, u, nl).v
     lam = sng.evolution._lam(grid, 0.01)
-    hop = 1.0j * lam * (u[2:] + u[:-2])
-    before = [a.copy() for a in (u, v, hop)]
-    got = sng.evolution._solve(u, v, lam, 0.01, hop)
-    for a, b in zip((u, v, hop), before):
+    before = [a.copy() for a in (u, v)]
+    got = sng.evolution._solve(u, v, lam, 0.01)
+    for a, b in zip((u, v), before):
         assert a.tobytes() == b.tobytes()
         assert not np.shares_memory(got, a)
     assert got[0] == got[-1] == 0.0
 
 
 def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monkeypatch):
-    # one solve at the predictor midpoint inside each step, one for each
-    # observed state (shared by its energy row and the next step), plus the
-    # initial state; every solve goes through the one Poisson kernel
+    # one solve at each step's midpoint, one for each observed state
+    # (shared by its energy row and the next step), plus the initial
+    # state; every solve goes through the one Poisson kernel
     calls = _count_calls(monkeypatch, sng.evolution, "solve_radial_poisson")
     n_steps = 7
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
@@ -775,7 +867,7 @@ def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monke
 def test_gravity_evolve_evaluates_each_state_once(coarse_ground_state, monkeypatch):
     # psi once per observed state, shared by its energy row, the boundary
     # check, its snapshot and the next step's potential, and once at each
-    # step's predictor midpoint.  The line integrals are int |u|^2 dr and
+    # step's midpoint.  The line integrals are int |u|^2 dr and
     # the width's int r^2 |u|^2 dr per observed state, and int |u|^2 dr per
     # midpoint; evolve keeps no phase ledger, so it takes no E_grav/norm.
     psis = _count_calls(monkeypatch, sng.evolution, "psi_from_u")

@@ -118,9 +118,9 @@ NUCLEON_ROWS = {
     ],
     "gravity": [
         [0.0, 1.0000000000000004, -2.8502949427853012e-42, 1.6505245644298918],
-        [1.1644622543767353e06, 0.99999999958237551, -2.8502950154605225e-42, 1.6505226667230053],
-        [2.3289245087534706e06, 0.99999999999996936, -2.8502952566485443e-42, 1.6505169782304308],
-        [3.4933867631302057e06, 0.99999999958243813, -2.8502956141723386e-42, 1.6505075181940438],
+        [1.1644622543767353e06, 0.99999999958237729, -2.8502950153232018e-42, 1.6505226674371836],
+        [2.3289245087534706e06, 0.99999999999996414, -2.8502952561493579e-42, 1.6505169810063429],
+        [3.4933867631302057e06, 0.99999999958245089, -2.8502956133529411e-42, 1.6505075241221721],
     ],
 }
 
