@@ -36,6 +36,21 @@ line integral, |psi| = |u/r|, the density and V from u, each on first use.
 ``evolve``'s observation (norm, energy, RMS width, the boundary check and
 density snapshots) and the next step's potential read the same
 evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
+
+A step is refused where V at its midpoint (psi^n + psi^{n+1})/2 differs
+from V[psi^n], or from phi^{n+1/2}, by more than half of max|V[psi^n]|.
+Under gravity the guard first bounds both changes without a Poisson
+solve, by the shell theorem on the kernel's own non-negative origin
+weights w: with Delta = 4 pi (rho_mid/N_mid - rho_n/N_n),
+max|V_mid - V_n| <= w . |Delta| and
+max|V_mid - phi| <= w . |Delta| + max|V_n - phi|.  Where that sum is at
+most 0.5 (1 - 1e-6) max|V_n|, a margin far above the n eps rounding of a
+solve's two cumsums, the exact test cannot refuse the step and the
+midpoint's potential is not solved, so an ``evolve`` step costs one
+Poisson solve, for the new state.  Elsewhere, and under the cubic
+potential, the exact test runs: the same steps are accepted and refused
+either way, with the same change.
+
 A state's scale has one door: :class:`RadialState` refuses a u whose norm,
 peak density or int r^2 |u|^2 dr overflows a double; a step keeps the norm,
 so no kernel guards |u|^2 again.  The gravitational potential is the one
@@ -314,11 +329,16 @@ class _Evaluation:
     def density(self) -> np.ndarray:
         return self.psi_abs ** 2
 
+    @property
+    def coupling(self) -> float:
+        """4 pi / norm, the gravitational Poisson coupling of the density."""
+        return 4.0 * np.pi / self.norm
+
     @cached_property
     def v(self) -> np.ndarray:
         """Potential samples V(r); zero when free."""
         if self.nl.kind == "gravity":
-            return solve_radial_poisson(self.density, self.grid, 4.0 * np.pi / self.norm)
+            return solve_radial_poisson(self.density, self.grid, self.coupling)
         # rounding is monotone: kappa times the peak bounds every product
         if not self.nl.kappa * float(np.max(self.density)) < math.inf:
             raise InvalidArgumentError(f"kappa = {self.nl.kappa!r} is too large for this state: "
@@ -500,6 +520,33 @@ def _carried(state: RadialState, nl: NonlinearityKind, dt: float) -> Optional[np
     return phi if (made_by_nl, made_by_dt) == (nl, dt) else None
 
 
+# a certificate clears the guard's 0.5 only 1e-6 of it below: far above the
+# n eps rounding of the two cumsums in each Poisson solve it stands for
+_CERTIFIED_BELOW = 0.5 * (1.0 - 1e-6)
+
+
+def _certificate(ev: _Evaluation, mid: _Evaluation, phi: np.ndarray, scale: float) -> float:
+    """(w . |Delta| + max|V[u] - phi|) / ``scale``, an upper bound on both
+    halves of :func:`_advance`'s gravity guard formed from the densities
+    alone: V is linear in its source 4 pi rho / norm, so V_mid - V[u] is
+    the potential of Delta = 4 pi (rho_mid / N_mid - rho / N), which the
+    kernel's origin weights w bound.  NaN where it is undefined: under a
+    cubic nonlinearity, whose guard stays exact and pointwise, and at a
+    midpoint norm that is not > 0.  An infinite or NaN certificate clears
+    nothing, and forming it warns of nothing."""
+    if ev.nl.kind != "gravity" or not mid.norm > 0.0:
+        return math.nan
+    rho_mid, rho = mid.density, ev.density
+    with np.errstate(all="ignore"):
+        delta = np.multiply(rho_mid, mid.coupling)
+        np.subtract(delta, np.multiply(rho, ev.coupling), out=delta)
+        bound = float(np.dot(ev.grid._poisson_origin_weights, np.abs(delta, out=delta)))
+        if phi is not ev.v:  # phi = V[u] on a run's first step
+            np.subtract(ev.v, phi, out=delta)
+            bound += float(np.abs(delta, out=delta).max())
+        return bound / scale
+
+
 def _advance(ev: _Evaluation, dt: float, lam: float,
              carried: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray, _Evaluation]:
     """The kernel of :func:`step` and :func:`evolve` where V is not zero:
@@ -509,7 +556,15 @@ def _advance(ev: _Evaluation, dt: float, lam: float,
     evaluation of the step's midpoint (u + u')/2, whose phase rate
     :func:`step` carries.  V[u] is ``ev.v``, so an observation of the same
     state shares it.  StepRejectedError where V at the midpoint differs from
-    V[u], or from phi, by more than half of max|V[u]|."""
+    V[u], or from phi, by more than half of max|V[u]|.
+
+    Under gravity, by the shell theorem, max|V_mid - V[u]| <= w . |Delta|
+    and max|V_mid - phi| <= w . |Delta| + max|V[u] - phi|
+    (:func:`_certificate`).  Where that sum is at most 0.5 (1 - 1e-6)
+    max|V[u]|, the exact test cannot exceed 0.5, and the midpoint's
+    potential is not solved here: ``mid.v`` is left to :func:`step`'s
+    phase ledger.  Elsewhere, and always under the cubic potential, the
+    exact test runs."""
     u, v_old = ev.u, ev.v
     if carried is None:
         phi = v_old
@@ -520,11 +575,11 @@ def _advance(ev: _Evaluation, dt: float, lam: float,
     u_mid = np.add(u, u_new)
     np.multiply(0.5, u_mid, out=u_mid)
     mid = _Evaluation(ev.grid, u_mid, ev.nl)
-    v_mid = mid.v
 
     work = np.abs(v_old)
     scale = float(work.max())
-    if scale > 0.0:
+    if scale > 0.0 and not _certificate(ev, mid, phi, scale) <= _CERTIFIED_BELOW:
+        v_mid = mid.v
         change = 0.0
         for reference in (v_old, phi):  # one and the same on a run's first step
             np.subtract(v_mid, reference, out=work)

@@ -94,6 +94,22 @@ class RadialGrid:
             r_lo * dr / 2.0 + dr * dr / 3.0,
         )
 
+    @cached_property
+    def _poisson_origin_weights(self) -> np.ndarray:
+        """The non-negative node weights w of :func:`solve_radial_poisson`
+        at the origin, where Phi(0) = -coupling * (w . rho): int s rho ds
+        over each cell puts d_r2/2 - outer_slope on its low node and
+        outer_slope on its high node.  The kernel weighs a cell's
+        piecewise-linear density by s^2/r <= s inside r and by s outside,
+        so by the shell theorem max|Phi| <= |coupling| * (w . |rho|) for
+        every signed source."""
+        _, d_r2, _, outer_slope = self._poisson_weights
+        w = np.zeros(self.n_points)
+        w[:-1] = d_r2 / 2.0 - outer_slope
+        w[1:] += outer_slope
+        w.setflags(write=False)
+        return w
+
 
 @dataclass(frozen=True, eq=False)
 class RadialField:

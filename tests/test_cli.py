@@ -1079,6 +1079,19 @@ def test_relaxed_potential_half_of_the_guard(dt, code, tmp_path, capsys):
         assert err == ""
 
 
+@pytest.mark.parametrize("dt, code", [
+    *[(dt, 0) for dt in ("1", "2", "4")],
+    *[(dt, 5) for dt in ("6", "7", "8", "8.5", "9", "9.5", "10", "12", "14", "16", "18", "20",
+                         "30", "50")],
+])
+def test_refusal_sweep_of_a_dispersing_packet(dt, code, tmp_path, capsys):
+    # three steps of a sigma = 1 packet: accepted up to dt 4 and refused
+    # from dt 6, whether the guard's midpoint potential is certified or solved
+    assert main(["evolve", "--gravity", "--gaussian-sigma", "1.0", "--points", "1001",
+                 "--steps", "3", "--dt", dt, "--out-csv", str(tmp_path / "x.csv")]) == code
+    assert ("suggested dt" in capsys.readouterr().err) == (code == 5)
+
+
 def _follow_suggested_dt(argv, dt, capsys):
     """Rerun with each printed suggested dt until a run is accepted; the dts tried."""
     tried = [dt]

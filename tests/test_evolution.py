@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -28,7 +30,7 @@ from sng.evolution import (
     state_norm,
     step,
 )
-from sng.grids import integrate_line, make_grid
+from sng.grids import integrate_line, make_grid, solve_radial_poisson
 from sng.physical import energy_breakdown, rescale_to_physical
 from sng.shooting import solve_states
 
@@ -475,6 +477,114 @@ def test_rejected_step_leaves_state_untouched(packet):
     assert packet.time == 0.0
 
 
+# --- the guard's certificate -------------------------------------------------
+#
+# a gravity step solves its midpoint's potential only where the shell
+# theorem's bound on the change cannot clear the guard
+
+def _guard_case(name):
+    """A gravity state for the certificate's soundness cases."""
+    if name.startswith("sigma"):
+        return gaussian_state(make_grid(60.0, 1001), float(name[len("sigma"):]))
+    if name == "chirped":
+        packet = gaussian_state(make_grid(60.0, 1001), 1.0)
+        return replace(packet, u=packet.u * np.exp(0.25j * packet.grid.nodes ** 2))
+    points = int(name[len("ground"):])
+    return state_from_profile(rescale_to_physical(solve_states([0], make_grid(40.0, points))[0]))
+
+
+GUARD_CASES = ["sigma0.5", "sigma1", "sigma3", "chirped", "ground401", "ground4001"]
+
+
+@pytest.fixture(scope="module")
+def guard_states():
+    """Each case twice: as a run's first step, carrying nothing, and one
+    step of dt 1 later, carrying the relaxed potential that step solved with."""
+    cases = {}
+    for name in GUARD_CASES:
+        start = _guard_case(name)
+        later = step(start, 1.0, NonlinearityKind.gravity())
+        cases[name] = [(start, None), (later, later._relaxation[0])]
+    return cases
+
+
+def _midpoint(state, dt, carried):
+    """What ``_advance`` forms before its guard: the starting evaluation,
+    the relaxed potential, the midpoint's evaluation and max|V[u]|."""
+    ev = sng.evolution._Evaluation(state.grid, state.u, NonlinearityKind.gravity())
+    phi = ev.v if carried is None else 2.0 * ev.v - carried
+    u_new = sng.evolution._solve(state.u, phi, sng.evolution._lam(state.grid, dt), dt)
+    mid = sng.evolution._Evaluation(state.grid, 0.5 * (state.u + u_new), ev.nl)
+    return ev, phi, mid, float(np.abs(ev.v).max())
+
+
+@pytest.mark.parametrize("dt", [0.1, 1.0, 2.0, 4.0, 8.0, 12.0, 20.0, 50.0])
+@pytest.mark.parametrize("name", GUARD_CASES)
+def test_certificate_bounds_the_exact_guard_and_refuses_as_it_does(name, dt, guard_states):
+    # both halves of the exact change, from the Poisson solve of the
+    # midpoint density, lie under the certificate; _advance refuses exactly
+    # where the larger exceeds 0.5, naming that change, whether or not it
+    # solved the midpoint
+    for state, carried in guard_states[name]:
+        ev, phi, mid, scale = _midpoint(state, dt, carried)
+        v_mid = solve_radial_poisson(mid.density, state.grid, 4.0 * np.pi / mid.norm)
+        halves = [float(np.abs(v_mid - reference).max()) / scale for reference in (ev.v, phi)]
+        assert sng.evolution._certificate(ev, mid, phi, scale) >= max(halves)
+        lam = sng.evolution._lam(state.grid, dt)
+        if max(halves) > 0.5:
+            with pytest.raises(StepRejectedError) as refused:
+                sng.evolution._advance(ev, dt, lam, carried)
+            assert refused.value.change == max(halves)
+        else:
+            sng.evolution._advance(ev, dt, lam, carried)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-3, 1e3), st.integers(3, 300).flatmap(
+    lambda n: st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+def test_poisson_kernel_is_bounded_by_its_origin_weights(rho_max, source):
+    # the shell theorem on the kernel's own cells: for a signed source,
+    # max|P[Delta]| <= w . |Delta|, where -w . Delta is P[Delta] at the
+    # origin.  The bound needs w >= 0: a kernel whose cells put negative
+    # weight on a node cannot be certified so
+    grid = make_grid(rho_max, len(source))
+    delta = np.array(source)
+    w = grid._poisson_origin_weights
+    assert (w >= 0.0).all()
+    bound = float(np.dot(w, np.abs(delta)))
+    potential = solve_radial_poisson(delta, grid, 1.0)
+    assert float(np.abs(potential).max()) <= bound * (1.0 + 1e-12)
+    assert potential[0] == pytest.approx(-float(np.dot(w, delta)), rel=1e-12, abs=1e-12 * bound)
+
+
+def test_an_undefined_certificate_clears_nothing_and_warns_of_nothing(natural_ground_profile,
+                                                                    monkeypatch):
+    # the dt 50 stride of the exact eigenstate is certified (5.2e-6 against
+    # an exact 1.2e-6); a midpoint whose norm is 0, or so small that 4 pi /
+    # norm overflows, has no certificate, and a NaN or infinite one sends
+    # the step to the exact test, which solves the midpoint and lets the
+    # step through with the same bits
+    state = state_from_profile(natural_ground_profile)
+    ev, phi, mid, scale = _midpoint(state, 50.0, None)
+    assert sng.evolution._certificate(ev, mid, phi, scale) < 1e-5
+    grid = state.grid
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for factor in (0.0, 1e-155):
+            empty = sng.evolution._Evaluation(grid, factor * mid.u, ev.nl)
+            assert empty.norm == 0.0 or empty.coupling == np.inf
+            assert not sng.evolution._certificate(ev, empty, phi, scale) <= 0.5, factor
+    assert [str(w.message) for w in caught] == []
+    calls = _count_calls(monkeypatch, sng.evolution, "solve_radial_poisson")
+    certified = _series_sha256(evolve(state, 50.0, 50.0, NonlinearityKind.gravity()))
+    assert len(calls) == 2  # V[u] and V[u'], and none at the midpoint
+    for certificate in (np.nan, np.inf):
+        monkeypatch.setattr(sng.evolution, "_certificate", lambda *args, c=certificate: c)
+        calls.clear()
+        assert _series_sha256(evolve(state, 50.0, 50.0, NonlinearityKind.gravity())) == certified
+        assert len(calls) == 3
+
+
 def test_invalid_dt_rejected(packet):
     for dt in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError, match="dt must be positive"):
@@ -853,15 +963,26 @@ def test_crank_nicolson_solve_leaves_its_inputs_alone(nl):
     assert got[0] == got[-1] == 0.0
 
 
-def test_gravity_evolve_solves_poisson_twice_per_step(coarse_ground_state, monkeypatch):
-    # one solve at each step's midpoint, one for each observed state
-    # (shared by its energy row and the next step), plus the initial
-    # state; every solve goes through the one Poisson kernel
+def test_gravity_evolve_solves_poisson_once_per_step(coarse_ground_state, monkeypatch):
+    # one solve for each observed state (shared by its energy row and the
+    # next step), plus the initial state; the certificate clears every
+    # step of the stationary run, so no midpoint is solved.  Every solve
+    # goes through the one Poisson kernel
     calls = _count_calls(monkeypatch, sng.evolution, "solve_radial_poisson")
     n_steps = 7
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
            nl=NonlinearityKind.gravity(), observe_every=1)
-    assert len(calls) == 2 * n_steps + 1
+    assert len(calls) == n_steps + 1
+
+
+def test_a_step_the_certificate_cannot_clear_solves_its_midpoint(monkeypatch):
+    # a sigma = 1 packet's step of dt 12 changes its potential by 33.4%,
+    # under the guard's 50%, but the certificate reads 54.8%: the midpoint
+    # is solved, and the step goes through
+    calls = _count_calls(monkeypatch, sng.evolution, "solve_radial_poisson")
+    evolve(gaussian_state(make_grid(60.0, 1001), 1.0), t_final=12.0, dt=12.0,
+           nl=NonlinearityKind.gravity())
+    assert len(calls) == 3
 
 
 def test_gravity_evolve_evaluates_each_state_once(coarse_ground_state, monkeypatch):
