@@ -7,19 +7,20 @@ The pair of radial ODEs
 with f(0)=1, f'(0)=0, g(0)=gamma0, g'(0)=0, has square-integrable solutions
 only for a discrete set of central values gamma0(n) < 0, labelled by the
 node count n of f.  Every shot runs one RK4 kernel outward from a series
-start at the origin; :func:`solve_states` brackets each eigenvalue by
+start at the origin, on u = rho f and v = rho g, which obey u'' = u v/rho
+and v'' = u^2/rho; :func:`solve_states` brackets each eigenvalue by
 bisecting a gamma0 lattice, shot on every eighth grid point, for the cell
 where the node count of f falls past n, and bisects each bracket on the
 grid itself on one condition, a match at rho_m = (last node of f, or 0
 for n = 0) + 16.  The lattice runs on the grid itself only when the
 coarse grid is refused, its lattice raises, or the bisection finds both
 ends of a coarse cell on one side.  Past rho_m the source f^2 is
-negligible: g = g_inf - M/rho with M = rho_m^2 g'(rho_m) and g_inf =
-g + rho_m g'(rho_m), and u = rho f obeys u'' = (g_inf - M/rho) u, whose
+negligible: g = g_inf - M/rho with g_inf = v'(rho_m) and M = rho_m
+v'(rho_m) - v(rho_m), and u obeys u'' = (g_inf - M/rho) u, whose
 decaying solution is the Whittaker function W_{kappa,1/2}(2 k rho), k^2 =
 g_inf, kappa = M/(2k).  The eigenvalue is the gamma0 where the Wronskian
-mismatch (f + rho f') - rho f y_tail vanishes at rho_m, y_tail being that
-tail's log-derivative; past rho_m the solved f* and g* are the tail itself.
+mismatch u' - u y_tail vanishes at rho_m, y_tail being that tail's
+log-derivative; past rho_m the solved f* and g* are the tail itself.
 The bisection makes plain bisection's halvings but shoots only at the
 midpoints its earlier shots leave undecided, near the root at secant steps
 on the mismatch, which is close to linear there.  Its first shots are
@@ -31,9 +32,9 @@ the last two mismatches; the bracket ends are not shot once the shots
 straddle the root.  :func:`shoot_gamma0` alone decides whether to aim:
 a coarse pass that fails or leaves no two mismatches, or a tol above
 1e-9 |gamma0|, leaves the bisection unaimed.
-On the default grid, solve_states(range(5)) takes 27 shots there and 91
-on the coarse grid (18 of them the lattice's), 172,920 RK4 steps and
-40,718 Riccati steps in all, against 91 shots, 373,204 and 56,319 unaimed
+On the default grid, solve_states(range(5)) takes 27 shots there and 92
+on the coarse grid (18 of them the lattice's), 173,563 RK4 steps and
+40,818 Riccati steps in all, against 92 shots, 378,731 and 57,119 unaimed
 with the lattice on the grid itself.  Each shot ends labelled by where
 it stops: match_radius, node_ceiling, diverged_up, diverged_down or
 max_radius (see :func:`_shoot`).
@@ -189,22 +190,29 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     """Integrate the universal system outward from the origin at one gamma0:
     the one RK4 kernel behind every shot.
 
-    Fixed-step RK4 on (f, f', g, g') from the series f = 1 + gamma0 rho^2/6,
-    g = gamma0 + rho^2/6 that the ODEs force at rho = 0.  Nodes are strict
-    sign changes between consecutive samples; an exact zero does not count.
-    The shot stops at rho_max, or as soon as |f| > 1e3 (``diverged_up`` or
-    ``diverged_down``, a classification, not an error), or with
-    ``max_nodes`` at node max_nodes + 1 (``node_ceiling``; the count stops
-    there).  With ``stop`` (and ``max_nodes``), it also ends ``stop``
-    samples past f's sign change number ``max_nodes`` (past the origin for
-    0): ``match_radius``.  A shot that runs to rho_max is ``max_radius``.
-    A non-finite gamma0, a bad ``max_nodes`` or a sample that overflows a
-    double raises InvalidArgumentError.
+    Fixed-step RK4 on the reduced pair u = rho f, v = rho g, which obey
+    u'' = u v/rho and v'' = u^2/rho: with w = u/rho each stage's slopes are
+    u' = w v and v' = w u, and stages 2 and 3 share one reciprocal of their
+    radius.  The shot starts from the series f = 1 + gamma0 rho^2/6, g =
+    gamma0 + rho^2/6 that the ODEs force at rho = 0 (u = h f(h), u' = f(h)
+    + h f'(h) at the first sample, and the same for v).  Nodes are strict
+    sign changes of u, and so of f, between consecutive samples past the
+    origin, f(0) = 1 and f(h) counting as the first pair; an exact zero does
+    not count.  The shot stops at rho_max, or as soon as |u| > 1e3 rho,
+    that is |f| > 1e3 (``diverged_up`` or ``diverged_down``, a
+    classification, not an error), or with ``max_nodes`` at node
+    max_nodes + 1 (``node_ceiling``; the count stops there).  With ``stop``
+    (and ``max_nodes``), it also ends ``stop`` samples past f's sign change
+    number ``max_nodes`` (past the origin for 0): ``match_radius``.  A shot
+    that runs to rho_max is ``max_radius``.  A non-finite gamma0, a bad
+    ``max_nodes`` or a sample that overflows a double raises
+    InvalidArgumentError.
 
     Returns the label ``(node_count, classification)`` and, when ``record``
-    is true, the computed samples as the lists (f, f', g, g'); else the
-    state ``(index, f, f', g, g')`` of the last computed sample, and the
-    loop keeps nothing but its state and the previous f.
+    is true, the computed samples as the lists (u, u', v, v'), from (0, 1,
+    0, gamma0) at the origin; else the state ``(index, u, u', v, v')`` of
+    the last computed sample, and the loop keeps nothing but its state and
+    the previous u.
     """
     if not np.isfinite(gamma0):
         raise InvalidArgumentError(f"gamma0 must be finite, got {gamma0}")
@@ -214,62 +222,70 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     n = grid.n_points
     h = grid.spacing
     # The loop state must be Python floats: numpy scalars run every one of
-    # the ~100 operations per step about 3x slower, to the same bits.
-    yf = 1.0 + gamma0 * h * h / 6.0
-    yfp = gamma0 * h / 3.0
-    yg = gamma0 + h * h / 6.0
-    ygp = h / 3.0
+    # the ~80 operations per step about 3x slower, to the same bits.
+    f1 = 1.0 + gamma0 * h * h / 6.0
+    g1 = gamma0 + h * h / 6.0
+    yu = h * f1
+    yup = f1 + h * (gamma0 * h / 3.0)
+    yv = h * g1
+    yvp = g1 + h * (h / 3.0)
     if record:
-        fs, fps, gs, gps = [1.0, yf], [0.0, yfp], [gamma0, yg], [0.0, ygp]
-    nodes = int(yf < 0.0)  # the pair (f[0], f[1]) = (1, yf)
+        us, ups, vs, vps = [0.0, yu], [1.0, yup], [0.0, yv], [gamma0, yvp]
+    nodes = int(yu < 0.0)  # the pair (f[0], f[1]) = (1, u[1]/h)
     # the index the shot stops at once it is known; n is past the grid
     target = nodes + stop if stop is not None and nodes == ceiling else n
     rho = h
+    inv = 1.0 / rho
     classification = "max_radius"
     half = 0.5 * h
     sixth = h / 6.0
     cap = _CAP
     for i in range(2, n):
-        # RK4 stages for y' = (f', g f - 2f'/r, g', f^2 - 2g'/r); the f and g
-        # slopes of each stage are its own f' and g' samples
-        b1 = yg * yf - 2.0 * yfp / rho
-        d1 = yf * yf - 2.0 * ygp / rho
+        # RK4 stages for y' = (u', w v, v', w u), w = u/rho; the u and v
+        # slopes of each stage are its own u' and v' samples, and inv is
+        # 1/rho from the last step's fourth stage
+        w = yu * inv
+        b1 = w * yv
+        d1 = w * yu
 
-        rm = rho + half
-        f2 = yf + half * yfp
-        fp2 = yfp + half * b1
-        g2 = yg + half * ygp
-        gp2 = ygp + half * d1
-        b2 = g2 * f2 - 2.0 * fp2 / rm
-        d2 = f2 * f2 - 2.0 * gp2 / rm
+        inv = 1.0 / (rho + half)
+        u2 = yu + half * yup
+        up2 = yup + half * b1
+        v2 = yv + half * yvp
+        vp2 = yvp + half * d1
+        w = u2 * inv
+        b2 = w * v2
+        d2 = w * u2
 
-        f3 = yf + half * fp2
-        fp3 = yfp + half * b2
-        g3 = yg + half * gp2
-        gp3 = ygp + half * d2
-        b3 = g3 * f3 - 2.0 * fp3 / rm
-        d3 = f3 * f3 - 2.0 * gp3 / rm
+        u3 = yu + half * up2
+        up3 = yup + half * b2
+        v3 = yv + half * vp2
+        vp3 = yvp + half * d2
+        w = u3 * inv
+        b3 = w * v3
+        d3 = w * u3
 
-        r1 = rho + h
-        f4 = yf + h * fp3
-        fp4 = yfp + h * b3
-        g4 = yg + h * gp3
-        gp4 = ygp + h * d3
-        b4 = g4 * f4 - 2.0 * fp4 / r1
-        d4 = f4 * f4 - 2.0 * gp4 / r1
+        rho += h
+        inv = 1.0 / rho
+        u4 = yu + h * up3
+        up4 = yup + h * b3
+        v4 = yv + h * vp3
+        vp4 = yvp + h * d3
+        w = u4 * inv
+        b4 = w * v4
+        d4 = w * u4
 
-        f_prev = yf
-        yf += sixth * (yfp + 2.0 * (fp2 + fp3) + fp4)
-        yfp += sixth * (b1 + 2.0 * (b2 + b3) + b4)
-        yg += sixth * (ygp + 2.0 * (gp2 + gp3) + gp4)
-        ygp += sixth * (d1 + 2.0 * (d2 + d3) + d4)
-        rho = r1
+        u_prev = yu
+        yu += sixth * (yup + 2.0 * (up2 + up3) + up4)
+        yup += sixth * (b1 + 2.0 * (b2 + b3) + b4)
+        yv += sixth * (yvp + 2.0 * (vp2 + vp3) + vp4)
+        yvp += sixth * (d1 + 2.0 * (d2 + d3) + d4)
         if record:
-            fs.append(yf)
-            fps.append(yfp)
-            gs.append(yg)
-            gps.append(ygp)
-        if yf * f_prev < 0.0:
+            us.append(yu)
+            ups.append(yup)
+            vs.append(yv)
+            vps.append(yvp)
+        if yu * u_prev < 0.0:
             nodes += 1
             # Checked before the cap, so every shot whose count would pass
             # the ceiling carries the same label, however it would have ended.
@@ -278,17 +294,17 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
                 break
             if nodes == ceiling and stop is not None:
                 target = i + stop
-        if abs(yf) > cap:
-            classification = "diverged_up" if yf > 0.0 else "diverged_down"
+        if abs(yu) > cap * rho:
+            classification = "diverged_up" if yu > 0.0 else "diverged_down"
             break
         if i == target:
             classification = "match_radius"
             break
 
     # a sum with a non-finite term is not finite, so the last samples decide
-    if not (math.isfinite(yf) and math.isfinite(yg)):
+    if not (math.isfinite(yu) and math.isfinite(yv)):
         raise InvalidArgumentError(f"the shot at gamma0={gamma0} overflows a double")
-    return (nodes, classification), ((fs, fps, gs, gps) if record else (i, yf, yfp, yg, ygp))
+    return (nodes, classification), ((us, ups, vs, vps) if record else (i, yu, yup, yv, yvp))
 
 
 # ---------------------------------------------------------------------------
@@ -410,24 +426,31 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int,
     mode carries the sign (-1)^n of f's last lobe, and -1 below; with the
     mismatch that told it, or None.
 
-    A shot that reaches rho_m tells by the sign of (-1)^n times the
-    mismatch, which is that of its growing mode, and returns that product;
-    its tail takes Riccati steps of at most ``step``.
-    One that stops before rho_m, or whose tail there does not decay yet,
-    tells by its label up to rho_m, or else rho_max: an (n+1)-th node means
-    below, divergence above.
+    With s = (-1)^n, a shot that reaches rho_m tells by the sign of the
+    mismatch s (u' - u y_tail), y_tail the log-derivative of the tail
+    with k^2 = v' and M = rho v' - v there, which is the sign of its
+    growing mode, and returns it; the tail takes Riccati steps of at most
+    ``step``.  One that stops before rho_m, or whose tail there does not
+    decay yet, tells by its label up to rho_m, or else rho_max: an
+    (n+1)-th node means below, divergence above.  A shot that reaches
+    rho_max with n nodes and s u, s u', v and v' all positive is above
+    too: v'' = u^2/rho >= 0 keeps v', v and so g positive, and then
+    s u'' = g s u > 0 keeps s u growing, so f diverges with its last
+    lobe's sign.  Any other shot is refused (WrongStateError).
     """
-    (nodes, classification), (i, f, fp, g, gp) = _shoot(gamma0, grid, n, False, stop)
+    (nodes, classification), (i, u, up, v, vp) = _shoot(gamma0, grid, n, False, stop)
+    s = (-1) ** n
     if classification == "match_radius":
         rho = float(grid.nodes[i])
-        tail = _tail(g + rho * gp, rho * rho * gp, [rho], step)
+        tail = _tail(vp, rho * vp - v, [rho], step)
         if tail is not None:
-            mismatch = (-1) ** n * (f + rho * fp - rho * f * tail[0][0])
+            mismatch = s * (up - u * tail[0][0])
             return (1 if mismatch > 0.0 else -1), mismatch
-        (nodes, classification), _ = _shoot(gamma0, grid, n, False)
+        (nodes, classification), (i, u, up, v, vp) = _shoot(gamma0, grid, n, False)
     if nodes > n:
         return -1, None
-    if classification.startswith("diverged"):
+    if classification.startswith("diverged") or (
+            nodes == n and s * u > 0.0 and s * up > 0.0 and v > 0.0 and vp > 0.0):
         return 1, None
     raise WrongStateError(
         f"the n={n} shot at gamma0={gamma0!r} has no decaying tail at its match radius, "
@@ -566,8 +589,10 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     every eighth point (:func:`_coarse_aim`), and near the root the shots
     are secant steps on the mismatch aimed just past the root toward the
     midpoint (see :func:`_bisect`).  Secant shots never outnumber the
-    halvings made.  Past rho_m, f* = u_tail/rho with u_tail from the same
-    tail as the mismatch, and g* = g_inf - M/rho.
+    halvings made.  Up to rho_m, f* and g* are the final shot's u and v
+    divided by rho once, with f*(0) = 1 and g*(0) = gamma0 exactly; past
+    it, f* = u_tail/rho with u_tail from the same tail as the mismatch, and
+    g* = g_inf - M/rho.
 
     Raises
     ------
@@ -593,11 +618,11 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     lo, hi, _ = _bisect(n, bracket, grid, tol, _RICCATI_STEP, aim)
     stop = _stop(grid)
     gamma0 = 0.5 * (lo + hi)
-    (_, classification), (f_shot, _, g_shot, gp_shot) = _shoot(gamma0, grid, n, True, stop)
-    m = len(f_shot) - 1
+    (_, classification), (u_shot, _, v_shot, vp_shot) = _shoot(gamma0, grid, n, True, stop)
+    m = len(u_shot) - 1
     rho = grid.nodes
     rho_m = float(rho[m])
-    mass, k2 = rho_m * rho_m * gp_shot[m], g_shot[m] + rho_m * gp_shot[m]
+    k2, mass = vp_shot[m], rho_m * vp_shot[m] - v_shot[m]
     tail = _tail(k2, mass, rho[m:].tolist()) if classification == "match_radius" else None
     # a mid-bracket gamma0 up to tol/2 off the eigenvalue can be what spoils the state
     refine = f"refine --points, or lower --tol (bracket width {hi - lo:.3e})"
@@ -605,8 +630,11 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
         raise WrongStateError(f"the n={n} shot at gamma0={gamma0!r} ends at rho={rho_m:.6g} "
                               f"with no decaying tail past it; {refine}")
     f, g = np.empty((2, grid.n_points))
-    f[:m + 1], g[:m + 1] = f_shot, g_shot
-    f[m + 1:] = rho_m * f_shot[m] * np.exp(tail[1][1:]) / rho[m + 1:]
+    f[:m + 1], g[:m + 1] = u_shot, v_shot
+    f[1:m + 1] /= rho[1:m + 1]
+    g[1:m + 1] /= rho[1:m + 1]
+    f[0], g[0] = 1.0, gamma0
+    f[m + 1:] = u_shot[m] * np.exp(tail[1][1:]) / rho[m + 1:]
     g[m + 1:] = k2 - mass / rho[m + 1:]
     sol = UniversalSolution(RadialField(grid, f), RadialField(grid, g), hi - lo)
     if not abs(sol.tail_residual) <= _TAIL_RESIDUAL_LIMIT:

@@ -118,11 +118,13 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
 
-# sha256 of the outputs the benchmark reads, recorded before bisection was
-# aimed from a coarse grid: the aim only chooses where to shoot
-PINNED_SPECTRUM = "5ab4f56b53f00a7cd6bf447ae6e9990d0873cc47e8eb7285690d749e119cf9c8"
-PINNED_GROUND_4001 = ("a9cc67d7e1da9de642327d434b7166a243039bc64382fb55a7440ac4a9281ddf",
-                      "348ed014d31c85237618b825f93d5fcf56cfd7cf5515407bf8a4d30065796955")
+# sha256 of the outputs the benchmark reads, recorded when the shooting
+# kernel moved to u = rho f, v = rho g (the default grid's gamma0 kept its
+# bits; gamma1 and epsilon_star moved by under 1e-9): the coarse grid's aim
+# only chooses where to shoot
+PINNED_SPECTRUM = "367c81ce8c5a57af76526be70fa3bf172cc3943e4b85038e94ab4ee0368da9c9"
+PINNED_GROUND_4001 = ("af2610730779c7106688a03c882e3ed01fd26541a78b5b409c80842a9c2b0183",
+                      "42c390d08357a34d8f259032355ed63a97b5a6aeea96750ecd286acc764cd31f")
 
 
 def _sha256_file(path):
@@ -409,12 +411,12 @@ def test_summary_whose_node_count_is_not_its_tables_is_exit_4(edit, command, coa
 
 
 # sha256 of the rescale JSON and CSV of a 401-point ground state, recorded
-# once the state's tail was matched at rho_m
+# when the shooting kernel moved to u = rho f, v = rho g
 PINNED_RESCALE = {
-    "natural": ("b381258a41b2ee0151122f497658345c4b591d176a3033f15374ead24650fc82",
-                "594a830284fa91b6bdbd9a0c1d3045b8d192b2a760b9ed84983a53fe0711ebd2"),
-    "nucleon": ("cf0558089f3693ca286a952197832cecdff8be91d849f32131f70bb9ff7128cc",
-                "646344e6dcfd2718ead0220f248766bddb0f604dd73bd27a6153c15270a64496"),
+    "natural": ("88079d55fd343e2502fe52e669d640b9eb04a9e5dd7c93cca0480daa4e59e5b5",
+                "fa572e471aacf1e8221c0f96fd3ed789263326cdeb44be7674d2c0f4bdb3824a"),
+    "nucleon": ("cf72e25f58aa00b6ee5f30aeabee29090844099a3909e89be55446ace44024fe",
+                "4e0b41816f2534c04d3813c563ac89051f83fd894b14a65391066138db1dee0a"),
 }
 
 
@@ -629,23 +631,24 @@ def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, 
 
 # sha256 of each evolve CSV, then of its snapshot CSVs in order: the free
 # run recorded when V = 0 moved to the sine modes (within 2e-15 of the
-# LAPACK stepper's), the cubic and gravity runs (the latter from the
-# tail-matched ground state) when each step became one relaxation solve
+# LAPACK stepper's), the cubic run when each step became one relaxation
+# solve, the gravity runs when the kernel that shoots their 401-point ground
+# state moved to u = rho f, v = rho g
 PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--natural",
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
     "gravity-natural": (["--gravity", "--natural"], (
-        "91d9b24cff8bf2a1256f68c1b99143436a942862ac22b94e32974fd34a8f23cb",
-        "99260d30400459bb28e0e37ec9e9eb2ee260aef777b996835ecfb1dbdc175f2a",
-        "1e02837d5b845a2de950dda8b2de1b067129d049d2e7688111787d77e2b55679",
-        "d2967fbe59d81690941b539120be31e3c529447b05209bf7470554fcfe048278",
-        "2e2eebfb44ffddac867feac6c3bec78f749ed84d12fd0ae2b5cd16de456a7a41")),
+        "ec439b8fab80a3b35febdfcf9bfceda22bdf451050057df62a81b5fa646da7c4",
+        "359836d36c6af691c746b04477260baa7c8a0e4bafde4d257585f4f39f35d00f",
+        "3ac8858c05c12e3b5e538eeed84a6ff3ca3df857ecabed82777f5b8ba9dfc423",
+        "07c5fc4db8199897d691525de6c38de51dbfdb41e1e11079c57d2c5e6c36a2d5",
+        "87bbfc48568316e639ff94c7fbc694b8ec61383e5fcc930e747977ec548c3825")),
     "gravity-nucleon": (["--gravity", *NUCLEON_FLAGS], (
-        "b232dfc27d680f73f5d015d9ef5f12e8f9f05410ef1f3d37555db202eee47bee",
-        "5bb65b76b8c0321d67e8d5a7f2f499e1ccdff61d624e10ba935dfd9d36ca674f",
-        "a580738c4f9243b0742842ff3a5324af64bb8f630676a31251d29f4b7d0025bc",
-        "61ac97310eebc601dfaea584f4071d8271dca9cb46a9d2b6751495d5d449f63c",
-        "aedead255c4d0323657631c84f46ca23caefd5633d2cdbf898e48d5d3c683a7c")),
+        "e750582cd6d780ec2c06242ffa8b02d49c74187387752186d175ddb520f8185e",
+        "9828cd21423617f4a72fd7d032066fa4d0319666252d7116d9bbf9cbb1236864",
+        "160c0064728e3ae39fdce73e3262b2773b145c701d861540f546f2fbf8f7a0ae",
+        "d4fcb93f80855372e97b07eb4b1838d8ade1410f6a946b5d5674affe41085de1",
+        "8a47e95bd53dcc4b61b86ce9802be935d106e3fe5800c3120e3bb45ab777adff")),
     "free": (["--free", *PACKET_FLAGS], (
         "94f0ecf92656078a9cfdc385b526fae80ea200f30663c014487a76f80024ea4d",)),
     "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (

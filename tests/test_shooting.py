@@ -63,6 +63,12 @@ LARGE_DOMAIN_GAMMA0 = {
     5: -1.537010258,
 }
 
+# n -> gamma0 from label bisection on scipy's DOP853, with no grid and no
+# matched tail (tests/dop853_reference.py wrote the file), and the change of
+# each value from rtol 1e-13 to 1e-12, under 1e-12
+DOP853_GAMMA0 = {int(n): state["gamma0"] for n, state in json.loads(
+    (Path(__file__).with_name("gamma0_dop853.json")).read_text())["states"].items()}
+
 # E_n = 2 epsilon_star / gamma1^2 and its tolerance, half a unit in the last
 # published digit
 REFERENCES = json.loads(
@@ -77,7 +83,7 @@ def spectrum():
 
 
 def _shot(gamma0, grid, max_nodes=None):
-    """A recorded shot's label and its samples (f, f', g, g') as arrays."""
+    """A recorded shot's label and its samples (u, u', v, v') as arrays."""
     label, samples = _shoot(gamma0, grid, max_nodes, True)
     return label, tuple(np.array(v) for v in samples)
 
@@ -111,6 +117,14 @@ def test_central_values_match_large_domains(spectrum):
         assert spectrum[n].gamma0 == pytest.approx(gamma0, abs=1e-8), f"n={n}"
 
 
+def test_central_values_match_an_independent_integrator(spectrum):
+    # within the default tol of a reference that shares neither the grid,
+    # the kernel nor the tail; n = 5 is the closest, at 9.0e-11
+    assert sorted(DOP853_GAMMA0) == list(range(6))
+    for n, gamma0 in DOP853_GAMMA0.items():
+        assert spectrum[n].gamma0 == pytest.approx(gamma0, rel=shooting.DEFAULT_TOL), f"n={n}"
+
+
 def test_energies_match_published_values(spectrum):
     for n, (energy, tol) in enumerate(zip(REFERENCES["E"], REFERENCES["abs_tol"])):
         sol = spectrum[n]
@@ -133,6 +147,18 @@ def test_answers_do_not_depend_on_the_domain():
         assert a.gamma1 == pytest.approx(b.gamma1, rel=1e-13), f"n={a.n}"
         assert a.epsilon_star == pytest.approx(b.epsilon_star, rel=1e-13), f"n={a.n}"
         np.testing.assert_allclose(a.f_star.values, b.f_star.values[:1501], rtol=0.0, atol=1e-17)
+
+
+def test_central_values_converge_at_fourth_order():
+    # RK4 on spacings h, h/2, h/4: successive differences of gamma0 shrink
+    # 16-fold; they read 15.86 and 15.88 for n = 0 and 1 on (f, f', g, g')
+    # when the window was frozen, 16.16 and 16.14 on (u, u', v, v') (tol
+    # 1e-13 keeps bisection's share near 1e-4 of them)
+    gamma0 = [[sol.gamma0 for sol in solve_states([0, 1], make_grid(40.0, points), tol=1e-13)]
+              for points in (1001, 2001, 4001)]
+    for n in (0, 1):
+        a, b, c = (row[n] for row in gamma0)
+        assert 15.5 < (a - b) / (b - c) < 16.5, f"n={n}"
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -443,24 +469,25 @@ def test_shooting_is_bitwise_deterministic():
 
 
 # n -> repr of (gamma0, gamma1, epsilon_star) and sha256 of the f*, g* bytes
-# on make_grid(40.0, 2001), recorded once the tail was matched at rho_m: the
-# frozen tolerances above would pass a reordered kernel, these pins would not
+# on make_grid(40.0, 2001), recorded when the kernel moved to u = rho f,
+# v = rho g: the frozen tolerances above would pass a reordered kernel, these
+# pins would not
 PINNED_STATES = {
-    0: (("-0.9185797727201128", "3.4682561482351604", "-0.9789591783911351"),
-        "ef9d3c771296b59bf69c5357311f64364cd018ff58d0f453f062735017f136ef",
-        "69f135c65cc53363fdd4f90a5b5515212a6a5072fb7dc144cccf0d5424876b33"),
-    1: (("-1.2099589981604366", "7.713951060126822", "-0.9162746104709981"),
-        "c4ca96fc5fe30a81cf8b818a5d986e8d91b1a47792cb59d635ef4e9080750f31",
-        "a763c76a27dd94845d463d60eef22b2fc3e30d9e4ed1ac7d0978696982633aee"),
+    0: (("-0.9185797728132452", "3.4682561679543626", "-0.9789591809813863"),
+        "24a341bb05ca0ca8c2c69883eb66c5625f76a8797fabaf78c4d7b75ca1b62398",
+        "c5dfa8184dad6f2af81eedd4c4ed5250b226254d38101e2794b481df7d0ffca4"),
+    1: (("-1.209958997974172", "7.713951095312964", "-0.9162746119500913"),
+        "5713fd16a61a272c5b0cb8167d5ed825f6cfea55adcbe0e7c4eba3f8dc4b14cd",
+        "55f57aa5fdc1eef2fab780cb6cdd5b761dd336dd6f1d178331998de0c81b5142"),
 }
 
-# gamma0 -> label, valid_points and sha256 of the f, g, f', g' bytes, each
+# gamma0 -> label, valid_points and sha256 of the u, v, u', v' bytes, each
 # edge-padded from the computed samples to the full grid
 PINNED_SHOTS = {
     -0.3: ((0, "diverged_up"), 279,
-           "b25cb5c09a7c74037c07e7dc0a08bcb329ad36145fd3d5de7bfe983af396fad4"),
+           "7743104752f2940c99063e4ccfaea66242809501deb5fe0260441e7d9a6c160a"),
     -3.0: ((19, "max_radius"), 2001,
-           "02fd3ff3b932664d952ec42f70b812e5a13173b0e81a11efc752d48b691190a6"),
+           "8e0aa4bb60f6e44104ba3857a37d3b43616cc0f5ade94a56a109ac0dd930b3d5"),
 }
 
 
@@ -486,16 +513,16 @@ def test_shots_are_bitwise_pinned(kind):
     grid = make_grid(40.0, 2001)
     for max_nodes in (None, 19):
         for gamma0, (label, valid, digest) in PINNED_SHOTS.items():
-            shot_label, (f, fp, g, gp) = _shot(kind(gamma0), grid, max_nodes)
-            assert (shot_label, len(f)) == (label, valid)
-            values = (np.pad(v, (0, grid.n_points - valid), mode="edge") for v in (f, g, fp, gp))
+            shot_label, (u, up, v, vp) = _shot(kind(gamma0), grid, max_nodes)
+            assert (shot_label, len(u)) == (label, valid)
+            values = (np.pad(x, (0, grid.n_points - valid), mode="edge") for x in (u, v, up, vp))
             assert _sha256(*values) == digest, f"gamma0={gamma0}, max_nodes={max_nodes}"
 
 
 # --- label-only shots -------------------------------------------------------
 
 def _label_only(gamma0, grid, max_nodes=None, stop=None):
-    """A label-only shot's label and the state (index, f, f', g, g') it returns."""
+    """A label-only shot's label and the state (index, u, u', v, v') it returns."""
     return _shoot(gamma0, grid, max_nodes, False, stop)
 
 
@@ -506,8 +533,8 @@ def _recorded(gamma0, grid, max_nodes=None, stop=None):
         label, samples = _shot(gamma0, grid, max_nodes)
         return label, (len(samples[0]) - 1, *(v[-1] for v in samples))
     _, samples = _shot(gamma0, grid)
-    f = samples[0]
-    crossings = np.flatnonzero(f[:-1] * f[1:] < 0.0) + 1
+    f_sign = np.concatenate(([1.0], samples[0][1:]))  # u(0) = 0, f(0) = 1
+    crossings = np.flatnonzero(f_sign[:-1] * f_sign[1:] < 0.0) + 1
     index = (crossings[max_nodes - 1] if max_nodes else 0) + stop
     return (max_nodes, "match_radius"), (index, *(v[index] for v in samples))
 
@@ -531,8 +558,8 @@ def test_label_only_shots_match_recorded_labels(kind, max_nodes):
     (12.0, 481, -0.9185807708326024, (1, "max_radius")),
     # three points take one RK4 step; its previous f is the series sample,
     # so the node counts check that the step compares against that sample
-    (1.0, 3, -8.676144101067043, (1, "max_radius")),
-    (1.0, 3, -8.676144101067042, (0, "max_radius")),
+    (1.0, 3, -8.831465443797313, (1, "max_radius")),
+    (1.0, 3, -8.831465443797311, (0, "max_radius")),
     (1.0, 3, -1.0, (0, "max_radius")),
     (40.0, 3, -0.3, (1, "diverged_down")),
     *((40.0, 2001, gamma0, label) for gamma0, (label, _, _) in PINNED_SHOTS.items()),
@@ -578,7 +605,7 @@ def test_solve_states_shot_counts(monkeypatch):
     # same grid (stop 100 samples; three shots whose tail on the coarse
     # Riccati step does not decay yet at rho_m are shot again to rho_max),
     # whose root and slope aim the shots on 2001 points (stop 800 samples,
-    # 16 past the n-th node): 9 for n = 0 and 5 for n = 1, against 2 + 16
+    # 16 past the n-th node): 13 for n = 0 and 5 for n = 1, against 2 + 15
     # and 2 + 10 unaimed, and one recorded shot to rho_m
     counts = collections.Counter()
 
@@ -588,9 +615,9 @@ def test_solve_states_shot_counts(monkeypatch):
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
-    assert counts == {(251, False, 0, 100): 14, (251, False, 1, 100): 15,
+    assert counts == {(251, False, 0, 100): 15, (251, False, 1, 100): 14,
                       (251, False, 0, None): 2, (251, False, 1, None): 10 + 1,
-                      (2001, False, 0, 800): 9, (2001, False, 1, 800): 5,
+                      (2001, False, 0, 800): 13, (2001, False, 1, 800): 5,
                       (2001, True, 0, 800): 1, (2001, True, 1, 800): 1}
 
 
@@ -610,8 +637,8 @@ def test_default_grid_rk4_steps(monkeypatch):
     # on 1001 points (five of whose shots have no decaying tail at rho_m and
     # are shot again to rho_max); the tails of the solve's shots take
     # Riccati steps of 0.05, those of the coarse passes steps of 0.4.
-    # Unaimed and bracketed on 8001 points, all 91 shots were on 8001
-    # points, with 373,204 RK4 steps.
+    # Unaimed and bracketed on 8001 points, all 92 shots are on 8001
+    # points, with 378,731 RK4 steps.
     shots, steps, tails = collections.Counter(), collections.Counter(), collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -627,9 +654,9 @@ def test_default_grid_rk4_steps(monkeypatch):
     monkeypatch.setattr(shooting, "_shoot", counted)
     monkeypatch.setattr(shooting, "_tail", tail)
     solve_states(range(5), default_grid())
-    assert (shots, steps) == ({8001: 27, 1001: 91}, {8001: 126_616, 1001: 46_304})
+    assert (shots, steps) == ({8001: 27, 1001: 92}, {8001: 126_591, 1001: 46_972})
     assert tails == {shooting._RICCATI_STEP: 36_317,
-                     shooting._COARSE * shooting._RICCATI_STEP: 4_401}
+                     shooting._COARSE * shooting._RICCATI_STEP: 4_501}
 
 
 def test_default_grid_lattice_runs_on_the_coarse_grid(monkeypatch):
@@ -990,6 +1017,31 @@ def test_coarse_pass_without_two_mismatches_leaves_the_bisection_unaimed(monkeyp
     monkeypatch.setattr(shooting, "_coarse_aim", aim)
     _assert_same_as_plain(n, bracket, grid, tol)
     assert aims == [None]
+
+
+@pytest.mark.parametrize("rho_max, points, n, gamma0, aimed, near", [
+    (46.7, 715, 7, -1.5999999999999996, True, -1.608444),
+    (61.59410825826832, 972, 10, -1.6749999999999998, False, -1.683176),
+])
+def test_unaimed_shot_past_rho_max_that_must_diverge_is_above(rho_max, points, n, gamma0, aimed,
+                                                               near, monkeypatch):
+    # the unaimed bisection shoots the end gamma0 of its coarse cell, which
+    # reaches rho_max with n nodes and no divergence yet, but with s u, s u',
+    # v and v' positive, so f must diverge: it lies above the eigenvalue, and
+    # the unaimed solve ends on the bits of the aimed one (where the 122-point
+    # coarse grid of the second case gives no aim, solve_states is unaimed
+    # itself, and refused that shot once)
+    grid = make_grid(rho_max, points)
+    cell = find_brackets([n], shooting._coarse_grid(grid))[n]
+    assert (shooting._coarse_aim(n, cell, grid, shooting.DEFAULT_TOL) is not None) == aimed
+    (nodes, label), (_, u, up, v, vp) = _shoot(gamma0, grid, n, False)
+    assert (nodes, label) == (n, "max_radius")
+    assert min((-1) ** n * u, (-1) ** n * up, v, vp) > 0.0
+    assert shooting._side(n, gamma0, grid, shooting._stop(grid)) == (1, None)
+    solved = _outcome(lambda: solve_states([n], grid)[0])
+    monkeypatch.setattr(shooting, "_coarse_aim", lambda *args: None)
+    assert _outcome(lambda: solve_states([n], grid)[0]) == solved
+    assert solved[0] == pytest.approx(near, abs=1e-6)
 
 
 def test_aimed_shot_that_raises_ends_the_aim(monkeypatch):

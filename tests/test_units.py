@@ -108,7 +108,9 @@ def test_unrepresentable_snapshot_density_is_exit_2_and_named(cli_ground, capsys
     assert not out.exists()
 
 
-# t, norm, energy, rms_width of the SI-unit stepper, nucleon mass, N = 1e23
+# t, norm, energy, rms_width of the SI-unit stepper, nucleon mass, N = 1e23;
+# the gravity rows from the 401-point ground state as shot in u = rho f,
+# v = rho g
 NUCLEON_ROWS = {
     "free": [
         [0.0, 1.0000000000000002, 2.4917030644714122e-42, 1.7320508075688772],
@@ -117,10 +119,10 @@ NUCLEON_ROWS = {
         [4.7582020400892245e05, 1.0000000000000002, 2.4917030644714122e-42, 1.7322451282545517],
     ],
     "gravity": [
-        [0.0, 1.0000000000000004, -2.8502949427853012e-42, 1.6505245644298918],
-        [1.1644622543767353e06, 0.99999999958237729, -2.8502950153232018e-42, 1.6505226674371836],
-        [2.3289245087534706e06, 0.99999999999996414, -2.8502952561493579e-42, 1.6505169810063429],
-        [3.4933867631302057e06, 0.99999999958245089, -2.8502956133529411e-42, 1.6505075241221721],
+        [0.0, 0.9999999999999999, -2.8502948844849375e-42, 1.6505331245124626],
+        [1.164471416014996e06, 0.9999999992594228, -2.850294956250908e-42, 1.6505312202540081],
+        [2.328942832029992e06, 0.999999999999936, -2.8502951982595088e-42, 1.6505255110027826],
+        [3.4934142480449877e06, 0.9999999992595531, -2.8502955571346055e-42, 1.6505160168628488],
     ],
 }
 
