@@ -3,8 +3,9 @@ wavefunction u = r psi, and the radial Poisson solver.
 
 Conventions: a radial coordinate r >= 0 sampled uniformly with r[0] = 0.
 Kernels take samples and their grid; a :class:`RadialField` is a stored
-field.  A volume integral of a spherically symmetric function is
-``integrate_line(h * r * r, grid)`` (the 4*pi is the caller's business).
+field.  Every line integral is :func:`integrate_line`, a sum over the
+grid's node weights; a volume integral of a spherically symmetric function
+is ``integrate_line(h * r * r, grid)`` (the 4*pi is the caller's business).
 The Poisson solver returns the shell-theorem potential of a compactly
 supported source, with the field treated as zero beyond the grid and
 Phi -> 0 at infinity.
@@ -36,10 +37,10 @@ class RadialGrid:
     """Uniform samples of the radial coordinate on [0, rho_max].
 
     The extent and the point count are the whole grid: equality and hash
-    are those of the pair, and the read-only ``nodes`` array and the
-    quadrature and Poisson weights and the reciprocal and squared nodes are
-    derived from it once per grid object.  Build grids with
-    :func:`make_grid`, which validates the pair.
+    are those of the pair, and the read-only ``nodes`` array, the read-only
+    node weights of :func:`integrate_line`, the Poisson weights and the
+    reciprocal and squared nodes are derived from it once per grid object.
+    Build grids with :func:`make_grid`, which validates the pair.
     """
 
     rho_max: float
@@ -56,17 +57,17 @@ class RadialGrid:
         return self.rho_max / (self.n_points - 1)
 
     @cached_property
-    def _simpson_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-panel factors of scipy's non-uniform Simpson rule on the nodes
-        (odd point counts), with scipy's expressions, so that
-        sum(s * (y0 a + y1 b + y2 c)) is bitwise ``simpson(y, x=nodes)``;
-        the uniform ``dx=`` rule differs from it in the last bit."""
-        h = np.diff(self.nodes)
-        h0, h1 = h[0:-1:2], h[1::2]
-        hsum = h0 + h1
-        h0divh1 = h0 / h1
-        return (hsum / 6.0, 2.0 - 1.0 / h0divh1, hsum * (hsum / (h0 * h1)),
-                2.0 - h0divh1)
+    def _line_weights(self) -> np.ndarray:
+        """The node weights of :func:`integrate_line`: composite Simpson
+        h/3 (1, 4, 2, 4, ..., 2, 4, 1) on odd point counts, the trapezoid
+        h (1/2, 1, ..., 1, 1/2) on even ones."""
+        n, h = self.n_points, self.spacing
+        if n % 2:
+            w = np.r_[1.0, np.tile([4.0, 2.0], n // 2 - 1), 4.0, 1.0] * (h / 3.0)
+        else:
+            w = np.r_[0.5, np.ones(n - 2), 0.5] * h
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def _reciprocal_nodes(self) -> np.ndarray:
@@ -147,7 +148,8 @@ def make_grid(rho_max: float, n_points: int) -> RadialGrid:
         Outer radius, strictly positive.
     n_points : int
         Number of samples including both endpoints; at least 3.  Odd counts
-        give Simpson-quality quadrature in :func:`integrate_line`.
+        weigh the nodes by composite Simpson in :func:`integrate_line`,
+        even counts by the trapezoid.
 
     Raises
     ------
@@ -164,20 +166,13 @@ def make_grid(rho_max: float, n_points: int) -> RadialGrid:
 
 
 def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:
-    """Plain quadrature of int v(r) dr: composite Simpson on odd point
-    counts, trapezoid otherwise; complex samples give a complex value."""
-    values = np.asarray(values)
-    if grid.n_points % 2 == 1:
-        s, a, b, c = grid._simpson_weights
-        # s * (y0 a + y1 b + y2 c), left to right, in two buffers
-        panels = np.multiply(values[0:-2:2], a)
-        term = np.multiply(values[1::2], b)
-        np.add(panels, term, out=panels)
-        np.add(panels, np.multiply(values[2::2], c, out=term), out=panels)
-        result = np.multiply(s, panels, out=panels).sum()
-    else:
-        result = np.trapezoid(values, grid.nodes)
-    return complex(result) if values.dtype.kind == "c" else float(result)
+    """Plain quadrature of int v(r) dr: the dot product of the samples with
+    the grid's node weights (composite Simpson on odd point counts, the
+    trapezoid otherwise); complex samples give a complex value.  numpy's
+    pairwise sum keeps one order, where ``np.dot``'s BLAS sum changes its
+    order with the CPU kernel and, past 10,000 points, the thread count."""
+    result = (values * grid._line_weights).sum()
+    return complex(result) if np.iscomplexobj(result) else float(result)
 
 
 def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:

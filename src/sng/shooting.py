@@ -34,10 +34,9 @@ a coarse pass that fails or leaves no two mismatches, or a tol above
 1e-9 |gamma0|, leaves the bisection unaimed.
 On the default grid, solve_states(range(5)) takes 27 shots there and 92
 on the coarse grid (18 of them the lattice's), 173,563 RK4 steps and
-40,818 Riccati steps in all, against 92 shots, 378,731 and 57,119 unaimed
-with the lattice on the grid itself.  Each shot ends labelled by where
-it stops: match_radius, node_ceiling, diverged_up, diverged_down or
-max_radius (see :func:`_shoot`).
+40,818 Riccati steps in all.  Each shot ends labelled by where it stops:
+match_radius, node_ceiling, diverged_up, diverged_down or max_radius
+(see :func:`_shoot`).
 """
 
 from __future__ import annotations
@@ -137,7 +136,8 @@ class UniversalSolution:
         f = self.f_star.values
         if f[0] != 1.0:
             raise WrongStateError(f"f*(0) must be exactly 1, got {f[0]!r}")
-        tail = np.abs(f[-(self.grid.n_points // 10):])
+        # the final 10%, at least two samples; the whole profile under 10 points
+        tail = np.abs(f[-max(2, self.grid.n_points // 10 or self.grid.n_points):])
         if not np.all(np.diff(tail) < 0.0):
             raise WrongStateError("|f*| must decay strictly over the final 10% of the grid")
         check_normal("gamma1", self.gamma1)

@@ -32,8 +32,9 @@ from sng.errors import (
     WrongStateError,
 )
 from sng.evolution import NonlinearityKind, gaussian_state, step
-from sng.grids import make_grid
+from sng.grids import RadialField, make_grid
 from sng.physical import UnitScales
+from sng.shooting import UniversalSolution
 
 # one float field in the fixed CSV format: 17 significant digits, e-notation
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -118,12 +119,12 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
 
-# sha256 of the outputs the benchmark reads, recorded when the shooting
-# kernel moved to u = rho f, v = rho g (the default grid's gamma0 kept its
-# bits; gamma1 and epsilon_star moved by under 1e-9): the coarse grid's aim
-# only chooses where to shoot
-PINNED_SPECTRUM = "367c81ce8c5a57af76526be70fa3bf172cc3943e4b85038e94ab4ee0368da9c9"
-PINNED_GROUND_4001 = ("af2610730779c7106688a03c882e3ed01fd26541a78b5b409c80842a9c2b0183",
+# sha256 of the outputs the benchmark reads, recorded when the line
+# quadrature became a sum over cached node weights (gamma0 and the profile
+# CSV kept their bits; gamma1 and epsilon_star moved by rounding, at most
+# 2.6e-16 relative): the coarse grid's aim only chooses where to shoot
+PINNED_SPECTRUM = "e4658f82ec617bd5dc007c46a85677e2c460d48ffbea2150d437fd5465993507"
+PINNED_GROUND_4001 = ("03eb62d5a459739cb4bbeb26722514633dac836acfa06b0344a948741e3347b4",
                       "42c390d08357a34d8f259032355ed63a97b5a6aeea96750ecd286acc764cd31f")
 
 
@@ -410,12 +411,33 @@ def test_summary_whose_node_count_is_not_its_tables_is_exit_4(edit, command, coa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", [11, 19, 21])
+def test_a_last_sample_that_grows_is_refused_on_small_grids(points, tmp_path, capsys):
+    # the final 10% of the grid is checked over at least two samples: on 10
+    # to 19 points it is one sample, whose |f*| could triple unseen
+    grid = make_grid(10.0, points)
+    f, g = np.exp(-grid.nodes), np.full(points, -1.0)
+    UniversalSolution(RadialField(grid, f.copy()), RadialField(grid, g.copy()), 1e-10)
+    f[-1] = 3.0 * f[-2]
+    with pytest.raises(WrongStateError, match="must decay strictly"):
+        UniversalSolution(RadialField(grid, f), RadialField(grid, g), 1e-10)
+    np.savetxt(tmp_path / "ground.csv", np.column_stack([grid.nodes, f, g]), delimiter=",",
+               fmt="%.16e", header="rho,f_star,g_star", comments="")
+    (tmp_path / "ground.json").write_text(json.dumps({
+        "n": 0, "node_count": 0, "gamma0": -1.0, "gamma1": 0.25, "epsilon_star": 1.0,
+        "bracket_width": 1e-10, "grid": {"rho_max": 10.0, "points": points},
+        "x_csv": "ground.csv"}))
+    assert main(["rescale", str(tmp_path / "ground.json"), "--natural"]) == 4
+    assert "must decay strictly" in capsys.readouterr().err
+
+
 # sha256 of the rescale JSON and CSV of a 401-point ground state, recorded
-# when the shooting kernel moved to u = rho f, v = rho g
+# when the line quadrature became a sum over cached node weights (the CSV
+# kept its bits; virial_residual moved by 3.3e-16 absolute)
 PINNED_RESCALE = {
-    "natural": ("88079d55fd343e2502fe52e669d640b9eb04a9e5dd7c93cca0480daa4e59e5b5",
+    "natural": ("ee137d16899ee774137d7f41a3fbf52ddde4c3cbacf36fbcae7afecf75e6f622",
                 "fa572e471aacf1e8221c0f96fd3ed789263326cdeb44be7674d2c0f4bdb3824a"),
-    "nucleon": ("cf72e25f58aa00b6ee5f30aeabee29090844099a3909e89be55446ace44024fe",
+    "nucleon": ("14dbb27c120fb2846da70b5ee2e673bcddca4087430e491c773f6724919f4902",
                 "4e0b41816f2534c04d3813c563ac89051f83fd894b14a65391066138db1dee0a"),
 }
 
@@ -629,30 +651,30 @@ def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, 
 
 # --- evolve ------------------------------------------------------------------
 
-# sha256 of each evolve CSV, then of its snapshot CSVs in order: the free
-# run recorded when V = 0 moved to the sine modes (within 2e-15 of the
-# LAPACK stepper's), the cubic run when each step became one relaxation
-# solve, the gravity runs when the kernel that shoots their 401-point ground
-# state moved to u = rho f, v = rho g
+# sha256 of each evolve CSV, then of its snapshot CSVs in order, recorded
+# when the line quadrature became a sum over cached node weights (the
+# observables moved by at most 1.6e-15 relative, the gravity snapshots by
+# 1.8e-14 of the peak density; the free run agreed with the LAPACK
+# stepper's within 2e-15 before)
 PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--natural",
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
     "gravity-natural": (["--gravity", "--natural"], (
-        "ec439b8fab80a3b35febdfcf9bfceda22bdf451050057df62a81b5fa646da7c4",
+        "c9288b2041b94d9b1dcc813509dfc0dca892e7be76745c0701e46f0c41e818ef",
         "359836d36c6af691c746b04477260baa7c8a0e4bafde4d257585f4f39f35d00f",
-        "3ac8858c05c12e3b5e538eeed84a6ff3ca3df857ecabed82777f5b8ba9dfc423",
-        "07c5fc4db8199897d691525de6c38de51dbfdb41e1e11079c57d2c5e6c36a2d5",
-        "87bbfc48568316e639ff94c7fbc694b8ec61383e5fcc930e747977ec548c3825")),
+        "3f601b23bc8635434bdd6a3d5a09c86729d3e4f31b1ff0c17b8d7a5050642f39",
+        "179627f6ffb5ec105931c66e70067b815c60a4de6d3527300057cdf635e06af5",
+        "1e12e6b234e4ddd8a2e5f74005c0d46f462c582c4dc62efccf069b3420458ec9")),
     "gravity-nucleon": (["--gravity", *NUCLEON_FLAGS], (
-        "e750582cd6d780ec2c06242ffa8b02d49c74187387752186d175ddb520f8185e",
+        "03e2849706e07c0c740d2a2c8e1472490203d5894a7cde80b9c0e65082a9391e",
         "9828cd21423617f4a72fd7d032066fa4d0319666252d7116d9bbf9cbb1236864",
-        "160c0064728e3ae39fdce73e3262b2773b145c701d861540f546f2fbf8f7a0ae",
-        "d4fcb93f80855372e97b07eb4b1838d8ade1410f6a946b5d5674affe41085de1",
-        "8a47e95bd53dcc4b61b86ce9802be935d106e3fe5800c3120e3bb45ab777adff")),
+        "c07dd12f223f9241daaae81b863d9779a953e92e1973e7d8161041ca17242125",
+        "b07ba9949dff58b4d8f15f26a4b6a56c1d4aa02cc6ef595743e81daedb3a7a74",
+        "cd8dbde1a393159e757a34784868ff912114868c6b9f953552c2c9df6c15c0cd")),
     "free": (["--free", *PACKET_FLAGS], (
-        "94f0ecf92656078a9cfdc385b526fae80ea200f30663c014487a76f80024ea4d",)),
+        "38b5dfc2330c55f45f7ecbb4b8173a58030bfec8713c2e05391b0c7bce3888da",)),
     "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (
-        "23221ca1a59724d3d02961690be63ecc313eef4cbbbd04d2bffbab04108a07d7",)),
+        "ea694c5197ec1c3b1aa4bf12277d21b11e7eae6f729ace3e28ba2c65f0ad49f5",)),
 }
 
 

@@ -732,11 +732,11 @@ def test_time_reversal_round_trip(packet):
 # --- bitwise pins and work counts ------------------------------------------
 #
 # sha256 of norms, energies, widths and snapshot densities; any reordering
-# of the floating-point work shows up here.  The free runs were recorded
-# when V = 0 moved to the sine modes (they agree with the LAPACK stepper's
-# series to 6e-15 relative), the cubic runs when each step became one solve
-# under the relaxed potential, and the gravity runs, whose ground state is
-# shot, when the kernel moved to u = rho f, v = rho g.
+# of the floating-point work shows up here.  All were recorded when the
+# line quadrature became a sum over cached node weights (norms, energies
+# and widths moved by at most 1.6e-15 relative, the gravity snapshots by
+# 7.5e-14 of the peak density); before that the free runs agreed with the
+# LAPACK stepper's series to 6e-15 relative.
 
 def _series_sha256(series):
     arrays = [series.norms, series.energies, series.widths]
@@ -749,12 +749,12 @@ def _series_sha256(series):
 
 
 PINNED_SERIES = {
-    ("free", 1): (101, "c036a7be319ef4f01ea2fa0701bddf8235df48e2b347b3be855147937ab1ec6f"),
-    ("free", 50): (3, "ec2cda515572cda39b6debce7b88c0ae85eafe38b498c9f8dc047d170265d271"),
-    ("cubic", 1): (51, "b1b510489f357e24ab493532bcb32c3371c6a5b838db82d28ab877bf2ac286d9"),
-    ("cubic", -1): (51, "c49934d6f6311e31681cff60817a2547d29b63a7854ade4b68165aea01428956"),
-    ("gravity", 1): (101, "ac1994c30044d4540b2cfedfabf884a39f54e6245a961da21f957a870ee43622"),
-    ("gravity", 50): (3, "20b7118b24b7ab40c340e48e91568d4368359586ebb712bf6076c3f5b953e649"),
+    ("free", 1): (101, "9bc9bf6043493603c50ba706a7634c0ff49296f755cf68d772dee65953e34c8c"),
+    ("free", 50): (3, "c77b2a54c53d9e6b855a65082083d0a51e80da7d200ccf6d81415b4ba1112ffe"),
+    ("cubic", 1): (51, "9f852e05cfaee8353b74c684319cc68c84e85ed6132e3195c6133c3522d0d63e"),
+    ("cubic", -1): (51, "cfb139988a4d4c40f2a7f0255596630b90979cacdce252ce22a0a8b9730b7a5e"),
+    ("gravity", 1): (101, "3beecb7e1f778647a5806d4bb2f9621785b9c2bcb98fe97a7f3c57ae1bb98480"),
+    ("gravity", 50): (3, "16debbaab4b01d3c15fa1a0e0b21fd04136c0596df1649c25f89e542e6b9c071"),
 }
 
 

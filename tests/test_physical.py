@@ -140,12 +140,12 @@ def test_rescale_refuses_what_is_not_a_solution(natural_ground_profile):
 
 
 def test_rescale_refuses_a_potential_that_overflows():
-    # f* = 1e-25 and g* = 1e209 at rho = 1 give gamma1 = 4/3 1e-50 and
-    # epsilon_star = 3e209, so 2/gamma1^2 (g* + epsilon_star) overflows
-    # while the profile's norm stays 1
+    # f* = 1e-25 and g* = 1e209 at rho = 1, and f* = 10^-(24 + i) at rho = i
+    # past it, give gamma1 = 1.36e-50 and epsilon_star = 2.9e209, so
+    # 2/gamma1^2 (g* + epsilon_star) overflows while the profile's norm stays 1
     grid = make_grid(10.0, 11)
-    f, g = np.zeros(11), np.full(11, -1.0)
-    f[0], f[1], g[1] = 1.0, 1e-25, 1e209
+    f, g = 10.0 ** -(24.0 + np.arange(11)), np.full(11, -1.0)
+    f[0], g[1] = 1.0, 1e209
     sol = UniversalSolution(RadialField(grid, f), RadialField(grid, g), 1e-10)
     assert np.isfinite(sol.epsilon_star)
     with pytest.raises(InvalidArgumentError, match="rescale to a potential that overflows"):

@@ -153,12 +153,13 @@ CASES = [
     ("bracket_width", lambda: _solution(bracket_width=NAN)),
     ("bracket_width", lambda: _solution(bracket_width=-1e-10)),
     ("gamma0", lambda: _load(profile=_profile(), gamma0=NAN)),
-    # the integral of f*^2 rho^2 overflows
-    ("gamma1", lambda: _solution(f=[(9, 1e153), (10, 1e152)])),
-    # gamma1^2 overflowed, and 2/gamma1^2 did
+    # the integral of f*^2 rho^2 overflows, its samples finite: 1.96e306 * 81
+    # at rho = 9, weighed by 4/3 on 10/11
+    ("gamma1", lambda: _solution(f=[(9, 1.4e153), (10, 1e152)])),
+    # gamma1^2 overflowed, and 2/gamma1^2 did (gamma1 about 1.3e300 and 1.4e-300)
     ("gamma1", lambda: rescale_to_physical(_solution(f=[(1, 1e150)]))),
     ("gamma1", lambda: rescale_to_physical(
-        _solution(f=[(1, 1e-150), *((i, 0.0) for i in range(2, 11))]))),
+        _solution(f=[(i, 10.0 ** -(149 + i)) for i in range(1, 11)]))),
     # a profile table of its header alone made numpy warn before the refusal
     ("profile", _quiet(lambda: _load(profile="rho,f_star,g_star\n"))),
     # an f* cell whose square overflows was refused as a bare non-finite field

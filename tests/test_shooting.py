@@ -31,7 +31,7 @@ from sng.errors import (
     SngError,
     WrongStateError,
 )
-from sng.grids import RadialField, make_grid
+from sng.grids import RadialField, integrate_line, make_grid
 from sng.shooting import (
     UniversalSolution,
     _shoot,
@@ -73,6 +73,8 @@ DOP853_GAMMA0 = {int(n): state["gamma0"] for n, state in json.loads(
 # published digit
 REFERENCES = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text())["spectrum"]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -198,17 +200,22 @@ def test_solution_profile_invariants(spectrum):
 
 def test_solution_is_its_profile(spectrum):
     # n, gamma0, gamma1 and epsilon_star are read off (f*, g*): n counts the
-    # strict sign changes of f*, and the integrals are scipy's Simpson rule
-    # on the nodes, bit for bit
+    # strict sign changes of f*, and the integrals are integrate_line's, bit
+    # for bit, and scipy's Simpson rule on the nodes to rounding
     assert [f.name for f in dataclasses.fields(UniversalSolution)] == [
         "f_star", "g_star", "bracket_width"]
     for n, sol in spectrum.items():
-        f, g, rho = sol.f_star.values, sol.g_star.values, sol.grid.nodes
-        gamma1 = simpson(f * f * rho * rho, x=rho)
+        f, g, grid = sol.f_star.values, sol.g_star.values, sol.grid
+        rho = grid.nodes
+        gamma1 = integrate_line(f * f * rho * rho, grid)
+        moment = integrate_line(f * f * g * rho * rho, grid)
         assert sol.n == np.count_nonzero(np.diff(np.sign(f)) != 0) == n
         assert sol.gamma0 == g[0], f"n={n}"
         assert sol.gamma1 == gamma1, f"n={n}"
-        assert sol.epsilon_star == 3.0 / gamma1 * simpson(f * f * g * rho * rho, x=rho)
+        assert sol.epsilon_star == 3.0 / gamma1 * moment, f"n={n}"
+        for values, got in ((f * f * rho * rho, gamma1), (f * f * g * rho * rho, moment)):
+            bound = grid.n_points * np.finfo(float).eps * np.sum(np.abs(grid._line_weights * values))
+            assert abs(got - simpson(values, x=rho)) <= bound, f"n={n}"
 
 
 def test_solution_refuses_an_f_star_that_does_not_start_at_one():
@@ -470,13 +477,14 @@ def test_shooting_is_bitwise_deterministic():
 
 # n -> repr of (gamma0, gamma1, epsilon_star) and sha256 of the f*, g* bytes
 # on make_grid(40.0, 2001), recorded when the kernel moved to u = rho f,
-# v = rho g: the frozen tolerances above would pass a reordered kernel, these
-# pins would not
+# v = rho g, and gamma1 and epsilon_star again when the line quadrature
+# became a sum over cached node weights: the frozen tolerances above would
+# pass a reordered kernel, these pins would not
 PINNED_STATES = {
-    0: (("-0.9185797728132452", "3.4682561679543626", "-0.9789591809813863"),
+    0: (("-0.9185797728132452", "3.468256167954363", "-0.9789591809813865"),
         "24a341bb05ca0ca8c2c69883eb66c5625f76a8797fabaf78c4d7b75ca1b62398",
         "c5dfa8184dad6f2af81eedd4c4ed5250b226254d38101e2794b481df7d0ffca4"),
-    1: (("-1.209958997974172", "7.713951095312964", "-0.9162746119500913"),
+    1: (("-1.209958997974172", "7.713951095312965", "-0.9162746119500913"),
         "5713fd16a61a272c5b0cb8167d5ed825f6cfea55adcbe0e7c4eba3f8dc4b14cd",
         "55f57aa5fdc1eef2fab780cb6cdd5b761dd336dd6f1d178331998de0c81b5142"),
 }
@@ -631,14 +639,21 @@ def _riccati_steps(k2, radii, step):
     return sum(math.ceil((r - end) / step) for r, end in zip(ends, ends[1:]))
 
 
+# solve_states(range(5)) on the default grid: shots and RK4 steps on 8001
+# and 1001 points, the 18 of the lattice among the latter, and Riccati steps
+# of 0.05 and of 0.4; README and the shooting module quote their totals
+DEFAULT_GRID_SHOTS = {8001: 27, 1001: 92}
+DEFAULT_GRID_LATTICE_SHOTS = 18
+DEFAULT_GRID_RK4_STEPS = {8001: 126_591, 1001: 46_972}
+DEFAULT_GRID_RICCATI_STEPS = {shooting._RICCATI_STEP: 36_317,
+                              shooting._COARSE * shooting._RICCATI_STEP: 4_501}
+
+
 def test_default_grid_rk4_steps(monkeypatch):
-    # solve_states(range(5)) on the default grid: the aimed and the
-    # recorded shots on 8001 points, and the lattice and the coarse passes
-    # on 1001 points (five of whose shots have no decaying tail at rho_m and
-    # are shot again to rho_max); the tails of the solve's shots take
-    # Riccati steps of 0.05, those of the coarse passes steps of 0.4.
-    # Unaimed and bracketed on 8001 points, all 92 shots are on 8001
-    # points, with 378,731 RK4 steps.
+    # the aimed and the recorded shots on 8001 points, and the lattice and
+    # the coarse passes on 1001 points (five of whose shots have no decaying
+    # tail at rho_m and are shot again to rho_max); the tails of the solve's
+    # shots take Riccati steps of 0.05, those of the coarse passes steps of 0.4
     shots, steps, tails = collections.Counter(), collections.Counter(), collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -654,9 +669,17 @@ def test_default_grid_rk4_steps(monkeypatch):
     monkeypatch.setattr(shooting, "_shoot", counted)
     monkeypatch.setattr(shooting, "_tail", tail)
     solve_states(range(5), default_grid())
-    assert (shots, steps) == ({8001: 27, 1001: 92}, {8001: 126_591, 1001: 46_972})
-    assert tails == {shooting._RICCATI_STEP: 36_317,
-                     shooting._COARSE * shooting._RICCATI_STEP: 4_501}
+    assert (shots, steps) == (DEFAULT_GRID_SHOTS, DEFAULT_GRID_RK4_STEPS)
+    assert tails == DEFAULT_GRID_RICCATI_STEPS
+
+
+def test_docs_quote_the_default_grid_counts():
+    quoted = (f"takes {DEFAULT_GRID_SHOTS[8001]} shots there and {DEFAULT_GRID_SHOTS[1001]} "
+              f"on the coarse grid ({DEFAULT_GRID_LATTICE_SHOTS} of them the lattice's), "
+              f"{sum(DEFAULT_GRID_RK4_STEPS.values()):,} RK4 steps and "
+              f"{sum(DEFAULT_GRID_RICCATI_STEPS.values()):,} Riccati steps in all")
+    for text in (README.read_text(encoding="utf-8"), shooting.__doc__):
+        assert quoted in " ".join(text.split())
 
 
 def test_default_grid_lattice_runs_on_the_coarse_grid(monkeypatch):
@@ -676,7 +699,7 @@ def test_default_grid_lattice_runs_on_the_coarse_grid(monkeypatch):
 
     monkeypatch.setattr(shooting, "find_brackets", find)
     solve_states(range(5), default_grid())
-    assert lattice == {(1001, False, 4, None): 18}
+    assert lattice == {(1001, False, 4, None): DEFAULT_GRID_LATTICE_SHOTS}
 
 
 def test_default_grid_bisections_shoot_no_bracket_end(monkeypatch):
