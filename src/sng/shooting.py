@@ -6,7 +6,7 @@ The pair of radial ODEs
 
 with f(0)=1, f'(0)=0, g(0)=gamma0, g'(0)=0, has square-integrable solutions
 only for a discrete set of central values gamma0(n) < 0, labelled by the
-node count n of f.  Every shot runs one RK4 kernel outward from a series
+node count n of f.  Every shot runs one RKN4 kernel outward from a series
 start at the origin, on u = rho f and v = rho g, which obey u'' = u v/rho
 and v'' = u^2/rho; :func:`solve_states` brackets each eigenvalue by
 bisecting a gamma0 lattice, shot on every eighth grid point, for the cell
@@ -32,9 +32,9 @@ the last two mismatches; the bracket ends are not shot once the shots
 straddle the root.  :func:`shoot_gamma0` alone decides whether to aim:
 a coarse pass that fails or leaves no two mismatches, or a tol above
 1e-9 |gamma0|, leaves the bisection unaimed.
-On the default grid, solve_states(range(5)) takes 27 shots there and 92
-on the coarse grid (18 of them the lattice's), 173,563 RK4 steps and
-40,818 Riccati steps in all.  Each shot ends labelled by where it stops:
+On the default grid, solve_states(range(5)) takes 27 shots there and 90
+on the coarse grid (18 of them the lattice's), 172,367 RKN4 steps and
+40,618 Riccati steps in all.  Each shot ends labelled by where it stops:
 match_radius, node_ceiling, diverged_up, diverged_down or max_radius
 (see :func:`_shoot`).
 """
@@ -188,25 +188,26 @@ class UniversalSolution:
 def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
            stop: int | None = None) -> tuple[tuple[int, str], tuple]:
     """Integrate the universal system outward from the origin at one gamma0:
-    the one RK4 kernel behind every shot.
+    the one RKN4 kernel behind every shot.
 
-    Fixed-step RK4 on the reduced pair u = rho f, v = rho g, which obey
-    u'' = u v/rho and v'' = u^2/rho: with w = u/rho each stage's slopes are
-    u' = w v and v' = w u, and stages 2 and 3 share one reciprocal of their
-    radius.  The shot starts from the series f = 1 + gamma0 rho^2/6, g =
-    gamma0 + rho^2/6 that the ODEs force at rho = 0 (u = h f(h), u' = f(h)
-    + h f'(h) at the first sample, and the same for v).  Nodes are strict
-    sign changes of u, and so of f, between consecutive samples past the
-    origin, f(0) = 1 and f(h) counting as the first pair; an exact zero does
-    not count.  The shot stops at rho_max, or as soon as |u| > 1e3 rho,
-    that is |f| > 1e3 (``diverged_up`` or ``diverged_down``, a
-    classification, not an error), or with ``max_nodes`` at node
-    max_nodes + 1 (``node_ceiling``; the count stops there).  With ``stop``
-    (and ``max_nodes``), it also ends ``stop`` samples past f's sign change
-    number ``max_nodes`` (past the origin for 0): ``match_radius``.  A shot
-    that runs to rho_max is ``max_radius``.  A non-finite gamma0, a bad
-    ``max_nodes`` or a sample that overflows a double raises
-    InvalidArgumentError.
+    Fixed-step classical fourth-order Runge-Kutta-Nystrom (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.14) on y = (u, v), u = rho f, v = rho g, which
+    obeys y'' = F(rho, y) = w (v, u), w = u/rho: stages k1 = F(rho, y), k2 =
+    F(rho + h/2, y + h/2 y' + h^2/8 k1), k3 = F(rho + h, y + h y' + h^2/2 k2),
+    then y += h y' + h^2/6 (k1 + 2 k2), y' += h/6 (k1 + 4 k2 + k3).  Stage 3's
+    1/(rho + h) is the next step's stage 1's.  The shot starts from the series
+    f = 1 + gamma0 rho^2/6, g = gamma0 + rho^2/6 that the ODEs force at rho =
+    0 (u = h f(h), u' = f(h) + h f'(h) at the first sample, and the same for
+    v).  Nodes are strict sign changes of u, and so of f, between consecutive
+    samples past the origin, f(0) = 1 and f(h) counting as the first pair; an
+    exact zero does not count.  The shot stops at rho_max, or as soon as |u| >
+    1e3 rho, that is |f| > 1e3 (``diverged_up`` or ``diverged_down``, a
+    classification, not an error), or with ``max_nodes`` at node max_nodes + 1
+    (``node_ceiling``; the count stops there).  With ``stop`` (and
+    ``max_nodes``), it also ends ``stop`` samples past f's sign change number
+    ``max_nodes`` (past the origin for 0): ``match_radius``.  A shot that runs
+    to rho_max is ``max_radius``.  A non-finite gamma0, a bad ``max_nodes`` or
+    a sample that overflows a double raises InvalidArgumentError.
 
     Returns the label ``(node_count, classification)`` and, when ``record``
     is true, the computed samples as the lists (u, u', v, v'), from (0, 1,
@@ -222,7 +223,7 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     n = grid.n_points
     h = grid.spacing
     # The loop state must be Python floats: numpy scalars run every one of
-    # the ~80 operations per step about 3x slower, to the same bits.
+    # the ~50 operations per step about 3x slower, to the same bits.
     f1 = 1.0 + gamma0 * h * h / 6.0
     g1 = gamma0 + h * h / 6.0
     yu = h * f1
@@ -239,47 +240,37 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     classification = "max_radius"
     half = 0.5 * h
     sixth = h / 6.0
+    h2_8, h2_2, h2_6 = h * h / 8.0, h * h / 2.0, h * h / 6.0
     cap = _CAP
     for i in range(2, n):
-        # RK4 stages for y' = (u', w v, v', w u), w = u/rho; the u and v
-        # slopes of each stage are its own u' and v' samples, and inv is
-        # 1/rho from the last step's fourth stage
+        # RKN4 stages for (u, v)'' = w (v, u), w = u/rho; inv is 1/rho from the
+        # last step's third stage; stage 3 and the update share h u' and h v'
         w = yu * inv
         b1 = w * yv
         d1 = w * yu
 
         inv = 1.0 / (rho + half)
-        u2 = yu + half * yup
-        up2 = yup + half * b1
-        v2 = yv + half * yvp
-        vp2 = yvp + half * d1
+        u2 = yu + half * yup + h2_8 * b1
+        v2 = yv + half * yvp + h2_8 * d1
         w = u2 * inv
         b2 = w * v2
         d2 = w * u2
 
-        u3 = yu + half * up2
-        up3 = yup + half * b2
-        v3 = yv + half * vp2
-        vp3 = yvp + half * d2
+        rho += h
+        inv = 1.0 / rho
+        hu = h * yup
+        hv = h * yvp
+        u3 = yu + hu + h2_2 * b2
+        v3 = yv + hv + h2_2 * d2
         w = u3 * inv
         b3 = w * v3
         d3 = w * u3
 
-        rho += h
-        inv = 1.0 / rho
-        u4 = yu + h * up3
-        up4 = yup + h * b3
-        v4 = yv + h * vp3
-        vp4 = yvp + h * d3
-        w = u4 * inv
-        b4 = w * v4
-        d4 = w * u4
-
         u_prev = yu
-        yu += sixth * (yup + 2.0 * (up2 + up3) + up4)
-        yup += sixth * (b1 + 2.0 * (b2 + b3) + b4)
-        yv += sixth * (yvp + 2.0 * (vp2 + vp3) + vp4)
-        yvp += sixth * (d1 + 2.0 * (d2 + d3) + d4)
+        yu += hu + h2_6 * (b1 + 2.0 * b2)
+        yv += hv + h2_6 * (d1 + 2.0 * d2)
+        yup += sixth * (b1 + 4.0 * b2 + b3)
+        yvp += sixth * (d1 + 4.0 * d2 + d3)
         if record:
             us.append(yu)
             ups.append(yup)
@@ -416,7 +407,7 @@ def _tail(k2: float, mass: float, radii: list[float],
 
 
 def _stop(grid: RadialGrid) -> int:
-    """rho_m in samples past the last node; at least the first RK4 sample."""
+    """rho_m in samples past the last node; at least the first RKN4 sample."""
     return max(2, round(_MATCH_MARGIN / grid.spacing))
 
 
@@ -600,9 +591,10 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
         If both bracket ends lie on the same side of the eigenvalue.
     WrongStateError
         If rho_m does not fit in the grid (enlarge --rho-max), or the state
-        has no decaying tail past rho_m or a tail-identity residual above
-        1e-3 (refine --points, or lower a tol that leaves gamma0 too far
-        off the eigenvalue).
+        has no decaying tail past rho_m, an |f*| that does not decay
+        strictly over the final 10% of the grid, or a tail-identity
+        residual above 1e-3 (refine --points, or lower a tol that leaves
+        gamma0 too far off the eigenvalue).
     ConvergenceError
         If bisection exhausts floating point resolution before reaching tol.
     """
@@ -612,7 +604,7 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
     # a coarser tol leaves too few halvings to always repay the coarse pass
-    # (n = 0 on 40/401 at tol 1e-6: 2,313 RK4 steps aimed, 2,223 plain)
+    # (n = 0 on 40/401 at tol 1e-6: 2,458 RKN4 steps aimed, 2,148 plain)
     aimed = tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
     aim = _coarse_aim(n, bracket, grid, tol) if aimed else None
     lo, hi, _ = _bisect(n, bracket, grid, tol, _RICCATI_STEP, aim)
@@ -636,7 +628,11 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     f[0], g[0] = 1.0, gamma0
     f[m + 1:] = u_shot[m] * np.exp(tail[1][1:]) / rho[m + 1:]
     g[m + 1:] = k2 - mass / rho[m + 1:]
-    sol = UniversalSolution(RadialField(grid, f), RadialField(grid, g), hi - lo)
+    try:
+        sol = UniversalSolution(RadialField(grid, f), RadialField(grid, g), hi - lo)
+    except WrongStateError as exc:
+        raise WrongStateError(
+            f"the n={n} state on {grid.n_points} points: {exc}; {refine}") from exc
     if not abs(sol.tail_residual) <= _TAIL_RESIDUAL_LIMIT:
         raise WrongStateError(
             f"the n={n} state on {grid.n_points} points has tail-identity residual "

@@ -10,8 +10,8 @@ with more than n nodes lies below the n-node eigenvalue; one that reaches
 |f| > 1e3 with at most n nodes lies above.  The bisection runs from
 (-2, -0.5) to a width of 1e-14 |gamma0|, once at rtol 1e-13 and once at
 1e-12; their difference is the table's uncertainty.  Shares neither the
-grid, the RK4 kernel nor the matched tail of ``sng.shooting``, and needs
-only numpy and scipy.
+grid, the RKN4 shot kernel nor the matched tail (whose Riccati equation
+takes RK4 steps) of ``sng.shooting``, and needs only numpy and scipy.
 
 Run from the repository root (about 20 s on one core):
 

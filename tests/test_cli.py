@@ -123,9 +123,9 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
 # quadrature became a sum over cached node weights (gamma0 and the profile
 # CSV kept their bits; gamma1 and epsilon_star moved by rounding, at most
 # 2.6e-16 relative): the coarse grid's aim only chooses where to shoot
-PINNED_SPECTRUM = "e4658f82ec617bd5dc007c46a85677e2c460d48ffbea2150d437fd5465993507"
-PINNED_GROUND_4001 = ("03eb62d5a459739cb4bbeb26722514633dac836acfa06b0344a948741e3347b4",
-                      "42c390d08357a34d8f259032355ed63a97b5a6aeea96750ecd286acc764cd31f")
+PINNED_SPECTRUM = "fbdd35cea8ebc3669742415de851796d07723ac1bf4936e09a62f8bbd4d809c4"
+PINNED_GROUND_4001 = ("2edc4a474dd142de3f80fb86d6261765a4bb7d759083aeadd7b803cb156ce814",
+                      "a627795799df024204b6f6586b512f34497339aed06fa0dd719ed72c2e0e0c38")
 
 
 def _sha256_file(path):
@@ -435,10 +435,10 @@ def test_a_last_sample_that_grows_is_refused_on_small_grids(points, tmp_path, ca
 # when the line quadrature became a sum over cached node weights (the CSV
 # kept its bits; virial_residual moved by 3.3e-16 absolute)
 PINNED_RESCALE = {
-    "natural": ("ee137d16899ee774137d7f41a3fbf52ddde4c3cbacf36fbcae7afecf75e6f622",
-                "fa572e471aacf1e8221c0f96fd3ed789263326cdeb44be7674d2c0f4bdb3824a"),
-    "nucleon": ("14dbb27c120fb2846da70b5ee2e673bcddca4087430e491c773f6724919f4902",
-                "4e0b41816f2534c04d3813c563ac89051f83fd894b14a65391066138db1dee0a"),
+    "natural": ("0e8de1a82a30fc2715b03b8af5290f05d3e7a59ad52a55595c100f2a72d8d776",
+                "8c58a22e1b5b8b5e37b0ebbbc4e96800f98180d059207b257c01ebf0315faf6b"),
+    "nucleon": ("db9d44e868040cde405988cb28f5be3cfac302797362822802b50c3e8642db4f",
+                "1ec2117c0b8d8965b6ed1a037e8fa6aee85a2a3f3f6f8a6eda937eb34d124df7"),
 }
 
 
@@ -660,17 +660,17 @@ PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
     "gravity-natural": (["--gravity", "--natural"], (
-        "c9288b2041b94d9b1dcc813509dfc0dca892e7be76745c0701e46f0c41e818ef",
-        "359836d36c6af691c746b04477260baa7c8a0e4bafde4d257585f4f39f35d00f",
-        "3f601b23bc8635434bdd6a3d5a09c86729d3e4f31b1ff0c17b8d7a5050642f39",
-        "179627f6ffb5ec105931c66e70067b815c60a4de6d3527300057cdf635e06af5",
-        "1e12e6b234e4ddd8a2e5f74005c0d46f462c582c4dc62efccf069b3420458ec9")),
+        "dfbf9652ccb244b0101001df30527aa91a9a1366ba29b96e03b5b2394f7c678b",
+        "f8cfcd5d1a0c8adf6f9d8568547410a39528397e10de18cc4ba8d5173cad7715",
+        "e2b90759053b9a8b1e6aebb18175d302058913cec106412ee161ca684ffbeb91",
+        "2ffdd42bbd63574c5474297c86447c892befcc5374af0138b750caef4734dda0",
+        "504f0a39bde5117d64b120cc3605914fc0fffcb7bed3ba752372b5776c403456")),
     "gravity-nucleon": (["--gravity", *NUCLEON_FLAGS], (
-        "03e2849706e07c0c740d2a2c8e1472490203d5894a7cde80b9c0e65082a9391e",
-        "9828cd21423617f4a72fd7d032066fa4d0319666252d7116d9bbf9cbb1236864",
-        "c07dd12f223f9241daaae81b863d9779a953e92e1973e7d8161041ca17242125",
-        "b07ba9949dff58b4d8f15f26a4b6a56c1d4aa02cc6ef595743e81daedb3a7a74",
-        "cd8dbde1a393159e757a34784868ff912114868c6b9f953552c2c9df6c15c0cd")),
+        "2c868929fb11dba42e1f96d5457640448136bfeef8449d6f607349077039305d",
+        "0246b6994736d6fb5eff34ada1a4e024af0afed70eaf8351700bacc501686308",
+        "d703aa00109526038fb9ff7bc1f61ac3b27c173c3f7a877a013540a39a525fd5",
+        "52e5eb3b0ead94227acf1cc6caf112f6946708e3ca564f4b2a16ccfd9b21edb0",
+        "73e709dd54ad0bd18ad941060582c2a4582f7bd8524076a30250551dc616f8a1")),
     "free": (["--free", *PACKET_FLAGS], (
         "38b5dfc2330c55f45f7ecbb4b8173a58030bfec8713c2e05391b0c7bce3888da",)),
     "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (
@@ -1031,6 +1031,17 @@ def test_match_radius_past_the_default_grid_is_exit_4(capsys):
 def test_under_resolved_state_is_exit_4(points, capsys):
     # at 5 points E came out as +4.6e4 with exit 0, at 41 points 21% off
     assert main(["solve", "--n", "0", "--points", points]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--points" in captured.err
+
+
+@pytest.mark.parametrize("rho_max, points", [("92.5", "116"), ("40.1", "52")])
+def test_under_resolved_excited_state_is_exit_4(rho_max, points, capsys):
+    # with RK4 on (f, f', g, g') both exited 0, the first with gamma0 0.56%
+    # and epsilon_star 3.6% off; their tail-identity residuals now read
+    # -6.4e-3 and -6.1e-3
+    assert main(["solve", "--n", "3", "--points", points, "--rho-max", rho_max]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--points" in captured.err

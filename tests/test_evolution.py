@@ -753,8 +753,8 @@ PINNED_SERIES = {
     ("free", 50): (3, "c77b2a54c53d9e6b855a65082083d0a51e80da7d200ccf6d81415b4ba1112ffe"),
     ("cubic", 1): (51, "9f852e05cfaee8353b74c684319cc68c84e85ed6132e3195c6133c3522d0d63e"),
     ("cubic", -1): (51, "cfb139988a4d4c40f2a7f0255596630b90979cacdce252ce22a0a8b9730b7a5e"),
-    ("gravity", 1): (101, "3beecb7e1f778647a5806d4bb2f9621785b9c2bcb98fe97a7f3c57ae1bb98480"),
-    ("gravity", 50): (3, "16debbaab4b01d3c15fa1a0e0b21fd04136c0596df1649c25f89e542e6b9c071"),
+    ("gravity", 1): (101, "bb55cff942afcdb6009fcb303938a24940cccdb9334c3f3141463b6d868cb4ad"),
+    ("gravity", 50): (3, "34a8510bfb7c5c837328bedd072353d7779cfc4e8b1f5ecbb1a68b2761a17e2b"),
 }
 
 

@@ -152,15 +152,33 @@ def test_answers_do_not_depend_on_the_domain():
 
 
 def test_central_values_converge_at_fourth_order():
-    # RK4 on spacings h, h/2, h/4: successive differences of gamma0 shrink
-    # 16-fold; they read 15.86 and 15.88 for n = 0 and 1 on (f, f', g, g')
-    # when the window was frozen, 16.16 and 16.14 on (u, u', v, v') (tol
-    # 1e-13 keeps bisection's share near 1e-4 of them)
+    # fourth order on spacings h, h/2, h/4: successive differences of gamma0
+    # shrink 16-fold; they read 15.86 and 15.88 for n = 0 and 1 with RK4 on
+    # (f, f', g, g') when the window was frozen, 16.16 and 16.14 with RK4 on
+    # (u, u', v, v'), and 16.005 and 16.004 with RKN4 (tol 1e-13 keeps
+    # bisection's share near 1e-4 of them)
     gamma0 = [[sol.gamma0 for sol in solve_states([0, 1], make_grid(40.0, points), tol=1e-13)]
               for points in (1001, 2001, 4001)]
     for n in (0, 1):
         a, b, c = (row[n] for row in gamma0)
         assert 15.5 < (a - b) / (b - c) < 16.5, f"n={n}"
+
+
+def test_shot_samples_converge_at_fourth_order():
+    # the kernel alone, no bisection: one shot at gamma0 = -0.9, stopped at
+    # rho = 8, on spacings h, h/2, h/4; successive differences of each of u,
+    # u', v and v' shrink 16-fold (15.9 to 16.3 with RKN4 when the window
+    # was frozen, 16.05 to 16.15 with RK4); a wrong weight in either RKN4
+    # update leaves a lower order
+    samples = []
+    for points in (2001, 4001, 8001):
+        grid = make_grid(40.0, points)
+        label, (i, *state) = _shoot(-0.9, grid, 0, False, round(8.0 / grid.spacing))
+        assert (label, grid.nodes[i]) == ((0, "match_radius"), 8.0)
+        samples.append(np.array(state))
+    a, b, c = samples
+    ratios = (a - b) / (b - c)
+    assert np.all((15.0 < ratios) & (ratios < 17.0)), ratios
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -481,21 +499,21 @@ def test_shooting_is_bitwise_deterministic():
 # became a sum over cached node weights: the frozen tolerances above would
 # pass a reordered kernel, these pins would not
 PINNED_STATES = {
-    0: (("-0.9185797728132452", "3.468256167954363", "-0.9789591809813865"),
-        "24a341bb05ca0ca8c2c69883eb66c5625f76a8797fabaf78c4d7b75ca1b62398",
-        "c5dfa8184dad6f2af81eedd4c4ed5250b226254d38101e2794b481df7d0ffca4"),
-    1: (("-1.209958997974172", "7.713951095312965", "-0.9162746119500913"),
-        "5713fd16a61a272c5b0cb8167d5ed825f6cfea55adcbe0e7c4eba3f8dc4b14cd",
-        "55f57aa5fdc1eef2fab780cb6cdd5b761dd336dd6f1d178331998de0c81b5142"),
+    0: (("-0.9185797729063774", "3.468256152064737", "-0.9789591818947602"),
+        "48655d4c68c8c1d5affe000fcb71a7f63e922067eb23ec0dd2229785c2573b8b",
+        "07155c9b10605825986238ae73fbf02fb8822964248d3d4c84ca7bb4e7242a48"),
+    1: (("-1.2099589976947753", "7.713951077929529", "-0.9162746087932567"),
+        "887a0d7600596197a0c7929a9a9dd42e5fb60d2c49861b5255c12c2f92a7af15",
+        "c423bf418705fdb7a416c2db4dca6f21ccea6ff49cdcdb7f86e85c85b96056ed"),
 }
 
 # gamma0 -> label, valid_points and sha256 of the u, v, u', v' bytes, each
 # edge-padded from the computed samples to the full grid
 PINNED_SHOTS = {
     -0.3: ((0, "diverged_up"), 279,
-           "7743104752f2940c99063e4ccfaea66242809501deb5fe0260441e7d9a6c160a"),
+           "b21a1f72d983364cbd2a971f09eba169c496fd5023934732b2eed3d7aa8a64d1"),
     -3.0: ((19, "max_radius"), 2001,
-           "8e0aa4bb60f6e44104ba3857a37d3b43616cc0f5ade94a56a109ac0dd930b3d5"),
+           "dd3610cc9f9e524b71ea69b53267a80bf3d14e9618d562247119d5ec3afdb2b8"),
 }
 
 
@@ -564,10 +582,10 @@ def test_label_only_shots_match_recorded_labels(kind, max_nodes):
     # near-eigenvalue shots that reach rho_max with |f| below 1e-6
     (15.0, 601, -1.2100194931030273, (2, "max_radius")),
     (12.0, 481, -0.9185807708326024, (1, "max_radius")),
-    # three points take one RK4 step; its previous f is the series sample,
+    # three points take one RKN4 step; its previous f is the series sample,
     # so the node counts check that the step compares against that sample
-    (1.0, 3, -8.831465443797313, (1, "max_radius")),
-    (1.0, 3, -8.831465443797311, (0, "max_radius")),
+    (1.0, 3, -8.832394451918749, (1, "max_radius")),
+    (1.0, 3, -8.832394451918747, (0, "max_radius")),
     (1.0, 3, -1.0, (0, "max_radius")),
     (40.0, 3, -0.3, (1, "diverged_down")),
     *((40.0, 2001, gamma0, label) for gamma0, (label, _, _) in PINNED_SHOTS.items()),
@@ -602,8 +620,8 @@ def test_label_only_shots_keep_the_recorded_checks():
                 shot(-1.0, grid, max_nodes)
 
 
-def _rk4_steps(record, state):
-    """The RK4 steps a _shoot call took: one per sample past the series pair."""
+def _shot_steps(record, state):
+    """The RKN4 steps a _shoot call took: one per sample past the series pair."""
     return (len(state[0]) if record else state[0] + 1) - 2
 
 
@@ -613,8 +631,8 @@ def test_solve_states_shot_counts(monkeypatch):
     # same grid (stop 100 samples; three shots whose tail on the coarse
     # Riccati step does not decay yet at rho_m are shot again to rho_max),
     # whose root and slope aim the shots on 2001 points (stop 800 samples,
-    # 16 past the n-th node): 13 for n = 0 and 5 for n = 1, against 2 + 15
-    # and 2 + 10 unaimed, and one recorded shot to rho_m
+    # 16 past the n-th node): 13 for n = 0 and 6 for n = 1, against 2 + 15
+    # and 2 + 11 unaimed, and one recorded shot to rho_m
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -625,7 +643,7 @@ def test_solve_states_shot_counts(monkeypatch):
     solve_states([0, 1], make_grid(40.0, 2001))
     assert counts == {(251, False, 0, 100): 15, (251, False, 1, 100): 14,
                       (251, False, 0, None): 2, (251, False, 1, None): 10 + 1,
-                      (2001, False, 0, 800): 13, (2001, False, 1, 800): 5,
+                      (2001, False, 0, 800): 13, (2001, False, 1, 800): 6,
                       (2001, True, 0, 800): 1, (2001, True, 1, 800): 1}
 
 
@@ -639,14 +657,14 @@ def _riccati_steps(k2, radii, step):
     return sum(math.ceil((r - end) / step) for r, end in zip(ends, ends[1:]))
 
 
-# solve_states(range(5)) on the default grid: shots and RK4 steps on 8001
+# solve_states(range(5)) on the default grid: shots and RKN4 steps on 8001
 # and 1001 points, the 18 of the lattice among the latter, and Riccati steps
 # of 0.05 and of 0.4; README and the shooting module quote their totals
-DEFAULT_GRID_SHOTS = {8001: 27, 1001: 92}
+DEFAULT_GRID_SHOTS = {8001: 27, 1001: 90}
 DEFAULT_GRID_LATTICE_SHOTS = 18
-DEFAULT_GRID_RK4_STEPS = {8001: 126_591, 1001: 46_972}
+DEFAULT_GRID_SHOT_STEPS = {8001: 126_573, 1001: 45_794}
 DEFAULT_GRID_RICCATI_STEPS = {shooting._RICCATI_STEP: 36_317,
-                              shooting._COARSE * shooting._RICCATI_STEP: 4_501}
+                              shooting._COARSE * shooting._RICCATI_STEP: 4_301}
 
 
 def test_default_grid_rk4_steps(monkeypatch):
@@ -659,7 +677,7 @@ def test_default_grid_rk4_steps(monkeypatch):
     def counted(gamma0, grid, max_nodes, record, stop=None):
         label, state = _shoot(gamma0, grid, max_nodes, record, stop)
         shots[grid.n_points] += 1
-        steps[grid.n_points] += _rk4_steps(record, state)
+        steps[grid.n_points] += _shot_steps(record, state)
         return label, state
 
     def tail(k2, mass, radii, step=shooting._RICCATI_STEP):
@@ -669,14 +687,14 @@ def test_default_grid_rk4_steps(monkeypatch):
     monkeypatch.setattr(shooting, "_shoot", counted)
     monkeypatch.setattr(shooting, "_tail", tail)
     solve_states(range(5), default_grid())
-    assert (shots, steps) == (DEFAULT_GRID_SHOTS, DEFAULT_GRID_RK4_STEPS)
+    assert (shots, steps) == (DEFAULT_GRID_SHOTS, DEFAULT_GRID_SHOT_STEPS)
     assert tails == DEFAULT_GRID_RICCATI_STEPS
 
 
 def test_docs_quote_the_default_grid_counts():
     quoted = (f"takes {DEFAULT_GRID_SHOTS[8001]} shots there and {DEFAULT_GRID_SHOTS[1001]} "
               f"on the coarse grid ({DEFAULT_GRID_LATTICE_SHOTS} of them the lattice's), "
-              f"{sum(DEFAULT_GRID_RK4_STEPS.values()):,} RK4 steps and "
+              f"{sum(DEFAULT_GRID_SHOT_STEPS.values()):,} RKN4 steps and "
               f"{sum(DEFAULT_GRID_RICCATI_STEPS.values()):,} Riccati steps in all")
     for text in (README.read_text(encoding="utf-8"), shooting.__doc__):
         assert quoted in " ".join(text.split())
@@ -742,7 +760,7 @@ def _plain_bisection(n, bracket, grid, tol):
     """The brackets (lo, hi, shots, steps) of a plain bisection over
     shooting._side, from the bracket ends to the first width <= tol,
     ``shots`` and ``steps`` counting the _shoot calls made so far and their
-    RK4 steps.  The brackets of every wider tol are a prefix.  It refuses
+    RKN4 steps.  The brackets of every wider tol are a prefix.  It refuses
     as shoot_gamma0 does: InvalidBracketError for ends on one side,
     ConvergenceError at float resolution, and the errors of _side."""
     calls = steps = 0
@@ -751,7 +769,7 @@ def _plain_bisection(n, bracket, grid, tol):
         nonlocal calls, steps
         label, state = _shoot(*args)
         calls += 1
-        steps += _rk4_steps(args[3], state)
+        steps += _shot_steps(args[3], state)
         return label, state
 
     stop = shooting._stop(grid)
@@ -830,7 +848,7 @@ def plain_bisection():
 @pytest.mark.parametrize("n", range(4))
 def test_bisection_never_shoots_more_than_plain_bisection(points, n, plain_bisection,
                                                           monkeypatch):
-    # the shots on the solve's own grid, and the RK4 steps on every grid,
+    # the shots on the solve's own grid, and the RKN4 steps on every grid,
     # coarse pass included: the aim pays for itself at every tol
     bracket, sequence = plain_bisection(40.0, points, n)
     grid = make_grid(40.0, points)
@@ -840,7 +858,7 @@ def test_bisection_never_shoots_more_than_plain_bisection(points, n, plain_bisec
         label, state = _shoot(gamma0, shot_grid, max_nodes, record, stop)
         if not record:  # the final recorded shot is not bisection's
             work["shots"] += shot_grid == grid
-            work["steps"] += _rk4_steps(record, state)
+            work["steps"] += _shot_steps(record, state)
         return label, state
 
     monkeypatch.setattr(shooting, "_shoot", counted)

@@ -119,10 +119,10 @@ NUCLEON_ROWS = {
         [4.7582020400892245e05, 1.0000000000000002, 2.4917030644714122e-42, 1.7322451282545517],
     ],
     "gravity": [
-        [0.0, 0.9999999999999999, -2.8502948844849375e-42, 1.6505331245124626],
-        [1.164471416014996e06, 0.9999999992594228, -2.850294956250908e-42, 1.6505312202540081],
-        [2.328942832029992e06, 0.999999999999936, -2.8502951982595088e-42, 1.6505255110027826],
-        [3.4934142480449877e06, 0.9999999992595531, -2.8502955571346055e-42, 1.6505160168628488],
+        [0.0, 1.0000000000000002, -2.8502949122668495e-42, 1.6505285482173506],
+        [1.164466512432705e06, 0.9999999992604565, -2.8502949839816773e-42, 1.6505266479559522],
+        [2.32893302486541e06, 0.9999999999999348, -2.8502952255309234e-42, 1.650520950663925],
+        [3.4933995372981145e06, 0.9999999992605878, -2.8502955836146262e-42, 1.650511476428644],
     ],
 }
 
