@@ -12,12 +12,13 @@ Crank–Nicolson solve under the relaxed half-step potential of Besse's
 relaxation scheme (C. Besse, SIAM J. Numer. Anal. 42(3), 934–952, 2004),
 phi^{n+1/2} = 2 V[psi^n] - phi^{n-1/2}, where a run's first step takes
 phi^{-1/2} = V[psi^0]: the scheme is second order in time and keeps the
-norm exactly.  Such a solve uses its matrix once, so it is one fused
-LAPACK zgtsv call (factor and back-substitute).  The solve builds the
-diagonal and the right-hand side in place, the latter in the interior of
-the array it returns, and zgtsv writes the new u over it there.  Each
-solve imports scipy's wrapper of zgtsv, which after the first is a
-sys.modules lookup, so that importing sng loads no scipy.
+norm exactly.  With A = I + i dt H/2, its step A^-1 (2 - A) u^n is 2 y - u^n
+for y = A^-1 u^n (A. Goldberg, H. M. Schey and J. L. Schwartz, Am. J.
+Phys. 35, 177, 1967), the midpoint (u^n + u^{n+1})/2 that the guard and
+the phase ledger read: one fused LAPACK zgtsv call (factor and
+back-substitute) on a copy of u^n.  Each solve imports scipy's wrapper of
+zgtsv, which after the first is a sys.modules lookup, so that importing
+sng loads no scipy.
 
 Where V is identically zero (free, and cubic with kappa = 0) there is
 nothing to relax, and the Crank–Nicolson step is diagonal in the sine
@@ -31,8 +32,8 @@ back only there, with numpy's FFT and no LAPACK.
 ``evolve`` carries u, phi^{n-1/2} and the time through them and builds no
 RadialState per step; ``step`` wraps the kernel's result in one, which
 carries phi^{n-1/2} on to the next step of the same nonlinearity and dt.
-Each state is evaluated once: one plain private object derives |u|^2, its
-line integral, |psi| = |u/r|, the density and V from u, each on first use.
+Each state is evaluated once: one plain private object derives |u|^2,
+its line integral, the density |u|^2 / r^2 and V from u, each on first use.
 ``evolve``'s observation (norm, energy, RMS width, the boundary check and
 density snapshots) and the next step's potential read the same
 evaluation, and so do ``state_norm``, ``rms_width`` and ``scheme_energy``.
@@ -140,11 +141,11 @@ class RadialState:
         # the one door for a state's scale: past it |u|^2, the norm, the
         # density and the width are finite, so nothing downstream guards them
         with np.errstate(over="ignore", invalid="ignore"):
-            u2 = np.abs(u) ** 2
-            u2_line = integrate_line(u2, self.grid)
-            peak = float(np.max(np.abs(psi_from_u(u, self.grid))))
-            r2_line = integrate_line(self.grid.nodes ** 2 * u2, self.grid)
-        if not (4.0 * np.pi * u2_line < math.inf and peak * peak < math.inf):
+            ev = _Evaluation(self.grid, u)
+            u2_line = ev.u2_line
+            peak = float(np.max(ev.density))
+            r2_line = integrate_line(self.grid._squared_nodes * ev.u2, self.grid)
+        if not (4.0 * np.pi * u2_line < math.inf and peak < math.inf):
             raise InvalidArgumentError("u is too large: its norm or its density overflows a double")
         if not r2_line < math.inf:  # the integral of r^2 |u|^2 that rms_width forms
             raise InvalidArgumentError("u is too large: its RMS width integral overflows a double")
@@ -291,7 +292,7 @@ class _Evaluation:
 
     Each field is computed on first use and kept, so the observables, the
     boundary check, a snapshot and a step's potential of the same u share
-    one |u|^2, one int |u|^2 dr, one |psi| and one potential.  u has passed
+    one |u|^2, one int |u|^2 dr, one density and one potential.  u has passed
     :class:`RadialState`'s scale check, or is a step of such a u, so none of
     them overflows."""
 
@@ -303,8 +304,9 @@ class _Evaluation:
 
     @cached_property
     def u2(self) -> np.ndarray:
-        u2 = np.abs(self.u)
-        return np.square(u2, out=u2)
+        """|u|^2 = re^2 + im^2; a real u gets its own square."""
+        u2 = np.square(self.u.real)
+        return np.add(u2, np.square(self.u.imag), out=u2)
 
     @cached_property
     def u2_line(self) -> float:
@@ -321,13 +323,14 @@ class _Evaluation:
         return float(np.sqrt(integrate_line(r2u2, self.grid) / self.u2_line))
 
     @cached_property
-    def psi_abs(self) -> np.ndarray:
-        """|psi| with psi = u/r."""
-        return np.abs(psi_from_u(self.u, self.grid))
-
-    @cached_property
     def density(self) -> np.ndarray:
-        return self.psi_abs ** 2
+        """|psi|^2 = |u|^2 / r^2 past the origin, and at it the square of
+        psi's even-function limit."""
+        grid = self.grid
+        density = np.empty(grid.n_points)
+        np.multiply(self.u2[1:], grid._reciprocal_squared_nodes, out=density[1:])
+        density[0] = abs(grid._origin_limit(*(self.u[1:3] / grid.nodes[1:3]))) ** 2
+        return density
 
     @property
     def coupling(self) -> float:
@@ -355,7 +358,7 @@ class _Evaluation:
     def energy(self) -> float:
         """:func:`scheme_energy` of u."""
         u = self.u
-        du = np.abs(np.subtract(u[1:], u[:-1]))
+        du = np.subtract(u[1:], u[:-1]).view(np.float64)  # re and im side by side
         e_kin = 0.5 * 4.0 * np.pi * float(np.square(du, out=du).sum()) / self.grid.spacing
         if self.nl.kind == "free":
             return e_kin
@@ -471,32 +474,30 @@ class _SineModes:
 
 
 def _solve(u: np.ndarray, v: np.ndarray, lam: float, dt: float) -> np.ndarray:
-    """u advanced by dt through (I + i dt H/2) u' = (I - i dt H/2) u, with
-    H = -(1/2) d^2/dr^2 + V on the interior nodes, Dirichlet ends and the
-    potential samples v frozen; lam is :func:`_lam`.  One zgtsv call
-    factors the matrix and back-substitutes in one pass, writing the new u
-    over the right-hand side, which is built in the interior of the
-    returned array; u and v are left as they are."""
+    """The midpoint y = (u + u')/2 of the Crank–Nicolson step u -> u',
+    y = A^-1 u with A = I + i dt H/2 and H = -(1/2) d^2/dr^2 + V on the
+    interior nodes, Dirichlet ends and the potential samples v frozen;
+    lam is :func:`_lam`, and u' = 2 y - u.  The old outer end enters the
+    last interior row of (2 - A) u as i lam u[-1], so y carries half of it
+    there, and y[-1] = u[-1]/2 lies between it and the new end's 0; u[0]
+    is 0, as on every state, and so is y[0].  One zgtsv call factors the
+    matrix and back-substitutes in one pass, writing y over a copy of u in
+    the interior of the returned array; u and v are left as they are."""
     # imported here, not at module top, so that commands that never call
     # LAPACK do not pay scipy's import
     from scipy.linalg import lapack
 
-    out = np.empty(len(u), dtype=np.complex128)
-    out[0] = out[-1] = 0.0
+    out = np.array(u, dtype=np.complex128)
     rhs = out[1:-1]
     # an overflow here is refused before any LAPACK call, so numpy's
     # warning about it is silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        hop = np.add(u[2:], u[:-2])
-        np.multiply(1.0j * lam, hop, out=hop)
         diag = np.multiply(0.5j * dt, v[1:-1])
-        np.subtract(1.0 - 2.0j * lam, diag, out=rhs)
-        np.multiply(rhs, u[1:-1], out=rhs)
-        np.add(rhs, hop, out=rhs)
         np.add(1.0 + 2.0j * lam, diag, out=diag)
+        rhs[-1] += 0.5j * lam * out[-1]
+    out[-1] *= 0.5
     # a complex is finite where both its parts are
-    if not (np.isfinite(diag.view(np.float64)).all()
-            and np.isfinite(rhs.view(np.float64)).all()):
+    if not (np.isfinite(diag.view(np.float64)).all() and np.isfinite(rhs[-1])):
         raise _non_finite_system()
     # zgtsv overwrites both off-diagonals, so each is a fresh row, like
     # the diagonal; f2py passes all four arrays to LAPACK uncopied
@@ -553,9 +554,9 @@ def _advance(ev: _Evaluation, dt: float, lam: float,
     ``ev.u`` advanced by dt under ``ev.nl`` in one Crank–Nicolson solve
     with the relaxed potential phi = 2 V[u] - carried (V[u] itself where
     ``carried`` is None), that phi, which the next step carries, and the
-    evaluation of the step's midpoint (u + u')/2, whose phase rate
-    :func:`step` carries.  V[u] is ``ev.v``, so an observation of the same
-    state shares it.  StepRejectedError where V at the midpoint differs from
+    evaluation of the step's midpoint (u + u')/2, which the solve returns
+    and whose phase rate :func:`step` carries.  V[u] is ``ev.v``, so an
+    observation of the same state shares it.  StepRejectedError where V at the midpoint differs from
     V[u], or from phi, by more than half of max|V[u]|.
 
     Under gravity, by the shell theorem, max|V_mid - V[u]| <= w . |Delta|
@@ -571,9 +572,9 @@ def _advance(ev: _Evaluation, dt: float, lam: float,
     else:
         phi = np.multiply(2.0, v_old)
         np.subtract(phi, carried, out=phi)
-    u_new = _solve(u, phi, lam, dt)
-    u_mid = np.add(u, u_new)
-    np.multiply(0.5, u_mid, out=u_mid)
+    u_mid = _solve(u, phi, lam, dt)
+    u_new = np.multiply(2.0, u_mid)
+    np.subtract(u_new, u, out=u_new)
     mid = _Evaluation(ev.grid, u_mid, ev.nl)
 
     work = np.abs(v_old)
@@ -694,10 +695,8 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
         ev = _Evaluation(grid, u, nl)
         if observed:
             observe(time, ev)
-            if not at_boundary:
-                psi_edge = abs(u[-2]) / grid.nodes[-2]
-                peak = float(ev.psi_abs.max())
-                at_boundary = peak > 0.0 and psi_edge > 1e-8 * peak
+            if not at_boundary:  # |psi| past 1e-8 of its peak
+                at_boundary = ev.density[-2] > 1e-16 * float(ev.density.max())
         if snapped:
             snaps.append((time, RadialField(grid, ev.density)))
     if at_boundary:

@@ -39,8 +39,8 @@ class RadialGrid:
     The extent and the point count are the whole grid: equality and hash
     are those of the pair, and the read-only ``nodes`` array, the read-only
     node weights of :func:`integrate_line`, the Poisson weights and the
-    reciprocal and squared nodes are derived from it once per grid object.
-    Build grids with :func:`make_grid`, which validates the pair.
+    squared nodes and their reciprocals are derived from it once per grid
+    object.  Build grids with :func:`make_grid`, which validates the pair.
     """
 
     rho_max: float
@@ -70,15 +70,22 @@ class RadialGrid:
         return w
 
     @cached_property
-    def _reciprocal_nodes(self) -> np.ndarray:
-        """1/r at the nodes past the origin, for :func:`psi_from_u`."""
-        return 1.0 / self.nodes[1:]
-
-    @cached_property
     def _squared_nodes(self) -> np.ndarray:
         """r * r at the nodes, for the RMS width's int r^2 |u|^2 dr."""
         r = self.nodes
         return r * r
+
+    @cached_property
+    def _reciprocal_squared_nodes(self) -> np.ndarray:
+        """1/r^2 at the nodes past the origin, read-only: |psi|^2 = |u|^2 / r^2."""
+        w = 1.0 / self._squared_nodes[1:]
+        w.setflags(write=False)
+        return w
+
+    def _origin_limit(self, f1, f2):
+        """f(0) of an even f from f at the first two nodes past r = 0."""
+        r1, r2 = self._squared_nodes[1:3]
+        return (f1 * r2 - f2 * r1) / (r2 - r1)
 
     @cached_property
     def _poisson_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -176,19 +183,10 @@ def integrate_line(values: np.ndarray, grid: RadialGrid) -> float | complex:
 
 
 def psi_from_u(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """psi = u/r with the even-function quadratic limit at the origin.
-
-    numpy divides a complex by a real as a multiply by the reciprocal, so
-    complex u is multiplied by the grid's cached 1/r with the same result;
-    a real divide and a multiply by the reciprocal differ in the last bit,
-    so real u is divided."""
-    r = grid.nodes
+    """psi = u/r with the even-function quadratic limit at the origin."""
     psi = np.empty_like(u)
-    if u.dtype.kind == "c":
-        np.multiply(u[1:], grid._reciprocal_nodes, out=psi[1:])
-    else:
-        np.divide(u[1:], r[1:], out=psi[1:])
-    psi[0] = (psi[1] * r[2] ** 2 - psi[2] * r[1] ** 2) / (r[2] ** 2 - r[1] ** 2)
+    np.divide(u[1:], grid.nodes[1:], out=psi[1:])
+    psi[0] = grid._origin_limit(psi[1], psi[2])
     return psi
 
 

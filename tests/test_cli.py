@@ -652,29 +652,28 @@ def test_unrepresentable_bohr_radius_is_exit_2(command, mass, solved, tmp_path, 
 # --- evolve ------------------------------------------------------------------
 
 # sha256 of each evolve CSV, then of its snapshot CSVs in order, recorded
-# when the line quadrature became a sum over cached node weights (the
-# observables moved by at most 1.6e-15 relative, the gravity snapshots by
-# 1.8e-14 of the peak density; the free run agreed with the LAPACK
-# stepper's within 2e-15 before)
+# when the Crank–Nicolson solve began to return the step's midpoint and
+# |u|^2 became re^2 + im^2 (the observables moved by rounding only; the
+# free run agreed with the LAPACK stepper's within 2e-15 before)
 PACKET_FLAGS = ["--gaussian-sigma", "1", "--points", "401", "--r-max", "30", "--natural",
                 "--steps", "30", "--dt", "0.01"]
 PINNED_EVOLVE = {
     "gravity-natural": (["--gravity", "--natural"], (
-        "dfbf9652ccb244b0101001df30527aa91a9a1366ba29b96e03b5b2394f7c678b",
-        "f8cfcd5d1a0c8adf6f9d8568547410a39528397e10de18cc4ba8d5173cad7715",
-        "e2b90759053b9a8b1e6aebb18175d302058913cec106412ee161ca684ffbeb91",
-        "2ffdd42bbd63574c5474297c86447c892befcc5374af0138b750caef4734dda0",
-        "504f0a39bde5117d64b120cc3605914fc0fffcb7bed3ba752372b5776c403456")),
+        "f60b956deeb29d2b2c4a1fb80b1779359d18745a01e8d5481590d7b7e17b8d52",
+        "ac456d533fa2797006a95d6e91ad18b42b7d6b37254f1b11c040a1c6bd05523f",
+        "3344239ce4966f06c977e3d298a7da9d99d94d01cbd263afe24fc27cb5973469",
+        "0e759e7f270bea1d6b151fbca4b294a63e2412c36f6e76e8ef5ead5be041e937",
+        "160be483be06bd116547676be26b563d24c9e6630cdc99c4c9f91dd3c6db7039")),
     "gravity-nucleon": (["--gravity", *NUCLEON_FLAGS], (
-        "2c868929fb11dba42e1f96d5457640448136bfeef8449d6f607349077039305d",
-        "0246b6994736d6fb5eff34ada1a4e024af0afed70eaf8351700bacc501686308",
-        "d703aa00109526038fb9ff7bc1f61ac3b27c173c3f7a877a013540a39a525fd5",
-        "52e5eb3b0ead94227acf1cc6caf112f6946708e3ca564f4b2a16ccfd9b21edb0",
-        "73e709dd54ad0bd18ad941060582c2a4582f7bd8524076a30250551dc616f8a1")),
+        "c82ab9e42ea3063db96a83ac984c8e846976c4435bc577fe2a3049fc587c66db",
+        "547eab20e16534bc68c75995714733814d6bc58dffd361a5376fea52ef75d30e",
+        "6c2e95948ec6adfaf8ecae01eb0fdc0bb2133afc89482a7edb22ab02929b844b",
+        "027fc4b3866b1779ad68bd225c14e5b7fcde226fc6db73c02cbe31c3040d330d",
+        "da0fe6189687dfd25af91fbb7fc821b09fe7e3d1bf13bb68d2b2a0aa6d2b3366")),
     "free": (["--free", *PACKET_FLAGS], (
-        "38b5dfc2330c55f45f7ecbb4b8173a58030bfec8713c2e05391b0c7bce3888da",)),
+        "8fae2fdfcdacbec93d81657a019a93fb4900532d7548196925e24ffaf524cbdc",)),
     "cubic": (["--cubic", "--kappa", "1", "--sign", "-1", *PACKET_FLAGS], (
-        "ea694c5197ec1c3b1aa4bf12277d21b11e7eae6f729ace3e28ba2c65f0ad49f5",)),
+        "7e14308fa9cec7d191867b7b5e1286eb422432f358ff07d979a4d5052ebcaf11",)),
 }
 
 

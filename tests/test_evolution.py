@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import warnings
@@ -212,9 +213,9 @@ def test_phase_ledger_decomposition(natural_ground_profile):
 def test_gravity_step_phase_advances_at_the_midpoint_rate():
     # a dispersing packet's E_grav/norm moves within the step, so the pin
     # tells the rate at the step's midpoint from the starting state's,
-    # -0.028229310550188475
+    # -0.028229310550188482
     state = gaussian_state(make_grid(30.0, 401), sigma=1.0)
-    assert repr(step(state, 0.1, NonlinearityKind.gravity()).phase) == "-0.028223825115468587"
+    assert repr(step(state, 0.1, NonlinearityKind.gravity()).phase) == "-0.028223825115468594"
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -271,13 +272,14 @@ def test_relaxation_step_is_second_order_in_time(nl):
 @pytest.mark.parametrize("nl", [NonlinearityKind.cubic(1.0, -1), NonlinearityKind.gravity()],
                          ids=lambda nl: nl.kind)
 def test_first_step_solves_under_the_starting_potential(nl):
-    # phi^{-1/2} = V[u^0], so a run's first step is the Crank–Nicolson solve
-    # under V[u^0] itself, bit for bit
+    # phi^{-1/2} = V[u^0], so a run's first step is 2 y - u from the
+    # Crank–Nicolson midpoint y solved under V[u^0] itself, bit for bit
     grid = make_grid(30.0, 401)
     packet = gaussian_state(grid, 1.0)
     state = replace(packet, u=packet.u * np.exp(0.3j * grid.nodes))
     v = sng.evolution._Evaluation(grid, state.u, nl).v
-    expected = sng.evolution._solve(state.u, v, sng.evolution._lam(grid, 0.01), 0.01)
+    mid = sng.evolution._solve(state.u, v, sng.evolution._lam(grid, 0.01), 0.01)
+    expected = 2.0 * mid - state.u
     stepped = step(state, 0.01, nl)
     assert stepped.u.tobytes() == expected.tobytes()
     assert stepped._relaxation[0].tobytes() == v.tobytes()
@@ -477,6 +479,19 @@ def test_rejected_step_leaves_state_untouched(packet):
     assert packet.time == 0.0
 
 
+def test_a_step_whose_midpoint_density_vanishes_is_rejected():
+    # u of 1e150 under cubic(1, 1) at dt 1e-10: dt V/2 is about 1e290, so
+    # the midpoint (I + iK)^-1 u is about u / (i dt V/2), whose density is
+    # ~0, and the potential changes by 100%.  The step was refused naming
+    # dt while its right-hand side (I - iK) u was formed and overflowed;
+    # only a library caller reaches it, as a CLI start has unit norm
+    state = RadialState(make_grid(40.0, 201), np.r_[0.0, np.full(199, 1e150), 0.0], 0.0)
+    with pytest.raises(StepRejectedError, match=re.escape(
+            "potential changed 100.0% within one step of dt=1.000e-10")) as refused:
+        step(state, 1e-10, NonlinearityKind.cubic(1.0, 1))
+    assert refused.value.change == pytest.approx(1.0)
+
+
 # --- the guard's certificate -------------------------------------------------
 #
 # a gravity step solves its midpoint's potential only where the shell
@@ -513,8 +528,8 @@ def _midpoint(state, dt, carried):
     the relaxed potential, the midpoint's evaluation and max|V[u]|."""
     ev = sng.evolution._Evaluation(state.grid, state.u, NonlinearityKind.gravity())
     phi = ev.v if carried is None else 2.0 * ev.v - carried
-    u_new = sng.evolution._solve(state.u, phi, sng.evolution._lam(state.grid, dt), dt)
-    mid = sng.evolution._Evaluation(state.grid, 0.5 * (state.u + u_new), ev.nl)
+    u_mid = sng.evolution._solve(state.u, phi, sng.evolution._lam(state.grid, dt), dt)
+    mid = sng.evolution._Evaluation(state.grid, u_mid, ev.nl)
     return ev, phi, mid, float(np.abs(ev.v).max())
 
 
@@ -733,10 +748,10 @@ def test_time_reversal_round_trip(packet):
 #
 # sha256 of norms, energies, widths and snapshot densities; any reordering
 # of the floating-point work shows up here.  All were recorded when the
-# line quadrature became a sum over cached node weights (norms, energies
-# and widths moved by at most 1.6e-15 relative, the gravity snapshots by
-# 7.5e-14 of the peak density); before that the free runs agreed with the
-# LAPACK stepper's series to 6e-15 relative.
+# Crank–Nicolson solve began to return the step's midpoint and |u|^2 became
+# re^2 + im^2 (norms, energies and widths moved by at most 8e-15 relative,
+# the gravity snapshots by 7.3e-14 of the peak density); before that the
+# free runs agreed with the LAPACK stepper's series to 6e-15 relative.
 
 def _series_sha256(series):
     arrays = [series.norms, series.energies, series.widths]
@@ -749,12 +764,12 @@ def _series_sha256(series):
 
 
 PINNED_SERIES = {
-    ("free", 1): (101, "9bc9bf6043493603c50ba706a7634c0ff49296f755cf68d772dee65953e34c8c"),
-    ("free", 50): (3, "c77b2a54c53d9e6b855a65082083d0a51e80da7d200ccf6d81415b4ba1112ffe"),
-    ("cubic", 1): (51, "9f852e05cfaee8353b74c684319cc68c84e85ed6132e3195c6133c3522d0d63e"),
-    ("cubic", -1): (51, "cfb139988a4d4c40f2a7f0255596630b90979cacdce252ce22a0a8b9730b7a5e"),
-    ("gravity", 1): (101, "bb55cff942afcdb6009fcb303938a24940cccdb9334c3f3141463b6d868cb4ad"),
-    ("gravity", 50): (3, "34a8510bfb7c5c837328bedd072353d7779cfc4e8b1f5ecbb1a68b2761a17e2b"),
+    ("free", 1): (101, "db2f033a1aa31a496c982b4ad3e75fe6daac0eeddd766ed4a6db72d5ea92b5bc"),
+    ("free", 50): (3, "76bffbb9c76288c5ad7e9c720069eeaf860f671c2d4be08b38fd73de63c5e3e9"),
+    ("cubic", 1): (51, "814b20007bc06845b9d318fe983d0b0c3d6f724048b6966fc63090dfe84a5fe6"),
+    ("cubic", -1): (51, "e20a7e1571f1b8d936a5c951eb453dd6ffb740cc7c722fbba1faf939f335d5dd"),
+    ("gravity", 1): (101, "de6b95cc6aae070723742202fdb12a5623c070b9ca42a1ce9b059413d7853c1a"),
+    ("gravity", 50): (3, "04707db0835b8f080f3e22983beeb5042d12bb838c35ac6ec883d094aec1e965"),
 }
 
 
@@ -841,7 +856,8 @@ def test_zero_potential_calls_no_lapack_and_a_potential_step_one_zgtsv(
 
 
 def _banded_reference(u, v, dt, grid):
-    """The Crank–Nicolson solve as scipy's general banded solver does it."""
+    """The Crank–Nicolson step (I + iK) u' = (I - iK) u as scipy's general
+    banded solver does it."""
     dr = grid.spacing
     lam = dt / (4.0 * dr * dr)
     vterm = 0.5j * dt * v
@@ -898,54 +914,126 @@ def test_zero_potential_drift_is_round_off_over_1000_steps(packet):
         assert np.abs(series.energies / series.energies[0] - 1.0).max() <= 1e-14
 
 
+def _chirped_packet(r_max, points):
+    """A unit Gaussian of sigma 1 on r_max/points moving outward, u e^{0.3i r}."""
+    packet = gaussian_state(make_grid(r_max, points), 1.0)
+    return replace(packet, u=packet.u * np.exp(0.3j * packet.grid.nodes))
+
+
+# (start, nonlinearity, dt) of a first step; "pivoted" makes zgttrf swap rows,
+# and "outer_end" starts from an outer end u[-1] = 0.2 - 0.1j
+STEP_CASES = {
+    "free": (lambda: _chirped_packet(30.0, 401), NonlinearityKind.free(), 0.01),
+    "cubic": (lambda: _chirped_packet(30.0, 401), NonlinearityKind.cubic(3.0, -1), 0.01),
+    "gravity": (lambda: _chirped_packet(30.0, 401), NonlinearityKind.gravity(), 0.01),
+    "pivoted": (lambda: _chirped_packet(60.0, 2001), NonlinearityKind.cubic(1e3, -1), 0.5),
+    "outer_end": (lambda: _edge_state(), NonlinearityKind.cubic(3.0, -1), 0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_a_step_solves_its_crank_nicolson_equations(case):
+    # whatever algebra the kernel uses, the u' that step returns meets
+    # A u' = conj(A) u on the interior rows, A = I + iK with
+    # iK x = i lam (2 x_k - x_{k+1} - x_{k-1}) + i (dt/2) phi_k x_k on the
+    # full vectors, ends included, under the potential phi the step solved
+    # with: to n eps (||A|| ||u'|| + ||conj(A)|| ||u||) in the sup norm, the
+    # a-priori bound of a backward-stable tridiagonal solve (partial
+    # pivoting grows a tridiagonal factor at most twofold) and of forming
+    # both sides.  Measured: at most 0.0014 of the bound
+    start, nl, dt = STEP_CASES[case]
+    state = start()
+    grid = state.grid
+    if case == "pivoted":  # the guard refuses this step (96.6%): u' as the kernel forms it
+        with pytest.raises(StepRejectedError):
+            step(state, dt, nl)
+        phi = sng.evolution._Evaluation(grid, state.u, nl).v
+        after = 2.0 * sng.evolution._solve(state.u, phi, sng.evolution._lam(grid, dt), dt)
+        after -= state.u
+    else:
+        stepped = step(state, dt, nl)
+        after = stepped.u
+        phi = np.zeros(grid.n_points) if stepped._relaxation is None else stepped._relaxation[0]
+    lam = dt / (4.0 * grid.spacing ** 2)
+
+    def ik(x):
+        return 1j * lam * (2.0 * x[1:-1] - x[2:] - x[:-2]) + 0.5j * dt * phi[1:-1] * x[1:-1]
+
+    residual = np.abs(after[1:-1] + ik(after) - (state.u[1:-1] - ik(state.u))).max()
+    norm_a = float(np.abs(1.0 + 2.0j * lam + 0.5j * dt * phi[1:-1]).max()) + 2.0 * lam
+    bound = grid.n_points * np.finfo(float).eps * norm_a * (
+        np.abs(after).max() + np.abs(state.u).max())
+    assert residual <= bound, (residual, bound)
+    assert after[0] == after[-1] == 0.0
+
+
+def _midpoint_reference(u, v, dt, grid):
+    """The Crank–Nicolson midpoint as scipy's general banded solver finds
+    it: the right-hand side is u on the interior, its last row carrying
+    half the old outer end's i lam u[-1]."""
+    lam = dt / (4.0 * grid.spacing ** 2)
+    ab = np.empty((3, grid.n_points - 2), dtype=np.complex128)
+    ab[0, :] = ab[2, :] = -1.0j * lam
+    ab[1, :] = 1.0 + 2.0j * lam + 0.5j * dt * v[1:-1]
+    rhs = u[1:-1].copy()
+    rhs[-1] += 0.5j * lam * u[-1]
+    out = np.zeros(grid.n_points, dtype=np.complex128)
+    out[1:-1] = solve_banded((1, 1), ab, rhs)
+    out[-1] = 0.5 * u[-1]
+    return out
+
+
 @pytest.mark.parametrize("nl", [NonlinearityKind.free(), NonlinearityKind.cubic(3.0, -1),
                                 NonlinearityKind.gravity()], ids=lambda nl: nl.kind)
 def test_crank_nicolson_solve_equals_banded_solve_bitwise(nl):
-    grid = make_grid(30.0, 401)
-    packet = gaussian_state(grid, sigma=1.0)
-    u = packet.u * np.exp(0.3j * grid.nodes)
+    state = _chirped_packet(30.0, 401)
+    grid, u = state.grid, state.u
     v = sng.evolution._Evaluation(grid, u, nl).v
     lam = sng.evolution._lam(grid, 0.01)
-    expected = _banded_reference(u, v, 0.01, grid)
+    expected = _midpoint_reference(u, v, 0.01, grid)
     assert np.array_equal(sng.evolution._solve(u, v, lam, 0.01), expected)
     if nl.kind == "free":
-        assert _relative_error(step(replace(packet, u=u), 0.01, nl).u, expected) < 1e-13
+        assert _relative_error(step(state, 0.01, nl).u, 2.0 * expected - u) < 1e-13
 
 
 def test_pivoted_crank_nicolson_solve_equals_factor_and_back_substitute_bitwise():
     # a strongly attractive cubic potential makes zgttrf swap rows; the fused
     # zgtsv solve must still match the factor-then-solve pair and scipy's
-    # banded solver byte for byte
-    grid = make_grid(60.0, 2001)
+    # banded solver byte for byte.  The outer end is 0, so the right-hand
+    # side is u's interior itself
     dt = 0.5
-    u = gaussian_state(grid, sigma=1.0).u * np.exp(0.3j * grid.nodes)
+    state = _chirped_packet(60.0, 2001)
+    grid, u = state.grid, state.u
+    assert u[-1] == 0.0
     v = sng.evolution._Evaluation(grid, u, NonlinearityKind.cubic(1e3, -1)).v
     lam = sng.evolution._lam(grid, dt)
-    hop = 1.0j * lam * (u[2:] + u[:-2])  # the right-hand side's off-diagonal part
-    vterm = 0.5j * dt * v[1:-1]
     off = np.full(grid.n_points - 3, -1.0j * lam)
-    *lu, info = zgttrf(off, 1.0 + 2.0j * lam + vterm, off)
+    *lu, info = zgttrf(off, 1.0 + 2.0j * lam + 0.5j * dt * v[1:-1], off)
     assert info == 0
     ipiv = lu[-1]
     assert np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1)) > 0
-    x, info = zgttrs(*lu, (1.0 - 2.0j * lam - vterm) * u[1:-1] + hop)
+    x, info = zgttrs(*lu, u[1:-1])
     assert info == 0
     got = sng.evolution._solve(u, v, lam, dt)
     assert got[1:-1].tobytes() == x.tobytes()
-    assert got.tobytes() == _banded_reference(u, v, dt, grid).tobytes()
+    assert got.tobytes() == _midpoint_reference(u, v, dt, grid).tobytes()
 
 
-def test_crank_nicolson_solve_refuses_a_right_hand_side_that_overflows():
-    # the diagonal 1 + 2i lam is finite, but (1 - 2i lam) u and the hopping
-    # term i lam (u[k+1] + u[k-1]) overflow at every interior node
+def test_crank_nicolson_midpoint_of_a_huge_u_is_finite_and_no_larger():
+    # the midpoint's right-hand side is u itself, so no product overflows:
+    # the u of 1e300 whose (1 - 2i lam) u overflowed when the solve formed
+    # (I - iK) u gives a finite y = (I + iK)^-1 u, no larger than u, as
+    # ||(I + iK)^-1||_2 <= 1 for Hermitian K (max|y| is 1.25e293 here)
     grid = make_grid(10.0, 101)
     u = np.zeros(grid.n_points, dtype=np.complex128)
     u[1:-1] = 1e300
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(InvalidArgumentError, match="dt is too large"):
-            sng.evolution._solve(u, np.zeros(grid.n_points), 1e10, 0.01)
+        y = sng.evolution._solve(u, np.zeros(grid.n_points), 1e10, 0.01)
     assert [w.category for w in caught] == []
+    assert np.isfinite(y).all()
+    assert np.abs(y).max() <= np.abs(u).max()
+    assert np.linalg.norm(y / 1e300) <= np.linalg.norm(u / 1e300)
 
 
 @pytest.mark.parametrize("nl", [NonlinearityKind.cubic(3.0, -1), NonlinearityKind.gravity()],
@@ -961,7 +1049,8 @@ def test_crank_nicolson_solve_leaves_its_inputs_alone(nl):
     for a, b in zip((u, v), before):
         assert a.tobytes() == b.tobytes()
         assert not np.shares_memory(got, a)
-    assert got[0] == got[-1] == 0.0
+    # the midpoint's ends: u[0] = 0, and u[-1]/2 between u[-1] and the new 0
+    assert got[0] == 0.0 and got[-1] == 0.5 * u[-1] != 0.0
 
 
 def test_gravity_evolve_solves_poisson_once_per_step(coarse_ground_state, monkeypatch):
@@ -987,15 +1076,37 @@ def test_a_step_the_certificate_cannot_clear_solves_its_midpoint(monkeypatch):
 
 
 def test_gravity_evolve_evaluates_each_state_once(coarse_ground_state, monkeypatch):
-    # psi once per observed state, shared by its energy row, the boundary
-    # check, its snapshot and the next step's potential, and once at each
-    # step's midpoint.  The line integrals are int |u|^2 dr and
-    # the width's int r^2 |u|^2 dr per observed state, and int |u|^2 dr per
-    # midpoint; evolve keeps no phase ledger, so it takes no E_grav/norm.
+    # |u|^2 once per observed state, shared by its norm, width and density
+    # (its energy row, the boundary check, its snapshot and the next step's
+    # potential), and once at each step's midpoint; no psi = u/r is formed.
+    # The line integrals are int |u|^2 dr and the width's int r^2 |u|^2 dr
+    # per observed state, and int |u|^2 dr per midpoint; evolve keeps no
+    # phase ledger, so it takes no E_grav/norm.
+    squares = []
+    derive = sng.evolution._Evaluation.u2.func
+
+    def counted(ev):
+        squares.append(ev)
+        return derive(ev)
+
+    u2 = functools.cached_property(counted)
+    u2.__set_name__(sng.evolution._Evaluation, "u2")
+    monkeypatch.setattr(sng.evolution._Evaluation, "u2", u2)
     psis = _count_calls(monkeypatch, sng.evolution, "psi_from_u")
     lines = _count_calls(monkeypatch, sng.evolution, "integrate_line")
     n_steps = 7
     evolve(coarse_ground_state, t_final=n_steps * 0.1, dt=0.1,
            nl=NonlinearityKind.gravity(), observe_every=1, snapshot_every=1)
-    assert len(psis) == (n_steps + 1) + n_steps
+    assert len(squares) == (n_steps + 1) + n_steps
+    assert psis == []
     assert len(lines) == 2 * (n_steps + 1) + n_steps
+
+
+def test_density_is_u2_over_r2_with_psi_origin_limit():
+    # past the origin |u|^2 / r^2 is |u/r|^2 to rounding; at the origin the
+    # density is |psi(0)|^2 of psi's even-function limit, bit for bit
+    state = _chirped_packet(30.0, 401)
+    density = sng.evolution._Evaluation(state.grid, state.u).density
+    psi = state.psi()
+    assert density[0] == abs(psi[0]) ** 2
+    assert np.abs(density - np.abs(psi) ** 2).max() <= 4 * np.finfo(float).eps * density.max()

@@ -184,10 +184,12 @@ CASES = [
     # a value that cannot be compared with a number
     ("n_points", lambda: make_grid(40.0, "11")),
     ("rho_max", lambda: make_grid("40", 11)),
-    # a finite diagonal times u overflows: u of 1e150 under a cubic
-    # potential of 1e300 (numpy warned before the refusal)
-    ("dt", lambda: step(RadialState(GRID, np.r_[0.0, np.full(199, 1e150), 0.0], 0.0), 1e-10,
-                        NonlinearityKind.cubic(1.0, 1))),
+    # a finite diagonal, but the old outer end's i lam u[-1] / 2 on the last
+    # interior row overflows: u[-1] = 1e10 under gravity at dt 1e300.  A u
+    # of 1e150 under a cubic potential of 1e300 is a rejected step, not a
+    # refusal (test_a_step_whose_midpoint_density_vanishes_is_rejected)
+    ("dt", _quiet(lambda: step(RadialState(GRID, np.r_[0.0, np.full(199, 1e-3), 1e10], 0.0),
+                               1e300, NonlinearityKind.gravity()))),
     # f* whose square is subnormal off the origin: gamma1 is subnormal, and
     # 3/gamma1 overflowed into an infinite epsilon_star
     ("gamma1", lambda: _solution(f=[(i, 10.0 ** -(160 + i)) for i in range(1, 11)])),
