@@ -20,7 +20,9 @@ v'(rho_m) - v(rho_m), and u obeys u'' = (g_inf - M/rho) u, whose
 decaying solution is the Whittaker function W_{kappa,1/2}(2 k rho), k^2 =
 g_inf, kappa = M/(2k).  The eigenvalue is the gamma0 where the Wronskian
 mismatch u' - u y_tail vanishes at rho_m, y_tail being that tail's
-log-derivative; past rho_m the solved f* and g* are the tail itself.
+log-derivative; past rho_m the solved f* and g* are the tail itself,
+shot at anchors one Riccati step apart and filled in between by cubic
+Hermite interpolation of log u (see :func:`shoot_gamma0`).
 The bisection makes plain bisection's halvings but shoots only at the
 midpoints its earlier shots leave undecided, near the root at secant steps
 on the mismatch, which is close to linear there.  Its first shots are
@@ -29,12 +31,14 @@ the cost a shot, its tails too: just above that coarse root, then either
 side of the Newton step the coarse slope gives from there and, while
 those do not straddle the root yet, of the root of the secant through
 the last two mismatches; the bracket ends are not shot once the shots
-straddle the root.  :func:`shoot_gamma0` alone decides whether to aim:
-a coarse pass that fails or leaves no two mismatches, or a tol above
-1e-9 |gamma0|, leaves the bisection unaimed.
-On the default grid, solve_states(range(5)) takes 27 shots there and 90
-on the coarse grid (18 of them the lattice's), 172,367 RKN4 steps and
-40,618 Riccati steps in all.  Each shot ends labelled by where it stops:
+straddle the root.  :func:`solve_states` runs each coarse pass on the
+coarse grid of its lattice, whose cell ends it has sided already, so it
+does not shoot them; :func:`shoot_gamma0` alone runs its own.  A coarse
+pass that fails or leaves no two mismatches, or a tol above 1e-9
+|gamma0|, leaves the bisection unaimed.
+On the default grid, solve_states(range(5)) takes 27 shots there and 80
+on the coarse grid (18 of them the lattice's), 167,883 RKN4 steps and
+26,116 Riccati steps in all.  Each shot ends labelled by where it stops:
 match_radius, node_ceiling, diverged_up, diverged_down or max_radius
 (see :func:`_shoot`).
 """
@@ -373,7 +377,9 @@ def _tail(k2: float, mass: float, radii: list[float],
     has a zero past radii[0] (a pole of y, where the steps run off).  y
     solves y' = k2 - mass/rho - y^2, stable inward, from the asymptotic
     form -k + mass/(2 k rho), k = sqrt(k2), _RICCATI_RUN_IN past the last
-    radius, in RK4 steps of at most ``step``."""
+    radius, in RK4 steps of at most ``step``.  A mismatch asks for rho_m
+    alone; a final shot's profile for its anchors (see :func:`_solve`),
+    so each span between radii is one step there."""
     if not k2 > 0.0:
         return None
     k = math.sqrt(k2)
@@ -451,16 +457,27 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int,
 
 def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
                 tol: float) -> tuple[float, float] | None:
-    """The root and slope that aim a bisection on ``grid``: the unaimed
-    :func:`_bisect` of the same bracket on every _COARSE-th point (the grid
-    :func:`solve_states` brackets on), with tails on a Riccati step
-    _COARSE times as long, gives the mid-bracket gamma0 and the secant
-    slope of its last two mismatches.
-    None when that grid is refused, the bisection raises, or it leaves no
+    """The root and slope that aim a bisection on ``grid``: :func:`_aim`
+    on every _COARSE-th point (the grid :func:`solve_states` brackets
+    on), whose bisection shoots the ends of ``bracket`` too; None when
+    that grid is refused."""
+    try:
+        coarse = _coarse_grid(grid)
+    except SngError:
+        return None
+    return _aim(n, bracket, coarse, tol, False)
+
+
+def _aim(n: int, bracket: tuple[float, float], coarse: RadialGrid, tol: float,
+         sided: bool) -> tuple[float, float] | None:
+    """The unaimed :func:`_bisect` of ``bracket`` on the ``coarse`` grid,
+    with tails on a Riccati step _COARSE times as long, gives the
+    mid-bracket gamma0 and the secant slope of its last two mismatches.
+    ``sided`` hands down the sides of a lattice cell on ``coarse``, so its
+    ends are not shot.  None when the bisection raises, or it leaves no
     two distinct mismatches."""
     try:
-        lo, hi, seen = _bisect(n, bracket, _coarse_grid(grid), tol, _COARSE * _RICCATI_STEP,
-                               None)
+        lo, hi, seen = _bisect(n, bracket, coarse, tol, _COARSE * _RICCATI_STEP, None, sided)
     except SngError:
         return None
     if len(seen) < 2 or seen[-1][1] == seen[-2][1]:
@@ -469,8 +486,17 @@ def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
     return 0.5 * (lo + hi), (v1 - v0) / (x1 - x0)
 
 
+def _aims(bracket: tuple[float, float], tol: float) -> bool:
+    """Whether a bisection of ``bracket`` to ``tol`` is aimed: a coarser
+    tol leaves too few halvings to always repay the coarse pass (n = 0 on
+    40/401 at tol 1e-6: 2,458 RKN4 steps aimed, 2,148 plain)."""
+    lo, hi = bracket
+    return tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
+
+
 def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, step: float,
-            aim: tuple[float, float] | None) -> tuple[float, float, list[tuple[float, float]]]:
+            aim: tuple[float, float] | None,
+            sided: bool) -> tuple[float, float, list[tuple[float, float]]]:
     """Plain bisection's bracket of width <= tol on the n-node eigenvalue
     inside ``bracket``, and the (gamma0, mismatch) pairs of the shots taken,
     in the order the secant reads them; tails take Riccati steps <= ``step``.
@@ -491,7 +517,9 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
     straddle the eigenvalue, once more past each side of the root of the
     secant through the last two mismatches.  Every such shot lies inside
     (a, b).  Bracket ends are shot only while the shots still do not
-    straddle the eigenvalue.  An aimed shot that raises ends the aim.
+    straddle the eigenvalue, and never when ``sided``: the lower end then
+    lies below the eigenvalue and the upper end above, as on a lattice
+    cell of ``grid``.  An aimed shot that raises ends the aim.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     stop = _stop(grid)
@@ -532,7 +560,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
                     slope = (v - v0) / (x - x0)
         except SngError:
             pass
-    if a == lo or b == hi:
+    if not sided and (a == lo or b == hi):
         side_lo, v_lo = _side(n, lo, grid, stop, step)
         side_hi, v_hi = _side(n, hi, grid, stop, step)
         if side_hi == side_lo:
@@ -575,15 +603,20 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     mismatch there.  The halvings are plain bisection's, so while the side
     changes once inside ``bracket`` the result is plain bisection's bit for
     bit; but a midpoint that lies past a shot already taken takes that
-    shot's side.  Only here is the aim decided: for tol < min(hi - lo,
-    1e-9 max(|lo|, |hi|)) the first shots are aimed from a bisection on
-    every eighth point (:func:`_coarse_aim`), and near the root the shots
-    are secant steps on the mismatch aimed just past the root toward the
-    midpoint (see :func:`_bisect`).  Secant shots never outnumber the
-    halvings made.  Up to rho_m, f* and g* are the final shot's u and v
-    divided by rho once, with f*(0) = 1 and g*(0) = gamma0 exactly; past
-    it, f* = u_tail/rho with u_tail from the same tail as the mismatch, and
-    g* = g_inf - M/rho.
+    shot's side.  For tol < min(hi - lo, 1e-9 max(|lo|, |hi|)) the first
+    shots are aimed from a bisection on every eighth point
+    (:func:`_coarse_aim`), which shoots the bracket's ends there too, and
+    near the root the shots are secant steps on the mismatch aimed just
+    past the root toward the midpoint (see :func:`_bisect`).  Secant shots
+    never outnumber the halvings made.  Up to rho_m, f* and g* are the
+    final shot's u and v divided by rho once, with f*(0) = 1 and g*(0) =
+    gamma0 exactly; past it, g* = g_inf - M/rho and f* = u_tail/rho, with
+    u_tail from the same tail as the mismatch, shot at anchors: rho_m,
+    every s-th node past it and the last node, s the most nodes whose span
+    h s stays below one Riccati step of 0.05 (9 on the default grid; 1,
+    every node an anchor, where h >= 0.025).  Between anchors, log
+    u_tail is the cubic Hermite interpolant whose slopes are the tail's
+    y = (log u_tail)' at the two anchors.
 
     Raises
     ------
@@ -603,11 +636,15 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
-    # a coarser tol leaves too few halvings to always repay the coarse pass
-    # (n = 0 on 40/401 at tol 1e-6: 2,458 RKN4 steps aimed, 2,148 plain)
-    aimed = tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
-    aim = _coarse_aim(n, bracket, grid, tol) if aimed else None
-    lo, hi, _ = _bisect(n, bracket, grid, tol, _RICCATI_STEP, aim)
+    aim = _coarse_aim(n, (lo, hi), grid, tol) if _aims((lo, hi), tol) else None
+    return _solve(n, (lo, hi), grid, tol, aim)
+
+
+def _solve(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
+           aim: tuple[float, float] | None) -> UniversalSolution:
+    """:func:`shoot_gamma0` on a checked ``bracket``, its bisection aimed
+    from the coarse pass's root and slope ``aim``, or unaimed for None."""
+    lo, hi, _ = _bisect(n, bracket, grid, tol, _RICCATI_STEP, aim, False)
     stop = _stop(grid)
     gamma0 = 0.5 * (lo + hi)
     (_, classification), (u_shot, _, v_shot, vp_shot) = _shoot(gamma0, grid, n, True, stop)
@@ -615,7 +652,15 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     rho = grid.nodes
     rho_m = float(rho[m])
     k2, mass = vp_shot[m], rho_m * vp_shot[m] - v_shot[m]
-    tail = _tail(k2, mass, rho[m:].tolist()) if classification == "match_radius" else None
+    # anchors rho_m, every s-th node past it and the last node, each span
+    # one Riccati step: s h stays below the step, since on 8001 points ten
+    # nodes mostly span 0.05 and an ulp, which _tail's ceil takes in two
+    s = max(1, math.ceil(_RICCATI_STEP / grid.spacing) - 1)
+    anchors = list(range(m, grid.n_points, s))
+    if anchors[-1] != grid.n_points - 1:
+        anchors.append(grid.n_points - 1)
+    tail = (_tail(k2, mass, rho[anchors].tolist()) if classification == "match_radius"
+            else None)
     # a mid-bracket gamma0 up to tol/2 off the eigenvalue can be what spoils the state
     refine = f"refine --points, or lower --tol (bracket width {hi - lo:.3e})"
     if tail is None:
@@ -626,7 +671,9 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     f[1:m + 1] /= rho[1:m + 1]
     g[1:m + 1] /= rho[1:m + 1]
     f[0], g[0] = 1.0, gamma0
-    f[m + 1:] = u_shot[m] * np.exp(tail[1][1:]) / rho[m + 1:]
+    log_u = np.array(tail[1]) if len(anchors) == grid.n_points - m else _hermite(
+        rho[m:], rho[anchors], np.array(tail[1]), np.array(tail[0]), s)
+    f[m + 1:] = u_shot[m] * np.exp(log_u[1:]) / rho[m + 1:]
     g[m + 1:] = k2 - mass / rho[m + 1:]
     try:
         sol = UniversalSolution(RadialField(grid, f), RadialField(grid, g), hi - lo)
@@ -641,12 +688,29 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     return sol
 
 
+def _hermite(x: np.ndarray, anchors: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+             s: int) -> np.ndarray:
+    """The piecewise cubic Hermite interpolant at the nodes ``x`` of the
+    ``values`` and ``slopes`` at the ``anchors``: x[0], every s-th node
+    past it and x[-1] (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+    It is exact at the anchors."""
+    j = np.minimum(np.arange(len(x)) // s, len(anchors) - 2)
+    x0, width = anchors[j], anchors[j + 1] - anchors[j]
+    t = (x - x0) / width
+    c = 1.0 - t
+    return ((1.0 + 2.0 * t) * c * c * values[j] + t * c * c * width * slopes[j]
+            + t * t * (3.0 - 2.0 * t) * values[j + 1] - t * t * c * width * slopes[j + 1])
+
+
 def solve_states(ns: Iterable[int], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> list[UniversalSolution]:
     """Solve the bound states with the requested node counts, in the order
     given: :func:`find_brackets` brackets them all on its shared shots on
-    every _COARSE-th point (see :func:`_coarse_grid`), then
-    :func:`shoot_gamma0` bisects each on ``grid`` from its cell.  A cell
+    every _COARSE-th point (see :func:`_coarse_grid`), then each is
+    bisected on ``grid`` from its cell as :func:`shoot_gamma0` bisects it,
+    but aimed by a coarse bisection on the same coarse grid that takes the
+    cell's sides from the lattice (count above n at the lower end, at most
+    n at the upper) and so does not shoot its ends.  A cell
     that contains the eigenvalue on ``grid`` is the one the lattice on
     ``grid`` itself gives, so the states are the same.  That lattice
     brackets the states instead when the coarse grid is refused, its
@@ -657,15 +721,17 @@ def solve_states(ns: Iterable[int], grid: RadialGrid,
     check_positive("tol", tol)
     _node_counts(ns)
     try:
-        cells = find_brackets(ns, _coarse_grid(grid))
+        coarse = _coarse_grid(grid)
+        cells = find_brackets(ns, coarse)
     except SngError:
         cells = {}
     found = None  # the brackets of the lattice on grid itself, once needed
     solved = []
     for n in ns:
         if n in cells:
+            aim = _aim(n, cells[n], coarse, tol, True) if _aims(cells[n], tol) else None
             try:
-                solved.append(shoot_gamma0(n, cells[n], grid, tol))
+                solved.append(_solve(n, cells[n], grid, tol, aim))
                 continue
             except InvalidBracketError:
                 cells = {}

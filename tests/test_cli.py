@@ -119,13 +119,14 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
 
 
-# sha256 of the outputs the benchmark reads, recorded when the line
-# quadrature became a sum over cached node weights (gamma0 and the profile
-# CSV kept their bits; gamma1 and epsilon_star moved by rounding, at most
-# 2.6e-16 relative): the coarse grid's aim only chooses where to shoot
-PINNED_SPECTRUM = "fbdd35cea8ebc3669742415de851796d07723ac1bf4936e09a62f8bbd4d809c4"
+# sha256 of the outputs the benchmark reads, recorded when the profile tail
+# past rho_m came to be shot at anchors and filled in by cubic Hermite
+# (gamma0 kept its bits; f* past rho_m moved at most 9.2e-11 relative, and
+# gamma1 and epsilon_star by rounding, at most 1.1e-15 relative for n <= 4):
+# the coarse grid's aim only chooses where to shoot
+PINNED_SPECTRUM = "48763e98030f392456852a21ae0664e46005101d77ae2a910a976012a2227269"
 PINNED_GROUND_4001 = ("2edc4a474dd142de3f80fb86d6261765a4bb7d759083aeadd7b803cb156ce814",
-                      "a627795799df024204b6f6586b512f34497339aed06fa0dd719ed72c2e0e0c38")
+                      "218db1b31e48cc96e696838d6719cb1a1c838418f30f8cbbbffa2794c6597300")
 
 
 def _sha256_file(path):

@@ -195,6 +195,31 @@ def test_coulomb_tail_is_exact_at_kappa_one(k, radii):
                                rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_profile_tail_matches_a_fine_riccati_tail(n, spectrum):
+    # past rho_m, f* is the tail shot at anchors one Riccati step of 0.045
+    # apart with log u filled in by cubic Hermite between them; against a
+    # tail at every node in steps of 5e-4 it reads 2.9e-11 to 7.9e-11
+    grid, sol = default_grid(), spectrum[n]
+    rho = grid.nodes
+    (_, label), (u, _, v, vp) = _shoot(sol.gamma0, grid, n, True, shooting._stop(grid))
+    assert label == "match_radius"
+    m = len(u) - 1
+    _, log_u = _tail(vp[m], rho[m] * vp[m] - v[m], rho[m:].tolist(), 5e-4)
+    reference = u[m] * np.exp(log_u[1:]) / rho[m + 1:]
+    np.testing.assert_allclose(sol.f_star.values[m + 1:], reference, rtol=1e-10, atol=0.0)
+
+
+def test_hermite_fill_is_exact_at_anchors_and_on_cubics():
+    # anchors x[0], every third node and x[-1]; a cubic is its own interpolant
+    x = np.linspace(16.0, 17.0, 12)
+    anchors = x[[0, 3, 6, 9, 11]]
+    cubic = np.polynomial.Polynomial([0.3, -1.0, 0.2, -0.05])
+    filled = shooting._hermite(x, anchors, cubic(anchors), cubic.deriv()(anchors), 3)
+    assert np.array_equal(filled[[0, 3, 6, 9, 11]], cubic(anchors))
+    np.testing.assert_allclose(filled, cubic(x), rtol=1e-13, atol=0.0)
+
+
 def test_coulomb_tail_refuses_a_tail_that_does_not_decay():
     assert _tail(0.0, 1.0, [10.0]) is None
     assert _tail(-1.0, 1.0, [10.0]) is None
@@ -495,15 +520,16 @@ def test_shooting_is_bitwise_deterministic():
 
 # n -> repr of (gamma0, gamma1, epsilon_star) and sha256 of the f*, g* bytes
 # on make_grid(40.0, 2001), recorded when the kernel moved to u = rho f,
-# v = rho g, and gamma1 and epsilon_star again when the line quadrature
-# became a sum over cached node weights: the frozen tolerances above would
-# pass a reordered kernel, these pins would not
+# v = rho g, gamma1 and epsilon_star again when the line quadrature became
+# a sum over cached node weights, and f* when its tail past rho_m came to
+# be shot at anchors and filled in by cubic Hermite: the frozen tolerances
+# above would pass a reordered kernel, these pins would not
 PINNED_STATES = {
     0: (("-0.9185797729063774", "3.468256152064737", "-0.9789591818947602"),
-        "48655d4c68c8c1d5affe000fcb71a7f63e922067eb23ec0dd2229785c2573b8b",
+        "120cbc9ca973eb03be3ffb3ec998cc509060e7000b43bbc9890250c76407389e",
         "07155c9b10605825986238ae73fbf02fb8822964248d3d4c84ca7bb4e7242a48"),
     1: (("-1.2099589976947753", "7.713951077929529", "-0.9162746087932567"),
-        "887a0d7600596197a0c7929a9a9dd42e5fb60d2c49861b5255c12c2f92a7af15",
+        "cc6285063342ccccf4c9339a6734087e0e1262419d9ce65a03cd7cbd43b64c50",
         "c423bf418705fdb7a416c2db4dca6f21ccea6ff49cdcdb7f86e85c85b96056ed"),
 }
 
@@ -628,7 +654,8 @@ def _shot_steps(record, state):
 def test_solve_states_shot_counts(monkeypatch):
     # label-only lattice shots bounded at n = 1, at 10 of the 101 points, on
     # the 251-point coarse grid; then per state the unaimed bisection on the
-    # same grid (stop 100 samples; three shots whose tail on the coarse
+    # same grid, which takes its cell's sides from the lattice and shoots
+    # neither end (stop 100 samples; three shots whose tail on the coarse
     # Riccati step does not decay yet at rho_m are shot again to rho_max),
     # whose root and slope aim the shots on 2001 points (stop 800 samples,
     # 16 past the n-th node): 13 for n = 0 and 6 for n = 1, against 2 + 15
@@ -641,7 +668,7 @@ def test_solve_states_shot_counts(monkeypatch):
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
-    assert counts == {(251, False, 0, 100): 15, (251, False, 1, 100): 14,
+    assert counts == {(251, False, 0, 100): 13, (251, False, 1, 100): 12,
                       (251, False, 0, None): 2, (251, False, 1, None): 10 + 1,
                       (2001, False, 0, 800): 13, (2001, False, 1, 800): 6,
                       (2001, True, 0, 800): 1, (2001, True, 1, 800): 1}
@@ -660,18 +687,20 @@ def _riccati_steps(k2, radii, step):
 # solve_states(range(5)) on the default grid: shots and RKN4 steps on 8001
 # and 1001 points, the 18 of the lattice among the latter, and Riccati steps
 # of 0.05 and of 0.4; README and the shooting module quote their totals
-DEFAULT_GRID_SHOTS = {8001: 27, 1001: 90}
+DEFAULT_GRID_SHOTS = {8001: 27, 1001: 80}
 DEFAULT_GRID_LATTICE_SHOTS = 18
-DEFAULT_GRID_SHOT_STEPS = {8001: 126_573, 1001: 45_794}
-DEFAULT_GRID_RICCATI_STEPS = {shooting._RICCATI_STEP: 36_317,
+DEFAULT_GRID_SHOT_STEPS = {8001: 126_573, 1001: 41_310}
+DEFAULT_GRID_RICCATI_STEPS = {shooting._RICCATI_STEP: 21_815,
                               shooting._COARSE * shooting._RICCATI_STEP: 4_301}
 
 
 def test_default_grid_rk4_steps(monkeypatch):
     # the aimed and the recorded shots on 8001 points, and the lattice and
-    # the coarse passes on 1001 points (five of whose shots have no decaying
-    # tail at rho_m and are shot again to rho_max); the tails of the solve's
-    # shots take Riccati steps of 0.05, those of the coarse passes steps of 0.4
+    # the coarse passes on 1001 points, which shoot no end of a lattice cell
+    # (five of their shots have no decaying tail at rho_m and are shot
+    # again to rho_max); the tails of the solve's shots take Riccati steps
+    # of 0.05, the final shots' profile tails one step of 0.045 between
+    # anchors nine nodes apart, and those of the coarse passes steps of 0.4
     shots, steps, tails = collections.Counter(), collections.Counter(), collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -739,6 +768,33 @@ def test_default_grid_bisections_shoot_no_bracket_end(monkeypatch):
         shoot_gamma0(n, bracket, grid)
     assert {n for n, _ in shot} == set(found)
     assert [(n, x) for n, x in shot if x in found[n]] == []
+
+
+def test_solve_states_shoots_no_end_of_a_coarse_cell(monkeypatch):
+    # the coarse lattice sides each cell's ends (count above n at the lower,
+    # at most n at the upper), so solve_states' coarse bisections shoot
+    # neither; shoot_gamma0 called alone shoots both first.  On the default
+    # grid those ten end shots are told by label, so the aims keep their bits
+    grid = default_grid()
+    coarse = shooting._coarse_grid(grid)
+    cells = find_brackets(range(5), coarse)
+    real_side, shot = shooting._side, []
+
+    def side(n, gamma0, shot_grid, stop, step=shooting._RICCATI_STEP):
+        if shot_grid == coarse:
+            shot.append((n, gamma0))
+        return real_side(n, gamma0, shot_grid, stop, step)
+
+    monkeypatch.setattr(shooting, "_side", side)
+    solve_states(range(5), grid)
+    assert {n for n, _ in shot} == set(cells)
+    assert [(n, x) for n, x in shot if x in cells[n]] == []
+    for n, cell in cells.items():
+        shot.clear()
+        shoot_gamma0(n, cell, grid)
+        assert shot[:2] == [(n, cell[0]), (n, cell[1])]
+        assert (shooting._aim(n, cell, coarse, shooting.DEFAULT_TOL, True)
+                == shooting._coarse_aim(n, cell, grid, shooting.DEFAULT_TOL))
 
 
 def test_default_grid_scan_shots(monkeypatch):
@@ -1069,18 +1125,22 @@ def test_unaimed_shot_past_rho_max_that_must_diverge_is_above(rho_max, points, n
     # the unaimed bisection shoots the end gamma0 of its coarse cell, which
     # reaches rho_max with n nodes and no divergence yet, but with s u, s u',
     # v and v' positive, so f must diverge: it lies above the eigenvalue, and
-    # the unaimed solve ends on the bits of the aimed one (where the 122-point
-    # coarse grid of the second case gives no aim, solve_states is unaimed
-    # itself, and refused that shot once)
+    # the unaimed solve ends on the bits of the aimed one.  The second case's
+    # 122-point coarse pass gives shoot_gamma0 no aim: it shoots its cell's
+    # upper end, whose tail does not decay at rho_m, and refuses it.
+    # solve_states takes that end's side from the lattice instead, never
+    # shoots it, and so aims both cases
     grid = make_grid(rho_max, points)
-    cell = find_brackets([n], shooting._coarse_grid(grid))[n]
+    coarse = shooting._coarse_grid(grid)
+    cell = find_brackets([n], coarse)[n]
     assert (shooting._coarse_aim(n, cell, grid, shooting.DEFAULT_TOL) is not None) == aimed
+    assert shooting._aim(n, cell, coarse, shooting.DEFAULT_TOL, True) is not None
     (nodes, label), (_, u, up, v, vp) = _shoot(gamma0, grid, n, False)
     assert (nodes, label) == (n, "max_radius")
     assert min((-1) ** n * u, (-1) ** n * up, v, vp) > 0.0
     assert shooting._side(n, gamma0, grid, shooting._stop(grid)) == (1, None)
     solved = _outcome(lambda: solve_states([n], grid)[0])
-    monkeypatch.setattr(shooting, "_coarse_aim", lambda *args: None)
+    monkeypatch.setattr(shooting, "_aim", lambda *args: None)
     assert _outcome(lambda: solve_states([n], grid)[0]) == solved
     assert solved[0] == pytest.approx(near, abs=1e-6)
 
