@@ -14,11 +14,10 @@ phi^{n+1/2} = 2 V[psi^n] - phi^{n-1/2}, where a run's first step takes
 phi^{-1/2} = V[psi^0]: the scheme is second order in time and keeps the
 norm exactly.  With A = I + i dt H/2, its step A^-1 (2 - A) u^n is 2 y - u^n
 for y = A^-1 u^n (A. Goldberg, H. M. Schey and J. L. Schwartz, Am. J.
-Phys. 35, 177, 1967), the midpoint (u^n + u^{n+1})/2 that the guard and
-the phase ledger read: one fused LAPACK zgtsv call (factor and
-back-substitute) on a copy of u^n.  Each solve imports scipy's wrapper of
-zgtsv, which after the first is a sys.modules lookup, so that importing
-sng loads no scipy.
+Phys. 35, 177, 1967), the midpoint (u^n + u^{n+1})/2 that the guard
+reads: one fused LAPACK zgtsv call (factor and back-substitute) on a copy
+of u^n.  Each solve imports scipy's wrapper of zgtsv, which after the
+first is a sys.modules lookup, so that importing sng loads no scipy.
 
 Where V is identically zero (free, and cubic with kappa = 0) there is
 nothing to relax, and the Crank–Nicolson step is diagonal in the sine
@@ -47,10 +46,10 @@ max|V_mid - V_n| <= w . |Delta| and
 max|V_mid - phi| <= w . |Delta| + max|V_n - phi|.  Where that sum is at
 most 0.5 (1 - 1e-6) max|V_n|, a margin far above the n eps rounding of a
 solve's two cumsums, the exact test cannot refuse the step and the
-midpoint's potential is not solved, so an ``evolve`` step costs one
-Poisson solve, for the new state.  Elsewhere, and under the cubic
-potential, the exact test runs: the same steps are accepted and refused
-either way, with the same change.
+midpoint's potential is not solved, so a step of ``step`` or ``evolve``
+costs one Poisson solve.  Elsewhere, and under the cubic potential, the
+exact test runs: the same steps are accepted and refused either way, with
+the same change.
 
 A state's scale has one door: :class:`RadialState` refuses a u whose norm,
 peak density or int r^2 |u|^2 dr overflows a double; a step keeps the norm,
@@ -58,11 +57,11 @@ so no kernel guards |u|^2 again.  The gravitational potential is the one
 Poisson kernel's solve of the density samples.  A finite state can still
 meet an overflowing kappa |psi|^2 (refused naming kappa), dt V, energy or
 width (refused by the solve's and the observation's finiteness checks).
-The gravitational equation also carries a constant -E_grav/norm term; a
-constant only rotates the global phase, so the step integrates it at the
-step's midpoint (psi^n + psi^{n+1})/2 into a phase ledger on the state
-instead of the matrix (the physical wavefunction is exp(i*phase) * u/r),
-at the rate of ``scheme_energy``'s interaction term over the norm.
+The gravitational equation also carries a constant -E_grav/norm term,
+which the stepper drops: a constant turns only the global phase, and no
+output reads that phase, so the stored u of an eigenstate turns at eps,
+and the single-particle energy eps/3 is still reported, as ``rescale``'s
+e_single_J.
 """
 
 from __future__ import annotations
@@ -100,8 +99,6 @@ __all__ = [
 class RadialState:
     """Reduced radial wavefunction u = r psi at one instant.
 
-    ``phase`` is the accumulated global-phase ledger from constant terms
-    handled analytically; the physical wavefunction is exp(i phase) u / r.
     A state that :func:`step` made privately carries (phi, nl, dt): the
     relaxed potential phi^{n-1/2} its step solved with, and that step's
     nonlinearity and time step.  Only a step of the same nl and dt
@@ -116,7 +113,6 @@ class RadialState:
     grid: RadialGrid
     u: np.ndarray = field(repr=False)
     time: float
-    phase: float = 0.0
     _relaxation: Optional[tuple[np.ndarray, NonlinearityKind, float]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -349,12 +345,6 @@ class _Evaluation:
         return self.nl.sign * self.nl.kappa * self.density  # free has kappa = 0
 
     @property
-    def interaction(self) -> float:
-        """(1/2) int V rho d^3x with nodal weights (|u|^2 carries r^2), the
-        conserved potential term of both interactions, as V is linear in rho."""
-        return 0.5 * 4.0 * np.pi * float((self.v * self.u2).sum()) * self.grid.spacing
-
-    @property
     def energy(self) -> float:
         """:func:`scheme_energy` of u."""
         u = self.u
@@ -362,15 +352,8 @@ class _Evaluation:
         e_kin = 0.5 * 4.0 * np.pi * float(np.square(du, out=du).sum()) / self.grid.spacing
         if self.nl.kind == "free":
             return e_kin
-        return e_kin + self.interaction
-
-    @property
-    def phase_rate(self) -> float:
-        """The constant E_grav/norm of the gravitational equation, which the
-        phase ledger integrates (0 unless gravitational)."""
-        if self.nl.kind != "gravity":
-            return 0.0
-        return self.interaction / self.norm
+        # (1/2) int V rho d^3x with nodal weights, as |u|^2 carries r^2
+        return e_kin + 0.5 * 4.0 * np.pi * float((self.v * self.u2).sum()) * self.grid.spacing
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +532,22 @@ def _certificate(ev: _Evaluation, mid: _Evaluation, phi: np.ndarray, scale: floa
 
 
 def _advance(ev: _Evaluation, dt: float, lam: float,
-             carried: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray, _Evaluation]:
+             carried: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of :func:`step` and :func:`evolve` where V is not zero:
     ``ev.u`` advanced by dt under ``ev.nl`` in one Crank–Nicolson solve
     with the relaxed potential phi = 2 V[u] - carried (V[u] itself where
-    ``carried`` is None), that phi, which the next step carries, and the
-    evaluation of the step's midpoint (u + u')/2, which the solve returns
-    and whose phase rate :func:`step` carries.  V[u] is ``ev.v``, so an
-    observation of the same state shares it.  StepRejectedError where V at the midpoint differs from
-    V[u], or from phi, by more than half of max|V[u]|.
+    ``carried`` is None), and that phi, which the next step carries.  V[u]
+    is ``ev.v``, so an observation of the same state shares it.
+    StepRejectedError where V at the step's midpoint (u + u')/2, which the
+    solve returns, differs from V[u], or from phi, by more than half of
+    max|V[u]|.
 
     Under gravity, by the shell theorem, max|V_mid - V[u]| <= w . |Delta|
     and max|V_mid - phi| <= w . |Delta| + max|V[u] - phi|
     (:func:`_certificate`).  Where that sum is at most 0.5 (1 - 1e-6)
     max|V[u]|, the exact test cannot exceed 0.5, and the midpoint's
-    potential is not solved here: ``mid.v`` is left to :func:`step`'s
-    phase ledger.  Elsewhere, and always under the cubic potential, the
-    exact test runs."""
+    potential is not solved.  Elsewhere, and always under the cubic
+    potential, the exact test runs."""
     u, v_old = ev.u, ev.v
     if carried is None:
         phi = v_old
@@ -587,7 +569,7 @@ def _advance(ev: _Evaluation, dt: float, lam: float,
             change = max(change, float(np.abs(work, out=work).max()) / scale)
         if change > 0.5:
             raise StepRejectedError(change, dt, 0.25 * dt / change)
-    return u_new, phi, mid
+    return u_new, phi
 
 
 def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
@@ -610,10 +592,10 @@ def step(state: RadialState, dt: float, nl: NonlinearityKind) -> RadialState:
     check_positive("dt", dt)
     if _potential_is_zero(nl):
         u = _SineModes(state.grid, dt, state.u).jump(1)
-        return RadialState(state.grid, u, state.time + dt, state.phase)
-    u, phi, mid = _advance(_Evaluation(state.grid, state.u, nl), dt, _lam(state.grid, dt),
-                           _carried(state, nl, dt))
-    stepped = RadialState(state.grid, u, state.time + dt, state.phase + mid.phase_rate * dt)
+        return RadialState(state.grid, u, state.time + dt)
+    u, phi = _advance(_Evaluation(state.grid, state.u, nl), dt, _lam(state.grid, dt),
+                      _carried(state, nl, dt))
+    stepped = RadialState(state.grid, u, state.time + dt)
     object.__setattr__(stepped, "_relaxation", (phi, nl, dt))
     return stepped
 
@@ -686,7 +668,7 @@ def evolve(state: RadialState, t_final: float, dt: float, nl: NonlinearityKind,
         observed = k % observe_every == 0 or k == n_steps
         snapped = snapshot_every is not None and k % snapshot_every == 0
         if not free:
-            u, phi, _ = _advance(ev, dt, lam, phi)
+            u, phi = _advance(ev, dt, lam, phi)
         elif observed or snapped:
             u = sine.jump(k - jumped_to)
             jumped_to = k

@@ -1,4 +1,4 @@
-"""Time propagation: conservation, phase bookkeeping, rejection, continuity."""
+"""Time propagation: conservation, phase rotation, rejection, continuity."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from sng.evolution import (
     step,
 )
 from sng.grids import integrate_line, make_grid, solve_radial_poisson
-from sng.physical import energy_breakdown, rescale_to_physical
+from sng.physical import rescale_to_physical
 from sng.shooting import solve_states
 
 
@@ -189,12 +189,9 @@ def test_stationary_profile_density_is_static(natural_ground_profile):
     assert wander < 1e-4
 
 
-def test_phase_ledger_decomposition(natural_ground_profile):
+def test_gravity_step_turns_the_stored_ground_state_at_epsilon(natural_ground_profile):
     # the matrix carries T + m*Phi, so the stored wavefunction rotates at
-    # the nonlinear eigenvalue; the ledger phase advances at the (negative)
-    # interaction energy; their sum rotates at the single-particle energy,
-    # which is the physically observable rate
-    eb = energy_breakdown(natural_ground_profile)
+    # the nonlinear eigenvalue
     state = state_from_profile(natural_ground_profile)
     nl = NonlinearityKind.gravity()
     t_span = 2.0
@@ -205,41 +202,27 @@ def test_phase_ledger_decomposition(natural_ground_profile):
     matrix_rotation = float(np.angle(current.psi()[probe] / state.psi()[probe]))
     epsilon = natural_ground_profile.epsilon_ag
     assert matrix_rotation == pytest.approx(-epsilon * t_span, abs=5e-5)
-    assert current.phase == pytest.approx(eb.e_gravity * t_span, abs=5e-5)
-    total = matrix_rotation + current.phase
-    assert total == pytest.approx(-epsilon / 3.0 * t_span, abs=5e-5)
-
-
-def test_gravity_step_phase_advances_at_the_midpoint_rate():
-    # a dispersing packet's E_grav/norm moves within the step, so the pin
-    # tells the rate at the step's midpoint from the starting state's,
-    # -0.028229310550188482
-    state = gaussian_state(make_grid(30.0, 401), sigma=1.0)
-    assert repr(step(state, 0.1, NonlinearityKind.gravity()).phase) == "-0.028223825115468594"
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_scf_eigenstate_rotates_at_the_exact_crank_nicolson_phase(n):
     # the SCF state is an eigenvector of the stepper's own three-point
     # Hamiltonian and Poisson kernel, eigenvalue eps, so each step turns u
-    # by exactly -2 atan(eps dt/2) and the ledger adds E_grav/norm dt; the
-    # interaction term of scheme_energy is that E_grav.  Measured: phase
-    # errors 3.3e-12 and 1.3e-11 rad and density wanders 3.8e-13 and 2.1e-11
+    # by exactly -2 atan(eps dt/2).  Measured: phase errors 1.4e-11 and
+    # 4.8e-11 rad and density wanders 6.3e-12 and 5.1e-12
     from sng.scf import scf_solve
 
     scf = scf_solve(n, make_grid(40.0, 2001), tol=1e-13)
     state = RadialState(scf.f.grid, scf.f.grid.nodes * scf.f.values, 0.0)
     gravity = NonlinearityKind.gravity()
-    e_grav = scheme_energy(state, gravity) - scheme_energy(state, NonlinearityKind.free())
     n_steps = 250
     period = 2.0 * np.pi / abs(scf.epsilon)
     dt = period / n_steps
     current = state
     for _ in range(n_steps):
         current = step(current, dt, gravity)
-    exact = (-2.0 * n_steps * np.arctan(scf.epsilon * dt / 2.0)
-             + e_grav / state_norm(state) * period)
-    measured = np.angle(np.vdot(state.u, current.u)) + current.phase
+    exact = -2.0 * n_steps * np.arctan(scf.epsilon * dt / 2.0)
+    measured = np.angle(np.vdot(state.u, current.u))
     assert abs(np.angle(np.exp(1j * (measured - exact)))) <= 1e-9
     dens0 = np.abs(state.psi()) ** 2
     wander = np.abs(np.abs(current.psi()) ** 2 - dens0).max() / dens0.max()
@@ -1065,6 +1048,19 @@ def test_gravity_evolve_solves_poisson_once_per_step(coarse_ground_state, monkey
     assert len(calls) == n_steps + 1
 
 
+def test_a_gravity_step_the_certificate_clears_solves_one_poisson_problem(
+        coarse_ground_state, monkeypatch):
+    # V[u] of the state it is given and none at the midpoint, on a run's
+    # first step and on one that extrapolates the carried potential
+    nl = NonlinearityKind.gravity()
+    carried = step(coarse_ground_state, 0.1, nl)
+    calls = _count_calls(monkeypatch, sng.evolution, "solve_radial_poisson")
+    for start in (coarse_ground_state, carried):
+        calls.clear()
+        step(start, 0.1, nl)
+        assert len(calls) == 1
+
+
 def test_a_step_the_certificate_cannot_clear_solves_its_midpoint(monkeypatch):
     # a sigma = 1 packet's step of dt 12 changes its potential by 33.4%,
     # under the guard's 50%, but the certificate reads 54.8%: the midpoint
@@ -1080,8 +1076,7 @@ def test_gravity_evolve_evaluates_each_state_once(coarse_ground_state, monkeypat
     # (its energy row, the boundary check, its snapshot and the next step's
     # potential), and once at each step's midpoint; no psi = u/r is formed.
     # The line integrals are int |u|^2 dr and the width's int r^2 |u|^2 dr
-    # per observed state, and int |u|^2 dr per midpoint; evolve keeps no
-    # phase ledger, so it takes no E_grav/norm.
+    # per observed state, and int |u|^2 dr per midpoint.
     squares = []
     derive = sng.evolution._Evaluation.u2.func
 

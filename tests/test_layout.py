@@ -106,7 +106,7 @@ def test_package_exports_each_modules_all():
 
 
 # Raise only in the change that adds a settable value, saying why in CHANGES.md.
-SETTABLE_VALUES_CEILING = 99
+SETTABLE_VALUES_CEILING = 98
 
 
 def _settable_values(obj) -> int:
