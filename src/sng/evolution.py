@@ -187,6 +187,8 @@ class NonlinearityKind:
 
     @classmethod
     def cubic(cls, kappa: float, sign: int) -> "NonlinearityKind":
+        if sign not in (-1, 1):  # before int(), which would truncate 1.9 to 1
+            raise InvalidArgumentError(f"sign must be +1 or -1, got {sign!r}")
         return cls(kind="cubic", kappa=float(kappa), sign=int(sign))
 
     @classmethod

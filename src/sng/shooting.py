@@ -22,20 +22,19 @@ g_inf, kappa = M/(2k).  The eigenvalue is the gamma0 where the Wronskian
 mismatch u' - u y_tail vanishes at rho_m, y_tail being that tail's
 log-derivative; past rho_m the solved f* and g* are the tail itself,
 shot at anchors one Riccati step apart and filled in between by cubic
-Hermite interpolation of log u (see :func:`shoot_gamma0`).
+Hermite interpolation of log u (see :func:`_solve`).
 The bisection makes plain bisection's halvings but shoots only at the
 midpoints its earlier shots leave undecided, near the root at secant steps
 on the mismatch, which is close to linear there.  Its first shots are
-aimed by the same bisection on every eighth grid point, at an eighth of
-the cost a shot, its tails too: just above that coarse root, then either
-side of the Newton step the coarse slope gives from there and, while
-those do not straddle the root yet, of the root of the secant through
-the last two mismatches; the bracket ends are not shot once the shots
-straddle the root.  :func:`solve_states` runs each coarse pass on the
-coarse grid of its lattice, whose cell ends it has sided already, so it
-does not shoot them; :func:`shoot_gamma0` alone runs its own.  A coarse
-pass that fails or leaves no two mismatches, or a tol above 1e-9
-|gamma0|, leaves the bisection unaimed.
+aimed by the same bisection of the coarse cell on the coarse grid, at an
+eighth of the cost a shot, its tails too: just above that coarse root,
+then either side of the Newton step the coarse slope gives from there
+and, while those do not straddle the root yet, of the root of the secant
+through the last two mismatches; the bracket ends are not shot once the
+shots straddle the root.  The coarse pass takes the cell's sides from the
+lattice, so it does not shoot its ends.  A coarse pass that fails or
+leaves no two mismatches, a tol above 1e-9 |gamma0|, or a bracket from
+the lattice on the grid itself leaves the bisection unaimed.
 On the default grid, solve_states(range(5)) takes 27 shots there and 80
 on the coarse grid (18 of them the lattice's), 167,883 RKN4 steps and
 26,116 Riccati steps in all.  Each shot ends labelled by where it stops:
@@ -70,8 +69,6 @@ __all__ = [
     "DEFAULT_TOL",
     "UniversalSolution",
     "default_grid",
-    "find_brackets",
-    "shoot_gamma0",
     "solve_states",
 ]
 
@@ -106,7 +103,7 @@ _AIM_OFFSET = 1e-9
 # A solved state whose tail-identity residual exceeds this is under-resolved.
 _TAIL_RESIDUAL_LIMIT = 1e-3
 
-# The gamma0 lattice whose cells bracket the eigenvalues; see find_brackets.
+# The gamma0 lattice whose cells bracket the eigenvalues; see _find_brackets.
 _LATTICE = np.linspace(-5.0, 0.0, 101)
 
 
@@ -317,12 +314,12 @@ def _node_counts(ns: Iterable[int]) -> list[int]:
 
 def _coarse_grid(grid: RadialGrid) -> RadialGrid:
     """Every _COARSE-th point of ``grid``, where :func:`solve_states`
-    brackets and :func:`_coarse_aim` aims; under 3 points it is refused
+    brackets and :func:`_aim` aims; under 3 points it is refused
     (InvalidArgumentError)."""
     return make_grid(grid.rho_max, (grid.n_points - 1) // _COARSE + 1)
 
 
-def find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float, float]]:
+def _find_brackets(ns: Iterable[int], grid: RadialGrid) -> dict[int, tuple[float, float]]:
     """Brackets for the node counts ``ns``: neighbouring points of a gamma0
     lattice on (-5, 0).  The node count of f is a Sturm count, which does
     not rise with gamma0, so the bracket of n is the cell where the count
@@ -455,29 +452,16 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int,
     )
 
 
-def _coarse_aim(n: int, bracket: tuple[float, float], grid: RadialGrid,
-                tol: float) -> tuple[float, float] | None:
-    """The root and slope that aim a bisection on ``grid``: :func:`_aim`
-    on every _COARSE-th point (the grid :func:`solve_states` brackets
-    on), whose bisection shoots the ends of ``bracket`` too; None when
-    that grid is refused."""
+def _aim(n: int, bracket: tuple[float, float], coarse: RadialGrid,
+         tol: float) -> tuple[float, float] | None:
+    """The unaimed :func:`_bisect` of ``bracket``, a lattice cell on the
+    ``coarse`` grid, with tails on a Riccati step _COARSE times as long,
+    gives the mid-bracket gamma0 and the secant slope of its last two
+    mismatches.  The lattice has sided the cell's ends, so they are not
+    shot.  None when the bisection raises, or it leaves no two distinct
+    mismatches."""
     try:
-        coarse = _coarse_grid(grid)
-    except SngError:
-        return None
-    return _aim(n, bracket, coarse, tol, False)
-
-
-def _aim(n: int, bracket: tuple[float, float], coarse: RadialGrid, tol: float,
-         sided: bool) -> tuple[float, float] | None:
-    """The unaimed :func:`_bisect` of ``bracket`` on the ``coarse`` grid,
-    with tails on a Riccati step _COARSE times as long, gives the
-    mid-bracket gamma0 and the secant slope of its last two mismatches.
-    ``sided`` hands down the sides of a lattice cell on ``coarse``, so its
-    ends are not shot.  None when the bisection raises, or it leaves no
-    two distinct mismatches."""
-    try:
-        lo, hi, seen = _bisect(n, bracket, coarse, tol, _COARSE * _RICCATI_STEP, None, sided)
+        lo, hi, seen = _bisect(n, bracket, coarse, tol, _COARSE * _RICCATI_STEP, None, True)
     except SngError:
         return None
     if len(seen) < 2 or seen[-1][1] == seen[-2][1]:
@@ -510,7 +494,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
     the shot that set that end.
 
     With an ``aim``, the first shots are aimed from the coarse pass's
-    root gamma_c and slope (see :func:`_coarse_aim`): at gamma_c + d, d
+    root gamma_c and slope (see :func:`_aim`): at gamma_c + d, d
     growing 8-fold from max(_AIM_OFFSET |gamma_c|, tol), until a shot lands
     above the eigenvalue with a mismatch v there, then a secant step past
     each side of the Newton point x - v/slope; while the shots do not yet
@@ -592,8 +576,8 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
     return lo, hi, seen
 
 
-def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
-                 tol: float = DEFAULT_TOL) -> UniversalSolution:
+def _solve(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
+           aim: tuple[float, float] | None) -> UniversalSolution:
     """Bisect gamma0 inside ``bracket`` until the width falls below ``tol``
     and return the profile shot from the mid-bracket gamma0 = g*(0).
 
@@ -603,20 +587,19 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     mismatch there.  The halvings are plain bisection's, so while the side
     changes once inside ``bracket`` the result is plain bisection's bit for
     bit; but a midpoint that lies past a shot already taken takes that
-    shot's side.  For tol < min(hi - lo, 1e-9 max(|lo|, |hi|)) the first
-    shots are aimed from a bisection on every eighth point
-    (:func:`_coarse_aim`), which shoots the bracket's ends there too, and
-    near the root the shots are secant steps on the mismatch aimed just
-    past the root toward the midpoint (see :func:`_bisect`).  Secant shots
-    never outnumber the halvings made.  Up to rho_m, f* and g* are the
-    final shot's u and v divided by rho once, with f*(0) = 1 and g*(0) =
-    gamma0 exactly; past it, g* = g_inf - M/rho and f* = u_tail/rho, with
-    u_tail from the same tail as the mismatch, shot at anchors: rho_m,
-    every s-th node past it and the last node, s the most nodes whose span
-    h s stays below one Riccati step of 0.05 (9 on the default grid; 1,
-    every node an anchor, where h >= 0.025).  Between anchors, log
-    u_tail is the cubic Hermite interpolant whose slopes are the tail's
-    y = (log u_tail)' at the two anchors.
+    shot's side.  The first shots are aimed from the coarse pass's root
+    and slope ``aim`` (see :func:`_aim`), or not for None, and near the
+    root the shots are secant steps on the mismatch aimed just past the
+    root toward the midpoint (see :func:`_bisect`).  Secant shots never
+    outnumber the halvings made.  Up to rho_m, f* and g* are the final
+    shot's u and v divided by rho once, with f*(0) = 1 and g*(0) = gamma0
+    exactly; past it, g* = g_inf - M/rho and f* = u_tail/rho, with u_tail
+    from the same tail as the mismatch, shot at anchors: rho_m, every s-th
+    node past it and the last node, s the most nodes whose span h s stays
+    below one Riccati step of 0.05 (9 on the default grid; 1, every node
+    an anchor, where h >= 0.025).  Between anchors, log u_tail is the
+    cubic Hermite interpolant whose slopes are the tail's y = (log
+    u_tail)' at the two anchors.
 
     Raises
     ------
@@ -631,19 +614,6 @@ def shoot_gamma0(n: int, bracket: tuple[float, float], grid: RadialGrid,
     ConvergenceError
         If bisection exhausts floating point resolution before reaching tol.
     """
-    check_count("n", n, 0)
-    check_positive("tol", tol)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise InvalidArgumentError(f"need bracket lo < hi, got {bracket}")
-    aim = _coarse_aim(n, (lo, hi), grid, tol) if _aims((lo, hi), tol) else None
-    return _solve(n, (lo, hi), grid, tol, aim)
-
-
-def _solve(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
-           aim: tuple[float, float] | None) -> UniversalSolution:
-    """:func:`shoot_gamma0` on a checked ``bracket``, its bisection aimed
-    from the coarse pass's root and slope ``aim``, or unaimed for None."""
     lo, hi, _ = _bisect(n, bracket, grid, tol, _RICCATI_STEP, aim, False)
     stop = _stop(grid)
     gamma0 = 0.5 * (lo + hi)
@@ -671,10 +641,10 @@ def _solve(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
     f[1:m + 1] /= rho[1:m + 1]
     g[1:m + 1] /= rho[1:m + 1]
     f[0], g[0] = 1.0, gamma0
-    log_u = np.array(tail[1]) if len(anchors) == grid.n_points - m else _hermite(
-        rho[m:], rho[anchors], np.array(tail[1]), np.array(tail[0]), s)
-    f[m + 1:] = u_shot[m] * np.exp(log_u[1:]) / rho[m + 1:]
-    g[m + 1:] = k2 - mass / rho[m + 1:]
+    if m < grid.n_points - 1:  # at the last node, rho_m is the one anchor: nothing to fill
+        log_u = _hermite(rho[m:], rho[anchors], np.array(tail[1]), np.array(tail[0]), s)
+        f[m + 1:] = u_shot[m] * np.exp(log_u[1:]) / rho[m + 1:]
+        g[m + 1:] = k2 - mass / rho[m + 1:]
     try:
         sol = UniversalSolution(RadialField(grid, f), RadialField(grid, g), hi - lo)
     except WrongStateError as exc:
@@ -705,37 +675,37 @@ def _hermite(x: np.ndarray, anchors: np.ndarray, values: np.ndarray, slopes: np.
 def solve_states(ns: Iterable[int], grid: RadialGrid,
                  tol: float = DEFAULT_TOL) -> list[UniversalSolution]:
     """Solve the bound states with the requested node counts, in the order
-    given: :func:`find_brackets` brackets them all on its shared shots on
-    every _COARSE-th point (see :func:`_coarse_grid`), then each is
-    bisected on ``grid`` from its cell as :func:`shoot_gamma0` bisects it,
-    but aimed by a coarse bisection on the same coarse grid that takes the
-    cell's sides from the lattice (count above n at the lower end, at most
-    n at the upper) and so does not shoot its ends.  A cell
-    that contains the eigenvalue on ``grid`` is the one the lattice on
-    ``grid`` itself gives, so the states are the same.  That lattice
-    brackets the states instead when the coarse grid is refused, its
-    lattice raises, or a coarse cell lies on one side of the eigenvalue
-    on ``grid`` (InvalidBracketError), from that state on.  A bad ``tol``
-    or ``ns`` raises InvalidArgumentError before any shot."""
+    given: :func:`_find_brackets` brackets them all on its shared shots on
+    every _COARSE-th point (see :func:`_coarse_grid`), then :func:`_solve`
+    bisects each on ``grid`` from its cell, aimed by a coarse bisection on
+    the same coarse grid that takes the cell's sides from the lattice
+    (count above n at the lower end, at most n at the upper) and so does
+    not shoot its ends.  A cell that contains the eigenvalue on ``grid`` is
+    the one the lattice on ``grid`` itself gives, so the states are the
+    same.  That lattice brackets the states instead, and their bisections
+    run unaimed, when the coarse grid is refused, its lattice raises, or a
+    coarse cell lies on one side of the eigenvalue on ``grid``
+    (InvalidBracketError), from that state on.  A bad ``tol`` or ``ns``
+    raises InvalidArgumentError before any shot."""
     ns = list(ns)
     check_positive("tol", tol)
     _node_counts(ns)
     try:
         coarse = _coarse_grid(grid)
-        cells = find_brackets(ns, coarse)
+        cells = _find_brackets(ns, coarse)
     except SngError:
         cells = {}
     found = None  # the brackets of the lattice on grid itself, once needed
     solved = []
     for n in ns:
         if n in cells:
-            aim = _aim(n, cells[n], coarse, tol, True) if _aims(cells[n], tol) else None
+            aim = _aim(n, cells[n], coarse, tol) if _aims(cells[n], tol) else None
             try:
                 solved.append(_solve(n, cells[n], grid, tol, aim))
                 continue
             except InvalidBracketError:
                 cells = {}
         if found is None:
-            found = find_brackets(ns, grid)
-        solved.append(shoot_gamma0(n, found[n], grid, tol))
+            found = _find_brackets(ns, grid)
+        solved.append(_solve(n, found[n], grid, tol, None))
     return solved

@@ -75,7 +75,7 @@ def test_readme_library_example_imports_exist():
     imports = [(node.module, alias.name) for block in blocks for node in ast.walk(ast.parse(block))
                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "sng"
                for alias in node.names]
-    assert ("sng", "shoot_gamma0") in imports
+    assert ("sng", "solve_states") in imports
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
@@ -106,7 +106,7 @@ def test_package_exports_each_modules_all():
 
 
 # Raise only in the change that adds a settable value, saying why in CHANGES.md.
-SETTABLE_VALUES_CEILING = 98
+SETTABLE_VALUES_CEILING = 92
 
 
 def _settable_values(obj) -> int:

@@ -20,9 +20,8 @@ from sng.physical import rescale_to_physical
 from sng.scf import scf_solve
 from sng.shooting import (
     UniversalSolution,
+    _find_brackets,
     _shoot,
-    find_brackets,
-    shoot_gamma0,
     solve_states,
 )
 
@@ -93,14 +92,14 @@ CASES = [
     ("n_points", lambda: make_grid(40.0, NAN)),
     ("n_points", lambda: make_grid(40.0, INF)),
     ("n_points", lambda: make_grid(40.0, 2)),
-    ("n", lambda: find_brackets([NAN], GRID)),
-    ("n", lambda: find_brackets([INF], GRID)),
+    ("n", lambda: _find_brackets([NAN], GRID)),
+    ("n", lambda: _find_brackets([INF], GRID)),
     ("n", lambda: solve_states([True], GRID)),
-    ("n", lambda: shoot_gamma0(NAN, (-1.0, -0.9), GRID)),
+    ("n", lambda: solve_states([0, NAN], GRID)),
     ("n", lambda: scf_solve(NAN, GRID)),
     ("n", lambda: scf_solve(INF, GRID)),
     ("max_nodes", lambda: _shoot(-1.0, GRID, NAN, False)),
-    ("n", lambda: find_brackets([0.5], GRID)),
+    ("n", lambda: _find_brackets([0.5], GRID)),
     # a gravity step of u = 1e200: |u|^2 overflows (numpy warned, and the
     # Poisson source was refused)
     ("u", _quiet(lambda: step(RadialState(GRID, np.r_[0.0, np.full(199, 1e200), 0.0], 0.0),
@@ -212,6 +211,10 @@ CASES = [
     # pure gravity and as free
     ("kappa", lambda: NonlinearityKind("gravity", kappa=2.0, sign=-1)),
     ("kappa", lambda: NonlinearityKind("free", kappa=3.0)),
+    # a sign that int() truncated (1.9 to 1, -0.5 to 0) or could not convert
+    ("sign", lambda: NonlinearityKind.cubic(1.0, 1.9)),
+    ("sign", lambda: NonlinearityKind.cubic(1.0, -0.5)),
+    ("sign", lambda: NonlinearityKind.cubic(1.0, NAN)),
 ]
 
 

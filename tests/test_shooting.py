@@ -34,11 +34,10 @@ from sng.errors import (
 from sng.grids import RadialField, integrate_line, make_grid
 from sng.shooting import (
     UniversalSolution,
+    _find_brackets,
     _shoot,
     _tail,
     default_grid,
-    find_brackets,
-    shoot_gamma0,
     solve_states,
 )
 
@@ -88,6 +87,31 @@ def _shot(gamma0, grid, max_nodes=None):
     """A recorded shot's label and its samples (u, u', v, v') as arrays."""
     label, samples = _shoot(gamma0, grid, max_nodes, True)
     return label, tuple(np.array(v) for v in samples)
+
+
+def _cell(n, grid):
+    """The lattice cell of n that solve_states bisects first: on every
+    eighth point of ``grid``, or on ``grid`` itself where every eighth point
+    is too few for a grid."""
+    try:
+        lattice_grid = shooting._coarse_grid(grid)
+    except InvalidArgumentError:
+        lattice_grid = grid
+    return _find_brackets([n], lattice_grid)[n]
+
+
+def _aimed_solve(n, cell, grid, tol=shooting.DEFAULT_TOL):
+    """shooting._solve of ``cell`` as solve_states solves a cell of its
+    lattice on every eighth point of ``grid``: aimed by _aim's bisection of
+    the cell there, unaimed where that is too few points for a grid or tol
+    too coarse to aim."""
+    try:
+        coarse = shooting._coarse_grid(grid)
+    except InvalidArgumentError:
+        coarse = None
+    aim = (shooting._aim(n, cell, coarse, tol)
+           if coarse is not None and shooting._aims(cell, tol) else None)
+    return shooting._solve(n, cell, grid, tol, aim)
 
 
 # --- frozen values -----------------------------------------------------------
@@ -269,14 +293,6 @@ def test_solution_refuses_an_f_star_that_does_not_start_at_one():
         dataclasses.replace(sol, f_star=RadialField(sol.grid, f))
 
 
-@pytest.mark.parametrize("call", [
-    lambda grid: shoot_gamma0(0, (-0.9, -1.0), grid),
-], ids=["shoot_gamma0"])
-def test_reversed_gamma0_range_is_refused(call):
-    with pytest.raises(InvalidArgumentError, match="lo < hi"):
-        call(make_grid(40.0, 201))
-
-
 def test_solution_keeps_one_grid():
     # the grid is f*'s and g* must lie on it: a grid the fields do not lie
     # on would make rescaling renormalize f* silently
@@ -307,7 +323,7 @@ def test_mass_potential_is_monotone_and_negative_at_origin(spectrum):
 
 def test_find_bracket_ends_classify_differently():
     grid = make_grid(40.0, 2001)
-    lo, hi = find_brackets([1], grid)[1]
+    lo, hi = _find_brackets([1], grid)[1]
     assert _shot(lo, grid)[0] != _shot(hi, grid)[0]
 
 
@@ -320,9 +336,9 @@ def test_rung_two_brackets_are_frozen_and_shared():
         8: (-1.65, -1.5999999999999996),
         7: (-1.65, -1.5999999999999996),
     }
-    assert find_brackets([8], grid)[8] == frozen[8]
-    assert find_brackets([7], grid)[7] == frozen[7]
-    assert find_brackets([7, 8], grid=grid) == frozen
+    assert _find_brackets([8], grid)[8] == frozen[8]
+    assert _find_brackets([7], grid)[7] == frozen[7]
+    assert _find_brackets([7, 8], grid=grid) == frozen
 
 
 def test_default_grid_brackets_are_frozen():
@@ -334,11 +350,11 @@ def test_default_grid_brackets_are_frozen():
         1: (-1.25, -1.1999999999999997),
         0: (-0.9500000000000002, -0.8999999999999995),
     }
-    assert find_brackets(range(5), default_grid()) == frozen
+    assert _find_brackets(range(5), default_grid()) == frozen
 
 
 def _walk(grid, max_nodes):
-    """The reference for find_brackets: the node count of a shot at every
+    """The reference for _find_brackets: the node count of a shot at every
     lattice point, in lattice order."""
     return [_shoot(gamma0, grid, max_nodes, False)[0][0] for gamma0 in shooting._LATTICE]
 
@@ -363,8 +379,8 @@ def test_node_ceiling_scan_keeps_the_unbounded_brackets(max_nodes, unbounded_wal
     # the brackets are those of the walk whose shots do not stop there
     grid, counts = unbounded_walk
     expected = {n: _first_drop(counts, n) for n in range(max_nodes + 1)}
-    assert find_brackets(range(max_nodes + 1), grid) == expected
-    assert find_brackets([max_nodes], grid) == {max_nodes: expected[max_nodes]}
+    assert _find_brackets(range(max_nodes + 1), grid) == expected
+    assert _find_brackets([max_nodes], grid) == {max_nodes: expected[max_nodes]}
 
 
 def test_node_ceiling_stops_on_the_unbounded_prefix():
@@ -383,7 +399,7 @@ def test_node_ceiling_stops_on_the_unbounded_prefix():
 
 
 def _assert_search_matches_walk(grid, ns):
-    """find_brackets against a shot at every lattice point, for each n of
+    """_find_brackets against a shot at every lattice point, for each n of
     ``ns`` alone and for all of them in one call.  A shot that stops at its
     first node past the top n counts min(count, top + 1), so one walk with
     no ceiling serves every request."""
@@ -392,7 +408,7 @@ def _assert_search_matches_walk(grid, ns):
     for request in [[n] for n in ns] + [list(ns)]:
         counts = [min(c, max(request) + 1) for c in unbounded]
         try:
-            found = find_brackets(request, grid)
+            found = _find_brackets(request, grid)
         except InvalidBracketError:
             found = None
         if all(a >= b for a, b in zip(counts, counts[1:])):
@@ -429,7 +445,7 @@ def test_search_matches_the_walk_on_fuzzed_grids(points, rho_max, n_max):
 
 def test_find_bracket_out_of_range_raises():
     with pytest.raises(InvalidBracketError):
-        find_brackets([40], make_grid(40.0, 801))
+        _find_brackets([40], make_grid(40.0, 801))
 
 
 # --- error paths -------------------------------------------------------------
@@ -437,7 +453,7 @@ def test_find_bracket_out_of_range_raises():
 def test_same_label_bracket_is_rejected():
     grid = make_grid(40.0, 2001)
     with pytest.raises(InvalidBracketError):
-        shoot_gamma0(0, (-0.6, -0.5), grid=grid)
+        shooting._solve(0, (-0.6, -0.5), grid, shooting.DEFAULT_TOL, None)
 
 
 def test_oscillatory_tail_raises_wrong_state():
@@ -445,13 +461,13 @@ def test_oscillatory_tail_raises_wrong_state():
     # outside the grid
     grid = make_grid(10.0, 1001)
     with pytest.raises(WrongStateError, match="--rho-max"):
-        shoot_gamma0(2, find_brackets([2], grid)[2], grid=grid)
+        _aimed_solve(2, _find_brackets([2], grid)[2], grid)
 
 
 def test_invalid_node_count_rejected():
     grid = make_grid(40.0, 2001)
     with pytest.raises(InvalidArgumentError):
-        shoot_gamma0(-1, (-1.0, -0.9), grid=grid)
+        solve_states([-1], grid)
     for max_nodes in (-1, 1.5, True, np.nan):
         with pytest.raises(InvalidArgumentError):
             _shot(-1.0, grid, max_nodes=max_nodes)
@@ -466,11 +482,11 @@ def test_invalid_node_count_rejected():
 def test_coarse_tol_refusals_name_tol(n, tol, refusal):
     # the refusal is the coarse tol's, not the grid's: a tenth of it solves
     grid = make_grid(40.0, 2001)
-    bracket = find_brackets([n], grid)[n]
+    bracket = _find_brackets([n], grid)[n]
     with pytest.raises(WrongStateError, match=refusal) as info:
-        shoot_gamma0(n, bracket, grid, tol)
+        _aimed_solve(n, bracket, grid, tol)
     assert "refine --points, or lower --tol (bracket width " in str(info.value)
-    assert shoot_gamma0(n, bracket, grid, tol / 10).bracket_width <= tol / 10
+    assert _aimed_solve(n, bracket, grid, tol / 10).bracket_width <= tol / 10
 
 
 @pytest.mark.parametrize("ns, message", [
@@ -489,7 +505,7 @@ def test_solve_states_refuses_bad_node_counts_before_any_shot(ns, message, monke
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
 def test_invalid_tol_rejected(tol):
     with pytest.raises(InvalidArgumentError):
-        shoot_gamma0(0, (-1.0, -0.9), grid=make_grid(40.0, 2001), tol=tol)
+        solve_states([0], make_grid(40.0, 2001), tol=tol)
 
 
 # --- classification ----------------------------------------------------------
@@ -508,9 +524,9 @@ def test_classification_labels_partition_parameter_space():
 
 def test_shooting_is_bitwise_deterministic():
     grid = make_grid(40.0, 2001)
-    bracket = find_brackets([0], grid)[0]
-    a = shoot_gamma0(0, bracket, grid=grid)
-    b = shoot_gamma0(0, bracket, grid=grid)
+    bracket = _find_brackets([0], grid)[0]
+    a = _aimed_solve(0, bracket, grid)
+    b = _aimed_solve(0, bracket, grid)
     assert a.gamma0 == b.gamma0
     assert a.gamma1 == b.gamma1
     assert a.epsilon_star == b.epsilon_star
@@ -553,7 +569,7 @@ def _sha256(*arrays):
 def test_solved_states_are_bitwise_pinned():
     grid = make_grid(40.0, 2001)
     for n, (scalars, f_sha, g_sha) in PINNED_STATES.items():
-        sol = shoot_gamma0(n, find_brackets([n], grid)[n], grid=grid)
+        sol = _aimed_solve(n, _find_brackets([n], grid)[n], grid)
         assert tuple(map(repr, (sol.gamma0, sol.gamma1, sol.epsilon_star))) == scalars
         assert _sha256(sol.f_star.values) == f_sha, f"n={n}"
         assert _sha256(sol.g_star.values) == g_sha, f"n={n}"
@@ -733,7 +749,7 @@ def test_default_grid_lattice_runs_on_the_coarse_grid(monkeypatch):
     # the 18 lattice shots of test_default_grid_scan_shots, on every eighth
     # point: every coarse cell holds its eigenvalue on the default grid, so
     # the lattice on the default grid itself never runs
-    lattice, real_find = collections.Counter(), shooting.find_brackets
+    lattice, real_find = collections.Counter(), shooting._find_brackets
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
         lattice[grid.n_points, record, max_nodes, stop] += 1
@@ -744,7 +760,7 @@ def test_default_grid_lattice_runs_on_the_coarse_grid(monkeypatch):
             mp.setattr(shooting, "_shoot", counted)
             return real_find(ns, grid)
 
-    monkeypatch.setattr(shooting, "find_brackets", find)
+    monkeypatch.setattr(shooting, "_find_brackets", find)
     solve_states(range(5), default_grid())
     assert lattice == {(1001, False, 4, None): DEFAULT_GRID_LATTICE_SHOTS}
 
@@ -755,7 +771,7 @@ def test_default_grid_bisections_shoot_no_bracket_end(monkeypatch):
     # the coarse slope's Newton step), so no bisection there shoots an end
     # of its lattice cell
     grid = default_grid()
-    found = find_brackets(range(5), grid)
+    found = _find_brackets(range(5), grid)
     real_side, shot = shooting._side, []
 
     def side(n, gamma0, shot_grid, stop, step=shooting._RICCATI_STEP):
@@ -765,7 +781,7 @@ def test_default_grid_bisections_shoot_no_bracket_end(monkeypatch):
 
     monkeypatch.setattr(shooting, "_side", side)
     for n, bracket in found.items():
-        shoot_gamma0(n, bracket, grid)
+        _aimed_solve(n, bracket, grid)
     assert {n for n, _ in shot} == set(found)
     assert [(n, x) for n, x in shot if x in found[n]] == []
 
@@ -773,11 +789,10 @@ def test_default_grid_bisections_shoot_no_bracket_end(monkeypatch):
 def test_solve_states_shoots_no_end_of_a_coarse_cell(monkeypatch):
     # the coarse lattice sides each cell's ends (count above n at the lower,
     # at most n at the upper), so solve_states' coarse bisections shoot
-    # neither; shoot_gamma0 called alone shoots both first.  On the default
-    # grid those ten end shots are told by label, so the aims keep their bits
+    # neither
     grid = default_grid()
     coarse = shooting._coarse_grid(grid)
-    cells = find_brackets(range(5), coarse)
+    cells = _find_brackets(range(5), coarse)
     real_side, shot = shooting._side, []
 
     def side(n, gamma0, shot_grid, stop, step=shooting._RICCATI_STEP):
@@ -789,12 +804,6 @@ def test_solve_states_shoots_no_end_of_a_coarse_cell(monkeypatch):
     solve_states(range(5), grid)
     assert {n for n, _ in shot} == set(cells)
     assert [(n, x) for n, x in shot if x in cells[n]] == []
-    for n, cell in cells.items():
-        shot.clear()
-        shoot_gamma0(n, cell, grid)
-        assert shot[:2] == [(n, cell[0]), (n, cell[1])]
-        assert (shooting._aim(n, cell, coarse, shooting.DEFAULT_TOL, True)
-                == shooting._coarse_aim(n, cell, grid, shooting.DEFAULT_TOL))
 
 
 def test_default_grid_scan_shots(monkeypatch):
@@ -806,7 +815,7 @@ def test_default_grid_scan_shots(monkeypatch):
         return _shoot(gamma0, grid, max_nodes, record, stop)
 
     monkeypatch.setattr(shooting, "_shoot", counted)
-    find_brackets(range(5), default_grid())
+    _find_brackets(range(5), default_grid())
     assert counts == {(False, 4, None): 18}
 
 
@@ -817,7 +826,7 @@ def _plain_bisection(n, bracket, grid, tol):
     shooting._side, from the bracket ends to the first width <= tol,
     ``shots`` and ``steps`` counting the _shoot calls made so far and their
     RKN4 steps.  The brackets of every wider tol are a prefix.  It refuses
-    as shoot_gamma0 does: InvalidBracketError for ends on one side,
+    as shooting._solve does: InvalidBracketError for ends on one side,
     ConvergenceError at float resolution, and the errors of _side."""
     calls = steps = 0
 
@@ -866,7 +875,7 @@ def _outcome(solve):
 
 
 def _plain_outcome(n, bracket, grid, tol, sequence=None):
-    """The _outcome shoot_gamma0 must have: that of plain bisection's final
+    """The _outcome _aimed_solve must have: that of plain bisection's final
     bracket, solved with no halving, or plain bisection's own refusal."""
     try:
         if sequence is None:
@@ -875,11 +884,11 @@ def _plain_outcome(n, bracket, grid, tol, sequence=None):
     except SngError as exc:
         return type(exc), str(exc)
     # a bracket no wider than tol is solved with no halving
-    return _outcome(lambda: shoot_gamma0(n, (lo, hi), grid, tol=hi - lo))
+    return _outcome(lambda: shooting._solve(n, (lo, hi), grid, hi - lo, None))
 
 
 def _assert_same_as_plain(n, bracket, grid, tol, sequence=None):
-    assert (_outcome(lambda: shoot_gamma0(n, bracket, grid, tol))
+    assert (_outcome(lambda: _aimed_solve(n, bracket, grid, tol))
             == _plain_outcome(n, bracket, grid, tol, sequence)), (grid, n, bracket, tol)
 
 
@@ -887,12 +896,12 @@ def _assert_same_as_plain(n, bracket, grid, tol, sequence=None):
 def plain_bisection():
     """(rho_max, points, n, bracket) -> the plain bisection of ``bracket``
     on make_grid(rho_max, points) down to a width of 1e-15, the narrowest
-    tol compared below; ``bracket`` defaults to find_brackets'."""
+    tol compared below; ``bracket`` defaults to solve_states' (_cell)."""
     cache = {}
 
     def bisect(rho_max, points, n, bracket=None):
         grid = make_grid(rho_max, points)
-        bracket = bracket or find_brackets([n], grid)[n]
+        bracket = bracket or _cell(n, grid)
         if (grid, n, bracket) not in cache:
             cache[grid, n, bracket] = _plain_bisection(n, bracket, grid, 1e-15)
         return bracket, cache[grid, n, bracket]
@@ -921,7 +930,7 @@ def test_bisection_never_shoots_more_than_plain_bisection(points, n, plain_bisec
     for tol in (1e-15, 1e-10, 1e-6, 1e-3, 0.02):
         work.clear()
         try:
-            shoot_gamma0(n, bracket, grid, tol)
+            _aimed_solve(n, bracket, grid, tol)
         except WrongStateError as exc:
             # coarse tols leave a state too rough to keep, after bisection
             assert "refine --points" in str(exc)
@@ -946,7 +955,7 @@ def test_solve_states_matches_plain_bisection_bit_for_bit(rho_max, points, n_max
                                                           plain_bisection):
     # solve_states' brackets, at its default tol
     grid = make_grid(rho_max, points)
-    for n, bracket in find_brackets(range(n_max + 1), grid).items():
+    for n, bracket in _find_brackets(range(n_max + 1), shooting._coarse_grid(grid)).items():
         _, sequence = plain_bisection(rho_max, points, n, bracket)
         _assert_same_as_plain(n, bracket, grid, shooting.DEFAULT_TOL, sequence)
 
@@ -964,11 +973,11 @@ def _states_outcome(solve):
 
 
 def _assert_same_as_own_lattice(ns, grid):
-    # solve_states against each state bisected from the cell of the lattice
-    # on the grid itself
+    # solve_states against each state bisected, unaimed, from the cell of
+    # the lattice on the grid itself
     def own():
-        found = find_brackets(ns, grid)
-        return [shoot_gamma0(n, found[n], grid) for n in ns]
+        found = _find_brackets(ns, grid)
+        return [shooting._solve(n, found[n], grid, shooting.DEFAULT_TOL, None) for n in ns]
 
     assert _states_outcome(lambda: solve_states(ns, grid)) == _states_outcome(own), (grid, ns)
 
@@ -984,13 +993,13 @@ def test_solve_states_matches_the_grids_own_lattice_bit_for_bit(rho_max, points,
 @pytest.mark.parametrize("points", [5, 11, 16])
 def test_refused_coarse_grid_brackets_on_the_grids_own_lattice(points, monkeypatch):
     # under 17 points, every eighth point is fewer than the 3 a grid needs
-    grid, real_find, lattices = make_grid(40.0, points), shooting.find_brackets, []
+    grid, real_find, lattices = make_grid(40.0, points), shooting._find_brackets, []
 
     def find(ns, lattice_grid):
         lattices.append(lattice_grid)
         return real_find(ns, lattice_grid)
 
-    monkeypatch.setattr(shooting, "find_brackets", find)
+    monkeypatch.setattr(shooting, "_find_brackets", find)
     with pytest.raises(InvalidArgumentError):
         shooting._coarse_grid(grid)
     _assert_same_as_own_lattice(range(3), grid)
@@ -1002,21 +1011,57 @@ def test_coarse_cell_off_the_eigenvalue_falls_back_on_the_grids_own_lattice(shif
                                                                              monkeypatch):
     # a coarse lattice that answers the neighbouring cell: the bisection on
     # the grid refuses it (both ends on one side), and the grid's own
-    # lattice brackets that state and the rest
-    grid, real_find, lattices = make_grid(40.0, 2001), shooting.find_brackets, []
-    index = {float(x): i for i, x in enumerate(shooting._LATTICE)}
+    # lattice brackets that state and the rest, unaimed
+    grid, index = make_grid(40.0, 2001), {float(x): i for i, x in enumerate(shooting._LATTICE)}
 
-    def find(ns, lattice_grid):
-        lattices.append(lattice_grid.n_points)
-        found = real_find(ns, lattice_grid)
-        if lattice_grid == grid:
-            return found
+    def shifted(found):
         return {n: tuple(float(shooting._LATTICE[index[x] + shift]) for x in cell)
                 for n, cell in found.items()}
 
-    monkeypatch.setattr(shooting, "find_brackets", find)
+    events = _record_lattices_and_shots(monkeypatch, grid, shifted)
     _assert_same_as_own_lattice(range(3), grid)
-    assert lattices == [251, 2001]
+    assert [size for event, size in events if event == "lattice"] == [251, 2001]
+    _assert_no_coarse_shot_after_the_fallback(events, 251, 2001)
+
+
+def _record_lattices_and_shots(monkeypatch, grid, coarse_cells=dict):
+    """The ("lattice" or "shot", grid points) of each _find_brackets and
+    _shoot call from now on, in call order; the coarse lattice's cells are
+    passed through ``coarse_cells``."""
+    real_find, events = shooting._find_brackets, []
+
+    def find(ns, lattice_grid):
+        events.append(("lattice", lattice_grid.n_points))
+        found = real_find(ns, lattice_grid)
+        return found if lattice_grid == grid else coarse_cells(found)
+
+    def shoot(gamma0, shot_grid, *args, **kwargs):
+        events.append(("shot", shot_grid.n_points))
+        return _shoot(gamma0, shot_grid, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "_find_brackets", find)
+    monkeypatch.setattr(shooting, "_shoot", shoot)
+    return events
+
+
+def _assert_no_coarse_shot_after_the_fallback(events, coarse, points):
+    # once the lattice on the grid itself starts, its cells bisect unaimed
+    fallback = events.index(("lattice", points))
+    assert ("shot", coarse) in events[:fallback]
+    assert ("shot", coarse) not in events[fallback:]
+
+
+def test_fallback_bisects_unaimed_with_no_shot_on_the_coarse_grid(monkeypatch):
+    # on 40/201 the node count rises with gamma0 on the 26-point coarse
+    # grid, so its lattice raises and the grid's own brackets all three
+    # states
+    grid = make_grid(40.0, 201)
+    events = _record_lattices_and_shots(monkeypatch, grid)
+    states = solve_states(range(3), grid)
+    assert [repr(sol.gamma0) for sol in states] == [
+        "-0.9185902588535095", "-1.209917887719348", "-1.343620824674144"]
+    assert [size for event, size in events if event == "lattice"] == [26, 201]
+    _assert_no_coarse_shot_after_the_fallback(events, 26, 201)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1034,7 +1079,7 @@ def test_refused_grids_refuse_as_plain_bisection(points, tol):
     grid = make_grid(40.0, points)
     for n in range(3):
         try:
-            bracket = find_brackets([n], grid)[n]
+            bracket = _cell(n, grid)
         except InvalidBracketError:
             bracket = (-1.25, -1.2)
         outcome = _plain_outcome(n, bracket, grid, tol)
@@ -1048,7 +1093,7 @@ def test_refused_grids_refuse_as_plain_bisection(points, tol):
 def test_bisection_matches_plain_bisection_on_fuzzed_grids(points, rho_max, n, tol):
     grid = make_grid(rho_max, points)
     try:
-        bracket = find_brackets([n], grid)[n]
+        bracket = _cell(n, grid)
     except InvalidBracketError:
         return
     _assert_same_as_plain(n, bracket, grid, tol)
@@ -1088,7 +1133,7 @@ def test_secant_shots_never_outnumber_halvings(monkeypatch):
     assert shots == 29
     shots = 0
     monkeypatch.setattr(shooting, "_side", side)
-    sol = shoot_gamma0(0, (-0.95, -0.9), grid, 1e-10)
+    sol = _aimed_solve(0, (-0.95, -0.9), grid, 1e-10)
     assert (sol.gamma0, sol.bracket_width) == (0.5 * (lo + hi), hi - lo)
     assert shots <= 2 * (2 + 29)
 
@@ -1100,7 +1145,7 @@ AIM_CASE = (0, (-0.95, -0.9), make_grid(40.0, 401), 1e-10)
 def test_coarse_pass_without_two_mismatches_leaves_the_bisection_unaimed(monkeypatch):
     # coarse shots that tell their side by label alone leave no slope to aim by
     n, bracket, grid, tol = AIM_CASE
-    real_side, real_aim, aims = shooting._side, shooting._coarse_aim, []
+    real_side, real_aim, aims = shooting._side, shooting._aim, []
 
     def side(n, gamma0, shot_grid, stop, step=shooting._RICCATI_STEP):
         told, mismatch = real_side(n, gamma0, shot_grid, stop, step)
@@ -1111,30 +1156,28 @@ def test_coarse_pass_without_two_mismatches_leaves_the_bisection_unaimed(monkeyp
         return aims[-1]
 
     monkeypatch.setattr(shooting, "_side", side)
-    monkeypatch.setattr(shooting, "_coarse_aim", aim)
+    monkeypatch.setattr(shooting, "_aim", aim)
     _assert_same_as_plain(n, bracket, grid, tol)
     assert aims == [None]
 
 
-@pytest.mark.parametrize("rho_max, points, n, gamma0, aimed, near", [
-    (46.7, 715, 7, -1.5999999999999996, True, -1.608444),
-    (61.59410825826832, 972, 10, -1.6749999999999998, False, -1.683176),
+@pytest.mark.parametrize("rho_max, points, n, gamma0, near", [
+    (46.7, 715, 7, -1.5999999999999996, -1.608444),
+    (61.59410825826832, 972, 10, -1.6749999999999998, -1.683176),
 ])
-def test_unaimed_shot_past_rho_max_that_must_diverge_is_above(rho_max, points, n, gamma0, aimed,
-                                                               near, monkeypatch):
+def test_unaimed_shot_past_rho_max_that_must_diverge_is_above(rho_max, points, n, gamma0, near,
+                                                               monkeypatch):
     # the unaimed bisection shoots the end gamma0 of its coarse cell, which
     # reaches rho_max with n nodes and no divergence yet, but with s u, s u',
     # v and v' positive, so f must diverge: it lies above the eigenvalue, and
-    # the unaimed solve ends on the bits of the aimed one.  The second case's
-    # 122-point coarse pass gives shoot_gamma0 no aim: it shoots its cell's
-    # upper end, whose tail does not decay at rho_m, and refuses it.
-    # solve_states takes that end's side from the lattice instead, never
-    # shoots it, and so aims both cases
+    # the unaimed solve ends on the bits of the aimed one.  The coarse pass
+    # takes the cell's sides from the lattice, never shoots the second
+    # case's upper end (whose tail does not decay at rho_m there), and so
+    # aims both cases
     grid = make_grid(rho_max, points)
     coarse = shooting._coarse_grid(grid)
-    cell = find_brackets([n], coarse)[n]
-    assert (shooting._coarse_aim(n, cell, grid, shooting.DEFAULT_TOL) is not None) == aimed
-    assert shooting._aim(n, cell, coarse, shooting.DEFAULT_TOL, True) is not None
+    cell = _find_brackets([n], coarse)[n]
+    assert shooting._aim(n, cell, coarse, shooting.DEFAULT_TOL) is not None
     (nodes, label), (_, u, up, v, vp) = _shoot(gamma0, grid, n, False)
     assert (nodes, label) == (n, "max_radius")
     assert min((-1) ** n * u, (-1) ** n * up, v, vp) > 0.0
@@ -1174,10 +1217,10 @@ def test_bisection_below_float_resolution_is_a_convergence_error(tol, monkeypatc
         return _shoot(*args)
 
     grid = make_grid(40.0, 401)
-    bracket = find_brackets([1], grid)[1]
+    bracket = _find_brackets([1], grid)[1]
     monkeypatch.setattr(shooting, "_shoot", capped)
     with pytest.raises(ConvergenceError, match="bisection exhausted float resolution"):
-        shoot_gamma0(1, bracket, grid, tol)
+        _aimed_solve(1, bracket, grid, tol)
 
 
 def test_default_grid_matches_documented_geometry():
