@@ -173,9 +173,10 @@ class NonlinearityKind:
     def __post_init__(self):
         if self.kind not in ("free", "cubic", "gravity"):
             raise InvalidArgumentError(f"unknown nonlinearity kind {self.kind!r}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+        # a bool is no kappa or sign, though True == 1 and False == 0
+        if isinstance(self.kappa, bool) or not (math.isfinite(self.kappa) and self.kappa >= 0):
             raise InvalidArgumentError(f"kappa must be non-negative and finite, got {self.kappa}")
-        if self.sign not in (-1, 1):
+        if isinstance(self.sign, bool) or self.sign not in (-1, 1):
             raise InvalidArgumentError(f"sign must be +1 or -1, got {self.sign}")
         if self.kind != "cubic" and (self.kappa, self.sign) != (0.0, 1):  # refused, not ignored
             name, value = ("kappa", self.kappa) if self.kappa != 0.0 else ("sign", self.sign)
@@ -187,7 +188,10 @@ class NonlinearityKind:
 
     @classmethod
     def cubic(cls, kappa: float, sign: int) -> "NonlinearityKind":
-        if sign not in (-1, 1):  # before int(), which would truncate 1.9 to 1
+        # before float() and int(), which would turn True into 1 and 1.9 into 1
+        if isinstance(kappa, bool):
+            raise InvalidArgumentError(f"kappa must be non-negative and finite, got {kappa}")
+        if isinstance(sign, bool) or sign not in (-1, 1):
             raise InvalidArgumentError(f"sign must be +1 or -1, got {sign!r}")
         return cls(kind="cubic", kappa=float(kappa), sign=int(sign))
 

@@ -24,20 +24,20 @@ log-derivative; past rho_m the solved f* and g* are the tail itself,
 shot at anchors one Riccati step apart and filled in between by cubic
 Hermite interpolation of log u (see :func:`_solve`).
 The bisection makes plain bisection's halvings but shoots only at the
-midpoints its earlier shots leave undecided, near the root at secant steps
-on the mismatch, which is close to linear there.  Its first shots are
-aimed by the same bisection of the coarse cell on the coarse grid, at an
-eighth of the cost a shot, its tails too: just above that coarse root,
-then either side of the Newton step the coarse slope gives from there
-and, while those do not straddle the root yet, of the root of the secant
-through the last two mismatches; the bracket ends are not shot once the
-shots straddle the root.  The coarse pass takes the cell's sides from the
-lattice, so it does not shoot its ends.  A coarse pass that fails or
+midpoints its earlier shots leave undecided; near the root, each shot is
+an end of the bracket plain bisection would end on were the eigenvalue
+at a secant root.  Its first shots are aimed by the same bisection of
+the coarse cell on the coarse grid, at an eighth of the cost a shot, its
+tails too: just above that coarse root, then at those ends for the
+Newton step the coarse slope gives from there and, while they do not
+straddle the root yet, for up to two secant roots.  No bracket end is
+shot once the shots straddle the root, nor on the coarse pass, which
+takes the cell's sides from the lattice.  A coarse pass that fails or
 leaves no two mismatches, a tol above 1e-9 |gamma0|, or a bracket from
 the lattice on the grid itself leaves the bisection unaimed.
-On the default grid, solve_states(range(5)) takes 27 shots there and 80
-on the coarse grid (18 of them the lattice's), 167,883 RKN4 steps and
-26,116 Riccati steps in all.  Each shot ends labelled by where it stops:
+On the default grid, solve_states(range(5)) takes 25 shots there and 79
+on the coarse grid (18 of them the lattice's), 156,110 RKN4 steps and
+24,416 Riccati steps in all.  Each shot ends labelled by where it stops:
 match_radius, node_ceiling, diverged_up, diverged_down or max_radius
 (see :func:`_shoot`).
 """
@@ -86,12 +86,6 @@ _MATCH_MARGIN = 16.0
 # asymptotic form, and is integrated inward in RK4 steps of at most this.
 _RICCATI_RUN_IN = 40.0
 _RICCATI_STEP = 0.05
-
-# A secant shot lands this share of tol past the secant root, and never
-# closer to it than _SECANT_FLOOR of its size: well clear of the few ulps
-# around the eigenvalue where rounding decides the mismatch's sign.
-_SECANT_PAST = 0.25
-_SECANT_FLOOR = 2.0**-40
 
 # A bisection to a tol below _AIM_OFFSET |gamma0| is aimed from one on every
 # _COARSE-th point, whose root gamma_c it first shoots _AIM_OFFSET |gamma_c|
@@ -455,11 +449,11 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int,
 def _aim(n: int, bracket: tuple[float, float], coarse: RadialGrid,
          tol: float) -> tuple[float, float] | None:
     """The unaimed :func:`_bisect` of ``bracket``, a lattice cell on the
-    ``coarse`` grid, with tails on a Riccati step _COARSE times as long,
-    gives the mid-bracket gamma0 and the secant slope of its last two
-    mismatches.  The lattice has sided the cell's ends, so they are not
-    shot.  None when the bisection raises, or it leaves no two distinct
-    mismatches."""
+    ``coarse`` grid, with tails on a Riccati step _COARSE times as long and
+    shots near the root at ends of plain bisection's last bracket, gives
+    the mid-bracket gamma0 and the secant slope of its last two mismatches.
+    The lattice has sided the cell's ends, so they are not shot.  None when
+    the bisection raises or leaves no two distinct mismatches."""
     try:
         lo, hi, seen = _bisect(n, bracket, coarse, tol, _COARSE * _RICCATI_STEP, None, True)
     except SngError:
@@ -473,9 +467,17 @@ def _aim(n: int, bracket: tuple[float, float], coarse: RadialGrid,
 def _aims(bracket: tuple[float, float], tol: float) -> bool:
     """Whether a bisection of ``bracket`` to ``tol`` is aimed: a coarser
     tol leaves too few halvings to always repay the coarse pass (n = 0 on
-    40/401 at tol 1e-6: 2,458 RKN4 steps aimed, 2,148 plain)."""
+    40/401 at tol 1e-6: 2,308 RKN4 steps aimed, 2,020 unaimed)."""
     lo, hi = bracket
     return tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
+
+
+def _last_interval(lo: float, hi: float, tol: float, s: float) -> tuple[float, float]:
+    """The bracket of width <= tol plain bisection of (lo, hi) ends on were
+    the eigenvalue at ``s``: its halvings replayed, with no shot."""
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if mid < s else (lo, mid)
+    return lo, hi
 
 
 def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, step: float,
@@ -487,23 +489,23 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
 
     A midpoint inside the narrowest bracket (a, b) the shots have
     established costs one shot: while more than two halvings remain and
-    secant shots do not outnumber halvings, at the root of the secant
-    through the last two mismatches, moved toward the midpoint by
-    _SECANT_PAST * tol (at least _SECANT_FLOOR of the root) but not past
-    it; else at the midpoint.  A midpoint outside (a, b) takes the side of
-    the shot that set that end.
+    secant shots do not outnumber halvings, at the end on the midpoint's
+    side of the last bracket :func:`_last_interval` gives for the root of
+    the secant through the last two mismatches; else at the midpoint.  A
+    midpoint outside (a, b) takes the side of the shot that set that end.
 
-    With an ``aim``, the first shots are aimed from the coarse pass's
-    root gamma_c and slope (see :func:`_aim`): at gamma_c + d, d
-    growing 8-fold from max(_AIM_OFFSET |gamma_c|, tol), until a shot lands
-    above the eigenvalue with a mismatch v there, then a secant step past
-    each side of the Newton point x - v/slope; while the shots do not yet
-    straddle the eigenvalue, once more past each side of the root of the
-    secant through the last two mismatches.  Every such shot lies inside
-    (a, b).  Bracket ends are shot only while the shots still do not
-    straddle the eigenvalue, and never when ``sided``: the lower end then
-    lies below the eigenvalue and the upper end above, as on a lattice
-    cell of ``grid``.  An aimed shot that raises ends the aim.
+    With an ``aim``, the first shots are aimed from the coarse pass's root
+    gamma_c and slope (see :func:`_aim`): at gamma_c + d, d growing 8-fold
+    from max(_AIM_OFFSET |gamma_c|, tol), until a shot lands above the
+    eigenvalue with a mismatch v there, then at both ends of the last
+    bracket for the Newton point x - v/slope and, while the shots do not
+    yet straddle the eigenvalue, for up to two more secant roots.  Each
+    lies inside (a, b) and, near the root, is a midpoint plain bisection
+    visits, so it tells plain bisection's side even where rounding decides
+    the mismatch's sign.  Bracket ends are shot only while the shots still
+    do not straddle the eigenvalue, and never when ``sided``: the lower
+    end then lies below the eigenvalue and the upper end above, as on a
+    lattice cell of ``grid``.  An aimed shot that raises ends the aim.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     stop = _stop(grid)
@@ -532,10 +534,9 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
                 side, v = shoot(x)
                 d *= 8.0
             if side > 0 and v is not None:
-                for _ in range(2):  # the Newton step, then the fine secant's
+                for _ in range(3):  # the Newton step, then up to two fine secant steps
                     x -= v / slope
-                    past = max(_SECANT_PAST * tol, _SECANT_FLOOR * abs(x))
-                    for y in (x - past, x + past):
+                    for y in _last_interval(lo, hi, tol, x):
                         if a < y < b:
                             shoot(y)
                     if (a > lo and b < hi) or len(seen) < 2 or seen[-1][1] == seen[-2][1]:
@@ -557,8 +558,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             raise ConvergenceError(
-                f"bisection exhausted float resolution at width {hi - lo:.3e} > tol {tol:.3e}"
-            )
+                f"bisection exhausted float resolution at width {hi - lo:.3e} > tol {tol:.3e}")
         if mid <= a or mid >= b:
             lo, hi = (mid, hi) if mid <= a else (lo, mid)
             credit += 1
@@ -568,8 +568,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
             (x0, v0), (x1, v1) = seen[-2:]
             root = x1 - v1 * (x1 - x0) / (v1 - v0) if v1 != v0 else math.nan
             if a < root < b:
-                past = max(_SECANT_PAST * tol, _SECANT_FLOOR * abs(root))
-                x = min(root + past, mid) if root < mid else max(root - past, mid)
+                x = _last_interval(lo, hi, tol, root)[root <= mid]  # the end on mid's side
                 if x != mid:
                     credit -= 1
         shoot(x)
@@ -588,18 +587,18 @@ def _solve(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
     changes once inside ``bracket`` the result is plain bisection's bit for
     bit; but a midpoint that lies past a shot already taken takes that
     shot's side.  The first shots are aimed from the coarse pass's root
-    and slope ``aim`` (see :func:`_aim`), or not for None, and near the
-    root the shots are secant steps on the mismatch aimed just past the
-    root toward the midpoint (see :func:`_bisect`).  Secant shots never
-    outnumber the halvings made.  Up to rho_m, f* and g* are the final
-    shot's u and v divided by rho once, with f*(0) = 1 and g*(0) = gamma0
-    exactly; past it, g* = g_inf - M/rho and f* = u_tail/rho, with u_tail
-    from the same tail as the mismatch, shot at anchors: rho_m, every s-th
-    node past it and the last node, s the most nodes whose span h s stays
-    below one Riccati step of 0.05 (9 on the default grid; 1, every node
-    an anchor, where h >= 0.025).  Between anchors, log u_tail is the
-    cubic Hermite interpolant whose slopes are the tail's y = (log
-    u_tail)' at the two anchors.
+    and slope ``aim`` (see :func:`_aim`), or not for None; near the root
+    every shot is an end of plain bisection's last bracket for a secant
+    root (see :func:`_bisect`), and secant shots never outnumber the
+    halvings made.  Up to rho_m, f* and g* are the final shot's u and v
+    divided by rho once, with f*(0) = 1 and g*(0) = gamma0 exactly; past
+    it, g* = g_inf - M/rho and f* = u_tail/rho, with u_tail from the same
+    tail as the mismatch, shot at anchors: rho_m, every s-th node past it
+    and the last node, s the most nodes whose span h s stays below one
+    Riccati step of 0.05 (9 on the default grid; 1, every node an anchor,
+    where h >= 0.025).  Between anchors, log u_tail is the cubic Hermite
+    interpolant whose slopes are the tail's y = (log u_tail)' at the two
+    anchors.
 
     Raises
     ------

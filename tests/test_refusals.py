@@ -215,6 +215,13 @@ CASES = [
     ("sign", lambda: NonlinearityKind.cubic(1.0, 1.9)),
     ("sign", lambda: NonlinearityKind.cubic(1.0, -0.5)),
     ("sign", lambda: NonlinearityKind.cubic(1.0, NAN)),
+    # a bool, which passed as the 1 or 0 it equals: stored as sign=True,
+    # turned into kappa 1.0, or let through as the kappa of 0 free takes
+    ("sign", lambda: NonlinearityKind("cubic", 1.0, True)),
+    ("sign", lambda: NonlinearityKind.cubic(1.0, True)),
+    ("kappa", lambda: NonlinearityKind("cubic", True, 1)),
+    ("kappa", lambda: NonlinearityKind.cubic(True, 1)),
+    ("kappa", lambda: NonlinearityKind("free", kappa=False)),
 ]
 
 

@@ -674,8 +674,8 @@ def test_solve_states_shot_counts(monkeypatch):
     # neither end (stop 100 samples; three shots whose tail on the coarse
     # Riccati step does not decay yet at rho_m are shot again to rho_max),
     # whose root and slope aim the shots on 2001 points (stop 800 samples,
-    # 16 past the n-th node): 13 for n = 0 and 6 for n = 1, against 2 + 15
-    # and 2 + 11 unaimed, and one recorded shot to rho_m
+    # 16 past the n-th node): 13 for n = 0 and 5 for n = 1, against 2 + 15
+    # and 2 + 10 unaimed, and one recorded shot to rho_m
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -684,9 +684,9 @@ def test_solve_states_shot_counts(monkeypatch):
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
-    assert counts == {(251, False, 0, 100): 13, (251, False, 1, 100): 12,
+    assert counts == {(251, False, 0, 100): 12, (251, False, 1, 100): 12,
                       (251, False, 0, None): 2, (251, False, 1, None): 10 + 1,
-                      (2001, False, 0, 800): 13, (2001, False, 1, 800): 6,
+                      (2001, False, 0, 800): 13, (2001, False, 1, 800): 5,
                       (2001, True, 0, 800): 1, (2001, True, 1, 800): 1}
 
 
@@ -703,20 +703,16 @@ def _riccati_steps(k2, radii, step):
 # solve_states(range(5)) on the default grid: shots and RKN4 steps on 8001
 # and 1001 points, the 18 of the lattice among the latter, and Riccati steps
 # of 0.05 and of 0.4; README and the shooting module quote their totals
-DEFAULT_GRID_SHOTS = {8001: 27, 1001: 80}
+DEFAULT_GRID_SHOTS = {8001: 25, 1001: 79}
 DEFAULT_GRID_LATTICE_SHOTS = 18
-DEFAULT_GRID_SHOT_STEPS = {8001: 126_573, 1001: 41_310}
-DEFAULT_GRID_RICCATI_STEPS = {shooting._RICCATI_STEP: 21_815,
-                              shooting._COARSE * shooting._RICCATI_STEP: 4_301}
+DEFAULT_GRID_SHOT_STEPS = {8001: 115_490, 1001: 40_620}
+DEFAULT_GRID_RICCATI_STEPS = {shooting._RICCATI_STEP: 20_215,
+                              shooting._COARSE * shooting._RICCATI_STEP: 4_201}
 
 
-def test_default_grid_rk4_steps(monkeypatch):
-    # the aimed and the recorded shots on 8001 points, and the lattice and
-    # the coarse passes on 1001 points, which shoot no end of a lattice cell
-    # (five of their shots have no decaying tail at rho_m and are shot
-    # again to rho_max); the tails of the solve's shots take Riccati steps
-    # of 0.05, the final shots' profile tails one step of 0.045 between
-    # anchors nine nodes apart, and those of the coarse passes steps of 0.4
+def _default_grid_counts(monkeypatch, tol):
+    """The shots and RKN4 steps per grid, and the Riccati steps per step
+    size, of solve_states(range(5), default_grid(), tol)."""
     shots, steps, tails = collections.Counter(), collections.Counter(), collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -731,9 +727,30 @@ def test_default_grid_rk4_steps(monkeypatch):
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     monkeypatch.setattr(shooting, "_tail", tail)
-    solve_states(range(5), default_grid())
+    solve_states(range(5), default_grid(), tol)
+    return shots, steps, tails
+
+
+def test_default_grid_rk4_steps(monkeypatch):
+    # the aimed and the recorded shots on 8001 points, and the lattice and
+    # the coarse passes on 1001 points, which shoot no end of a lattice cell
+    # (five of their shots have no decaying tail at rho_m and are shot
+    # again to rho_max); the tails of the solve's shots take Riccati steps
+    # of 0.05, the final shots' profile tails one step of 0.045 between
+    # anchors nine nodes apart, and those of the coarse passes steps of 0.4
+    shots, steps, tails = _default_grid_counts(monkeypatch, shooting.DEFAULT_TOL)
     assert (shots, steps) == (DEFAULT_GRID_SHOTS, DEFAULT_GRID_SHOT_STEPS)
     assert tails == DEFAULT_GRID_RICCATI_STEPS
+
+
+def test_default_grid_rk4_steps_at_tol_1e_12(monkeypatch):
+    # a hundredth of the default tol costs two more shots on 8001 points and
+    # one on 1001: near each root the shots are the ends of plain
+    # bisection's last bracket, which a narrower tol moves more than it adds
+    shots, steps, tails = _default_grid_counts(monkeypatch, 1e-12)
+    assert (shots, steps) == ({8001: 27, 1001: 80}, {8001: 124_216, 1001: 41_236})
+    assert tails == {shooting._RICCATI_STEP: 21_815,
+                     shooting._COARSE * shooting._RICCATI_STEP: 4_301}
 
 
 def test_docs_quote_the_default_grid_counts():
@@ -1101,13 +1118,49 @@ def test_bisection_matches_plain_bisection_on_fuzzed_grids(points, rho_max, n, t
 
 def test_secant_shots_stay_clear_of_the_rounding_band():
     # within a few ulps of the n = 4 eigenvalue on the default grid the
-    # mismatch's rounding flips its sign back and forth; a secant shot
-    # aimed only tol/4 past the root would land there, and a later midpoint
-    # beyond it would take its side where plain bisection's own shot tells
-    # the other
+    # mismatch's rounding flips its sign back and forth; at a tol of about
+    # an ulp, where that band is as wide as plain bisection's last bracket,
+    # the bisection still ends on plain bisection's bits
     grid = default_grid()
     bracket, tol = (-1.4898281949018854, -1.489073440046018), 2.5e-16
     _assert_same_as_plain(4, bracket, grid, tol)
+
+
+def _plain_midpoints(cell, gamma0, tol):
+    """The midpoints plain bisection of ``cell`` to ``tol`` visits on its
+    way to the last bracket, whose midpoint is ``gamma0``, and that
+    bracket's width."""
+    lo, hi = cell
+    mids = set()
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        mids.add(mid)
+        lo, hi = (mid, hi) if mid < gamma0 else (lo, mid)
+    assert 0.5 * (lo + hi) == gamma0
+    return mids, hi - lo
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_shots_near_the_root_are_midpoints_plain_bisection_visits(tol, monkeypatch):
+    # every shot on the default grid within tol of the gamma0 it solves is
+    # a midpoint that plain bisection of its cell visits, so near the root,
+    # where rounding can decide the mismatch's sign, each side a shot
+    # reports is the one plain bisection's own shot there reports
+    grid = default_grid()
+    cells = _find_brackets(range(5), shooting._coarse_grid(grid))
+    real_side, shots = shooting._side, collections.defaultdict(list)
+
+    def side(n, gamma0, shot_grid, stop, step=shooting._RICCATI_STEP):
+        if shot_grid == grid:
+            shots[n].append(gamma0)
+        return real_side(n, gamma0, shot_grid, stop, step)
+
+    monkeypatch.setattr(shooting, "_side", side)
+    for n, sol in enumerate(solve_states(range(5), grid, tol)):
+        mids, width = _plain_midpoints(cells[n], sol.gamma0, tol)
+        assert width == sol.bracket_width, n
+        near = {x for x in shots[n] if abs(x - sol.gamma0) <= tol}
+        assert near and near <= mids, (n, sorted(near - mids))
 
 
 def test_secant_shots_never_outnumber_halvings(monkeypatch):
