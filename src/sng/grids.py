@@ -38,9 +38,10 @@ class RadialGrid:
 
     The extent and the point count are the whole grid: equality and hash
     are those of the pair, and the read-only ``nodes`` array, the read-only
-    node weights of :func:`integrate_line`, the Poisson weights and the
-    squared nodes and their reciprocals are derived from it once per grid
-    object.  Build grids with :func:`make_grid`, which validates the pair.
+    node weights of :func:`integrate_line`, the Poisson weights, the
+    squared nodes and their reciprocals and the terms of a shot's steps are
+    derived from it once per grid object.  Build grids with
+    :func:`make_grid`, which validates the pair.
     """
 
     rho_max: float
@@ -81,6 +82,20 @@ class RadialGrid:
         w = 1.0 / self._squared_nodes[1:]
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def _shot_steps(self) -> tuple[list[float], list[float], list[float]]:
+        """The shot-independent terms of each RKN4 step of
+        :func:`sng.shooting._shoot`, from r to r + h at node i = 2, ...,
+        n - 1, as lists of Python floats: 1/(r + h/2), 1/(r + h) and 1e3 (r
+        + h), the bound on |u| = (r + h) |f| past which a shot diverges.  r
+        runs from h by r += h, whose rounding np.add.accumulate repeats bit
+        for bit; a sum or product that overflows is inf, as in Python."""
+        h = self.spacing
+        with np.errstate(all="ignore"):
+            r = np.add.accumulate(np.full(self.n_points - 1, h))
+            return ((1.0 / (r[:-1] + 0.5 * h)).tolist(), (1.0 / r[1:]).tolist(),
+                    (1e3 * r[1:]).tolist())
 
     def _origin_limit(self, f1, f2):
         """f(0) of an even f from f at the first two nodes past r = 0."""

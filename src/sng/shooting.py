@@ -27,17 +27,20 @@ The bisection makes plain bisection's halvings but shoots only at the
 midpoints its earlier shots leave undecided; near the root, each shot is
 an end of the bracket plain bisection would end on were the eigenvalue
 at a secant root.  Its first shots are aimed by the same bisection of
-the coarse cell on the coarse grid, at an eighth of the cost a shot, its
-tails too: just above that coarse root, then at those ends for the
-Newton step the coarse slope gives from there and, while they do not
-straddle the root yet, for up to two secant roots.  No bracket end is
-shot once the shots straddle the root, nor on the coarse pass, which
-takes the cell's sides from the lattice.  A coarse pass that fails or
-leaves no two mismatches, a tol above 1e-9 |gamma0|, or a bracket from
-the lattice on the grid itself leaves the bisection unaimed.
-On the default grid, solve_states(range(5)) takes 25 shots there and 79
-on the coarse grid (18 of them the lattice's), 156,110 RKN4 steps and
-24,416 Riccati steps in all.  Each shot ends labelled by where it stops:
+the coarse cell on the coarse grid, where a shot and its tail cost an
+eighth as much; it stops at the aim precision d = 0.01 h_c^4 |gamma0|,
+h_c the coarse spacing, about the coarse grid's own error in gamma0.
+The first shot lands d above that coarse root, the next ones at those
+ends for the Newton step the coarse slope gives from there and, while
+they do not straddle the root yet, for up to two secant roots.  No
+bracket end is shot once the shots straddle the root, nor on the coarse
+pass, which takes the cell's sides from the lattice.  A coarse pass that leaves no two mismatches at d goes on to
+tol.  One that fails or still leaves none, a tol not below d or not
+below a 64th of the cell, or a bracket from the lattice on the grid
+itself leaves the bisection unaimed.
+On the default grid, solve_states(range(5)) takes 23 shots there and 73
+on the coarse grid (18 of them the lattice's), 146,725 RKN4 steps and
+23,716 Riccati steps in all.  Each shot ends labelled by where it stops:
 match_radius, node_ceiling, diverged_up, diverged_down or max_radius
 (see :func:`_shoot`).
 """
@@ -76,9 +79,6 @@ DEFAULT_RHO_MAX = 40.0
 DEFAULT_POINTS = 8001
 DEFAULT_TOL = 1e-10
 
-# |f| past this marks a shot as diverged.
-_CAP = 1e3
-
 # The match radius rho_m sits this far past the last node of f.
 _MATCH_MARGIN = 16.0
 
@@ -87,12 +87,14 @@ _MATCH_MARGIN = 16.0
 _RICCATI_RUN_IN = 40.0
 _RICCATI_STEP = 0.05
 
-# A bisection to a tol below _AIM_OFFSET |gamma0| is aimed from one on every
-# _COARSE-th point, whose root gamma_c it first shoots _AIM_OFFSET |gamma_c|
+# A bisection is aimed from one on every _COARSE-th point, h_c apart, when
+# its tol lies below the aim precision d = _AIM_ERROR h_c^4 |gamma0|, about
+# the coarse grid's fourth-order error (and below a 64th of the cell): that
+# bisection stops at a width of d, and its root gamma_c is first shot d
 # above, then 8 times as far, and so on.  solve_states' lattice shoots on
 # the same points.
 _COARSE = 8
-_AIM_OFFSET = 1e-9
+_AIM_ERROR = 0.01
 
 # A solved state whose tail-identity residual exceeds this is under-resolved.
 _TAIL_RESIDUAL_LIMIT = 1e-3
@@ -190,19 +192,23 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     obeys y'' = F(rho, y) = w (v, u), w = u/rho: stages k1 = F(rho, y), k2 =
     F(rho + h/2, y + h/2 y' + h^2/8 k1), k3 = F(rho + h, y + h y' + h^2/2 k2),
     then y += h y' + h^2/6 (k1 + 2 k2), y' += h/6 (k1 + 4 k2 + k3).  Stage 3's
-    1/(rho + h) is the next step's stage 1's.  The shot starts from the series
-    f = 1 + gamma0 rho^2/6, g = gamma0 + rho^2/6 that the ODEs force at rho =
-    0 (u = h f(h), u' = f(h) + h f'(h) at the first sample, and the same for
-    v).  Nodes are strict sign changes of u, and so of f, between consecutive
-    samples past the origin, f(0) = 1 and f(h) counting as the first pair; an
-    exact zero does not count.  The shot stops at rho_max, or as soon as |u| >
-    1e3 rho, that is |f| > 1e3 (``diverged_up`` or ``diverged_down``, a
-    classification, not an error), or with ``max_nodes`` at node max_nodes + 1
-    (``node_ceiling``; the count stops there).  With ``stop`` (and
-    ``max_nodes``), it also ends ``stop`` samples past f's sign change number
-    ``max_nodes`` (past the origin for 0): ``match_radius``.  A shot that runs
-    to rho_max is ``max_radius``.  A non-finite gamma0, a bad ``max_nodes`` or
-    a sample that overflows a double raises InvalidArgumentError.
+    1/(rho + h) is the next step's stage 1's; it, stage 2's 1/(rho + h/2)
+    and the cap 1e3 (rho + h) below come from the grid's tables
+    (RadialGrid._shot_steps), whose rho is accumulated as rho += h.  The
+    shot starts from the series f = 1 + gamma0 rho^2/6, g = gamma0 +
+    rho^2/6 that the ODEs force at rho = 0 (u = h f(h), u' = f(h) + h f'(h)
+    at the first sample, and the same for v).  Nodes are strict sign
+    changes of u, and so of f, between consecutive samples past the
+    origin, f(0) = 1 and f(h) counting as the first pair; an exact zero
+    does not count.  The shot stops at rho_max, or as soon as |u| > 1e3
+    rho, that is |f| > 1e3 (``diverged_up`` or ``diverged_down``, a
+    classification, not an error), or with ``max_nodes`` at node max_nodes
+    + 1 (``node_ceiling``; the count stops there).  With ``stop`` (and
+    ``max_nodes``), it also ends ``stop`` samples past f's sign change
+    number ``max_nodes`` (past the origin for 0): ``match_radius``.  A shot
+    that runs to rho_max is ``max_radius``.  A non-finite gamma0, a bad
+    ``max_nodes`` or a sample that overflows a double raises
+    InvalidArgumentError.
 
     Returns the label ``(node_count, classification)`` and, when ``record``
     is true, the computed samples as the lists (u, u', v, v'), from (0, 1,
@@ -230,29 +236,28 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
     nodes = int(yu < 0.0)  # the pair (f[0], f[1]) = (1, u[1]/h)
     # the index the shot stops at once it is known; n is past the grid
     target = nodes + stop if stop is not None and nodes == ceiling else n
-    rho = h
-    inv = 1.0 / rho
+    # 1/rho for the first step's stage 1; every other 1/rho and cap comes
+    # from the grid's tables
+    inv = 1.0 / h
+    mids, ends, caps = grid._shot_steps
     classification = "max_radius"
     half = 0.5 * h
     sixth = h / 6.0
     h2_8, h2_2, h2_6 = h * h / 8.0, h * h / 2.0, h * h / 6.0
-    cap = _CAP
-    for i in range(2, n):
+    for i, inv_mid, inv_end, cap in zip(range(2, n), mids, ends, caps):
         # RKN4 stages for (u, v)'' = w (v, u), w = u/rho; inv is 1/rho from the
         # last step's third stage; stage 3 and the update share h u' and h v'
         w = yu * inv
         b1 = w * yv
         d1 = w * yu
 
-        inv = 1.0 / (rho + half)
         u2 = yu + half * yup + h2_8 * b1
         v2 = yv + half * yvp + h2_8 * d1
-        w = u2 * inv
+        w = u2 * inv_mid
         b2 = w * v2
         d2 = w * u2
 
-        rho += h
-        inv = 1.0 / rho
+        inv = inv_end
         hu = h * yup
         hv = h * yvp
         u3 = yu + hu + h2_2 * b2
@@ -280,7 +285,7 @@ def _shoot(gamma0: float, grid: RadialGrid, max_nodes: int | None, record: bool,
                 break
             if nodes == ceiling and stop is not None:
                 target = i + stop
-        if abs(yu) > cap * rho:
+        if yu > cap or yu < -cap:
             classification = "diverged_up" if yu > 0.0 else "diverged_down"
             break
         if i == target:
@@ -368,9 +373,11 @@ def _tail(k2: float, mass: float, radii: list[float],
     has a zero past radii[0] (a pole of y, where the steps run off).  y
     solves y' = k2 - mass/rho - y^2, stable inward, from the asymptotic
     form -k + mass/(2 k rho), k = sqrt(k2), _RICCATI_RUN_IN past the last
-    radius, in RK4 steps of at most ``step``.  A mismatch asks for rho_m
-    alone; a final shot's profile for its anchors (see :func:`_solve`),
-    so each span between radii is one step there."""
+    radius, in RK4 steps of at most ``step``; each step's potential k2 -
+    mass/rho at its end is the next step's at its start, and it is
+    computed anew where a span restarts at its radius.  A mismatch asks
+    for rho_m alone; a final shot's profile for its anchors (see
+    :func:`_solve`), so each span between radii is one step there."""
     if not k2 > 0.0:
         return None
     k = math.sqrt(k2)
@@ -383,8 +390,9 @@ def _tail(k2: float, mass: float, radii: list[float],
         dr = (end - r) / steps
         half = 0.5 * dr
         sixth = dr / 6.0
+        q = k2 - mass / r  # the potential at r, each step's end the next one's start
         for _ in range(steps):
-            a1 = k2 - mass / r - y * y
+            a1 = q - y * y
             y2 = y + half * a1
             qm = k2 - mass / (r + half)  # the potential at the midpoint
             a2 = qm - y2 * y2
@@ -392,7 +400,8 @@ def _tail(k2: float, mass: float, radii: list[float],
             a3 = qm - y3 * y3
             y4 = y + dr * a3
             r += dr
-            a4 = k2 - mass / r - y4 * y4
+            q = k2 - mass / r
+            a4 = q - y4 * y4
             log_u += sixth * (y + 2.0 * (y2 + y3) + y4)
             y += sixth * (a1 + 2.0 * (a2 + a3) + a4)
         r = end
@@ -447,29 +456,35 @@ def _side(n: int, gamma0: float, grid: RadialGrid, stop: int,
 
 
 def _aim(n: int, bracket: tuple[float, float], coarse: RadialGrid,
-         tol: float) -> tuple[float, float] | None:
-    """The unaimed :func:`_bisect` of ``bracket``, a lattice cell on the
-    ``coarse`` grid, with tails on a Riccati step _COARSE times as long and
-    shots near the root at ends of plain bisection's last bracket, gives
-    the mid-bracket gamma0 and the secant slope of its last two mismatches.
-    The lattice has sided the cell's ends, so they are not shot.  None when
-    the bisection raises or leaves no two distinct mismatches."""
-    try:
-        lo, hi, seen = _bisect(n, bracket, coarse, tol, _COARSE * _RICCATI_STEP, None, True)
-    except SngError:
-        return None
-    if len(seen) < 2 or seen[-1][1] == seen[-2][1]:
-        return None
-    (x0, v0), (x1, v1) = seen[-2:]
-    return 0.5 * (lo + hi), (v1 - v0) / (x1 - x0)
-
-
-def _aims(bracket: tuple[float, float], tol: float) -> bool:
-    """Whether a bisection of ``bracket`` to ``tol`` is aimed: a coarser
-    tol leaves too few halvings to always repay the coarse pass (n = 0 on
-    40/401 at tol 1e-6: 2,308 RKN4 steps aimed, 2,020 unaimed)."""
+         tol: float) -> tuple[float, float, float] | None:
+    """The aim of a bisection of ``bracket``, a lattice cell on the
+    ``coarse`` grid, to ``tol``: the mid-bracket gamma0 and the secant
+    slope of the last two mismatches of the unaimed :func:`_bisect` of the
+    cell on the coarse grid, and the aim precision d = _AIM_ERROR h_c^4
+    max(|lo|, |hi|), h_c the coarse spacing, which that bisection stops at.
+    Its tails take Riccati steps _COARSE times as long, its shots near the
+    root are ends of plain bisection's last bracket, and the lattice has
+    sided the cell's ends, so they are not shot.  A bisection that leaves
+    no two distinct mismatches at d goes on to tol.  None, with no shot,
+    for a tol not below d, nor below a 64th of the cell (six halvings or
+    fewer do not repay the aim: n = 0 on 40/401 at tol 1e-3, 1,038 RKN4
+    steps aimed against 936 for plain bisection); None too when the
+    bisection raises or leaves no two distinct mismatches."""
     lo, hi = bracket
-    return tol < min(hi - lo, _AIM_OFFSET * max(abs(lo), abs(hi)))
+    d = _AIM_ERROR * coarse.spacing ** 4 * max(abs(lo), abs(hi))
+    if not tol < min(d, (hi - lo) / 64.0):
+        return None
+    step, seen = _COARSE * _RICCATI_STEP, []
+    try:
+        for width in (d, tol):
+            lo, hi, more = _bisect(n, (lo, hi), coarse, width, step, None, True)
+            seen += more
+            if len(seen) >= 2 and seen[-1][1] != seen[-2][1]:
+                (x0, v0), (x1, v1) = seen[-2:]
+                return 0.5 * (lo + hi), (v1 - v0) / (x1 - x0), d
+    except SngError:
+        pass
+    return None
 
 
 def _last_interval(lo: float, hi: float, tol: float, s: float) -> tuple[float, float]:
@@ -481,7 +496,7 @@ def _last_interval(lo: float, hi: float, tol: float, s: float) -> tuple[float, f
 
 
 def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, step: float,
-            aim: tuple[float, float] | None,
+            aim: tuple[float, float, float] | None,
             sided: bool) -> tuple[float, float, list[tuple[float, float]]]:
     """Plain bisection's bracket of width <= tol on the n-node eigenvalue
     inside ``bracket``, and the (gamma0, mismatch) pairs of the shots taken,
@@ -495,8 +510,8 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
     midpoint outside (a, b) takes the side of the shot that set that end.
 
     With an ``aim``, the first shots are aimed from the coarse pass's root
-    gamma_c and slope (see :func:`_aim`): at gamma_c + d, d growing 8-fold
-    from max(_AIM_OFFSET |gamma_c|, tol), until a shot lands above the
+    gamma_c, slope and precision d (see :func:`_aim`): at gamma_c + d, d
+    growing 8-fold from the precision, until a shot lands above the
     eigenvalue with a mismatch v there, then at both ends of the last
     bracket for the Newton point x - v/slope and, while the shots do not
     yet straddle the eigenvalue, for up to two more secant roots.  Each
@@ -525,8 +540,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
         return side, v
 
     if aim is not None:
-        gamma_c, slope = aim
-        d = max(_AIM_OFFSET * abs(gamma_c), tol)
+        gamma_c, slope, d = aim
         try:
             side, v = -1, None
             while side < 0 and a < gamma_c + d < b:
@@ -576,7 +590,7 @@ def _bisect(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float, 
 
 
 def _solve(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
-           aim: tuple[float, float] | None) -> UniversalSolution:
+           aim: tuple[float, float, float] | None) -> UniversalSolution:
     """Bisect gamma0 inside ``bracket`` until the width falls below ``tol``
     and return the profile shot from the mid-bracket gamma0 = g*(0).
 
@@ -586,11 +600,11 @@ def _solve(n: int, bracket: tuple[float, float], grid: RadialGrid, tol: float,
     mismatch there.  The halvings are plain bisection's, so while the side
     changes once inside ``bracket`` the result is plain bisection's bit for
     bit; but a midpoint that lies past a shot already taken takes that
-    shot's side.  The first shots are aimed from the coarse pass's root
-    and slope ``aim`` (see :func:`_aim`), or not for None; near the root
-    every shot is an end of plain bisection's last bracket for a secant
-    root (see :func:`_bisect`), and secant shots never outnumber the
-    halvings made.  Up to rho_m, f* and g* are the final shot's u and v
+    shot's side.  The first shots are aimed from the coarse pass's root,
+    slope and precision ``aim`` (see :func:`_aim`), or not for None; near
+    the root every shot is an end of plain bisection's last bracket for a
+    secant root (see :func:`_bisect`), and secant shots never outnumber
+    the halvings made.  Up to rho_m, f* and g* are the final shot's u and v
     divided by rho once, with f*(0) = 1 and g*(0) = gamma0 exactly; past
     it, g* = g_inf - M/rho and f* = u_tail/rho, with u_tail from the same
     tail as the mismatch, shot at anchors: rho_m, every s-th node past it
@@ -676,15 +690,15 @@ def solve_states(ns: Iterable[int], grid: RadialGrid,
     """Solve the bound states with the requested node counts, in the order
     given: :func:`_find_brackets` brackets them all on its shared shots on
     every _COARSE-th point (see :func:`_coarse_grid`), then :func:`_solve`
-    bisects each on ``grid`` from its cell, aimed by a coarse bisection on
-    the same coarse grid that takes the cell's sides from the lattice
-    (count above n at the lower end, at most n at the upper) and so does
-    not shoot its ends.  A cell that contains the eigenvalue on ``grid`` is
-    the one the lattice on ``grid`` itself gives, so the states are the
-    same.  That lattice brackets the states instead, and their bisections
-    run unaimed, when the coarse grid is refused, its lattice raises, or a
-    coarse cell lies on one side of the eigenvalue on ``grid``
-    (InvalidBracketError), from that state on.  A bad ``tol`` or ``ns``
+    bisects each on ``grid`` from its cell, aimed (see :func:`_aim`) by a
+    coarse bisection on the same coarse grid that takes the cell's sides
+    from the lattice (count above n at the lower end, at most n at the
+    upper) and so does not shoot its ends.  A cell that contains the
+    eigenvalue on ``grid`` is the one the lattice on ``grid`` itself gives,
+    so the states are the same.  That lattice brackets the states instead,
+    and their bisections run unaimed, when the coarse grid is refused, its
+    lattice raises, or a coarse cell lies on one side of the eigenvalue on
+    ``grid`` (InvalidBracketError), from that state on.  A bad ``tol`` or ``ns``
     raises InvalidArgumentError before any shot."""
     ns = list(ns)
     check_positive("tol", tol)
@@ -698,9 +712,8 @@ def solve_states(ns: Iterable[int], grid: RadialGrid,
     solved = []
     for n in ns:
         if n in cells:
-            aim = _aim(n, cells[n], coarse, tol) if _aims(cells[n], tol) else None
             try:
-                solved.append(_solve(n, cells[n], grid, tol, aim))
+                solved.append(_solve(n, cells[n], grid, tol, _aim(n, cells[n], coarse, tol)))
                 continue
             except InvalidBracketError:
                 cells = {}

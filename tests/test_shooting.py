@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,8 +110,7 @@ def _aimed_solve(n, cell, grid, tol=shooting.DEFAULT_TOL):
         coarse = shooting._coarse_grid(grid)
     except InvalidArgumentError:
         coarse = None
-    aim = (shooting._aim(n, cell, coarse, tol)
-           if coarse is not None and shooting._aims(cell, tol) else None)
+    aim = shooting._aim(n, cell, coarse, tol) if coarse is not None else None
     return shooting._solve(n, cell, grid, tol, aim)
 
 
@@ -173,6 +173,15 @@ def test_answers_do_not_depend_on_the_domain():
         assert a.gamma1 == pytest.approx(b.gamma1, rel=1e-13), f"n={a.n}"
         assert a.epsilon_star == pytest.approx(b.epsilon_star, rel=1e-13), f"n={a.n}"
         np.testing.assert_allclose(a.f_star.values, b.f_star.values[:1501], rtol=0.0, atol=1e-17)
+
+
+def test_central_values_keep_their_bits_on_a_doubled_domain(spectrum):
+    # the same spacing on twice the domain: gamma0, which shots that stop
+    # at rho_m decide, keeps its bits for every state the default grid
+    # solves; gamma1 and epsilon_star read the tail past rho_m, which leaves
+    # out its own mass, and move up to 7.7e-6 for n = 5 (ROADMAP item 23)
+    wide = solve_states(range(6), make_grid(80.0, 16001))
+    assert [sol.gamma0 for sol in wide] == [spectrum[n].gamma0 for n in range(6)]
 
 
 def test_central_values_converge_at_fourth_order():
@@ -587,6 +596,103 @@ def test_shots_are_bitwise_pinned(kind):
             assert _sha256(*values) == digest, f"gamma0={gamma0}, max_nodes={max_nodes}"
 
 
+def _reference_shoot(gamma0, grid, max_nodes, record, stop=None):
+    """_shoot with every grid-only term computed in its step: rho += h,
+    1/(rho + h/2), 1/rho and the cap abs(u) > 1e3 rho, no table."""
+    if not np.isfinite(gamma0):
+        raise InvalidArgumentError(f"gamma0 must be finite, got {gamma0}")
+    ceiling = math.inf if max_nodes is None else max_nodes
+    gamma0 = float(gamma0)
+    n = grid.n_points
+    h = grid.spacing
+    f1 = 1.0 + gamma0 * h * h / 6.0
+    g1 = gamma0 + h * h / 6.0
+    yu = h * f1
+    yup = f1 + h * (gamma0 * h / 3.0)
+    yv = h * g1
+    yvp = g1 + h * (h / 3.0)
+    if record:
+        us, ups, vs, vps = [0.0, yu], [1.0, yup], [0.0, yv], [gamma0, yvp]
+    nodes = int(yu < 0.0)
+    target = nodes + stop if stop is not None and nodes == ceiling else n
+    rho = h
+    inv = 1.0 / rho
+    classification = "max_radius"
+    half = 0.5 * h
+    sixth = h / 6.0
+    h2_8, h2_2, h2_6 = h * h / 8.0, h * h / 2.0, h * h / 6.0
+    for i in range(2, n):
+        w = yu * inv
+        b1 = w * yv
+        d1 = w * yu
+        inv = 1.0 / (rho + half)
+        u2 = yu + half * yup + h2_8 * b1
+        v2 = yv + half * yvp + h2_8 * d1
+        w = u2 * inv
+        b2 = w * v2
+        d2 = w * u2
+        rho += h
+        inv = 1.0 / rho
+        hu = h * yup
+        hv = h * yvp
+        u3 = yu + hu + h2_2 * b2
+        v3 = yv + hv + h2_2 * d2
+        w = u3 * inv
+        b3 = w * v3
+        d3 = w * u3
+        u_prev = yu
+        yu += hu + h2_6 * (b1 + 2.0 * b2)
+        yv += hv + h2_6 * (d1 + 2.0 * d2)
+        yup += sixth * (b1 + 4.0 * b2 + b3)
+        yvp += sixth * (d1 + 4.0 * d2 + d3)
+        if record:
+            us.append(yu)
+            ups.append(yup)
+            vs.append(yv)
+            vps.append(yvp)
+        if yu * u_prev < 0.0:
+            nodes += 1
+            if nodes > ceiling:
+                classification = "node_ceiling"
+                break
+            if nodes == ceiling and stop is not None:
+                target = i + stop
+        if abs(yu) > 1e3 * rho:
+            classification = "diverged_up" if yu > 0.0 else "diverged_down"
+            break
+        if i == target:
+            classification = "match_radius"
+            break
+    if not (math.isfinite(yu) and math.isfinite(yv)):
+        raise InvalidArgumentError(f"the shot at gamma0={gamma0} overflows a double")
+    return (nodes, classification), ((us, ups, vs, vps) if record else (i, yu, yup, yv, yvp))
+
+
+@pytest.mark.parametrize("rho_max, points", [(40.0, 8001), (40.0, 401), (13.0, 3),
+                                             (1.7e308, 30)])
+def test_shots_match_the_untabled_kernel(rho_max, points):
+    # every grid-only term of a step comes from the grid's tables: the
+    # same label and the same bits of every sample or state as the loop
+    # that computed them per step, or the same refusal; on 1.7e308/30 the
+    # tables overflow, silently as the loop's floats do
+    rng = np.random.default_rng(20261022)
+    for _ in range(24):
+        grid = make_grid(rho_max, points)  # a fresh grid builds its tables here
+        gamma0 = float(rng.uniform(-5.0, 0.0))
+        max_nodes = [None, 0, 1, 2, 4][rng.integers(5)]
+        stop = [None, 1, 2, shooting._stop(grid)][rng.integers(4)]
+        record = bool(rng.integers(2))
+        shots = []
+        for shoot in (_shoot, _reference_shoot):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    shots.append(repr(shoot(gamma0, grid, max_nodes, record, stop)))
+                except SngError as exc:
+                    shots.append(repr(exc))
+        assert shots[0] == shots[1], (gamma0, max_nodes, stop, record)
+
+
 # --- label-only shots -------------------------------------------------------
 
 def _label_only(gamma0, grid, max_nodes=None, stop=None):
@@ -673,9 +779,10 @@ def test_solve_states_shot_counts(monkeypatch):
     # same grid, which takes its cell's sides from the lattice and shoots
     # neither end (stop 100 samples; three shots whose tail on the coarse
     # Riccati step does not decay yet at rho_m are shot again to rho_max),
-    # whose root and slope aim the shots on 2001 points (stop 800 samples,
-    # 16 past the n-th node): 13 for n = 0 and 5 for n = 1, against 2 + 15
-    # and 2 + 10 unaimed, and one recorded shot to rho_m
+    # stops at the aim precision and whose root and slope aim the shots on
+    # 2001 points (stop 800 samples, 16 past the n-th node): 4 for n = 0
+    # and 5 for n = 1, against 2 + 15 and 2 + 10 unaimed, and one recorded
+    # shot to rho_m
     counts = collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -684,9 +791,9 @@ def test_solve_states_shot_counts(monkeypatch):
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     solve_states([0, 1], make_grid(40.0, 2001))
-    assert counts == {(251, False, 0, 100): 12, (251, False, 1, 100): 12,
+    assert counts == {(251, False, 0, 100): 10, (251, False, 1, 100): 10,
                       (251, False, 0, None): 2, (251, False, 1, None): 10 + 1,
-                      (2001, False, 0, 800): 13, (2001, False, 1, 800): 5,
+                      (2001, False, 0, 800): 4, (2001, False, 1, 800): 5,
                       (2001, True, 0, 800): 1, (2001, True, 1, 800): 1}
 
 
@@ -703,16 +810,16 @@ def _riccati_steps(k2, radii, step):
 # solve_states(range(5)) on the default grid: shots and RKN4 steps on 8001
 # and 1001 points, the 18 of the lattice among the latter, and Riccati steps
 # of 0.05 and of 0.4; README and the shooting module quote their totals
-DEFAULT_GRID_SHOTS = {8001: 25, 1001: 79}
+DEFAULT_GRID_SHOTS = {8001: 23, 1001: 73}
 DEFAULT_GRID_LATTICE_SHOTS = 18
-DEFAULT_GRID_SHOT_STEPS = {8001: 115_490, 1001: 40_620}
+DEFAULT_GRID_SHOT_STEPS = {8001: 109_664, 1001: 37_061}
 DEFAULT_GRID_RICCATI_STEPS = {shooting._RICCATI_STEP: 20_215,
-                              shooting._COARSE * shooting._RICCATI_STEP: 4_201}
+                              shooting._COARSE * shooting._RICCATI_STEP: 3_501}
 
 
-def _default_grid_counts(monkeypatch, tol):
+def _solve_counts(monkeypatch, ns, grid, tol=shooting.DEFAULT_TOL):
     """The shots and RKN4 steps per grid, and the Riccati steps per step
-    size, of solve_states(range(5), default_grid(), tol)."""
+    size, of solve_states(ns, grid, tol)."""
     shots, steps, tails = collections.Counter(), collections.Counter(), collections.Counter()
 
     def counted(gamma0, grid, max_nodes, record, stop=None):
@@ -727,7 +834,7 @@ def _default_grid_counts(monkeypatch, tol):
 
     monkeypatch.setattr(shooting, "_shoot", counted)
     monkeypatch.setattr(shooting, "_tail", tail)
-    solve_states(range(5), default_grid(), tol)
+    solve_states(ns, grid, tol)
     return shots, steps, tails
 
 
@@ -738,19 +845,34 @@ def test_default_grid_rk4_steps(monkeypatch):
     # again to rho_max); the tails of the solve's shots take Riccati steps
     # of 0.05, the final shots' profile tails one step of 0.045 between
     # anchors nine nodes apart, and those of the coarse passes steps of 0.4
-    shots, steps, tails = _default_grid_counts(monkeypatch, shooting.DEFAULT_TOL)
+    shots, steps, tails = _solve_counts(monkeypatch, range(5), default_grid())
     assert (shots, steps) == (DEFAULT_GRID_SHOTS, DEFAULT_GRID_SHOT_STEPS)
     assert tails == DEFAULT_GRID_RICCATI_STEPS
 
 
 def test_default_grid_rk4_steps_at_tol_1e_12(monkeypatch):
-    # a hundredth of the default tol costs two more shots on 8001 points and
-    # one on 1001: near each root the shots are the ends of plain
+    # a hundredth of the default tol costs three more shots on 8001 points
+    # and none on 1001, where the coarse passes stop at their aim precision
+    # whatever the tol: near each root the shots are the ends of plain
     # bisection's last bracket, which a narrower tol moves more than it adds
-    shots, steps, tails = _default_grid_counts(monkeypatch, 1e-12)
-    assert (shots, steps) == ({8001: 27, 1001: 80}, {8001: 124_216, 1001: 41_236})
-    assert tails == {shooting._RICCATI_STEP: 21_815,
-                     shooting._COARSE * shooting._RICCATI_STEP: 4_301}
+    shots, steps, tails = _solve_counts(monkeypatch, range(5), default_grid(), 1e-12)
+    assert (shots, steps) == ({8001: 26, 1001: 73}, {8001: 123_917, 1001: 37_061})
+    assert tails == {shooting._RICCATI_STEP: 22_615,
+                     shooting._COARSE * shooting._RICCATI_STEP: 3_501}
+
+
+@pytest.mark.parametrize("points, ns, shots, steps, riccati", [
+    # sng check's states (checks._STATES_PER_GRID)
+    (8001, (0, 1, 2), {8001: 14, 1001: 52}, {8001: 55_501, 1001: 21_067}, (12_563, 2_200)),
+    (4001, (0, 1), {4001: 9, 501: 34}, {4001: 16_066, 501: 5_804}, (8_317, 1_100)),
+    # the ground state an evolve --gravity run starts from
+    (4001, (0,), {4001: 4, 501: 21}, {4001: 6_396, 501: 2_892}, (3_800, 600)),
+])
+def test_solve_counts_on_the_grids_check_and_evolve_solve(points, ns, shots, steps, riccati,
+                                                          monkeypatch):
+    counted = _solve_counts(monkeypatch, ns, make_grid(40.0, points))
+    assert counted == (shots, steps, {shooting._RICCATI_STEP: riccati[0],
+                                      shooting._COARSE * shooting._RICCATI_STEP: riccati[1]})
 
 
 def test_docs_quote_the_default_grid_counts():
