@@ -178,8 +178,8 @@ def test_answers_do_not_depend_on_the_domain():
 def test_central_values_keep_their_bits_on_a_doubled_domain(spectrum):
     # the same spacing on twice the domain: gamma0, which shots that stop
     # at rho_m decide, keeps its bits for every state the default grid
-    # solves; gamma1 and epsilon_star read the tail past rho_m, which leaves
-    # out its own mass, and move up to 7.7e-6 for n = 5 (ROADMAP item 23)
+    # solves; gamma1 and epsilon_star, quadratures that stop at rho_max,
+    # move up to 7.7e-6 for n = 5 (ROADMAP item 23)
     wide = solve_states(range(6), make_grid(80.0, 16001))
     assert [sol.gamma0 for sol in wide] == [spectrum[n].gamma0 for n in range(6)]
 
